@@ -276,6 +276,7 @@ def criterion_7(rng):
         if not cn.is_central(u):
             return False, "a Z2 connection failed centrality"
         z, chi = cn.central_decompose(u)
+        w = cn.curvature(u)
         for b in enumerate_simplices(circle2, 1):
             if Z2.mul(z(b), chi(b)) != u(b) or chi(b) not in center:
                 return False, "decomposition does not recompose"
@@ -285,7 +286,7 @@ def criterion_7(rng):
                 b,
                 Simplex1(b.support, Simplex0(b.support), b.face1),
             )
-            if cn.curvature(u)(c_b) != Z2.inv(chi(b)):
+            if w(c_b) != Z2.inv(chi(b)):
                 return False, "curvature of the pinch simplex missed chi"
         agreeing = [
             z1 for z1 in cocycles if all(z1(b) == u(b) for b in inflating)

@@ -31,6 +31,7 @@ from .gauge import gauge_act, gauge_group, is_gauge_transformation
 from .groups import format_group_text, parse_group_text
 from .paths import Path, homotopic, pi1_presentation
 from .poset import (
+    base_point,
     format_poset_text,
     generate,
     is_directed,
@@ -131,7 +132,7 @@ def cmd_simplices(args):
 
 def cmd_pi1(args):
     P = _load_poset(args.poset)
-    base = args.base or P.elements[0]
+    base = args.base or base_point(P)
     pres, _ = pi1_presentation(P, base)
     return 0, {
         "poset": P.name,
@@ -241,7 +242,7 @@ def cmd_holonomy(args):
     P = _load_poset(args.poset)
     G = _load_group(args.group)
     u = _load_cochain(args.cochain, P, G)
-    base = args.base or P.elements[0]
+    base = args.base or base_point(P)
     report = {
         "poset": P.name,
         "group": G.name,
@@ -273,7 +274,7 @@ def cmd_reduce(args):
     P = _load_poset(args.poset)
     G = _load_group(args.group)
     u = _load_cochain(args.cochain, P, G)
-    base = args.base or P.elements[0]
+    base = args.base or base_point(P)
     u1, f, H = cn.ambrose_singer_reduce(u, base)
     return 0, {
         "cochain": format_cochain_text(u1, name="reduced"),
@@ -394,6 +395,16 @@ def cmd_suite(args):
 # -- dispatch --------------------------------------------------------------
 
 
+def _nonnegative_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="posetbundle",
@@ -420,7 +431,7 @@ def build_parser():
     p.add_argument("poset")
     p.add_argument("--dim", type=int, default=1)
     p.add_argument("--inflating", action="store_true")
-    p.add_argument("--limit", type=int, default=100)
+    p.add_argument("--limit", type=_nonnegative_int, default=100)
 
     p = add("pi1", cmd_pi1, help="present the fundamental group")
     p.add_argument("poset")
@@ -446,12 +457,12 @@ def build_parser():
         p.add_argument("poset")
         p.add_argument("group")
         p.add_argument("cochain")
-        p.add_argument("--limit", type=int, default=100)
+        p.add_argument("--limit", type=_nonnegative_int, default=100)
 
     p = add("classify-cocycles", cmd_classify_cocycles)
     p.add_argument("poset")
     p.add_argument("group")
-    p.add_argument("--limit", type=int, default=10 ** 6)
+    p.add_argument("--limit", type=_nonnegative_int, default=10 ** 6)
 
     p = add("holonomy", cmd_holonomy)
     p.add_argument("poset")

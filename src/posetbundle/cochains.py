@@ -23,15 +23,13 @@ from .errors import (
 from .groups import FiniteGroup, GroupHom, InnerAut, ad, identity_aut
 from .paths import (
     Path,
-    compose,
+    based_loops,
     enumerate_homs,
     pi1_presentation,
-    reverse_path,
     word_value,
 )
-from .poset import Poset
+from .poset import Poset, base_point
 from .simplicial import (
-    boundary,
     enumerate_simplices,
     is_degenerate,
     parse_simplex1,
@@ -134,8 +132,8 @@ class Cochain2:
             )
         _check_total(P, G, self.values, 2, "a 2-cochain")
         for c in enumerate_simplices(P, 2):
-            left = ad(G, self.values[c]).compose(self.tau[boundary(c, 1)])
-            right = self.tau[boundary(c, 0)].compose(self.tau[boundary(c, 2)])
+            left = ad(G, self.values[c]).compose(self.tau[c.face1])
+            right = self.tau[c.face0].compose(self.tau[c.face2])
             if left != right:
                 raise Mismatch(
                     f"2-cochain component at {c.encode()} does not intertwine "
@@ -271,10 +269,9 @@ def coboundary2(w: Cochain2) -> Cochain3:
     G = w.group
     values = {}
     for d in enumerate_simplices(w.poset, 3):
-        rear = boundary(boundary(d, 0), 0)
-        twisted = G.mul(w.tau[rear](w(boundary(d, 3))), w(boundary(d, 1)))
-        values[d] = G.product(w(boundary(d, 0)), w(boundary(d, 2)),
-                              G.inv(twisted))
+        f0, f1, f2, f3 = d.faces
+        twisted = G.mul(w.tau[f0.face0](w(f3)), w(f1))
+        values[d] = G.product(w(f0), w(f2), G.inv(twisted))
     return Cochain3(w.poset, G, w.tau, values)
 
 
@@ -299,32 +296,35 @@ def is_cocycle(cochain) -> bool:
             for b in enumerate_simplices(cochain.poset, 1)
         )
     if isinstance(cochain, Cochain1):
-        G = cochain.group
-        return all(
-            G.mul(cochain(c.face0), cochain(c.face2)) == cochain(c.face1)
-            for c in enumerate_simplices(cochain.poset, 2)
+        failures = identity_failures(
+            cochain, enumerate_simplices(cochain.poset, 2)
         )
+        return next(failures, None) is None
     if isinstance(cochain, Cochain2):
         G = cochain.group
         for d in enumerate_simplices(cochain.poset, 3):
-            rear = boundary(boundary(d, 0), 0)
-            lhs = G.mul(cochain(boundary(d, 0)), cochain(boundary(d, 2)))
-            rhs = G.mul(cochain.tau[rear](cochain(boundary(d, 3))),
-                        cochain(boundary(d, 1)))
+            f0, f1, f2, f3 = d.faces
+            lhs = G.mul(cochain(f0), cochain(f2))
+            rhs = G.mul(cochain.tau[f0.face0](cochain(f3)), cochain(f1))
             if lhs != rhs:
                 return False
         return True
     raise BadParameter("cocycle condition implemented for degrees 0-2")
 
 
+def identity_failures(u: Cochain1, simplices):
+    """The 2-simplices c among `simplices` where the cocycle identity
+    u(c0) u(c2) = u(c1) fails, lazily and in order."""
+    values, mul = u.values, u.group.mul
+    return (
+        c for c in simplices
+        if mul(values[c.face0], values[c.face2]) != values[c.face1]
+    )
+
+
 def cocycle_violations(z: Cochain1):
     """The 2-simplices where the 1-cocycle identity fails, for reporting."""
-    G = z.group
-    return tuple(
-        c
-        for c in enumerate_simplices(z.poset, 2)
-        if G.mul(z(c.face0), z(c.face2)) != z(c.face1)
-    )
+    return tuple(identity_failures(z, enumerate_simplices(z.poset, 2)))
 
 
 # -- paths and path independence -------------------------------------------
@@ -346,7 +346,7 @@ def is_path_independent(u: Cochain1):
     exactly the coboundary condition), otherwise None.
     """
     P, G = u.poset, u.group
-    a0 = P.elements[0]
+    a0 = base_point(P)
     _, words = pi1_presentation(P, a0)
     f = {a: extend_to_path(u, words.tree_path(a.element))
          for a in enumerate_simplices(P, 0)}
@@ -395,7 +395,7 @@ def find_morphism(v1: Cochain1, v: Cochain1):
     if v1.poset != v.poset or v1.group != v.group:
         raise Mismatch("cochains live over different posets or groups")
     P, G = v.poset, v.group
-    a0 = P.elements[0]
+    a0 = base_point(P)
     _, words = pi1_presentation(P, a0)
     for seed in G.elements:
         f = {a0: seed}
@@ -420,19 +420,23 @@ def are_equivalent(z: Cochain1, z1: Cochain1) -> bool:
 # -- enumeration and classification ----------------------------------------
 
 
+def _twisted_loop_values(loops, loop_values, f, G):
+    """z(b) = f(end) g f(start)^-1 for each based loop (b, _, _) in
+    `loops` and its value g in `loop_values`."""
+    return tuple(
+        G.mul(G.mul(f[b.face0.element], g), G.inv(f[b.face1.element]))
+        for (b, _, _), g in zip(loops, loop_values)
+    )
+
+
 def cocycle_from_hom(P, G, presentation, words, sigma, f):
     """The 1-cocycle built from a fundamental-group homomorphism and a
     points assignment f (element -> G) with f = identity at the base
     point: z(b) = f(end) sigma([loop through b]) f(start)^-1."""
-    values = {}
-    for b in enumerate_simplices(P, 1):
-        loop = compose(
-            reverse_path(words.tree_path(b.face0.element)),
-            compose(Path((b,)), words.tree_path(b.face1.element)),
-        )
-        g = word_value(words.path_word(loop), sigma, G)
-        values[b] = G.product(f[b.face0.element], g, G.inv(f[b.face1.element]))
-    return Cochain1(P, G, values)
+    loops = based_loops(P, words.base)
+    loop_values = [word_value(word, sigma, G) for _, _, word in loops]
+    values = _twisted_loop_values(loops, loop_values, f, G)
+    return Cochain1(P, G, dict(zip(enumerate_simplices(P, 1), values)))
 
 
 def enumerate_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
@@ -441,9 +445,11 @@ def enumerate_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
     A cocycle is the same thing as a fundamental-group homomorphism
     together with a free choice of group element at every point other
     than the base point, so the enumeration ranges over those pairs.
+    The value of each based loop is computed once per homomorphism;
+    each point assignment only multiplies in its endpoint values.
     """
-    a0 = P.elements[0]
-    presentation, words = pi1_presentation(P, a0)
+    a0 = base_point(P)
+    presentation, _ = pi1_presentation(P, a0)
     homs = enumerate_homs(presentation, G, limit=limit)
     others = [a for a in P.elements if a != a0]
     if len(homs) * len(G) ** len(others) > limit:
@@ -451,16 +457,19 @@ def enumerate_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
             f"{len(homs)} homomorphisms x {len(G)}^{len(others)} point "
             f"assignments exceed the limit {limit}"
         )
+    loops = based_loops(P, a0)
+    simplices = enumerate_simplices(P, 1)
     out = []
     seen = set()
     for sigma in homs:
+        loop_values = [word_value(word, sigma, G) for _, _, word in loops]
         for choice in itertools.product(G.elements, repeat=len(others)):
             f = dict(zip(others, choice))
             f[a0] = G.identity
-            z = cocycle_from_hom(P, G, presentation, words, sigma, f)
-            if z not in seen:
-                seen.add(z)
-                out.append(z)
+            values = _twisted_loop_values(loops, loop_values, f, G)
+            if values not in seen:
+                seen.add(values)
+                out.append(Cochain1(P, G, dict(zip(simplices, values))))
     return tuple(out)
 
 
@@ -499,10 +508,9 @@ def classify_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
     value; candidates are filtered by the cocycle identity and then
     deduplicated by morphism search.
     """
-    a0 = P.elements[0]
-    pi1_presentation(P, a0)  # raises NotConnected early
+    a0 = base_point(P)
+    _, words = pi1_presentation(P, a0)  # raises NotConnected early
     tree = set()
-    _, words = pi1_presentation(P, a0)
     for a in P.elements:
         for b in words.tree_path(a).steps:
             tree.add(b)
@@ -570,7 +578,10 @@ def parse_cochain_text(text: str, P: Poset, G: FiniteGroup) -> Cochain1:
         lhs, eq, rhs = line.partition("=")
         if not eq:
             raise BadParameter(f"bad cochain line: {raw!r}")
-        values[parse_simplex1(lhs)] = rhs.strip()
+        b = parse_simplex1(lhs)
+        if b in values:
+            raise BadParameter(f"repeated value for {b.encode()}: {raw!r}")
+        values[b] = rhs.strip()
     if header is None:
         raise BadParameter("missing cochain header")
     return Cochain1(P, G, values)

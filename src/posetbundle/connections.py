@@ -16,6 +16,7 @@ from .cochains import (
     Morphism1,
     coboundary1,
     extend_to_path,
+    identity_failures,
     is_cocycle,
     is_morphism,
 )
@@ -31,7 +32,7 @@ from .errors import (
     WrongCocycle,
 )
 from .groups import FiniteGroup
-from .paths import Path, compose, pi1_presentation, reverse_path
+from .paths import Path, based_loops, pi1_presentation
 from .poset import Poset
 from .simplicial import (
     Simplex0,
@@ -51,10 +52,9 @@ def connection_violations(u: Cochain1):
     for b in enumerate_simplices(P, 1):
         if u(reverse(b)) != G.inv(u(b)):
             bad_edges.append(b)
-    bad_triangles = []
-    for c in enumerate_simplices(P, 2, inflating_only=True):
-        if G.mul(u(c.face0), u(c.face2)) != u(c.face1):
-            bad_triangles.append(c)
+    bad_triangles = identity_failures(
+        u, enumerate_simplices(P, 2, inflating_only=True)
+    )
     return tuple(bad_edges), tuple(bad_triangles)
 
 
@@ -275,20 +275,10 @@ def star_inverse(u: Cochain1) -> Cochain1:
 # -- holonomy --------------------------------------------------------------
 
 
-def _loop_through(words, b) -> Path:
-    """The based loop: tree path in, cross b, tree path back."""
-    return compose(
-        reverse_path(words.tree_path(b.face0.element)),
-        compose(Path((b,)), words.tree_path(b.face1.element)),
-    )
-
-
 def holonomy_generators(u: Cochain1, a0: str):
     _require_connection(u)
-    _, words = pi1_presentation(u.poset, a0)
     return tuple(
-        extend_to_path(u, _loop_through(words, b))
-        for b in enumerate_simplices(u.poset, 1)
+        extend_to_path(u, loop) for _, loop, _ in based_loops(u.poset, a0)
     )
 
 

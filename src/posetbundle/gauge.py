@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from .cochains import Cochain1, is_cocycle
 from .errors import Mismatch, SearchLimitExceeded, WrongCocycle
 from .paths import pi1_presentation
+from .poset import base_point
 from .simplicial import enumerate_simplices
 
 
@@ -62,7 +63,7 @@ def gauge_group(z: Cochain1):
     if not is_cocycle(z):
         raise WrongCocycle("gauge groups are attached to 1-cocycles")
     P, G = z.poset, z.group
-    a0 = P.elements[0]
+    a0 = base_point(P)
     _, words = pi1_presentation(P, a0)
     out = []
     for seed in G.elements:

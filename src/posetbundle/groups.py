@@ -410,8 +410,13 @@ def parse_group_text(text: str) -> FiniteGroup:
         else:
             head, _, rest = line.partition(":")
             g = head.strip()
-            row = rest.split()
-            rows[g] = row
+            if elems is None:
+                raise MalformedTable("table rows before the elems line")
+            if g not in elems:
+                raise MalformedTable(f"table row for unknown element: {raw!r}")
+            if g in rows:
+                raise MalformedTable(f"repeated table row for {g!r}: {raw!r}")
+            rows[g] = rest.split()
     if name is None or elems is None:
         raise MalformedTable("missing group header or elems line")
     table = {}

@@ -175,9 +175,10 @@ class Presentation:
 class WordMap:
     """Maps 1-simplices and paths of a poset to words of a presentation."""
 
-    def __init__(self, edge_words, tree_paths):
+    def __init__(self, edge_words, tree_paths, base):
         self._edge_words = edge_words
         self._tree_paths = tree_paths
+        self.base = base
 
     def edge_word(self, b: Simplex1):
         return self._edge_words[b]
@@ -300,7 +301,27 @@ def pi1_presentation(P: Poset, a0: str):
         if word:
             relators.append(word)
     presentation = Presentation(tuple(generators), tuple(relators))
-    return presentation, WordMap(edge_words, tree_paths)
+    return presentation, WordMap(edge_words, tree_paths, a0)
+
+
+@lru_cache(maxsize=None)
+def based_loops(P: Poset, a0: str):
+    """The based loop through each 1-simplex, with its word.
+
+    For every 1-simplex b, in `enumerate_simplices(P, 1)` order, a triple
+    (b, loop, word): the loop at a0 that follows the spanning tree to the
+    start of b, crosses b and returns along the tree from its end, and
+    the word of that loop in the presentation of `pi1_presentation`.
+    """
+    _, words = pi1_presentation(P, a0)
+    out = []
+    for b in enumerate_simplices(P, 1):
+        loop = compose(
+            reverse_path(words.tree_path(b.face0.element)),
+            compose(Path((b,)), words.tree_path(b.face1.element)),
+        )
+        out.append((b, loop, words.path_word(loop)))
+    return tuple(out)
 
 
 def enumerate_homs(presentation: Presentation, G: FiniteGroup, limit=10 ** 6):

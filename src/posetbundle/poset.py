@@ -144,6 +144,13 @@ def build_poset(elements, relations, name="poset") -> Poset:
     return Poset(seen, closure, name=name)
 
 
+def base_point(P: Poset) -> str:
+    """The default base point: the first element in sorted order."""
+    if not P.elements:
+        raise BadParameter(f"poset {P.name!r} has no elements, so no base point")
+    return P.elements[0]
+
+
 def is_directed(P: Poset) -> bool:
     """True iff every pair of elements has a common upper bound."""
     for x in P.elements:

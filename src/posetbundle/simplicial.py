@@ -5,25 +5,66 @@ the finite normal form of an order-preserving map from the subset-poset
 of {0..n} into the base poset.  Equality is structural.  Vertex i of a
 1-simplex b is read as: boundary 1 is the start point, boundary 0 the
 endpoint.
+
+The enumerated complex is face-shared: `enumerate_simplices` glues
+dimension n from the cached dimension n-1, so the faces of an
+enumerated simplex are the enumerated objects one dimension down.
+Every simplex computes its hash once, at construction, so simplices
+are cheap dictionary keys (cochains are dictionaries keyed by them).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import BadParameter, IndexOutOfRange, UnsupportedDimension
 from .poset import Poset
 
 
-@dataclass(frozen=True)
-class Simplex0:
-    element: str
+class _Simplex:
+    """Shared identity of the simplex classes.
 
-    @property
-    def dim(self):
-        return 0
+    The hash is computed once, in ``__post_init__``, from the support and
+    the (already hashed) faces.  Equality is structural: a freshly built
+    simplex equals the enumerated one with the same data, and a hash
+    mismatch settles most unequal pairs without recursing into faces.
+    """
+
+    __slots__ = ()
+
+    def _cache_hash(self):
+        object.__setattr__(self, "_hash", hash(self._key()))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._hash == other._hash and self._key() == other._key()
+
+    def __reduce__(self):
+        # Unpickle through __init__: string hashes, and with them the
+        # cached hash, differ from one interpreter process to the next.
+        return type(self), self._key()
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class Simplex0(_Simplex):
+    element: str
+    _hash: int = field(init=False, repr=False)
+
+    dim = 0
+
+    def __post_init__(self):
+        self._cache_hash()
+
+    def _key(self):
+        return (self.element,)
 
     def encode(self):
         return self.element
@@ -32,29 +73,50 @@ class Simplex0:
         return (self.element,)
 
 
-@dataclass(frozen=True)
-class Simplex1:
+class _Positive(_Simplex):
+    """A simplex of dimension >= 1: a support and its faces."""
+
+    __slots__ = ()
+
+    def _set_faces(self, faces):
+        object.__setattr__(self, "faces", faces)
+        self._cache_hash()
+
+    def _key(self):
+        return (self.support,) + self.faces
+
+    def encode(self):
+        faces = ",".join(f.encode() for f in self.faces)
+        return f"({self.support};{faces})"
+
+    def sort_key(self):
+        return (self.support,) + tuple(f.sort_key() for f in self.faces)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class Simplex1(_Positive):
     support: str
     face0: Simplex0  # endpoint
     face1: Simplex0  # start point
+    faces: tuple = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
-    @property
-    def dim(self):
-        return 1
+    dim = 1
 
-    def encode(self):
-        return f"({self.support};{self.face0.encode()},{self.face1.encode()})"
-
-    def sort_key(self):
-        return (self.support, self.face0.sort_key(), self.face1.sort_key())
+    def __post_init__(self):
+        self._set_faces((self.face0, self.face1))
 
 
-@dataclass(frozen=True)
-class Simplex2:
+@dataclass(frozen=True, eq=False, slots=True)
+class Simplex2(_Positive):
     support: str
     face0: Simplex1
     face1: Simplex1
     face2: Simplex1
+    faces: tuple = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
+
+    dim = 2
 
     def __post_init__(self):
         c0, c1, c2 = self.face0, self.face1, self.face2
@@ -65,31 +127,20 @@ class Simplex2:
         )
         if not ok:
             raise BadParameter(f"incompatible faces for 2-simplex: {c0}, {c1}, {c2}")
-
-    @property
-    def dim(self):
-        return 2
-
-    def encode(self):
-        faces = ",".join(f.encode() for f in (self.face0, self.face1, self.face2))
-        return f"({self.support};{faces})"
-
-    def sort_key(self):
-        return (
-            self.support,
-            self.face0.sort_key(),
-            self.face1.sort_key(),
-            self.face2.sort_key(),
-        )
+        self._set_faces((c0, c1, c2))
 
 
-@dataclass(frozen=True)
-class Simplex3:
+@dataclass(frozen=True, eq=False, slots=True)
+class Simplex3(_Positive):
     support: str
     face0: Simplex2
     face1: Simplex2
     face2: Simplex2
     face3: Simplex2
+    faces: tuple = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
+
+    dim = 3
 
     def __post_init__(self):
         d0, d1, d2, d3 = self.face0, self.face1, self.face2, self.face3
@@ -103,25 +154,7 @@ class Simplex3:
         )
         if not ok:
             raise BadParameter("incompatible faces for 3-simplex")
-
-    @property
-    def dim(self):
-        return 3
-
-    def encode(self):
-        faces = ",".join(
-            f.encode() for f in (self.face0, self.face1, self.face2, self.face3)
-        )
-        return f"({self.support};{faces})"
-
-    def sort_key(self):
-        return (
-            self.support,
-            self.face0.sort_key(),
-            self.face1.sort_key(),
-            self.face2.sort_key(),
-            self.face3.sort_key(),
-        )
+        self._set_faces((d0, d1, d2, d3))
 
 
 def boundary(d, i):
@@ -130,7 +163,7 @@ def boundary(d, i):
         raise IndexOutOfRange("a 0-simplex has no boundary")
     if not 0 <= i <= d.dim:
         raise IndexOutOfRange(f"boundary index {i} out of range for dim {d.dim}")
-    return (d.face0, d.face1, getattr(d, "face2", None), getattr(d, "face3", None))[i]
+    return d.faces[i]
 
 
 def support(d) -> str:
@@ -228,54 +261,118 @@ EVEN_PERMUTATIONS = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
 ODD_PERMUTATIONS = ((1, 0, 2), (2, 1, 0), (0, 2, 1))
 
 
-def _nonempty_subsets(n):
-    """Nonempty subsets of {0..n} ordered by (size, lexicographic)."""
-    items = range(n + 1)
-    subsets = []
-    for size in range(1, n + 2):
-        subsets.extend(itertools.combinations(items, size))
-    return subsets
+_SIMPLEX_CLASSES = (Simplex0, Simplex1, Simplex2, Simplex3)
 
 
-def _simplex_from_map(values, indices):
-    """Build the nested simplex for a monotone map restricted to `indices`."""
-    if len(indices) == 1:
-        return Simplex0(values[indices])
-    faces = [
-        _simplex_from_map(values, indices[:k] + indices[k + 1:])
-        for k in range(len(indices))
-    ]
-    top = values[indices]
-    if len(indices) == 2:
-        return Simplex1(top, *faces)
-    if len(indices) == 3:
-        return Simplex2(top, *faces)
-    return Simplex3(top, *faces)
+def _check_dimension(n):
+    if n < 0 or n > 3:
+        raise UnsupportedDimension(f"dimension {n} not supported (0..3)")
 
 
-@lru_cache(maxsize=None)
 def enumerate_simplices(P: Poset, n: int, inflating_only: bool = False):
     """All n-simplices of P in deterministic (sort key) order.
 
-    Enumeration runs over monotone maps from the nonempty subsets of
-    {0..n} into P, which is exactly the set of singular n-simplices.
+    Dimension n is glued from the cached dimension n-1, so every face of
+    an enumerated simplex is the very object enumerated one dimension
+    down, and each simplex hashes once.  Repeated calls return the same
+    cached tuple; `inflating_only` filters it.
     """
-    if n < 0 or n > 3:
-        raise UnsupportedDimension(f"dimension {n} not supported (0..3)")
+    _check_dimension(n)
+    if inflating_only:
+        return _inflating_simplices(P, n)
+    return _simplices(P, n)
+
+
+@lru_cache(maxsize=None)
+def _inflating_simplices(P: Poset, n: int):
+    if n <= 1:
+        return tuple(d for d in _simplices(P, n) if is_inflating(P, d))
+    inflating_faces = set(_inflating_simplices(P, n - 1))
+    return tuple(
+        d for d in _simplices(P, n)
+        if all(f in inflating_faces for f in d.faces)
+    )
+
+
+@lru_cache(maxsize=None)
+def _simplices(P: Poset, n: int):
+    """Glue n-simplices from (n-1)-simplices by the simplicial identities.
+
+    An n-simplex with support x is a tuple of faces f_0..f_n, each an
+    (n-1)-simplex with support <= x, such that face i of f_k is face k-1
+    of f_i for all i < k (for n >= 2; for n = 1 any two points below x
+    are the faces).  Candidates for f_k are looked up by their first k
+    faces.  Choosing the faces in the order of dimension n-1 yields the
+    simplices in sort key order.
+    """
     if n == 0:
         return tuple(Simplex0(x) for x in P.elements)
-    subsets = _nonempty_subsets(n)
+    lower = _simplices(P, n - 1)
+    by_support = {}
+    for f in lower:
+        by_support.setdefault(support(f), []).append(f)
+    make = _SIMPLEX_CLASSES[n]
+    out = []
+    for x in P.elements:
+        # `lower` is sorted by support first, so concatenating the groups
+        # in element order keeps candidates in the order of `lower`.
+        candidates = [
+            f for y in P.down_set(x) for f in by_support.get(y, ())
+        ]
+        by_prefix = [{} for _ in range(n + 1)]
+        for f in candidates:
+            for k in range(n + 1):
+                key = f.faces[:k] if n >= 2 else ()
+                by_prefix[k].setdefault(key, []).append(f)
+
+        def glue(faces):
+            k = len(faces)
+            if k == n + 1:
+                out.append(make(x, *faces))
+                return
+            key = tuple(f.faces[k - 1] for f in faces) if n >= 2 else ()
+            for f in by_prefix[k].get(key, ()):
+                faces.append(f)
+                glue(faces)
+                faces.pop()
+
+        glue([])
+    return tuple(out)
+
+
+def enumerate_simplices_raw(P: Poset, n: int, inflating_only: bool = False):
+    """Brute-force oracle for `enumerate_simplices`.
+
+    Runs over the monotone maps from the nonempty subsets of {0..n} into
+    P, which are exactly the singular n-simplices, builds each simplex
+    from scratch and sorts by sort key.
+    """
+    _check_dimension(n)
+    subsets = [
+        subset
+        for size in range(1, n + 2)
+        for subset in itertools.combinations(range(n + 1), size)
+    ]
+
+    def build(values, indices):
+        if len(indices) == 1:
+            return Simplex0(values[indices])
+        faces = [build(values, indices[:k] + indices[k + 1:])
+                 for k in range(len(indices))]
+        return _SIMPLEX_CLASSES[len(indices) - 1](values[indices], *faces)
+
     results = []
 
     def assign(pos, values):
         if pos == len(subsets):
-            results.append(_simplex_from_map(values, tuple(range(n + 1))))
+            results.append(build(values, tuple(range(n + 1))))
             return
         subset = subsets[pos]
         if len(subset) == 1:
             candidates = P.elements
         else:
-            lower = [values[subset[:k] + subset[k + 1:]] for k in range(len(subset))]
+            lower = [values[subset[:k] + subset[k + 1:]]
+                     for k in range(len(subset))]
             candidates = [
                 x for x in P.elements if all(P.leq(lo, x) for lo in lower)
             ]

@@ -70,6 +70,31 @@ def test_simplices_counts(workspace, capsys):
     assert "truncated-at: 5" in text
 
 
+def test_negative_limit_is_usage_error(workspace):
+    poset, group = workspace / "circle2.poset", workspace / "z3.group"
+    assert run(["simplices", poset, "--limit", "-1"]) == 2
+    assert run(["classify-cocycles", poset, group, "--limit", "-1"]) == 2
+    assert run(["check-cocycle", poset, group, workspace / "winding.cochain",
+                "--limit", "-1"]) == 2
+    assert run(["simplices", poset, "--limit", "0"]) == 0
+
+
+def test_empty_poset_is_an_input_error(tmp_path, capsys):
+    poset = tmp_path / "empty.poset"
+    poset.write_text("poset empty\n")
+    group = tmp_path / "z3.group"
+    group.write_text(format_group_text(Z3))
+    cochain = tmp_path / "empty.cochain"
+    cochain.write_text("cochain c over empty values Z3\n")
+    capsys.readouterr()
+    for args in (["pi1", poset], ["classify-cocycles", poset, group],
+                 ["holonomy", poset, group, cochain],
+                 ["reduce", poset, group, cochain],
+                 ["gauge-group", poset, group, cochain]):
+        assert run(args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_pi1_report(workspace, capsys):
     assert run(["pi1", workspace / "circle2.poset", "--base", "a1"]) == 0
     text = capsys.readouterr().out

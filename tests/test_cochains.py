@@ -41,7 +41,16 @@ from posetbundle.errors import (
     SearchLimitExceeded,
 )
 from posetbundle.groups import GroupHom, ad, cyclic_group, symmetric_group
-from posetbundle.paths import Path, compose, pi1_presentation, reverse_path
+from posetbundle.paths import (
+    Path,
+    based_loops,
+    compose,
+    enumerate_homs,
+    pi1_presentation,
+    reverse_path,
+    word_value,
+)
+from posetbundle.poset import build_poset
 from posetbundle.simplicial import (
     Simplex0,
     Simplex1,
@@ -138,6 +147,68 @@ def test_cocycle_enumeration_matches_oracle(posets):
         assert fast == raw
     with pytest.raises(SearchLimitExceeded):
         enumerate_cocycles_raw(posets["circle2"], Z2, limit=100)
+
+
+def per_cocycle_loop_cocycles(P, G):
+    """Reference enumeration: rebuild the based loop through every
+    1-simplex for every (homomorphism, point assignment) pair and
+    deduplicate whole cochains."""
+    a0 = P.elements[0]
+    presentation, words = pi1_presentation(P, a0)
+    others = P.elements[1:]
+    out, seen = [], set()
+    for sigma in enumerate_homs(presentation, G):
+        for choice in itertools.product(G.elements, repeat=len(others)):
+            f = dict(zip(others, choice))
+            f[a0] = G.identity
+            values = {}
+            for b in enumerate_simplices(P, 1):
+                loop = compose(
+                    reverse_path(words.tree_path(b.face0.element)),
+                    compose(Path((b,)), words.tree_path(b.face1.element)),
+                )
+                g = word_value(words.path_word(loop), sigma, G)
+                values[b] = G.product(f[b.face0.element], g,
+                                      G.inv(f[b.face1.element]))
+            z = Cochain1(P, G, values)
+            if z not in seen:
+                seen.add(z)
+                out.append(z)
+    return out
+
+
+@pytest.mark.parametrize("poset_name,group", [
+    ("circle2", Z2), ("circle2", Z3), ("circle2", S3), ("twoloop", Z2),
+])
+def test_cocycle_enumeration_matches_loop_construction(posets, poset_name,
+                                                       group):
+    P = posets[poset_name]
+    fast = enumerate_cocycles(P, group)
+    reference = per_cocycle_loop_cocycles(P, group)
+    assert list(fast) == reference
+    simplices = enumerate_simplices(P, 1)
+    assert [[z(b) for b in simplices] for z in fast] == [
+        [z(b) for b in simplices] for z in reference
+    ]
+
+
+def test_based_loops_carry_the_edge_words(posets):
+    for P in (posets["circle2"], posets["twoloop"]):
+        for a0 in P.elements:
+            _, words = pi1_presentation(P, a0)
+            loops = based_loops(P, a0)
+            assert [b for b, _, _ in loops] == list(enumerate_simplices(P, 1))
+            for b, loop, word in loops:
+                assert loop.start.element == a0 and loop.is_loop()
+                assert b in loop.steps
+                assert word == words.path_word(loop) == words.edge_word(b)
+
+
+def test_empty_poset_has_no_cocycle_enumeration(groups):
+    empty = build_poset([], [], name="empty")
+    for fn in (enumerate_cocycles, classify_cocycles):
+        with pytest.raises(BadParameter):
+            fn(empty, groups["z2"])
 
 
 def test_cocycle_count_on_circle(posets):
@@ -261,6 +332,15 @@ def test_cochain_text_round_trip(posets):
         parse_cochain_text(text, P, Z2)
     with pytest.raises(BadParameter):
         parse_cochain_text("not a header\n", P, S3)
+
+
+def test_cochain_text_rejects_repeated_simplex(posets):
+    P = posets["circle2"]
+    text = format_cochain_text(trivial_cochain1(P, Z3), name="t")
+    first = text.splitlines()[1]
+    repeated = text + first.replace("= g0", "= g1") + "\n"
+    with pytest.raises(BadParameter, match="repeated"):
+        parse_cochain_text(repeated, P, Z3)
 
 
 def test_assignment_text_round_trip(posets):

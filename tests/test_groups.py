@@ -185,6 +185,16 @@ def test_parse_rejects_corrupted_tables():
         )  # identity not listed first
 
 
+def test_parse_rejects_unknown_and_repeated_rows():
+    text = format_group_text(cyclic_group(2))
+    with pytest.raises(MalformedTable, match="unknown element"):
+        parse_group_text(text + "x: g0 g1\n")
+    with pytest.raises(MalformedTable, match="repeated"):
+        parse_group_text(text + "g1: g1 g0\n")
+    with pytest.raises(MalformedTable):
+        parse_group_text("group g\ntable\ne: e\n")  # rows before elems
+
+
 @given(st.sampled_from(S3.elements), st.sampled_from(S3.elements),
        st.sampled_from(S3.elements))
 def test_conjugation_is_a_homomorphism(g, h, k):

@@ -1,8 +1,14 @@
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posetbundle.errors import BadParameter, IndexOutOfRange, UnsupportedDimension
+from posetbundle.poset import build_poset
 from posetbundle.simplicial import (
     EVEN_PERMUTATIONS,
     ODD_PERMUTATIONS,
@@ -12,6 +18,7 @@ from posetbundle.simplicial import (
     boundary,
     degeneracy,
     enumerate_simplices,
+    enumerate_simplices_raw,
     is_degenerate,
     is_inflating,
     parse_simplex1,
@@ -151,3 +158,142 @@ def test_parse_simplex1_round_trip(posets):
         parse_simplex1("o1;a1,a2")
     with pytest.raises(BadParameter):
         parse_simplex1("(o1;a1)")
+
+
+# -- the glued complex against the monotone-map oracle ----------------------
+
+NAMES = ("a", "b", "c", "d", "e", "f")
+
+
+@st.composite
+def small_posets(draw, max_size=6, max_height=None):
+    """Random posets on at most `max_size` elements.
+
+    Relations run from earlier to later positions of a random ordering
+    of the names, so the closure is antisymmetric while sorted name
+    order and the order relation stay unrelated.  With `max_height` 2,
+    only elements of a lower block sit below elements of an upper block.
+    """
+    n = draw(st.integers(0, max_size))
+    names = draw(st.permutations(NAMES[:n])) if n else []
+    if max_height == 2:
+        split = draw(st.integers(0, n))
+        pairs = [(i, j) for i in range(split) for j in range(split, n)]
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return build_poset(names, [(names[i], names[j]) for i, j in chosen])
+
+
+def assert_matches_oracle(P, dim):
+    raw = enumerate_simplices_raw(P, dim)
+    glued = enumerate_simplices(P, dim)
+    assert glued == raw
+    assert [d.encode() for d in glued] == [d.encode() for d in raw]
+    assert [hash(d) for d in glued] == [hash(d) for d in raw]
+    inflating = tuple(d for d in raw if is_inflating(P, d))
+    assert enumerate_simplices(P, dim, inflating_only=True) == inflating
+
+
+def assert_faces_shared(P, dim):
+    lower = {f: f for f in enumerate_simplices(P, dim - 1)}
+    for inflating_only in (False, True):
+        for d in enumerate_simplices(P, dim, inflating_only=inflating_only):
+            for i, f in enumerate(d.faces):
+                assert lower[f] is f
+                assert boundary(d, i) is f
+
+
+@pytest.mark.parametrize("poset_name", ["chain2", "chain3", "vee", "circle2",
+                                        "twoloop"])
+def test_enumeration_matches_oracle_on_fixtures(posets, poset_name):
+    P = posets[poset_name]
+    for dim in range(4):
+        assert_matches_oracle(P, dim)
+    assert enumerate_simplices_raw(P, 2, inflating_only=True) == (
+        enumerate_simplices(P, 2, inflating_only=True)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_posets())
+def test_enumeration_matches_oracle_up_to_dim2(P):
+    for dim in range(3):
+        assert_matches_oracle(P, dim)
+
+
+# Dimension 3 grows fast with the height of the poset: chain3 has 7,413
+# 3-simplices, which the oracle builds in seconds, and a 4-chain has
+# 153,367.  Random posets for this dimension therefore have height at
+# most 2 and at most 4 elements; the fixtures above cover height 3.
+@settings(max_examples=15, deadline=None)
+@given(small_posets(max_size=4, max_height=2))
+def test_enumeration_matches_oracle_in_dim3(P):
+    assert_matches_oracle(P, 3)
+    assert_faces_shared(P, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_posets())
+def test_faces_are_shared(P):
+    for dim in range(1, 3):
+        assert_faces_shared(P, dim)
+
+
+def test_faces_are_shared_on_fixtures(posets):
+    for P in posets.values():
+        for dim in range(1, 4):
+            assert_faces_shared(P, dim)
+
+
+def test_repeated_calls_share_the_complex(posets):
+    P = posets["circle2"]
+    assert enumerate_simplices(P, 2) is enumerate_simplices(P, 2, False)
+    assert enumerate_simplices(P, 2) is enumerate_simplices(
+        P, 2, inflating_only=False
+    )
+
+
+def test_fresh_simplices_equal_enumerated_ones(posets):
+    P = posets["circle2"]
+    index = {d: i for dim in range(4) for i, d in
+             enumerate(enumerate_simplices(P, dim))}
+    for b in enumerate_simplices(P, 1):
+        fresh = parse_simplex1(b.encode())
+        assert fresh is not b
+        assert fresh == b and hash(fresh) == hash(b)
+        assert Simplex1(b.support, Simplex0(b.face0.element),
+                        Simplex0(b.face1.element)) in index
+    for dim in range(3):
+        for d in enumerate_simplices(P, dim):
+            for i in range(dim + 1):
+                s = degeneracy(d, i)
+                twin = enumerate_simplices(P, dim + 1)[index[s]]
+                assert s == twin and hash(s) == hash(twin)
+    for c in enumerate_simplices(P, 2):
+        for sigma in EVEN_PERMUTATIONS + ODD_PERMUTATIONS:
+            assert permute2(c, sigma) in index
+
+
+def test_unequal_simplices_differ(posets):
+    simplices = enumerate_simplices(posets["twoloop"], 2)
+    for c, c1 in zip(simplices, simplices[1:]):
+        assert c != c1
+    assert Simplex0("a") != Simplex1("a", Simplex0("a"), Simplex0("a"))
+
+
+def test_pickled_simplices_rehash_in_another_process(posets):
+    # String hashes differ between interpreter processes, so a cached
+    # hash must not travel with a pickled simplex.
+    script = (
+        "import pickle, sys\n"
+        "from posetbundle.poset import generate\n"
+        "from posetbundle.simplicial import enumerate_simplices\n"
+        "sys.stdout.buffer.write(pickle.dumps("
+        "enumerate_simplices(generate('circle', 2), 2)))\n"
+    )
+    env = dict(os.environ, PYTHONHASHSEED="1")
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, check=True, timeout=60).stdout
+    here = enumerate_simplices(posets["circle2"], 2)
+    assert set(pickle.loads(out)) == set(here)
