@@ -18,7 +18,6 @@ from .cochains import (
     cocycle_from_hom,
     enumerate_cocycles,
     extend_to_path,
-    is_cocycle,
     is_morphism,
     is_path_independent,
     random_cochain0,
@@ -28,7 +27,6 @@ from .cochains import (
 from .gauge import gauge_group, gauge_group_raw
 from .groups import FiniteGroup, cyclic_group, symmetric_group
 from .paths import (
-    Path,
     count_hom_classes,
     deformations,
     enumerate_homs,
@@ -43,7 +41,6 @@ from .simplicial import (
     is_degenerate,
     is_inflating,
     permute2,
-    reverse,
 )
 
 DEFAULT_SEED = 20260824

@@ -1,4 +1,11 @@
-"""Command-line front end: file loading, dispatch, deterministic reports.
+"""Command-line front end: a table of commands, input loading, dispatch
+and deterministic reports.
+
+Every command is one row of `COMMANDS`: its name, its handler, the input
+files it loads (poset, group, cochain), its further arguments and its
+help.  `run` parses the arguments, loads every input file into the
+object it describes and hands the result to the handler, which only
+builds the report.
 
 Exit codes: 0 for success / true verdicts, 1 for false verdicts,
 2 for usage or input errors.
@@ -10,6 +17,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path as FilePath
 
 from . import acceptance
@@ -17,11 +25,9 @@ from . import connections as cn
 from .cochains import (
     classify_cocycles,
     coboundary,
-    enumerate_cocycles,
-    format_cochain_text,
-    format_assignment_text,
-    is_cocycle,
     cocycle_violations,
+    format_cochain_text,
+    is_cocycle,
     parse_assignment_text,
     parse_cochain_text,
     trivial_cochain1,
@@ -49,24 +55,25 @@ def _read(path):
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _load_poset(path):
-    return parse_poset_text(_read(path))
-
-
-def _load_group(path):
-    return parse_group_text(_read(path))
-
-
-def _load_cochain(path, P, G):
-    return parse_cochain_text(_read(path), P, G)
-
-
 def _parse_path(text) -> Path:
     """Path files list 1-simplices, first step written last."""
     chunks = re.findall(r"\([^()]*\)", text)
     if not chunks:
         raise UsageError("path file contains no 1-simplices")
     return Path(tuple(parse_simplex1(c) for c in reversed(chunks)))
+
+
+# How each kind of input file becomes an object; a cochain or an
+# assignment is read against the poset and group loaded before it.
+LOADERS = {
+    "poset": lambda text, args: parse_poset_text(text),
+    "group": lambda text, args: parse_group_text(text),
+    "cochain": lambda text, args: parse_cochain_text(text, args.poset,
+                                                     args.group),
+    "path": lambda text, args: _parse_path(text),
+    "assignment": lambda text, args: parse_assignment_text(text, args.poset,
+                                                           args.group),
+}
 
 
 def _emit(report, fmt):
@@ -89,11 +96,14 @@ def _emit(report, fmt):
 
 
 # -- commands --------------------------------------------------------------
+#
+# Handlers receive the parsed arguments with every input file already
+# loaded and return (exit code, report); a report of None prints nothing.
 
 
 def cmd_validate(args):
-    P = _load_poset(args.poset)
-    report = {
+    P = args.poset
+    return 0, {
         "poset": P.name,
         "elements": len(P),
         "order-pairs": len(P.pairs()),
@@ -101,7 +111,6 @@ def cmd_validate(args):
         "totally-ordered": is_totally_ordered(P),
         "pathwise-connected": is_pathwise_connected(P),
     }
-    return 0, report
 
 
 def cmd_gen(args):
@@ -115,15 +124,14 @@ def cmd_gen(args):
 
 
 def cmd_simplices(args):
-    P = _load_poset(args.poset)
+    P = args.poset
     simplices = enumerate_simplices(P, args.dim, inflating_only=args.inflating)
-    shown = [d.encode() for d in simplices[: args.limit]]
     report = {
         "poset": P.name,
         "dim": args.dim,
         "inflating-only": args.inflating,
         "count": len(simplices),
-        "simplices": shown,
+        "simplices": [d.encode() for d in simplices[: args.limit]],
     }
     if len(simplices) > args.limit:
         report["truncated-at"] = args.limit
@@ -131,7 +139,7 @@ def cmd_simplices(args):
 
 
 def cmd_pi1(args):
-    P = _load_poset(args.poset)
+    P = args.poset
     base = args.base or base_point(P)
     pres, _ = pi1_presentation(P, base)
     return 0, {
@@ -144,12 +152,9 @@ def cmd_pi1(args):
 
 
 def cmd_homotopic(args):
-    P = _load_poset(args.poset)
-    p = _parse_path(_read(args.path1))
-    q = _parse_path(_read(args.path2))
-    verdict = homotopic(p, q, P, args.bound)
+    verdict = homotopic(args.path1, args.path2, args.poset, args.bound)
     report = {
-        "poset": P.name,
+        "poset": args.poset.name,
         "bound": args.bound,
         "status": verdict.status,
     }
@@ -159,7 +164,7 @@ def cmd_homotopic(args):
 
 
 def cmd_group_validate(args):
-    G = _load_group(args.group)
+    G = args.group
     return 0, {
         "group": G.name,
         "order": len(G),
@@ -169,26 +174,25 @@ def cmd_group_validate(args):
     }
 
 
+def _header(args):
+    return {"poset": args.poset.name, "group": args.group.name}
+
+
 def cmd_check_cocycle(args):
-    P = _load_poset(args.poset)
-    G = _load_group(args.group)
-    z = _load_cochain(args.cochain, P, G)
-    ok = is_cocycle(z)
-    report = {"poset": P.name, "group": G.name, "cocycle": ok}
+    ok = is_cocycle(args.cochain)
+    report = {**_header(args), "cocycle": ok}
     if not ok:
         report["violations"] = [
-            c.encode() for c in cocycle_violations(z)[: args.limit]
+            c.encode() for c in cocycle_violations(args.cochain)[: args.limit]
         ]
     return (0 if ok else 1), report
 
 
 def cmd_classify_cocycles(args):
-    P = _load_poset(args.poset)
-    G = _load_group(args.group)
+    P, G = args.poset, args.group
     reps = classify_cocycles(P, G, limit=args.limit)
     return 0, {
-        "poset": P.name,
-        "group": G.name,
+        **_header(args),
         "classes": len(reps),
         "representatives": [
             " ".join(f"{b.encode()}={z(b)}" for b in enumerate_simplices(P, 1)
@@ -199,31 +203,20 @@ def cmd_classify_cocycles(args):
 
 
 def cmd_dd_check(args):
-    P = _load_poset(args.poset)
-    G = _load_group(args.group)
-    u = _load_cochain(args.cochain, P, G)
-    x = coboundary(coboundary(u))
-    ok = all(g == G.identity for g in x.values.values())
-    return (0 if ok else 1), {
-        "poset": P.name,
-        "group": G.name,
-        "second-coboundary-trivial": ok,
-    }
+    x = coboundary(coboundary(args.cochain))
+    ok = all(g == args.group.identity for g in x.values.values())
+    return (0 if ok else 1), {**_header(args), "second-coboundary-trivial": ok}
 
 
 def cmd_curvature(args):
-    P = _load_poset(args.poset)
-    G = _load_group(args.group)
-    u = _load_cochain(args.cochain, P, G)
-    w = cn.curvature(u)
+    w = cn.curvature(args.cochain)
     nontrivial = [
         f"{c.encode()} -> {w(c)}"
-        for c in enumerate_simplices(P, 2)
-        if w(c) != G.identity
+        for c in enumerate_simplices(args.poset, 2)
+        if w(c) != args.group.identity
     ]
     return 0, {
-        "poset": P.name,
-        "group": G.name,
+        **_header(args),
         "flat": not nontrivial,
         "nontrivial-values": nontrivial[: args.limit],
         "nontrivial-count": len(nontrivial),
@@ -231,36 +224,22 @@ def cmd_curvature(args):
 
 
 def cmd_induce(args):
-    P = _load_poset(args.poset)
-    G = _load_group(args.group)
-    u = _load_cochain(args.cochain, P, G)
-    z = cn.induced_cocycle(u)
+    z = cn.induced_cocycle(args.cochain)
     return 0, {"cochain": format_cochain_text(z, name="induced")}
 
 
 def cmd_holonomy(args):
-    P = _load_poset(args.poset)
-    G = _load_group(args.group)
-    u = _load_cochain(args.cochain, P, G)
-    base = args.base or base_point(P)
-    report = {
-        "poset": P.name,
-        "group": G.name,
-        "base": base,
-        "holonomy": list(cn.holonomy(u, base)),
-    }
+    u = args.cochain
+    base = args.base or base_point(args.poset)
+    report = {**_header(args), "base": base,
+              "holonomy": list(cn.holonomy(u, base))}
     if args.restricted:
         report["restricted-holonomy"] = list(cn.restricted_holonomy(u, base))
     return 0, report
 
 
 def cmd_nonflat(args):
-    P = _load_poset(args.poset)
-    G = _load_group(args.group)
-    if args.cocycle:
-        z = _load_cochain(args.cocycle, P, G)
-    else:
-        z = trivial_cochain1(P, G)
+    z = args.cocycle or trivial_cochain1(args.poset, args.group)
     b = parse_simplex1(args.edge) if args.edge else None
     u, witness = cn.construct_nonflat(z, b, args.g)
     return 0, {
@@ -271,11 +250,8 @@ def cmd_nonflat(args):
 
 
 def cmd_reduce(args):
-    P = _load_poset(args.poset)
-    G = _load_group(args.group)
-    u = _load_cochain(args.cochain, P, G)
-    base = args.base or base_point(P)
-    u1, f, H = cn.ambrose_singer_reduce(u, base)
+    base = args.base or base_point(args.poset)
+    u1, f, H = cn.ambrose_singer_reduce(args.cochain, base)
     return 0, {
         "cochain": format_cochain_text(u1, name="reduced"),
         "base": base,
@@ -285,13 +261,9 @@ def cmd_reduce(args):
 
 
 def cmd_gauge_group(args):
-    P = _load_poset(args.poset)
-    G = _load_group(args.group)
-    z = _load_cochain(args.cochain, P, G)
-    gg = gauge_group(z)
+    gg = gauge_group(args.cochain)
     return 0, {
-        "poset": P.name,
-        "group": G.name,
+        **_header(args),
         "size": len(gg),
         "transformations": [
             " ".join(f"{a}={g}" for a, g in t.assignment) for t in gg
@@ -300,18 +272,14 @@ def cmd_gauge_group(args):
 
 
 def cmd_gauge_act(args):
-    P = _load_poset(args.poset)
-    G = _load_group(args.group)
-    u = _load_cochain(args.cochain, P, G)
-    f = parse_assignment_text(_read(args.transform), P, G)
-    z = cn.induced_cocycle(u)
-    if not is_gauge_transformation(z, f):
+    u, f = args.cochain, args.transform
+    if not is_gauge_transformation(cn.induced_cocycle(u), f):
         raise UsageError(
             "the transform file is not a gauge transformation of the "
             "connection's bundle"
         )
-    out = gauge_act(f, u)
-    return 0, {"cochain": format_cochain_text(out, name="transformed")}
+    return 0, {"cochain": format_cochain_text(gauge_act(f, u),
+                                              name="transformed")}
 
 
 def _write_fixtures(directory):
@@ -347,9 +315,8 @@ def _write_fixtures(directory):
     return written
 
 
-def cmd_suite(args):
-    directory = FilePath(args.fixtures)
-    written = _write_fixtures(directory)
+def _fixture_problems(directory):
+    """What is wrong with the fixture files, one line per file."""
     problems = []
     posets = {}
     groups = {}
@@ -376,23 +343,43 @@ def cmd_suite(args):
                 problems.append(f"{path.name}: not a cocycle")
         except PosetBundleError as exc:
             problems.append(f"{path.name}: {exc}")
-    if written:
-        print(f"fixtures written: {' '.join(sorted(written))}")
-    if problems:
-        print("fixture validation [FAIL]")
+    return problems
+
+
+def cmd_suite(args):
+    """Write and validate the fixtures, then run the acceptance criteria.
+
+    Text mode prints as it goes, since the criteria take a while; JSON
+    mode returns one report of the fixtures and the criteria.
+    """
+    directory = FilePath(args.fixtures)
+    written = sorted(_write_fixtures(directory))
+    problems = _fixture_problems(directory)
+    text = args.format == "text"
+    if text:
+        if written:
+            print(f"fixtures written: {' '.join(written)}")
+        print(f"fixture validation [{'FAIL' if problems else 'PASS'}]")
         for problem in problems:
             print(f"  {problem}")
-        return 1, None
-    print("fixture validation [PASS]")
-    results = acceptance.run_all(seed=args.seed)
-    for result in results:
-        print(result.line())
-    failed = [r for r in results if not r.passed]
-    print(f"suite: {len(results) - len(failed)}/{len(results)} criteria passed")
-    return (0 if not failed else 1), None
+    results = () if problems else acceptance.run_all(seed=args.seed)
+    passed = sum(r.passed for r in results)
+    if text and not problems:
+        for result in results:
+            print(result.line())
+        print(f"suite: {passed}/{len(results)} criteria passed")
+    code = 0 if not problems and passed == len(results) else 1
+    if text:
+        return code, None
+    return code, {
+        "fixtures-written": written,
+        "fixture-problems": problems,
+        "criteria": [asdict(r) for r in results],
+        "passed": passed,
+    }
 
 
-# -- dispatch --------------------------------------------------------------
+# -- the command table -----------------------------------------------------
 
 
 def _nonnegative_int(text):
@@ -405,6 +392,54 @@ def _nonnegative_int(text):
     return value
 
 
+def arg(*flags, load=None, **kwargs):
+    """An argument: argparse flags and options, and the `LOADERS` kind
+    that turns the named file into an object, if it names one."""
+    return flags, load, kwargs
+
+
+BASE = arg("--base")
+LIMIT = arg("--limit", type=_nonnegative_int, default=100)
+
+# name, handler, input files loaded in order, further arguments, help
+# (None: the command is not listed in --help)
+COMMANDS = (
+    ("validate", cmd_validate, "poset", (), "check a poset file"),
+    ("gen", cmd_gen, "", (arg("kind", choices=("chain", "vee", "circle")),
+                          arg("n", type=int), arg("-o", "--output")),
+     "generate a fixture poset"),
+    ("simplices", cmd_simplices, "poset",
+     (arg("--dim", type=int, default=1),
+      arg("--inflating", action="store_true"), LIMIT),
+     "enumerate singular simplices"),
+    ("pi1", cmd_pi1, "poset", (BASE,), "present the fundamental group"),
+    ("homotopic", cmd_homotopic, "poset",
+     (arg("path1", load="path"), arg("path2", load="path"),
+      arg("--bound", type=int, default=6)),
+     "bounded homotopy test"),
+    ("group-validate", cmd_group_validate, "group", (), "check a group file"),
+    ("check-cocycle", cmd_check_cocycle, "poset group cochain", (LIMIT,),
+     None),
+    ("dd-check", cmd_dd_check, "poset group cochain", (), None),
+    ("curvature", cmd_curvature, "poset group cochain", (LIMIT,), None),
+    ("induce", cmd_induce, "poset group cochain", (), None),
+    ("gauge-group", cmd_gauge_group, "poset group cochain", (), None),
+    ("classify-cocycles", cmd_classify_cocycles, "poset group",
+     (arg("--limit", type=_nonnegative_int, default=10 ** 6),), None),
+    ("holonomy", cmd_holonomy, "poset group cochain",
+     (BASE, arg("--restricted", action="store_true")), None),
+    ("nonflat", cmd_nonflat, "poset group",
+     (arg("--cocycle", load="cochain"), arg("--edge"), arg("--g")), None),
+    ("reduce", cmd_reduce, "poset group cochain", (BASE,), None),
+    ("gauge-act", cmd_gauge_act, "poset group cochain",
+     (arg("--transform", required=True, load="assignment"),), None),
+    ("suite", cmd_suite, "",
+     (arg("--fixtures", default="fixtures"),
+      arg("--seed", type=int, default=acceptance.DEFAULT_SEED)),
+     "run the acceptance criteria"),
+)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="posetbundle",
@@ -413,87 +448,15 @@ def build_parser():
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        return p
-
-    p = add("validate", cmd_validate, help="check a poset file")
-    p.add_argument("poset")
-
-    p = add("gen", cmd_gen, help="generate a fixture poset")
-    p.add_argument("kind", choices=("chain", "vee", "circle"))
-    p.add_argument("n", type=int)
-    p.add_argument("-o", "--output")
-
-    p = add("simplices", cmd_simplices, help="enumerate singular simplices")
-    p.add_argument("poset")
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--inflating", action="store_true")
-    p.add_argument("--limit", type=_nonnegative_int, default=100)
-
-    p = add("pi1", cmd_pi1, help="present the fundamental group")
-    p.add_argument("poset")
-    p.add_argument("--base")
-
-    p = add("homotopic", cmd_homotopic, help="bounded homotopy test")
-    p.add_argument("poset")
-    p.add_argument("path1")
-    p.add_argument("path2")
-    p.add_argument("--bound", type=int, default=6)
-
-    p = add("group-validate", cmd_group_validate, help="check a group file")
-    p.add_argument("group")
-
-    for name, fn in (
-        ("check-cocycle", cmd_check_cocycle),
-        ("dd-check", cmd_dd_check),
-        ("curvature", cmd_curvature),
-        ("induce", cmd_induce),
-        ("gauge-group", cmd_gauge_group),
-    ):
-        p = add(name, fn)
-        p.add_argument("poset")
-        p.add_argument("group")
-        p.add_argument("cochain")
-        p.add_argument("--limit", type=_nonnegative_int, default=100)
-
-    p = add("classify-cocycles", cmd_classify_cocycles)
-    p.add_argument("poset")
-    p.add_argument("group")
-    p.add_argument("--limit", type=_nonnegative_int, default=10 ** 6)
-
-    p = add("holonomy", cmd_holonomy)
-    p.add_argument("poset")
-    p.add_argument("group")
-    p.add_argument("cochain")
-    p.add_argument("--base")
-    p.add_argument("--restricted", action="store_true")
-
-    p = add("nonflat", cmd_nonflat)
-    p.add_argument("poset")
-    p.add_argument("group")
-    p.add_argument("--cocycle")
-    p.add_argument("--edge")
-    p.add_argument("--g")
-
-    p = add("reduce", cmd_reduce)
-    p.add_argument("poset")
-    p.add_argument("group")
-    p.add_argument("cochain")
-    p.add_argument("--base")
-
-    p = add("gauge-act", cmd_gauge_act)
-    p.add_argument("poset")
-    p.add_argument("group")
-    p.add_argument("cochain")
-    p.add_argument("--transform", required=True)
-
-    p = add("suite", cmd_suite, help="run the acceptance criteria")
-    p.add_argument("--fixtures", default="fixtures")
-    p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-
+    for name, fn, inputs, extra, help_ in COMMANDS:
+        p = sub.add_parser(name, **({"help": help_} if help_ else {}))
+        loads = []
+        for flags, load, kwargs in [arg(kind, load=kind)
+                                    for kind in inputs.split()] + list(extra):
+            action = p.add_argument(*flags, **kwargs)
+            if load:
+                loads.append((action.dest, load))
+        p.set_defaults(fn=fn, loads=loads)
     return parser
 
 
@@ -504,10 +467,11 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        for dest, load in args.loads:
+            path = getattr(args, dest)
+            if path is not None:
+                setattr(args, dest, LOADERS[load](_read(path), args))
         code, report = args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PosetBundleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ from .errors import (
     Mismatch,
     SearchLimitExceeded,
 )
-from .groups import FiniteGroup, GroupHom, InnerAut, ad, identity_aut
+from .groups import FiniteGroup, GroupHom, ad
 from .paths import (
     Path,
     based_loops,
@@ -29,42 +29,56 @@ from .paths import (
     word_value,
 )
 from .poset import Poset, base_point
-from .simplicial import (
-    enumerate_simplices,
-    is_degenerate,
-    parse_simplex1,
-    reverse,
-)
+from .simplicial import enumerate_simplices, parse_simplex1, reversal_classes
 
 
-def _check_total(P, G, values, n, what):
+def _check_total(P, G, values, n):
     expected = enumerate_simplices(P, n)
     if set(values) != set(expected):
         raise MissingValue(
-            f"{what} must assign a value to every {n}-simplex of {P.name}"
+            f"a {n}-cochain must assign a value to every {n}-simplex of "
+            f"{P.name}"
         )
     for d, g in values.items():
         if g not in G:
             raise MissingValue(f"{g!r} (value at {d.encode()}) is not in {G.name}")
 
 
-def _frozen(values):
-    return tuple(sorted(values.items(), key=lambda kv: kv[0].sort_key()))
-
-
-class Cochain0:
-    """An assignment of group elements to the points of a poset."""
+class _Cochain:
+    """What the cochain types share: a poset, a group, values keyed by
+    the simplices of one dimension and, in degrees 2 and 3, an
+    automorphism component `tau` (None below).  Equality compares all
+    four within one type; the hash covers the values."""
 
     __slots__ = ("poset", "group", "values")
+    dim = None
+    tau = None
 
     def __init__(self, P: Poset, G: FiniteGroup, values):
         self.poset = P
         self.group = G
         self.values = dict(values)
-        _check_total(P, G, self.values, 0, "a 0-cochain")
+        _check_total(P, G, self.values, self.dim)
 
-    def __call__(self, a):
-        return self.values[a]
+    def __call__(self, d):
+        return self.values[d]
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.poset, self.group, self.tau, self.values) == (
+            other.poset, other.group, other.tau, other.values
+        )
+
+    def __hash__(self):
+        return hash((self.poset, self.group, frozenset(self.values.items())))
+
+
+class Cochain0(_Cochain):
+    """An assignment of group elements to the points of a poset."""
+
+    __slots__ = ()
+    dim = 0
 
     def at(self, element: str):
         """Value at a point given by its element name."""
@@ -73,64 +87,33 @@ class Cochain0:
                 return g
         raise MissingValue(f"no value at {element!r}")
 
-    def __eq__(self, other):
-        if not isinstance(other, Cochain0):
-            return NotImplemented
-        return (self.poset, self.group, self.values) == (
-            other.poset, other.group, other.values
-        )
 
-    def __hash__(self):
-        return hash((self.poset, self.group, _frozen(self.values)))
-
-
-class Cochain1:
+class Cochain1(_Cochain):
     """An assignment of group elements to the 1-simplices of a poset."""
 
-    __slots__ = ("poset", "group", "values")
-
-    def __init__(self, P: Poset, G: FiniteGroup, values):
-        self.poset = P
-        self.group = G
-        self.values = dict(values)
-        _check_total(P, G, self.values, 1, "a 1-cochain")
-
-    def __call__(self, b):
-        return self.values[b]
-
-    def __eq__(self, other):
-        if not isinstance(other, Cochain1):
-            return NotImplemented
-        return (self.poset, self.group, self.values) == (
-            other.poset, other.group, other.values
-        )
-
-    def __hash__(self):
-        return hash((self.poset, self.group, _frozen(self.values)))
+    __slots__ = ()
+    dim = 1
 
     def __repr__(self):
         return f"Cochain1(over {self.poset.name}, values in {self.group.name})"
 
 
-class Cochain2:
+class Cochain2(_Cochain):
     """A 2-cochain: inner automorphisms on 1-simplices, group elements on
     2-simplices, intertwined so that conjugation by the 2-face value
     carries the automorphism of boundary 1 to the composite of the
     automorphisms of boundaries 0 and 2."""
 
-    __slots__ = ("poset", "group", "tau", "values")
+    __slots__ = ("tau",)
+    dim = 2
 
     def __init__(self, P: Poset, G: FiniteGroup, tau, values):
-        self.poset = P
-        self.group = G
         self.tau = dict(tau)
-        self.values = dict(values)
-        expected = enumerate_simplices(P, 1)
-        if set(self.tau) != set(expected):
+        if set(self.tau) != set(enumerate_simplices(P, 1)):
             raise MissingValue(
                 "the automorphism component must cover every 1-simplex"
             )
-        _check_total(P, G, self.values, 2, "a 2-cochain")
+        super().__init__(P, G, values)
         for c in enumerate_simplices(P, 2):
             left = ad(G, self.values[c]).compose(self.tau[c.face1])
             right = self.tau[c.face0].compose(self.tau[c.face2])
@@ -140,53 +123,23 @@ class Cochain2:
                     "the automorphism components of its faces"
                 )
 
-    def __call__(self, c):
-        return self.values[c]
 
-    def __eq__(self, other):
-        if not isinstance(other, Cochain2):
-            return NotImplemented
-        return (self.poset, self.group, self.tau, self.values) == (
-            other.poset, other.group, other.tau, other.values
-        )
-
-    def __hash__(self):
-        return hash((self.poset, self.group, _frozen(self.tau),
-                     _frozen(self.values)))
-
-
-class Cochain3:
+class Cochain3(_Cochain):
     """A 3-cochain: the automorphism component of a 2-cochain together
     with central group elements on 3-simplices."""
 
-    __slots__ = ("poset", "group", "tau", "values")
+    __slots__ = ("tau",)
+    dim = 3
 
     def __init__(self, P: Poset, G: FiniteGroup, tau, values):
-        self.poset = P
-        self.group = G
         self.tau = dict(tau)
-        self.values = dict(values)
-        _check_total(P, G, self.values, 3, "a 3-cochain")
+        super().__init__(P, G, values)
         center = set(G.center())
         for d, g in self.values.items():
             if g not in center:
                 raise CentralityViolation(
                     f"3-cochain value {g!r} at {d.encode()} is not central"
                 )
-
-    def __call__(self, d):
-        return self.values[d]
-
-    def __eq__(self, other):
-        if not isinstance(other, Cochain3):
-            return NotImplemented
-        return (self.poset, self.group, self.tau, self.values) == (
-            other.poset, other.group, other.tau, other.values
-        )
-
-    def __hash__(self):
-        return hash((self.poset, self.group, _frozen(self.tau),
-                     _frozen(self.values)))
 
 
 # -- constructions ---------------------------------------------------------
@@ -339,6 +292,14 @@ def extend_to_path(u: Cochain1, p: Path):
     return value
 
 
+def tree_transport(u: Cochain1, a0: str):
+    """T_u(a) = u(tree path to a) for every point a (element -> group
+    element): the product of u along the path from a0 to a in the
+    spanning tree of `pi1_presentation(P, a0)`."""
+    _, words = pi1_presentation(u.poset, a0)
+    return {a: extend_to_path(u, words.tree_path(a)) for a in u.poset.elements}
+
+
 def is_path_independent(u: Cochain1):
     """Whether the extension of u to paths depends only on endpoints.
 
@@ -346,14 +307,11 @@ def is_path_independent(u: Cochain1):
     exactly the coboundary condition), otherwise None.
     """
     P, G = u.poset, u.group
-    a0 = base_point(P)
-    _, words = pi1_presentation(P, a0)
-    f = {a: extend_to_path(u, words.tree_path(a.element))
-         for a in enumerate_simplices(P, 0)}
+    f = tree_transport(u, base_point(P))
     for b in enumerate_simplices(P, 1):
-        if G.mul(u(b), f[b.face1]) != f[b.face0]:
+        if G.mul(u(b), f[b.face1.element]) != f[b.face0.element]:
             return None
-    return Cochain0(P, G, f)
+    return Cochain0(P, G, {a: f[a.element] for a in enumerate_simplices(P, 0)})
 
 
 # -- morphisms of 1-cocycles -----------------------------------------------
@@ -384,31 +342,32 @@ def is_morphism(f, source: Cochain1, target: Cochain1) -> bool:
     )
 
 
-def find_morphism(v1: Cochain1, v: Cochain1):
-    """A morphism v1 -> v if one exists, else None.
+def morphisms(v1: Cochain1, v: Cochain1):
+    """The morphisms v1 -> v, lazily, as sorted (element, group element)
+    assignments.
 
-    Morphisms of cochains over a connected poset are determined by their
-    value at one point, propagated along a spanning tree via
-    f(end) = v(b) f(start) v1(b)^-1; each seed value is propagated and
-    checked against every 1-simplex.
+    A morphism of cochains over a connected poset is fixed by its value
+    at the base point a0: f(a) = T_v(a) f(a0) T_v1(a)^-1 with T the tree
+    transport.  Each seed value f(a0), in group element order, is
+    transported and checked against every 1-simplex.
     """
     if v1.poset != v.poset or v1.group != v.group:
         raise Mismatch("cochains live over different posets or groups")
     P, G = v.poset, v.group
     a0 = base_point(P)
-    _, words = pi1_presentation(P, a0)
+    t = tree_transport(v, a0)
+    t1 = t if v1 is v else tree_transport(v1, a0)
     for seed in G.elements:
-        f = {a0: seed}
-        for a in P.elements:
-            if a in f:
-                continue
-            value = seed
-            for b in words.tree_path(a).steps:
-                value = G.product(v(b), value, G.inv(v1(b)))
-            f[a] = value
+        f = {a: G.product(t[a], seed, G.inv(t1[a])) for a in P.elements}
+        f[a0] = seed
         if is_morphism(f, v1, v):
-            return Morphism1(v1, v, tuple(sorted(f.items())))
-    return None
+            yield tuple(sorted(f.items()))
+
+
+def find_morphism(v1: Cochain1, v: Cochain1):
+    """A morphism v1 -> v if one exists, else None."""
+    assignment = next(morphisms(v1, v), None)
+    return None if assignment is None else Morphism1(v1, v, assignment)
 
 
 def are_equivalent(z: Cochain1, z1: Cochain1) -> bool:
@@ -488,16 +447,6 @@ def enumerate_cocycles_raw(P: Poset, G: FiniteGroup, limit=10 ** 6):
     return tuple(out)
 
 
-def _edge_classes(P: Poset):
-    """Reverse-pair classes of 1-simplices, keyed by canonical member."""
-    classes = {}
-    for b in enumerate_simplices(P, 1):
-        rb = reverse(b)
-        rep = b if b.sort_key() <= rb.sort_key() else rb
-        classes.setdefault(rep, set()).add(b)
-    return classes
-
-
 def classify_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
     """Representatives of the equivalence classes of 1-cocycles.
 
@@ -510,20 +459,14 @@ def classify_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
     """
     a0 = base_point(P)
     _, words = pi1_presentation(P, a0)  # raises NotConnected early
-    tree = set()
-    for a in P.elements:
-        for b in words.tree_path(a).steps:
-            tree.add(b)
-            tree.add(reverse(b))
+    tree = {b for a in P.elements for b in words.tree_path(a).steps}
     free = []
     fixed = {}
-    for rep, members in sorted(_edge_classes(P).items(),
-                               key=lambda kv: kv[0].sort_key()):
-        if is_degenerate(rep) or rep == reverse(rep) or rep in tree:
-            for b in members:
-                fixed[b] = G.identity
+    for rep, rev in reversal_classes(P):
+        if rep == rev or rep in tree or rev in tree:
+            fixed[rep] = fixed[rev] = G.identity
         else:
-            free.append(rep)
+            free.append((rep, rev))
     if len(G) ** len(free) > limit:
         raise SearchLimitExceeded(
             f"{len(G)}^{len(free)} gauge-fixed candidates exceed the "
@@ -532,9 +475,9 @@ def classify_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
     representatives = []
     for choice in itertools.product(G.elements, repeat=len(free)):
         values = dict(fixed)
-        for rep, g in zip(free, choice):
+        for (rep, rev), g in zip(free, choice):
             values[rep] = g
-            values[reverse(rep)] = G.inv(g)
+            values[rev] = G.inv(g)
         z = Cochain1(P, G, values)
         if not is_cocycle(z):
             continue

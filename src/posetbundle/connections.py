@@ -19,6 +19,7 @@ from .cochains import (
     identity_failures,
     is_cocycle,
     is_morphism,
+    tree_transport,
 )
 from .errors import (
     Mismatch,
@@ -32,7 +33,7 @@ from .errors import (
     WrongCocycle,
 )
 from .groups import FiniteGroup
-from .paths import Path, based_loops, pi1_presentation
+from .paths import Path, based_loops
 from .poset import Poset
 from .simplicial import (
     Simplex0,
@@ -40,6 +41,7 @@ from .simplicial import (
     Simplex2,
     enumerate_simplices,
     is_inflating,
+    reversal_classes,
     reverse,
 )
 
@@ -292,12 +294,12 @@ def restricted_holonomy(u: Cochain1, a0: str):
     carried back to the base point along the spanning tree."""
     _require_connection(u)
     P, G = u.poset, u.group
-    _, words = pi1_presentation(P, a0)
+    transport = tree_transport(u, a0)
     ambient = holonomy(u, a0)
     gens = []
     for c in enumerate_simplices(P, 2):
         loop_value = G.product(G.inv(u(c.face1)), u(c.face0), u(c.face2))
-        carrier = extend_to_path(u, words.tree_path(c.face2.face1.element))
+        carrier = transport[c.face2.face1.element]
         gens.append(G.product(G.inv(carrier), loop_value, carrier))
     return G.normal_closure_in(ambient, gens)
 
@@ -339,8 +341,7 @@ def ambrose_singer_reduce(u: Cochain1, a0: str):
     """
     _require_connection(u)
     P, G = u.poset, u.group
-    _, words = pi1_presentation(P, a0)
-    f = {a: extend_to_path(u, words.tree_path(a)) for a in P.elements}
+    f = tree_transport(u, a0)
     H = G.subgroup(holonomy(u, a0), name=f"hol({u.poset.name},{a0})")
     values = {
         b: G.product(G.inv(f[b.face0.element]), u(b), f[b.face1.element])
@@ -365,8 +366,7 @@ def holonomy_conjugacy_check(u: Cochain1, a0: str, a1: str):
     at a1, obtained by transporting along the spanning tree."""
     _require_connection(u)
     G = u.group
-    _, words = pi1_presentation(u.poset, a0)
-    g = extend_to_path(u, words.tree_path(a1))
+    g = tree_transport(u, a0)[a1]
     h0 = holonomy(u, a0)
     h1 = holonomy(u, a1)
     if G.conjugate_subset(h0, g) != h1:
@@ -388,20 +388,14 @@ def enumerate_connections(P: Poset, G: FiniteGroup, z: Cochain1 = None,
     involution) and filtered by the connection axioms; with z given, the
     inflating classes are pinned to z first.
     """
-    classes = {}
-    for b in enumerate_simplices(P, 1):
-        rb = reverse(b)
-        rep = b if b.sort_key() <= rb.sort_key() else rb
-        classes[rep] = rb if rep == b else b
     fixed = {}
     free = []
-    for rep in sorted(classes, key=lambda b: b.sort_key()):
-        other = classes[rep]
+    for rep, other in reversal_classes(P):
         if z is not None and (is_inflating(P, rep) or is_inflating(P, other)):
             fixed[rep] = z(rep)
             fixed[other] = z(other)
         else:
-            free.append(rep)
+            free.append((rep, other))
     if len(G) ** len(free) > limit:
         raise SearchLimitExceeded(
             f"{len(G)}^{len(free)} candidate connections exceed the "
@@ -411,8 +405,7 @@ def enumerate_connections(P: Poset, G: FiniteGroup, z: Cochain1 = None,
     for choice in itertools.product(G.elements, repeat=len(free)):
         values = dict(fixed)
         ok = True
-        for rep, g in zip(free, choice):
-            other = classes[rep]
+        for (rep, other), g in zip(free, choice):
             if rep == other and g != G.inv(g):
                 ok = False
                 break

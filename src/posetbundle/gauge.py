@@ -6,10 +6,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cochains import Cochain1, is_cocycle
+from .cochains import Cochain1, is_cocycle, is_morphism, morphisms
 from .errors import Mismatch, SearchLimitExceeded, WrongCocycle
-from .paths import pi1_presentation
-from .poset import base_point
 from .simplicial import enumerate_simplices
 
 
@@ -46,38 +44,15 @@ class GaugeTransformation:
 
 
 def is_gauge_transformation(z: Cochain1, f) -> bool:
-    G = z.group
-    return all(
-        G.mul(z(b), f[b.face1.element]) == G.mul(f[b.face0.element], z(b))
-        for b in enumerate_simplices(z.poset, 1)
-    )
+    return is_morphism(f, z, z)
 
 
 def gauge_group(z: Cochain1):
-    """All gauge transformations of the bundle z, in deterministic order.
-
-    A transformation of a bundle over a connected poset is fixed by its
-    value at the base point: each candidate seed is propagated along the
-    spanning tree by conjugation and then checked everywhere.
-    """
+    """All gauge transformations of the bundle z, in deterministic order:
+    the morphisms z -> z, one per admissible value at the base point."""
     if not is_cocycle(z):
         raise WrongCocycle("gauge groups are attached to 1-cocycles")
-    P, G = z.poset, z.group
-    a0 = base_point(P)
-    _, words = pi1_presentation(P, a0)
-    out = []
-    for seed in G.elements:
-        f = {a0: seed}
-        for a in P.elements:
-            if a in f:
-                continue
-            value = seed
-            for b in words.tree_path(a).steps:
-                value = G.conjugate(z(b), value)
-            f[a] = value
-        if is_gauge_transformation(z, f):
-            out.append(GaugeTransformation(z, tuple(sorted(f.items()))))
-    return tuple(out)
+    return tuple(GaugeTransformation(z, f) for f in morphisms(z, z))
 
 
 def gauge_group_raw(z: Cochain1, limit=10 ** 6):

@@ -16,6 +16,7 @@ from .simplicial import (
     Simplex1,
     degeneracy,
     enumerate_simplices,
+    reversal_classes,
     reverse,
 )
 
@@ -219,13 +220,9 @@ def pi1_presentation(P: Poset, a0: str):
     word(boundary 0) word(boundary 2) word(boundary 1)^-1.
     """
     P.check_element(a0)
-    simplices = enumerate_simplices(P, 1)
+    classes = reversal_classes(P)
 
-    def canonical(b):
-        rb = reverse(b)
-        return b if b.sort_key() <= rb.sort_key() else rb
-
-    # Kruskal over canonical representatives in sort order.
+    # Kruskal over class representatives in sort order.
     component = {x: x for x in P.elements}
 
     def find(x):
@@ -236,9 +233,7 @@ def pi1_presentation(P: Poset, a0: str):
 
     tree_edges = set()
     tree_adjacency = {x: [] for x in P.elements}
-    for b in simplices:
-        if canonical(b) != b:
-            continue
+    for b, _ in classes:
         x, y = b.face1.element, b.face0.element
         if x == y:
             continue
@@ -273,25 +268,18 @@ def pi1_presentation(P: Poset, a0: str):
 
     generators = []
     edge_words = {}
-    generator_index = {}
-    for b in simplices:
-        rep = canonical(b)
-        if rep in tree_edges:
-            edge_words[b] = ()
-            continue
-        if b.face0 == b.face1:
+    for rep, rev in classes:
+        if rep in tree_edges or rep.face0 == rep.face1:
             # Loops at a point (including degenerate edges) are trivial
             # in the edge-path group: the 2-simplex with vertex map
             # (a, a, s) and top edge b gives the relator g h g^-1 for
             # the generator h of b; dropping them shrinks the
             # presentation without changing the group.
-            edge_words[b] = ()
+            edge_words[rep] = edge_words[rev] = ()
             continue
-        if rep not in generator_index:
-            generator_index[rep] = len(generators)
-            generators.append(rep.encode())
-        idx = generator_index[rep]
-        edge_words[b] = ((idx, 1),) if b == rep else ((idx, -1),)
+        edge_words[rep] = ((len(generators), 1),)
+        edge_words[rev] = ((len(generators), -1),)
+        generators.append(rep.encode())
 
     relators = []
     for c in enumerate_simplices(P, 2):

@@ -231,6 +231,22 @@ def reverse(b: Simplex1) -> Simplex1:
     return Simplex1(b.support, b.face1, b.face0)
 
 
+def reversal_classes(P: Poset):
+    """The classes {b, reverse(b)} of 1-simplices as (representative,
+    reverse) pairs, in sort key order of the representative, which is the
+    member with the smaller sort key.  A self-reverse class (a loop at a
+    point) is a pair (b, b).  Both members are the enumerated objects,
+    so dictionaries keyed by them match enumerated keys by identity."""
+    simplices = _simplices(P, 1)
+    enumerated = {b: b for b in simplices}
+    out = []
+    for b in simplices:
+        rb = enumerated[reverse(b)]
+        if b.sort_key() <= rb.sort_key():
+            out.append((b, rb))
+    return tuple(out)
+
+
 # Orientation action on 2-simplices.  Keys are vertex permutations
 # (sigma(0), sigma(1), sigma(2)): vertex k of the result is vertex
 # sigma(k) of the input.  Face formulas are closed-form; R marks a

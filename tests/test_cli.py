@@ -3,7 +3,11 @@ import json
 import pytest
 
 from posetbundle import cli
-from posetbundle.acceptance import standard_posets, winding_cocycle
+from posetbundle.acceptance import (
+    CriterionResult,
+    standard_posets,
+    winding_cocycle,
+)
 from posetbundle.cochains import format_cochain_text, parse_cochain_text
 from posetbundle.groups import cyclic_group, format_group_text, symmetric_group
 from posetbundle.poset import format_poset_text
@@ -233,3 +237,64 @@ def test_suite_rejects_corrupted_fixture(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "fixture validation [FAIL]" in out
     assert "z3.group" in out
+
+
+def test_limit_is_rejected_where_unused(workspace, capsys):
+    base = [workspace / "circle2.poset", workspace / "z3.group",
+            workspace / "winding.cochain"]
+    for command in ("dd-check", "induce", "gauge-group"):
+        assert run([command, *base]) == 0
+        assert run([command, *base, "--limit", "5"]) == 2
+        assert "unrecognized arguments: --limit" in capsys.readouterr().err
+
+
+STUB_RESULTS = (
+    CriterionResult(1, "first", True, "fine"),
+    CriterionResult(2, "second", False, "broken"),
+)
+
+
+def test_suite_text_and_json(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.acceptance, "run_all", lambda seed: STUB_RESULTS)
+    fixtures = tmp_path / "fx"
+    assert run(["suite", "--fixtures", fixtures]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("fixtures written: chain2.poset chain3.poset")
+    assert lines[1:] == [
+        "fixture validation [PASS]",
+        "criterion  1 [PASS] first: fine",
+        "criterion  2 [FAIL] second: broken",
+        "suite: 1/2 criteria passed",
+    ]
+    assert run(["--format", "json", "suite", "--fixtures", fixtures]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report == {
+        "fixtures-written": [],
+        "fixture-problems": [],
+        "criteria": [
+            {"number": 1, "name": "first", "passed": True, "detail": "fine"},
+            {"number": 2, "name": "second", "passed": False,
+             "detail": "broken"},
+        ],
+        "passed": 1,
+    }
+    monkeypatch.setattr(cli.acceptance, "run_all",
+                        lambda seed: STUB_RESULTS[:1])
+    assert run(["--format", "json", "suite", "--fixtures", fixtures]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] == 1
+
+
+def test_suite_json_reports_fixture_problems(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.acceptance, "run_all", lambda seed: STUB_RESULTS)
+    fixtures = tmp_path / "fx"
+    fixtures.mkdir()
+    bad = format_group_text(Z3).replace("g1 g2 g0", "g1 g1 g0")
+    (fixtures / "z3.group").write_text(bad)
+    assert run(["--format", "json", "suite", "--fixtures", fixtures]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert "z3.group" not in report["fixtures-written"]
+    assert "chain2.poset" in report["fixtures-written"]
+    assert [p.split(":")[0] for p in report["fixture-problems"]] == [
+        "z3.group"
+    ]
+    assert report["criteria"] == [] and report["passed"] == 0
