@@ -99,7 +99,7 @@ def winding_cocycle(P: Poset, G: FiniteGroup, g) -> Cochain1:
     f = {a: G.identity for a in P.elements}
     for sigma in enumerate_homs(pres, G):
         if g in G.subgroup_generated(list(sigma)):
-            return cocycle_from_hom(P, G, pres, words, sigma, f)
+            return cocycle_from_hom(P, G, words, sigma, f)
     raise ValueError(f"no cocycle on {P.name} winds through {g!r}")
 
 
@@ -110,7 +110,7 @@ def full_image_cocycle(P: Poset, G: FiniteGroup) -> Cochain1:
     f = {a: G.identity for a in P.elements}
     for sigma in enumerate_homs(pres, G):
         if len(G.subgroup_generated(list(sigma))) == len(G):
-            return cocycle_from_hom(P, G, pres, words, sigma, f)
+            return cocycle_from_hom(P, G, words, sigma, f)
     raise ValueError(f"no surjective homomorphism onto {G.name} from {P.name}")
 
 
@@ -120,7 +120,7 @@ def random_cocycle(P: Poset, G: FiniteGroup, rng) -> Cochain1:
     sigma = rng.choice(enumerate_homs(pres, G))
     f = {a: rng.choice(G.elements) for a in P.elements}
     f[a0] = G.identity
-    return cocycle_from_hom(P, G, pres, words, sigma, f)
+    return cocycle_from_hom(P, G, words, sigma, f)
 
 
 def random_connection(P: Poset, G: FiniteGroup, rng) -> Cochain1:

@@ -25,11 +25,12 @@ from .paths import (
     Path,
     based_loops,
     enumerate_homs,
+    hom_class_representatives,
     pi1_presentation,
     word_value,
 )
 from .poset import Poset, base_point
-from .simplicial import enumerate_simplices, parse_simplex1, reversal_classes
+from .simplicial import enumerate_simplices, parse_simplex1
 
 
 def _check_total(P, G, values, n):
@@ -388,7 +389,7 @@ def _twisted_loop_values(loops, loop_values, f, G):
     )
 
 
-def cocycle_from_hom(P, G, presentation, words, sigma, f):
+def cocycle_from_hom(P, G, words, sigma, f):
     """The 1-cocycle built from a fundamental-group homomorphism and a
     points assignment f (element -> G) with f = identity at the base
     point: z(b) = f(end) sigma([loop through b]) f(start)^-1."""
@@ -450,40 +451,18 @@ def enumerate_cocycles_raw(P: Poset, G: FiniteGroup, limit=10 ** 6):
 def classify_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
     """Representatives of the equivalence classes of 1-cocycles.
 
-    Every cocycle is equivalent to one that is trivial on a spanning
-    tree, and every cocycle is already trivial on degenerate 1-simplices
-    and on loops at a point (both follow from the cocycle identity on
-    suitable 2-simplices).  Only the remaining edge classes carry a free
-    value; candidates are filtered by the cocycle identity and then
-    deduplicated by morphism search.
+    Over a connected poset the classes are the conjugation orbits of
+    fundamental-group homomorphisms.  Each class is represented by the
+    cocycle of the first homomorphism of its orbit, trivial on the
+    spanning tree, in `enumerate_homs` order.  A disconnected poset
+    raises `NotConnected`.
     """
-    a0 = base_point(P)
-    _, words = pi1_presentation(P, a0)  # raises NotConnected early
-    tree = {b for a in P.elements for b in words.tree_path(a).steps}
-    free = []
-    fixed = {}
-    for rep, rev in reversal_classes(P):
-        if rep == rev or rep in tree or rev in tree:
-            fixed[rep] = fixed[rev] = G.identity
-        else:
-            free.append((rep, rev))
-    if len(G) ** len(free) > limit:
-        raise SearchLimitExceeded(
-            f"{len(G)}^{len(free)} gauge-fixed candidates exceed the "
-            f"limit {limit}"
-        )
-    representatives = []
-    for choice in itertools.product(G.elements, repeat=len(free)):
-        values = dict(fixed)
-        for (rep, rev), g in zip(free, choice):
-            values[rep] = g
-            values[rev] = G.inv(g)
-        z = Cochain1(P, G, values)
-        if not is_cocycle(z):
-            continue
-        if all(find_morphism(z, seen) is None for seen in representatives):
-            representatives.append(z)
-    return tuple(representatives)
+    presentation, words = pi1_presentation(P, base_point(P))
+    f = {a: G.identity for a in P.elements}
+    return tuple(
+        cocycle_from_hom(P, G, words, sigma, f)
+        for sigma in hom_class_representatives(presentation, G, limit=limit)
+    )
 
 
 # -- textual format --------------------------------------------------------

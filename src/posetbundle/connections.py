@@ -15,6 +15,7 @@ from .cochains import (
     Cochain2,
     Morphism1,
     coboundary1,
+    enumerate_cocycles,
     extend_to_path,
     identity_failures,
     is_cocycle,
@@ -47,13 +48,14 @@ from .simplicial import (
 
 
 def connection_violations(u: Cochain1):
-    """Where the connection axioms fail: reversal pairs whose values are
-    not mutually inverse, and inflating 2-simplices that are not flat."""
+    """Where the connection axioms fail: the members of reversal classes
+    whose values are not mutually inverse, and inflating 2-simplices that
+    are not flat."""
     P, G = u.poset, u.group
     bad_edges = []
-    for b in enumerate_simplices(P, 1):
-        if u(reverse(b)) != G.inv(u(b)):
-            bad_edges.append(b)
+    for rep, rev in reversal_classes(P):
+        if u(rev) != G.inv(u(rep)):
+            bad_edges.extend((rep,) if rep == rev else (rep, rev))
     bad_triangles = identity_failures(
         u, enumerate_simplices(P, 2, inflating_only=True)
     )
@@ -134,18 +136,17 @@ def construct_from_cochain(v: Cochain1, z: Cochain1) -> Cochain1:
     if v.poset != z.poset or v.group != z.group:
         raise Mismatch("cochain and cocycle live over different data")
     P, G = z.poset, z.group
-    for b in enumerate_simplices(P, 1):
-        if is_inflating(P, b) and (
-            v(b) != G.identity or v(reverse(b)) != G.identity
+    values = {}
+    for rep, rev in reversal_classes(P):
+        if (is_inflating(P, rep) or is_inflating(P, rev)) and (
+            v(rep) != G.identity or v(rev) != G.identity
         ):
             raise PreconditionViolated(
                 "the twisting cochain must be trivial on inflating "
                 "simplices and their reverses"
             )
-    values = {
-        b: G.product(G.inv(v(reverse(b))), z(b), v(b))
-        for b in enumerate_simplices(P, 1)
-    }
+        values[rep] = G.product(G.inv(v(rev)), z(rep), v(rep))
+        values[rev] = G.product(G.inv(v(rep)), z(rev), v(rev))
     u = Cochain1(P, G, values)
     _require_connection(u)
     return u
@@ -207,52 +208,47 @@ def construct_nonflat(z: Cochain1, b: Simplex1 = None, g=None):
 # -- central structure -----------------------------------------------------
 
 
-def central_part(u: Cochain1) -> Cochain1:
-    """The cochain chi with u = z chi pointwise, z the induced cocycle."""
+def central_decompose(u: Cochain1):
+    """Split a central connection as (z, chi): z the induced cocycle and
+    chi the central cochain with u = z chi pointwise."""
     z = induced_cocycle(u)
     G = u.group
-    return Cochain1(
-        u.poset,
-        G,
-        {b: G.mul(G.inv(z(b)), u(b)) for b in enumerate_simplices(u.poset, 1)},
-    )
-
-
-def is_central(u: Cochain1) -> bool:
-    chi = central_part(u)
-    center = set(u.group.center())
-    return all(g in center for g in chi.values.values())
-
-
-def central_decompose(u: Cochain1):
-    """Split a central connection as (induced cocycle, central cochain)."""
-    z = induced_cocycle(u)
-    chi = central_part(u)
-    center = set(u.group.center())
-    for b, g in chi.values.items():
+    center = set(G.center())
+    chi = {}
+    for b in enumerate_simplices(u.poset, 1):
+        chi[b] = g = G.mul(G.inv(z(b)), u(b))
         if g not in center:
             raise NotCentral(
                 f"component {g!r} at {b.encode()} is not central"
             )
-    return z, chi
+    return z, Cochain1(u.poset, G, chi)
+
+
+def central_part(u: Cochain1) -> Cochain1:
+    """The central cochain chi with u = z chi pointwise, z the induced
+    cocycle."""
+    return central_decompose(u)[1]
+
+
+def is_central(u: Cochain1) -> bool:
+    try:
+        central_decompose(u)
+    except NotCentral:
+        return False
+    return True
 
 
 def star_compose(u: Cochain1, u1: Cochain1) -> Cochain1:
-    """(u * u1)(b) = u(b) z(b)^-1 u1(b): the abelian composition of
-    central connections on a common bundle z."""
+    """(u * u1)(b) = u(b) z(b)^-1 u1(b) = u(b) chi1(b): the abelian
+    composition of central connections on a common bundle z."""
     if u.poset != u1.poset or u.group != u1.group:
         raise Mismatch("connections live over different posets or groups")
-    for v in (u, u1):
-        if not is_central(v):
-            raise NotCentral("star composition needs central connections")
-    z = induced_cocycle(u)
-    if induced_cocycle(u1) != z:
+    z, _ = central_decompose(u)
+    z1, chi1 = central_decompose(u1)
+    if z1 != z:
         raise MixedCocycles("connections live on different bundles")
     G = u.group
-    values = {
-        b: G.product(u(b), G.inv(z(b)), u1(b))
-        for b in enumerate_simplices(u.poset, 1)
-    }
+    values = {b: G.mul(u(b), chi1(b)) for b in enumerate_simplices(u.poset, 1)}
     out = Cochain1(u.poset, G, values)
     _require_connection(out)
     return out
@@ -260,11 +256,8 @@ def star_compose(u: Cochain1, u1: Cochain1) -> Cochain1:
 
 def star_inverse(u: Cochain1) -> Cochain1:
     """The inverse for star composition: b -> z(b) chi(b)^-1."""
-    if not is_central(u):
-        raise NotCentral("star inversion needs a central connection")
+    z, chi = central_decompose(u)
     G = u.group
-    z = induced_cocycle(u)
-    chi = central_part(u)
     values = {
         b: G.mul(z(b), G.inv(chi(b)))
         for b in enumerate_simplices(u.poset, 1)
@@ -384,36 +377,33 @@ def enumerate_connections(P: Poset, G: FiniteGroup, z: Cochain1 = None,
     """All connections with values in G, optionally only those on the
     bundle z.
 
-    Values are chosen per reversal class (self-paired classes need an
-    involution) and filtered by the connection axioms; with z given, the
-    inflating classes are pinned to z first.
+    A connection agrees with its induced cocycle on inflating
+    1-simplices, and that cocycle is unique, so the connections on a
+    bundle are the bundle with a free value g (and g^-1 on the reverse)
+    on each reversal class without an inflating member.  Bundles come
+    in `enumerate_cocycles` order, twists in `itertools.product` order;
+    the limit bounds bundles x twists.
     """
-    fixed = {}
-    free = []
-    for rep, other in reversal_classes(P):
-        if z is not None and (is_inflating(P, rep) or is_inflating(P, other)):
-            fixed[rep] = z(rep)
-            fixed[other] = z(other)
-        else:
-            free.append((rep, other))
-    if len(G) ** len(free) > limit:
+    if z is not None and not is_cocycle(z):
+        raise PreconditionViolated(
+            "the base of a connection must be a 1-cocycle"
+        )
+    bundles = (z,) if z is not None else enumerate_cocycles(P, G, limit)
+    free = [
+        (rep, rev) for rep, rev in reversal_classes(P)
+        if not is_inflating(P, rep) and not is_inflating(P, rev)
+    ]
+    if len(bundles) * len(G) ** len(free) > limit:
         raise SearchLimitExceeded(
-            f"{len(G)}^{len(free)} candidate connections exceed the "
-            f"limit {limit}"
+            f"{len(bundles)} bundles x {len(G)}^{len(free)} twists exceed "
+            f"the limit {limit}"
         )
     out = []
-    for choice in itertools.product(G.elements, repeat=len(free)):
-        values = dict(fixed)
-        ok = True
-        for (rep, other), g in zip(free, choice):
-            if rep == other and g != G.inv(g):
-                ok = False
-                break
-            values[rep] = g
-            values[other] = G.inv(g)
-        if not ok:
-            continue
-        u = Cochain1(P, G, values)
-        if is_connection(u) and (z is None or is_adapted(u, z)):
-            out.append(u)
+    for bundle in bundles:
+        for choice in itertools.product(G.elements, repeat=len(free)):
+            values = dict(bundle.values)
+            for (rep, rev), g in zip(free, choice):
+                values[rep] = g
+                values[rev] = G.inv(g)
+            out.append(Cochain1(P, G, values))
     return tuple(out)

@@ -3,7 +3,6 @@ and fundamental-group presentations with homomorphism counting."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -313,43 +312,54 @@ def based_loops(P: Poset, a0: str):
 
 
 def enumerate_homs(presentation: Presentation, G: FiniteGroup, limit=10 ** 6):
-    """All maps generators -> G satisfying the relators."""
+    """All maps generators -> G satisfying the relators, in
+    `itertools.product` order.
+
+    Assignments grow one generator at a time, and each relator is
+    checked once, as soon as the last generator it mentions has a value.
+    """
     k = len(presentation.generators)
     total = len(G) ** k
     if total > limit:
         raise SearchLimitExceeded(
             f"{len(G)}^{k} = {total} assignments exceed the limit {limit}"
         )
-    homs = []
-    for assignment in itertools.product(G.elements, repeat=k):
-        ok = True
-        for relator in presentation.relators:
-            value = G.identity
-            for idx, sign in relator:
-                g = assignment[idx] if sign > 0 else G.inv(assignment[idx])
-                value = G.mul(value, g)
-            if value != G.identity:
-                ok = False
-                break
-        if ok:
-            homs.append(assignment)
+    closing = [[] for _ in range(k)]
+    for relator in presentation.relators:
+        closing[max(idx for idx, _ in relator)].append(relator)
+    homs = [()]
+    for relators in closing:
+        extended = []
+        for prefix in homs:
+            for g in G.elements:
+                assignment = prefix + (g,)
+                if all(word_value(relator, assignment, G) == G.identity
+                       for relator in relators):
+                    extended.append(assignment)
+        homs = extended
     return tuple(homs)
+
+
+def hom_class_representatives(presentation: Presentation, G: FiniteGroup,
+                              limit=10 ** 6):
+    """The first homomorphism of each orbit under simultaneous
+    conjugation, in `enumerate_homs` order."""
+    representatives = []
+    seen = set()
+    for sigma in enumerate_homs(presentation, G, limit=limit):
+        if sigma not in seen:
+            representatives.append(sigma)
+            seen.update(
+                tuple(G.conjugate(h, g) for g in sigma) for h in G.elements
+            )
+    return tuple(representatives)
 
 
 def count_hom_classes(presentation: Presentation, G: FiniteGroup,
                       limit=10 ** 6) -> int:
     """Relator-respecting generator assignments up to simultaneous
     conjugation."""
-    homs = set(enumerate_homs(presentation, G, limit=limit))
-    classes = 0
-    while homs:
-        seed = min(homs)
-        orbit = {
-            tuple(G.conjugate(h, g) for g in seed) for h in G.elements
-        }
-        homs -= orbit
-        classes += 1
-    return classes
+    return len(hom_class_representatives(presentation, G, limit=limit))
 
 
 def word_value(word, assignment, G: FiniteGroup):

@@ -231,12 +231,14 @@ def reverse(b: Simplex1) -> Simplex1:
     return Simplex1(b.support, b.face1, b.face0)
 
 
+@lru_cache(maxsize=None)
 def reversal_classes(P: Poset):
     """The classes {b, reverse(b)} of 1-simplices as (representative,
     reverse) pairs, in sort key order of the representative, which is the
     member with the smaller sort key.  A self-reverse class (a loop at a
     point) is a pair (b, b).  Both members are the enumerated objects,
-    so dictionaries keyed by them match enumerated keys by identity."""
+    so dictionaries keyed by them match enumerated keys by identity.
+    Cached per poset, like the simplices."""
     simplices = _simplices(P, 1)
     enumerated = {b: b for b in simplices}
     out = []

@@ -262,3 +262,24 @@ def test_holonomy_conjugacy(posets):
     for u in sample_connections(P, S3, 7, 3):
         g = holonomy_conjugacy_check(u, "a1", "o2")
         assert S3.conjugate_subset(holonomy(u, "a1"), g) == holonomy(u, "o2")
+
+
+def test_reversal_violation_names_both_members(posets):
+    P = posets["circle2"]
+    u = sample_connections(P, Z3, 7, 1)[0]
+    b = noninflating_pairs(P)[0]
+    values = dict(u.values)
+    values[b] = Z3.mul(values[b], "g1")
+    bad_edges, bad_triangles = connection_violations(Cochain1(P, Z3, values))
+    assert set(bad_edges) == {b, reverse(b)} and not bad_triangles
+    assert not is_connection(Cochain1(P, Z3, values))
+
+
+def test_noncentral_connection_is_rejected_by_every_central_operation(posets):
+    z = full_image_cocycle(posets["twoloop"], S3)
+    u, _ = construct_nonflat(z, g="231")
+    assert not is_central(u)
+    for op in (central_decompose, central_part, star_inverse,
+               lambda v: star_compose(v, v)):
+        with pytest.raises(NotCentral):
+            op(u)

@@ -1,9 +1,11 @@
-"""Differential tests of the tree-transport helpers and the cochain
-identity against brute force, on random connected posets of at most four
-elements with values in Z2, Z3 and S3."""
+"""Differential tests of the tree-transport helpers, the cochain
+identity, and the constructed cocycle classes and connections against
+brute force or the filters they replace, on random connected posets of
+at most four elements with values in Z2, Z3 and S3."""
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from posetbundle.acceptance import random_cocycle
@@ -12,16 +14,34 @@ from posetbundle.cochains import (
     Cochain1,
     Cochain2,
     Cochain3,
+    are_equivalent,
+    classify_cocycles,
     coboundary1,
     coboundary2,
+    enumerate_cocycles,
     find_morphism,
+    is_cocycle,
     is_morphism,
     random_cochain0,
     random_cochain1,
 )
+from posetbundle.connections import enumerate_connections, is_adapted
+from posetbundle.errors import NotConnected, PreconditionViolated
 from posetbundle.gauge import gauge_act, gauge_group, gauge_group_raw
 from posetbundle.groups import cyclic_group, symmetric_group
-from posetbundle.poset import build_poset
+from posetbundle.paths import (
+    count_hom_classes,
+    enumerate_homs,
+    pi1_presentation,
+    word_value,
+)
+from posetbundle.poset import base_point, build_poset
+from posetbundle.simplicial import (
+    enumerate_simplices,
+    is_inflating,
+    reversal_classes,
+    reverse,
+)
 
 GROUPS = st.sampled_from(
     [cyclic_group(2), cyclic_group(3), symmetric_group(3)]
@@ -108,3 +128,177 @@ def test_equal_cochains_hash_equal(P, G, rng):
         assert a == b
         assert hash(a) == hash(b)
     assert len({a for a, _ in pairs} | {b for _, b in pairs}) == 4
+
+
+# -- classes and connections by construction against the old filters ------
+
+CANDIDATE_BOUND = 1296
+COCYCLE_BOUND = 216
+
+
+def filtered_classes(P, G):
+    """Oracle: cocycles trivial on the spanning tree, filtered by the
+    cocycle identity and deduplicated by morphism search; None above
+    the candidate bound."""
+    _, words = pi1_presentation(P, base_point(P))
+    tree = {b for a in P.elements for b in words.tree_path(a).steps}
+    fixed, free = {}, []
+    for rep, rev in reversal_classes(P):
+        if rep == rev or rep in tree or rev in tree:
+            fixed[rep] = fixed[rev] = G.identity
+        else:
+            free.append((rep, rev))
+    if len(G) ** len(free) > CANDIDATE_BOUND:
+        return None
+    representatives = []
+    for choice in itertools.product(G.elements, repeat=len(free)):
+        values = dict(fixed)
+        for (rep, rev), g in zip(free, choice):
+            values[rep], values[rev] = g, G.inv(g)
+        z = Cochain1(P, G, values)
+        if is_cocycle(z) and all(
+            find_morphism(z, r) is None for r in representatives
+        ):
+            representatives.append(z)
+    return representatives
+
+
+def satisfies_connection_axioms(u):
+    P, G = u.poset, u.group
+    return all(
+        u(reverse(b)) == G.inv(u(b)) for b in enumerate_simplices(P, 1)
+    ) and all(
+        G.mul(u(c.face0), u(c.face2)) == u(c.face1)
+        for c in enumerate_simplices(P, 2, inflating_only=True)
+    )
+
+
+def filtered_connections(P, G, z=None):
+    """Oracle: one value per reversal class (pinned to z on classes with
+    an inflating member when z is given), filtered by the connection
+    axioms and agreement with z; None above the candidate bound."""
+    fixed, free = {}, []
+    for rep, rev in reversal_classes(P):
+        if z is not None and (is_inflating(P, rep) or is_inflating(P, rev)):
+            fixed[rep], fixed[rev] = z(rep), z(rev)
+        else:
+            free.append((rep, rev))
+    if len(G) ** len(free) > CANDIDATE_BOUND:
+        return None
+    out = []
+    for choice in itertools.product(G.elements, repeat=len(free)):
+        if any(rep == rev and g != G.inv(g)
+               for (rep, rev), g in zip(free, choice)):
+            continue
+        values = dict(fixed)
+        for (rep, rev), g in zip(free, choice):
+            values[rep], values[rev] = g, G.inv(g)
+        u = Cochain1(P, G, values)
+        if satisfies_connection_axioms(u) and (
+            z is None or is_adapted(u, z)
+        ):
+            out.append(u)
+    return out
+
+
+def product_filtered_homs(presentation, G):
+    """Oracle: every generator assignment, filtered by the relators."""
+    return tuple(
+        a for a in itertools.product(
+            G.elements, repeat=len(presentation.generators))
+        if all(word_value(r, a, G) == G.identity
+               for r in presentation.relators)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_posets(), GROUPS)
+def test_classify_cocycles_matches_filter(P, G):
+    old = filtered_classes(P, G)
+    if old is None:
+        return
+    reps = classify_cocycles(P, G)
+    assert list(reps) == old
+    assert len(reps) == count_hom_classes(
+        pi1_presentation(P, base_point(P))[0], G
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_posets(), GROUPS)
+def test_every_cocycle_has_exactly_one_representative(P, G):
+    """The independent check of criterion 2, now that classes and hom
+    classes are computed along one path."""
+    a0 = base_point(P)
+    homs = enumerate_homs(pi1_presentation(P, a0)[0], G)
+    if len(homs) * len(G) ** (len(P) - 1) > COCYCLE_BOUND:
+        return
+    reps = classify_cocycles(P, G)
+    for z in enumerate_cocycles(P, G):
+        assert sum(1 for r in reps if are_equivalent(z, r)) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_posets(), GROUPS)
+def test_connections_on_a_bundle_match_filter(P, G):
+    for z in classify_cocycles(P, G):
+        old = filtered_connections(P, G, z)
+        if old is not None:
+            assert list(enumerate_connections(P, G, z)) == old
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_posets(max_size=3), GROUPS)
+def test_all_connections_match_filter(P, G):
+    old = filtered_connections(P, G)
+    if old is None:
+        return
+    found = enumerate_connections(P, G)
+    assert len(found) == len(set(found))
+    assert set(found) == set(old)
+
+
+def test_connections_need_a_cocycle(posets):
+    P = posets["circle2"]
+    non = Cochain1(P, cyclic_group(2), {
+        b: "g1" for b in enumerate_simplices(P, 1)
+    })
+    assert not is_cocycle(non)
+    with pytest.raises(PreconditionViolated):
+        enumerate_connections(P, cyclic_group(2), non)
+
+
+def test_all_connections_need_a_connected_poset():
+    P = build_poset(["a", "b"], [], name="two-points")
+    with pytest.raises(NotConnected):
+        enumerate_connections(P, cyclic_group(2))
+
+
+@pytest.mark.parametrize("name", ["circle2", "twoloop"])
+def test_fixture_classes_and_fibres_match_filters(posets, groups, name):
+    """Posets with several cocycle classes, which small random posets
+    seldom are."""
+    P = posets[name]
+    presentation, _ = pi1_presentation(P, base_point(P))
+    for G in groups.values():
+        assert enumerate_homs(presentation, G) == product_filtered_homs(
+            presentation, G
+        )
+        reps = classify_cocycles(P, G)
+        old = filtered_classes(P, G)
+        if old is not None:
+            assert list(reps) == old
+        for z in reps:
+            old = filtered_connections(P, G, z)
+            if old is not None:
+                assert list(enumerate_connections(P, G, z)) == old
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_posets(), GROUPS)
+def test_enumerate_homs_matches_product_filter(P, G):
+    presentation, _ = pi1_presentation(P, base_point(P))
+    if len(G) ** len(presentation.generators) <= CANDIDATE_BOUND:
+        assert enumerate_homs(presentation, G) == product_filtered_homs(
+            presentation, G
+        )
