@@ -34,13 +34,11 @@ from .paths import (
 )
 from .poset import Poset, build_poset, generate
 from .simplicial import (
-    Simplex0,
-    Simplex1,
-    Simplex2,
     enumerate_simplices,
     is_degenerate,
     is_inflating,
     permute2,
+    pinches,
 )
 
 DEFAULT_SEED = 20260824
@@ -269,6 +267,7 @@ def criterion_7(rng):
     inflating = [
         b for b in enumerate_simplices(circle2, 1) if is_inflating(circle2, b)
     ]
+    pinch = pinches(circle2)
     for u in us:
         if not cn.is_central(u):
             return False, "a Z2 connection failed centrality"
@@ -277,13 +276,7 @@ def criterion_7(rng):
         for b in enumerate_simplices(circle2, 1):
             if Z2.mul(z(b), chi(b)) != u(b) or chi(b) not in center:
                 return False, "decomposition does not recompose"
-            c_b = Simplex2(
-                b.support,
-                Simplex1(b.support, b.face0, Simplex0(b.support)),
-                b,
-                Simplex1(b.support, Simplex0(b.support), b.face1),
-            )
-            if w(c_b) != Z2.inv(chi(b)):
+            if w(pinch[b]) != Z2.inv(chi(b)):
                 return False, "curvature of the pinch simplex missed chi"
         agreeing = [
             z1 for z1 in cocycles if all(z1(b) == u(b) for b in inflating)

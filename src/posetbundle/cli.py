@@ -45,7 +45,7 @@ from .poset import (
     is_totally_ordered,
     parse_poset_text,
 )
-from .simplicial import enumerate_simplices, parse_simplex1
+from .simplicial import enumerate_simplices, enumerated, parse_simplex1
 
 
 def _read(path):
@@ -55,12 +55,13 @@ def _read(path):
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _parse_path(text) -> Path:
-    """Path files list 1-simplices, first step written last."""
+def _parse_path(text, P) -> Path:
+    """Path files list 1-simplices of P, first step written last."""
     chunks = re.findall(r"\([^()]*\)", text)
     if not chunks:
         raise UsageError("path file contains no 1-simplices")
-    return Path(tuple(parse_simplex1(c) for c in reversed(chunks)))
+    return Path(tuple(enumerated(P, parse_simplex1(c))
+                      for c in reversed(chunks)))
 
 
 # How each kind of input file becomes an object; a cochain or an
@@ -70,7 +71,7 @@ LOADERS = {
     "group": lambda text, args: parse_group_text(text),
     "cochain": lambda text, args: parse_cochain_text(text, args.poset,
                                                      args.group),
-    "path": lambda text, args: _parse_path(text),
+    "path": lambda text, args: _parse_path(text, args.poset),
     "assignment": lambda text, args: parse_assignment_text(text, args.poset,
                                                            args.group),
 }
@@ -415,7 +416,7 @@ COMMANDS = (
     ("pi1", cmd_pi1, "poset", (BASE,), "present the fundamental group"),
     ("homotopic", cmd_homotopic, "poset",
      (arg("path1", load="path"), arg("path2", load="path"),
-      arg("--bound", type=int, default=6)),
+      arg("--bound", type=_nonnegative_int, default=6)),
      "bounded homotopy test"),
     ("group-validate", cmd_group_validate, "group", (), "check a group file"),
     ("check-cocycle", cmd_check_cocycle, "poset group cochain", (LIMIT,),

@@ -24,6 +24,7 @@ from .cochains import (
 )
 from .errors import (
     Mismatch,
+    MissingValue,
     MixedCocycles,
     NoSuchSimplex,
     NotAConnection,
@@ -39,9 +40,11 @@ from .poset import Poset
 from .simplicial import (
     Simplex0,
     Simplex1,
-    Simplex2,
     enumerate_simplices,
+    enumerated,
     is_inflating,
+    noninflating_classes,
+    pinches,
     reversal_classes,
     reverse,
 )
@@ -100,13 +103,15 @@ def induced_cocycle(u: Cochain1) -> Cochain1:
 
     Both endpoints of a 1-simplex sit below its support, so
     z(b) = u(top <- end)^-1 u(top <- start) is defined from inflating
-    values only; it agrees with u on inflating simplices.
+    values only; it agrees with u on inflating simplices.  On the pinch
+    simplex c of b, whose boundaries 0 and 2 run from top to the end
+    and from the start to top, this is z(b) = u(boundary 0) u(boundary 2),
+    as u inverts under reversal: the value that would make u flat on c.
     """
     _require_connection(u)
     P, G = u.poset, u.group
     values = {
-        b: transport_between(u, b.support, b.face0.element, b.face1.element)
-        for b in enumerate_simplices(P, 1)
+        b: G.mul(u(c.face0), u(c.face2)) for b, c in pinches(P).items()
     }
     z = Cochain1(P, G, values)
     if not is_cocycle(z):  # pragma: no cover - guards a library invariant
@@ -136,9 +141,10 @@ def construct_from_cochain(v: Cochain1, z: Cochain1) -> Cochain1:
     if v.poset != z.poset or v.group != z.group:
         raise Mismatch("cochain and cocycle live over different data")
     P, G = z.poset, z.group
+    free = set(noninflating_classes(P))
     values = {}
     for rep, rev in reversal_classes(P):
-        if (is_inflating(P, rep) or is_inflating(P, rev)) and (
+        if (rep, rev) not in free and (
             v(rep) != G.identity or v(rev) != G.identity
         ):
             raise PreconditionViolated(
@@ -154,12 +160,10 @@ def construct_from_cochain(v: Cochain1, z: Cochain1) -> Cochain1:
 
 def noninflating_pairs(P: Poset):
     """1-simplices that are non-inflating in both orientations
-    (incomparable endpoints below a common upper bound)."""
-    return tuple(
-        b
-        for b in enumerate_simplices(P, 1)
-        if not is_inflating(P, b) and not is_inflating(P, reverse(b))
-    )
+    (incomparable endpoints below a common upper bound), in
+    `enumerate_simplices` order."""
+    members = {b for pair in noninflating_classes(P) for b in pair}
+    return tuple(b for b in enumerate_simplices(P, 1) if b in members)
 
 
 def construct_nonflat(z: Cochain1, b: Simplex1 = None, g=None):
@@ -175,32 +179,30 @@ def construct_nonflat(z: Cochain1, b: Simplex1 = None, g=None):
     P, G = z.poset, z.group
     if G.is_trivial():
         raise TrivialGroup("no nonflat connection with trivial coefficients")
+    candidates = noninflating_pairs(P)
     if b is None:
-        candidates = noninflating_pairs(P)
         if not candidates:
             raise NoSuchSimplex(
                 f"every 1-simplex of {P.name} is inflating up to reversal"
             )
         b = candidates[0]
-    elif is_inflating(P, b) or is_inflating(P, reverse(b)):
-        raise NoSuchSimplex(
-            f"{b.encode()} is inflating in some orientation"
-        )
+    else:
+        b = enumerated(P, b)
+        if b not in candidates:
+            raise NoSuchSimplex(
+                f"{b.encode()} is inflating in some orientation"
+            )
     if g is None:
         g = next(h for h in G.elements if h != G.identity)
+    if g not in G:
+        raise MissingValue(f"{g!r} is not an element of {G.name}")
     if g == G.identity:
         raise TrivialGroup("the twisting element must be nontrivial")
     twist = {d: G.identity for d in enumerate_simplices(P, 1)}
     twist[b] = G.inv(z(b))
     twist[reverse(b)] = G.mul(g, G.inv(z(b)))
     u = construct_from_cochain(Cochain1(P, G, twist), z)
-    top = Simplex0(b.support)
-    c = Simplex2(
-        b.support,
-        Simplex1(b.support, b.face0, top),
-        b,
-        Simplex1(b.support, top, b.face1),
-    )
+    c = pinches(P)[b]
     witness = c if curvature(u)(c) != G.identity else None
     return u, witness
 
@@ -389,10 +391,7 @@ def enumerate_connections(P: Poset, G: FiniteGroup, z: Cochain1 = None,
             "the base of a connection must be a 1-cocycle"
         )
     bundles = (z,) if z is not None else enumerate_cocycles(P, G, limit)
-    free = [
-        (rep, rev) for rep, rev in reversal_classes(P)
-        if not is_inflating(P, rep) and not is_inflating(P, rev)
-    ]
+    free = noninflating_classes(P)
     if len(bundles) * len(G) ** len(free) > limit:
         raise SearchLimitExceeded(
             f"{len(bundles)} bundles x {len(G)}^{len(free)} twists exceed "

@@ -33,6 +33,10 @@ class IndexOutOfRange(PosetBundleError):
     pass
 
 
+class NoSuchSimplex(PosetBundleError):
+    pass
+
+
 # --- paths ---
 
 class EndpointMismatch(PosetBundleError):
@@ -94,10 +98,6 @@ class NotAConnection(PosetBundleError):
 
 
 class PreconditionViolated(PosetBundleError):
-    pass
-
-
-class NoSuchSimplex(PosetBundleError):
     pass
 
 

@@ -15,6 +15,7 @@ from .simplicial import (
     Simplex1,
     degeneracy,
     enumerate_simplices,
+    enumerated,
     reversal_classes,
     reverse,
 )
@@ -117,8 +118,11 @@ def homotopic(p: Path, q: Path, P: Poset, bound: int) -> HomotopyVerdict:
     "yes" comes with a deformation certificate found by BFS over paths of
     length <= bound.  "no" is backed by an abelianization separator: the
     word images of p and q differ in the abelianized edge-path group,
-    which is a homotopy invariant.  Otherwise "unknown".
+    which is a homotopy invariant.  Otherwise "unknown".  A step that is
+    not a 1-simplex of P is a `NoSuchSimplex`.
     """
+    for b in p.steps + q.steps:
+        enumerated(P, b)
     if p.start != q.start or p.end != q.end:
         raise EndpointMismatch("homotopy requires equal endpoints")
     presentation, words = pi1_presentation(P, p.start.element)

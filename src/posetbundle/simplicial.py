@@ -16,26 +16,56 @@ are cheap dictionary keys (cochains are dictionaries keyed by them).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import BadParameter, IndexOutOfRange, UnsupportedDimension
+from .errors import (BadParameter, IndexOutOfRange, NoSuchSimplex,
+                     UnsupportedDimension)
 from .poset import Poset
 
 
-class _Simplex:
-    """Shared identity of the simplex classes.
+class Simplex:
+    """A support together with its faces, the simplices one dimension
+    down; `Simplex0`..`Simplex3` fix the dimension and name the slots.
 
-    The hash is computed once, in ``__post_init__``, from the support and
-    the (already hashed) faces.  Equality is structural: a freshly built
-    simplex equals the enumerated one with the same data, and a hash
-    mismatch settles most unequal pairs without recursing into faces.
+    The constructor checks the number of faces and, for n >= 2, the
+    simplicial identity: face i of face k is face k-1 of face i for all
+    i < k.  The hash is computed once, from the support and the (already
+    hashed) faces.  Equality is structural within one dimension: a
+    freshly built simplex equals the enumerated one with the same data,
+    and a hash mismatch settles most unequal pairs without recursing
+    into faces.  Simplices are immutable.
     """
 
-    __slots__ = ()
+    __slots__ = ("support", "faces", "_hash")
+    dim = None
 
-    def _cache_hash(self):
-        object.__setattr__(self, "_hash", hash(self._key()))
+    def __init_subclass__(cls):
+        n = cls.dim
+        cls._arity = n + 1 if n else 0
+        cls._identities = tuple((k, i) for k in range(n + 1)
+                                for i in range(k)) if n >= 2 else ()
+        cls._named = tuple(cls.__dict__[s].__set__ for s in cls.__slots__)
+
+    def __init__(self, support, *faces):
+        if len(faces) != self._arity:
+            raise TypeError(f"{type(self).__name__} takes a support and "
+                            f"{self._arity} faces, got {len(faces)}")
+        for k, i in self._identities:
+            a, b = faces[k].faces[i], faces[i].faces[k - 1]
+            if a is not b and a != b:
+                raise BadParameter(
+                    f"incompatible faces for {self.dim}-simplex: face {i} "
+                    f"of face {k} is not face {k - 1} of face {i}")
+        _set_support(self, support)
+        _set_faces(self, faces)
+        _set_hash(self, hash((support,) + faces))
+        for set_, value in zip(self._named, faces or (support,)):
+            set_(self, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     def __hash__(self):
         return self._hash
@@ -45,47 +75,20 @@ class _Simplex:
             return True
         if type(other) is not type(self):
             return NotImplemented
-        return self._hash == other._hash and self._key() == other._key()
+        return (self._hash == other._hash and self.support == other.support
+                and self.faces == other.faces)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.encode()})"
 
     def __reduce__(self):
         # Unpickle through __init__: string hashes, and with them the
         # cached hash, differ from one interpreter process to the next.
-        return type(self), self._key()
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class Simplex0(_Simplex):
-    element: str
-    _hash: int = field(init=False, repr=False)
-
-    dim = 0
-
-    def __post_init__(self):
-        self._cache_hash()
-
-    def _key(self):
-        return (self.element,)
+        return type(self), (self.support,) + self.faces
 
     def encode(self):
-        return self.element
-
-    def sort_key(self):
-        return (self.element,)
-
-
-class _Positive(_Simplex):
-    """A simplex of dimension >= 1: a support and its faces."""
-
-    __slots__ = ()
-
-    def _set_faces(self, faces):
-        object.__setattr__(self, "faces", faces)
-        self._cache_hash()
-
-    def _key(self):
-        return (self.support,) + self.faces
-
-    def encode(self):
+        if not self.faces:
+            return self.support
         faces = ",".join(f.encode() for f in self.faces)
         return f"({self.support};{faces})"
 
@@ -93,68 +96,36 @@ class _Positive(_Simplex):
         return (self.support,) + tuple(f.sort_key() for f in self.faces)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Simplex1(_Positive):
-    support: str
-    face0: Simplex0  # endpoint
-    face1: Simplex0  # start point
-    faces: tuple = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
+# The slot setters the constructor uses to get past __setattr__.
+_set_support = Simplex.support.__set__
+_set_faces = Simplex.faces.__set__
+_set_hash = Simplex._hash.__set__
 
+
+class Simplex0(Simplex):
+    __slots__ = ("element",)
+    dim = 0
+
+    def sort_key(self):  # the base formula without the empty face loop
+        return (self.element,)
+
+
+class Simplex1(Simplex):
+    __slots__ = ("face0", "face1")  # endpoint, start point
     dim = 1
 
-    def __post_init__(self):
-        self._set_faces((self.face0, self.face1))
 
-
-@dataclass(frozen=True, eq=False, slots=True)
-class Simplex2(_Positive):
-    support: str
-    face0: Simplex1
-    face1: Simplex1
-    face2: Simplex1
-    faces: tuple = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
-
+class Simplex2(Simplex):
+    __slots__ = ("face0", "face1", "face2")
     dim = 2
 
-    def __post_init__(self):
-        c0, c1, c2 = self.face0, self.face1, self.face2
-        ok = (
-            c0.face0 == c1.face0
-            and c0.face1 == c2.face0
-            and c1.face1 == c2.face1
-        )
-        if not ok:
-            raise BadParameter(f"incompatible faces for 2-simplex: {c0}, {c1}, {c2}")
-        self._set_faces((c0, c1, c2))
 
-
-@dataclass(frozen=True, eq=False, slots=True)
-class Simplex3(_Positive):
-    support: str
-    face0: Simplex2
-    face1: Simplex2
-    face2: Simplex2
-    face3: Simplex2
-    faces: tuple = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
-
+class Simplex3(Simplex):
+    __slots__ = ("face0", "face1", "face2", "face3")
     dim = 3
 
-    def __post_init__(self):
-        d0, d1, d2, d3 = self.face0, self.face1, self.face2, self.face3
-        ok = (
-            d0.face0 == d1.face0
-            and d0.face1 == d2.face0
-            and d0.face2 == d3.face0
-            and d1.face1 == d2.face1
-            and d1.face2 == d3.face1
-            and d2.face2 == d3.face2
-        )
-        if not ok:
-            raise BadParameter("incompatible faces for 3-simplex")
-        self._set_faces((d0, d1, d2, d3))
+
+_SIMPLEX_CLASSES = (Simplex0, Simplex1, Simplex2, Simplex3)
 
 
 def boundary(d, i):
@@ -167,63 +138,41 @@ def boundary(d, i):
 
 
 def support(d) -> str:
-    return d.element if d.dim == 0 else d.support
+    return d.support
 
 
 def degeneracy(d, i):
-    """The degenerate (n+1)-simplex s_i(d); supports are preserved."""
-    if d.dim == 0:
-        if i != 0:
-            raise IndexOutOfRange("degeneracy index for a 0-simplex must be 0")
-        return Simplex1(d.element, d, d)
-    if d.dim == 1:
-        if i == 0:
-            return Simplex2(d.support, d, d, degeneracy(d.face1, 0))
-        if i == 1:
-            return Simplex2(d.support, degeneracy(d.face0, 0), d, d)
-        raise IndexOutOfRange("degeneracy index for a 1-simplex must be 0 or 1")
-    if d.dim == 2:
-        if i == 0:
-            return Simplex3(
-                d.support, d, d, degeneracy(d.face1, 0), degeneracy(d.face2, 0)
-            )
-        if i == 1:
-            return Simplex3(
-                d.support, degeneracy(d.face0, 0), d, d, degeneracy(d.face2, 1)
-            )
-        if i == 2:
-            return Simplex3(
-                d.support, degeneracy(d.face0, 1), degeneracy(d.face1, 1), d, d
-            )
-        raise IndexOutOfRange("degeneracy index for a 2-simplex must be 0, 1 or 2")
-    raise UnsupportedDimension("degeneracies are implemented for dimensions 0-2")
+    """The degenerate (n+1)-simplex s_i(d); supports are preserved.
+
+    Face j of s_i(d) is s_{i-1}(face j of d) for j < i, d itself for
+    j = i and i + 1, and s_i(face j-1 of d) for j > i + 1.
+    """
+    n = d.dim
+    if n > 2:
+        raise UnsupportedDimension("degeneracies are implemented for dimensions 0-2")
+    if not 0 <= i <= n:
+        raise IndexOutOfRange(f"degeneracy index {i} out of range for dim {n}")
+    faces = ([degeneracy(f, i - 1) for f in d.faces[:i]] + [d, d]
+             + [degeneracy(f, i) for f in d.faces[i + 1:]])
+    return _SIMPLEX_CLASSES[n + 1](d.support, *faces)
 
 
 def is_degenerate(d) -> bool:
     """True iff d equals some s_i of a lower simplex.
 
-    If d = s_i(d'), then d' appears among the faces of d, so scanning
-    degeneracies of the faces is a complete check.
+    If d = s_i(d'), then faces i and i + 1 of d are both d', so checking
+    s_i(face i) for each i is a complete check.
     """
-    if d.dim == 0:
-        return False
-    if d.dim == 1:
-        return d.face0 == d.face1 and d.face0.element == d.support
-    return any(
-        degeneracy(boundary(d, j), i) == d
-        for j in range(d.dim + 1)
-        for i in range(d.dim)
-    )
+    return any(d.faces[i] == d.faces[i + 1] and degeneracy(d.faces[i], i) == d
+               for i in range(d.dim))
 
 
 def is_inflating(P: Poset, d) -> bool:
     """A 1-simplex is inflating when its start lies below its end;
     higher simplices, when all their faces are."""
-    if d.dim == 0:
-        return True
     if d.dim == 1:
         return P.leq(d.face1.element, d.face0.element)
-    return all(is_inflating(P, boundary(d, i)) for i in range(d.dim + 1))
+    return all(is_inflating(P, f) for f in d.faces)
 
 
 def reverse(b: Simplex1) -> Simplex1:
@@ -232,54 +181,75 @@ def reverse(b: Simplex1) -> Simplex1:
 
 
 @lru_cache(maxsize=None)
+def _enumerated_index(P: Poset, n: int):
+    return {d: d for d in _simplices(P, n)}
+
+
+def enumerated(P: Poset, d):
+    """The enumerated simplex equal to d; `NoSuchSimplex` if d is not a
+    simplex of P.  Dictionaries keyed by enumerated simplices match it
+    by identity."""
+    try:
+        return _enumerated_index(P, d.dim)[d]
+    except KeyError:
+        raise NoSuchSimplex(f"{d.encode()} is not a {d.dim}-simplex of "
+                            f"{P.name}") from None
+
+
+@lru_cache(maxsize=None)
 def reversal_classes(P: Poset):
     """The classes {b, reverse(b)} of 1-simplices as (representative,
     reverse) pairs, in sort key order of the representative, which is the
     member with the smaller sort key.  A self-reverse class (a loop at a
-    point) is a pair (b, b).  Both members are the enumerated objects,
-    so dictionaries keyed by them match enumerated keys by identity.
+    point) is a pair (b, b).  Both members are the enumerated objects.
     Cached per poset, like the simplices."""
-    simplices = _simplices(P, 1)
-    enumerated = {b: b for b in simplices}
     out = []
-    for b in simplices:
-        rb = enumerated[reverse(b)]
+    for b in _simplices(P, 1):
+        rb = enumerated(P, reverse(b))
         if b.sort_key() <= rb.sort_key():
             out.append((b, rb))
     return tuple(out)
 
 
-# Orientation action on 2-simplices.  Keys are vertex permutations
-# (sigma(0), sigma(1), sigma(2)): vertex k of the result is vertex
-# sigma(k) of the input.  Face formulas are closed-form; R marks a
-# reversed face.
-_PERM2_FACES = {
-    (0, 1, 2): ((0, False), (1, False), (2, False)),
-    (1, 0, 2): ((1, False), (0, False), (2, True)),
-    (2, 1, 0): ((2, True), (1, True), (0, True)),
-    (0, 2, 1): ((0, True), (2, False), (1, False)),
-    (2, 0, 1): ((2, False), (0, True), (1, True)),
-    (1, 2, 0): ((1, True), (2, True), (0, False)),
-}
+@lru_cache(maxsize=None)
+def noninflating_classes(P: Poset):
+    """The reversal classes with no inflating member, in
+    `reversal_classes` order: the edges where a connection may differ
+    from its bundle."""
+    return tuple((rep, rev) for rep, rev in reversal_classes(P)
+                 if not is_inflating(P, rep) and not is_inflating(P, rev))
+
+
+@lru_cache(maxsize=None)
+def pinches(P: Poset):
+    """The pinch simplex of every 1-simplex b: the enumerated 2-simplex
+    with boundary 1 equal to b whose middle vertex is the support of b
+    (boundary 2 runs from the start of b up to the support, boundary 0
+    from there down to the end).  Cached per poset."""
+    return {c.face1: c for c in _simplices(P, 2)
+            if c.face0.face1.element == c.support == c.face1.support}
 
 
 def permute2(c: Simplex2, sigma) -> Simplex2:
-    """The orientation (vertex permutation) action on a 2-simplex."""
+    """The orientation (vertex permutation) action on a 2-simplex.
+
+    sigma = (sigma(0), sigma(1), sigma(2)): vertex k of the result is
+    vertex sigma(k) of c.  So face j of the result is face sigma(j) of
+    c, reversed when sigma swaps the order of the two other vertices.
+    """
     sigma = tuple(sigma)
-    if sigma not in _PERM2_FACES:
+    if len(sigma) != 3 or set(sigma) != {0, 1, 2}:
         raise BadParameter(f"{sigma!r} is not a permutation of (0, 1, 2)")
     faces = []
-    for idx, reversed_ in _PERM2_FACES[sigma]:
-        face = boundary(c, idx)
-        faces.append(reverse(face) if reversed_ else face)
+    for j in range(3):
+        a, b = (k for k in range(3) if k != j)
+        face = c.faces[sigma[j]]
+        faces.append(reverse(face) if sigma[a] > sigma[b] else face)
     return Simplex2(c.support, *faces)
 
 
 EVEN_PERMUTATIONS = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
 ODD_PERMUTATIONS = ((1, 0, 2), (2, 1, 0), (0, 2, 1))
-
-
-_SIMPLEX_CLASSES = (Simplex0, Simplex1, Simplex2, Simplex3)
 
 
 def _check_dimension(n):
@@ -323,20 +293,19 @@ def _simplices(P: Poset, n: int):
     faces.  Choosing the faces in the order of dimension n-1 yields the
     simplices in sort key order.
     """
+    make = _SIMPLEX_CLASSES[n]
     if n == 0:
-        return tuple(Simplex0(x) for x in P.elements)
+        return tuple(make(x) for x in P.elements)
     lower = _simplices(P, n - 1)
     by_support = {}
     for f in lower:
-        by_support.setdefault(support(f), []).append(f)
-    make = _SIMPLEX_CLASSES[n]
+        by_support.setdefault(f.support, []).append(f)
     out = []
     for x in P.elements:
         # `lower` is sorted by support first, so concatenating the groups
         # in element order keeps candidates in the order of `lower`.
-        candidates = [
-            f for y in P.down_set(x) for f in by_support.get(y, ())
-        ]
+        candidates = [f for y in P.down_set(x)
+                      for f in by_support.get(y, ())]
         by_prefix = [{} for _ in range(n + 1)]
         for f in candidates:
             for k in range(n + 1):
@@ -366,17 +335,12 @@ def enumerate_simplices_raw(P: Poset, n: int, inflating_only: bool = False):
     from scratch and sorts by sort key.
     """
     _check_dimension(n)
-    subsets = [
-        subset
-        for size in range(1, n + 2)
-        for subset in itertools.combinations(range(n + 1), size)
-    ]
+    subsets = [subset for size in range(1, n + 2)
+               for subset in itertools.combinations(range(n + 1), size)]
 
     def build(values, indices):
-        if len(indices) == 1:
-            return Simplex0(values[indices])
         faces = [build(values, indices[:k] + indices[k + 1:])
-                 for k in range(len(indices))]
+                 for k in range(len(indices))] if len(indices) > 1 else []
         return _SIMPLEX_CLASSES[len(indices) - 1](values[indices], *faces)
 
     results = []
@@ -408,13 +372,9 @@ def enumerate_simplices_raw(P: Poset, n: int, inflating_only: bool = False):
 
 def validate_supports(P: Poset, d) -> bool:
     """Check that every face support sits below the simplex support."""
-    if d.dim == 0:
-        return d.element in P
-    if support(d) not in P:
-        return False
-    return all(
-        P.leq(support(boundary(d, i)), support(d)) and validate_supports(P, boundary(d, i))
-        for i in range(d.dim + 1)
+    return d.support in P and all(
+        P.leq(f.support, d.support) and validate_supports(P, f)
+        for f in d.faces
     )
 
 
