@@ -56,8 +56,15 @@ def _read(path):
 
 
 def _parse_path(text, P) -> Path:
-    """Path files list 1-simplices of P, first step written last."""
-    chunks = re.findall(r"\([^()]*\)", text)
+    """Path files list 1-simplices of P, first step written last,
+    separated by whitespace or `;`; `#` starts a comment."""
+    text = "\n".join(raw.split("#", 1)[0] for raw in text.splitlines())
+    pieces = re.split(r"(\([^()]*\))", text)
+    stray = [t for t in pieces[::2] if not re.fullmatch(r"[\s;]*", t)]
+    if stray:
+        raise UsageError(f"path file has text outside 1-simplices: "
+                         f"{stray[0].strip()!r}")
+    chunks = pieces[1::2]
     if not chunks:
         raise UsageError("path file contains no 1-simplices")
     return Path(tuple(enumerated(P, parse_simplex1(c))

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import smith
-from .errors import EndpointMismatch, NotConnected, SearchLimitExceeded
+from .errors import (BadParameter, EndpointMismatch, NotConnected,
+                     SearchLimitExceeded)
 from .groups import FiniteGroup
 from .poset import Poset
 from .simplicial import (
@@ -76,31 +77,61 @@ def reverse_path(p: Path) -> Path:
     return Path(tuple(reverse(b) for b in reversed(p.steps)))
 
 
+@lru_cache(maxsize=None)
+def _deformation_index(P: Poset):
+    """The 2-simplices of P as lookups on step ranks, cached per poset.
+
+    The rank of a 1-simplex is its position in `enumerate_simplices(P,
+    1)`, which is sort key order, so sorting step tuples by their rank
+    tuples sorts paths by sort key.  Returns the ranks, the map from the
+    rank of a boundary 1 to the rank pairs (boundary 2, boundary 0), and
+    the map from such a pair to the 1-tuples of boundary 1 ranks.
+    """
+    ranks = {b: i for i, b in enumerate(enumerate_simplices(P, 1))}
+    expansions, contractions = {}, {}
+    for c in enumerate_simplices(P, 2):
+        r0, r1, r2 = ranks[c.face0], ranks[c.face1], ranks[c.face2]
+        expansions.setdefault(r1, []).append((r2, r0))
+        contractions.setdefault((r2, r0), []).append((r1,))
+    return ranks, expansions, contractions
+
+
+def _ranked(p: Path, P: Poset):
+    """The tuple of step ranks of p; `NoSuchSimplex` for a foreign step."""
+    ranks = _deformation_index(P)[0]
+    return tuple(ranks[enumerated(P, b)] for b in p.steps)
+
+
+def _path(ranked, P: Poset) -> Path:
+    steps = enumerate_simplices(P, 1)
+    return Path(tuple(steps[r] for r in ranked))
+
+
+def _neighbours(ranked, P: Poset):
+    """The distinct rank tuples one elementary deformation away from
+    `ranked`, sorted."""
+    _, expansions, contractions = _deformation_index(P)
+    out = set()
+    for i, r in enumerate(ranked):
+        for pair in expansions.get(r, ()):
+            out.add(ranked[:i] + pair + ranked[i + 1:])
+    for i in range(len(ranked) - 1):
+        for single in contractions.get(ranked[i:i + 2], ()):
+            out.add(ranked[:i] + single + ranked[i + 2:])
+    return sorted(out)
+
+
 def deformations(p: Path, P: Poset):
     """All single elementary deformations of p, in either direction.
 
     For each 2-simplex c: a step equal to boundary 1 of c may be replaced
     by the pair (boundary 2 then boundary 0), and a consecutive pair
-    matching that shape may be contracted back to boundary 1 of c.
+    matching that shape may be contracted back to boundary 1 of c.  The
+    paths are distinct and sorted by the tuple of their steps' ranks in
+    `enumerate_simplices(P, 1)`, which is sort key order.  A step that is
+    not a 1-simplex of P is a `NoSuchSimplex`.
     """
-    out = []
-    seen = set()
-    for c in enumerate_simplices(P, 2):
-        d0, d1, d2 = c.face0, c.face1, c.face2
-        for i, b in enumerate(p.steps):
-            if b == d1:
-                steps = p.steps[:i] + (d2, d0) + p.steps[i + 1:]
-                if steps not in seen:
-                    seen.add(steps)
-                    out.append(Path(steps))
-        for i in range(len(p.steps) - 1):
-            if p.steps[i] == d2 and p.steps[i + 1] == d0:
-                steps = p.steps[:i] + (d1,) + p.steps[i + 2:]
-                if steps not in seen:
-                    seen.add(steps)
-                    out.append(Path(steps))
-    out.sort(key=lambda q: tuple(b.sort_key() for b in q.steps))
-    return tuple(out)
+    return tuple(_path(t, P) for t in _neighbours(_ranked(p, P), P))
 
 
 @dataclass(frozen=True)
@@ -119,35 +150,34 @@ def homotopic(p: Path, q: Path, P: Poset, bound: int) -> HomotopyVerdict:
     length <= bound.  "no" is backed by an abelianization separator: the
     word images of p and q differ in the abelianized edge-path group,
     which is a homotopy invariant.  Otherwise "unknown".  A step that is
-    not a 1-simplex of P is a `NoSuchSimplex`.
+    not a 1-simplex of P is a `NoSuchSimplex`; a bound that is not an
+    int >= 0 is a `BadParameter`.
     """
-    for b in p.steps + q.steps:
-        enumerated(P, b)
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
+        raise BadParameter(f"bound must be an int >= 0, got {bound!r}")
+    source, target = _ranked(p, P), _ranked(q, P)
     if p.start != q.start or p.end != q.end:
         raise EndpointMismatch("homotopy requires equal endpoints")
     presentation, words = pi1_presentation(P, p.start.element)
     if not _abelianized_equal(presentation, words.path_word(p), words.path_word(q)):
         return HomotopyVerdict("no")
-    parents = {p.steps: None}
-    frontier = [p]
+    parents = {source: None}
+    frontier = [source]
     while frontier:
         next_frontier = []
         for current in frontier:
-            if current.steps == q.steps:
+            if current == target:
                 chain = []
-                node = current.steps
-                while node is not None:
-                    chain.append(Path(node))
-                    node = parents[node]
+                while current is not None:
+                    chain.append(_path(current, P))
+                    current = parents[current]
                 return HomotopyVerdict("yes", tuple(reversed(chain)))
-            for neighbor in deformations(current, P):
-                if len(neighbor) > bound or neighbor.steps in parents:
+            for neighbour in _neighbours(current, P):
+                if len(neighbour) > bound or neighbour in parents:
                     continue
-                parents[neighbor.steps] = current.steps
-                next_frontier.append(neighbor)
+                parents[neighbour] = current
+                next_frontier.append(neighbour)
         frontier = next_frontier
-    if q.steps in parents:  # pragma: no cover - caught in the loop
-        raise AssertionError
     return HomotopyVerdict("unknown")
 
 

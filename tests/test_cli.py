@@ -118,6 +118,35 @@ def test_homotopic_exit_codes(workspace, tmp_path):
                 tmp_path / "degen.path", "--bound", "4"]) == 1
 
 
+@pytest.mark.parametrize("text", [
+    "(o1;a1,a2)(o1;a1,a2\n",
+    "junk (o1;a1,a2) XYZ\n",
+    "(o1;a1,a2), (o1;a2,a1)\n",
+    "",
+])
+def test_path_file_rejects_text_outside_simplices(workspace, tmp_path,
+                                                  capsys, text):
+    (tmp_path / "bad.path").write_text(text)
+    (tmp_path / "ok.path").write_text("(o1;a1,a2)\n")
+    poset = workspace / "circle2.poset"
+    for order in (("bad", "ok"), ("ok", "bad")):
+        assert run(["homotopic", poset] + [tmp_path / f"{n}.path"
+                                           for n in order]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: path file ")
+        assert "Traceback" not in err
+
+
+def test_path_file_separators(workspace, tmp_path):
+    """Steps may be separated by `;`, spaces or line breaks, and `#`
+    starts a comment."""
+    (tmp_path / "lines.path").write_text(
+        "# out and back\n(o1;a1,o1)\n  (o1;o1,a1)  # first step\n")
+    (tmp_path / "semi.path").write_text("(o1;a1,o1);(o1;o1,a1)")
+    assert run(["homotopic", workspace / "circle2.poset",
+                tmp_path / "lines.path", tmp_path / "semi.path"]) == 0
+
+
 def test_group_validate(workspace, capsys):
     assert run(["group-validate", workspace / "z3.group"]) == 0
     assert "abelian: True" in capsys.readouterr().out

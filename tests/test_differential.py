@@ -1,7 +1,8 @@
 """Differential tests of the tree-transport helpers, the cochain
-identity, and the constructed cocycle classes and connections against
-brute force or the filters they replace, on random connected posets of
-at most four elements with values in Z2, Z3 and S3."""
+identity, the constructed cocycle classes and connections, and the
+indexed deformation search against brute force or the filters and scans
+they replace, on random connected posets of at most four elements with
+values in Z2, Z3 and S3."""
 
 import itertools
 
@@ -25,18 +26,27 @@ from posetbundle.cochains import (
     random_cochain0,
     random_cochain1,
 )
-from posetbundle.connections import enumerate_connections, is_adapted
+from posetbundle.connections import (
+    enumerate_connections,
+    enumerate_loops,
+    is_adapted,
+)
 from posetbundle.errors import NotConnected, PreconditionViolated
 from posetbundle.gauge import gauge_act, gauge_group, gauge_group_raw
 from posetbundle.groups import cyclic_group, symmetric_group
 from posetbundle.paths import (
+    Path,
     count_hom_classes,
+    deformations,
+    degenerate_loop,
     enumerate_homs,
+    homotopic,
     pi1_presentation,
     word_value,
 )
 from posetbundle.poset import base_point, build_poset
 from posetbundle.simplicial import (
+    Simplex0,
     enumerate_simplices,
     is_inflating,
     reversal_classes,
@@ -302,3 +312,93 @@ def test_enumerate_homs_matches_product_filter(P, G):
         assert enumerate_homs(presentation, G) == product_filtered_homs(
             presentation, G
         )
+
+
+def scan_deformations(p, P):
+    """Oracle: each 2-simplex compared with every step and pair of steps
+    of p, the paths sorted by the sort keys of their steps."""
+    out = []
+    seen = set()
+    for c in enumerate_simplices(P, 2):
+        d0, d1, d2 = c.face0, c.face1, c.face2
+        for i, b in enumerate(p.steps):
+            if b == d1:
+                steps = p.steps[:i] + (d2, d0) + p.steps[i + 1:]
+                if steps not in seen:
+                    seen.add(steps)
+                    out.append(Path(steps))
+        for i in range(len(p.steps) - 1):
+            if p.steps[i] == d2 and p.steps[i + 1] == d0:
+                steps = p.steps[:i] + (d1,) + p.steps[i + 2:]
+                if steps not in seen:
+                    seen.add(steps)
+                    out.append(Path(steps))
+    out.sort(key=lambda q: tuple(b.sort_key() for b in q.steps))
+    return tuple(out)
+
+
+def scan_certificate(p, q, P, bound):
+    """Oracle: breadth-first search over `scan_deformations`; the chain
+    from p to q, or None when q is not reached within the bound."""
+    parents = {p.steps: None}
+    frontier = [p]
+    while frontier:
+        next_frontier = []
+        for current in frontier:
+            if current.steps == q.steps:
+                chain = []
+                node = current.steps
+                while node is not None:
+                    chain.append(Path(node))
+                    node = parents[node]
+                return tuple(reversed(chain))
+            for neighbour in scan_deformations(current, P):
+                if len(neighbour) <= bound and neighbour.steps not in parents:
+                    parents[neighbour.steps] = current.steps
+                    next_frontier.append(neighbour)
+        frontier = next_frontier
+    return None
+
+
+def random_path(P, rng, max_len=4):
+    """A random walk of 1 to `max_len` enumerated 1-simplices."""
+    step_from = {}
+    for b in enumerate_simplices(P, 1):
+        step_from.setdefault(b.face1.element, []).append(b)
+    at = rng.choice(P.elements)
+    steps = []
+    for _ in range(rng.randint(1, max_len)):
+        b = rng.choice(step_from[at])
+        steps.append(b)
+        at = b.face0.element
+    return Path(tuple(steps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_posets(), SEEDS)
+def test_deformations_match_scan(P, rng):
+    p = random_path(P, rng)
+    assert deformations(p, P) == scan_deformations(p, P)
+
+
+@pytest.mark.parametrize("name", ["circle2", "twoloop"])
+def test_deformations_of_fixture_loops_match_scan(posets, name):
+    P = posets[name]
+    for p in enumerate_loops(P, P.elements[0], 4):
+        assert deformations(p, P) == scan_deformations(p, P)
+
+
+@pytest.mark.parametrize("name", ["circle2", "twoloop"])
+def test_certificates_match_scan_search(posets, name):
+    """Short loops against the constant loop and against each other,
+    all homotopic within the bound: the certificate is the chain the
+    oracle search finds."""
+    P = posets[name]
+    a0 = P.elements[0]
+    loops = list(enumerate_loops(P, a0, 3))[:6]
+    pairs = [(p, degenerate_loop(Simplex0(a0))) for p in loops]
+    pairs += list(zip(loops, loops[1:]))
+    for p, q in pairs:
+        expected = scan_certificate(p, q, P, 4)
+        assert expected is not None
+        assert homotopic(p, q, P, 4).certificate == expected

@@ -1,6 +1,12 @@
 import pytest
 
-from posetbundle.errors import EndpointMismatch, NotConnected, SearchLimitExceeded
+from posetbundle.errors import (
+    BadParameter,
+    EndpointMismatch,
+    NoSuchSimplex,
+    NotConnected,
+    SearchLimitExceeded,
+)
 from posetbundle.groups import cyclic_group, symmetric_group
 from posetbundle.paths import (
     Path,
@@ -65,6 +71,34 @@ def test_deformations_are_symmetric(posets):
         for q in deformations(p, P):
             assert p in deformations(q, P)
             assert q.start == p.start and q.end == p.end
+
+
+def test_deformations_reject_foreign_steps(posets):
+    P = posets["circle2"]
+    foreign = Path((edge("o1", "o1", "a1"), edge("x", "x", "o1")))
+    with pytest.raises(NoSuchSimplex):
+        deformations(foreign, P)
+
+
+def test_deformations_accept_freshly_built_steps(posets):
+    P = posets["circle2"]
+    trivial, _ = circle_paths()
+    fresh = Path(tuple(edge(b.support, b.face0.element, b.face1.element)
+                       for b in trivial.steps))
+    assert fresh.steps[0] is not trivial.steps[0]
+    assert deformations(fresh, P) == deformations(trivial, P)
+
+
+@pytest.mark.parametrize("bound", [-1, 2.0, "4", True, None])
+def test_homotopic_checks_bound_first(posets, bound):
+    """A bad bound is refused before any search, even where the
+    abelianization alone would answer "no"."""
+    P = posets["circle2"]
+    _, winding = circle_paths()
+    degen = degenerate_loop(Simplex0("a1"))
+    with pytest.raises(BadParameter):
+        homotopic(winding, degen, P, bound)
+    assert homotopic(winding, degen, P, 0).status == "no"
 
 
 def test_homotopy_verdicts(posets):
