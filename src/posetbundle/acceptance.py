@@ -33,13 +33,7 @@ from .paths import (
     pi1_presentation,
 )
 from .poset import Poset, build_poset, generate
-from .simplicial import (
-    enumerate_simplices,
-    is_degenerate,
-    is_inflating,
-    permute2,
-    pinches,
-)
+from .simplicial import complex_of, enumerate_simplices, permute2, pinches
 
 DEFAULT_SEED = 20260824
 
@@ -85,9 +79,9 @@ def standard_posets():
 
 
 def _all_cochain1(P: Poset, G: FiniteGroup):
-    simplices = enumerate_simplices(P, 1)
-    for assignment in itertools.product(G.elements, repeat=len(simplices)):
-        yield Cochain1(P, G, dict(zip(simplices, assignment)))
+    n = len(enumerate_simplices(P, 1))
+    for ids in itertools.product(range(len(G)), repeat=n):
+        yield Cochain1._of(P, G, ids)
 
 
 def winding_cocycle(P: Poset, G: FiniteGroup, g) -> Cochain1:
@@ -124,13 +118,18 @@ def random_cocycle(P: Poset, G: FiniteGroup, rng) -> Cochain1:
 def random_connection(P: Poset, G: FiniteGroup, rng) -> Cochain1:
     """A uniformly random twist of a random bundle."""
     z = random_cocycle(P, G, rng)
-    twist = {b: G.identity for b in enumerate_simplices(P, 1)}
+    cells = complex_of(P)[1]
+    twist = [G.unit] * len(cells.simplices)
     for b in cn.noninflating_pairs(P):
-        twist[b] = rng.choice(G.elements)
-    return cn.construct_from_cochain(Cochain1(P, G, twist), z)
+        twist[cells.ids[b]] = G.index[rng.choice(G.elements)]
+    return cn.construct_from_cochain(Cochain1._of(P, G, tuple(twist)), z)
 
 
 # -- criteria --------------------------------------------------------------
+
+
+def _inflating_ids(P: Poset):
+    return [i for i, yes in enumerate(complex_of(P)[1].inflating) if yes]
 
 
 def criterion_1(rng):
@@ -141,18 +140,18 @@ def criterion_1(rng):
     checked = 0
     for u in _all_cochain1(chain2, Z2):
         x = coboundary(coboundary(u))
-        if any(g != Z2.identity for g in x.values.values()):
+        if any(g != Z2.unit for g in x.ids):
             return False, f"exhaustive failure at cochain #{checked}"
         checked += 1
     randoms = 0
     for _ in range(500):
         u = random_cochain1(circle2, S3, rng)
         x = coboundary(coboundary(u))
-        if any(g != S3.identity for g in x.values.values()):
+        if any(g != S3.unit for g in x.ids):
             return False, "random 1-cochain broke d after d"
         v = random_cochain0(circle2, S3, rng)
         w = coboundary(coboundary(v))
-        if any(g != S3.identity for g in w.values.values()):
+        if any(g != S3.unit for g in w.ids):
             return False, "random 0-cochain broke d after d"
         randoms += 1
     return True, f"{checked} exhaustive + {randoms} random cochains, all trivial"
@@ -242,13 +241,11 @@ def criterion_6(rng):
     circle2 = generate("circle", 2)
     Z2 = cyclic_group(2)
     cocycles = enumerate_cocycles(circle2, Z2)
-    inflating = [
-        b for b in enumerate_simplices(circle2, 1) if is_inflating(circle2, b)
-    ]
+    inflating = _inflating_ids(circle2)
     for i in range(200):
         u = random_connection(circle2, Z2, rng)
         agreeing = [
-            z for z in cocycles if all(z(b) == u(b) for b in inflating)
+            z for z in cocycles if all(z.ids[b] == u.ids[b] for b in inflating)
         ]
         if len(agreeing) != 1:
             return False, f"sample {i}: {len(agreeing)} cocycles agree"
@@ -264,9 +261,7 @@ def criterion_7(rng):
     us = cn.enumerate_connections(circle2, Z2)
     center = set(Z2.center())
     cocycles = enumerate_cocycles(circle2, Z2)
-    inflating = [
-        b for b in enumerate_simplices(circle2, 1) if is_inflating(circle2, b)
-    ]
+    inflating = _inflating_ids(circle2)
     pinch = pinches(circle2)
     for u in us:
         if not cn.is_central(u):
@@ -279,7 +274,8 @@ def criterion_7(rng):
             if w(pinch[b]) != Z2.inv(chi(b)):
                 return False, "curvature of the pinch simplex missed chi"
         agreeing = [
-            z1 for z1 in cocycles if all(z1(b) == u(b) for b in inflating)
+            z1 for z1 in cocycles
+            if all(z1.ids[b] == u.ids[b] for b in inflating)
         ]
         if agreeing != [z]:
             return False, "decomposition is not unique"
@@ -315,7 +311,7 @@ def criterion_8(rng):
             u = random_connection(P, G, rng)
             w = cn.curvature(u)
             x = coboundary2(w)
-            if any(g != G.identity for g in x.values.values()):
+            if any(g != G.unit for g in x.ids):
                 return False, f"Bianchi failed on {P.name} x {G.name}"
             checked += 1
     return True, f"{checked} sampled connections, all 3-simplices balanced"
@@ -387,15 +383,15 @@ def criterion_11(rng):
         (generate("circle", 2), symmetric_group(3)),
         (generate("vee", 1), cyclic_group(2)),
     ):
+        cells = complex_of(P)[2]
+        rigid = [a or b for a, b in zip(cells.degenerate, cells.inflating)]
         for _ in range(10):
             u = random_connection(P, G, rng)
             w = cn.curvature(u)
-            for c in enumerate_simplices(P, 2):
+            for c, fixed in zip(cells.simplices, rigid):
                 if w(permute2(c, (1, 0, 2))) != G.inv(w(c)):
                     return False, f"orientation symmetry failed on {P.name}"
-                if (is_degenerate(c) or is_inflating(P, c)) and (
-                    w(c) != G.identity
-                ):
+                if fixed and w(c) != G.identity:
                     return False, f"rigid 2-simplex carries curvature on {P.name}"
             checked += 1
     return True, f"{checked} sampled connections, symmetries exact"

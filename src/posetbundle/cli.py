@@ -212,7 +212,7 @@ def cmd_classify_cocycles(args):
 
 def cmd_dd_check(args):
     x = coboundary(coboundary(args.cochain))
-    ok = all(g == args.group.identity for g in x.values.values())
+    ok = all(g == args.group.unit for g in x.ids)
     return (0 if ok else 1), {**_header(args), "second-coboundary-trivial": ok}
 
 

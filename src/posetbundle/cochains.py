@@ -6,12 +6,19 @@ every 1-simplex; a 2-cochain carries an inner-automorphism component on
 a central group component on 3-simplices.  Coboundaries, the cocycle
 conditions, morphisms of 1-cocycles, and exhaustive enumeration and
 classification of 1-cocycles live here.
+
+A cochain stores a tuple of group element ids (see `FiniteGroup`)
+indexed by the simplex ids of the poset's `Complex`, and an
+automorphism component as the ids of canonical coset representatives,
+so the operations here are index arithmetic on the group's tables.
+`values` and `tau` are read-only views keyed by simplex.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import (
     BadParameter,
@@ -20,7 +27,7 @@ from .errors import (
     Mismatch,
     SearchLimitExceeded,
 )
-from .groups import FiniteGroup, GroupHom, ad
+from .groups import FiniteGroup, GroupHom, InnerAut
 from .paths import (
     Path,
     based_loops,
@@ -30,49 +37,107 @@ from .paths import (
     word_value,
 )
 from .poset import Poset, base_point
-from .simplicial import enumerate_simplices, parse_simplex1
+from .simplicial import (Simplex0, complex_of, enumerate_simplices,
+                         parse_simplex1)
 
 
-def _check_total(P, G, values, n):
-    expected = enumerate_simplices(P, n)
-    if set(values) != set(expected):
-        raise MissingValue(
-            f"a {n}-cochain must assign a value to every {n}-simplex of "
-            f"{P.name}"
-        )
-    for d, g in values.items():
-        if g not in G:
-            raise MissingValue(f"{g!r} (value at {d.encode()}) is not in {G.name}")
+def _in_order(cells, mapping, message):
+    """The values of `mapping` in simplex id order; `MissingValue` unless
+    its keys are exactly the simplices of `cells`."""
+    try:
+        out = [mapping[d] for d in cells.simplices]
+    except KeyError:
+        out = None
+    if out is None or len(out) != len(mapping):
+        raise MissingValue(message)
+    return out
+
+
+def _total(n, P):
+    return f"a {n}-cochain must assign a value to every {n}-simplex of {P.name}"
+
+
+_TAU_TOTAL = "the automorphism component must cover every 1-simplex"
+
+
+def _element_ids(G, names, items):
+    """The ids of `names`; if one is outside G, a `MissingValue` naming
+    the first (key, name) pair of `items` whose name is outside G."""
+    try:
+        return tuple(map(G.index.__getitem__, names))
+    except KeyError:
+        d, g = next((d, g) for d, g in items if g not in G)
+        raise MissingValue(f"{g!r} (value at {d}) is not in {G.name}") from None
 
 
 class _Cochain:
-    """What the cochain types share: a poset, a group, values keyed by
-    the simplices of one dimension and, in degrees 2 and 3, an
-    automorphism component `tau` (None below).  Equality compares all
-    four within one type; the hash covers the values."""
+    """What the cochain types share: a poset, a group, the `cells` of one
+    dimension and `ids`, the element id of the value at each simplex in
+    simplex id order; in degrees 2 and 3 also `tau_ids`, the canonical
+    element id of the automorphism component at each 1-simplex (None
+    below).  Equality compares poset, group and both id tuples within
+    one type; the hash covers the values.
 
-    __slots__ = ("poset", "group", "values")
+    The public constructors validate a dictionary keyed by simplices;
+    `_of` wraps ids computed with the group's own tables, which only
+    needs a length check.
+    """
+
+    __slots__ = ("poset", "group", "cells", "ids", "_values")
     dim = None
-    tau = None
+    tau_ids = None
 
     def __init__(self, P: Poset, G: FiniteGroup, values):
-        self.poset = P
-        self.group = G
-        self.values = dict(values)
-        _check_total(P, G, self.values, self.dim)
+        values = dict(values)
+        self.poset, self.group, self._values = P, G, None
+        self.cells = complex_of(P)[self.dim]
+        names = _in_order(self.cells, values, _total(self.dim, P))
+        self.ids = _element_ids(G, names, ((d.encode(), g)
+                                           for d, g in values.items()))
+
+    @classmethod
+    def _of(cls, P: Poset, G: FiniteGroup, ids, tau_ids=None):
+        self = cls.__new__(cls)
+        self.poset, self.group, self.ids, self._values = P, G, ids, None
+        self.cells = complex_of(P)[cls.dim]
+        if len(ids) != len(self.cells.simplices):
+            raise MissingValue(_total(cls.dim, P))
+        if tau_ids is not None:
+            if len(tau_ids) != len(complex_of(P)[1].simplices):
+                raise MissingValue(_TAU_TOTAL)
+            self.tau_ids = tau_ids
+        return self
 
     def __call__(self, d):
-        return self.values[d]
+        return self.group.elements[self.ids[self.cells.ids[d]]]
+
+    @property
+    def values(self):
+        """Simplex -> group element, read-only."""
+        if self._values is None:
+            names = map(self.group.elements.__getitem__, self.ids)
+            self._values = MappingProxyType(dict(zip(self.cells.simplices,
+                                                     names)))
+        return self._values
+
+    @property
+    def tau(self):
+        """1-simplex -> `InnerAut`, read-only; None in degrees 0 and 1."""
+        if self.tau_ids is not None:
+            G = self.group
+            auts = (InnerAut(G, G.elements[t]) for t in self.tau_ids)
+            return MappingProxyType(dict(zip(
+                complex_of(self.poset)[1].simplices, auts)))
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return (self.poset, self.group, self.tau, self.values) == (
-            other.poset, other.group, other.tau, other.values
+        return (self.poset, self.group, self.tau_ids, self.ids) == (
+            other.poset, other.group, other.tau_ids, other.ids
         )
 
     def __hash__(self):
-        return hash((self.poset, self.group, frozenset(self.values.items())))
+        return hash((self.poset, self.group, self.ids))
 
 
 class Cochain0(_Cochain):
@@ -83,10 +148,10 @@ class Cochain0(_Cochain):
 
     def at(self, element: str):
         """Value at a point given by its element name."""
-        for a, g in self.values.items():
-            if a.element == element:
-                return g
-        raise MissingValue(f"no value at {element!r}")
+        try:
+            return self(Simplex0(element))
+        except KeyError:
+            raise MissingValue(f"no value at {element!r}") from None
 
 
 class Cochain1(_Cochain):
@@ -99,26 +164,27 @@ class Cochain1(_Cochain):
         return f"Cochain1(over {self.poset.name}, values in {self.group.name})"
 
 
+def _tau_ids(P: Poset, G: FiniteGroup, tau):
+    auts = _in_order(complex_of(P)[1], dict(tau), _TAU_TOTAL)
+    return tuple(G.index[t.canonical] for t in auts)
+
+
 class Cochain2(_Cochain):
     """A 2-cochain: inner automorphisms on 1-simplices, group elements on
     2-simplices, intertwined so that conjugation by the 2-face value
     carries the automorphism of boundary 1 to the composite of the
     automorphisms of boundaries 0 and 2."""
 
-    __slots__ = ("tau",)
+    __slots__ = ("tau_ids",)
     dim = 2
 
     def __init__(self, P: Poset, G: FiniteGroup, tau, values):
-        self.tau = dict(tau)
-        if set(self.tau) != set(enumerate_simplices(P, 1)):
-            raise MissingValue(
-                "the automorphism component must cover every 1-simplex"
-            )
+        self.tau_ids = _tau_ids(P, G, tau)
         super().__init__(P, G, values)
-        for c in enumerate_simplices(P, 2):
-            left = ad(G, self.values[c]).compose(self.tau[c.face1])
-            right = self.tau[c.face0].compose(self.tau[c.face2])
-            if left != right:
+        t, rows, canon = self.tau_ids, G.rows, G.coset_rep
+        for c, g, (b0, b1, b2) in zip(self.cells.simplices, self.ids,
+                                      self.cells.faces):
+            if canon[rows[g][t[b1]]] != canon[rows[t[b0]][t[b2]]]:
                 raise Mismatch(
                     f"2-cochain component at {c.encode()} does not intertwine "
                     "the automorphism components of its faces"
@@ -129,51 +195,69 @@ class Cochain3(_Cochain):
     """A 3-cochain: the automorphism component of a 2-cochain together
     with central group elements on 3-simplices."""
 
-    __slots__ = ("tau",)
+    __slots__ = ("tau_ids",)
     dim = 3
 
     def __init__(self, P: Poset, G: FiniteGroup, tau, values):
-        self.tau = dict(tau)
+        values = dict(values)
         super().__init__(P, G, values)
         center = set(G.center())
-        for d, g in self.values.items():
+        for d, g in values.items():
             if g not in center:
                 raise CentralityViolation(
                     f"3-cochain value {g!r} at {d.encode()} is not central"
                 )
+        self.tau_ids = _tau_ids(P, G, tau)
 
 
 # -- constructions ---------------------------------------------------------
 
 
 def trivial_cochain1(P: Poset, G: FiniteGroup) -> Cochain1:
-    return Cochain1(P, G, {b: G.identity for b in enumerate_simplices(P, 1)})
+    return Cochain1._of(P, G, (G.unit,) * len(complex_of(P)[1].simplices))
 
 
 def random_cochain0(P: Poset, G: FiniteGroup, rng) -> Cochain0:
-    return Cochain0(
-        P, G, {a: rng.choice(G.elements) for a in enumerate_simplices(P, 0)}
-    )
+    return Cochain0._of(P, G, tuple(G.index[rng.choice(G.elements)]
+                                    for _ in P.elements))
 
 
 def random_cochain1(P: Poset, G: FiniteGroup, rng) -> Cochain1:
-    return Cochain1(
-        P, G, {b: rng.choice(G.elements) for b in enumerate_simplices(P, 1)}
-    )
+    return Cochain1._of(P, G, tuple(G.index[rng.choice(G.elements)]
+                                    for _ in complex_of(P)[1].simplices))
+
+
+def _point_ids(P: Poset, G: FiniteGroup, f):
+    """A point assignment (element -> group element) as ids in element
+    order, which is the order of the 0-simplex ids."""
+    names = [f[a] for a in P.elements]
+    return _element_ids(G, names, zip(P.elements, names))
+
+
+def _act(G: FiniteGroup, faces, values, f):
+    """The action of a point assignment f on 1-cochain values: f(end) g
+    f(start)^-1 for the value g at each 1-simplex, with `faces` the
+    (end, start) point ids of the 1-simplices, all as ids.  Morphisms,
+    gauge transformations and the cocycles of a homomorphism are all
+    written with it."""
+    rows, inv = G.rows, G.inverses
+    return tuple(rows[rows[f[end]][g]][inv[f[start]]]
+                 for g, (end, start) in zip(values, faces))
 
 
 def coboundary_from_assignment(P: Poset, G: FiniteGroup, f) -> Cochain1:
     """The coboundary of the 0-cochain given by element name -> group
     element."""
-    v = Cochain0(P, G, {a: f[a.element] for a in enumerate_simplices(P, 0)})
-    return coboundary0(v)
+    return coboundary0(Cochain0._of(P, G, _point_ids(P, G, f)))
 
 
 def pushforward(phi: GroupHom, u: Cochain1) -> Cochain1:
     """Apply a group homomorphism to every value."""
     if phi.source != u.group:
         raise Mismatch("homomorphism source does not match the cochain group")
-    return Cochain1(u.poset, phi.target, {b: phi(g) for b, g in u.values.items()})
+    image = phi.as_dict()
+    ids = [phi.target.index[image[g]] for g in u.group.elements]
+    return Cochain1._of(u.poset, phi.target, tuple(ids[g] for g in u.ids))
 
 
 def associated_cocycle(z: Cochain1, action: GroupHom) -> Cochain1:
@@ -194,39 +278,35 @@ def associated_cocycle(z: Cochain1, action: GroupHom) -> Cochain1:
 
 def coboundary0(v: Cochain0) -> Cochain1:
     """(dv)(b) = v(end) v(start)^-1."""
-    G = v.group
-    return Cochain1(
-        v.poset,
-        G,
-        {
-            b: G.mul(v(b.face0), G.inv(v(b.face1)))
-            for b in enumerate_simplices(v.poset, 1)
-        },
-    )
+    G, x = v.group, v.ids
+    rows, inv = G.rows, G.inverses
+    return Cochain1._of(v.poset, G, tuple(
+        rows[x[end]][inv[x[start]]]
+        for end, start in complex_of(v.poset)[1].faces))
 
 
 def coboundary1(u: Cochain1) -> Cochain2:
     """(du)(c) = u(b0) u(b2) u(b1)^-1, with automorphism component ad(u)."""
-    G = u.group
-    tau = {b: ad(G, u(b)) for b in enumerate_simplices(u.poset, 1)}
-    values = {
-        c: G.product(u(c.face0), u(c.face2), G.inv(u(c.face1)))
-        for c in enumerate_simplices(u.poset, 2)
-    }
-    return Cochain2(u.poset, G, tau, values)
+    G, x = u.group, u.ids
+    rows, inv = G.rows, G.inverses
+    values = tuple(rows[rows[x[b0]][x[b2]]][inv[x[b1]]]
+                   for b0, b1, b2 in complex_of(u.poset)[2].faces)
+    return Cochain2._of(u.poset, G, values,
+                        tuple(map(G.coset_rep.__getitem__, x)))
 
 
 def coboundary2(w: Cochain2) -> Cochain3:
     """(dw)(d) = w(f0) w(f2) (tau(w(f3)) w(f1))^-1, conjugating by the
     automorphism of the rear edge (the common boundary 0 of faces 0 and 1).
     """
-    G = w.group
-    values = {}
-    for d in enumerate_simplices(w.poset, 3):
-        f0, f1, f2, f3 = d.faces
-        twisted = G.mul(w.tau[f0.face0](w(f3)), w(f1))
-        values[d] = G.product(w(f0), w(f2), G.inv(twisted))
-    return Cochain3(w.poset, G, w.tau, values)
+    G, x, t, faces = w.group, w.ids, w.tau_ids, w.cells.faces
+    rows, inv = G.rows, G.inverses
+    values = []
+    for f0, f1, f2, f3 in complex_of(w.poset)[3].faces:
+        rear = t[faces[f0][0]]
+        twisted = rows[rows[rows[rear][x[f3]]][inv[rear]]][x[f1]]
+        values.append(rows[rows[x[f0]][x[f2]]][inv[twisted]])
+    return Cochain3._of(w.poset, G, tuple(values), t)
 
 
 def coboundary(cochain):
@@ -243,62 +323,62 @@ def coboundary(cochain):
 
 
 def is_cocycle(cochain) -> bool:
-    """The kernel condition in each implemented degree."""
-    if isinstance(cochain, Cochain0):
-        return all(
-            cochain(b.face0) == cochain(b.face1)
-            for b in enumerate_simplices(cochain.poset, 1)
-        )
+    """The kernel condition in each implemented degree: in degree 1 the
+    cocycle identity, in degrees 0 and 2 a coboundary that takes only
+    the identity."""
     if isinstance(cochain, Cochain1):
-        failures = identity_failures(
-            cochain, enumerate_simplices(cochain.poset, 2)
-        )
-        return next(failures, None) is None
-    if isinstance(cochain, Cochain2):
-        G = cochain.group
-        for d in enumerate_simplices(cochain.poset, 3):
-            f0, f1, f2, f3 = d.faces
-            lhs = G.mul(cochain(f0), cochain(f2))
-            rhs = G.mul(cochain.tau[f0.face0](cochain(f3)), cochain(f1))
-            if lhs != rhs:
-                return False
-        return True
+        return next(identity_failures(cochain), None) is None
+    if isinstance(cochain, (Cochain0, Cochain2)):
+        d = coboundary(cochain)
+        return d.ids.count(d.group.unit) == len(d.ids)
     raise BadParameter("cocycle condition implemented for degrees 0-2")
 
 
-def identity_failures(u: Cochain1, simplices):
-    """The 2-simplices c among `simplices` where the cocycle identity
-    u(c0) u(c2) = u(c1) fails, lazily and in order."""
-    values, mul = u.values, u.group.mul
-    return (
-        c for c in simplices
-        if mul(values[c.face0], values[c.face2]) != values[c.face1]
-    )
+def identity_failures(u: Cochain1, inflating_only=False):
+    """The 2-simplices c, inflating ones only if asked, where the cocycle
+    identity u(c0) u(c2) = u(c1) fails, lazily and in order."""
+    cells = complex_of(u.poset)[2]
+    rows, x = u.group.rows, u.ids
+    keep = cells.inflating if inflating_only else itertools.repeat(True)
+    return (c for c, (b0, b1, b2), k in zip(cells.simplices, cells.faces, keep)
+            if k and rows[x[b0]][x[b2]] != x[b1])
 
 
 def cocycle_violations(z: Cochain1):
     """The 2-simplices where the 1-cocycle identity fails, for reporting."""
-    return tuple(identity_failures(z, enumerate_simplices(z.poset, 2)))
+    return tuple(identity_failures(z))
 
 
 # -- paths and path independence -------------------------------------------
 
 
+def _path_value(u: Cochain1, steps):
+    """The id of the ordered product of u along `steps` (first step
+    rightmost)."""
+    rows, x, at = u.group.rows, u.ids, u.cells.ids
+    value = u.group.unit
+    for b in steps:
+        value = rows[x[at[b]]][value]
+    return value
+
+
 def extend_to_path(u: Cochain1, p: Path):
     """The ordered product of values along a path (first step rightmost)."""
-    G = u.group
-    value = G.identity
-    for b in p.steps:
-        value = G.mul(u(b), value)
-    return value
+    return u.group.elements[_path_value(u, p.steps)]
+
+
+def _transport(u: Cochain1, a0: str):
+    _, words = pi1_presentation(u.poset, a0)
+    return tuple(_path_value(u, words.tree_path(a).steps)
+                 for a in u.poset.elements)
 
 
 def tree_transport(u: Cochain1, a0: str):
     """T_u(a) = u(tree path to a) for every point a (element -> group
     element): the product of u along the path from a0 to a in the
     spanning tree of `pi1_presentation(P, a0)`."""
-    _, words = pi1_presentation(u.poset, a0)
-    return {a: extend_to_path(u, words.tree_path(a)) for a in u.poset.elements}
+    names = map(u.group.elements.__getitem__, _transport(u, a0))
+    return dict(zip(u.poset.elements, names))
 
 
 def is_path_independent(u: Cochain1):
@@ -307,12 +387,8 @@ def is_path_independent(u: Cochain1):
     Returns a witness 0-cochain v with dv = u when it does (this is
     exactly the coboundary condition), otherwise None.
     """
-    P, G = u.poset, u.group
-    f = tree_transport(u, base_point(P))
-    for b in enumerate_simplices(P, 1):
-        if G.mul(u(b), f[b.face1.element]) != f[b.face0.element]:
-            return None
-    return Cochain0(P, G, {a: f[a.element] for a in enumerate_simplices(P, 0)})
+    v = Cochain0._of(u.poset, u.group, _transport(u, base_point(u.poset)))
+    return v if coboundary0(v) == u else None
 
 
 # -- morphisms of 1-cocycles -----------------------------------------------
@@ -335,12 +411,8 @@ class Morphism1:
 
 
 def is_morphism(f, source: Cochain1, target: Cochain1) -> bool:
-    G = source.group
-    return all(
-        G.mul(f[b.face0.element], source(b))
-        == G.mul(target(b), f[b.face1.element])
-        for b in enumerate_simplices(source.poset, 1)
-    )
+    G, f = source.group, _point_ids(source.poset, source.group, f)
+    return _act(G, source.cells.faces, source.ids, f) == target.ids
 
 
 def morphisms(v1: Cochain1, v: Cochain1):
@@ -355,14 +427,15 @@ def morphisms(v1: Cochain1, v: Cochain1):
     if v1.poset != v.poset or v1.group != v.group:
         raise Mismatch("cochains live over different posets or groups")
     P, G = v.poset, v.group
-    a0 = base_point(P)
-    t = tree_transport(v, a0)
-    t1 = t if v1 is v else tree_transport(v1, a0)
-    for seed in G.elements:
-        f = {a: G.product(t[a], seed, G.inv(t1[a])) for a in P.elements}
-        f[a0] = seed
-        if is_morphism(f, v1, v):
-            yield tuple(sorted(f.items()))
+    rows, inv = G.rows, G.inverses
+    a0 = base_point(P)  # point id 0
+    t = _transport(v, a0)
+    t1 = t if v1 is v else _transport(v1, a0)
+    for seed in range(len(G)):
+        f = [rows[rows[ta][seed]][inv[t1a]] for ta, t1a in zip(t, t1)]
+        f[0] = seed
+        if _act(G, v.cells.faces, v1.ids, f) == v.ids:
+            yield tuple(zip(P.elements, map(G.elements.__getitem__, f)))
 
 
 def find_morphism(v1: Cochain1, v: Cochain1):
@@ -380,23 +453,19 @@ def are_equivalent(z: Cochain1, z1: Cochain1) -> bool:
 # -- enumeration and classification ----------------------------------------
 
 
-def _twisted_loop_values(loops, loop_values, f, G):
-    """z(b) = f(end) g f(start)^-1 for each based loop (b, _, _) in
-    `loops` and its value g in `loop_values`."""
-    return tuple(
-        G.mul(G.mul(f[b.face0.element], g), G.inv(f[b.face1.element]))
-        for (b, _, _), g in zip(loops, loop_values)
-    )
+def _loop_ids(P: Poset, G: FiniteGroup, a0: str, sigma):
+    """The id of sigma's value on the based loop through each 1-simplex."""
+    return [G.index[word_value(word, sigma, G)]
+            for _, _, word in based_loops(P, a0)]
 
 
 def cocycle_from_hom(P, G, words, sigma, f):
     """The 1-cocycle built from a fundamental-group homomorphism and a
     points assignment f (element -> G) with f = identity at the base
     point: z(b) = f(end) sigma([loop through b]) f(start)^-1."""
-    loops = based_loops(P, words.base)
-    loop_values = [word_value(word, sigma, G) for _, _, word in loops]
-    values = _twisted_loop_values(loops, loop_values, f, G)
-    return Cochain1(P, G, dict(zip(enumerate_simplices(P, 1), values)))
+    loops = _loop_ids(P, G, words.base, sigma)
+    faces = complex_of(P)[1].faces
+    return Cochain1._of(P, G, _act(G, faces, loops, _point_ids(P, G, f)))
 
 
 def enumerate_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
@@ -408,28 +477,25 @@ def enumerate_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
     The value of each based loop is computed once per homomorphism;
     each point assignment only multiplies in its endpoint values.
     """
-    a0 = base_point(P)
+    a0 = base_point(P)  # point id 0; the others follow in element order
     presentation, _ = pi1_presentation(P, a0)
     homs = enumerate_homs(presentation, G, limit=limit)
-    others = [a for a in P.elements if a != a0]
-    if len(homs) * len(G) ** len(others) > limit:
+    others = len(P) - 1
+    if len(homs) * len(G) ** others > limit:
         raise SearchLimitExceeded(
-            f"{len(homs)} homomorphisms x {len(G)}^{len(others)} point "
+            f"{len(homs)} homomorphisms x {len(G)}^{others} point "
             f"assignments exceed the limit {limit}"
         )
-    loops = based_loops(P, a0)
-    simplices = enumerate_simplices(P, 1)
+    faces = complex_of(P)[1].faces
     out = []
     seen = set()
     for sigma in homs:
-        loop_values = [word_value(word, sigma, G) for _, _, word in loops]
-        for choice in itertools.product(G.elements, repeat=len(others)):
-            f = dict(zip(others, choice))
-            f[a0] = G.identity
-            values = _twisted_loop_values(loops, loop_values, f, G)
+        loops = _loop_ids(P, G, a0, sigma)
+        for choice in itertools.product(range(len(G)), repeat=others):
+            values = _act(G, faces, loops, (G.unit,) + choice)
             if values not in seen:
                 seen.add(values)
-                out.append(Cochain1(P, G, dict(zip(simplices, values))))
+                out.append(Cochain1._of(P, G, values))
     return tuple(out)
 
 
@@ -457,10 +523,11 @@ def classify_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
     spanning tree, in `enumerate_homs` order.  A disconnected poset
     raises `NotConnected`.
     """
-    presentation, words = pi1_presentation(P, base_point(P))
-    f = {a: G.identity for a in P.elements}
+    a0 = base_point(P)
+    presentation, _ = pi1_presentation(P, a0)
+    faces, unit = complex_of(P)[1].faces, (G.unit,) * len(P)
     return tuple(
-        cocycle_from_hom(P, G, words, sigma, f)
+        Cochain1._of(P, G, _act(G, faces, _loop_ids(P, G, a0, sigma), unit))
         for sigma in hom_class_representatives(presentation, G, limit=limit)
     )
 
@@ -511,8 +578,8 @@ def parse_cochain_text(text: str, P: Poset, G: FiniteGroup) -> Cochain1:
 
 def format_cochain_text(u: Cochain1, name="u") -> str:
     lines = [f"cochain {name} over {u.poset.name} values {u.group.name}"]
-    for b in enumerate_simplices(u.poset, 1):
-        lines.append(f"{b.encode()} = {u(b)}")
+    for b, g in u.values.items():
+        lines.append(f"{b.encode()} = {g}")
     return "\n".join(lines) + "\n"
 
 
@@ -529,6 +596,8 @@ def parse_assignment_text(text: str, P: Poset, G: FiniteGroup):
             raise BadParameter(f"bad assignment line: {raw!r}")
         a, g = lhs.strip(), rhs.strip()
         P.check_element(a)
+        if a in f:
+            raise BadParameter(f"repeated value for {a}: {raw!r}")
         if g not in G:
             raise MissingValue(f"{g!r} is not in {G.name}")
         f[a] = g

@@ -14,6 +14,9 @@ from .cochains import (
     Cochain1,
     Cochain2,
     Morphism1,
+    _act,
+    _point_ids,
+    _transport,
     coboundary1,
     enumerate_cocycles,
     extend_to_path,
@@ -40,13 +43,9 @@ from .poset import Poset
 from .simplicial import (
     Simplex0,
     Simplex1,
+    complex_of,
     enumerate_simplices,
     enumerated,
-    is_inflating,
-    noninflating_classes,
-    pinches,
-    reversal_classes,
-    reverse,
 )
 
 
@@ -54,15 +53,12 @@ def connection_violations(u: Cochain1):
     """Where the connection axioms fail: the members of reversal classes
     whose values are not mutually inverse, and inflating 2-simplices that
     are not flat."""
-    P, G = u.poset, u.group
+    x, inv, s = u.ids, u.group.inverses, u.cells.simplices
     bad_edges = []
-    for rep, rev in reversal_classes(P):
-        if u(rev) != G.inv(u(rep)):
-            bad_edges.extend((rep,) if rep == rev else (rep, rev))
-    bad_triangles = identity_failures(
-        u, enumerate_simplices(P, 2, inflating_only=True)
-    )
-    return tuple(bad_edges), tuple(bad_triangles)
+    for i, j in u.cells.classes:
+        if x[j] != inv[x[i]]:
+            bad_edges.extend((s[i],) if i == j else (s[i], s[j]))
+    return tuple(bad_edges), tuple(identity_failures(u, inflating_only=True))
 
 
 def is_connection(u: Cochain1) -> bool:
@@ -83,8 +79,7 @@ def curvature(u: Cochain1) -> Cochain2:
 
 def is_flat(u: Cochain1) -> bool:
     w = curvature(u)
-    e = u.group.identity
-    return all(g == e for g in w.values.values())
+    return w.ids.count(u.group.unit) == len(w.ids)
 
 
 def transport_between(u: Cochain1, o: str, a1: str, a: str):
@@ -109,11 +104,10 @@ def induced_cocycle(u: Cochain1) -> Cochain1:
     as u inverts under reversal: the value that would make u flat on c.
     """
     _require_connection(u)
-    P, G = u.poset, u.group
-    values = {
-        b: G.mul(u(c.face0), u(c.face2)) for b, c in pinches(P).items()
-    }
-    z = Cochain1(P, G, values)
+    x, rows = u.ids, u.group.rows
+    faces = complex_of(u.poset)[2].faces
+    z = Cochain1._of(u.poset, u.group, tuple(
+        rows[x[faces[c][0]]][x[faces[c][2]]] for c in u.cells.pinch))
     if not is_cocycle(z):  # pragma: no cover - guards a library invariant
         raise WrongCocycle("induced cochain failed the cocycle identity")
     return z
@@ -122,12 +116,8 @@ def induced_cocycle(u: Cochain1) -> Cochain1:
 def is_adapted(u: Cochain1, z: Cochain1) -> bool:
     """Whether the connection u lives on the bundle z: they agree on
     inflating 1-simplices."""
-    P = u.poset
-    return all(
-        u(b) == z(b)
-        for b in enumerate_simplices(P, 1)
-        if is_inflating(P, b)
-    )
+    return all(u(b) == z(b)
+               for b in enumerate_simplices(u.poset, 1, inflating_only=True))
 
 
 def construct_from_cochain(v: Cochain1, z: Cochain1) -> Cochain1:
@@ -140,20 +130,19 @@ def construct_from_cochain(v: Cochain1, z: Cochain1) -> Cochain1:
         )
     if v.poset != z.poset or v.group != z.group:
         raise Mismatch("cochain and cocycle live over different data")
-    P, G = z.poset, z.group
-    free = set(noninflating_classes(P))
-    values = {}
-    for rep, rev in reversal_classes(P):
-        if (rep, rev) not in free and (
-            v(rep) != G.identity or v(rev) != G.identity
-        ):
+    G, cells = z.group, z.cells
+    rows, inv, t, x = G.rows, G.inverses, v.ids, z.ids
+    free = set(cells.free_classes)
+    values = list(x)
+    for i, j in cells.classes:
+        if (i, j) not in free and (t[i] != G.unit or t[j] != G.unit):
             raise PreconditionViolated(
                 "the twisting cochain must be trivial on inflating "
                 "simplices and their reverses"
             )
-        values[rep] = G.product(G.inv(v(rev)), z(rep), v(rep))
-        values[rev] = G.product(G.inv(v(rep)), z(rev), v(rev))
-    u = Cochain1(P, G, values)
+        values[i] = rows[rows[inv[t[j]]][x[i]]][t[i]]
+        values[j] = rows[rows[inv[t[i]]][x[j]]][t[j]]
+    u = Cochain1._of(z.poset, G, tuple(values))
     _require_connection(u)
     return u
 
@@ -162,8 +151,9 @@ def noninflating_pairs(P: Poset):
     """1-simplices that are non-inflating in both orientations
     (incomparable endpoints below a common upper bound), in
     `enumerate_simplices` order."""
-    members = {b for pair in noninflating_classes(P) for b in pair}
-    return tuple(b for b in enumerate_simplices(P, 1) if b in members)
+    cells = complex_of(P)[1]
+    members = {i for pair in cells.free_classes for i in pair}
+    return tuple(b for i, b in enumerate(cells.simplices) if i in members)
 
 
 def construct_nonflat(z: Cochain1, b: Simplex1 = None, g=None):
@@ -198,13 +188,14 @@ def construct_nonflat(z: Cochain1, b: Simplex1 = None, g=None):
         raise MissingValue(f"{g!r} is not an element of {G.name}")
     if g == G.identity:
         raise TrivialGroup("the twisting element must be nontrivial")
-    twist = {d: G.identity for d in enumerate_simplices(P, 1)}
-    twist[b] = G.inv(z(b))
-    twist[reverse(b)] = G.mul(g, G.inv(z(b)))
-    u = construct_from_cochain(Cochain1(P, G, twist), z)
-    c = pinches(P)[b]
-    witness = c if curvature(u)(c) != G.identity else None
-    return u, witness
+    cells, i = z.cells, z.cells.ids[b]
+    twist = [G.unit] * len(cells.simplices)
+    twist[i] = G.inverses[z.ids[i]]
+    twist[cells.reverse[i]] = G.rows[G.index[g]][twist[i]]
+    u = construct_from_cochain(Cochain1._of(P, G, tuple(twist)), z)
+    c = cells.pinch[i]
+    flat = curvature(u).ids[c] == G.unit
+    return u, None if flat else complex_of(P)[2].simplices[c]
 
 
 # -- central structure -----------------------------------------------------
@@ -215,15 +206,15 @@ def central_decompose(u: Cochain1):
     chi the central cochain with u = z chi pointwise."""
     z = induced_cocycle(u)
     G = u.group
-    center = set(G.center())
-    chi = {}
-    for b in enumerate_simplices(u.poset, 1):
-        chi[b] = g = G.mul(G.inv(z(b)), u(b))
+    rows, inv = G.rows, G.inverses
+    chi = tuple(rows[inv[a]][b] for a, b in zip(z.ids, u.ids))
+    center = {G.index[g] for g in G.center()}
+    for b, g in zip(u.cells.simplices, chi):
         if g not in center:
             raise NotCentral(
-                f"component {g!r} at {b.encode()} is not central"
+                f"component {G.elements[g]!r} at {b.encode()} is not central"
             )
-    return z, Cochain1(u.poset, G, chi)
+    return z, Cochain1._of(u.poset, G, chi)
 
 
 def central_part(u: Cochain1) -> Cochain1:
@@ -249,9 +240,9 @@ def star_compose(u: Cochain1, u1: Cochain1) -> Cochain1:
     z1, chi1 = central_decompose(u1)
     if z1 != z:
         raise MixedCocycles("connections live on different bundles")
-    G = u.group
-    values = {b: G.mul(u(b), chi1(b)) for b in enumerate_simplices(u.poset, 1)}
-    out = Cochain1(u.poset, G, values)
+    rows = u.group.rows
+    out = Cochain1._of(u.poset, u.group, tuple(
+        rows[a][c] for a, c in zip(u.ids, chi1.ids)))
     _require_connection(out)
     return out
 
@@ -259,12 +250,9 @@ def star_compose(u: Cochain1, u1: Cochain1) -> Cochain1:
 def star_inverse(u: Cochain1) -> Cochain1:
     """The inverse for star composition: b -> z(b) chi(b)^-1."""
     z, chi = central_decompose(u)
-    G = u.group
-    values = {
-        b: G.mul(z(b), G.inv(chi(b)))
-        for b in enumerate_simplices(u.poset, 1)
-    }
-    out = Cochain1(u.poset, G, values)
+    rows, inv = u.group.rows, u.group.inverses
+    out = Cochain1._of(u.poset, u.group, tuple(
+        rows[a][inv[c]] for a, c in zip(z.ids, chi.ids)))
     _require_connection(out)
     return out
 
@@ -288,14 +276,15 @@ def restricted_holonomy(u: Cochain1, a0: str):
     """The normal closure, inside the holonomy group, of curvature values
     carried back to the base point along the spanning tree."""
     _require_connection(u)
-    P, G = u.poset, u.group
-    transport = tree_transport(u, a0)
+    G, x = u.group, u.ids
+    rows, inv = G.rows, G.inverses
+    transport = _transport(u, a0)
     ambient = holonomy(u, a0)
     gens = []
-    for c in enumerate_simplices(P, 2):
-        loop_value = G.product(G.inv(u(c.face1)), u(c.face0), u(c.face2))
-        carrier = transport[c.face2.face1.element]
-        gens.append(G.product(G.inv(carrier), loop_value, carrier))
+    for b0, b1, b2 in complex_of(u.poset)[2].faces:
+        loop_value = rows[rows[inv[x[b1]]][x[b0]]][x[b2]]
+        carrier = transport[u.cells.faces[b2][1]]
+        gens.append(G.elements[rows[rows[inv[carrier]][loop_value]][carrier]])
     return G.normal_closure_in(ambient, gens)
 
 
@@ -337,19 +326,12 @@ def ambrose_singer_reduce(u: Cochain1, a0: str):
     _require_connection(u)
     P, G = u.poset, u.group
     f = tree_transport(u, a0)
+    t, inv = _point_ids(P, G, f), G.inverses
     H = G.subgroup(holonomy(u, a0), name=f"hol({u.poset.name},{a0})")
-    values = {
-        b: G.product(G.inv(f[b.face0.element]), u(b), f[b.face1.element])
-        for b in enumerate_simplices(P, 1)
-    }
-    for b, g in values.items():
-        if g not in H:  # pragma: no cover - guards a library invariant
-            raise NotAConnection(
-                f"reduced value {g!r} at {b.encode()} left the holonomy group"
-            )
-    u1 = Cochain1(P, H, values)
+    values = _act(G, u.cells.faces, u.ids, [inv[g] for g in t])
+    included = Cochain1._of(P, G, values)
+    u1 = Cochain1(P, H, included.values)
     _require_connection(u1)
-    included = Cochain1(P, G, values)
     morphism = Morphism1(included, u, tuple(sorted(f.items())))
     if not is_morphism(f, included, u):  # pragma: no cover - invariant
         raise NotAConnection("reduction did not produce a morphism")
@@ -391,7 +373,7 @@ def enumerate_connections(P: Poset, G: FiniteGroup, z: Cochain1 = None,
             "the base of a connection must be a 1-cocycle"
         )
     bundles = (z,) if z is not None else enumerate_cocycles(P, G, limit)
-    free = noninflating_classes(P)
+    free = complex_of(P)[1].free_classes
     if len(bundles) * len(G) ** len(free) > limit:
         raise SearchLimitExceeded(
             f"{len(bundles)} bundles x {len(G)}^{len(free)} twists exceed "
@@ -399,10 +381,9 @@ def enumerate_connections(P: Poset, G: FiniteGroup, z: Cochain1 = None,
         )
     out = []
     for bundle in bundles:
-        for choice in itertools.product(G.elements, repeat=len(free)):
-            values = dict(bundle.values)
-            for (rep, rev), g in zip(free, choice):
-                values[rep] = g
-                values[rev] = G.inv(g)
-            out.append(Cochain1(P, G, values))
+        for choice in itertools.product(range(len(G)), repeat=len(free)):
+            values = list(bundle.ids)
+            for (i, j), g in zip(free, choice):
+                values[i], values[j] = g, G.inverses[g]
+            out.append(Cochain1._of(P, G, tuple(values)))
     return tuple(out)

@@ -6,9 +6,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cochains import Cochain1, is_cocycle, is_morphism, morphisms
+from .cochains import (Cochain1, _act, _point_ids, is_cocycle, is_morphism,
+                       morphisms)
 from .errors import Mismatch, SearchLimitExceeded, WrongCocycle
-from .simplicial import enumerate_simplices
 
 
 @dataclass(frozen=True)
@@ -76,10 +76,6 @@ def gauge_act(f, u: Cochain1) -> Cochain1:
     Accepts a GaugeTransformation or a plain element -> group mapping.
     """
     mapping = f.as_dict() if isinstance(f, GaugeTransformation) else dict(f)
-    G = u.group
-    values = {
-        b: G.product(mapping[b.face0.element], u(b),
-                     G.inv(mapping[b.face1.element]))
-        for b in enumerate_simplices(u.poset, 1)
-    }
-    return Cochain1(u.poset, G, values)
+    t = _point_ids(u.poset, u.group, mapping)
+    return Cochain1._of(u.poset, u.group,
+                        _act(u.group, u.cells.faces, u.ids, t))

@@ -21,62 +21,68 @@ class FiniteGroup:
     """A finite group over string symbols, backed by its Cayley table.
 
     All axioms (associativity, identity, inverses) are checked at
-    construction; downstream code trusts the table.
+    construction; downstream code trusts the table.  The table is kept
+    over element ids (positions in `elements`), which the named
+    operations translate to and from: `index` maps a name to its id,
+    `rows[g][h]` is the id of g h, `inverses[g]` the id of g^-1, `unit`
+    the id of the identity and `coset_rep[g]` the id of the first
+    element of the coset g Z(G).
     """
 
-    __slots__ = ("name", "elements", "identity", "_mul", "_inv", "_center", "_hash")
+    __slots__ = ("name", "elements", "identity", "index", "rows", "inverses",
+                 "unit", "coset_rep", "_center", "_hash")
 
     def __init__(self, elements, table, name="group"):
         self.name = name
-        self.elements = tuple(elements)
-        if len(set(self.elements)) != len(self.elements):
+        self.elements = elems = tuple(elements)
+        self.index = index = {g: i for i, g in enumerate(elems)}
+        if len(index) != len(elems):
             raise MalformedTable("duplicate group elements")
-        self._mul = {}
-        for g in self.elements:
-            for h in self.elements:
+        rows = []
+        for g in elems:
+            row = []
+            for h in elems:
                 try:
                     gh = table[(g, h)]
                 except KeyError:
                     raise MalformedTable(f"missing product {g!r}*{h!r}") from None
-                if gh not in set(self.elements):
+                if gh not in index:
                     raise MalformedTable(f"product {g!r}*{h!r} = {gh!r} not an element")
-                self._mul[(g, h)] = gh
-        for g in self.elements:
-            for h in self.elements:
-                for k in self.elements:
-                    if self.mul(self.mul(g, h), k) != self.mul(g, self.mul(h, k)):
-                        raise NotAssociative(f"({g}*{h})*{k} != {g}*({h}*{k})")
-        identity = None
-        for e in self.elements:
-            if all(self.mul(e, g) == g and self.mul(g, e) == g for g in self.elements):
-                identity = e
-                break
-        if identity is None:
+                row.append(index[gh])
+            rows.append(tuple(row))
+        self.rows = rows = tuple(rows)
+        ids = range(len(elems))
+        for g in ids:
+            for h in ids:
+                for k in ids:
+                    if rows[rows[g][h]][k] != rows[g][rows[h][k]]:
+                        a, b, c = elems[g], elems[h], elems[k]
+                        raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
+        unit = next((e for e in ids if all(rows[e][g] == g == rows[g][e]
+                                           for g in ids)), None)
+        if unit is None:
             raise NoIdentity("table has no two-sided identity")
-        self.identity = identity
-        self._inv = {}
-        for g in self.elements:
-            inv = next(
-                (h for h in self.elements if self.mul(g, h) == identity
-                 and self.mul(h, g) == identity),
-                None,
-            )
+        self.unit, self.identity = unit, elems[unit]
+        inverses = []
+        for g in ids:
+            inv = next((h for h in ids if rows[g][h] == unit == rows[h][g]),
+                       None)
             if inv is None:
-                raise NoInverse(f"{g!r} has no inverse")
-            self._inv[g] = inv
-        self._center = tuple(
-            g for g in self.elements
-            if all(self.mul(g, h) == self.mul(h, g) for h in self.elements)
-        )
-        self._hash = hash((self.elements, tuple(sorted(self._mul.items()))))
+                raise NoInverse(f"{elems[g]!r} has no inverse")
+            inverses.append(inv)
+        self.inverses = tuple(inverses)
+        center = [g for g in ids if all(rows[g][h] == rows[h][g] for h in ids)]
+        self.coset_rep = tuple(min(rows[g][z] for z in center) for g in ids)
+        self._center = tuple(elems[g] for g in center)
+        self._hash = hash((elems, rows))
 
     # -- basic operations -------------------------------------------------
 
     def mul(self, g, h):
-        return self._mul[(g, h)]
+        return self.elements[self.rows[self.index[g]][self.index[h]]]
 
     def inv(self, g):
-        return self._inv[g]
+        return self.elements[self.inverses[self.index[g]]]
 
     def product(self, *factors):
         out = self.identity
@@ -101,12 +107,12 @@ class FiniteGroup:
         return len(self.elements)
 
     def __contains__(self, g):
-        return g in self._inv
+        return g in self.index
 
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):
             return NotImplemented
-        return self.elements == other.elements and self._mul == other._mul
+        return self.elements == other.elements and self.rows == other.rows
 
     def __hash__(self):
         return self._hash
@@ -222,8 +228,7 @@ class InnerAut:
 
     def __post_init__(self):
         G = self.group
-        coset = {G.mul(self.representative, z) for z in G.center()}
-        canon = next(g for g in G.elements if g in coset)
+        canon = G.elements[G.coset_rep[G.index[self.representative]]]
         object.__setattr__(self, "canonical", canon)
 
     def __eq__(self, other):
@@ -245,7 +250,8 @@ class InnerAut:
         return InnerAut(self.group, self.group.inv(self.representative))
 
     def is_identity(self):
-        return self.canonical == InnerAut(self.group, self.group.identity).canonical
+        G = self.group
+        return self.canonical == G.elements[G.coset_rep[G.unit]]
 
 
 def ad(G: FiniteGroup, g) -> InnerAut:

@@ -14,6 +14,7 @@ from .poset import Poset
 from .simplicial import (
     Simplex0,
     Simplex1,
+    complex_of,
     degeneracy,
     enumerate_simplices,
     enumerated,
@@ -79,27 +80,25 @@ def reverse_path(p: Path) -> Path:
 
 @lru_cache(maxsize=None)
 def _deformation_index(P: Poset):
-    """The 2-simplices of P as lookups on step ranks, cached per poset.
+    """The 2-simplices of P as lookups on step ids, cached per poset.
 
-    The rank of a 1-simplex is its position in `enumerate_simplices(P,
-    1)`, which is sort key order, so sorting step tuples by their rank
-    tuples sorts paths by sort key.  Returns the ranks, the map from the
-    rank of a boundary 1 to the rank pairs (boundary 2, boundary 0), and
-    the map from such a pair to the 1-tuples of boundary 1 ranks.
+    A step's id (rank) is its position in `enumerate_simplices(P, 1)`,
+    which is sort key order, so sorting step tuples by their id tuples
+    sorts paths by sort key.  Returns the map from the id of a boundary
+    1 to the id pairs (boundary 2, boundary 0), and the map from such a
+    pair to the 1-tuples of boundary 1 ids.
     """
-    ranks = {b: i for i, b in enumerate(enumerate_simplices(P, 1))}
     expansions, contractions = {}, {}
-    for c in enumerate_simplices(P, 2):
-        r0, r1, r2 = ranks[c.face0], ranks[c.face1], ranks[c.face2]
+    for r0, r1, r2 in complex_of(P)[2].faces:
         expansions.setdefault(r1, []).append((r2, r0))
         contractions.setdefault((r2, r0), []).append((r1,))
-    return ranks, expansions, contractions
+    return expansions, contractions
 
 
 def _ranked(p: Path, P: Poset):
-    """The tuple of step ranks of p; `NoSuchSimplex` for a foreign step."""
-    ranks = _deformation_index(P)[0]
-    return tuple(ranks[enumerated(P, b)] for b in p.steps)
+    """The tuple of step ids of p; `NoSuchSimplex` for a foreign step."""
+    ids = complex_of(P)[1].ids
+    return tuple(ids[enumerated(P, b)] for b in p.steps)
 
 
 def _path(ranked, P: Poset) -> Path:
@@ -110,7 +109,7 @@ def _path(ranked, P: Poset) -> Path:
 def _neighbours(ranked, P: Poset):
     """The distinct rank tuples one elementary deformation away from
     `ranked`, sorted."""
-    _, expansions, contractions = _deformation_index(P)
+    expansions, contractions = _deformation_index(P)
     out = set()
     for i, r in enumerate(ranked):
         for pair in expansions.get(r, ()):
@@ -266,7 +265,7 @@ def pi1_presentation(P: Poset, a0: str):
 
     tree_edges = set()
     tree_adjacency = {x: [] for x in P.elements}
-    for b, _ in classes:
+    for b, rb in classes:
         x, y = b.face1.element, b.face0.element
         if x == y:
             continue
@@ -274,23 +273,22 @@ def pi1_presentation(P: Poset, a0: str):
         if rx != ry:
             component[rx] = ry
             tree_edges.add(b)
-            tree_adjacency[x].append((y, b, False))
-            tree_adjacency[y].append((x, b, True))
+            tree_adjacency[x].append((y, b))
+            tree_adjacency[y].append((x, rb))
     if any(find(x) != find(a0) for x in P.elements):
         raise NotConnected(f"{P.name} is not pathwise connected")
 
     # Tree paths from a0 by BFS (adjacency lists are in insertion order,
-    # which is deterministic).
-    tree_paths = {a0: degenerate_loop(Simplex0(a0))}
+    # which is deterministic), made of enumerated steps.
+    tree_paths = {a0: Path((enumerated(P, degeneracy(Simplex0(a0), 0)),))}
     order = [a0]
     frontier = [a0]
     while frontier:
         nxt = []
         for x in frontier:
-            for y, b, reversed_ in tree_adjacency[x]:
+            for y, step in tree_adjacency[x]:
                 if y in tree_paths:
                     continue
-                step = reverse(b) if reversed_ else b
                 if x == a0:
                     tree_paths[y] = Path((step,))
                 else:

@@ -239,12 +239,17 @@ def parse_poset_text(text: str) -> Poset:
         if fields[0] == "poset":
             if len(fields) != 2:
                 raise BadParameter(f"bad poset header: {raw!r}")
+            if name is not None:
+                raise BadParameter(f"repeated poset header after {name!r}: "
+                                   f"{raw!r}")
             name = fields[1]
         elif fields[0] == "elem":
             elements.extend(fields[1:])
         elif fields[0] == "le":
             if len(fields) != 3:
                 raise BadParameter(f"bad le line: {raw!r}")
+            if (fields[1], fields[2]) in relations:
+                raise BadParameter(f"repeated le line: {raw!r}")
             relations.append((fields[1], fields[2]))
         else:
             raise BadParameter(f"unrecognized poset line: {raw!r}")

@@ -6,17 +6,20 @@ of {0..n} into the base poset.  Equality is structural.  Vertex i of a
 1-simplex b is read as: boundary 1 is the start point, boundary 0 the
 endpoint.
 
-The enumerated complex is face-shared: `enumerate_simplices` glues
-dimension n from the cached dimension n-1, so the faces of an
-enumerated simplex are the enumerated objects one dimension down.
-Every simplex computes its hash once, at construction, so simplices
-are cheap dictionary keys (cochains are dictionaries keyed by them).
+The enumerated complex is face-shared and integer-indexed: each poset
+has one cached `Complex`, whose `Cells` for dimension n are glued from
+dimension n-1 on first use, so the faces of an enumerated simplex are
+the enumerated objects one dimension down.  A simplex's id is its rank
+in `enumerate_simplices`; the cells hold face ids, reverse and pinch
+ids and inflating and degenerate masks, and cochains store their
+values as tuples indexed by these ids.  Every simplex computes its hash
+once, at construction, so looking up the id of a simplex is cheap.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (BadParameter, IndexOutOfRange, NoSuchSimplex,
                      UnsupportedDimension)
@@ -180,54 +183,43 @@ def reverse(b: Simplex1) -> Simplex1:
     return Simplex1(b.support, b.face1, b.face0)
 
 
-@lru_cache(maxsize=None)
-def _enumerated_index(P: Poset, n: int):
-    return {d: d for d in _simplices(P, n)}
-
-
 def enumerated(P: Poset, d):
     """The enumerated simplex equal to d; `NoSuchSimplex` if d is not a
     simplex of P.  Dictionaries keyed by enumerated simplices match it
     by identity."""
+    cells = complex_of(P)[d.dim]
     try:
-        return _enumerated_index(P, d.dim)[d]
+        return cells.simplices[cells.ids[d]]
     except KeyError:
         raise NoSuchSimplex(f"{d.encode()} is not a {d.dim}-simplex of "
                             f"{P.name}") from None
 
 
-@lru_cache(maxsize=None)
 def reversal_classes(P: Poset):
     """The classes {b, reverse(b)} of 1-simplices as (representative,
     reverse) pairs, in sort key order of the representative, which is the
     member with the smaller sort key.  A self-reverse class (a loop at a
-    point) is a pair (b, b).  Both members are the enumerated objects.
-    Cached per poset, like the simplices."""
-    out = []
-    for b in _simplices(P, 1):
-        rb = enumerated(P, reverse(b))
-        if b.sort_key() <= rb.sort_key():
-            out.append((b, rb))
-    return tuple(out)
+    point) is a pair (b, b).  Both members are the enumerated objects."""
+    cells = complex_of(P)[1]
+    s = cells.simplices
+    return tuple((s[i], s[j]) for i, j in cells.classes)
 
 
-@lru_cache(maxsize=None)
 def noninflating_classes(P: Poset):
     """The reversal classes with no inflating member, in
     `reversal_classes` order: the edges where a connection may differ
     from its bundle."""
-    return tuple((rep, rev) for rep, rev in reversal_classes(P)
-                 if not is_inflating(P, rep) and not is_inflating(P, rev))
+    cells = complex_of(P)[1]
+    s = cells.simplices
+    return tuple((s[i], s[j]) for i, j in cells.free_classes)
 
 
-@lru_cache(maxsize=None)
 def pinches(P: Poset):
     """The pinch simplex of every 1-simplex b: the enumerated 2-simplex
     with boundary 1 equal to b whose middle vertex is the support of b
     (boundary 2 runs from the start of b up to the support, boundary 0
     from there down to the end).  Cached per poset."""
-    return {c.face1: c for c in _simplices(P, 2)
-            if c.face0.face1.element == c.support == c.face1.support}
+    return complex_of(P).pinches
 
 
 def permute2(c: Simplex2, sigma) -> Simplex2:
@@ -260,71 +252,150 @@ def _check_dimension(n):
 def enumerate_simplices(P: Poset, n: int, inflating_only: bool = False):
     """All n-simplices of P in deterministic (sort key) order.
 
-    Dimension n is glued from the cached dimension n-1, so every face of
-    an enumerated simplex is the very object enumerated one dimension
-    down, and each simplex hashes once.  Repeated calls return the same
-    cached tuple; `inflating_only` filters it.
+    Dimension n is glued from dimension n-1 of the poset's cached
+    `Complex`, so every face of an enumerated simplex is the very object
+    enumerated one dimension down, and each simplex hashes once.
+    Repeated calls return the same cached tuple; `inflating_only`
+    filters it.
     """
-    _check_dimension(n)
+    cells = complex_of(P)[n]
     if inflating_only:
-        return _inflating_simplices(P, n)
-    return _simplices(P, n)
+        return tuple(itertools.compress(cells.simplices, cells.inflating))
+    return cells.simplices
+
+
+class Cells:
+    """The n-simplices of a poset and their integer tables.
+
+    The id of a simplex is its rank in `simplices`, which is sort key
+    order.  `faces[i]` holds the ids of the faces of simplex i, one
+    dimension down, and `ids` maps a simplex (or one equal to it) to its
+    id.  The other tables are built on first use: the `inflating` and
+    `degenerate` masks and, in dimension 1, the id of each simplex's
+    `reverse`, the id of its `pinch` 2-simplex (see `pinches`), and the
+    reversal classes as id pairs (i, reverse of i) with i <= its reverse:
+    all of them in `classes`, those without an inflating member in
+    `free_classes`.
+    """
+
+    def __init__(self, K, n):
+        self.complex = K
+        self.dim = n
+        self.simplices, self.faces = _glue(K.poset, n, K[n - 1] if n else None)
+
+    @cached_property
+    def ids(self):
+        return {d: i for i, d in enumerate(self.simplices)}
+
+    @cached_property
+    def inflating(self):
+        if self.dim == 1:
+            points, leq = self.complex.poset.elements, self.complex.poset.leq
+            return tuple(leq(points[s], points[e]) for e, s in self.faces)
+        lower = self.complex[self.dim - 1].inflating if self.dim else ()
+        return tuple(all(map(lower.__getitem__, f)) for f in self.faces)
+
+    @cached_property
+    def degenerate(self):
+        return tuple(map(is_degenerate, self.simplices))
+
+    @cached_property
+    def reverse(self):
+        at = {(d.support, f): i
+              for i, (d, f) in enumerate(zip(self.simplices, self.faces))}
+        return tuple(at[d.support, (s, e)]
+                     for d, (e, s) in zip(self.simplices, self.faces))
+
+    @cached_property
+    def pinch(self):
+        up, points = self.complex[2], self.complex.poset.elements
+        out = [None] * len(self.simplices)
+        for k, (c, (c0, c1, _)) in enumerate(zip(up.simplices, up.faces)):
+            if points[self.faces[c0][1]] == c.support == c.face1.support:
+                out[c1] = k
+        return tuple(out)
+
+    @cached_property
+    def classes(self):
+        return tuple((i, j) for i, j in enumerate(self.reverse) if i <= j)
+
+    @cached_property
+    def free_classes(self):
+        infl = self.inflating
+        return tuple((i, j) for i, j in self.classes
+                     if not infl[i] and not infl[j])
+
+
+class Complex:
+    """The enumerated complex of a poset: one `Cells` per dimension
+    0..3, each built on first use from the one below.  `complex_of`
+    caches one per poset, so every per-poset table hangs off it."""
+
+    def __init__(self, P: Poset):
+        self.poset = P
+        self._cells = {}
+
+    def __getitem__(self, n):
+        try:
+            return self._cells[n]
+        except KeyError:
+            _check_dimension(n)
+            cells = self._cells[n] = Cells(self, n)
+            return cells
+
+    @cached_property
+    def pinches(self):
+        edges, triangles = self[1], self[2].simplices
+        return {b: triangles[c] for b, c in zip(edges.simplices, edges.pinch)}
 
 
 @lru_cache(maxsize=None)
-def _inflating_simplices(P: Poset, n: int):
-    if n <= 1:
-        return tuple(d for d in _simplices(P, n) if is_inflating(P, d))
-    inflating_faces = set(_inflating_simplices(P, n - 1))
-    return tuple(
-        d for d in _simplices(P, n)
-        if all(f in inflating_faces for f in d.faces)
-    )
+def complex_of(P: Poset) -> Complex:
+    return Complex(P)
 
 
-@lru_cache(maxsize=None)
-def _simplices(P: Poset, n: int):
-    """Glue n-simplices from (n-1)-simplices by the simplicial identities.
+def _glue(P: Poset, n: int, lower):
+    """The n-simplices of P and their face ids, glued from the cells
+    `lower` one dimension down by the simplicial identities.
 
     An n-simplex with support x is a tuple of faces f_0..f_n, each an
     (n-1)-simplex with support <= x, such that face i of f_k is face k-1
     of f_i for all i < k (for n >= 2; for n = 1 any two points below x
-    are the faces).  Candidates for f_k are looked up by their first k
-    faces.  Choosing the faces in the order of dimension n-1 yields the
-    simplices in sort key order.
+    are the faces).  Candidates for f_k are looked up by the ids of their
+    first k faces.  Choosing the faces in id order of dimension n-1
+    yields the simplices in sort key order.
     """
     make = _SIMPLEX_CLASSES[n]
     if n == 0:
-        return tuple(make(x) for x in P.elements)
-    lower = _simplices(P, n - 1)
+        return tuple(make(x) for x in P.elements), ((),) * len(P)
+    simplices, faces = lower.simplices, lower.faces
     by_support = {}
-    for f in lower:
-        by_support.setdefault(f.support, []).append(f)
-    out = []
+    for i, f in enumerate(simplices):
+        by_support.setdefault(f.support, []).append(i)
+    out, out_faces = [], []
     for x in P.elements:
-        # `lower` is sorted by support first, so concatenating the groups
-        # in element order keeps candidates in the order of `lower`.
-        candidates = [f for y in P.down_set(x)
-                      for f in by_support.get(y, ())]
+        # Ids are sorted by support first, so concatenating the groups in
+        # element order keeps candidates in id order.
+        candidates = [i for y in P.down_set(x) for i in by_support.get(y, ())]
         by_prefix = [{} for _ in range(n + 1)]
-        for f in candidates:
+        for i in candidates:
             for k in range(n + 1):
-                key = f.faces[:k] if n >= 2 else ()
-                by_prefix[k].setdefault(key, []).append(f)
+                by_prefix[k].setdefault(faces[i][:k], []).append(i)
 
-        def glue(faces):
-            k = len(faces)
+        def glue(chosen):
+            k = len(chosen)
             if k == n + 1:
-                out.append(make(x, *faces))
+                out.append(make(x, *(simplices[i] for i in chosen)))
+                out_faces.append(tuple(chosen))
                 return
-            key = tuple(f.faces[k - 1] for f in faces) if n >= 2 else ()
-            for f in by_prefix[k].get(key, ()):
-                faces.append(f)
-                glue(faces)
-                faces.pop()
+            key = tuple(faces[i][k - 1] for i in chosen) if n >= 2 else ()
+            for i in by_prefix[k].get(key, ()):
+                chosen.append(i)
+                glue(chosen)
+                chosen.pop()
 
         glue([])
-    return tuple(out)
+    return tuple(out), tuple(out_faces)
 
 
 def enumerate_simplices_raw(P: Poset, n: int, inflating_only: bool = False):

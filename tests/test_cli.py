@@ -246,6 +246,29 @@ def test_gauge_group_and_act(workspace, capsys):
     assert run(["gauge-act", *base, "--transform", bad]) == 2
 
 
+@pytest.mark.parametrize("name,text", [
+    ("dup-header.poset", "poset a\nelem x y\nposet b\nle x y\n"),
+    ("dup-le.poset", "poset p\nelem x y\nle x y\nle x y\n"),
+], ids=["header", "le"])
+def test_repeated_poset_lines_are_input_errors(tmp_path, capsys, name, text):
+    (tmp_path / name).write_text(text)
+    assert run(["validate", tmp_path / name]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: repeated") and "Traceback" not in err
+
+
+def test_repeated_assignment_line_is_an_input_error(workspace, capsys):
+    base = [workspace / "circle2.poset", workspace / "z3.group",
+            workspace / "winding.cochain"]
+    P = standard_posets()["circle2"]
+    (workspace / "f.assign").write_text(
+        "\n".join(f"{a} = g0" for a in P.elements) + "\na1 = g2\n"
+    )
+    assert run(["gauge-act", *base, "--transform", workspace / "f.assign"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: repeated value for a1")
+
+
 def test_json_format(workspace, capsys):
     assert run(["--format", "json", "pi1", workspace / "circle2.poset"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -355,6 +355,13 @@ def test_assignment_text_round_trip(posets):
         )
 
 
+def test_assignment_text_rejects_repeated_element(posets):
+    P = posets["circle2"]
+    text = "\n".join(f"{a} = g0" for a in P.elements) + "\na1 = g2\n"
+    with pytest.raises(BadParameter, match="repeated value for a1: 'a1 = g2'"):
+        parse_assignment_text(text, P, Z3)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_coboundaries_are_cocycles(rng):

@@ -1,15 +1,17 @@
 """Differential tests of the tree-transport helpers, the cochain
-identity, the constructed cocycle classes and connections, and the
-indexed deformation search against brute force or the filters and scans
-they replace, on random connected posets of at most four elements with
-values in Z2, Z3 and S3."""
+identity, the constructed cocycle classes and connections, the indexed
+deformation search and the id kernels of cochains and connections
+against brute force or the filters, scans and dict formulas they
+replace, on random posets of at most four elements with values in Z2,
+Z3 and S3."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from posetbundle.acceptance import random_cocycle
+from posetbundle.acceptance import random_cocycle, random_connection
 from posetbundle.cochains import (
     Cochain0,
     Cochain1,
@@ -17,23 +19,29 @@ from posetbundle.cochains import (
     Cochain3,
     are_equivalent,
     classify_cocycles,
+    coboundary0,
     coboundary1,
     coboundary2,
     enumerate_cocycles,
+    extend_to_path,
     find_morphism,
+    identity_failures,
     is_cocycle,
     is_morphism,
     random_cochain0,
     random_cochain1,
+    tree_transport,
 )
 from posetbundle.connections import (
+    curvature,
     enumerate_connections,
     enumerate_loops,
+    induced_cocycle,
     is_adapted,
 )
 from posetbundle.errors import NotConnected, PreconditionViolated
 from posetbundle.gauge import gauge_act, gauge_group, gauge_group_raw
-from posetbundle.groups import cyclic_group, symmetric_group
+from posetbundle.groups import ad, cyclic_group, symmetric_group
 from posetbundle.paths import (
     Path,
     count_hom_classes,
@@ -47,6 +55,7 @@ from posetbundle.paths import (
 from posetbundle.poset import base_point, build_poset
 from posetbundle.simplicial import (
     Simplex0,
+    Simplex1,
     enumerate_simplices,
     is_inflating,
     reversal_classes,
@@ -402,3 +411,218 @@ def test_certificates_match_scan_search(posets, name):
         expected = scan_certificate(p, q, P, 4)
         assert expected is not None
         assert homotopic(p, q, P, 4).certificate == expected
+
+
+# -- id kernels against the dict/Simplex formulas they replaced ------------
+
+
+def ref_d0(v):
+    G = v.group
+    return {b: G.mul(v(b.face0), G.inv(v(b.face1)))
+            for b in enumerate_simplices(v.poset, 1)}
+
+
+def ref_d1(u):
+    """(tau, values) of the coboundary of a 1-cochain."""
+    G = u.group
+    return (
+        {b: ad(G, u(b)) for b in enumerate_simplices(u.poset, 1)},
+        {c: G.product(u(c.face0), u(c.face2), G.inv(u(c.face1)))
+         for c in enumerate_simplices(u.poset, 2)},
+    )
+
+
+def ref_d2(w):
+    G, out = w.group, {}
+    for d in enumerate_simplices(w.poset, 3):
+        f0, f1, f2, f3 = d.faces
+        twisted = G.mul(w.tau[f0.face0](w(f3)), w(f1))
+        out[d] = G.product(w(f0), w(f2), G.inv(twisted))
+    return out
+
+
+def ref_identity_failures(u, simplices):
+    G = u.group
+    return tuple(c for c in simplices
+                 if G.mul(u(c.face0), u(c.face2)) != u(c.face1))
+
+
+def ref_is_cocycle(x):
+    P, G = x.poset, x.group
+    if x.dim == 0:
+        return all(x(b.face0) == x(b.face1) for b in enumerate_simplices(P, 1))
+    if x.dim == 1:
+        return not ref_identity_failures(x, enumerate_simplices(P, 2))
+    return all(
+        G.mul(x(d.face0), x(d.face2))
+        == G.mul(x.tau[d.face0.face0](x(d.face3)), x(d.face1))
+        for d in enumerate_simplices(P, 3)
+    )
+
+
+def ref_extend_to_path(u, p):
+    G = u.group
+    value = G.identity
+    for b in p.steps:
+        value = G.mul(u(b), value)
+    return value
+
+
+def ref_induced(u):
+    """z(b) = u(top <- end)^-1 u(top <- start), top the support of b."""
+    G = u.group
+    out = {}
+    for b in enumerate_simplices(u.poset, 1):
+        top = Simplex0(b.support)
+        out[b] = G.mul(G.inv(u(Simplex1(b.support, top, b.face0))),
+                       u(Simplex1(b.support, top, b.face1)))
+    return out
+
+
+def random_cochain2(P, G, rng):
+    """A 2-cochain with a random automorphism component: each value is
+    the one the intertwining condition fixes up to the center, times a
+    random central element."""
+    tau = {b: ad(G, rng.choice(G.elements))
+           for b in enumerate_simplices(P, 1)}
+    rep = {b: t.representative for b, t in tau.items()}
+    values = {
+        c: G.product(rep[c.face0], rep[c.face2], G.inv(rep[c.face1]),
+                     rng.choice(G.center()))
+        for c in enumerate_simplices(P, 2)
+    }
+    return Cochain2(P, G, tau, values)
+
+
+def either_cocycle_or_not(P, G, rng, dim):
+    """A random cochain of the given degree, or half the time a
+    coboundary (a constant 0-cochain in degree 0), which is a cocycle.
+    (Over S3, whose center is trivial, every 2-cochain is a cocycle.)"""
+    if dim == 0:
+        g = rng.choice(G.elements)
+        constant = Cochain0(P, G, {a: g for a in enumerate_simplices(P, 0)})
+        return rng.choice([random_cochain0(P, G, rng), constant])
+    if dim == 1:
+        return rng.choice([random_cochain1(P, G, rng),
+                           coboundary0(random_cochain0(P, G, rng))])
+    return rng.choice([random_cochain2(P, G, rng),
+                       coboundary1(random_cochain1(P, G, rng))])
+
+
+# Each row runs one id kernel and its dict/Simplex reference on one
+# random input drawn from (poset, group, rng) and returns both results.
+
+
+def row_d0(P, G, rng):
+    v = random_cochain0(P, G, rng)
+    return dict(coboundary0(v).values), ref_d0(v)
+
+
+def row_d1(P, G, rng):
+    u = random_cochain1(P, G, rng)
+    w = coboundary1(u)
+    return (dict(w.tau), dict(w.values)), ref_d1(u)
+
+
+def row_d2(P, G, rng):
+    w = either_cocycle_or_not(P, G, rng, 2)
+    return dict(coboundary2(w).values), ref_d2(w)
+
+
+def row_is_cocycle(dim):
+    def row(P, G, rng):
+        x = either_cocycle_or_not(P, G, rng, dim)
+        return is_cocycle(x), ref_is_cocycle(x)
+    return row
+
+
+def row_identity_failures(P, G, rng):
+    u = either_cocycle_or_not(P, G, rng, 1)
+    inflating = [c for c in enumerate_simplices(P, 2) if is_inflating(P, c)]
+    return (
+        (tuple(identity_failures(u)),
+         tuple(identity_failures(u, inflating_only=True))),
+        (ref_identity_failures(u, enumerate_simplices(P, 2)),
+         ref_identity_failures(u, inflating)),
+    )
+
+
+def row_extend_to_path(P, G, rng):
+    u, p = random_cochain1(P, G, rng), random_path(P, rng)
+    return extend_to_path(u, p), ref_extend_to_path(u, p)
+
+
+def row_curvature(P, G, rng):
+    u = random_connection(P, G, rng)
+    w = curvature(u)
+    return (dict(w.tau), dict(w.values)), ref_d1(u)
+
+
+def row_induced_cocycle(P, G, rng):
+    u = random_connection(P, G, rng)
+    return dict(induced_cocycle(u).values), ref_induced(u)
+
+
+def row_tree_transport(P, G, rng):
+    u, a0 = random_cochain1(P, G, rng), rng.choice(P.elements)
+    _, words = pi1_presentation(P, a0)
+    return tree_transport(u, a0), {
+        a: ref_extend_to_path(u, words.tree_path(a)) for a in P.elements
+    }
+
+
+# Rows up to dimension 2 run on connected posets of height up to 4; the
+# rows that reach dimension 3 on posets of height at most 2, where it
+# stays small (a 4-chain has 153,367 3-simplices).
+ROWS_UP_TO_DIM2 = {
+    "d0": row_d0,
+    "d1": row_d1,
+    "is_cocycle_0": row_is_cocycle(0),
+    "is_cocycle_1": row_is_cocycle(1),
+    "identity_failures": row_identity_failures,
+    "extend_to_path": row_extend_to_path,
+    "curvature": row_curvature,
+    "induced_cocycle": row_induced_cocycle,
+    "tree_transport": row_tree_transport,
+}
+ROWS_IN_DIM3 = {"d2": row_d2, "is_cocycle_2": row_is_cocycle(2)}
+
+
+@pytest.mark.parametrize("name", sorted(ROWS_UP_TO_DIM2))
+@settings(max_examples=30, deadline=None)
+@given(P=small_posets(), G=GROUPS, rng=SEEDS)
+def test_id_kernel_matches_reference(name, P, G, rng):
+    fast, reference = ROWS_UP_TO_DIM2[name](P, G, rng)
+    assert fast == reference
+
+
+@pytest.mark.parametrize("name", sorted(ROWS_IN_DIM3))
+@settings(max_examples=30, deadline=None)
+@given(P=small_posets(max_height=2), G=GROUPS, rng=SEEDS)
+def test_id_kernel_matches_reference_in_dim3(name, P, G, rng):
+    fast, reference = ROWS_IN_DIM3[name](P, G, rng)
+    assert fast == reference
+
+
+def test_is_cocycle_rows_see_both_verdicts(posets, groups):
+    """The inputs of the is_cocycle rows are cocycles or not, both often
+    enough to tell the kernels apart."""
+    rng = random.Random(3)
+    for dim, G in ((0, groups["s3"]), (1, groups["s3"]), (2, groups["z3"])):
+        verdicts = {row_is_cocycle(dim)(posets["vee"], G, rng)[1]
+                    for _ in range(12)}
+        assert verdicts == {True, False}
+
+
+def test_values_and_tau_are_read_only(posets):
+    P, S3 = posets["circle2"], symmetric_group(3)
+    u = random_cochain1(P, S3, random.Random(1))
+    w = coboundary1(u)
+    b, c = enumerate_simplices(P, 1)[0], enumerate_simplices(P, 2)[0]
+    for view, key, value in ((u.values, b, "123"), (w.values, c, "123"),
+                             (w.tau, b, ad(S3, "123"))):
+        with pytest.raises(TypeError):
+            view[key] = value
+        with pytest.raises(TypeError):
+            del view[key]
+    assert u.values[b] == u(b) and w.tau[b] == ad(S3, u(b))

@@ -115,6 +115,16 @@ def test_parse_errors():
         parse_poset_text("poset p\nle x\n")
 
 
+def test_parse_rejects_repeated_header_and_le_lines():
+    with pytest.raises(BadParameter, match="repeated poset header after 'a'"):
+        parse_poset_text("poset a\nelem x y\nposet b\n")
+    with pytest.raises(BadParameter, match="repeated le line: 'le x y'"):
+        parse_poset_text("poset p\nelem x y\nle x y\nle x y\n")
+    # the same relation written once, next to its transitive consequence
+    P = parse_poset_text("poset p\nelem x y z\nle x y\nle y z\nle x z\n")
+    assert P.name == "p" and P.leq("x", "z")
+
+
 def test_parse_ignores_comments_and_blanks():
     P = parse_poset_text("# a comment\nposet p\n\nelem x y # trailing\nle x y\n")
     assert P.leq("x", "y")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from posetbundle.errors import BadParameter, IndexOutOfRange, UnsupportedDimension
+from posetbundle.paths import Path, _deformation_index, _ranked
 from posetbundle.poset import build_poset
 from posetbundle.simplicial import (
     EVEN_PERMUTATIONS,
@@ -16,13 +17,16 @@ from posetbundle.simplicial import (
     Simplex1,
     Simplex2,
     boundary,
+    complex_of,
     degeneracy,
     enumerate_simplices,
     enumerate_simplices_raw,
+    enumerated,
     is_degenerate,
     is_inflating,
     parse_simplex1,
     permute2,
+    pinches,
     reverse,
     support,
     validate_supports,
@@ -297,3 +301,49 @@ def test_pickled_simplices_rehash_in_another_process(posets):
                          capture_output=True, check=True, timeout=60).stdout
     here = enumerate_simplices(posets["circle2"], 2)
     assert set(pickle.loads(out)) == set(here)
+
+
+# -- the integer tables of the complex ---------------------------------------
+
+
+def assert_complex_invariants(P, dims):
+    K = complex_of(P)
+    for n in dims:
+        cells = K[n]
+        assert cells.simplices is enumerate_simplices(P, n)
+        assert len(cells.faces) == len(cells.simplices)
+        for i, (d, face_ids) in enumerate(zip(cells.simplices, cells.faces)):
+            assert cells.ids[d] == i
+            assert len(face_ids) == len(d.faces)
+            for j, f in zip(face_ids, d.faces):
+                assert K[n - 1].simplices[j] is f
+        assert list(cells.inflating) == [is_inflating(P, d)
+                                         for d in cells.simplices]
+        assert list(cells.degenerate) == [is_degenerate(d)
+                                          for d in cells.simplices]
+    if 1 in dims:
+        edges, triangles = K[1], K[2]
+        steps = edges.simplices
+        for i, (b, r) in enumerate(zip(steps, edges.reverse)):
+            assert edges.reverse[r] == i
+            assert steps[r] is enumerated(P, reverse(b))
+            assert triangles.simplices[edges.pinch[i]] is pinches(P)[b]
+            assert _ranked(Path((b,)), P) == (i,)
+        # the deformation index of `homotopic` speaks the same ids
+        expansions, contractions = _deformation_index(P)
+        for c in triangles.simplices:
+            pair = (steps.index(c.face2), steps.index(c.face0))
+            assert pair in expansions[steps.index(c.face1)]
+            assert (steps.index(c.face1),) in contractions[pair]
+
+
+@pytest.mark.parametrize("poset_name", ["chain2", "chain3", "vee", "circle2",
+                                        "twoloop"])
+def test_complex_tables_on_fixtures(posets, poset_name):
+    assert_complex_invariants(posets[poset_name], range(4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_posets(max_size=4, max_height=2))
+def test_complex_tables_on_random_posets(P):
+    assert_complex_invariants(P, range(4))
