@@ -8,7 +8,8 @@ object it describes and hands the result to the handler, which only
 builds the report.
 
 Exit codes: 0 for success / true verdicts, 1 for false verdicts,
-2 for usage or input errors.
+2 for usage or input errors.  An input error ends with the file it came
+from and, when it is about one line, the line number.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .cochains import (
     parse_cochain_text,
     trivial_cochain1,
 )
-from .errors import PosetBundleError, UsageError
+from .errors import PosetBundleError, UsageError, content_lines, located
 from .gauge import gauge_act, gauge_group, is_gauge_transformation
 from .groups import format_group_text, parse_group_text
 from .paths import Path, homotopic, pi1_presentation
@@ -57,18 +58,20 @@ def _read(path):
 
 def _parse_path(text, P) -> Path:
     """Path files list 1-simplices of P, first step written last,
-    separated by whitespace or `;`; `#` starts a comment."""
-    text = "\n".join(raw.split("#", 1)[0] for raw in text.splitlines())
-    pieces = re.split(r"(\([^()]*\))", text)
-    stray = [t for t in pieces[::2] if not re.fullmatch(r"[\s;]*", t)]
-    if stray:
-        raise UsageError(f"path file has text outside 1-simplices: "
-                         f"{stray[0].strip()!r}")
-    chunks = pieces[1::2]
-    if not chunks:
+    separated by whitespace or `;`; `#` starts a comment, and a
+    1-simplex does not span lines."""
+    steps = []
+    for number, line, _ in content_lines(text):
+        with located(f" (line {number})"):
+            pieces = re.split(r"(\([^()]*\))", line)
+            stray = [t for t in pieces[::2] if not re.fullmatch(r"[\s;]*", t)]
+            if stray:
+                raise UsageError(f"path file has text outside 1-simplices: "
+                                 f"{stray[0].strip()!r}")
+            steps += (enumerated(P, parse_simplex1(c)) for c in pieces[1::2])
+    if not steps:
         raise UsageError("path file contains no 1-simplices")
-    return Path(tuple(enumerated(P, parse_simplex1(c))
-                      for c in reversed(chunks)))
+    return Path(tuple(reversed(steps)))
 
 
 # How each kind of input file becomes an object; a cochain or an
@@ -478,7 +481,9 @@ def run(argv=None) -> int:
         for dest, load in args.loads:
             path = getattr(args, dest)
             if path is not None:
-                setattr(args, dest, LOADERS[load](_read(path), args))
+                text = _read(path)
+                with located(f" in {path}"):
+                    setattr(args, dest, LOADERS[load](text, args))
         code, report = args.fn(args)
     except PosetBundleError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 from .errors import (
@@ -26,11 +27,12 @@ from .errors import (
     MissingValue,
     Mismatch,
     SearchLimitExceeded,
+    content_lines,
+    located,
 )
 from .groups import FiniteGroup, GroupHom, InnerAut
 from .paths import (
     Path,
-    based_loops,
     enumerate_homs,
     hom_class_representatives,
     pi1_presentation,
@@ -353,24 +355,24 @@ def cocycle_violations(z: Cochain1):
 
 
 def _path_value(u: Cochain1, steps):
-    """The id of the ordered product of u along `steps` (first step
-    rightmost)."""
-    rows, x, at = u.group.rows, u.ids, u.cells.ids
+    """The id of the product of u along the 1-simplex ids `steps`, the
+    first step rightmost."""
+    rows, x = u.group.rows, u.ids
     value = u.group.unit
-    for b in steps:
-        value = rows[x[at[b]]][value]
+    for i in steps:
+        value = rows[x[i]][value]
     return value
 
 
 def extend_to_path(u: Cochain1, p: Path):
     """The ordered product of values along a path (first step rightmost)."""
-    return u.group.elements[_path_value(u, p.steps)]
+    return u.group.elements[_path_value(u, map(u.cells.ids.__getitem__,
+                                               p.steps))]
 
 
 def _transport(u: Cochain1, a0: str):
     _, words = pi1_presentation(u.poset, a0)
-    return tuple(_path_value(u, words.tree_path(a).steps)
-                 for a in u.poset.elements)
+    return tuple(_path_value(u, steps) for steps in words.tree)
 
 
 def tree_transport(u: Cochain1, a0: str):
@@ -406,8 +408,12 @@ class Morphism1:
     def as_dict(self):
         return dict(self.assignment)
 
+    @cached_property
+    def _lookup(self):
+        return dict(self.assignment)
+
     def __call__(self, element):
-        return self.as_dict()[element]
+        return self._lookup[element]
 
 
 def is_morphism(f, source: Cochain1, target: Cochain1) -> bool:
@@ -453,19 +459,18 @@ def are_equivalent(z: Cochain1, z1: Cochain1) -> bool:
 # -- enumeration and classification ----------------------------------------
 
 
-def _loop_ids(P: Poset, G: FiniteGroup, a0: str, sigma):
+def _loop_ids(G: FiniteGroup, words, sigma):
     """The id of sigma's value on the based loop through each 1-simplex."""
-    return [G.index[word_value(word, sigma, G)]
-            for _, _, word in based_loops(P, a0)]
+    return [G.index[word_value(word, sigma, G)] for word in words.edge_words]
 
 
 def cocycle_from_hom(P, G, words, sigma, f):
     """The 1-cocycle built from a fundamental-group homomorphism and a
     points assignment f (element -> G) with f = identity at the base
     point: z(b) = f(end) sigma([loop through b]) f(start)^-1."""
-    loops = _loop_ids(P, G, words.base, sigma)
     faces = complex_of(P)[1].faces
-    return Cochain1._of(P, G, _act(G, faces, loops, _point_ids(P, G, f)))
+    return Cochain1._of(P, G, _act(G, faces, _loop_ids(G, words, sigma),
+                                   _point_ids(P, G, f)))
 
 
 def enumerate_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
@@ -478,7 +483,7 @@ def enumerate_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
     each point assignment only multiplies in its endpoint values.
     """
     a0 = base_point(P)  # point id 0; the others follow in element order
-    presentation, _ = pi1_presentation(P, a0)
+    presentation, words = pi1_presentation(P, a0)
     homs = enumerate_homs(presentation, G, limit=limit)
     others = len(P) - 1
     if len(homs) * len(G) ** others > limit:
@@ -490,7 +495,7 @@ def enumerate_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
     out = []
     seen = set()
     for sigma in homs:
-        loops = _loop_ids(P, G, a0, sigma)
+        loops = _loop_ids(G, words, sigma)
         for choice in itertools.product(range(len(G)), repeat=others):
             values = _act(G, faces, loops, (G.unit,) + choice)
             if values not in seen:
@@ -523,11 +528,10 @@ def classify_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
     spanning tree, in `enumerate_homs` order.  A disconnected poset
     raises `NotConnected`.
     """
-    a0 = base_point(P)
-    presentation, _ = pi1_presentation(P, a0)
+    presentation, words = pi1_presentation(P, base_point(P))
     faces, unit = complex_of(P)[1].faces, (G.unit,) * len(P)
     return tuple(
-        Cochain1._of(P, G, _act(G, faces, _loop_ids(P, G, a0, sigma), unit))
+        Cochain1._of(P, G, _act(G, faces, _loop_ids(G, words, sigma), unit))
         for sigma in hom_class_representatives(presentation, G, limit=limit)
     )
 
@@ -541,36 +545,32 @@ def parse_cochain_text(text: str, P: Poset, G: FiniteGroup) -> Cochain1:
     ``(<support>;<end>,<start>) = <element>`` line per 1-simplex."""
     header = None
     values = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if header is None:
-            fields = line.split()
-            if (
-                len(fields) != 6
-                or fields[0] != "cochain"
-                or fields[2] != "over"
-                or fields[4] != "values"
-            ):
-                raise BadParameter(f"bad cochain header: {raw!r}")
-            if fields[3] != P.name:
-                raise Mismatch(
-                    f"cochain is over {fields[3]!r}, not {P.name!r}"
-                )
-            if fields[5] != G.name:
-                raise Mismatch(
-                    f"cochain takes values in {fields[5]!r}, not {G.name!r}"
-                )
-            header = fields[1]
-            continue
-        lhs, eq, rhs = line.partition("=")
-        if not eq:
-            raise BadParameter(f"bad cochain line: {raw!r}")
-        b = parse_simplex1(lhs)
-        if b in values:
-            raise BadParameter(f"repeated value for {b.encode()}: {raw!r}")
-        values[b] = rhs.strip()
+    for number, line, raw in content_lines(text):
+        with located(f" (line {number})"):
+            if header is None:
+                fields = line.split()
+                if (
+                    len(fields) != 6
+                    or fields[0] != "cochain"
+                    or fields[2] != "over"
+                    or fields[4] != "values"
+                ):
+                    raise BadParameter(f"bad cochain header: {raw!r}")
+                if fields[3] != P.name:
+                    raise Mismatch(f"cochain is over {fields[3]!r}, "
+                                   f"not {P.name!r}")
+                if fields[5] != G.name:
+                    raise Mismatch(f"cochain takes values in {fields[5]!r}, "
+                                   f"not {G.name!r}")
+                header = fields[1]
+                continue
+            lhs, eq, rhs = line.partition("=")
+            if not eq:
+                raise BadParameter(f"bad cochain line: {raw!r}")
+            b = parse_simplex1(lhs)
+            if b in values:
+                raise BadParameter(f"repeated value for {b.encode()}: {raw!r}")
+            values[b] = rhs.strip()
     if header is None:
         raise BadParameter("missing cochain header")
     return Cochain1(P, G, values)
@@ -587,20 +587,18 @@ def parse_assignment_text(text: str, P: Poset, G: FiniteGroup):
     """Parse ``<element> = <group element>`` lines into a total map on
     the points of P."""
     f = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        lhs, eq, rhs = line.partition("=")
-        if not eq:
-            raise BadParameter(f"bad assignment line: {raw!r}")
-        a, g = lhs.strip(), rhs.strip()
-        P.check_element(a)
-        if a in f:
-            raise BadParameter(f"repeated value for {a}: {raw!r}")
-        if g not in G:
-            raise MissingValue(f"{g!r} is not in {G.name}")
-        f[a] = g
+    for number, line, raw in content_lines(text):
+        with located(f" (line {number})"):
+            lhs, eq, rhs = line.partition("=")
+            if not eq:
+                raise BadParameter(f"bad assignment line: {raw!r}")
+            a, g = lhs.strip(), rhs.strip()
+            P.check_element(a)
+            if a in f:
+                raise BadParameter(f"repeated value for {a}: {raw!r}")
+            if g not in G:
+                raise MissingValue(f"{g!r} is not in {G.name}")
+            f[a] = g
     missing = [a for a in P.elements if a not in f]
     if missing:
         raise MissingValue(f"assignment misses elements: {missing}")

@@ -15,7 +15,6 @@ from .cochains import (
     Cochain2,
     Morphism1,
     _act,
-    _point_ids,
     _transport,
     coboundary1,
     enumerate_cocycles,
@@ -38,7 +37,7 @@ from .errors import (
     WrongCocycle,
 )
 from .groups import FiniteGroup
-from .paths import Path, based_loops
+from .paths import Path
 from .poset import Poset
 from .simplicial import (
     Simplex0,
@@ -261,10 +260,14 @@ def star_inverse(u: Cochain1) -> Cochain1:
 
 
 def holonomy_generators(u: Cochain1, a0: str):
+    """The value of u on the based loop through each 1-simplex b (tree path
+    to the start of b, b, tree path to its end backwards), in id order.  A
+    connection inverts under reversal, so with T the tree transport this
+    is T(end)^-1 u(b) T(start)."""
     _require_connection(u)
-    return tuple(
-        extend_to_path(u, loop) for _, loop, _ in based_loops(u.poset, a0)
-    )
+    G = u.group
+    t = [G.inverses[g] for g in _transport(u, a0)]
+    return tuple(map(G.elements.__getitem__, _act(G, u.cells.faces, u.ids, t)))
 
 
 def holonomy(u: Cochain1, a0: str):
@@ -323,13 +326,12 @@ def ambrose_singer_reduce(u: Cochain1, a0: str):
     and f with f(a) = u(tree path to a) is a morphism from u1 (viewed in
     the ambient group) to u.
     """
-    _require_connection(u)
     P, G = u.poset, u.group
+    loops = holonomy_generators(u, a0)
     f = tree_transport(u, a0)
-    t, inv = _point_ids(P, G, f), G.inverses
-    H = G.subgroup(holonomy(u, a0), name=f"hol({u.poset.name},{a0})")
-    values = _act(G, u.cells.faces, u.ids, [inv[g] for g in t])
-    included = Cochain1._of(P, G, values)
+    H = G.subgroup(G.subgroup_generated(loops),
+                   name=f"hol({u.poset.name},{a0})")
+    included = Cochain1(P, G, dict(zip(u.cells.simplices, loops)))
     u1 = Cochain1(P, H, included.values)
     _require_connection(u1)
     morphism = Morphism1(included, u, tuple(sorted(f.items())))

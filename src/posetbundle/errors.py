@@ -1,8 +1,30 @@
-"""Exception hierarchy shared by all posetbundle modules."""
+"""Exception hierarchy shared by all posetbundle modules, and the helpers
+that let input errors name the line and file they came from."""
+
+from contextlib import contextmanager
 
 
 class PosetBundleError(Exception):
     """Base class for all errors raised by this package."""
+
+
+@contextmanager
+def located(suffix):
+    """Append `suffix`, a place in the input such as " (line 3)", to the
+    message of a `PosetBundleError` raised inside."""
+    try:
+        yield
+    except PosetBundleError as exc:
+        exc.args = (f"{exc}{suffix}",)
+        raise
+
+
+def content_lines(text):
+    """(number, line without comment, raw line) for each nonblank line."""
+    for number, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield number, line, raw
 
 
 # --- poset construction ---

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cochains import (Cochain1, _act, _point_ids, is_cocycle, is_morphism,
                        morphisms)
@@ -22,8 +23,12 @@ class GaugeTransformation:
     def as_dict(self):
         return dict(self.assignment)
 
+    @cached_property
+    def _lookup(self):
+        return dict(self.assignment)
+
     def __call__(self, element):
-        return self.as_dict()[element]
+        return self._lookup[element]
 
     def compose(self, other: "GaugeTransformation") -> "GaugeTransformation":
         if self.cocycle != other.cocycle:

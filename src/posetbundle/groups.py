@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     DiamondUndefined,
@@ -14,6 +15,8 @@ from .errors import (
     NoIdentity,
     NoInverse,
     NotAssociative,
+    content_lines,
+    located,
 )
 
 
@@ -366,8 +369,12 @@ class GroupHom:
                 if m[self.source.mul(g, h)] != self.target.mul(m[g], m[h]):
                     raise Mismatch(f"not a homomorphism at ({g!r}, {h!r})")
 
+    @cached_property
+    def _lookup(self):
+        return dict(self.mapping)
+
     def __call__(self, g):
-        return self.as_dict()[g]
+        return self._lookup[g]
 
     def is_injective(self):
         m = self.as_dict()
@@ -397,32 +404,33 @@ def parse_group_text(text: str) -> FiniteGroup:
     elems = None
     rows = {}
     in_table = False
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if not in_table:
-            if fields[0] == "group":
-                name = fields[1] if len(fields) == 2 else None
-                if name is None:
+    for number, line, raw in content_lines(text):
+        with located(f" (line {number})"):
+            fields = line.split()
+            if in_table:
+                head, _, rest = line.partition(":")
+                g = head.strip()
+                if elems is None:
+                    raise MalformedTable("table rows before the elems line")
+                if g not in elems:
+                    raise MalformedTable(f"table row for unknown element: {raw!r}")
+                if g in rows:
+                    raise MalformedTable(f"repeated table row for {g!r}: {raw!r}")
+                rows[g] = rest.split()
+            elif fields[0] == "group":
+                if len(fields) != 2:
                     raise MalformedTable(f"bad group header: {raw!r}")
+                if name is not None:
+                    raise MalformedTable(f"repeated group header: {raw!r}")
+                name = fields[1]
             elif fields[0] == "elems":
+                if elems is not None:
+                    raise MalformedTable(f"repeated elems line: {raw!r}")
                 elems = fields[1:]
             elif fields[0] == "table":
                 in_table = True
             else:
                 raise MalformedTable(f"unrecognized group line: {raw!r}")
-        else:
-            head, _, rest = line.partition(":")
-            g = head.strip()
-            if elems is None:
-                raise MalformedTable("table rows before the elems line")
-            if g not in elems:
-                raise MalformedTable(f"table row for unknown element: {raw!r}")
-            if g in rows:
-                raise MalformedTable(f"repeated table row for {g!r}: {raw!r}")
-            rows[g] = rest.split()
     if name is None or elems is None:
         raise MalformedTable("missing group header or elems line")
     table = {}

@@ -4,7 +4,6 @@ and fundamental-group presentations with homomorphism counting."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import smith
 from .errors import (BadParameter, EndpointMismatch, NotConnected,
@@ -18,7 +17,6 @@ from .simplicial import (
     degeneracy,
     enumerate_simplices,
     enumerated,
-    reversal_classes,
     reverse,
 )
 
@@ -78,23 +76,6 @@ def reverse_path(p: Path) -> Path:
     return Path(tuple(reverse(b) for b in reversed(p.steps)))
 
 
-@lru_cache(maxsize=None)
-def _deformation_index(P: Poset):
-    """The 2-simplices of P as lookups on step ids, cached per poset.
-
-    A step's id (rank) is its position in `enumerate_simplices(P, 1)`,
-    which is sort key order, so sorting step tuples by their id tuples
-    sorts paths by sort key.  Returns the map from the id of a boundary
-    1 to the id pairs (boundary 2, boundary 0), and the map from such a
-    pair to the 1-tuples of boundary 1 ids.
-    """
-    expansions, contractions = {}, {}
-    for r0, r1, r2 in complex_of(P)[2].faces:
-        expansions.setdefault(r1, []).append((r2, r0))
-        contractions.setdefault((r2, r0), []).append((r1,))
-    return expansions, contractions
-
-
 def _ranked(p: Path, P: Poset):
     """The tuple of step ids of p; `NoSuchSimplex` for a foreign step."""
     ids = complex_of(P)[1].ids
@@ -109,7 +90,7 @@ def _path(ranked, P: Poset) -> Path:
 def _neighbours(ranked, P: Poset):
     """The distinct rank tuples one elementary deformation away from
     `ranked`, sorted."""
-    expansions, contractions = _deformation_index(P)
+    expansions, contractions = complex_of(P)[2].deformations
     out = set()
     for i, r in enumerate(ranked):
         for pair in expansions.get(r, ()):
@@ -206,25 +187,31 @@ class Presentation:
 
 
 class WordMap:
-    """Maps 1-simplices and paths of a poset to words of a presentation."""
+    """Maps 1-simplices and paths of a poset to words of a presentation.
 
-    def __init__(self, edge_words, tree_paths, base):
-        self._edge_words = edge_words
-        self._tree_paths = tree_paths
-        self.base = base
+    `edge_words[i]` is the word of the 1-simplex with id i, which is
+    also the word of the based loop through it: tree edges and loops at
+    a point have the empty word.  `tree[x]` holds the step ids of the
+    spanning tree path from the base point to the point with id x.
+    """
+
+    def __init__(self, edges, edge_words, tree):
+        self._edges = edges
+        self.edge_words = edge_words
+        self.tree = tree
 
     def edge_word(self, b: Simplex1):
-        return self._edge_words[b]
+        return self.edge_words[self._edges.ids[b]]
 
     def path_word(self, p: Path):
-        word = []
-        for b in p.steps:
-            word.extend(self._edge_words[b])
-        return tuple(word)
+        ids, words = self._edges.ids, self.edge_words
+        return tuple(w for b in p.steps for w in words[ids[b]])
 
     def tree_path(self, a) -> Path:
         """The chosen path from the base point to element a."""
-        return self._tree_paths[a]
+        steps = self._edges.simplices
+        point = self._edges.complex[0].ids[Simplex0(a)]
+        return Path(tuple(steps[i] for i in self.tree[point]))
 
 
 def invert_word(word):
@@ -241,9 +228,10 @@ def _abelianized_equal(presentation, w1, w2):
     return smith.in_row_lattice(presentation.exponent_matrix(), diff)
 
 
-@lru_cache(maxsize=None)
 def pi1_presentation(P: Poset, a0: str):
-    """A finite presentation of the edge-path group of P based at a0.
+    """A finite presentation of the edge-path group of P based at a0,
+    and the `WordMap` of its spanning tree; computed once per base point
+    and kept on `complex_of(P)`.
 
     A deterministic spanning tree of the multigraph (vertices = elements,
     one edge per reverse-pair of 1-simplices, Kruskal over sort keys) is
@@ -251,96 +239,54 @@ def pi1_presentation(P: Poset, a0: str):
     2-simplex contributes the relator
     word(boundary 0) word(boundary 2) word(boundary 1)^-1.
     """
+    K = complex_of(P)
+    if a0 in K.presentations:
+        return K.presentations[a0]
     P.check_element(a0)
-    classes = reversal_classes(P)
+    edges = K[1]
 
-    # Kruskal over class representatives in sort order.
-    component = {x: x for x in P.elements}
+    # Kruskal over the reversal classes in id (sort key) order: a class
+    # that joins two components is a tree edge, and any other class that
+    # is not a loop at a point contributes a generator.  Loops at a point
+    # (including degenerate edges) are trivial in the edge-path group:
+    # the 2-simplex with vertex map (a, a, s) and top edge b gives the
+    # relator g h g^-1 for the generator h of b; dropping them shrinks
+    # the presentation without changing the group.
+    component = list(range(len(P)))
+    adjacency = [[] for _ in P.elements]
+    generators, words = [], [()] * len(edges.simplices)
+    for i, j in edges.classes:
+        y, x = edges.faces[i]  # end, start
+        if component[x] != component[y]:
+            joined = component[x]
+            component = [component[y] if c == joined else c
+                         for c in component]
+            adjacency[x].append((y, i))
+            adjacency[y].append((x, j))
+        elif x != y:
+            words[i] = ((len(generators), 1),)
+            words[j] = ((len(generators), -1),)
+            generators.append(edges.simplices[i].encode())
 
-    def find(x):
-        while component[x] != x:
-            component[x] = component[component[x]]
-            x = component[x]
-        return x
-
-    tree_edges = set()
-    tree_adjacency = {x: [] for x in P.elements}
-    for b, rb in classes:
-        x, y = b.face1.element, b.face0.element
-        if x == y:
-            continue
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            component[rx] = ry
-            tree_edges.add(b)
-            tree_adjacency[x].append((y, b))
-            tree_adjacency[y].append((x, rb))
-    if any(find(x) != find(a0) for x in P.elements):
+    # Tree paths from a0 by BFS over the adjacency lists, which are in
+    # insertion order; the base point's own path is its degenerate edge.
+    root, tree = K[0].ids[Simplex0(a0)], [None] * len(P)
+    tree[root] = (edges.ids[degeneracy(Simplex0(a0), 0)],)
+    queue = [root]
+    for x in queue:
+        for y, step in adjacency[x]:
+            if tree[y] is None:
+                tree[y] = (tree[x] if x != root else ()) + (step,)
+                queue.append(y)
+    if None in tree:
         raise NotConnected(f"{P.name} is not pathwise connected")
-
-    # Tree paths from a0 by BFS (adjacency lists are in insertion order,
-    # which is deterministic), made of enumerated steps.
-    tree_paths = {a0: Path((enumerated(P, degeneracy(Simplex0(a0), 0)),))}
-    order = [a0]
-    frontier = [a0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y, step in tree_adjacency[x]:
-                if y in tree_paths:
-                    continue
-                if x == a0:
-                    tree_paths[y] = Path((step,))
-                else:
-                    tree_paths[y] = compose(Path((step,)), tree_paths[x])
-                order.append(y)
-                nxt.append(y)
-        frontier = nxt
-
-    generators = []
-    edge_words = {}
-    for rep, rev in classes:
-        if rep in tree_edges or rep.face0 == rep.face1:
-            # Loops at a point (including degenerate edges) are trivial
-            # in the edge-path group: the 2-simplex with vertex map
-            # (a, a, s) and top edge b gives the relator g h g^-1 for
-            # the generator h of b; dropping them shrinks the
-            # presentation without changing the group.
-            edge_words[rep] = edge_words[rev] = ()
-            continue
-        edge_words[rep] = ((len(generators), 1),)
-        edge_words[rev] = ((len(generators), -1),)
-        generators.append(rep.encode())
-
-    relators = []
-    for c in enumerate_simplices(P, 2):
-        word = tuple(edge_words[c.face0]) + tuple(edge_words[c.face2]) + invert_word(
-            edge_words[c.face1]
-        )
-        if word:
-            relators.append(word)
-    presentation = Presentation(tuple(generators), tuple(relators))
-    return presentation, WordMap(edge_words, tree_paths, a0)
-
-
-@lru_cache(maxsize=None)
-def based_loops(P: Poset, a0: str):
-    """The based loop through each 1-simplex, with its word.
-
-    For every 1-simplex b, in `enumerate_simplices(P, 1)` order, a triple
-    (b, loop, word): the loop at a0 that follows the spanning tree to the
-    start of b, crosses b and returns along the tree from its end, and
-    the word of that loop in the presentation of `pi1_presentation`.
-    """
-    _, words = pi1_presentation(P, a0)
-    out = []
-    for b in enumerate_simplices(P, 1):
-        loop = compose(
-            reverse_path(words.tree_path(b.face0.element)),
-            compose(Path((b,)), words.tree_path(b.face1.element)),
-        )
-        out.append((b, loop, words.path_word(loop)))
-    return tuple(out)
+    relators = tuple(
+        word for b0, b1, b2 in K[2].faces
+        if (word := words[b0] + words[b2] + invert_word(words[b1]))
+    )
+    K.presentations[a0] = (Presentation(tuple(generators), relators),
+                           WordMap(edges, tuple(words), tuple(tree)))
+    return K.presentations[a0]
 
 
 def enumerate_homs(presentation: Presentation, G: FiniteGroup, limit=10 ** 6):

@@ -14,6 +14,8 @@ from .errors import (
     BadParameter,
     DuplicateElement,
     UnknownElement,
+    content_lines,
+    located,
 )
 
 
@@ -231,28 +233,26 @@ def parse_poset_text(text: str) -> Poset:
     name = None
     elements = []
     relations = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if fields[0] == "poset":
-            if len(fields) != 2:
-                raise BadParameter(f"bad poset header: {raw!r}")
-            if name is not None:
-                raise BadParameter(f"repeated poset header after {name!r}: "
-                                   f"{raw!r}")
-            name = fields[1]
-        elif fields[0] == "elem":
-            elements.extend(fields[1:])
-        elif fields[0] == "le":
-            if len(fields) != 3:
-                raise BadParameter(f"bad le line: {raw!r}")
-            if (fields[1], fields[2]) in relations:
-                raise BadParameter(f"repeated le line: {raw!r}")
-            relations.append((fields[1], fields[2]))
-        else:
-            raise BadParameter(f"unrecognized poset line: {raw!r}")
+    for number, line, raw in content_lines(text):
+        with located(f" (line {number})"):
+            fields = line.split()
+            if fields[0] == "poset":
+                if len(fields) != 2:
+                    raise BadParameter(f"bad poset header: {raw!r}")
+                if name is not None:
+                    raise BadParameter(f"repeated poset header after "
+                                       f"{name!r}: {raw!r}")
+                name = fields[1]
+            elif fields[0] == "elem":
+                elements.extend(fields[1:])
+            elif fields[0] == "le":
+                if len(fields) != 3:
+                    raise BadParameter(f"bad le line: {raw!r}")
+                if (fields[1], fields[2]) in relations:
+                    raise BadParameter(f"repeated le line: {raw!r}")
+                relations.append((fields[1], fields[2]))
+            else:
+                raise BadParameter(f"unrecognized poset line: {raw!r}")
     if name is None:
         raise BadParameter("missing 'poset <name>' header")
     return build_poset(elements, relations, name=name)

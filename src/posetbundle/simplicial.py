@@ -275,7 +275,9 @@ class Cells:
     `reverse`, the id of its `pinch` 2-simplex (see `pinches`), and the
     reversal classes as id pairs (i, reverse of i) with i <= its reverse:
     all of them in `classes`, those without an inflating member in
-    `free_classes`.
+    `free_classes`.  In dimension 2, `deformations` maps the id of a
+    boundary 1 to the id pairs (boundary 2, boundary 0), and such a pair
+    to the 1-tuples of boundary 1 ids: the moves of `paths.homotopic`.
     """
 
     def __init__(self, K, n):
@@ -325,15 +327,25 @@ class Cells:
         return tuple((i, j) for i, j in self.classes
                      if not infl[i] and not infl[j])
 
+    @cached_property
+    def deformations(self):
+        expansions, contractions = {}, {}
+        for b0, b1, b2 in self.faces:
+            expansions.setdefault(b1, []).append((b2, b0))
+            contractions.setdefault((b2, b0), []).append((b1,))
+        return expansions, contractions
+
 
 class Complex:
     """The enumerated complex of a poset: one `Cells` per dimension
-    0..3, each built on first use from the one below.  `complex_of`
-    caches one per poset, so every per-poset table hangs off it."""
+    0..3, each built on first use from the one below.  `complex_of` caches
+    one per poset, so every per-poset table hangs off it, down to the
+    `presentations` of `paths.pi1_presentation` by base point."""
 
     def __init__(self, P: Poset):
         self.poset = P
         self._cells = {}
+        self.presentations = {}
 
     def __getitem__(self, n):
         try:

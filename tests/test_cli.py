@@ -157,6 +157,45 @@ def test_group_validate(workspace, capsys):
     assert run(["group-validate", corrupted]) == 2
 
 
+def test_repeated_group_header_is_an_input_error(workspace, capsys):
+    repeated = workspace / "repeated.group"
+    repeated.write_text(format_group_text(Z3).replace(
+        "elems", "group other\nelems"))
+    assert run(["group-validate", repeated]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_input_errors_name_the_file_and_line(tmp_path, capsys):
+    """Exit 2 and the `error: ` prefix; the message ends with the line,
+    for an error about one line, and the file."""
+    bad = tmp_path / "bad.poset"
+    bad.write_text("poset p\nelem x y\nfoo bar\n")
+    assert run(["validate", bad]) == 2
+    assert capsys.readouterr().err == (
+        f"error: unrecognized poset line: 'foo bar' (line 3) in {bad}\n")
+    cyclic = tmp_path / "cyclic.poset"
+    cyclic.write_text("poset p\nelem x y\nle x y\nle y x\n")
+    assert run(["validate", cyclic]) == 2
+    assert capsys.readouterr().err == (
+        f"error: 'x' <= 'y' and 'y' <= 'x' in {cyclic}\n")
+
+
+def test_path_file_errors_give_the_line(workspace, tmp_path, capsys):
+    (tmp_path / "ok.path").write_text("(o1;a1,a2)\n")
+    bad = tmp_path / "bad.path"
+    bad.write_text("# a path\n(o1;a1,o1)\n(o1;o1,a1) junk\n")
+    assert run(["homotopic", workspace / "circle2.poset", bad,
+                tmp_path / "ok.path"]) == 2
+    assert capsys.readouterr().err == (
+        "error: path file has text outside 1-simplices: 'junk' "
+        f"(line 3) in {bad}\n")
+    bad.write_text("(o1;a1,o1)\n\n(o9;o1,a1)\n")
+    assert run(["homotopic", workspace / "circle2.poset", bad,
+                tmp_path / "ok.path"]) == 2
+    assert capsys.readouterr().err.endswith(f"(line 3) in {bad}\n")
+
+
 def test_check_cocycle_exit_codes(workspace):
     args = ["check-cocycle", workspace / "circle2.poset",
             workspace / "z3.group", workspace / "winding.cochain"]

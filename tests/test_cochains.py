@@ -39,11 +39,11 @@ from posetbundle.errors import (
     Mismatch,
     MissingValue,
     SearchLimitExceeded,
+    UnknownElement,
 )
 from posetbundle.groups import GroupHom, ad, cyclic_group, symmetric_group
 from posetbundle.paths import (
     Path,
-    based_loops,
     compose,
     enumerate_homs,
     pi1_presentation,
@@ -193,15 +193,19 @@ def test_cocycle_enumeration_matches_loop_construction(posets, poset_name,
 
 
 def test_based_loops_carry_the_edge_words(posets):
+    """The loop at a0 along the tree to the start of b, across b and
+    back along the tree from its end has the word of b."""
     for P in (posets["circle2"], posets["twoloop"]):
         for a0 in P.elements:
             _, words = pi1_presentation(P, a0)
-            loops = based_loops(P, a0)
-            assert [b for b, _, _ in loops] == list(enumerate_simplices(P, 1))
-            for b, loop, word in loops:
+            for b in enumerate_simplices(P, 1):
+                loop = compose(
+                    reverse_path(words.tree_path(b.face0.element)),
+                    compose(Path((b,)), words.tree_path(b.face1.element)),
+                )
                 assert loop.start.element == a0 and loop.is_loop()
                 assert b in loop.steps
-                assert word == words.path_word(loop) == words.edge_word(b)
+                assert words.path_word(loop) == words.edge_word(b)
 
 
 def test_empty_poset_has_no_cocycle_enumeration(groups):
@@ -360,6 +364,23 @@ def test_assignment_text_rejects_repeated_element(posets):
     text = "\n".join(f"{a} = g0" for a in P.elements) + "\na1 = g2\n"
     with pytest.raises(BadParameter, match="repeated value for a1: 'a1 = g2'"):
         parse_assignment_text(text, P, Z3)
+
+
+def test_cochain_and_assignment_errors_give_the_line(posets):
+    P = posets["circle2"]
+    text = format_cochain_text(trivial_cochain1(P, Z3), name="t")
+    lines = text.splitlines()
+    lines[3] = "(o1;a1,o1) g0"
+    with pytest.raises(BadParameter) as caught:
+        parse_cochain_text("\n".join(lines), P, Z3)
+    assert str(caught.value) == "bad cochain line: '(o1;a1,o1) g0' (line 4)"
+    with pytest.raises(Mismatch) as caught:
+        parse_cochain_text("\n" + text, P, Z2)
+    assert str(caught.value).endswith("not 'Z2' (line 2)")
+    text = "\n".join(f"{a} = g0" for a in P.elements) + "\no9 = g1\n"
+    with pytest.raises(UnknownElement) as caught:
+        parse_assignment_text(text, P, Z3)
+    assert str(caught.value) == "'o9' is not an element of circle2 (line 5)"
 
 
 @settings(max_examples=25, deadline=None)

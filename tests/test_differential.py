@@ -1,9 +1,10 @@
 """Differential tests of the tree-transport helpers, the cochain
 identity, the constructed cocycle classes and connections, the indexed
-deformation search and the id kernels of cochains and connections
-against brute force or the filters, scans and dict formulas they
-replace, on random posets of at most four elements with values in Z2,
-Z3 and S3."""
+deformation search, the presentation and holonomy on simplex ids and
+the id kernels of cochains and connections against brute force or the
+filters, scans and object-keyed formulas they replace, on random posets
+of at most four (five for the presentation) elements with values in
+Z2, Z3 and S3."""
 
 import itertools
 import random
@@ -33,30 +34,38 @@ from posetbundle.cochains import (
     tree_transport,
 )
 from posetbundle.connections import (
+    construct_from_cochain,
     curvature,
     enumerate_connections,
     enumerate_loops,
+    holonomy_generators,
     induced_cocycle,
     is_adapted,
+    noninflating_pairs,
 )
 from posetbundle.errors import NotConnected, PreconditionViolated
 from posetbundle.gauge import gauge_act, gauge_group, gauge_group_raw
 from posetbundle.groups import ad, cyclic_group, symmetric_group
 from posetbundle.paths import (
     Path,
+    compose,
     count_hom_classes,
     deformations,
     degenerate_loop,
     enumerate_homs,
     homotopic,
+    invert_word,
     pi1_presentation,
+    reverse_path,
     word_value,
 )
 from posetbundle.poset import base_point, build_poset
 from posetbundle.simplicial import (
     Simplex0,
     Simplex1,
+    degeneracy,
     enumerate_simplices,
+    enumerated,
     is_inflating,
     reversal_classes,
     reverse,
@@ -79,7 +88,7 @@ def small_posets(draw, max_size=4, max_height=None):
     dimension 3 small, and the poset may be disconnected.
     """
     n = draw(st.integers(1, max_size))
-    names = draw(st.permutations("abcd"[:n]))
+    names = draw(st.permutations("abcde"[:n]))
     if max_height == 2:
         split = draw(st.integers(0, n))
         pairs = [(i, j) for i in range(split) for j in range(split, n)]
@@ -147,6 +156,126 @@ def test_equal_cochains_hash_equal(P, G, rng):
         assert a == b
         assert hash(a) == hash(b)
     assert len({a for a, _ in pairs} | {b for _, b in pairs}) == 4
+
+
+# -- the presentation and holonomy on ids against the object-keyed ones ----
+
+
+def object_pi1_presentation(P, a0):
+    """Oracle: the presentation built on simplices as dictionary keys.
+    Returns (generators, relators, edge words by 1-simplex, tree paths
+    by element)."""
+    classes = reversal_classes(P)
+    component = {x: x for x in P.elements}
+
+    def find(x):
+        while component[x] != x:
+            component[x] = component[component[x]]
+            x = component[x]
+        return x
+
+    tree_edges = set()
+    tree_adjacency = {x: [] for x in P.elements}
+    for b, rb in classes:
+        x, y = b.face1.element, b.face0.element
+        if x == y:
+            continue
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            component[rx] = ry
+            tree_edges.add(b)
+            tree_adjacency[x].append((y, b))
+            tree_adjacency[y].append((x, rb))
+    if any(find(x) != find(a0) for x in P.elements):
+        raise NotConnected(f"{P.name} is not pathwise connected")
+    tree_paths = {a0: Path((enumerated(P, degeneracy(Simplex0(a0), 0)),))}
+    frontier = [a0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y, step in tree_adjacency[x]:
+                if y in tree_paths:
+                    continue
+                if x == a0:
+                    tree_paths[y] = Path((step,))
+                else:
+                    tree_paths[y] = compose(Path((step,)), tree_paths[x])
+                nxt.append(y)
+        frontier = nxt
+    generators, edge_words = [], {}
+    for rep, rev in classes:
+        if rep in tree_edges or rep.face0 == rep.face1:
+            edge_words[rep] = edge_words[rev] = ()
+            continue
+        edge_words[rep] = ((len(generators), 1),)
+        edge_words[rev] = ((len(generators), -1),)
+        generators.append(rep.encode())
+    relators = []
+    for c in enumerate_simplices(P, 2):
+        word = (edge_words[c.face0] + edge_words[c.face2]
+                + invert_word(edge_words[c.face1]))
+        if word:
+            relators.append(word)
+    return tuple(generators), tuple(relators), edge_words, tree_paths
+
+
+def object_based_loops(P, a0):
+    """Oracle: (b, loop, word) for every 1-simplex b, the loop at a0
+    along the tree to the start of b, across b and back along the tree
+    from its end."""
+    _, _, edge_words, tree_paths = object_pi1_presentation(P, a0)
+    out = []
+    for b in enumerate_simplices(P, 1):
+        loop = compose(reverse_path(tree_paths[b.face0.element]),
+                       compose(Path((b,)), tree_paths[b.face1.element]))
+        word = tuple(w for step in loop.steps for w in edge_words[step])
+        out.append((b, loop, word))
+    return out
+
+
+def some_connection(P, G, rng):
+    """A random connection: a random twist of a random bundle, or of a
+    random coboundary when the homomorphisms are too many to list."""
+    generators = pi1_presentation(P, base_point(P))[0].generators
+    if len(G) ** len(generators) <= 1296:
+        return random_connection(P, G, rng)
+    z = coboundary0(random_cochain0(P, G, rng))
+    twist = {b: G.identity for b in enumerate_simplices(P, 1)}
+    for b in noninflating_pairs(P):
+        twist[b] = rng.choice(G.elements)
+    return construct_from_cochain(Cochain1(P, G, twist), z)
+
+
+def assert_presentation_matches_objects(P, G, rng):
+    edges = enumerate_simplices(P, 1)
+    for a0 in P.elements:
+        presentation, words = pi1_presentation(P, a0)
+        assert pi1_presentation(P, a0) is pi1_presentation(P, a0)
+        generators, relators, edge_words, tree_paths = \
+            object_pi1_presentation(P, a0)
+        assert presentation.generators == generators
+        assert presentation.relators == relators
+        assert {b: words.edge_word(b) for b in edges} == edge_words
+        assert {a: words.tree_path(a) for a in P.elements} == tree_paths
+        loops = object_based_loops(P, a0)
+        assert all(word == edge_words[b] for b, _, word in loops)
+        u = some_connection(P, G, rng)
+        assert holonomy_generators(u, a0) == tuple(
+            extend_to_path(u, loop) for _, loop, _ in loops)
+
+
+@pytest.mark.parametrize("name", ["chain2", "chain3", "vee", "circle2",
+                                  "twoloop"])
+def test_fixture_presentations_match_objects(posets, groups, name):
+    rng = random.Random(name)
+    for G in groups.values():
+        assert_presentation_matches_objects(posets[name], G, rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_posets(max_size=5), GROUPS, SEEDS)
+def test_presentations_match_objects(P, G, rng):
+    assert_presentation_matches_objects(P, G, rng)
 
 
 # -- classes and connections by construction against the old filters ------

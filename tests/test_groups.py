@@ -195,6 +195,39 @@ def test_parse_rejects_unknown_and_repeated_rows():
         parse_group_text("group g\ntable\ne: e\n")  # rows before elems
 
 
+def test_parse_rejects_repeated_header_and_elems_lines():
+    """A second header or elems line is an error, not the one kept."""
+    text = format_group_text(cyclic_group(2))
+    with pytest.raises(MalformedTable, match="repeated group header: "
+                                             "'group other'"):
+        parse_group_text(text.replace("elems", "group other\nelems"))
+    with pytest.raises(MalformedTable, match="repeated elems line: "
+                                             "'elems g0 x'"):
+        parse_group_text(text.replace("table", "elems g0 x\ntable"))
+
+
+def test_parse_errors_give_the_line():
+    text = "# Z2\ngroup z2\nelems e a\ntable\ne: e a\nb: a e\n"
+    with pytest.raises(MalformedTable) as caught:
+        parse_group_text(text)
+    assert str(caught.value) == "table row for unknown element: 'b: a e' " \
+                                "(line 6)"
+    with pytest.raises(MalformedTable) as caught:
+        parse_group_text("group z2\nelems e a\n")  # about no one line
+    assert str(caught.value) == "missing or short table row for 'e'"
+
+
+def test_homomorphisms_look_up_without_rebuilding():
+    phi = GroupHom.identity(S3)
+    assert [phi(g) for g in S3.elements] == list(S3.elements)
+    assert phi == GroupHom.identity(S3)
+    assert hash(phi) == hash(GroupHom.identity(S3))
+    assert phi.as_dict() == dict(phi.mapping)
+    assert phi.as_dict() is not phi.as_dict()
+    with pytest.raises(KeyError):
+        phi("nope")
+
+
 @given(st.sampled_from(S3.elements), st.sampled_from(S3.elements),
        st.sampled_from(S3.elements))
 def test_conjugation_is_a_homomorphism(g, h, k):

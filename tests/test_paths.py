@@ -21,8 +21,8 @@ from posetbundle.paths import (
     reverse_path,
     word_value,
 )
-from posetbundle.poset import build_poset
-from posetbundle.simplicial import Simplex0, Simplex1, reverse
+from posetbundle.poset import build_poset, generate
+from posetbundle.simplicial import Simplex0, Simplex1, complex_of, reverse
 
 
 def edge(support, end, start):
@@ -139,6 +139,17 @@ def test_pi1_requires_connectivity():
     P = build_poset(["x", "y"], [], name="dots")
     with pytest.raises(NotConnected):
         pi1_presentation(P, "x")
+
+
+def test_presentation_is_kept_on_the_complex(posets):
+    """One presentation per base point, owned by the poset's `Complex`;
+    an equal poset built again shares it."""
+    P = posets["circle2"]
+    first = pi1_presentation(P, "a1")
+    assert pi1_presentation(P, "a1") is first
+    assert complex_of(P).presentations["a1"] is first
+    assert pi1_presentation(generate("circle", 2), "a1") is first
+    assert pi1_presentation(P, "a2") is not first
 
 
 def test_tree_paths_reach_every_element(posets):

@@ -149,3 +149,12 @@ def test_closure_is_reflexive_and_transitive(rels):
                     assert P.leq(x, z)
                 if x != y and P.leq(x, y):
                     assert not P.leq(y, x)
+
+
+def test_parse_errors_give_the_line():
+    with pytest.raises(BadParameter) as caught:
+        parse_poset_text("poset p\n\n# comment\nelem x y\nfoo bar\n")
+    assert str(caught.value) == "unrecognized poset line: 'foo bar' (line 5)"
+    with pytest.raises(BadParameter) as caught:
+        parse_poset_text("elem x y\n")  # about no one line
+    assert str(caught.value) == "missing 'poset <name>' header"

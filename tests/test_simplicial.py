@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from posetbundle.errors import BadParameter, IndexOutOfRange, UnsupportedDimension
-from posetbundle.paths import Path, _deformation_index, _ranked
+from posetbundle.paths import Path, _ranked
 from posetbundle.poset import build_poset
 from posetbundle.simplicial import (
     EVEN_PERMUTATIONS,
@@ -330,7 +330,7 @@ def assert_complex_invariants(P, dims):
             assert triangles.simplices[edges.pinch[i]] is pinches(P)[b]
             assert _ranked(Path((b,)), P) == (i,)
         # the deformation index of `homotopic` speaks the same ids
-        expansions, contractions = _deformation_index(P)
+        expansions, contractions = triangles.deformations
         for c in triangles.simplices:
             pair = (steps.index(c.face2), steps.index(c.face0))
             assert pair in expansions[steps.index(c.face1)]
