@@ -86,33 +86,29 @@ def _all_cochain1(P: Poset, G: FiniteGroup):
 
 def winding_cocycle(P: Poset, G: FiniteGroup, g) -> Cochain1:
     """The first enumerated cocycle whose holonomy subgroup contains g."""
-    a0 = P.elements[0]
-    pres, words = pi1_presentation(P, a0)
-    f = {a: G.identity for a in P.elements}
+    pres, _ = pi1_presentation(P, P.elements[0])
     for sigma in enumerate_homs(pres, G):
-        if g in G.subgroup_generated(list(sigma)):
-            return cocycle_from_hom(P, G, words, sigma, f)
+        if g in G.subgroup_generated(sigma):
+            return cocycle_from_hom(P, G, sigma)
     raise ValueError(f"no cocycle on {P.name} winds through {g!r}")
 
 
 def full_image_cocycle(P: Poset, G: FiniteGroup) -> Cochain1:
     """A cocycle whose holonomy is all of G (needs enough loops in P)."""
-    a0 = P.elements[0]
-    pres, words = pi1_presentation(P, a0)
-    f = {a: G.identity for a in P.elements}
+    pres, _ = pi1_presentation(P, P.elements[0])
     for sigma in enumerate_homs(pres, G):
-        if len(G.subgroup_generated(list(sigma))) == len(G):
-            return cocycle_from_hom(P, G, words, sigma, f)
+        if len(G.subgroup_generated(sigma)) == len(G):
+            return cocycle_from_hom(P, G, sigma)
     raise ValueError(f"no surjective homomorphism onto {G.name} from {P.name}")
 
 
 def random_cocycle(P: Poset, G: FiniteGroup, rng) -> Cochain1:
     a0 = P.elements[0]
-    pres, words = pi1_presentation(P, a0)
+    pres, _ = pi1_presentation(P, a0)
     sigma = rng.choice(enumerate_homs(pres, G))
     f = {a: rng.choice(G.elements) for a in P.elements}
     f[a0] = G.identity
-    return cocycle_from_hom(P, G, words, sigma, f)
+    return cocycle_from_hom(P, G, sigma, f)
 
 
 def random_connection(P: Poset, G: FiniteGroup, rng) -> Cochain1:

@@ -293,63 +293,52 @@ def cmd_gauge_act(args):
                                               name="transformed")}
 
 
+# The cochain fixtures of `suite`: file stem -> (poset stem, group stem,
+# function making the cochain from the standard poset and group).
+COCHAIN_FIXTURES = {
+    "winding-z3": ("circle2", "z3",
+                   lambda P, G: acceptance.winding_cocycle(P, G, "g1")),
+    "fullimage-s3": ("twoloop", "s3", acceptance.full_image_cocycle),
+}
+
+
 def _write_fixtures(directory):
     directory.mkdir(parents=True, exist_ok=True)
+    posets, groups = acceptance.standard_posets(), acceptance.standard_groups()
     written = []
-    for name, P in acceptance.standard_posets().items():
-        path = directory / f"{name}.poset"
+
+    def write(name, text):
+        path = directory / name
         if not path.exists():
-            path.write_text(format_poset_text(P))
-            written.append(path.name)
-    for name, G in acceptance.standard_groups().items():
-        path = directory / f"{name}.group"
-        if not path.exists():
-            path.write_text(format_group_text(G))
-            written.append(path.name)
-    cochains = {
-        "winding-z3": (
-            acceptance.standard_posets()["circle2"],
-            acceptance.standard_groups()["z3"],
-            lambda P, G: acceptance.winding_cocycle(P, G, "g1"),
-        ),
-        "fullimage-s3": (
-            acceptance.standard_posets()["twoloop"],
-            acceptance.standard_groups()["s3"],
-            acceptance.full_image_cocycle,
-        ),
-    }
-    for name, (P, G, build) in cochains.items():
-        path = directory / f"{name}.cochain"
-        if not path.exists():
-            path.write_text(format_cochain_text(build(P, G), name=name))
-            written.append(path.name)
+            path.write_text(text())
+            written.append(name)
+
+    for name, P in posets.items():
+        write(f"{name}.poset", lambda: format_poset_text(P))
+    for name, G in groups.items():
+        write(f"{name}.group", lambda: format_group_text(G))
+    for name, (p, g, build) in COCHAIN_FIXTURES.items():
+        write(f"{name}.cochain", lambda: format_cochain_text(
+            build(posets[p], groups[g]), name=name))
     return written
 
 
 def _fixture_problems(directory):
     """What is wrong with the fixture files, one line per file."""
-    problems = []
-    posets = {}
-    groups = {}
-    for path in sorted(directory.glob("*.poset")):
-        try:
-            posets[path.stem] = parse_poset_text(path.read_text())
-        except PosetBundleError as exc:
-            problems.append(f"{path.name}: {exc}")
-    for path in sorted(directory.glob("*.group")):
-        try:
-            groups[path.stem] = parse_group_text(path.read_text())
-        except PosetBundleError as exc:
-            problems.append(f"{path.name}: {exc}")
-    fixture_pairs = {"winding-z3": ("circle2", "z3"),
-                     "fullimage-s3": ("twoloop", "s3")}
+    problems, posets, groups = [], {}, {}
+    for suffix, parse, parsed in (("poset", parse_poset_text, posets),
+                                  ("group", parse_group_text, groups)):
+        for path in sorted(directory.glob(f"*.{suffix}")):
+            try:
+                parsed[path.stem] = parse(path.read_text())
+            except PosetBundleError as exc:
+                problems.append(f"{path.name}: {exc}")
     for path in sorted(directory.glob("*.cochain")):
-        pair = fixture_pairs.get(path.stem)
-        if pair is None or pair[0] not in posets or pair[1] not in groups:
+        p, g, _ = COCHAIN_FIXTURES.get(path.stem, (None, None, None))
+        if p not in posets or g not in groups:
             continue
         try:
-            z = parse_cochain_text(path.read_text(), posets[pair[0]],
-                                   groups[pair[1]])
+            z = parse_cochain_text(path.read_text(), posets[p], groups[g])
             if not is_cocycle(z):
                 problems.append(f"{path.name}: not a cocycle")
         except PosetBundleError as exc:

@@ -26,7 +26,7 @@ from .errors import (
     CentralityViolation,
     MissingValue,
     Mismatch,
-    SearchLimitExceeded,
+    check_limit,
     content_lines,
     located,
 )
@@ -40,7 +40,7 @@ from .paths import (
 )
 from .poset import Poset, base_point
 from .simplicial import (Simplex0, complex_of, enumerate_simplices,
-                         parse_simplex1)
+                         enumerated, parse_simplex1)
 
 
 def _in_order(cells, mapping, message):
@@ -464,13 +464,15 @@ def _loop_ids(G: FiniteGroup, words, sigma):
     return [G.index[word_value(word, sigma, G)] for word in words.edge_words]
 
 
-def cocycle_from_hom(P, G, words, sigma, f):
-    """The 1-cocycle built from a fundamental-group homomorphism and a
-    points assignment f (element -> G) with f = identity at the base
-    point: z(b) = f(end) sigma([loop through b]) f(start)^-1."""
+def cocycle_from_hom(P, G, sigma, f=None):
+    """The 1-cocycle z(b) = f(end) sigma([loop through b]) f(start)^-1 of
+    a homomorphism sigma (generator values) of the fundamental group at
+    the base point and a point assignment f (element -> G), the identity
+    at the base point and, if f is None, everywhere."""
+    _, words = pi1_presentation(P, base_point(P))
+    f = (G.unit,) * len(P) if f is None else _point_ids(P, G, f)
     faces = complex_of(P)[1].faces
-    return Cochain1._of(P, G, _act(G, faces, _loop_ids(G, words, sigma),
-                                   _point_ids(P, G, f)))
+    return Cochain1._of(P, G, _act(G, faces, _loop_ids(G, words, sigma), f))
 
 
 def enumerate_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
@@ -481,36 +483,28 @@ def enumerate_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
     than the base point, so the enumeration ranges over those pairs.
     The value of each based loop is computed once per homomorphism;
     each point assignment only multiplies in its endpoint values.
+    Distinct pairs give distinct cocycles: the tree edges (empty words)
+    fix the assignment and the generator edges (one letter) sigma.
     """
     a0 = base_point(P)  # point id 0; the others follow in element order
     presentation, words = pi1_presentation(P, a0)
     homs = enumerate_homs(presentation, G, limit=limit)
     others = len(P) - 1
-    if len(homs) * len(G) ** others > limit:
-        raise SearchLimitExceeded(
-            f"{len(homs)} homomorphisms x {len(G)}^{others} point "
-            f"assignments exceed the limit {limit}"
-        )
+    check_limit(len(homs) * len(G) ** others, limit,
+                f"{len(homs)} homomorphisms x {len(G)}^{others} point "
+                "assignments")
     faces = complex_of(P)[1].faces
-    out = []
-    seen = set()
-    for sigma in homs:
-        loops = _loop_ids(G, words, sigma)
-        for choice in itertools.product(range(len(G)), repeat=others):
-            values = _act(G, faces, loops, (G.unit,) + choice)
-            if values not in seen:
-                seen.add(values)
-                out.append(Cochain1._of(P, G, values))
-    return tuple(out)
+    loops = [_loop_ids(G, words, sigma) for sigma in homs]
+    return tuple(Cochain1._of(P, G, _act(G, faces, x, (G.unit,) + choice))
+                 for x in loops
+                 for choice in itertools.product(range(len(G)), repeat=others))
 
 
 def enumerate_cocycles_raw(P: Poset, G: FiniteGroup, limit=10 ** 6):
     """Brute-force oracle: filter every map on 1-simplices."""
     simplices = enumerate_simplices(P, 1)
-    if len(G) ** len(simplices) > limit:
-        raise SearchLimitExceeded(
-            f"{len(G)}^{len(simplices)} maps exceed the limit {limit}"
-        )
+    check_limit(len(G) ** len(simplices), limit,
+                f"{len(G)}^{len(simplices)} maps")
     out = []
     for assignment in itertools.product(G.elements, repeat=len(simplices)):
         z = Cochain1(P, G, dict(zip(simplices, assignment)))
@@ -528,10 +522,9 @@ def classify_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
     spanning tree, in `enumerate_homs` order.  A disconnected poset
     raises `NotConnected`.
     """
-    presentation, words = pi1_presentation(P, base_point(P))
-    faces, unit = complex_of(P)[1].faces, (G.unit,) * len(P)
+    presentation, _ = pi1_presentation(P, base_point(P))
     return tuple(
-        Cochain1._of(P, G, _act(G, faces, _loop_ids(G, words, sigma), unit))
+        cocycle_from_hom(P, G, sigma)
         for sigma in hom_class_representatives(presentation, G, limit=limit)
     )
 
@@ -539,41 +532,50 @@ def classify_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
 # -- textual format --------------------------------------------------------
 
 
+def _read_values(lines, G, what, read_key):
+    """The ``<key> = <element of G>`` lines of a cochain or assignment
+    file as a dict, each checked as it is read; `read_key` turns a left
+    side into (key, key as messages write it) or raises if P lacks it."""
+    values = {}
+    for number, line, raw in lines:
+        with located(f" (line {number})"):
+            lhs, eq, rhs = line.partition("=")
+            if not eq:
+                raise BadParameter(f"bad {what} line: {raw!r}")
+            key, label = read_key(lhs)
+            if key in values:
+                raise BadParameter(f"repeated value for {label}: {raw!r}")
+            g = rhs.strip()
+            if g not in G:
+                raise MissingValue(f"{g!r} (value at {label}) is not in "
+                                   f"{G.name}")
+            values[key] = g
+    return values
+
+
 def parse_cochain_text(text: str, P: Poset, G: FiniteGroup) -> Cochain1:
     """Parse the 1-cochain format: a header line
     ``cochain <name> over <poset> values <group>`` followed by one
     ``(<support>;<end>,<start>) = <element>`` line per 1-simplex."""
-    header = None
-    values = {}
-    for number, line, raw in content_lines(text):
-        with located(f" (line {number})"):
-            if header is None:
-                fields = line.split()
-                if (
-                    len(fields) != 6
-                    or fields[0] != "cochain"
-                    or fields[2] != "over"
-                    or fields[4] != "values"
-                ):
-                    raise BadParameter(f"bad cochain header: {raw!r}")
-                if fields[3] != P.name:
-                    raise Mismatch(f"cochain is over {fields[3]!r}, "
-                                   f"not {P.name!r}")
-                if fields[5] != G.name:
-                    raise Mismatch(f"cochain takes values in {fields[5]!r}, "
-                                   f"not {G.name!r}")
-                header = fields[1]
-                continue
-            lhs, eq, rhs = line.partition("=")
-            if not eq:
-                raise BadParameter(f"bad cochain line: {raw!r}")
-            b = parse_simplex1(lhs)
-            if b in values:
-                raise BadParameter(f"repeated value for {b.encode()}: {raw!r}")
-            values[b] = rhs.strip()
-    if header is None:
+    lines = content_lines(text)
+    number, line, raw = next(lines, (None, None, None))
+    if line is None:
         raise BadParameter("missing cochain header")
-    return Cochain1(P, G, values)
+    with located(f" (line {number})"):
+        fields = line.split()
+        if len(fields) != 6 or fields[::2] != ["cochain", "over", "values"]:
+            raise BadParameter(f"bad cochain header: {raw!r}")
+        if fields[3] != P.name:
+            raise Mismatch(f"cochain is over {fields[3]!r}, not {P.name!r}")
+        if fields[5] != G.name:
+            raise Mismatch(f"cochain takes values in {fields[5]!r}, "
+                           f"not {G.name!r}")
+
+    def simplex(lhs):
+        b = enumerated(P, parse_simplex1(lhs))
+        return b, b.encode()
+
+    return Cochain1(P, G, _read_values(lines, G, "cochain", simplex))
 
 
 def format_cochain_text(u: Cochain1, name="u") -> str:
@@ -586,19 +588,13 @@ def format_cochain_text(u: Cochain1, name="u") -> str:
 def parse_assignment_text(text: str, P: Poset, G: FiniteGroup):
     """Parse ``<element> = <group element>`` lines into a total map on
     the points of P."""
-    f = {}
-    for number, line, raw in content_lines(text):
-        with located(f" (line {number})"):
-            lhs, eq, rhs = line.partition("=")
-            if not eq:
-                raise BadParameter(f"bad assignment line: {raw!r}")
-            a, g = lhs.strip(), rhs.strip()
-            P.check_element(a)
-            if a in f:
-                raise BadParameter(f"repeated value for {a}: {raw!r}")
-            if g not in G:
-                raise MissingValue(f"{g!r} is not in {G.name}")
-            f[a] = g
+
+    def element(lhs):
+        a = lhs.strip()
+        P.check_element(a)
+        return a, a
+
+    f = _read_values(content_lines(text), G, "assignment", element)
     missing = [a for a in P.elements if a not in f]
     if missing:
         raise MissingValue(f"assignment misses elements: {missing}")

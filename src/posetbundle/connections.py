@@ -32,9 +32,9 @@ from .errors import (
     NotAConnection,
     NotCentral,
     PreconditionViolated,
-    SearchLimitExceeded,
     TrivialGroup,
     WrongCocycle,
+    check_limit,
 )
 from .groups import FiniteGroup
 from .paths import Path
@@ -376,11 +376,8 @@ def enumerate_connections(P: Poset, G: FiniteGroup, z: Cochain1 = None,
         )
     bundles = (z,) if z is not None else enumerate_cocycles(P, G, limit)
     free = complex_of(P)[1].free_classes
-    if len(bundles) * len(G) ** len(free) > limit:
-        raise SearchLimitExceeded(
-            f"{len(bundles)} bundles x {len(G)}^{len(free)} twists exceed "
-            f"the limit {limit}"
-        )
+    check_limit(len(bundles) * len(G) ** len(free), limit,
+                f"{len(bundles)} bundles x {len(G)}^{len(free)} twists")
     out = []
     for bundle in bundles:
         for choice in itertools.product(range(len(G)), repeat=len(free)):

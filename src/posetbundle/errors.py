@@ -73,6 +73,14 @@ class SearchLimitExceeded(PosetBundleError):
     pass
 
 
+def check_limit(count, limit, what):
+    """Raise `SearchLimitExceeded` if a search of `count` candidates,
+    described by `what`, would go over `limit`; checked before any
+    work starts."""
+    if count > limit:
+        raise SearchLimitExceeded(f"{what} exceed the limit {limit}")
+
+
 # --- groups ---
 
 class MalformedTable(PosetBundleError):

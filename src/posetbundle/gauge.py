@@ -4,48 +4,35 @@ connections."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
 
-from .cochains import (Cochain1, _act, _point_ids, is_cocycle, is_morphism,
-                       morphisms)
-from .errors import Mismatch, SearchLimitExceeded, WrongCocycle
+from .cochains import (Cochain1, Morphism1, _act, _point_ids, is_cocycle,
+                       is_morphism, morphisms)
+from .errors import Mismatch, WrongCocycle, check_limit
 
 
-@dataclass(frozen=True)
-class GaugeTransformation:
-    """A symmetry of a bundle: a point assignment commuting with the
-    cocycle, z(b) f(start) = f(end) z(b) for every 1-simplex b."""
+class GaugeTransformation(Morphism1):
+    """A symmetry of a bundle: a morphism from the cocycle to itself, a
+    point assignment with z(b) f(start) = f(end) z(b) for every
+    1-simplex b."""
 
-    cocycle: Cochain1
-    assignment: tuple  # sorted (element, group element) pairs
+    def __init__(self, cocycle: Cochain1, assignment):
+        super().__init__(cocycle, cocycle, assignment)
 
-    def as_dict(self):
-        return dict(self.assignment)
-
-    @cached_property
-    def _lookup(self):
-        return dict(self.assignment)
-
-    def __call__(self, element):
-        return self._lookup[element]
+    @property
+    def cocycle(self) -> Cochain1:
+        return self.source
 
     def compose(self, other: "GaugeTransformation") -> "GaugeTransformation":
         if self.cocycle != other.cocycle:
             raise Mismatch("gauge transformations of different bundles")
         G = self.cocycle.group
-        f, g = self.as_dict(), other.as_dict()
-        return GaugeTransformation(
-            self.cocycle,
-            tuple(sorted((a, G.mul(f[a], g[a])) for a in f)),
-        )
+        return GaugeTransformation(self.cocycle, tuple(
+            (a, G.mul(g, other(a))) for a, g in self.assignment))
 
     def inverse(self) -> "GaugeTransformation":
         G = self.cocycle.group
-        return GaugeTransformation(
-            self.cocycle,
-            tuple(sorted((a, G.inv(g)) for a, g in self.assignment)),
-        )
+        return GaugeTransformation(self.cocycle, tuple(
+            (a, G.inv(g)) for a, g in self.assignment))
 
 
 def is_gauge_transformation(z: Cochain1, f) -> bool:
@@ -63,10 +50,7 @@ def gauge_group(z: Cochain1):
 def gauge_group_raw(z: Cochain1, limit=10 ** 6):
     """Oracle: filter every point assignment."""
     P, G = z.poset, z.group
-    if len(G) ** len(P) > limit:
-        raise SearchLimitExceeded(
-            f"{len(G)}^{len(P)} assignments exceed the limit {limit}"
-        )
+    check_limit(len(G) ** len(P), limit, f"{len(G)}^{len(P)} assignments")
     out = []
     for choice in itertools.product(G.elements, repeat=len(P)):
         f = dict(zip(P.elements, choice))

@@ -126,22 +126,17 @@ class FiniteGroup:
     # -- derived subsets --------------------------------------------------
 
     def subgroup_generated(self, generators):
-        """Worklist closure of a generating subset, in element order."""
-        members = {self.identity}
-        frontier = [self.identity]
-        gens = [g for g in generators]
-        for g in gens:
-            if g not in members:
-                members.add(g)
-                frontier.append(g)
-        while frontier:
-            h = frontier.pop()
-            for g in gens + [self.inv(h)]:
-                for prod in (self.mul(h, g), self.mul(g, h)):
-                    if prod not in members:
-                        members.add(prod)
-                        frontier.append(prod)
-        return tuple(g for g in self.elements if g in members)
+        """The subgroup generated by a subset, in element order: the orbit
+        of the unit under right multiplication by the generators.  In a
+        finite group the monoid a set generates is already a subgroup."""
+        gens = {self.index[g] for g in generators}
+        members, frontier = {self.unit}, [self.unit]
+        for h in frontier:
+            for g in gens:
+                if (hg := self.rows[h][g]) not in members:
+                    members.add(hg)
+                    frontier.append(hg)
+        return tuple(g for i, g in enumerate(self.elements) if i in members)
 
     def centralizer(self, subset):
         return tuple(
@@ -154,20 +149,11 @@ class FiniteGroup:
         return tuple(h for h in self.elements if h in conj)
 
     def normal_closure_in(self, ambient, generators):
-        """Normal closure of `generators` inside the subgroup `ambient`."""
-        closure = set(self.subgroup_generated(generators))
-        changed = True
-        while changed:
-            changed = False
-            for g in ambient:
-                for h in list(closure):
-                    c = self.conjugate(g, h)
-                    if c not in closure:
-                        closure = set(
-                            self.subgroup_generated(tuple(closure) + (c,))
-                        )
-                        changed = True
-        return tuple(g for g in self.elements if g in closure)
+        """Normal closure of `generators` inside the subgroup `ambient`:
+        the subgroup generated by their conjugates a h a^-1, a in
+        `ambient`."""
+        return self.subgroup_generated(
+            {self.conjugate(a, h) for a in ambient for h in set(generators)})
 
     def subgroup(self, members, name=None):
         """The sub-Cayley-table group on a closed subset."""

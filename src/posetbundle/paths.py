@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from . import smith
 from .errors import (BadParameter, EndpointMismatch, NotConnected,
-                     SearchLimitExceeded)
+                     check_limit)
 from .groups import FiniteGroup
 from .poset import Poset
 from .simplicial import (
@@ -298,10 +298,7 @@ def enumerate_homs(presentation: Presentation, G: FiniteGroup, limit=10 ** 6):
     """
     k = len(presentation.generators)
     total = len(G) ** k
-    if total > limit:
-        raise SearchLimitExceeded(
-            f"{len(G)}^{k} = {total} assignments exceed the limit {limit}"
-        )
+    check_limit(total, limit, f"{len(G)}^{k} = {total} assignments")
     closing = [[] for _ in range(k)]
     for relator in presentation.relators:
         closing[max(idx for idx, _ in relator)].append(relator)

@@ -212,6 +212,35 @@ def test_check_cocycle_exit_codes(workspace):
     assert run(args) == 1
 
 
+def test_homotopic_unknown_verdict(workspace, tmp_path, capsys):
+    """Exit 1 for "unknown" too, with no certificate length."""
+    (tmp_path / "once.path").write_text("(a1;a1,a1)\n")
+    (tmp_path / "twice.path").write_text("(a1;a1,a1);(a1;a1,a1)\n")
+    args = ["homotopic", workspace / "circle2.poset", tmp_path / "once.path",
+            tmp_path / "twice.path", "--bound"]
+    assert run(args + ["1"]) == 1
+    out = capsys.readouterr().out
+    assert "status: unknown" in out and "certificate-steps" not in out
+    assert run(args + ["2"]) == 0
+    assert "status: yes" in capsys.readouterr().out
+
+
+def test_check_cocycle_value_errors_give_the_line(workspace, capsys):
+    lines = (workspace / "winding.cochain").read_text().splitlines()
+    assert lines[1].startswith("(a1;a1,a1) = ")
+    bad = workspace / "bad.cochain"
+    args = ["check-cocycle", workspace / "circle2.poset",
+            workspace / "z3.group", bad]
+    bad.write_text("\n".join([lines[0], "(a1;a1,a1) = g9"] + lines[2:]))
+    assert run(args) == 2
+    assert capsys.readouterr().err == (
+        f"error: 'g9' (value at (a1;a1,a1)) is not in Z3 (line 2) in {bad}\n")
+    bad.write_text("\n".join(lines + ["(o9;a1,a1) = g0"]))
+    assert run(args) == 2
+    assert capsys.readouterr().err == (
+        "error: (o9;a1,a1) is not a 1-simplex of circle2 "
+        f"(line {len(lines) + 1}) in {bad}\n")
+
 def test_classify_cocycles(workspace, capsys):
     assert run(["classify-cocycles", workspace / "circle2.poset",
                 workspace / "z3.group"]) == 0

@@ -36,12 +36,22 @@ from posetbundle.cochains import (
 from posetbundle.errors import (
     BadParameter,
     CentralityViolation,
+    MalformedTable,
     Mismatch,
     MissingValue,
+    NoInverse,
+    NoSuchSimplex,
     SearchLimitExceeded,
     UnknownElement,
 )
-from posetbundle.groups import GroupHom, ad, cyclic_group, symmetric_group
+from posetbundle.groups import (
+    FiniteGroup,
+    GroupHom,
+    ad,
+    cyclic_group,
+    parse_group_text,
+    symmetric_group,
+)
 from posetbundle.paths import (
     Path,
     compose,
@@ -50,7 +60,7 @@ from posetbundle.paths import (
     reverse_path,
     word_value,
 )
-from posetbundle.poset import build_poset
+from posetbundle.poset import build_poset, parse_poset_text
 from posetbundle.simplicial import (
     Simplex0,
     Simplex1,
@@ -382,6 +392,68 @@ def test_cochain_and_assignment_errors_give_the_line(posets):
         parse_assignment_text(text, P, Z3)
     assert str(caught.value) == "'o9' is not an element of circle2 (line 5)"
 
+
+
+def test_cochain_value_errors_give_the_line(posets):
+    """A value outside the group and a simplex outside the poset are
+    rejected on their own line, not after the whole file is read."""
+    P = posets["circle2"]
+    lines = format_cochain_text(trivial_cochain1(P, Z3), name="t").splitlines()
+    assert lines[1] == "(a1;a1,a1) = g0"
+    outside = [lines[0], "(a1;a1,a1) = g9"] + lines[2:]
+    with pytest.raises(MissingValue) as caught:
+        parse_cochain_text("\n".join(outside), P, Z3)
+    assert str(caught.value) == \
+        "'g9' (value at (a1;a1,a1)) is not in Z3 (line 2)"
+    foreign = lines + ["(o9;a1,a1) = g0"]
+    with pytest.raises(NoSuchSimplex) as caught:
+        parse_cochain_text("\n".join(foreign), P, Z3)
+    assert str(caught.value) == \
+        f"(o9;a1,a1) is not a 1-simplex of circle2 (line {len(foreign)})"
+    with pytest.raises(MissingValue) as caught:
+        parse_assignment_text("a1 = g0\na2 = g9\n", P, Z3)
+    assert str(caught.value) == "'g9' (value at a2) is not in Z3 (line 2)"
+
+
+def _cochain(text):
+    return parse_cochain_text(text, build_poset(["x"], []), Z2)
+
+
+def _assignment(text):
+    return parse_assignment_text(text, build_poset(["x"], []), Z2)
+
+
+def _table(text):
+    return FiniteGroup(text.split(), {})
+
+
+@pytest.mark.parametrize("parse, text, error, message, suffix", [
+    (parse_group_text, "group a b\n", MalformedTable,
+     "bad group header: 'group a b'", " (line 1)"),
+    (parse_group_text, "group g\nelems e\nfoo\n", MalformedTable,
+     "unrecognized group line: 'foo'", " (line 3)"),
+    (parse_group_text, "elems e\ntable\ne: e\n", MalformedTable,
+     "missing group header or elems line", ""),
+    (parse_group_text, "group g\nelems e e\ntable\ne: e e\n",
+     MalformedTable, "duplicate group elements", ""),
+    (_table, "e", MalformedTable, "missing product 'e'*'e'", ""),
+    (parse_group_text, "group g\nelems e a\ntable\ne: e x\na: a e\n",
+     MalformedTable, "product 'e'*'a' = 'x' not an element", ""),
+    (parse_group_text, "group g\nelems e a\ntable\ne: e a\na: a a\n",
+     NoInverse, "'a' has no inverse", ""),
+    (parse_poset_text, "poset a b\n", BadParameter,
+     "bad poset header: 'poset a b'", " (line 1)"),
+    (parse_poset_text, "poset p\nelem x\nle y x\n", UnknownElement,
+     "relation references unknown element 'y'", ""),
+    (_cochain, "# nothing but a comment\n", BadParameter,
+     "missing cochain header", ""),
+    (_assignment, "\nx g0\n", BadParameter,
+     "bad assignment line: 'x g0'", " (line 2)"),
+])
+def test_parser_and_table_errors(parse, text, error, message, suffix):
+    with pytest.raises(error) as caught:
+        parse(text)
+    assert str(caught.value) == message + suffix
 
 @settings(max_examples=25, deadline=None)
 @given(st.randoms(use_true_random=False))

@@ -3,8 +3,10 @@ identity, the constructed cocycle classes and connections, the indexed
 deformation search, the presentation and holonomy on simplex ids and
 the id kernels of cochains and connections against brute force or the
 filters, scans and object-keyed formulas they replace, on random posets
-of at most four (five for the presentation) elements with values in
-Z2, Z3 and S3."""
+of at most four (five for the presentation and the cocycle count)
+elements with values in Z2, Z3 and S3; and of subgroup closures against
+the worklist and fixpoint they replace, over S3, S4, Z6 and the trivial
+group."""
 
 import itertools
 import random
@@ -24,6 +26,7 @@ from posetbundle.cochains import (
     coboundary1,
     coboundary2,
     enumerate_cocycles,
+    enumerate_cocycles_raw,
     extend_to_path,
     find_morphism,
     identity_failures,
@@ -32,6 +35,7 @@ from posetbundle.cochains import (
     random_cochain0,
     random_cochain1,
     tree_transport,
+    trivial_cochain1,
 )
 from posetbundle.connections import (
     construct_from_cochain,
@@ -43,9 +47,11 @@ from posetbundle.connections import (
     is_adapted,
     noninflating_pairs,
 )
-from posetbundle.errors import NotConnected, PreconditionViolated
+from posetbundle.errors import (NotConnected, PreconditionViolated,
+                                SearchLimitExceeded)
 from posetbundle.gauge import gauge_act, gauge_group, gauge_group_raw
-from posetbundle.groups import ad, cyclic_group, symmetric_group
+from posetbundle.groups import (ad, cyclic_group, symmetric_group,
+                                trivial_group)
 from posetbundle.paths import (
     Path,
     compose,
@@ -755,3 +761,129 @@ def test_values_and_tau_are_read_only(posets):
         with pytest.raises(TypeError):
             del view[key]
     assert u.values[b] == u(b) and w.tau[b] == ad(S3, u(b))
+
+
+# -- subgroup closures against the worklist and fixpoint they replace ------
+
+
+def worklist_subgroup_generated(G, generators):
+    """The former closure: products on both sides with the generators
+    and the inverse of each new member, until nothing is new."""
+    members = {G.identity}
+    frontier = [G.identity]
+    gens = list(generators)
+    for g in gens:
+        if g not in members:
+            members.add(g)
+            frontier.append(g)
+    while frontier:
+        h = frontier.pop()
+        for g in gens + [G.inv(h)]:
+            for prod in (G.mul(h, g), G.mul(g, h)):
+                if prod not in members:
+                    members.add(prod)
+                    frontier.append(prod)
+    return tuple(g for g in G.elements if g in members)
+
+
+def fixpoint_normal_closure(G, ambient, generators):
+    """The former normal closure: regenerate after every new conjugate
+    until conjugation by `ambient` adds nothing."""
+    closure = set(worklist_subgroup_generated(G, generators))
+    changed = True
+    while changed:
+        changed = False
+        for g in ambient:
+            for h in list(closure):
+                c = G.conjugate(g, h)
+                if c not in closure:
+                    closure = set(worklist_subgroup_generated(
+                        G, tuple(closure) + (c,)))
+                    changed = True
+    return tuple(g for g in G.elements if g in closure)
+
+
+CLOSURE_GROUPS = [symmetric_group(3), symmetric_group(4), cyclic_group(6),
+                  trivial_group()]
+
+
+@st.composite
+def group_and_subsets(draw):
+    G = draw(st.sampled_from(CLOSURE_GROUPS))
+    subset = st.lists(st.sampled_from(G.elements), max_size=3)
+    return G, draw(subset), draw(subset)
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_and_subsets())
+def test_subgroup_closures_match_worklist_and_fixpoint(case):
+    G, gens, ambient_gens = case
+    assert G.subgroup_generated(gens) == worklist_subgroup_generated(G, gens)
+    ambient = worklist_subgroup_generated(G, ambient_gens)
+    assert G.normal_closure_in(ambient, gens) == \
+        fixpoint_normal_closure(G, ambient, gens)
+
+
+# -- cocycle enumeration: one cocycle per (homomorphism, assignment) -------
+
+
+def assert_one_cocycle_per_pair(P, G, bound=None):
+    """|homs| |G|^(|P|-1) cocycles, no two equal; with a `bound`, an
+    example with more (homomorphism, assignment) pairs is skipped."""
+    presentation, _ = pi1_presentation(P, base_point(P))
+    try:
+        homs = enumerate_homs(presentation, G)
+    except SearchLimitExceeded:
+        assert bound is not None
+        return
+    pairs = len(homs) * len(G) ** (len(P) - 1)
+    if bound is not None and pairs > bound:
+        return
+    cocycles = enumerate_cocycles(P, G)
+    assert len(cocycles) == pairs
+    assert len(set(cocycles)) == len(cocycles)
+
+
+@pytest.mark.parametrize("name", ["chain2", "chain3", "vee", "circle2",
+                                  "twoloop"])
+@pytest.mark.parametrize("group", ["z2", "z3", "s3"])
+def test_fixture_cocycles_are_distinct_and_counted(posets, groups, name,
+                                                   group):
+    assert_one_cocycle_per_pair(posets[name], groups[group])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_posets(max_size=5), GROUPS)
+def test_cocycles_are_distinct_and_counted(P, G):
+    assert_one_cocycle_per_pair(P, G, bound=20000)
+
+
+# -- the search-limit messages, word for word ------------------------------
+
+
+def test_search_limit_messages(posets, groups):
+    circle, Z3, S3 = posets["circle2"], groups["z3"], groups["s3"]
+    presentation, _ = pi1_presentation(posets["twoloop"], "m1")
+    cases = [
+        (lambda: enumerate_homs(presentation, S3, limit=10),
+         "6^5 = 7776 assignments exceed the limit 10"),
+        (lambda: enumerate_cocycles(circle, Z3, limit=30),
+         "3 homomorphisms x 3^3 point assignments exceed the limit 30"),
+        (lambda: enumerate_cocycles_raw(circle, Z3, limit=1000),
+         "3^20 maps exceed the limit 1000"),
+        (lambda: enumerate_connections(circle, Z3, limit=100),
+         "81 bundles x 3^2 twists exceed the limit 100"),
+        (lambda: gauge_group_raw(trivial_cochain1(circle, Z3), limit=10),
+         "3^4 assignments exceed the limit 10"),
+    ]
+    for search, message in cases:
+        with pytest.raises(SearchLimitExceeded) as caught:
+            search()
+        assert str(caught.value) == message
+
+
+def test_search_limits_admit_a_search_of_exactly_the_limit(posets, groups):
+    circle, Z3 = posets["circle2"], groups["z3"]
+    assert len(enumerate_cocycles(circle, Z3, limit=81)) == 81
+    assert len(enumerate_connections(circle, Z3, limit=729)) == 729
+    assert len(gauge_group_raw(trivial_cochain1(circle, Z3), limit=81)) == 3

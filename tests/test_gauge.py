@@ -3,7 +3,7 @@ import random
 import pytest
 
 from posetbundle.acceptance import full_image_cocycle, winding_cocycle
-from posetbundle.cochains import trivial_cochain1
+from posetbundle.cochains import Morphism1, trivial_cochain1
 from posetbundle.connections import (
     construct_nonflat,
     curvature,
@@ -123,3 +123,27 @@ def test_gauge_act_accepts_plain_mappings(posets):
     u = trivial_cochain1(P, Z3)
     mapping = {a: "g1" for a in P.elements}
     assert gauge_act(mapping, u) == u  # constant map conjugates trivially
+
+
+def test_gauge_transformations_are_morphisms_to_the_bundle(posets):
+    z = winding_cocycle(posets["circle2"], S3, "231")
+    for f in gauge_group(z):
+        assert isinstance(f, Morphism1)
+        assert f.cocycle is f.source is f.target is z
+        assert GaugeTransformation(z, f.assignment) == f
+        assert [f(a) for a, _ in f.assignment] == [g for _, g in f.assignment]
+        assert repr(f).startswith("GaugeTransformation(source=")
+
+
+def test_composition_is_pointwise_in_order(posets):
+    """On the trivial bundle over S3 the gauge group is S3 itself, so the
+    order of the pointwise product shows."""
+    P = posets["circle2"]
+    z = trivial_cochain1(P, S3)
+    u, _ = construct_nonflat(z, g="213")
+    gg = gauge_group(z)
+    for f in gg:
+        for g in gg:
+            fg = f.compose(g)
+            assert all(fg(a) == S3.mul(f(a), g(a)) for a in P.elements)
+            assert gauge_act(f, gauge_act(g, u)) == gauge_act(fg, u)

@@ -118,6 +118,18 @@ def test_homotopy_verdicts(posets):
         homotopic(trivial, Path((edge("o1", "o1", "a2"),)), P, bound=2)
 
 
+def test_homotopy_verdict_unknown_below_the_needed_bound(posets):
+    """A degenerate step and its square are homotopic, but the one
+    deformation between them passes through a path of length 2."""
+    P = posets["circle2"]
+    b = edge("a1", "a1", "a1")
+    p, q = Path((b,)), Path((b, b))
+    unknown = homotopic(p, q, P, bound=1)
+    assert unknown.status == "unknown"
+    assert not unknown and unknown.certificate == ()
+    yes = homotopic(p, q, P, bound=2)
+    assert yes.status == "yes" and yes.certificate == (p, q)
+
 def test_pi1_circle_is_infinite_cyclic(posets):
     pres, words = pi1_presentation(posets["circle2"], "a1")
     assert len(pres.generators) == 3
