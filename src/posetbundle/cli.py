@@ -15,38 +15,23 @@ from and, when it is about one line, the line number.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from dataclasses import asdict
 from pathlib import Path as FilePath
 
-from . import acceptance
-from . import connections as cn
-from .cochains import (
-    classify_cocycles,
-    coboundary,
-    cocycle_violations,
-    format_cochain_text,
-    is_cocycle,
-    parse_assignment_text,
-    parse_cochain_text,
-    trivial_cochain1,
-)
 from .errors import PosetBundleError, UsageError, content_lines, located
-from .gauge import gauge_act, gauge_group, is_gauge_transformation
-from .groups import format_group_text, parse_group_text
-from .paths import Path, homotopic, pi1_presentation
-from .poset import (
-    base_point,
-    format_poset_text,
-    generate,
-    is_directed,
-    is_pathwise_connected,
-    is_totally_ordered,
-    parse_poset_text,
-)
-from .simplicial import enumerate_simplices, enumerated, parse_simplex1
+
+# Each handler and loader imports the library modules it uses, so a
+# command pays only for its own imports; `suite` alone loads
+# `acceptance`, which `cli.acceptance` still names.
+
+
+def __getattr__(name):
+    if name == "acceptance":
+        from . import acceptance
+        return acceptance
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _read(path):
@@ -56,10 +41,13 @@ def _read(path):
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _parse_path(text, P) -> Path:
+def _parse_path(text, P):
     """Path files list 1-simplices of P, first step written last,
     separated by whitespace or `;`; `#` starts a comment, and a
     1-simplex does not span lines."""
+    from .paths import Path
+    from .simplicial import enumerated, parse_simplex1
+
     steps = []
     for number, line, _ in content_lines(text):
         with located(f" (line {number})"):
@@ -74,21 +62,40 @@ def _parse_path(text, P) -> Path:
     return Path(tuple(reversed(steps)))
 
 
+def _load_poset(text, args):
+    from .poset import parse_poset_text
+    return parse_poset_text(text)
+
+
+def _load_group(text, args):
+    from .groups import parse_group_text
+    return parse_group_text(text)
+
+
+def _load_cochain(text, args):
+    from .cochains import parse_cochain_text
+    return parse_cochain_text(text, args.poset, args.group)
+
+
+def _load_assignment(text, args):
+    from .cochains import parse_assignment_text
+    return parse_assignment_text(text, args.poset, args.group)
+
+
 # How each kind of input file becomes an object; a cochain or an
 # assignment is read against the poset and group loaded before it.
 LOADERS = {
-    "poset": lambda text, args: parse_poset_text(text),
-    "group": lambda text, args: parse_group_text(text),
-    "cochain": lambda text, args: parse_cochain_text(text, args.poset,
-                                                     args.group),
+    "poset": _load_poset,
+    "group": _load_group,
+    "cochain": _load_cochain,
     "path": lambda text, args: _parse_path(text, args.poset),
-    "assignment": lambda text, args: parse_assignment_text(text, args.poset,
-                                                           args.group),
+    "assignment": _load_assignment,
 }
 
 
 def _emit(report, fmt):
     if fmt == "json":
+        import json
         print(json.dumps(report, indent=2))
         return
     # In text mode a "cochain" payload goes to stdout verbatim so it can be
@@ -113,6 +120,8 @@ def _emit(report, fmt):
 
 
 def cmd_validate(args):
+    from .poset import is_directed, is_pathwise_connected, is_totally_ordered
+
     P = args.poset
     return 0, {
         "poset": P.name,
@@ -125,6 +134,8 @@ def cmd_validate(args):
 
 
 def cmd_gen(args):
+    from .poset import format_poset_text, generate
+
     P = generate(args.kind, args.n)
     text = format_poset_text(P)
     if args.output:
@@ -135,6 +146,8 @@ def cmd_gen(args):
 
 
 def cmd_simplices(args):
+    from .simplicial import enumerate_simplices
+
     P = args.poset
     simplices = enumerate_simplices(P, args.dim, inflating_only=args.inflating)
     report = {
@@ -150,6 +163,9 @@ def cmd_simplices(args):
 
 
 def cmd_pi1(args):
+    from .paths import pi1_presentation
+    from .poset import base_point
+
     P = args.poset
     base = args.base or base_point(P)
     pres, _ = pi1_presentation(P, base)
@@ -163,6 +179,8 @@ def cmd_pi1(args):
 
 
 def cmd_homotopic(args):
+    from .paths import homotopic
+
     verdict = homotopic(args.path1, args.path2, args.poset, args.bound)
     report = {
         "poset": args.poset.name,
@@ -190,6 +208,8 @@ def _header(args):
 
 
 def cmd_check_cocycle(args):
+    from .cochains import cocycle_violations, is_cocycle
+
     ok = is_cocycle(args.cochain)
     report = {**_header(args), "cocycle": ok}
     if not ok:
@@ -200,6 +220,9 @@ def cmd_check_cocycle(args):
 
 
 def cmd_classify_cocycles(args):
+    from .cochains import classify_cocycles
+    from .simplicial import enumerate_simplices
+
     P, G = args.poset, args.group
     reps = classify_cocycles(P, G, limit=args.limit)
     return 0, {
@@ -214,12 +237,17 @@ def cmd_classify_cocycles(args):
 
 
 def cmd_dd_check(args):
+    from .cochains import coboundary
+
     x = coboundary(coboundary(args.cochain))
     ok = all(g == args.group.unit for g in x.ids)
     return (0 if ok else 1), {**_header(args), "second-coboundary-trivial": ok}
 
 
 def cmd_curvature(args):
+    from . import connections as cn
+    from .simplicial import enumerate_simplices
+
     w = cn.curvature(args.cochain)
     nontrivial = [
         f"{c.encode()} -> {w(c)}"
@@ -235,11 +263,17 @@ def cmd_curvature(args):
 
 
 def cmd_induce(args):
+    from . import connections as cn
+    from .cochains import format_cochain_text
+
     z = cn.induced_cocycle(args.cochain)
     return 0, {"cochain": format_cochain_text(z, name="induced")}
 
 
 def cmd_holonomy(args):
+    from . import connections as cn
+    from .poset import base_point
+
     u = args.cochain
     base = args.base or base_point(args.poset)
     report = {**_header(args), "base": base,
@@ -250,6 +284,10 @@ def cmd_holonomy(args):
 
 
 def cmd_nonflat(args):
+    from . import connections as cn
+    from .cochains import format_cochain_text, trivial_cochain1
+    from .simplicial import parse_simplex1
+
     z = args.cocycle or trivial_cochain1(args.poset, args.group)
     b = parse_simplex1(args.edge) if args.edge else None
     u, witness = cn.construct_nonflat(z, b, args.g)
@@ -261,6 +299,10 @@ def cmd_nonflat(args):
 
 
 def cmd_reduce(args):
+    from . import connections as cn
+    from .cochains import format_cochain_text
+    from .poset import base_point
+
     base = args.base or base_point(args.poset)
     u1, f, H = cn.ambrose_singer_reduce(args.cochain, base)
     return 0, {
@@ -272,6 +314,8 @@ def cmd_reduce(args):
 
 
 def cmd_gauge_group(args):
+    from .gauge import gauge_group
+
     gg = gauge_group(args.cochain)
     return 0, {
         **_header(args),
@@ -283,6 +327,10 @@ def cmd_gauge_group(args):
 
 
 def cmd_gauge_act(args):
+    from . import connections as cn
+    from .cochains import format_cochain_text
+    from .gauge import gauge_act, is_gauge_transformation
+
     u, f = args.cochain, args.transform
     if not is_gauge_transformation(cn.induced_cocycle(u), f):
         raise UsageError(
@@ -294,15 +342,22 @@ def cmd_gauge_act(args):
 
 
 # The cochain fixtures of `suite`: file stem -> (poset stem, group stem,
-# function making the cochain from the standard poset and group).
+# function making the cochain from the `acceptance` module and the
+# standard poset and group).
 COCHAIN_FIXTURES = {
     "winding-z3": ("circle2", "z3",
-                   lambda P, G: acceptance.winding_cocycle(P, G, "g1")),
-    "fullimage-s3": ("twoloop", "s3", acceptance.full_image_cocycle),
+                   lambda acc, P, G: acc.winding_cocycle(P, G, "g1")),
+    "fullimage-s3": ("twoloop", "s3",
+                     lambda acc, P, G: acc.full_image_cocycle(P, G)),
 }
 
 
 def _write_fixtures(directory):
+    from . import acceptance
+    from .cochains import format_cochain_text
+    from .groups import format_group_text
+    from .poset import format_poset_text
+
     directory.mkdir(parents=True, exist_ok=True)
     posets, groups = acceptance.standard_posets(), acceptance.standard_groups()
     written = []
@@ -319,12 +374,16 @@ def _write_fixtures(directory):
         write(f"{name}.group", lambda: format_group_text(G))
     for name, (p, g, build) in COCHAIN_FIXTURES.items():
         write(f"{name}.cochain", lambda: format_cochain_text(
-            build(posets[p], groups[g]), name=name))
+            build(acceptance, posets[p], groups[g]), name=name))
     return written
 
 
 def _fixture_problems(directory):
     """What is wrong with the fixture files, one line per file."""
+    from .cochains import is_cocycle, parse_cochain_text
+    from .groups import parse_group_text
+    from .poset import parse_poset_text
+
     problems, posets, groups = [], {}, {}
     for suffix, parse, parsed in (("poset", parse_poset_text, posets),
                                   ("group", parse_group_text, groups)):
@@ -352,6 +411,8 @@ def cmd_suite(args):
     Text mode prints as it goes, since the criteria take a while; JSON
     mode returns one report of the fixtures and the criteria.
     """
+    from . import acceptance
+
     directory = FilePath(args.fixtures)
     written = sorted(_write_fixtures(directory))
     problems = _fixture_problems(directory)
@@ -362,7 +423,8 @@ def cmd_suite(args):
         print(f"fixture validation [{'FAIL' if problems else 'PASS'}]")
         for problem in problems:
             print(f"  {problem}")
-    results = () if problems else acceptance.run_all(seed=args.seed)
+    results = () if problems else acceptance.run_all(
+        seed=acceptance.DEFAULT_SEED if args.seed is None else args.seed)
     passed = sum(r.passed for r in results)
     if text and not problems:
         for result in results:
@@ -435,7 +497,7 @@ COMMANDS = (
      (arg("--transform", required=True, load="assignment"),), None),
     ("suite", cmd_suite, "",
      (arg("--fixtures", default="fixtures"),
-      arg("--seed", type=int, default=acceptance.DEFAULT_SEED)),
+      arg("--seed", type=int)),
      "run the acceptance criteria"),
 )
 

@@ -62,9 +62,10 @@ def gauge_group_raw(z: Cochain1, limit=10 ** 6):
 def gauge_act(f, u: Cochain1) -> Cochain1:
     """The action on 1-cochains: b -> f(end) u(b) f(start)^-1.
 
-    Accepts a GaugeTransformation or a plain element -> group mapping.
+    Accepts a Morphism1 (a GaugeTransformation, or z -> z from
+    `find_morphism`) or a plain element -> group mapping.
     """
-    mapping = f.as_dict() if isinstance(f, GaugeTransformation) else dict(f)
+    mapping = f.as_dict() if isinstance(f, Morphism1) else dict(f)
     t = _point_ids(u.poset, u.group, mapping)
     return Cochain1._of(u.poset, u.group,
                         _act(u.group, u.cells.faces, u.ids, t))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from posetbundle.acceptance import full_image_cocycle, winding_cocycle
-from posetbundle.cochains import Morphism1, trivial_cochain1
+from posetbundle.cochains import Morphism1, find_morphism, trivial_cochain1
 from posetbundle.connections import (
     construct_nonflat,
     curvature,
@@ -123,6 +123,17 @@ def test_gauge_act_accepts_plain_mappings(posets):
     u = trivial_cochain1(P, Z3)
     mapping = {a: "g1" for a in P.elements}
     assert gauge_act(mapping, u) == u  # constant map conjugates trivially
+
+
+def test_gauge_act_accepts_any_morphism(posets):
+    z = winding_cocycle(posets["circle2"], S3, "213")
+    u, _ = construct_nonflat(z)
+    m = find_morphism(z, z)
+    assert type(m) is Morphism1
+    assert gauge_act(m, u) == gauge_act(GaugeTransformation(z, m.assignment), u)
+    for f in gauge_group(z):
+        plain = Morphism1(z, z, f.assignment)
+        assert gauge_act(plain, u) == gauge_act(f, u) == gauge_act(f.as_dict(), u)
 
 
 def test_gauge_transformations_are_morphisms_to_the_bundle(posets):

@@ -1,0 +1,139 @@
+"""What importing the package and running one CLI command load.
+
+`posetbundle` binds its public names on first use, and each CLI command
+imports only the modules it uses; both are checked in a fresh
+interpreter, since this test process has imported everything already.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import posetbundle
+from test_cli_golden import INVOCATIONS, write_fixtures
+
+SRC = str(Path(posetbundle.__file__).parents[1])
+
+# The package's public names by home module.
+EXPORTS = {
+    "cochains": (
+        "Cochain0", "Cochain1", "Cochain2", "Cochain3", "Morphism1",
+        "are_equivalent", "associated_cocycle", "classify_cocycles",
+        "coboundary", "coboundary_from_assignment", "enumerate_cocycles",
+        "enumerate_cocycles_raw", "extend_to_path", "find_morphism",
+        "is_cocycle", "is_path_independent", "pushforward", "trivial_cochain1",
+    ),
+    "connections": (
+        "ambrose_singer_reduce", "central_decompose", "construct_from_cochain",
+        "construct_nonflat", "curvature", "enumerate_connections", "holonomy",
+        "holonomy_conjugacy_check", "induced_cocycle", "is_central",
+        "is_connection", "is_flat", "restricted_holonomy", "star_compose",
+        "star_inverse",
+    ),
+    "errors": ("PosetBundleError",),
+    "gauge": ("GaugeTransformation", "gauge_act", "gauge_group"),
+    "groups": (
+        "FiniteGroup", "GroupHom", "InnerAut", "ad", "compose_2g",
+        "compose_3g", "cyclic_group", "hom_compose", "symmetric_group",
+        "trivial_group",
+    ),
+    "paths": (
+        "Path", "Presentation", "compose", "count_hom_classes", "deformations",
+        "homotopic", "pi1_presentation", "reverse_path",
+    ),
+    "poset": (
+        "Poset", "build_poset", "fundamental_open", "generate", "is_directed",
+        "is_pathwise_connected", "is_totally_ordered",
+    ),
+    "simplicial": (
+        "Simplex0", "Simplex1", "Simplex2", "Simplex3", "boundary",
+        "degeneracy", "enumerate_simplices", "is_degenerate", "is_inflating",
+        "permute2", "reverse",
+    ),
+}
+NAMES = {name for names in EXPORTS.values() for name in names}
+
+
+def loaded_after(code, *argv, cwd=None):
+    """The `posetbundle` submodules a fresh interpreter holds after
+    running `code` with `argv`, and what the code printed."""
+    script = (f"import sys\n{code}\nprint(' '.join(sorted("
+              "m[12:] for m in sys.modules if m.startswith('posetbundle.'))))")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", script, *argv], cwd=cwd,
+                         env=env, capture_output=True, text=True, check=True,
+                         timeout=60).stdout
+    *printed, modules = out.splitlines()
+    return set(modules.split()), "\n".join(printed)
+
+
+def test_exports_are_the_home_module_objects():
+    assert len(NAMES) == 73
+    for module, names in EXPORTS.items():
+        home = importlib.import_module(f"posetbundle.{module}")
+        for name in names:
+            assert getattr(posetbundle, name) is getattr(home, name)
+    assert NAMES <= set(dir(posetbundle))
+
+
+def test_star_import_binds_exactly_the_exports():
+    namespace = {}
+    exec("from posetbundle import *", namespace)
+    assert set(namespace) - {"__builtins__"} == NAMES
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        posetbundle.no_such_name
+
+
+def test_bare_import_loads_no_submodule():
+    assert loaded_after("import posetbundle")[0] == set()
+
+
+def test_from_import_still_reaches_submodules():
+    modules, printed = loaded_after(
+        "from posetbundle import acceptance\nprint(acceptance.__name__)")
+    assert printed == "posetbundle.acceptance"
+    assert "acceptance" in modules
+
+
+RUN = """
+import contextlib, io
+from posetbundle import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(sys.argv[1:])
+print(code)
+"""
+
+
+@pytest.fixture(scope="module")
+def fixtures(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("imports")
+    write_fixtures(directory)
+    return directory
+
+
+def first_invocation(command):
+    return next(i for i in INVOCATIONS if i.split()[0] == command)
+
+
+@pytest.mark.parametrize("command", sorted({i.split()[0] for i in INVOCATIONS
+                                            if not i.startswith("--")}))
+def test_commands_import_only_what_they_use(fixtures, command):
+    modules, code = loaded_after(RUN, *first_invocation(command).split(),
+                                 cwd=fixtures)
+    assert code in ("0", "1")
+    assert "acceptance" not in modules
+    if command in ("validate", "gen"):
+        assert modules == {"cli", "errors", "poset"}
+    if command == "group-validate":
+        assert modules == {"cli", "errors", "groups"}
+    if command in ("pi1", "homotopic"):
+        assert "cochains" not in modules
+    if command in ("check-cocycle", "classify-cocycles", "dd-check"):
+        assert not modules & {"connections", "gauge"}
