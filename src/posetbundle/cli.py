@@ -8,13 +8,14 @@ object it describes and hands the result to the handler, which only
 builds the report.
 
 Exit codes: 0 for success / true verdicts, 1 for false verdicts,
-2 for usage or input errors.  An input error ends with the file it came
-from and, when it is about one line, the line number.
+2 for usage, input or output errors.  An input error ends with the
+file it came from and, when it is about one line, the line number.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from dataclasses import asdict
@@ -391,7 +392,7 @@ def _fixture_problems(directory):
             try:
                 parsed[path.stem] = parse(path.read_text())
             except PosetBundleError as exc:
-                problems.append(f"{path.name}: {exc}")
+                problems.append(f"{exc} in {path.name}")
     for path in sorted(directory.glob("*.cochain")):
         p, g, _ = COCHAIN_FIXTURES.get(path.stem, (None, None, None))
         if p not in posets or g not in groups:
@@ -399,9 +400,9 @@ def _fixture_problems(directory):
         try:
             z = parse_cochain_text(path.read_text(), posets[p], groups[g])
             if not is_cocycle(z):
-                problems.append(f"{path.name}: not a cocycle")
+                problems.append(f"not a cocycle in {path.name}")
         except PosetBundleError as exc:
-            problems.append(f"{path.name}: {exc}")
+            problems.append(f"{exc} in {path.name}")
     return problems
 
 
@@ -545,7 +546,15 @@ def run(argv=None) -> int:
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early: an output error.  Pointing
+        # stdout at devnull keeps the exit-time flush from failing again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

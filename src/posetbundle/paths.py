@@ -4,6 +4,7 @@ and fundamental-group presentations with homomorphism counting."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import smith
 from .errors import (BadParameter, EndpointMismatch, NotConnected,
@@ -167,7 +168,8 @@ def homotopic(p: Path, q: Path, P: Poset, bound: int) -> HomotopyVerdict:
 @dataclass(frozen=True)
 class Presentation:
     """Generators and relators; a relator is a tuple of signed generator
-    indices (i, +1|-1)."""
+    indices (i, +1|-1).  The relator lattice is factorised on first use
+    and kept, so every query on one presentation shares one Smith form."""
 
     generators: tuple
     relators: tuple
@@ -181,9 +183,13 @@ class Presentation:
             rows.append(row)
         return rows
 
+    @cached_property
+    def lattice(self):
+        """The lattice of relator exponent vectors in Z^generators."""
+        return smith.RowLattice(self.exponent_matrix(), len(self.generators))
+
     def abelian_invariants(self):
-        return smith.abelian_invariants(self.exponent_matrix(),
-                                        len(self.generators))
+        return self.lattice.invariant_factors()
 
 
 class WordMap:
@@ -219,13 +225,12 @@ def invert_word(word):
 
 
 def _abelianized_equal(presentation, w1, w2):
-    n = len(presentation.generators)
-    diff = [0] * n
+    diff = [0] * len(presentation.generators)
     for idx, sign in w1:
         diff[idx] += sign
     for idx, sign in w2:
         diff[idx] -= sign
-    return smith.in_row_lattice(presentation.exponent_matrix(), diff)
+    return diff in presentation.lattice
 
 
 def pi1_presentation(P: Poset, a0: str):

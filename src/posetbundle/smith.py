@@ -4,17 +4,16 @@ Used as the computable abelianization of finitely presented groups:
 the cokernel of the relator-exponent matrix is the first homology, and
 membership of a word's exponent vector in the relator lattice decides
 equality in the abelianization.
+
+The Smith form of A is D = U A V with U and V unimodular.  Both
+questions read only D and V, so U, a rows x rows matrix, exists but is
+never built: a presentation with thousands of relators would need
+millions of entries for it.
 """
 
 from __future__ import annotations
 
-
-def _identity(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
+from operator import mul
 
 
 def _add_row(m, src, dst, factor):
@@ -32,111 +31,89 @@ def _add_col(m, src, dst, factor):
 
 
 def smith_normal_form(matrix):
-    """Return (D, U, V) with U A V = D, U and V unimodular, D diagonal
-    with d1 | d2 | ... .  Accepts a list of rows (possibly empty)."""
+    """Return (D, V): D = U A V is diagonal with d1 | d2 | ... and every
+    d >= 0, V is unimodular, and the unimodular U is not built.
+    Accepts a list of rows (possibly empty)."""
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     D = [list(map(int, row)) for row in matrix]
-    U = _identity(rows)
-    V = _identity(cols)
-
-    def pivot_search(t):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if D[i][j] != 0 and (best is None or abs(D[i][j]) < abs(best[2])):
-                    best = (i, j, D[i][j])
-        return best
-
+    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
     t = 0
-    while True:
-        piv = pivot_search(t)
-        if piv is None:
+    while t < min(rows, cols):
+        pivot = min(((abs(D[i][j]), i, j) for i in range(t, rows)
+                     for j in range(t, cols) if D[i][j]), default=None)
+        if pivot is None:
             break
-        i, j, _ = piv
-        _swap_rows(D, t, i)
-        _swap_rows(U, t, i)
+        _, i, j = pivot
+        D[t], D[i] = D[i], D[t]
         _swap_cols(D, t, j)
         _swap_cols(V, t, j)
-        dirty = False
+        p = D[t][t]
         for i in range(t + 1, rows):
-            if D[i][t] % D[t][t] != 0:
-                dirty = True
-            q = D[i][t] // D[t][t]
+            q = D[i][t] // p
             if q:
                 _add_row(D, t, i, -q)
-                _add_row(U, t, i, -q)
         for j in range(t + 1, cols):
-            if D[t][j] % D[t][t] != 0:
-                dirty = True
-            q = D[t][j] // D[t][t]
+            q = D[t][j] // p
             if q:
                 _add_col(D, t, j, -q)
                 _add_col(V, t, j, -q)
-        if dirty or any(D[i][t] for i in range(t + 1, rows)) or any(
-            D[t][j] for j in range(t + 1, cols)
-        ):
+        # A remainder is left where p did not divide: pivot on it next.
+        if any(D[i][t] for i in range(t + 1, rows)) or any(D[t][t + 1:]):
             continue
-        # enforce the divisibility chain d_t | D[i][j]
-        stuck = False
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if D[i][j] % D[t][t] != 0:
-                    _add_row(D, i, t, 1)
-                    _add_row(U, i, t, 1)
-                    stuck = True
-                    break
-            if stuck:
-                break
-        if stuck:
+        # Enforce p | D[i][j] below and right of p by adding an
+        # offending row into row t, which the next round reduces.
+        offending = next((i for i in range(t + 1, rows)
+                          if any(x % p for x in D[i][t + 1:])), None)
+        if offending is not None:
+            _add_row(D, offending, t, 1)
             continue
-        if D[t][t] < 0:
-            _add_row(D, t, t, -2)
-            _add_row(U, t, t, -2)
+        D[t][t] = abs(p)
         t += 1
-        if t == min(rows, cols):
-            break
-    return D, U, V
+    return D, V
+
+
+class RowLattice:
+    """The sublattice of Z^n spanned by the rows of an integer matrix,
+    factorised once by its Smith form.
+
+    `divisors` holds the nonzero d1 | d2 | ...; their count is the rank.
+    """
+
+    def __init__(self, matrix, n):
+        # A zero row spans the zero lattice and gives the form its width.
+        D, V = smith_normal_form(matrix or [[0] * n])
+        self.divisors = [D[t][t] for t in range(min(len(D), len(D[0])))
+                         if D[t][t]]
+        self._moduli = self.divisors + [0] * (n - len(self.divisors))
+        self._columns = list(zip(*V))
+
+    def invariant_factors(self):
+        """Z^n / lattice: the torsion factors (> 1), then one 0 per free
+        rank."""
+        return [d for d in self._moduli if d != 1]
+
+    def __contains__(self, vector):
+        # x A = v  <=>  (x U^-1) D = v V;  solvable over Z iff each
+        # coordinate of v V is a multiple of its modulus (0 past the rank).
+        for column, d in zip(self._columns, self._moduli):
+            w = sum(map(mul, vector, column))
+            if (w % d if d else w) != 0:
+                return False
+        return True
 
 
 def elementary_divisors(matrix):
-    D, _, _ = smith_normal_form(matrix)
-    divisors = []
-    for t in range(min(len(D), len(D[0]) if D else 0)):
-        if D[t][t] != 0:
-            divisors.append(abs(D[t][t]))
-    return divisors
+    return RowLattice(matrix, len(matrix[0]) if matrix else 0).divisors
 
 
 def abelian_invariants(matrix, n_generators):
     """Invariant factors of Z^n / rowspace(matrix): finite torsion factors
     (> 1) followed by zeros for free ranks."""
-    if not matrix:
-        return [0] * n_generators
-    divisors = elementary_divisors(matrix)
-    factors = [d for d in divisors if d > 1]
-    free = n_generators - len(divisors)
-    return factors + [0] * free
+    return RowLattice(matrix, n_generators).invariant_factors()
 
 
 def in_row_lattice(matrix, vector):
     """True iff `vector` is an integer combination of the rows of `matrix`."""
     vector = list(map(int, vector))
-    if not matrix:
-        return all(x == 0 for x in vector)
-    D, _, V = smith_normal_form(matrix)
-    # x A = v  <=>  (x U^-1) D = v V;  solvable over Z iff each coordinate
-    # of v V is divisible by the matching diagonal entry (0 where D is 0).
-    cols = len(vector)
-    w = [sum(vector[i] * V[i][j] for i in range(cols)) for j in range(cols)]
-    rank = 0
-    for t in range(min(len(D), cols)):
-        if D[t][t] != 0:
-            rank = t + 1
-    for j in range(cols):
-        if j < rank:
-            if w[j] % D[j][j] != 0:
-                return False
-        elif w[j] != 0:
-            return False
-    return True
+    return vector in RowLattice(matrix, len(vector))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import posetbundle
 from posetbundle import cli
 from posetbundle.acceptance import (
     CriterionResult,
@@ -13,6 +18,7 @@ from posetbundle.groups import cyclic_group, format_group_text, symmetric_group
 from posetbundle.poset import format_poset_text
 
 Z3 = cyclic_group(3)
+SRC = str(Path(posetbundle.__file__).parents[1])
 
 EXPECTED_COMMANDS = {
     "validate", "gen", "simplices", "pi1", "homotopic", "group-validate",
@@ -359,6 +365,43 @@ def test_suite_rejects_corrupted_fixture(tmp_path, capsys):
     assert "z3.group" in out
 
 
+def test_suite_names_the_line_and_file_of_a_fixture_problem(tmp_path,
+                                                            capsys):
+    fixtures = tmp_path / "fx"
+    fixtures.mkdir()
+    (fixtures / "chain2.poset").write_text("poset chain2\nelem x1 x2\nwat\n")
+    P = standard_posets()["circle2"]
+    broken = format_cochain_text(winding_cocycle(P, Z3, "g1"),
+                                 name="winding-z3")
+    broken = broken.replace("(o1;a1,a2) = g0", "(o1;a1,a2) = g1")
+    (fixtures / "winding-z3.cochain").write_text(broken)
+    assert run(["suite", "--fixtures", fixtures]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [
+        "fixture validation [FAIL]",
+        "  unrecognized poset line: 'wat' (line 3) in chain2.poset",
+        "  not a cocycle in winding-z3.cochain",
+    ]
+
+
+@pytest.mark.parametrize("command", ["validate", "simplices"])
+def test_closed_stdout_is_an_output_error(workspace, command):
+    """A reader that closes the pipe early gets exit code 2 and no
+    traceback, not the exit code of a false verdict."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "posetbundle.cli", command,
+             str(workspace / "circle2.poset")],
+            stdout=write, stderr=subprocess.PIPE, timeout=60,
+            env=dict(os.environ, PYTHONPATH=SRC))
+    finally:
+        os.close(write)
+    assert out.returncode == 2
+    assert b"Traceback" not in out.stderr
+
+
 def test_limit_is_rejected_where_unused(workspace, capsys):
     base = [workspace / "circle2.poset", workspace / "z3.group",
             workspace / "winding.cochain"]
@@ -414,7 +457,7 @@ def test_suite_json_reports_fixture_problems(tmp_path, capsys, monkeypatch):
     report = json.loads(capsys.readouterr().out)
     assert "z3.group" not in report["fixtures-written"]
     assert "chain2.poset" in report["fixtures-written"]
-    assert [p.split(":")[0] for p in report["fixture-problems"]] == [
+    assert [p.split()[-1] for p in report["fixture-problems"]] == [
         "z3.group"
     ]
     assert report["criteria"] == [] and report["passed"] == 0

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import pytest
 
+from posetbundle import smith
+from posetbundle.connections import enumerate_loops
 from posetbundle.errors import (
     BadParameter,
     EndpointMismatch,
@@ -145,6 +149,43 @@ def test_pi1_twoloop_is_free_of_rank_two(posets):
 def test_pi1_chain_is_trivial(posets):
     pres, _ = pi1_presentation(posets["chain3"], "x1")
     assert pres.abelian_invariants() == []
+
+
+def test_abelian_invariants_of_the_minimal_sphere_stay_small():
+    """S0 * S0 * S0, the 6-point minimal model of S^2 (McCord): 1,548
+    relators, so a rows x rows transform would take about 19 MB."""
+    levels = (("a0", "a1"), ("b0", "b1"), ("c0", "c1"))
+    P = build_poset(
+        [x for level in levels for x in level],
+        [(lo, hi) for low, high in zip(levels, levels[1:])
+         for lo in low for hi in high],
+        name="s2-minimal",
+    )
+    pres, _ = pi1_presentation(P, "a0")
+    assert (len(pres.generators), len(pres.relators)) == (21, 1548)
+    assert "lattice" not in vars(pres)
+    tracemalloc.start()
+    try:
+        assert pres.abelian_invariants() == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def test_presentation_is_factorised_once(posets, monkeypatch):
+    """Ten homotopy queries and the invariants share one Smith form."""
+    P = posets["twoloop"]
+    monkeypatch.delitem(complex_of(P).presentations, "M1", raising=False)
+    calls = []
+    factorise = smith.smith_normal_form
+    monkeypatch.setattr(smith, "smith_normal_form",
+                        lambda matrix: calls.append(1) or factorise(matrix))
+    loops = enumerate_loops(P, "M1", 4)
+    verdicts = [homotopic(loops[0], q, P, 4).status for q in loops[::17]]
+    assert set(verdicts) == {"yes", "no", "unknown"}
+    assert pi1_presentation(P, "M1")[0].abelian_invariants() == [0, 0]
+    assert len(calls) == 1
 
 
 def test_pi1_requires_connectivity():
