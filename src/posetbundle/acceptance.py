@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 from . import connections as cn
 from .cochains import (
@@ -24,6 +23,7 @@ from .cochains import (
     random_cochain1,
     trivial_cochain1,
 )
+from .frozen import Frozen
 from .gauge import gauge_group, gauge_group_raw
 from .groups import FiniteGroup, cyclic_group, symmetric_group
 from .paths import (
@@ -38,8 +38,7 @@ from .simplicial import complex_of, enumerate_simplices, permute2, pinches
 DEFAULT_SEED = 20260824
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(Frozen):
     number: int
     name: str
     passed: bool

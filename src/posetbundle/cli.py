@@ -18,7 +18,6 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import asdict
 from pathlib import Path as FilePath
 
 from .errors import PosetBundleError, UsageError, content_lines, located
@@ -182,7 +181,7 @@ def cmd_pi1(args):
 def cmd_homotopic(args):
     from .paths import homotopic
 
-    verdict = homotopic(args.path1, args.path2, args.poset, args.bound)
+    verdict = homotopic(args.path1, args.path2, args.poset, args.bound, args.limit)
     report = {
         "poset": args.poset.name,
         "bound": args.bound,
@@ -437,7 +436,7 @@ def cmd_suite(args):
     return code, {
         "fixtures-written": written,
         "fixture-problems": problems,
-        "criteria": [asdict(r) for r in results],
+        "criteria": [vars(r) for r in results],
         "passed": passed,
     }
 
@@ -478,7 +477,8 @@ COMMANDS = (
     ("pi1", cmd_pi1, "poset", (BASE,), "present the fundamental group"),
     ("homotopic", cmd_homotopic, "poset",
      (arg("path1", load="path"), arg("path2", load="path"),
-      arg("--bound", type=_nonnegative_int, default=6)),
+      arg("--bound", type=_nonnegative_int, default=6),
+      arg("--limit", type=_nonnegative_int, default=10 ** 6)),
      "bounded homotopy test"),
     ("group-validate", cmd_group_validate, "group", (), "check a group file"),
     ("check-cocycle", cmd_check_cocycle, "poset group cochain", (LIMIT,),

@@ -17,7 +17,6 @@ so the operations here are index arithmetic on the group's tables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
@@ -30,6 +29,7 @@ from .errors import (
     content_lines,
     located,
 )
+from .frozen import Frozen
 from .groups import FiniteGroup, GroupHom, InnerAut
 from .paths import (
     Path,
@@ -396,14 +396,16 @@ def is_path_independent(u: Cochain1):
 # -- morphisms of 1-cocycles -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class Morphism1:
+class Morphism1(Frozen):
     """A morphism of 1-cochains: a family f with
     f(end) source(b) = target(b) f(start) for every 1-simplex b."""
 
     source: Cochain1
     target: Cochain1
     assignment: tuple  # sorted (element, group element) pairs
+
+    def __init__(self, source, target, assignment):
+        self.__dict__.update(source=source, target=target, assignment=assignment)
 
     def as_dict(self):
         return dict(self.assignment)

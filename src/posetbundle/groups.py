@@ -4,7 +4,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import (
@@ -18,6 +17,7 @@ from .errors import (
     content_lines,
     located,
 )
+from .frozen import Frozen
 
 
 class FiniteGroup:
@@ -202,8 +202,7 @@ def symmetric_group(n: int, name=None):
 # -- inner automorphisms and the categories 2G, 3G -----------------------
 
 
-@dataclass(frozen=True, eq=False)
-class InnerAut:
+class InnerAut(Frozen):
     """ad(g): h -> g h g^-1, carried by a canonical coset representative.
 
     Two representatives define the same inner automorphism iff they
@@ -213,12 +212,11 @@ class InnerAut:
 
     group: FiniteGroup
     representative: str
-    canonical: str = field(init=False)
+    canonical: str
 
-    def __post_init__(self):
-        G = self.group
-        canon = G.elements[G.coset_rep[G.index[self.representative]]]
-        object.__setattr__(self, "canonical", canon)
+    def __init__(self, group, representative):
+        c = group.elements[group.coset_rep[group.index[representative]]]
+        self.__dict__.update(group=group, representative=representative, canonical=c)
 
     def __eq__(self, other):
         if not isinstance(other, InnerAut):
@@ -251,21 +249,20 @@ def identity_aut(G: FiniteGroup) -> InnerAut:
     return InnerAut(G, G.identity)
 
 
-@dataclass(frozen=True)
-class Arrow2G:
+class Arrow2G(Frozen):
     g: str
     tau: InnerAut
 
 
-@dataclass(frozen=True)
-class Arrow3G:
+class Arrow3G(Frozen):
     g: str  # must be central
     tau: InnerAut
     gamma: InnerAut
 
-    def __post_init__(self):
-        if self.g not in self.tau.group.center():
-            raise Mismatch(f"{self.g!r} is not central")
+    def __init__(self, g, tau, gamma):
+        if g not in tau.group.center():
+            raise Mismatch(f"{g!r} is not central")
+        self.__dict__.update(g=g, tau=tau, gamma=gamma)
 
 
 def compose_2g(x: Arrow2G, y: Arrow2G, law: str) -> Arrow2G:
@@ -320,11 +317,13 @@ def one_arrows_2g(G: FiniteGroup):
 # -- group homomorphisms --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(Frozen):
     source: FiniteGroup
     target: FiniteGroup
     mapping: tuple  # sorted (element, image) pairs
+
+    def __init__(self, source, target, mapping):
+        self.__dict__.update(source=source, target=target, mapping=mapping)
 
     @classmethod
     def from_dict(cls, source, target, mapping):

@@ -3,12 +3,11 @@ and fundamental-group presentations with homomorphism counting."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from . import smith
 from .errors import (BadParameter, EndpointMismatch, NotConnected,
                      check_limit)
+from .frozen import Frozen
 from .groups import FiniteGroup
 from .poset import Poset
 from .simplicial import (
@@ -22,8 +21,7 @@ from .simplicial import (
 )
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Frozen):
     """A composable sequence of 1-simplices, stored start-to-end.
 
     In the written form {b_n, ..., b_1} the rightmost simplex b_1 is
@@ -32,14 +30,15 @@ class Path:
 
     steps: tuple
 
-    def __post_init__(self):
-        if not self.steps:
+    def __init__(self, steps):
+        if not steps:
             raise EndpointMismatch("a path needs at least one step")
-        for earlier, later in zip(self.steps, self.steps[1:]):
+        for earlier, later in zip(steps, steps[1:]):
             if earlier.face0 != later.face1:
                 raise EndpointMismatch(
                     f"steps do not chain: {earlier.encode()} then {later.encode()}"
                 )
+        self.__dict__["steps"] = steps
 
     @property
     def start(self) -> Simplex0:
@@ -115,24 +114,27 @@ def deformations(p: Path, P: Poset):
     return tuple(_path(t, P) for t in _neighbours(_ranked(p, P), P))
 
 
-@dataclass(frozen=True)
-class HomotopyVerdict:
+class HomotopyVerdict(Frozen):
     status: str  # "yes" | "no" | "unknown"
-    certificate: tuple = ()  # chain of paths from p to q when status == "yes"
+    certificate: tuple  # chain of paths from p to q when status == "yes"
+
+    def __init__(self, status, certificate=()):
+        self.__dict__.update(status=status, certificate=certificate)
 
     def __bool__(self):
         return self.status == "yes"
 
 
-def homotopic(p: Path, q: Path, P: Poset, bound: int) -> HomotopyVerdict:
+def homotopic(p: Path, q: Path, P: Poset, bound: int, limit=10 ** 6) -> HomotopyVerdict:
     """Three-valued bounded homotopy test.
 
     "yes" comes with a deformation certificate found by BFS over paths of
     length <= bound.  "no" is backed by an abelianization separator: the
     word images of p and q differ in the abelianized edge-path group,
-    which is a homotopy invariant.  Otherwise "unknown".  A step that is
-    not a 1-simplex of P is a `NoSuchSimplex`; a bound that is not an
-    int >= 0 is a `BadParameter`.
+    which is a homotopy invariant.  Otherwise "unknown".  A search that
+    would hold more than `limit` paths, p included, is a
+    `SearchLimitExceeded`; a step that is not a 1-simplex of P is a
+    `NoSuchSimplex`; a bound that is not an int >= 0 is a `BadParameter`.
     """
     if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
         raise BadParameter(f"bound must be an int >= 0, got {bound!r}")
@@ -142,11 +144,14 @@ def homotopic(p: Path, q: Path, P: Poset, bound: int) -> HomotopyVerdict:
     presentation, words = pi1_presentation(P, p.start.element)
     if not _abelianized_equal(presentation, words.path_word(p), words.path_word(q)):
         return HomotopyVerdict("no")
+    what = f"paths of length <= {bound} searched"
     parents = {source: None}
     frontier = [source]
     while frontier:
         next_frontier = []
         for current in frontier:
+            # Before each test or expansion, so no verdict passes the limit.
+            check_limit(len(parents), limit, what)
             if current == target:
                 chain = []
                 while current is not None:
@@ -165,8 +170,7 @@ def homotopic(p: Path, q: Path, P: Poset, bound: int) -> HomotopyVerdict:
 # -- fundamental group presentations --------------------------------------
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Frozen):
     """Generators and relators; a relator is a tuple of signed generator
     indices (i, +1|-1).  The relator lattice is factorised on first use
     and kept, so every query on one presentation shares one Smith form."""
@@ -186,6 +190,7 @@ class Presentation:
     @cached_property
     def lattice(self):
         """The lattice of relator exponent vectors in Z^generators."""
+        from . import smith
         return smith.RowLattice(self.exponent_matrix(), len(self.generators))
 
     def abelian_invariants(self):

@@ -7,8 +7,6 @@ most; simplex enumeration dominates the cost of everything downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     AntisymmetryViolation,
     BadParameter,
@@ -17,6 +15,7 @@ from .errors import (
     content_lines,
     located,
 )
+from .frozen import Frozen
 
 
 class Poset:
@@ -91,8 +90,7 @@ class Poset:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class OpenSet:
+class OpenSet(Frozen):
     """An upward-closed subset of a poset (an Alexandroff open set)."""
 
     members: tuple

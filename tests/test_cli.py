@@ -218,6 +218,20 @@ def test_check_cocycle_exit_codes(workspace):
     assert run(args) == 1
 
 
+def test_homotopic_limit_is_an_input_error(workspace, tmp_path, capsys):
+    """The trivial loop meets the degenerate loop after 10 paths within
+    bound 3; a limit of 9 ends the search with exit 2 and one line."""
+    (tmp_path / "trivial.path").write_text("(o1;a1,o1);(o1;o1,a1)\n")
+    (tmp_path / "degen.path").write_text("(a1;a1,a1)\n")
+    args = ["homotopic", workspace / "circle2.poset", tmp_path / "trivial.path",
+            tmp_path / "degen.path", "--bound", "3", "--limit"]
+    assert run(args + ["10"]) == 0
+    capsys.readouterr()
+    assert run(args + ["9"]) == 2
+    assert capsys.readouterr().err == (
+        "error: paths of length <= 3 searched exceed the limit 9\n")
+
+
 def test_homotopic_unknown_verdict(workspace, tmp_path, capsys):
     """Exit 1 for "unknown" too, with no certificate length."""
     (tmp_path / "once.path").write_text("(a1;a1,a1)\n")

@@ -3,10 +3,14 @@
 `posetbundle` binds its public names on first use, and each CLI command
 imports only the modules it uses; both are checked in a fresh
 interpreter, since this test process has imported everything already.
+No module and no command loads `dataclasses` or `inspect`, whose import
+(`inspect` loads `ast`, `dis` and `tokenize`) would cost every command
+more than most of them spend on their own work.
 """
 
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -57,6 +61,9 @@ EXPORTS = {
 }
 NAMES = {name for names in EXPORTS.values() for name in names}
 
+# Appended to a fresh interpreter's code: prints which of the two it holds.
+HEAVY = "\nprint([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+
 
 def loaded_after(code, *argv, cwd=None):
     """The `posetbundle` submodules a fresh interpreter holds after
@@ -95,6 +102,17 @@ def test_bare_import_loads_no_submodule():
     assert loaded_after("import posetbundle")[0] == set()
 
 
+def test_no_module_loads_dataclasses_or_inspect():
+    # Modules are never unloaded, so what one interpreter holds after
+    # importing every module covers what each import loads alone.
+    names = {m.name for m in pkgutil.iter_modules(posetbundle.__path__)}
+    assert len(names) == 12
+    modules, printed = loaded_after(
+        "".join(f"import posetbundle.{m}\n" for m in sorted(names)) + HEAVY)
+    assert modules == names
+    assert printed == "[]"
+
+
 def test_from_import_still_reaches_submodules():
     modules, printed = loaded_after(
         "from posetbundle import acceptance\nprint(acceptance.__name__)")
@@ -130,10 +148,29 @@ def test_commands_import_only_what_they_use(fixtures, command):
     assert code in ("0", "1")
     assert "acceptance" not in modules
     if command in ("validate", "gen"):
-        assert modules == {"cli", "errors", "poset"}
+        assert modules == {"cli", "errors", "frozen", "poset"}
     if command == "group-validate":
-        assert modules == {"cli", "errors", "groups"}
+        assert modules == {"cli", "errors", "frozen", "groups"}
     if command in ("pi1", "homotopic"):
         assert "cochains" not in modules
     if command in ("check-cocycle", "classify-cocycles", "dd-check"):
         assert not modules & {"connections", "gauge"}
+    # Only the commands that ask for the abelianised group factorise.
+    assert ("smith" in modules) == (command in ("pi1", "homotopic"))
+
+
+RUN_ALL = """
+import contextlib, io
+from posetbundle import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stderr(io.StringIO()):
+        codes = {cli.run(line.split()) for line in sys.argv[1:]}
+print(sorted(codes))
+""" + HEAVY
+
+
+def test_no_command_loads_dataclasses_or_inspect(fixtures):
+    # One interpreter runs every invocation: what it holds at the end
+    # covers what each command loads alone.
+    _, printed = loaded_after(RUN_ALL, *INVOCATIONS, cwd=fixtures)
+    assert printed == "[0, 1]\n[]"

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import pytest
@@ -103,6 +104,38 @@ def test_homotopic_checks_bound_first(posets, bound):
     with pytest.raises(BadParameter):
         homotopic(winding, degen, P, bound)
     assert homotopic(winding, degen, P, 0).status == "no"
+
+
+def test_homotopic_limit_counts_the_paths_searched(posets):
+    """The trivial loop meets the degenerate loop after the search has
+    held 10 paths of length <= 3, the trivial loop included: a limit of
+    10 admits that search and a limit of 9 stops it."""
+    P = posets["circle2"]
+    trivial, _ = circle_paths()
+    degen = degenerate_loop(Simplex0("a1"))
+    assert homotopic(trivial, degen, P, 3, limit=10).status == "yes"
+    with pytest.raises(SearchLimitExceeded, match="exceed the limit 9$"):
+        homotopic(trivial, degen, P, 3, limit=9)
+
+
+def test_homotopic_limit_stops_an_exploding_search(posets):
+    """The commutator of the two generator loops of twoloop at M1 has
+    the abelianised word of the constant loop, so the search runs; the
+    paths within bound 12 are too many to visit, and the limit ends the
+    search at once."""
+    P = posets["twoloop"]
+    a = Path((edge("M1", "m2", "M1"), edge("M2", "m1", "m2"),
+              edge("M1", "M1", "m1")))
+    b = Path((edge("M1", "m2", "M1"), edge("M3", "m1", "m2"),
+              edge("M1", "M1", "m1")))
+    commutator = compose(reverse_path(b), compose(reverse_path(a),
+                                                  compose(b, a)))
+    assert len(commutator) == 12
+    start = time.perf_counter()
+    with pytest.raises(SearchLimitExceeded, match="length <= 12"):
+        homotopic(commutator, degenerate_loop(Simplex0("M1")), P, 12,
+                  limit=1000)
+    assert time.perf_counter() - start < 1
 
 
 def test_homotopy_verdicts(posets):
