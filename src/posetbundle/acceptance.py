@@ -114,7 +114,7 @@ def random_connection(P: Poset, G: FiniteGroup, rng) -> Cochain1:
     """A uniformly random twist of a random bundle."""
     z = random_cocycle(P, G, rng)
     cells = complex_of(P)[1]
-    twist = [G.unit] * len(cells.simplices)
+    twist = [G.unit] * len(cells.faces)
     for b in cn.noninflating_pairs(P):
         twist[cells.ids[b]] = G.index[rng.choice(G.elements)]
     return cn.construct_from_cochain(Cochain1._of(P, G, tuple(twist)), z)

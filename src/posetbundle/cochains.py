@@ -102,10 +102,10 @@ class _Cochain:
         self = cls.__new__(cls)
         self.poset, self.group, self.ids, self._values = P, G, ids, None
         self.cells = complex_of(P)[cls.dim]
-        if len(ids) != len(self.cells.simplices):
+        if len(ids) != len(self.cells.faces):
             raise MissingValue(_total(cls.dim, P))
         if tau_ids is not None:
-            if len(tau_ids) != len(complex_of(P)[1].simplices):
+            if len(tau_ids) != len(complex_of(P)[1].faces):
                 raise MissingValue(_TAU_TOTAL)
             self.tau_ids = tau_ids
         return self
@@ -216,7 +216,7 @@ class Cochain3(_Cochain):
 
 
 def trivial_cochain1(P: Poset, G: FiniteGroup) -> Cochain1:
-    return Cochain1._of(P, G, (G.unit,) * len(complex_of(P)[1].simplices))
+    return Cochain1._of(P, G, (G.unit,) * len(complex_of(P)[1].faces))
 
 
 def random_cochain0(P: Poset, G: FiniteGroup, rng) -> Cochain0:
@@ -226,7 +226,7 @@ def random_cochain0(P: Poset, G: FiniteGroup, rng) -> Cochain0:
 
 def random_cochain1(P: Poset, G: FiniteGroup, rng) -> Cochain1:
     return Cochain1._of(P, G, tuple(G.index[rng.choice(G.elements)]
-                                    for _ in complex_of(P)[1].simplices))
+                                    for _ in complex_of(P)[1].faces))
 
 
 def _point_ids(P: Poset, G: FiniteGroup, f):
@@ -329,21 +329,30 @@ def is_cocycle(cochain) -> bool:
     cocycle identity, in degrees 0 and 2 a coboundary that takes only
     the identity."""
     if isinstance(cochain, Cochain1):
-        return next(identity_failures(cochain), None) is None
+        return next(_failing_ids(cochain), None) is None
     if isinstance(cochain, (Cochain0, Cochain2)):
         d = coboundary(cochain)
         return d.ids.count(d.group.unit) == len(d.ids)
     raise BadParameter("cocycle condition implemented for degrees 0-2")
 
 
-def identity_failures(u: Cochain1, inflating_only=False):
-    """The 2-simplices c, inflating ones only if asked, where the cocycle
-    identity u(c0) u(c2) = u(c1) fails, lazily and in order."""
+def _failing_ids(u: Cochain1, inflating_only=False):
+    """The ids of the 2-simplices c, inflating ones only if asked, where
+    the cocycle identity u(c0) u(c2) = u(c1) fails, lazily and in order."""
     cells = complex_of(u.poset)[2]
     rows, x = u.group.rows, u.ids
-    keep = cells.inflating if inflating_only else itertools.repeat(True)
-    return (c for c, (b0, b1, b2), k in zip(cells.simplices, cells.faces, keep)
-            if k and rows[x[b0]][x[b2]] != x[b1])
+    triples = enumerate(cells.faces)
+    if inflating_only:
+        triples = itertools.compress(triples, cells.inflating)
+    return (i for i, (b0, b1, b2) in triples if rows[x[b0]][x[b2]] != x[b1])
+
+
+def identity_failures(u: Cochain1, inflating_only=False):
+    """The 2-simplices c, inflating ones only if asked, where the cocycle
+    identity u(c0) u(c2) = u(c1) fails, lazily and in order; only these
+    are built as objects."""
+    cells = complex_of(u.poset)[2]
+    return (cells.simplices[i] for i in _failing_ids(u, inflating_only))
 
 
 def cocycle_violations(z: Cochain1):

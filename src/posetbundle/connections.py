@@ -52,12 +52,11 @@ def connection_violations(u: Cochain1):
     """Where the connection axioms fail: the members of reversal classes
     whose values are not mutually inverse, and inflating 2-simplices that
     are not flat."""
-    x, inv, s = u.ids, u.group.inverses, u.cells.simplices
-    bad_edges = []
-    for i, j in u.cells.classes:
-        if x[j] != inv[x[i]]:
-            bad_edges.extend((s[i],) if i == j else (s[i], s[j]))
-    return tuple(bad_edges), tuple(identity_failures(u, inflating_only=True))
+    x, inv, cells = u.ids, u.group.inverses, u.cells
+    bad_edges = [k for i, j in cells.classes if x[j] != inv[x[i]]
+                 for k in ((i,) if i == j else (i, j))]
+    return (tuple(cells.simplices[k] for k in bad_edges),
+            tuple(identity_failures(u, inflating_only=True)))
 
 
 def is_connection(u: Cochain1) -> bool:
@@ -188,7 +187,7 @@ def construct_nonflat(z: Cochain1, b: Simplex1 = None, g=None):
     if g == G.identity:
         raise TrivialGroup("the twisting element must be nontrivial")
     cells, i = z.cells, z.cells.ids[b]
-    twist = [G.unit] * len(cells.simplices)
+    twist = [G.unit] * len(cells.faces)
     twist[i] = G.inverses[z.ids[i]]
     twist[cells.reverse[i]] = G.rows[G.index[g]][twist[i]]
     u = construct_from_cochain(Cochain1._of(P, G, tuple(twist)), z)

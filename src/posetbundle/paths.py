@@ -264,7 +264,7 @@ def pi1_presentation(P: Poset, a0: str):
     # the presentation without changing the group.
     component = list(range(len(P)))
     adjacency = [[] for _ in P.elements]
-    generators, words = [], [()] * len(edges.simplices)
+    generators, words = [], [()] * len(edges.faces)
     for i, j in edges.classes:
         y, x = edges.faces[i]  # end, start
         if component[x] != component[y]:
@@ -281,7 +281,7 @@ def pi1_presentation(P: Poset, a0: str):
     # Tree paths from a0 by BFS over the adjacency lists, which are in
     # insertion order; the base point's own path is its degenerate edge.
     root, tree = K[0].ids[Simplex0(a0)], [None] * len(P)
-    tree[root] = (edges.ids[degeneracy(Simplex0(a0), 0)],)
+    tree[root] = (edges.degeneracies[0][root],)
     queue = [root]
     for x in queue:
         for y, step in adjacency[x]:

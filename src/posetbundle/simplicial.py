@@ -6,20 +6,25 @@ of {0..n} into the base poset.  Equality is structural.  Vertex i of a
 1-simplex b is read as: boundary 1 is the start point, boundary 0 the
 endpoint.
 
-The enumerated complex is face-shared and integer-indexed: each poset
-has one cached `Complex`, whose `Cells` for dimension n are glued from
-dimension n-1 on first use, so the faces of an enumerated simplex are
-the enumerated objects one dimension down.  A simplex's id is its rank
-in `enumerate_simplices`; the cells hold face ids, reverse and pinch
-ids and inflating and degenerate masks, and cochains store their
-values as tuples indexed by these ids.  Every simplex computes its hash
-once, at construction, so looking up the id of a simplex is cheap.
+The enumerated complex is integer-indexed: each poset has one cached
+`Complex`, whose `Cells` for dimension n are glued from dimension n-1
+on first use.  A simplex's id is its rank in `enumerate_simplices`.
+The gluing yields only the support id and the face ids of each cell;
+every other table (reverse and pinch ids, the inflating and degenerate
+masks, the id of a given simplex) is computed from these, and cochains
+store their values as tuples indexed by the ids, so coboundaries and
+cocycle checks build no simplex objects.  The objects of a dimension
+are built once, when first asked for, so the faces of an enumerated
+simplex are the enumerated objects one dimension down, and each
+computes its hash once.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from functools import cached_property, lru_cache
+from operator import add, itemgetter
 
 from .errors import (BadParameter, IndexOutOfRange, NoSuchSimplex,
                      UnsupportedDimension)
@@ -32,11 +37,13 @@ class Simplex:
 
     The constructor checks the number of faces and, for n >= 2, the
     simplicial identity: face i of face k is face k-1 of face i for all
-    i < k.  The hash is computed once, from the support and the (already
-    hashed) faces.  Equality is structural within one dimension: a
-    freshly built simplex equals the enumerated one with the same data,
-    and a hash mismatch settles most unequal pairs without recursing
-    into faces.  Simplices are immutable.
+    i < k; the enumerated simplices skip that check (see `_build`),
+    since gluing their faces checked it.  The hash is computed once,
+    from the support and the (already hashed) faces.  Equality is
+    structural within one dimension: a freshly built simplex equals the
+    enumerated one with the same data, and a hash mismatch settles most
+    unequal pairs without recursing into faces.  Simplices are
+    immutable.
     """
 
     __slots__ = ("support", "faces", "_hash")
@@ -103,6 +110,21 @@ class Simplex:
 _set_support = Simplex.support.__set__
 _set_faces = Simplex.faces.__set__
 _set_hash = Simplex._hash.__set__
+
+
+def _build(cls, names, support, faces):
+    """The simplices of class cls with supports `names[support[i]]` and
+    face tuples `faces[i]`, as `Simplex.__init__` writes them but without
+    its identity check, which gluing the faces has done.  Each slot is
+    written for all the simplices from a lazy column."""
+    out = [object.__new__(cls) for _ in faces]
+    points = map(names.__getitem__, support)
+    hashes = map(hash, map(add, zip(map(names.__getitem__, support)), faces))
+    named = [map(itemgetter(k), faces) for k in range(len(cls._named))]
+    for set_, column in zip((_set_support, _set_faces, _set_hash)
+                            + cls._named, [points, faces, hashes, *named]):
+        deque(map(set_, out, column), maxlen=0)
+    return tuple(out)
 
 
 class Simplex0(Simplex):
@@ -245,18 +267,17 @@ ODD_PERMUTATIONS = ((1, 0, 2), (2, 1, 0), (0, 2, 1))
 
 
 def _check_dimension(n):
-    if n < 0 or n > 3:
-        raise UnsupportedDimension(f"dimension {n} not supported (0..3)")
+    if type(n) is not int or not 0 <= n <= 3:
+        raise UnsupportedDimension(f"dimension {n!r} not supported (0..3)")
 
 
 def enumerate_simplices(P: Poset, n: int, inflating_only: bool = False):
     """All n-simplices of P in deterministic (sort key) order.
 
-    Dimension n is glued from dimension n-1 of the poset's cached
-    `Complex`, so every face of an enumerated simplex is the very object
-    enumerated one dimension down, and each simplex hashes once.
-    Repeated calls return the same cached tuple; `inflating_only`
-    filters it.
+    The simplices are the objects of `complex_of(P)[n].simplices`, so
+    every face of an enumerated simplex is the very object enumerated
+    one dimension down, and each simplex hashes once.  Repeated calls
+    return the same cached tuple; `inflating_only` filters it.
     """
     cells = complex_of(P)[n]
     if inflating_only:
@@ -264,30 +285,77 @@ def enumerate_simplices(P: Poset, n: int, inflating_only: bool = False):
     return cells.simplices
 
 
-class Cells:
-    """The n-simplices of a poset and their integer tables.
+class _Ids(dict):
+    """Simplex -> id for one `Cells`, filled by `ids[d]`: a new key is
+    found in the tables by its support and face ids, which builds no
+    enumerated object.  Anything not among the simplices is a
+    `KeyError`."""
 
-    The id of a simplex is its rank in `simplices`, which is sort key
-    order.  `faces[i]` holds the ids of the faces of simplex i, one
-    dimension down, and `ids` maps a simplex (or one equal to it) to its
-    id.  The other tables are built on first use: the `inflating` and
-    `degenerate` masks and, in dimension 1, the id of each simplex's
-    `reverse`, the id of its `pinch` 2-simplex (see `pinches`), and the
-    reversal classes as id pairs (i, reverse of i) with i <= its reverse:
-    all of them in `classes`, those without an inflating member in
-    `free_classes`.  In dimension 2, `deformations` maps the id of a
-    boundary 1 to the id pairs (boundary 2, boundary 0), and such a pair
-    to the 1-tuples of boundary 1 ids: the moves of `paths.homotopic`.
+    __slots__ = ("_type", "_at", "_lower")
+
+    def __init__(self, cells):
+        self._type = _SIMPLEX_CLASSES[cells.dim]
+        self._at = cells.at
+        # A 0-simplex has no faces to look up.
+        self._lower = (cells.complex[cells.dim - 1].ids.__getitem__
+                       if cells.dim else None)
+
+    def __missing__(self, d):
+        if type(d) is not self._type:
+            raise KeyError(d)
+        i = self[d] = self._at[(d.support, *map(self._lower, d.faces))]
+        return i
+
+
+class Cells:
+    """The n-simplices of a poset as integer tables, with the simplex
+    objects built only when asked for.
+
+    The id of a simplex is its rank in sort key order.  The gluing
+    (`_glue`) makes the primary tables: `support[i]` is the id of the
+    support of simplex i, its rank in `P.elements`, and `faces[i]` holds
+    the ids of its faces one dimension down.  Everything else is built
+    on first use from them:
+    - `simplices`, the enumerated objects, in one pass;
+    - `ids`, which maps a simplex (or one equal to it) to its id, and
+      `at`, which maps (support element, *face ids) to the id;
+    - the `inflating` and `degenerate` masks, and in dimensions 1-3
+      `degeneracies[i][j]`, the id of s_i of simplex j one dimension
+      down (see `degeneracy`);
+    - in dimension 1, the id of each simplex's `reverse`, the id of its
+      `pinch` 2-simplex (see `pinches`), and the reversal classes as id
+      pairs (i, reverse of i) with i <= its reverse: all of them in
+      `classes`, those without an inflating member in `free_classes`;
+    - in dimension 2, `deformations`, which maps the id of a boundary 1
+      to the id pairs (boundary 2, boundary 0), and such a pair to the
+      1-tuples of boundary 1 ids: the moves of `paths.homotopic`.
+    Only `simplices` builds objects; the other tables never read it.
     """
 
     def __init__(self, K, n):
         self.complex = K
         self.dim = n
-        self.simplices, self.faces = _glue(K.poset, n, K[n - 1] if n else None)
+        self.support, self.faces = _glue(K.poset, n, K[n - 1] if n else None)
+
+    @cached_property
+    def simplices(self):
+        names = self.complex.poset.elements
+        if not self.dim:
+            return tuple(map(Simplex0, names))
+        ids, lower = self.faces, self.complex[self.dim - 1].simplices
+        faces = list(zip(*(map(lower.__getitem__, map(itemgetter(k), ids))
+                           for k in range(self.dim + 1))))
+        return _build(_SIMPLEX_CLASSES[self.dim], names, self.support, faces)
 
     @cached_property
     def ids(self):
-        return {d: i for i, d in enumerate(self.simplices)}
+        return _Ids(self)
+
+    @cached_property
+    def at(self):
+        names = self.complex.poset.elements
+        return {(names[x], *f): i
+                for i, (x, f) in enumerate(zip(self.support, self.faces))}
 
     @cached_property
     def inflating(self):
@@ -298,22 +366,37 @@ class Cells:
         return tuple(all(map(lower.__getitem__, f)) for f in self.faces)
 
     @cached_property
+    def degeneracies(self):
+        # Face j of s_i(d) is s_{i-1}(face j of d) for j < i, d itself for
+        # j = i and i + 1, and s_i(face j-1 of d) for j > i + 1.
+        lower = self.complex[self.dim - 1]
+        down = lower.degeneracies if self.dim > 1 else ()
+        names, at = self.complex.poset.elements, self.at
+        return tuple(
+            tuple(at[(names[x], *[down[i - 1][g] for g in f[:i]], j, j,
+                      *[down[i][g] for g in f[i + 1:]])]
+                  for j, (x, f) in enumerate(zip(lower.support, lower.faces)))
+            for i in range(self.dim))
+
+    @cached_property
     def degenerate(self):
-        return tuple(map(is_degenerate, self.simplices))
+        mask = [False] * len(self.faces)
+        for row in self.degeneracies if self.dim else ():
+            for k in row:
+                mask[k] = True
+        return tuple(mask)
 
     @cached_property
     def reverse(self):
-        at = {(d.support, f): i
-              for i, (d, f) in enumerate(zip(self.simplices, self.faces))}
-        return tuple(at[d.support, (s, e)]
-                     for d, (e, s) in zip(self.simplices, self.faces))
+        names, at = self.complex.poset.elements, self.at
+        return tuple(at[names[x], s, e]
+                     for x, (e, s) in zip(self.support, self.faces))
 
     @cached_property
     def pinch(self):
-        up, points = self.complex[2], self.complex.poset.elements
-        out = [None] * len(self.simplices)
-        for k, (c, (c0, c1, _)) in enumerate(zip(up.simplices, up.faces)):
-            if points[self.faces[c0][1]] == c.support == c.face1.support:
+        up, out = self.complex[2], [None] * len(self.faces)
+        for k, (x, (c0, c1, _)) in enumerate(zip(up.support, up.faces)):
+            if self.faces[c0][1] == x == self.support[c1]:
                 out[c1] = k
         return tuple(out)
 
@@ -348,12 +431,14 @@ class Complex:
         self.presentations = {}
 
     def __getitem__(self, n):
-        try:
-            return self._cells[n]
-        except KeyError:
-            _check_dimension(n)
-            cells = self._cells[n] = Cells(self, n)
-            return cells
+        if type(n) is int:  # not a bool or float equal to a key
+            try:
+                return self._cells[n]
+            except KeyError:
+                pass
+        _check_dimension(n)
+        cells = self._cells[n] = Cells(self, n)
+        return cells
 
     @cached_property
     def pinches(self):
@@ -361,53 +446,64 @@ class Complex:
         return {b: triangles[c] for b, c in zip(edges.simplices, edges.pinch)}
 
 
-@lru_cache(maxsize=None)
+# Well above the few posets a computation works with at once; it bounds
+# the memory of a long run that builds many posets, such as a run of
+# property-based tests.
+COMPLEX_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=COMPLEX_CACHE_SIZE)
 def complex_of(P: Poset) -> Complex:
     return Complex(P)
 
 
 def _glue(P: Poset, n: int, lower):
-    """The n-simplices of P and their face ids, glued from the cells
-    `lower` one dimension down by the simplicial identities.
+    """The support ids and face ids of the n-simplices of P, glued from
+    the cells `lower` one dimension down.
 
     An n-simplex with support x is a tuple of faces f_0..f_n, each an
     (n-1)-simplex with support <= x, such that face i of f_k is face k-1
     of f_i for all i < k (for n >= 2; for n = 1 any two points below x
-    are the faces).  Candidates for f_k are looked up by the ids of their
-    first k faces.  Choosing the faces in id order of dimension n-1
+    are the faces).  So the first k faces of f_k are fixed by the faces
+    chosen before it, and the candidates for f_k are looked up by that
+    prefix in `by0`, `by01` and `by012`; a tuple found this way satisfies
+    every identity.  Taking the candidates in id order of dimension n-1
     yields the simplices in sort key order.
     """
-    make = _SIMPLEX_CLASSES[n]
     if n == 0:
-        return tuple(make(x) for x in P.elements), ((),) * len(P)
-    simplices, faces = lower.simplices, lower.faces
-    by_support = {}
-    for i, f in enumerate(simplices):
-        by_support.setdefault(f.support, []).append(i)
-    out, out_faces = [], []
-    for x in P.elements:
-        # Ids are sorted by support first, so concatenating the groups in
-        # element order keeps candidates in id order.
-        candidates = [i for y in P.down_set(x) for i in by_support.get(y, ())]
-        by_prefix = [{} for _ in range(n + 1)]
-        for i in candidates:
-            for k in range(n + 1):
-                by_prefix[k].setdefault(faces[i][:k], []).append(i)
-
-        def glue(chosen):
-            k = len(chosen)
-            if k == n + 1:
-                out.append(make(x, *(simplices[i] for i in chosen)))
-                out_faces.append(tuple(chosen))
-                return
-            key = tuple(faces[i][k - 1] for i in chosen) if n >= 2 else ()
-            for i in by_prefix[k].get(key, ()):
-                chosen.append(i)
-                glue(chosen)
-                chosen.pop()
-
-        glue([])
-    return tuple(out), tuple(out_faces)
+        return tuple(range(len(P))), ((),) * len(P)
+    faces, by_support = lower.faces, {}
+    for i, x in enumerate(lower.support):
+        by_support.setdefault(x, []).append(i)
+    support, out = [], []
+    for x, name in enumerate(P.elements):
+        down = set(P.down_set(name))
+        below = [y for y, point in enumerate(P.elements) if point in down]
+        if n == 1:
+            glued = [(e, s) for e in below for s in below]
+        else:
+            # Ids are sorted by support first, so concatenating the groups
+            # in element order keeps the candidates in id order.
+            cands = [i for y in below for i in by_support.get(y, ())]
+            by0, by01, by012 = {}, {}, {}
+            for i in cands:
+                f = faces[i]
+                by0.setdefault(f[0], []).append(i)
+                by01.setdefault(f[:2], []).append(i)
+                if n == 3:
+                    by012.setdefault(f, []).append(i)
+            if n == 2:
+                glued = [(a, b, c) for a in cands for fa in [faces[a]]
+                         for b in by0[fa[0]]
+                         for c in by01.get((fa[1], faces[b][1]), ())]
+            else:
+                glued = [(a, b, c, d) for a in cands for fa in [faces[a]]
+                         for b in by0[fa[0]] for fb in [faces[b]]
+                         for c in by01.get((fa[1], fb[1]), ())
+                         for d in by012.get((fa[2], fb[2], faces[c][2]), ())]
+        support += [x] * len(glued)
+        out += glued
+    return tuple(support), tuple(out)
 
 
 def enumerate_simplices_raw(P: Poset, n: int, inflating_only: bool = False):

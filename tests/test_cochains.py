@@ -60,12 +60,14 @@ from posetbundle.paths import (
     reverse_path,
     word_value,
 )
-from posetbundle.poset import build_poset, parse_poset_text
+from posetbundle.poset import build_poset, generate, parse_poset_text
 from posetbundle.simplicial import (
     Simplex0,
     Simplex1,
     boundary,
+    complex_of,
     enumerate_simplices,
+    enumerate_simplices_raw,
 )
 
 Z2 = cyclic_group(2)
@@ -120,6 +122,21 @@ def test_second_coboundary_vanishes(posets):
         assert all(g == S3.identity for g in ddu.values.values())
     with pytest.raises(BadParameter):
         coboundary(ddu)
+
+
+def test_second_coboundary_builds_no_simplex_objects():
+    # d1, d2 and the cocycle check read the id tables only, so on a fresh
+    # complex no dimension builds its simplex objects.
+    complex_of.cache_clear()
+    P = generate("circle", 2)
+    u = random_cochain1(P, S3, random.Random(8))
+    ddu = coboundary2(coboundary1(u))
+    is_cocycle(u)
+    K = complex_of(P)
+    assert [n for n in range(4) if "simplices" in vars(K[n])] == []
+    raw = enumerate_simplices_raw(P, 3)
+    assert dict(ddu.values) == dict.fromkeys(raw, S3.identity)
+    assert list(ddu.values) == list(raw)
 
 
 def test_cochain2_intertwining_guard(posets):
@@ -331,6 +348,8 @@ def test_cocycle_violation_reporting(posets):
     assert bad
     for c in bad:
         assert Z2.mul(non(c.face0), non(c.face2)) != non(c.face1)
+    assert bad == tuple(c for c in enumerate_simplices(P, 2)
+                        if Z2.mul(non(c.face0), non(c.face2)) != non(c.face1))
     assert cocycle_violations(trivial_cochain1(P, Z2)) == ()
 
 

@@ -1,6 +1,7 @@
 import itertools
 import os
 import pickle
+import re
 import subprocess
 import sys
 
@@ -11,8 +12,10 @@ from posetbundle.errors import BadParameter, IndexOutOfRange, UnsupportedDimensi
 from posetbundle.paths import Path, _ranked
 from posetbundle.poset import build_poset
 from posetbundle.simplicial import (
+    COMPLEX_CACHE_SIZE,
     EVEN_PERMUTATIONS,
     ODD_PERMUTATIONS,
+    Complex,
     Simplex0,
     Simplex1,
     Simplex2,
@@ -55,6 +58,20 @@ def test_dimension_range(posets):
         enumerate_simplices(posets["chain2"], 4)
     with pytest.raises(UnsupportedDimension):
         enumerate_simplices(posets["chain2"], -1)
+
+
+@pytest.mark.parametrize("dim", [True, 1.0, 1.5, "1", None])
+def test_non_integer_dimensions_are_rejected(posets, dim):
+    P = posets["chain2"]
+    K = complex_of(P)
+    before = dict(K._cells)
+    message = re.escape(f"dimension {dim!r} not supported")
+    with pytest.raises(UnsupportedDimension, match=message):
+        enumerate_simplices(P, dim)
+    with pytest.raises(UnsupportedDimension, match=message):
+        K[dim]
+    assert K._cells == before
+    assert all(type(n) is int for n in K._cells)
 
 
 def test_enumeration_is_sorted_and_duplicate_free(posets):
@@ -347,3 +364,53 @@ def test_complex_tables_on_fixtures(posets, poset_name):
 @given(small_posets(max_size=4, max_height=2))
 def test_complex_tables_on_random_posets(P):
     assert_complex_invariants(P, range(4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_posets(max_size=4, max_height=2))
+def test_id_tables_match_the_oracle_before_any_object(P):
+    """The tables built from ids alone equal those derived from the
+    oracle's objects, and reading them builds no simplex object."""
+    K = Complex(P)
+    raw = [enumerate_simplices_raw(P, n) for n in range(4)]
+    raw_ids = [{d: i for i, d in enumerate(r)} for r in raw]
+    for n in range(4):
+        cells = K[n]
+        assert cells.support == tuple(P.elements.index(d.support)
+                                      for d in raw[n])
+        assert cells.faces == tuple(tuple(raw_ids[n - 1][f] for f in d.faces)
+                                    for d in raw[n])
+        assert cells.inflating == tuple(is_inflating(P, d) for d in raw[n])
+        assert cells.degenerate == tuple(map(is_degenerate, raw[n]))
+        assert [cells.ids[d] for d in raw[n]] == list(range(len(raw[n])))
+        for i in range(n):
+            assert cells.degeneracies[i] == tuple(
+                raw_ids[n][degeneracy(f, i)] for f in raw[n - 1])
+    edges = K[1]
+    assert edges.reverse == tuple(raw_ids[1][reverse(b)] for b in raw[1])
+    for i, b in enumerate(raw[1]):
+        c = raw[2][edges.pinch[i]]
+        assert c.face1 == b and c.support == b.support == c.face2.face0.support
+    assert not any("simplices" in vars(K[n]) for n in range(4))
+    for n in range(4):
+        glued = K[n].simplices
+        assert glued == raw[n]
+        assert [d.encode() for d in glued] == [d.encode() for d in raw[n]]
+        assert [hash(d) for d in glued] == [hash(d) for d in raw[n]]
+        for d in glued[:: max(1, len(glued) // 7)]:
+            assert type(d)(d.support, *d.faces) == d  # the identities hold
+
+
+def test_complex_cache_is_bounded():
+    first = build_poset(["p0"], [])
+    K = complex_of(first)
+    chains = [build_poset([f"p{i}", "q"], [(f"p{i}", "q")])
+              for i in range(COMPLEX_CACHE_SIZE + 5)]
+    for P in chains:
+        complex_of(P)
+    assert complex_of.cache_info().currsize == COMPLEX_CACHE_SIZE
+    assert complex_of(first) is not K  # evicted, then built again
+    assert len(enumerate_simplices(first, 1)) == 1
+    for P in chains[-3:]:
+        assert complex_of(P) is complex_of(P)
+        assert enumerate_simplices(P, 1) == enumerate_simplices_raw(P, 1)
