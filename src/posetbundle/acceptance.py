@@ -33,7 +33,7 @@ from .paths import (
     pi1_presentation,
 )
 from .poset import Poset, build_poset, generate
-from .simplicial import complex_of, enumerate_simplices, permute2, pinches
+from .simplicial import complex_of, enumerate_simplices, permute2
 
 DEFAULT_SEED = 20260824
 
@@ -115,8 +115,8 @@ def random_connection(P: Poset, G: FiniteGroup, rng) -> Cochain1:
     z = random_cocycle(P, G, rng)
     cells = complex_of(P)[1]
     twist = [G.unit] * len(cells.faces)
-    for b in cn.noninflating_pairs(P):
-        twist[cells.ids[b]] = G.index[rng.choice(G.elements)]
+    for i in sorted(i for pair in cells.free_classes for i in pair):
+        twist[i] = G.index[rng.choice(G.elements)]
     return cn.construct_from_cochain(Cochain1._of(P, G, tuple(twist)), z)
 
 
@@ -257,16 +257,16 @@ def criterion_7(rng):
     center = set(Z2.center())
     cocycles = enumerate_cocycles(circle2, Z2)
     inflating = _inflating_ids(circle2)
-    pinch = pinches(circle2)
+    pinch = complex_of(circle2)[1].pinch
     for u in us:
         if not cn.is_central(u):
             return False, "a Z2 connection failed centrality"
         z, chi = cn.central_decompose(u)
         w = cn.curvature(u)
-        for b in enumerate_simplices(circle2, 1):
+        for i, b in enumerate(enumerate_simplices(circle2, 1)):
             if Z2.mul(z(b), chi(b)) != u(b) or chi(b) not in center:
                 return False, "decomposition does not recompose"
-            if w(pinch[b]) != Z2.inv(chi(b)):
+            if w.ids[pinch[i]] != Z2.inverses[chi.ids[i]]:
                 return False, "curvature of the pinch simplex missed chi"
         agreeing = [
             z1 for z1 in cocycles

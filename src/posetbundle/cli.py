@@ -18,20 +18,14 @@ import argparse
 import os
 import re
 import sys
+from itertools import islice
 from pathlib import Path as FilePath
 
 from .errors import PosetBundleError, UsageError, content_lines, located
 
 # Each handler and loader imports the library modules it uses, so a
 # command pays only for its own imports; `suite` alone loads
-# `acceptance`, which `cli.acceptance` still names.
-
-
-def __getattr__(name):
-    if name == "acceptance":
-        from . import acceptance
-        return acceptance
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# `acceptance`.
 
 
 def _read(path):
@@ -208,14 +202,13 @@ def _header(args):
 
 
 def cmd_check_cocycle(args):
-    from .cochains import cocycle_violations, is_cocycle
+    from .cochains import identity_failures, is_cocycle
 
     ok = is_cocycle(args.cochain)
     report = {**_header(args), "cocycle": ok}
     if not ok:
-        report["violations"] = [
-            c.encode() for c in cocycle_violations(args.cochain)[: args.limit]
-        ]
+        report["violations"] = [c.encode() for c in islice(
+            identity_failures(args.cochain), args.limit)]
     return (0 if ok else 1), report
 
 

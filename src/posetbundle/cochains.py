@@ -355,11 +355,6 @@ def identity_failures(u: Cochain1, inflating_only=False):
     return (cells.simplices[i] for i in _failing_ids(u, inflating_only))
 
 
-def cocycle_violations(z: Cochain1):
-    """The 2-simplices where the 1-cocycle identity fails, for reporting."""
-    return tuple(identity_failures(z))
-
-
 # -- paths and path independence -------------------------------------------
 
 

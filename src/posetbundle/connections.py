@@ -76,8 +76,10 @@ def curvature(u: Cochain1) -> Cochain2:
 
 
 def is_flat(u: Cochain1) -> bool:
-    w = curvature(u)
-    return w.ids.count(u.group.unit) == len(w.ids)
+    """Whether the curvature of the connection u is the identity
+    everywhere, which is the cocycle identity of u."""
+    _require_connection(u)
+    return is_cocycle(u)
 
 
 def transport_between(u: Cochain1, o: str, a1: str, a: str):
@@ -145,15 +147,6 @@ def construct_from_cochain(v: Cochain1, z: Cochain1) -> Cochain1:
     return u
 
 
-def noninflating_pairs(P: Poset):
-    """1-simplices that are non-inflating in both orientations
-    (incomparable endpoints below a common upper bound), in
-    `enumerate_simplices` order."""
-    cells = complex_of(P)[1]
-    members = {i for pair in cells.free_classes for i in pair}
-    return tuple(b for i, b in enumerate(cells.simplices) if i in members)
-
-
 def construct_nonflat(z: Cochain1, b: Simplex1 = None, g=None):
     """A nonflat connection on the bundle z, with a witness 2-simplex.
 
@@ -167,16 +160,17 @@ def construct_nonflat(z: Cochain1, b: Simplex1 = None, g=None):
     P, G = z.poset, z.group
     if G.is_trivial():
         raise TrivialGroup("no nonflat connection with trivial coefficients")
-    candidates = noninflating_pairs(P)
+    cells = z.cells
     if b is None:
-        if not candidates:
+        if not cells.free_classes:
             raise NoSuchSimplex(
                 f"every 1-simplex of {P.name} is inflating up to reversal"
             )
-        b = candidates[0]
+        i = cells.free_classes[0][0]  # the smallest free id
     else:
         b = enumerated(P, b)
-        if b not in candidates:
+        i = cells.ids[b] if b.dim == 1 else None
+        if i is None or cells.inflating[i] or cells.inflating[cells.reverse[i]]:
             raise NoSuchSimplex(
                 f"{b.encode()} is inflating in some orientation"
             )
@@ -186,7 +180,6 @@ def construct_nonflat(z: Cochain1, b: Simplex1 = None, g=None):
         raise MissingValue(f"{g!r} is not an element of {G.name}")
     if g == G.identity:
         raise TrivialGroup("the twisting element must be nontrivial")
-    cells, i = z.cells, z.cells.ids[b]
     twist = [G.unit] * len(cells.faces)
     twist[i] = G.inverses[z.ids[i]]
     twist[cells.reverse[i]] = G.rows[G.index[g]][twist[i]]

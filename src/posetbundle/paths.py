@@ -12,7 +12,6 @@ from .groups import FiniteGroup
 from .poset import Poset
 from .simplicial import (
     Simplex0,
-    Simplex1,
     complex_of,
     degeneracy,
     enumerate_simplices,
@@ -211,9 +210,6 @@ class WordMap:
         self.edge_words = edge_words
         self.tree = tree
 
-    def edge_word(self, b: Simplex1):
-        return self.edge_words[self._edges.ids[b]]
-
     def path_word(self, p: Path):
         ids, words = self._edges.ids, self.edge_words
         return tuple(w for b in p.steps for w in words[ids[b]])
@@ -238,23 +234,9 @@ def _abelianized_equal(presentation, w1, w2):
     return diff in presentation.lattice
 
 
-def pi1_presentation(P: Poset, a0: str):
-    """A finite presentation of the edge-path group of P based at a0,
-    and the `WordMap` of its spanning tree; computed once per base point
-    and kept on `complex_of(P)`.
-
-    A deterministic spanning tree of the multigraph (vertices = elements,
-    one edge per reverse-pair of 1-simplices, Kruskal over sort keys) is
-    contracted; every other edge class contributes a generator, and every
-    2-simplex contributes the relator
-    word(boundary 0) word(boundary 2) word(boundary 1)^-1.
-    """
-    K = complex_of(P)
-    if a0 in K.presentations:
-        return K.presentations[a0]
-    P.check_element(a0)
-    edges = K[1]
-
+def _presentation(K):
+    """The base-free part of `pi1_presentation`: the presentation, the
+    edge words and the spanning tree as (point id, step id) lists."""
     # Kruskal over the reversal classes in id (sort key) order: a class
     # that joins two components is a tree edge, and any other class that
     # is not a loop at a point contributes a generator.  Loops at a point
@@ -262,8 +244,9 @@ def pi1_presentation(P: Poset, a0: str):
     # the 2-simplex with vertex map (a, a, s) and top edge b gives the
     # relator g h g^-1 for the generator h of b; dropping them shrinks
     # the presentation without changing the group.
-    component = list(range(len(P)))
-    adjacency = [[] for _ in P.elements]
+    edges = K[1]
+    component = list(range(len(K.poset)))
+    adjacency = [[] for _ in component]
     generators, words = [], [()] * len(edges.faces)
     for i, j in edges.classes:
         y, x = edges.faces[i]  # end, start
@@ -277,11 +260,37 @@ def pi1_presentation(P: Poset, a0: str):
             words[i] = ((len(generators), 1),)
             words[j] = ((len(generators), -1),)
             generators.append(edges.simplices[i].encode())
+    relators = tuple(
+        word for b0, b1, b2 in K[2].faces
+        if (word := words[b0] + words[b2] + invert_word(words[b1]))
+    )
+    return Presentation(tuple(generators), relators), tuple(words), adjacency
+
+
+def pi1_presentation(P: Poset, a0: str):
+    """A finite presentation of the edge-path group of P based at a0,
+    and the `WordMap` of its spanning tree; kept on `complex_of(P)`.
+
+    A deterministic spanning tree of the multigraph (vertices = elements,
+    one edge per reverse-pair of 1-simplices, Kruskal over sort keys) is
+    contracted; every other edge class contributes a generator, and every
+    2-simplex contributes the relator
+    word(boundary 0) word(boundary 2) word(boundary 1)^-1.  None of this
+    depends on a0, so every base point of P shares one `Presentation`
+    and one edge word table; only the tree paths from a0 are its own.
+    """
+    K = complex_of(P)
+    if a0 in K.presentations:
+        return K.presentations[a0]
+    P.check_element(a0)
+    if K.pi1 is None:
+        K.pi1 = _presentation(K)
+    presentation, words, adjacency = K.pi1
 
     # Tree paths from a0 by BFS over the adjacency lists, which are in
     # insertion order; the base point's own path is its degenerate edge.
     root, tree = K[0].ids[Simplex0(a0)], [None] * len(P)
-    tree[root] = (edges.degeneracies[0][root],)
+    tree[root] = (K[1].degeneracies[0][root],)
     queue = [root]
     for x in queue:
         for y, step in adjacency[x]:
@@ -290,12 +299,7 @@ def pi1_presentation(P: Poset, a0: str):
                 queue.append(y)
     if None in tree:
         raise NotConnected(f"{P.name} is not pathwise connected")
-    relators = tuple(
-        word for b0, b1, b2 in K[2].faces
-        if (word := words[b0] + words[b2] + invert_word(words[b1]))
-    )
-    K.presentations[a0] = (Presentation(tuple(generators), relators),
-                           WordMap(edges, tuple(words), tuple(tree)))
+    K.presentations[a0] = (presentation, WordMap(K[1], words, tuple(tree)))
     return K.presentations[a0]
 
 

@@ -33,7 +33,8 @@ from .poset import Poset
 
 class Simplex:
     """A support together with its faces, the simplices one dimension
-    down; `Simplex0`..`Simplex3` fix the dimension and name the slots.
+    down; `Simplex0`..`Simplex3` fix the dimension and name the support
+    `element` or the faces `face0`.. (read-only views of `faces`).
 
     The constructor checks the number of faces and, for n >= 2, the
     simplicial identity: face i of face k is face k-1 of face i for all
@@ -54,7 +55,8 @@ class Simplex:
         cls._arity = n + 1 if n else 0
         cls._identities = tuple((k, i) for k in range(n + 1)
                                 for i in range(k)) if n >= 2 else ()
-        cls._named = tuple(cls.__dict__[s].__set__ for s in cls.__slots__)
+        for k in range(cls._arity):
+            setattr(cls, f"face{k}", property(lambda d, k=k: d.faces[k]))
 
     def __init__(self, support, *faces):
         if len(faces) != self._arity:
@@ -69,8 +71,6 @@ class Simplex:
         _set_support(self, support)
         _set_faces(self, faces)
         _set_hash(self, hash((support,) + faces))
-        for set_, value in zip(self._named, faces or (support,)):
-            set_(self, value)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -120,33 +120,33 @@ def _build(cls, names, support, faces):
     out = [object.__new__(cls) for _ in faces]
     points = map(names.__getitem__, support)
     hashes = map(hash, map(add, zip(map(names.__getitem__, support)), faces))
-    named = [map(itemgetter(k), faces) for k in range(len(cls._named))]
-    for set_, column in zip((_set_support, _set_faces, _set_hash)
-                            + cls._named, [points, faces, hashes, *named]):
+    for set_, column in zip((_set_support, _set_faces, _set_hash),
+                            (points, faces, hashes)):
         deque(map(set_, out, column), maxlen=0)
     return tuple(out)
 
 
 class Simplex0(Simplex):
-    __slots__ = ("element",)
+    __slots__ = ()
     dim = 0
+    element = Simplex.support
 
     def sort_key(self):  # the base formula without the empty face loop
         return (self.element,)
 
 
 class Simplex1(Simplex):
-    __slots__ = ("face0", "face1")  # endpoint, start point
+    __slots__ = ()  # face0 is the endpoint, face1 the start point
     dim = 1
 
 
 class Simplex2(Simplex):
-    __slots__ = ("face0", "face1", "face2")
+    __slots__ = ()
     dim = 2
 
 
 class Simplex3(Simplex):
-    __slots__ = ("face0", "face1", "face2", "face3")
+    __slots__ = ()
     dim = 3
 
 
@@ -217,33 +217,6 @@ def enumerated(P: Poset, d):
                             f"{P.name}") from None
 
 
-def reversal_classes(P: Poset):
-    """The classes {b, reverse(b)} of 1-simplices as (representative,
-    reverse) pairs, in sort key order of the representative, which is the
-    member with the smaller sort key.  A self-reverse class (a loop at a
-    point) is a pair (b, b).  Both members are the enumerated objects."""
-    cells = complex_of(P)[1]
-    s = cells.simplices
-    return tuple((s[i], s[j]) for i, j in cells.classes)
-
-
-def noninflating_classes(P: Poset):
-    """The reversal classes with no inflating member, in
-    `reversal_classes` order: the edges where a connection may differ
-    from its bundle."""
-    cells = complex_of(P)[1]
-    s = cells.simplices
-    return tuple((s[i], s[j]) for i, j in cells.free_classes)
-
-
-def pinches(P: Poset):
-    """The pinch simplex of every 1-simplex b: the enumerated 2-simplex
-    with boundary 1 equal to b whose middle vertex is the support of b
-    (boundary 2 runs from the start of b up to the support, boundary 0
-    from there down to the end).  Cached per poset."""
-    return complex_of(P).pinches
-
-
 def permute2(c: Simplex2, sigma) -> Simplex2:
     """The orientation (vertex permutation) action on a 2-simplex.
 
@@ -288,12 +261,14 @@ def enumerate_simplices(P: Poset, n: int, inflating_only: bool = False):
 class _Ids(dict):
     """Simplex -> id for one `Cells`, filled by `ids[d]`: a new key is
     found in the tables by its support and face ids, which builds no
-    enumerated object.  Anything not among the simplices is a
-    `KeyError`."""
+    enumerated object.  Once the objects exist they are the keys, so a
+    later lookup of one ends at `is`.  Anything not among the simplices
+    is a `KeyError`."""
 
-    __slots__ = ("_type", "_at", "_lower")
+    __slots__ = ("_cells", "_type", "_at", "_lower")
 
     def __init__(self, cells):
+        self._cells = cells
         self._type = _SIMPLEX_CLASSES[cells.dim]
         self._at = cells.at
         # A 0-simplex has no faces to look up.
@@ -303,7 +278,9 @@ class _Ids(dict):
     def __missing__(self, d):
         if type(d) is not self._type:
             raise KeyError(d)
-        i = self[d] = self._at[(d.support, *map(self._lower, d.faces))]
+        i = self._at[(d.support, *map(self._lower, d.faces))]
+        built = self._cells.__dict__.get("simplices")
+        self[d if built is None else built[i]] = i
         return i
 
 
@@ -323,9 +300,10 @@ class Cells:
       `degeneracies[i][j]`, the id of s_i of simplex j one dimension
       down (see `degeneracy`);
     - in dimension 1, the id of each simplex's `reverse`, the id of its
-      `pinch` 2-simplex (see `pinches`), and the reversal classes as id
-      pairs (i, reverse of i) with i <= its reverse: all of them in
-      `classes`, those without an inflating member in `free_classes`;
+      `pinch` (the 2-simplex with boundary 1 equal to it whose middle
+      vertex is its support), and the reversal classes as id pairs
+      (i, reverse of i) with i <= its reverse: all of them in `classes`,
+      those without an inflating member in `free_classes`;
     - in dimension 2, `deformations`, which maps the id of a boundary 1
       to the id pairs (boundary 2, boundary 0), and such a pair to the
       1-tuples of boundary 1 ids: the moves of `paths.homotopic`.
@@ -340,12 +318,18 @@ class Cells:
     @cached_property
     def simplices(self):
         names = self.complex.poset.elements
-        if not self.dim:
-            return tuple(map(Simplex0, names))
-        ids, lower = self.faces, self.complex[self.dim - 1].simplices
-        faces = list(zip(*(map(lower.__getitem__, map(itemgetter(k), ids))
-                           for k in range(self.dim + 1))))
-        return _build(_SIMPLEX_CLASSES[self.dim], names, self.support, faces)
+        if self.dim:
+            ids, lower = self.faces, self.complex[self.dim - 1].simplices
+            faces = list(zip(*(map(lower.__getitem__, map(itemgetter(k), ids))
+                               for k in range(self.dim + 1))))
+            out = _build(_SIMPLEX_CLASSES[self.dim], names, self.support, faces)
+        else:
+            out = tuple(map(Simplex0, names))
+        if "ids" in self.__dict__:  # re-key what was looked up before
+            found = list(self.ids.values())
+            self.ids.clear()
+            self.ids.update(zip(map(out.__getitem__, found), found))
+        return out
 
     @cached_property
     def ids(self):
@@ -422,12 +406,14 @@ class Cells:
 class Complex:
     """The enumerated complex of a poset: one `Cells` per dimension
     0..3, each built on first use from the one below.  `complex_of` caches
-    one per poset, so every per-poset table hangs off it, down to the
-    `presentations` of `paths.pi1_presentation` by base point."""
+    one per poset, so every per-poset table hangs off it, down to
+    `paths.pi1_presentation`: its base-free part `pi1` and its
+    `presentations` by base point."""
 
     def __init__(self, P: Poset):
         self.poset = P
         self._cells = {}
+        self.pi1 = None
         self.presentations = {}
 
     def __getitem__(self, n):
@@ -439,11 +425,6 @@ class Complex:
         _check_dimension(n)
         cells = self._cells[n] = Cells(self, n)
         return cells
-
-    @cached_property
-    def pinches(self):
-        edges, triangles = self[1], self[2].simplices
-        return {b: triangles[c] for b, c in zip(edges.simplices, edges.pinch)}
 
 
 # Well above the few posets a computation works with at once; it bounds

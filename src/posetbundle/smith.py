@@ -102,18 +102,3 @@ class RowLattice:
                 return False
         return True
 
-
-def elementary_divisors(matrix):
-    return RowLattice(matrix, len(matrix[0]) if matrix else 0).divisors
-
-
-def abelian_invariants(matrix, n_generators):
-    """Invariant factors of Z^n / rowspace(matrix): finite torsion factors
-    (> 1) followed by zeros for free ranks."""
-    return RowLattice(matrix, n_generators).invariant_factors()
-
-
-def in_row_lattice(matrix, vector):
-    """True iff `vector` is an integer combination of the rows of `matrix`."""
-    vector = list(map(int, vector))
-    return vector in RowLattice(matrix, len(vector))

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import posetbundle
-from posetbundle import cli
+from posetbundle import acceptance, cli
 from posetbundle.acceptance import (
     CriterionResult,
     standard_posets,
@@ -432,7 +432,7 @@ STUB_RESULTS = (
 
 
 def test_suite_text_and_json(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli.acceptance, "run_all", lambda seed: STUB_RESULTS)
+    monkeypatch.setattr(acceptance, "run_all", lambda seed: STUB_RESULTS)
     fixtures = tmp_path / "fx"
     assert run(["suite", "--fixtures", fixtures]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -455,14 +455,14 @@ def test_suite_text_and_json(tmp_path, capsys, monkeypatch):
         ],
         "passed": 1,
     }
-    monkeypatch.setattr(cli.acceptance, "run_all",
+    monkeypatch.setattr(acceptance, "run_all",
                         lambda seed: STUB_RESULTS[:1])
     assert run(["--format", "json", "suite", "--fixtures", fixtures]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] == 1
 
 
 def test_suite_json_reports_fixture_problems(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli.acceptance, "run_all", lambda seed: STUB_RESULTS)
+    monkeypatch.setattr(acceptance, "run_all", lambda seed: STUB_RESULTS)
     fixtures = tmp_path / "fx"
     fixtures.mkdir()
     bad = format_group_text(Z3).replace("g1 g2 g0", "g1 g1 g0")

@@ -32,7 +32,6 @@ from posetbundle.connections import (
     is_central,
     is_connection,
     is_flat,
-    noninflating_pairs,
     restricted_holonomy,
     star_compose,
     star_inverse,
@@ -48,6 +47,7 @@ from posetbundle.errors import (
 )
 from posetbundle.groups import cyclic_group, symmetric_group, trivial_group
 from posetbundle.simplicial import (
+    complex_of,
     enumerate_simplices,
     is_degenerate,
     is_inflating,
@@ -104,11 +104,17 @@ def test_connection_axioms(posets):
         curvature(non)
 
 
+def free_edge(P):
+    """The first 1-simplex inflating in neither orientation."""
+    edges = complex_of(P)[1]
+    return edges.simplices[edges.free_classes[0][0]]
+
+
 def test_construct_from_cochain(posets):
     P = posets["circle2"]
     z = winding_cocycle(P, Z3, "g1")
     twist = {b: Z3.identity for b in enumerate_simplices(P, 1)}
-    b = noninflating_pairs(P)[0]
+    b = free_edge(P)
     twist[b] = "g2"
     twist[reverse(b)] = "g1"
     u = construct_from_cochain(Cochain1(P, Z3, twist), z)
@@ -267,7 +273,7 @@ def test_holonomy_conjugacy(posets):
 def test_reversal_violation_names_both_members(posets):
     P = posets["circle2"]
     u = sample_connections(P, Z3, 7, 1)[0]
-    b = noninflating_pairs(P)[0]
+    b = free_edge(P)
     values = dict(u.values)
     values[b] = Z3.mul(values[b], "g1")
     bad_edges, bad_triangles = connection_violations(Cochain1(P, Z3, values))

@@ -210,6 +210,7 @@ def test_presentation_is_factorised_once(posets, monkeypatch):
     """Ten homotopy queries and the invariants share one Smith form."""
     P = posets["twoloop"]
     monkeypatch.delitem(complex_of(P).presentations, "M1", raising=False)
+    monkeypatch.setattr(complex_of(P), "pi1", None)
     calls = []
     factorise = smith.smith_normal_form
     monkeypatch.setattr(smith, "smith_normal_form",
@@ -236,6 +237,28 @@ def test_presentation_is_kept_on_the_complex(posets):
     assert complex_of(P).presentations["a1"] is first
     assert pi1_presentation(generate("circle", 2), "a1") is first
     assert pi1_presentation(P, "a2") is not first
+
+
+def test_base_points_share_one_presentation(posets, monkeypatch):
+    """The presentation and the edge words do not depend on the base
+    point: every base of a poset gets the same objects, and the relator
+    lattice is factorised once per poset."""
+    calls = []
+    factorise = smith.smith_normal_form
+    monkeypatch.setattr(smith, "smith_normal_form",
+                        lambda matrix: calls.append(1) or factorise(matrix))
+    for name, P in posets.items():
+        K = complex_of(P)
+        monkeypatch.setattr(K, "presentations", {})
+        monkeypatch.setattr(K, "pi1", None)
+        first, words = pi1_presentation(P, P.elements[0])
+        for a in P.elements:
+            presentation, other = pi1_presentation(P, a)
+            assert presentation is first
+            assert other.edge_words is words.edge_words
+            assert presentation.lattice is first.lattice
+            assert other.tree_path(a).start.element == a
+        assert len(calls) == list(posets).index(name) + 1
 
 
 def test_tree_paths_reach_every_element(posets):

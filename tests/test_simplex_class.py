@@ -19,12 +19,12 @@ from posetbundle.simplicial import (
     Simplex1,
     Simplex2,
     Simplex3,
+    complex_of,
     degeneracy,
     enumerate_simplices,
     enumerated,
     is_degenerate,
     permute2,
-    pinches,
     reverse,
 )
 
@@ -177,10 +177,26 @@ def test_permute2_matches_the_old_face_table(posets):
 
 
 def test_subclasses_only_fix_the_dimension_and_the_slot_names():
+    """Only the base class has slots; the names in the subclasses are
+    views of them, so no simplex has a slot per face."""
+    assert Simplex.__slots__ == ("support", "faces", "_hash")
     for n, cls in CLASSES.items():
         assert issubclass(cls, Simplex) and cls.dim == n
-    assert Simplex0.__slots__ == ("element",)
-    assert Simplex3.__slots__ == ("face0", "face1", "face2", "face3")
+        assert cls.__slots__ == ()
+    assert Simplex0.element is Simplex.support
+    assert [k for k in range(5) if hasattr(Simplex3, f"face{k}")] == [
+        0, 1, 2, 3]
+    assert not hasattr(Simplex1, "face2") and not hasattr(Simplex0, "face0")
+
+
+def test_faces_are_views(posets):
+    for n in range(1, 4):
+        for d in enumerate_simplices(posets["circle2"], n)[:20]:
+            for k in range(n + 1):
+                assert getattr(d, f"face{k}") is d.faces[k]
+                with pytest.raises(AttributeError):
+                    setattr(d, f"face{k}", d.faces[0])
+            assert getattr(type(d), "face0").fset is None
 
 
 def test_named_slots_read_the_faces(posets):
@@ -238,14 +254,13 @@ def hand_built_pinch(b):
                                         "twoloop"])
 def test_pinches_are_the_hand_built_simplices(posets, poset_name):
     P = posets[poset_name]
-    table = pinches(P)
-    assert set(table) == set(enumerate_simplices(P, 1))
+    table = complex_of(P)[1].pinch
     assert len(table) == len(enumerate_simplices(P, 1))
-    index = {c: c for c in enumerate_simplices(P, 2)}
-    for b, c in table.items():
-        assert c == hand_built_pinch(b)
-        assert index[c] is c and c.face1 is b
-    assert pinches(P) is table
+    triangles = enumerate_simplices(P, 2)
+    for b, c in zip(enumerate_simplices(P, 1), table):
+        assert triangles[c] == hand_built_pinch(b)
+        assert triangles[c].face1 is b
+    assert complex_of(P)[1].pinch is table
 
 
 def test_enumerated_returns_the_enumerated_object(posets):

@@ -1,6 +1,6 @@
 """Lookups of enumerated simplices: the pinch simplices behind the induced
-cocycle, the reversal classes without an inflating member, and inputs
-that name simplices or elements outside the poset or group."""
+cocycle, the reversal class tables, and inputs that name simplices or
+elements outside the poset or group."""
 
 import random
 
@@ -14,7 +14,6 @@ from posetbundle.connections import (
     construct_nonflat,
     enumerate_connections,
     induced_cocycle,
-    noninflating_pairs,
     transport_between,
 )
 from posetbundle.errors import (
@@ -28,11 +27,11 @@ from posetbundle.poset import build_poset, format_poset_text
 from posetbundle.simplicial import (
     Simplex0,
     Simplex1,
+    complex_of,
     enumerate_simplices,
+    enumerated,
     is_inflating,
-    noninflating_classes,
     parse_simplex1,
-    reversal_classes,
     reverse,
 )
 
@@ -71,25 +70,39 @@ TRIPOD = build_poset(["a", "b", "c", "o"],
 @pytest.mark.parametrize("poset_name", ["chain2", "chain3", "vee", "circle2",
                                         "twoloop", "tripod"])
 def test_noninflating_helpers_match_their_definitions(posets, poset_name):
+    """The class tables: each class {b, reverse(b)} once, as the pair
+    (representative, reverse) whose representative has the smaller sort
+    key, in sort key order of the representatives; a class is free iff
+    neither member inflates."""
     P = TRIPOD if poset_name == "tripod" else posets[poset_name]
-    assert noninflating_pairs(P) == tuple(
-        b for b in enumerate_simplices(P, 1)
-        if not is_inflating(P, b) and not is_inflating(P, reverse(b))
-    )
-    assert noninflating_classes(P) == tuple(
-        (rep, rev) for rep, rev in reversal_classes(P)
+    cells, edges = complex_of(P)[1], enumerate_simplices(P, 1)
+    classes = [(edges[i], edges[j]) for i, j in cells.classes]
+    assert classes == [(b, enumerated(P, reverse(b))) for b in edges
+                       if b.sort_key() <= reverse(b).sort_key()]
+    keys = [rep.sort_key() for rep, _ in classes]
+    assert keys == sorted(keys)
+    assert all(rep.sort_key() <= rev.sort_key() and rev == reverse(rep)
+               for rep, rev in classes)
+    assert [(edges[i], edges[j]) for i, j in cells.free_classes] == [
+        (rep, rev) for rep, rev in classes
         if not is_inflating(P, rep) and not is_inflating(P, rev)
-    )
+    ]
+    free = sorted(k for pair in cells.free_classes for k in pair)
+    assert [edges[k] for k in free] == [
+        b for b in edges
+        if not is_inflating(P, b) and not is_inflating(P, reverse(b))
+    ]
 
 
 def test_construct_from_cochain_rejects_twists_on_inflating_classes(posets):
     P, G = posets["circle2"], cyclic_group(2)
     z = trivial_cochain1(P, G)
-    for rep, rev in reversal_classes(P):
-        twist = {b: G.identity for b in enumerate_simplices(P, 1)}
-        twist[rev] = "g1"
+    cells, edges = complex_of(P)[1], enumerate_simplices(P, 1)
+    for i, j in cells.classes:
+        twist = {b: G.identity for b in edges}
+        twist[edges[j]] = "g1"
         v = Cochain1(P, G, twist)
-        if (rep, rev) in noninflating_classes(P):
+        if (i, j) in cells.free_classes:
             construct_from_cochain(v, z)
         else:
             with pytest.raises(PreconditionViolated):
@@ -103,10 +116,15 @@ def test_construct_nonflat_rejects_foreign_edges_and_elements(posets):
         construct_nonflat(z, parse_simplex1(FOREIGN_EDGE))
     with pytest.raises(MissingValue):
         construct_nonflat(z, g="g7")
-    b = noninflating_pairs(P)[0]
+    edges = complex_of(P)[1]
+    b = edges.simplices[edges.free_classes[0][0]]
     u, witness = construct_nonflat(z, parse_simplex1(b.encode()))
-    assert (u, witness) == construct_nonflat(z, b)
+    assert (u, witness) == construct_nonflat(z, b) == construct_nonflat(z)
     assert witness is not None
+    for b in edges.simplices:
+        if is_inflating(P, b) or is_inflating(P, reverse(b)):
+            with pytest.raises(NoSuchSimplex):
+                construct_nonflat(z, b)
 
 
 def test_homotopic_rejects_foreign_steps(posets):

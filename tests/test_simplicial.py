@@ -29,7 +29,6 @@ from posetbundle.simplicial import (
     is_inflating,
     parse_simplex1,
     permute2,
-    pinches,
     reverse,
     support,
     validate_supports,
@@ -344,7 +343,8 @@ def assert_complex_invariants(P, dims):
         for i, (b, r) in enumerate(zip(steps, edges.reverse)):
             assert edges.reverse[r] == i
             assert steps[r] is enumerated(P, reverse(b))
-            assert triangles.simplices[edges.pinch[i]] is pinches(P)[b]
+            pinch = triangles.simplices[edges.pinch[i]]
+            assert pinch.face1 is b and pinch.face2.face0.support == b.support
             assert _ranked(Path((b,)), P) == (i,)
         # the deformation index of `homotopic` speaks the same ids
         expansions, contractions = triangles.deformations
@@ -399,6 +399,29 @@ def test_id_tables_match_the_oracle_before_any_object(P):
         assert [hash(d) for d in glued] == [hash(d) for d in raw[n]]
         for d in glued[:: max(1, len(glued) // 7)]:
             assert type(d)(d.support, *d.faces) == d  # the identities hold
+
+
+def test_ids_are_keyed_by_the_enumerated_objects(posets):
+    """Equal simplices looked up before the objects exist are re-keyed to
+    the enumerated objects when those are built, and ones looked up
+    after are stored under them, so a lookup of an enumerated simplex
+    ends at `is`."""
+    P = posets["circle2"]
+    K = Complex(P)
+    others = enumerate_simplices(P, 2)  # equal objects of another complex
+    sigmas = EVEN_PERMUTATIONS + ODD_PERMUTATIONS
+    before = [permute2(c, sigma) for c in others[:12] for sigma in sigmas]
+    found = [K[2].ids[d] for d in before]
+    assert not any("simplices" in vars(K[n]) for n in range(4))
+    assert next(iter(K[2].ids)) is before[0]
+    built = K[2].simplices
+    assert [built[i] for i in found] == before
+    after = [permute2(c, sigma) for c in others[12:24] for sigma in sigmas]
+    assert [built[K[2].ids[d]] for d in after] == after
+    for n in range(3):
+        objects = K[n].simplices
+        assert K[n].ids and all(key is objects[i]
+                                for key, i in K[n].ids.items())
 
 
 def test_complex_cache_is_bounded():

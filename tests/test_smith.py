@@ -4,12 +4,7 @@ from math import gcd, prod
 
 from hypothesis import given, strategies as st
 
-from posetbundle.smith import (
-    abelian_invariants,
-    elementary_divisors,
-    in_row_lattice,
-    smith_normal_form,
-)
+from posetbundle.smith import RowLattice, smith_normal_form
 
 
 def det(matrix):
@@ -86,26 +81,26 @@ def test_smith_normal_form_properties(A):
 
 
 def test_known_invariants():
-    assert abelian_invariants([], 3) == [0, 0, 0]
-    assert abelian_invariants([[2]], 1) == [2]
-    assert abelian_invariants([[1, 0], [0, 2]], 3) == [2, 0]
+    assert RowLattice([], 3).invariant_factors() == [0, 0, 0]
+    assert RowLattice([[2]], 1).invariant_factors() == [2]
+    assert RowLattice([[1, 0], [0, 2]], 3).invariant_factors() == [2, 0]
     # Z^2 / <(2,0),(0,3)> = Z/6
-    assert abelian_invariants([[2, 0], [0, 3]], 2) == [6]
-    assert elementary_divisors([[2, 0], [0, 3]]) == [1, 6]
-    assert elementary_divisors([[0, 0], [0, 0]]) == []
+    assert RowLattice([[2, 0], [0, 3]], 2).invariant_factors() == [6]
+    assert RowLattice([[2, 0], [0, 3]], 2).divisors == [1, 6]
+    assert RowLattice([[0, 0], [0, 0]], 2).divisors == []
 
 
 def test_row_lattice_membership():
     rows = [[2, 0], [0, 2]]
-    assert in_row_lattice(rows, [2, 2])
-    assert in_row_lattice(rows, [0, 0])
-    assert in_row_lattice(rows, [-4, 2])
-    assert not in_row_lattice(rows, [1, 0])
-    assert not in_row_lattice(rows, [2, 1])
-    assert in_row_lattice([], [0, 0])
-    assert not in_row_lattice([], [1])
-    assert in_row_lattice([[1, 1]], [3, 3])
-    assert not in_row_lattice([[1, 1]], [1, 0])
+    assert [2, 2] in RowLattice(rows, 2)
+    assert [0, 0] in RowLattice(rows, 2)
+    assert [-4, 2] in RowLattice(rows, 2)
+    assert [1, 0] not in RowLattice(rows, 2)
+    assert [2, 1] not in RowLattice(rows, 2)
+    assert [0, 0] in RowLattice([], 2)
+    assert [1] not in RowLattice([], 1)
+    assert [3, 3] in RowLattice([[1, 1]], 2)
+    assert [1, 0] not in RowLattice([[1, 1]], 2)
 
 
 @given(
@@ -118,7 +113,7 @@ def test_integer_row_combinations_are_members(A, coeffs):
         sum(c * row[j] for c, row in zip(coeffs, A))
         for j in range(len(A[0]))
     ]
-    assert in_row_lattice(A, vector)
+    assert vector in RowLattice(A, len(vector))
 
 
 @given(
@@ -134,4 +129,4 @@ def test_membership_matches_determinantal_divisors(A, coeffs, offset):
         for j in range(len(A[0]))
     ]
     expected = determinantal_divisors(A) == determinantal_divisors(A + [vector])
-    assert in_row_lattice(A, vector) == expected
+    assert (vector in RowLattice(A, len(vector))) == expected
