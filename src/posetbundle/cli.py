@@ -18,7 +18,7 @@ import argparse
 import os
 import re
 import sys
-from itertools import islice
+from itertools import compress, islice
 from pathlib import Path as FilePath
 
 from .errors import PosetBundleError, UsageError, content_lines, located
@@ -140,18 +140,21 @@ def cmd_gen(args):
 
 
 def cmd_simplices(args):
-    from .simplicial import enumerate_simplices
+    from .simplicial import complex_of
 
     P = args.poset
-    simplices = enumerate_simplices(P, args.dim, inflating_only=args.inflating)
+    cells = complex_of(P)[args.dim]
+    ids = range(len(cells.support))
+    if args.inflating:
+        ids = list(compress(ids, cells.inflating))
     report = {
         "poset": P.name,
         "dim": args.dim,
         "inflating-only": args.inflating,
-        "count": len(simplices),
-        "simplices": [d.encode() for d in simplices[: args.limit]],
+        "count": len(ids),
+        "simplices": [cells.encode(i) for i in ids[: args.limit]],
     }
-    if len(simplices) > args.limit:
+    if len(ids) > args.limit:
         report["truncated-at"] = args.limit
     return 0, report
 

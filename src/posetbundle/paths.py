@@ -86,18 +86,19 @@ def _path(ranked, P: Poset) -> Path:
     return Path(tuple(steps[r] for r in ranked))
 
 
-def _neighbours(ranked, P: Poset):
-    """The distinct rank tuples one elementary deformation away from
-    `ranked`, sorted."""
-    expansions, contractions = complex_of(P)[2].deformations
+def _neighbours(ranked, moves, bound):
+    """The set of rank tuples of length <= bound one elementary
+    deformation away from `ranked`; `moves` is
+    `complex_of(P)[2].deformations`."""
+    expansions, contractions = moves
     out = set()
-    for i, r in enumerate(ranked):
+    for i, r in enumerate(ranked if len(ranked) < bound else ()):
         for pair in expansions.get(r, ()):
             out.add(ranked[:i] + pair + ranked[i + 1:])
     for i in range(len(ranked) - 1):
         for single in contractions.get(ranked[i:i + 2], ()):
             out.add(ranked[:i] + single + ranked[i + 2:])
-    return sorted(out)
+    return out
 
 
 def deformations(p: Path, P: Poset):
@@ -110,7 +111,10 @@ def deformations(p: Path, P: Poset):
     `enumerate_simplices(P, 1)`, which is sort key order.  A step that is
     not a 1-simplex of P is a `NoSuchSimplex`.
     """
-    return tuple(_path(t, P) for t in _neighbours(_ranked(p, P), P))
+    ranked = _ranked(p, P)
+    moves = complex_of(P)[2].deformations
+    return tuple(_path(t, P)
+                 for t in sorted(_neighbours(ranked, moves, len(ranked) + 1)))
 
 
 class HomotopyVerdict(Frozen):
@@ -127,13 +131,18 @@ class HomotopyVerdict(Frozen):
 def homotopic(p: Path, q: Path, P: Poset, bound: int, limit=10 ** 6) -> HomotopyVerdict:
     """Three-valued bounded homotopy test.
 
-    "yes" comes with a deformation certificate found by BFS over paths of
+    "yes" comes with a certificate: a shortest chain of elementary
+    deformations from p to q whose paths, p and q included, all have
     length <= bound.  "no" is backed by an abelianization separator: the
     word images of p and q differ in the abelianized edge-path group,
-    which is a homotopy invariant.  Otherwise "unknown".  A search that
-    would hold more than `limit` paths, p included, is a
-    `SearchLimitExceeded`; a step that is not a 1-simplex of P is a
-    `NoSuchSimplex`; a bound that is not an int >= 0 is a `BadParameter`.
+    which is a homotopy invariant.  Otherwise, as whenever p or q is
+    longer than the bound, "unknown".  Deformations undo each other, so
+    the search runs from both ends, a whole layer of the smaller frontier
+    at a time, until a new path is one the other side holds.  A search
+    that would hold more than `limit` paths, both sides together with p
+    and q, is a `SearchLimitExceeded`; a step that is not a 1-simplex of
+    P is a `NoSuchSimplex`; a bound that is not an int >= 0 is a
+    `BadParameter`.
     """
     if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
         raise BadParameter(f"bound must be an int >= 0, got {bound!r}")
@@ -143,27 +152,43 @@ def homotopic(p: Path, q: Path, P: Poset, bound: int, limit=10 ** 6) -> Homotopy
     presentation, words = pi1_presentation(P, p.start.element)
     if not _abelianized_equal(presentation, words.path_word(p), words.path_word(q)):
         return HomotopyVerdict("no")
+    if max(len(source), len(target)) > bound:
+        return HomotopyVerdict("unknown")
     what = f"paths of length <= {bound} searched"
-    parents = {source: None}
-    frontier = [source]
-    while frontier:
-        next_frontier = []
-        for current in frontier:
-            # Before each test or expansion, so no verdict passes the limit.
-            check_limit(len(parents), limit, what)
-            if current == target:
-                chain = []
-                while current is not None:
-                    chain.append(_path(current, P))
-                    current = parents[current]
-                return HomotopyVerdict("yes", tuple(reversed(chain)))
-            for neighbour in _neighbours(current, P):
-                if len(neighbour) > bound or neighbour in parents:
+    moves = complex_of(P)[2].deformations
+    # Side 0 maps the paths it holds to their parents towards p, side 1
+    # towards q; a frontier is the newest layer of its side.
+    parents = ({source: None}, {target: None})
+    frontiers = [[source], [target]]
+    meet = source if source == target else None
+    while meet is None and all(frontiers):
+        side = len(frontiers[1]) < len(frontiers[0])
+        mine, other = parents[side], parents[not side]
+        layer = []
+        for current in frontiers[side]:
+            # Before each expansion, so no verdict passes the limit.
+            check_limit(len(mine) + len(other), limit, what)
+            for neighbour in _neighbours(current, moves, bound):
+                if neighbour in mine:
                     continue
-                parents[neighbour] = current
-                next_frontier.append(neighbour)
-        frontier = next_frontier
-    return HomotopyVerdict("unknown")
+                mine[neighbour] = current
+                if neighbour in other:
+                    meet = neighbour
+                    break
+                layer.append(neighbour)
+            if meet is not None:
+                break
+        frontiers[side] = layer
+    if meet is None:
+        return HomotopyVerdict("unknown")
+    # Walk from the meeting path back to p, then on to q.
+    chain = [meet]
+    while (node := parents[0][chain[-1]]) is not None:
+        chain.append(node)
+    chain.reverse()
+    while (node := parents[1][chain[-1]]) is not None:
+        chain.append(node)
+    return HomotopyVerdict("yes", tuple(_path(r, P) for r in chain))
 
 
 # -- fundamental group presentations --------------------------------------

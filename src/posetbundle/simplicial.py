@@ -21,9 +21,10 @@ computes its hash once.
 
 from __future__ import annotations
 
+import gc
 import itertools
 from collections import deque
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from operator import add, itemgetter
 
 from .errors import (BadParameter, IndexOutOfRange, NoSuchSimplex,
@@ -258,6 +259,23 @@ def enumerate_simplices(P: Poset, n: int, inflating_only: bool = False):
     return cells.simplices
 
 
+def _gc_paused(f):
+    """f with the cyclic garbage collector paused while it runs.  Gluing
+    a dimension and building its objects allocate hundreds of thousands
+    of tuples and simplices that all stay alive, so every collection the
+    allocations trigger walks a growing heap and frees nothing."""
+    @wraps(f)
+    def paused(*args):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return f(*args)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
 class _Ids(dict):
     """Simplex -> id for one `Cells`, filled by `ids[d]`: a new key is
     found in the tables by its support and face ids, which builds no
@@ -307,7 +325,8 @@ class Cells:
     - in dimension 2, `deformations`, which maps the id of a boundary 1
       to the id pairs (boundary 2, boundary 0), and such a pair to the
       1-tuples of boundary 1 ids: the moves of `paths.homotopic`.
-    Only `simplices` builds objects; the other tables never read it.
+    Only `simplices` builds objects; the other tables never read it,
+    and neither does `encode(i)`, the text of simplex i.
     """
 
     def __init__(self, K, n):
@@ -316,6 +335,7 @@ class Cells:
         self.support, self.faces = _glue(K.poset, n, K[n - 1] if n else None)
 
     @cached_property
+    @_gc_paused
     def simplices(self):
         names = self.complex.poset.elements
         if self.dim:
@@ -330,6 +350,15 @@ class Cells:
             self.ids.clear()
             self.ids.update(zip(map(out.__getitem__, found), found))
         return out
+
+    def encode(self, i):
+        """The text `Simplex.encode` writes for simplex i, read from the
+        tables."""
+        name = self.complex.poset.elements[self.support[i]]
+        if not self.dim:
+            return name
+        lower = self.complex[self.dim - 1]
+        return f"({name};{','.join(map(lower.encode, self.faces[i]))})"
 
     @cached_property
     def ids(self):
@@ -438,6 +467,7 @@ def complex_of(P: Poset) -> Complex:
     return Complex(P)
 
 
+@_gc_paused
 def _glue(P: Poset, n: int, lower):
     """The support ids and face ids of the n-simplices of P, glued from
     the cells `lower` one dimension down.

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -78,6 +79,29 @@ def test_simplices_counts(workspace, capsys):
     text = capsys.readouterr().out
     assert "count: 108" in text
     assert "truncated-at: 5" in text
+
+
+def test_simplices_reads_the_id_tables(workspace, capsys, monkeypatch):
+    """`simplices` counts and encodes from the id tables: it prints the
+    enumerated simplices and builds no simplex object."""
+    from posetbundle import simplicial
+
+    P = standard_posets()["circle2"]
+    expected = [[d.encode() for d in simplicial.enumerate_simplices(
+        P, n, inflating_only=inflating)] for n in range(4)
+        for inflating in (False, True)]
+
+    def refuse(cells):
+        raise AssertionError("simplex objects built")
+
+    monkeypatch.setattr(simplicial.Cells, "simplices", property(refuse))
+    for n, inflating in itertools.product(range(4), (False, True)):
+        args = ["--format", "json", "simplices", workspace / "circle2.poset",
+                "--dim", n, "--limit", 7] + ["--inflating"] * inflating
+        assert run(args) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["count"] == len(expected[2 * n + inflating])
+        assert report["simplices"] == expected[2 * n + inflating][:7]
 
 
 def test_negative_limit_is_usage_error(workspace):
@@ -219,17 +243,18 @@ def test_check_cocycle_exit_codes(workspace):
 
 
 def test_homotopic_limit_is_an_input_error(workspace, tmp_path, capsys):
-    """The trivial loop meets the degenerate loop after 10 paths within
-    bound 3; a limit of 9 ends the search with exit 2 and one line."""
-    (tmp_path / "trivial.path").write_text("(o1;a1,o1);(o1;o1,a1)\n")
+    """The loop at a1 through o1 and then o2 meets the degenerate loop
+    once the search holds 24 paths within bound 3; a limit of 23 ends
+    the search with exit 2 and one line."""
+    (tmp_path / "loop.path").write_text("(o2;a1,a1);(o1;a1,a1)\n")
     (tmp_path / "degen.path").write_text("(a1;a1,a1)\n")
-    args = ["homotopic", workspace / "circle2.poset", tmp_path / "trivial.path",
+    args = ["homotopic", workspace / "circle2.poset", tmp_path / "loop.path",
             tmp_path / "degen.path", "--bound", "3", "--limit"]
-    assert run(args + ["10"]) == 0
-    capsys.readouterr()
-    assert run(args + ["9"]) == 2
+    assert run(args + ["24"]) == 0
+    assert "certificate-steps: 3" in capsys.readouterr().out
+    assert run(args + ["23"]) == 2
     assert capsys.readouterr().err == (
-        "error: paths of length <= 3 searched exceed the limit 9\n")
+        "error: paths of length <= 3 searched exceed the limit 23\n")
 
 
 def test_homotopic_unknown_verdict(workspace, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Differential tests of the tree-transport helpers, the cochain
 identity, the constructed cocycle classes and connections, the indexed
-deformation search, the presentation and holonomy on simplex ids and
+deformation search from both ends, the text of simplices read from the
+id tables, the presentation and holonomy on simplex ids and
 the id kernels of cochains and connections against brute force or the
 filters, scans and object-keyed formulas they replace, on random posets
 of at most four (five for the presentation and the cocycle count)
@@ -68,6 +69,7 @@ from posetbundle.poset import base_point, build_poset
 from posetbundle.simplicial import (
     Simplex0,
     Simplex1,
+    complex_of,
     degeneracy,
     enumerate_simplices,
     enumerated,
@@ -539,11 +541,25 @@ def test_deformations_of_fixture_loops_match_scan(posets, name):
         assert deformations(p, P) == scan_deformations(p, P)
 
 
+def assert_certificate_like_scan(chain, expected, p, q, P, bound):
+    """`chain` is as long as the oracle's chain `expected` (or both are
+    missing), runs from p to q, stays within the bound and takes one
+    `scan_deformations` step at a time."""
+    if expected is None:
+        assert chain == ()
+        return
+    assert len(chain) == len(expected)
+    assert chain[0].steps == p.steps and chain[-1].steps == q.steps
+    assert all(len(path) <= bound for path in chain)
+    for a, b in zip(chain, chain[1:]):
+        assert b.steps in {d.steps for d in scan_deformations(a, P)}
+
+
 @pytest.mark.parametrize("name", ["circle2", "twoloop"])
 def test_certificates_match_scan_search(posets, name):
     """Short loops against the constant loop and against each other,
-    all homotopic within the bound: the certificate is the chain the
-    oracle search finds."""
+    all homotopic within the bound: the certificate is a valid chain as
+    short as the one the oracle search finds."""
     P = posets[name]
     a0 = P.elements[0]
     loops = list(enumerate_loops(P, a0, 3))[:6]
@@ -552,7 +568,56 @@ def test_certificates_match_scan_search(posets, name):
     for p, q in pairs:
         expected = scan_certificate(p, q, P, 4)
         assert expected is not None
-        assert homotopic(p, q, P, 4).certificate == expected
+        assert_certificate_like_scan(homotopic(p, q, P, 4).certificate,
+                                     expected, p, q, P, 4)
+
+
+def random_path_between(P, rng, start, end, max_len=3):
+    """A random walk from `start` of at most `max_len` steps whose last
+    step goes to `end`, or None when the walk ends where no step to
+    `end` starts."""
+    steps, at = [], start
+    for _ in range(rng.randint(0, max_len - 1)):
+        b = rng.choice([b for b in enumerate_simplices(P, 1)
+                        if b.face1.element == at])
+        steps.append(b)
+        at = b.face0.element
+    last = [b for b in enumerate_simplices(P, 1)
+            if b.face1.element == at and b.face0.element == end]
+    return Path(tuple(steps) + (rng.choice(last),)) if last else None
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_posets(), SEEDS, st.integers(0, 4))
+def test_homotopic_matches_scan_search(P, rng, bound):
+    """Random pairs of paths with equal endpoints: the search from both
+    ends gives the verdict of the one-sided oracle search, with every
+    path of a certificate, p and q included, within the bound, and a
+    certificate as long as the oracle's, in both orders."""
+    p = random_path(P, rng, max_len=3)
+    q = random_path_between(P, rng, p.start.element, p.end.element) or p
+    verdict, back = homotopic(p, q, P, bound), homotopic(q, p, P, bound)
+    assert back.status == verdict.status
+    if max(len(p), len(q)) > bound:
+        assert verdict.status in ("no", "unknown")
+        return
+    expected = scan_certificate(p, q, P, bound)
+    assert (verdict.status == "yes") == (expected is not None)
+    assert_certificate_like_scan(verdict.certificate, expected, p, q, P,
+                                 bound)
+    assert_certificate_like_scan(back.certificate,
+                                 expected and expected[::-1], q, p, P, bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.data())
+def test_cells_encode_matches_the_objects(n, data):
+    """The text read from the id tables is the text of the enumerated
+    simplex, in every dimension."""
+    P = data.draw(small_posets(max_height=2 if n == 3 else None))
+    cells = complex_of(P)[n]
+    assert [cells.encode(i) for i in range(len(cells.support))] == [
+        d.encode() for d in enumerate_simplices(P, n)]
 
 
 # -- id kernels against the dict/Simplex formulas they replaced ------------

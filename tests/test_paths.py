@@ -107,15 +107,19 @@ def test_homotopic_checks_bound_first(posets, bound):
 
 
 def test_homotopic_limit_counts_the_paths_searched(posets):
-    """The trivial loop meets the degenerate loop after the search has
-    held 10 paths of length <= 3, the trivial loop included: a limit of
-    10 admits that search and a limit of 9 stops it."""
+    """The loop at a1 through o1 and then o2 is three deformations from
+    the degenerate loop within bound 3.  The search expands a layer of
+    p's side, then one of q's; the first expansion of the third round
+    starts with 24 paths held on both sides, p and q included, and
+    meets q's side.  A limit of 24 admits that search and a limit of 23
+    stops it."""
     P = posets["circle2"]
-    trivial, _ = circle_paths()
+    p = Path((edge("o1", "a1", "a1"), edge("o2", "a1", "a1")))
     degen = degenerate_loop(Simplex0("a1"))
-    assert homotopic(trivial, degen, P, 3, limit=10).status == "yes"
-    with pytest.raises(SearchLimitExceeded, match="exceed the limit 9$"):
-        homotopic(trivial, degen, P, 3, limit=9)
+    yes = homotopic(p, degen, P, 3, limit=24)
+    assert yes.status == "yes" and len(yes.certificate) == 4
+    with pytest.raises(SearchLimitExceeded, match="exceed the limit 23$"):
+        homotopic(p, degen, P, 3, limit=23)
 
 
 def test_homotopic_limit_stops_an_exploding_search(posets):
@@ -166,6 +170,24 @@ def test_homotopy_verdict_unknown_below_the_needed_bound(posets):
     assert not unknown and unknown.certificate == ()
     yes = homotopic(p, q, P, bound=2)
     assert yes.status == "yes" and yes.certificate == (p, q)
+
+
+def test_homotopy_bound_holds_for_both_endpoints(posets):
+    """Every path of a certificate, p and q included, is within the
+    bound, so the verdict does not depend on which loop comes first."""
+    P = posets["circle2"]
+    b, a = edge("o1", "a1", "o1"), edge("a1", "a1", "a1")
+    p = Path((b, a, a, reverse(b)))
+    degen = degenerate_loop(Simplex0("o1"))
+    for bound in (0, 3):
+        assert homotopic(p, degen, P, bound).status == "unknown"
+        assert homotopic(degen, p, P, bound).status == "unknown"
+    assert homotopic(p, p, P, 3).status == "unknown"
+    yes, back = homotopic(p, degen, P, 4), homotopic(degen, p, P, 4)
+    assert yes.status == back.status == "yes"
+    assert max(map(len, yes.certificate + back.certificate)) == 4
+    assert len(yes.certificate) == len(back.certificate)
+
 
 def test_pi1_circle_is_infinite_cyclic(posets):
     pres, words = pi1_presentation(posets["circle2"], "a1")

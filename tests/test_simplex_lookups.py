@@ -162,7 +162,11 @@ def test_cli_rejects_foreign_inputs_without_a_traceback(files, capsys, argv):
 
 
 def test_cli_homotopic_accepts_a_zero_bound(files, capsys):
+    """Bound 0 is a valid input; no path fits in it, so even a path
+    against itself is "unknown" (exit 1), and "yes" at bound 1."""
     step = str(files / "step.path")
-    assert cli.run(["homotopic", str(files / "circle2.poset"), step, step,
-                    "--bound", "0"]) == 0
+    args = ["homotopic", str(files / "circle2.poset"), step, step, "--bound"]
+    assert cli.run(args + ["0"]) == 1
+    assert "status: unknown" in capsys.readouterr().out
+    assert cli.run(args + ["1"]) == 0
     assert "status: yes" in capsys.readouterr().out
