@@ -135,6 +135,8 @@ def cmd_gen(args):
     if args.output:
         FilePath(args.output).write_text(text)
         return 0, {"wrote": args.output, "poset": P.name}
+    if args.format == "json":
+        return 0, {"poset": P.name, "text": text}
     sys.stdout.write(text)
     return 0, None
 

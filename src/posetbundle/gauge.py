@@ -48,15 +48,14 @@ def gauge_group(z: Cochain1):
 
 
 def gauge_group_raw(z: Cochain1, limit=10 ** 6):
-    """Oracle: filter every point assignment."""
+    """Oracle: filter every point assignment, a tuple of element ids in
+    element order, by its action on z."""
     P, G = z.poset, z.group
     check_limit(len(G) ** len(P), limit, f"{len(G)}^{len(P)} assignments")
-    out = []
-    for choice in itertools.product(G.elements, repeat=len(P)):
-        f = dict(zip(P.elements, choice))
-        if is_gauge_transformation(z, f):
-            out.append(GaugeTransformation(z, tuple(sorted(f.items()))))
-    return tuple(out)
+    faces, name = z.cells.faces, G.elements.__getitem__
+    return tuple(GaugeTransformation(z, tuple(zip(P.elements, map(name, f))))
+                 for f in itertools.product(range(len(G)), repeat=len(P))
+                 if _act(G, faces, z.ids, f) == z.ids)
 
 
 def gauge_act(f, u: Cochain1) -> Cochain1:

@@ -81,8 +81,8 @@ def _ranked(p: Path, P: Poset):
     return tuple(ids[enumerated(P, b)] for b in p.steps)
 
 
-def _path(ranked, P: Poset) -> Path:
-    steps = enumerate_simplices(P, 1)
+def _path(ranked, steps) -> Path:
+    """The path of the step ids `ranked`; `steps` are the 1-simplices."""
     return Path(tuple(steps[r] for r in ranked))
 
 
@@ -111,9 +111,9 @@ def deformations(p: Path, P: Poset):
     `enumerate_simplices(P, 1)`, which is sort key order.  A step that is
     not a 1-simplex of P is a `NoSuchSimplex`.
     """
-    ranked = _ranked(p, P)
-    moves = complex_of(P)[2].deformations
-    return tuple(_path(t, P)
+    ranked, K = _ranked(p, P), complex_of(P)
+    steps, moves = K[1].simplices, K[2].deformations
+    return tuple(_path(t, steps)
                  for t in sorted(_neighbours(ranked, moves, len(ranked) + 1)))
 
 
@@ -188,7 +188,8 @@ def homotopic(p: Path, q: Path, P: Poset, bound: int, limit=10 ** 6) -> Homotopy
     chain.reverse()
     while (node := parents[1][chain[-1]]) is not None:
         chain.append(node)
-    return HomotopyVerdict("yes", tuple(_path(r, P) for r in chain))
+    steps = enumerate_simplices(P, 1)
+    return HomotopyVerdict("yes", tuple(_path(r, steps) for r in chain))
 
 
 # -- fundamental group presentations --------------------------------------
@@ -212,10 +213,29 @@ class Presentation(Frozen):
         return rows
 
     @cached_property
+    def checked_relators(self):
+        """The distinct freely reduced relators that are not empty, in
+        first-seen order: they hold under exactly the same assignments
+        as `relators`, so `enumerate_homs` checks only these."""
+        out = {}
+        for relator in self.relators:
+            word = []
+            for letter in relator:
+                if word and word[-1] == (letter[0], -letter[1]):
+                    word.pop()
+                else:
+                    word.append(letter)
+            if word:
+                out.setdefault(tuple(word), None)
+        return tuple(out)
+
+    @cached_property
     def lattice(self):
-        """The lattice of relator exponent vectors in Z^generators."""
+        """The lattice of relator exponent vectors in Z^generators,
+        spanned by the distinct nonzero rows of `exponent_matrix()`."""
         from . import smith
-        return smith.RowLattice(self.exponent_matrix(), len(self.generators))
+        rows = {tuple(row): None for row in self.exponent_matrix() if any(row)}
+        return smith.RowLattice(list(map(list, rows)), len(self.generators))
 
     def abelian_invariants(self):
         return self.lattice.invariant_factors()
@@ -332,26 +352,36 @@ def enumerate_homs(presentation: Presentation, G: FiniteGroup, limit=10 ** 6):
     """All maps generators -> G satisfying the relators, in
     `itertools.product` order.
 
-    Assignments grow one generator at a time, and each relator is
-    checked once, as soon as the last generator it mentions has a value.
+    `limit` bounds the |G|^k assignments of the k generators.  They grow
+    one generator at a time, as tuples of element ids, and each of the
+    presentation's `checked_relators` is evaluated on the group's tables
+    once, as soon as the last generator it mentions has a value.
     """
     k = len(presentation.generators)
     total = len(G) ** k
     check_limit(total, limit, f"{len(G)}^{k} = {total} assignments")
+    rows, inverses, unit = G.rows, G.inverses, G.unit
     closing = [[] for _ in range(k)]
-    for relator in presentation.relators:
+    for relator in presentation.checked_relators:
         closing[max(idx for idx, _ in relator)].append(relator)
     homs = [()]
     for relators in closing:
         extended = []
         for prefix in homs:
-            for g in G.elements:
+            for g in range(len(G)):
                 assignment = prefix + (g,)
-                if all(word_value(relator, assignment, G) == G.identity
-                       for relator in relators):
+                for relator in relators:
+                    value = unit
+                    for idx, sign in relator:
+                        h = assignment[idx]
+                        value = rows[value][h if sign > 0 else inverses[h]]
+                    if value != unit:
+                        break
+                else:
                     extended.append(assignment)
         homs = extended
-    return tuple(homs)
+    names = G.elements
+    return tuple(tuple(names[g] for g in hom) for hom in homs)
 
 
 def hom_class_representatives(presentation: Presentation, G: FiniteGroup,

@@ -12,6 +12,7 @@ from .errors import (
     BadParameter,
     DuplicateElement,
     UnknownElement,
+    check_limit,
     content_lines,
     located,
 )
@@ -193,13 +194,20 @@ def fundamental_open(P: Poset, a) -> OpenSet:
     return OpenSet(P.up_set(a))
 
 
+# The most elements `generate` builds; the order closure is cubic in them.
+GENERATE_LIMIT = 500
+
+
 def generate(kind: str, n: int, name=None) -> Poset:
     """Fixture posets: chain(n), vee, circle(n).
 
     chain(n): x1 <= ... <= xn.  vee: a1, a2 <= o (n ignored).
     circle(n): a_1..a_n, o_1..o_n with a_i <= o_i and a_{i mod n + 1} <= o_i;
-    its comparability graph is a 2n-cycle.
+    its comparability graph is a 2n-cycle.  More than `GENERATE_LIMIT`
+    elements is a `SearchLimitExceeded`, raised before any work starts.
     """
+    size = {"chain": n, "circle": 2 * n}.get(kind, 3)
+    check_limit(size, GENERATE_LIMIT, f"the {size} elements of {kind} {n}")
     if kind == "chain":
         if n < 1:
             raise BadParameter("chain requires n >= 1")

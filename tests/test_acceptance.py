@@ -10,6 +10,24 @@ RESULTS = {}
 
 _IDS = [f"{num:02d}-{name}" for num, name, _ in _CRITERIA]
 
+# The detail of each criterion at the default seed; the same under every
+# string hash seed.
+DETAILS = {
+    1: '32 exhaustive + 500 random cochains, all trivial',
+    2: 'circle2 Z2:2 Z3:3 S3:3; chains collapse to 1',
+    3: '2080 cochains agree with the brute-force scan',
+    4: '4 connections on chain3 x Z2, all flat and untwisted',
+    5: 'Z2: w=g1 at o1; S3: w=132 at o1; winding bundle also twisted',
+    6: '200 samples, unique agreement among 16 cocycles',
+    7: ('64 connections over 16 bundles (fibre sizes [4]), all abelian '
+        'groups under star'),
+    8: '30 sampled connections, all 3-simplices balanced',
+    9: 'flat fixture reduces into A3, nonflat into hol(circle2,a1)',
+    10: 'sizes 6/3/1 as predicted; raw scan agrees on 115 bundles',
+    11: '30 sampled connections, symmetries exact',
+    12: '55 one-step pairs plus BFS layers, all invariant',
+}
+
 
 @pytest.mark.parametrize("number", range(1, CRITERIA_COUNT + 1), ids=_IDS)
 def test_criterion(number):
@@ -17,3 +35,4 @@ def test_criterion(number):
     RESULTS[number] = result
     print(result.line())
     assert result.passed, result.line()
+    assert result.detail == DETAILS[number]

@@ -16,7 +16,7 @@ from posetbundle.acceptance import (
 )
 from posetbundle.cochains import format_cochain_text, parse_cochain_text
 from posetbundle.groups import cyclic_group, format_group_text, symmetric_group
-from posetbundle.poset import format_poset_text
+from posetbundle.poset import GENERATE_LIMIT, format_poset_text, generate
 
 Z3 = cyclic_group(3)
 SRC = str(Path(posetbundle.__file__).parents[1])
@@ -62,6 +62,30 @@ def test_gen_and_validate(tmp_path, capsys):
     assert run(["validate", out]) == 0
     text = capsys.readouterr().out
     assert "pathwise-connected: True" in text
+
+
+def test_gen_checks_its_size_before_any_work(capsys):
+    assert GENERATE_LIMIT == 500
+    for kind, n in (("circle", 99999999999), ("chain", 100000),
+                    ("circle", 251), ("chain", 501)):
+        assert run(["gen", kind, n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceed the limit 500" in captured.err
+    assert run(["gen", "circle", 250]) == 0
+    assert capsys.readouterr().out.startswith("poset circle250\n")
+    assert run(["gen", "chain", 400]) == 0
+    assert capsys.readouterr().out.startswith("poset chain400\n")
+
+
+def test_json_gen_reports_the_poset_text(tmp_path, capsys):
+    assert run(["--format", "json", "gen", "circle", "2"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "poset": "circle2", "text": format_poset_text(generate("circle", 2))}
+    out = tmp_path / "c.poset"
+    assert run(["--format", "json", "gen", "vee", "1", "-o", out]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "wrote": str(out), "poset": "vee"}
 
 
 def test_validate_missing_file_is_usage_error(tmp_path):

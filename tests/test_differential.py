@@ -2,7 +2,8 @@
 identity, the constructed cocycle classes and connections, the indexed
 deformation search from both ends, the text of simplices read from the
 id tables, the presentation and holonomy on simplex ids and
-the id kernels of cochains and connections against brute force or the
+the id kernels of cochains and connections, the reduced relators and
+the relator lattice against brute force or the
 filters, scans and object-keyed formulas they replace, on random posets
 of at most four (five for the presentation and the cocycle count)
 elements with values in Z2, Z3 and S3; and of subgroup closures against
@@ -54,6 +55,8 @@ from posetbundle.groups import (ad, cyclic_group, symmetric_group,
                                 trivial_group)
 from posetbundle.paths import (
     Path,
+    Presentation,
+    _abelianized_equal,
     compose,
     count_hom_classes,
     deformations,
@@ -66,6 +69,7 @@ from posetbundle.paths import (
     word_value,
 )
 from posetbundle.poset import base_point, build_poset
+from posetbundle.smith import RowLattice
 from posetbundle.simplicial import (
     Simplex0,
     Simplex1,
@@ -465,6 +469,73 @@ def test_enumerate_homs_matches_product_filter(P, G):
         assert enumerate_homs(presentation, G) == product_filtered_homs(
             presentation, G
         )
+
+
+# Relators with cancelling letters, repeats and words that reduce to
+# the empty word, with the relators `enumerate_homs` checks.
+CANCELLING_PRESENTATIONS = (
+    (Presentation(("a",), (((0, 1), (0, -1)),)), ()),
+    (Presentation(("a", "b"), (
+        ((0, 1), (1, 1), (1, -1), (0, 1)),
+        ((0, 1), (0, 1)),
+        ((1, 1), (0, 1), (0, -1), (1, -1)),
+        ((0, 1), (0, 1)),
+    )), (((0, 1), (0, 1)),)),
+    (Presentation(("a", "b", "c"), (
+        ((2, 1), (2, -1)),
+        ((0, 1), (1, 1), (0, -1), (1, -1)),
+        ((0, 1), (2, 1), (2, -1), (1, 1), (0, -1), (1, -1)),
+        ((2, 1), (0, 1), (0, 1), (0, 1), (2, -1)),
+        ((1, -1), (1, 1)),
+    )), (
+        ((0, 1), (1, 1), (0, -1), (1, -1)),
+        ((2, 1), (0, 1), (0, 1), (0, 1), (2, -1)),
+    )),
+)
+
+
+@pytest.mark.parametrize("presentation, checked", CANCELLING_PRESENTATIONS)
+def test_enumerate_homs_checks_reduced_relators(presentation, checked):
+    assert presentation.checked_relators == checked
+    for G in (cyclic_group(2), cyclic_group(3), symmetric_group(3)):
+        assert enumerate_homs(presentation, G) == product_filtered_homs(
+            presentation, G)
+
+
+@st.composite
+def presentations(draw):
+    """Up to three generators and six relators, each a random word of up
+    to six letters, a few of them repeated."""
+    n = draw(st.integers(1, 3))
+    letter = st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1)))
+    words = draw(st.lists(st.lists(letter, max_size=6).map(tuple),
+                          max_size=6))
+    repeats = (draw(st.lists(st.sampled_from(words), max_size=3))
+               if words else [])
+    return Presentation(tuple("abc"[:n]), tuple(words + repeats))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(presentations(), small_posets(max_size=5).map(
+    lambda P: pi1_presentation(P, base_point(P))[0])), SEEDS)
+def test_relator_lattice_matches_the_raw_exponent_matrix(presentation, rng):
+    """The lattice is built from the distinct nonzero rows; a lattice of
+    every raw row answers the same."""
+    n = len(presentation.generators)
+    raw = RowLattice(presentation.exponent_matrix(), n)
+    assert presentation.abelian_invariants() == raw.invariant_factors()
+    for _ in range(20):
+        words = [tuple((rng.randrange(n), rng.choice((1, -1)))
+                       for _ in range(rng.randrange(6) if n else 0))
+                 for _ in range(2)]
+        diff = [0] * n
+        for word, side in zip(words, (1, -1)):
+            for idx, sign in word:
+                diff[idx] += side * sign
+        assert _abelianized_equal(presentation, *words) == (diff in raw)
+    if len(presentation.relators) < 20 and n <= 3:
+        assert enumerate_homs(presentation, symmetric_group(3)) == (
+            product_filtered_homs(presentation, symmetric_group(3)))
 
 
 def scan_deformations(p, P):
