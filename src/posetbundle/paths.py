@@ -197,11 +197,23 @@ def homotopic(p: Path, q: Path, P: Poset, bound: int, limit=10 ** 6) -> Homotopy
 
 class Presentation(Frozen):
     """Generators and relators; a relator is a tuple of signed generator
-    indices (i, +1|-1).  The relator lattice is factorised on first use
-    and kept, so every query on one presentation shares one Smith form."""
+    indices (i, +1|-1), and any other letter is a `BadParameter`.  The
+    relator lattice is factorised on first use and kept, so every query
+    on one presentation shares one Smith form."""
 
     generators: tuple
     relators: tuple
+
+    def __init__(self, *fields):
+        super().__init__(*fields)
+        letters = {(i, sign) for i in range(len(self.generators))
+                   for sign in (1, -1)}
+        for relator in self.relators:
+            for letter in relator:
+                if type(letter) is not tuple or letter not in letters:
+                    raise BadParameter(
+                        f"relator letter {letter!r} is not (i, 1) or (i, -1)"
+                        f" with 0 <= i < {len(self.generators)}")
 
     def exponent_matrix(self):
         rows = []

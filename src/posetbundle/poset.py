@@ -100,33 +100,10 @@ class OpenSet(Frozen):
         return x in self.members
 
 
-def reflexive_transitive_closure(elements, relations):
-    """Warshall closure of the given pairs plus the diagonal."""
-    elements = list(elements)
-    index = {x: i for i, x in enumerate(elements)}
-    n = len(elements)
-    m = [[i == j for j in range(n)] for i in range(n)]
-    for lo, hi in relations:
-        m[index[lo]][index[hi]] = True
-    for k in range(n):
-        row_k = m[k]
-        for i in range(n):
-            if m[i][k]:
-                row_i = m[i]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    return [
-        (elements[i], elements[j])
-        for i in range(n)
-        for j in range(n)
-        if m[i][j]
-    ]
-
-
 def build_poset(elements, relations, name="poset") -> Poset:
     """Build a poset from generating pairs, taking the reflexive-transitive
-    closure and rejecting antisymmetry violations."""
+    closure (the up-set of each element, found by search) and rejecting
+    antisymmetry violations."""
     seen = set()
     for x in elements:
         if x in seen:
@@ -137,12 +114,24 @@ def build_poset(elements, relations, name="poset") -> Poset:
             raise UnknownElement(f"relation references unknown element {lo!r}")
         if hi not in seen:
             raise UnknownElement(f"relation references unknown element {hi!r}")
-    closure = reflexive_transitive_closure(sorted(seen), relations)
-    closed = set(closure)
-    for lo, hi in closure:
-        if lo != hi and (hi, lo) in closed:
-            raise AntisymmetryViolation(f"{lo!r} <= {hi!r} and {hi!r} <= {lo!r}")
-    return Poset(seen, closure, name=name)
+    above = {x: [] for x in seen}
+    for lo, hi in relations:
+        above[lo].append(hi)
+    up = {}
+    for x in seen:  # the up-set of x: everything a search from x reaches
+        up[x] = reached = {x}
+        stack = [x]
+        while stack:
+            for y in above[stack.pop()]:
+                if y not in reached:
+                    reached.add(y)
+                    stack.append(y)
+    for lo in sorted(seen):
+        for hi in sorted(up[lo]):
+            if lo != hi and lo in up[hi]:
+                raise AntisymmetryViolation(
+                    f"{lo!r} <= {hi!r} and {hi!r} <= {lo!r}")
+    return Poset(seen, ((lo, hi) for lo in seen for hi in up[lo]), name=name)
 
 
 def base_point(P: Poset) -> str:
@@ -194,7 +183,7 @@ def fundamental_open(P: Poset, a) -> OpenSet:
     return OpenSet(P.up_set(a))
 
 
-# The most elements `generate` builds; the order closure is cubic in them.
+# The most elements `generate` builds; the order matrix is quadratic in them.
 GENERATE_LIMIT = 500
 
 

@@ -10,13 +10,13 @@ The enumerated complex is integer-indexed: each poset has one cached
 `Complex`, whose `Cells` for dimension n are glued from dimension n-1
 on first use.  A simplex's id is its rank in `enumerate_simplices`.
 The gluing yields only the support id and the face ids of each cell;
-every other table (reverse and pinch ids, the inflating and degenerate
-masks, the id of a given simplex) is computed from these, and cochains
-store their values as tuples indexed by the ids, so coboundaries and
-cocycle checks build no simplex objects.  The objects of a dimension
-are built once, when first asked for, so the faces of an enumerated
-simplex are the enumerated objects one dimension down, and each
-computes its hash once.
+the other tables (reverse and pinch ids, the inflating and degenerate
+masks) are computed from these, and cochains store their values as
+tuples indexed by the ids, so coboundaries and cocycle checks build no
+simplex objects.  The objects of a dimension are built once, when first
+asked for, so the faces of an enumerated simplex are the enumerated
+objects one dimension down, and each computes its hash once; the id of
+a given simplex is looked up among them.
 """
 
 from __future__ import annotations
@@ -276,32 +276,6 @@ def _gc_paused(f):
     return paused
 
 
-class _Ids(dict):
-    """Simplex -> id for one `Cells`, filled by `ids[d]`: a new key is
-    found in the tables by its support and face ids, which builds no
-    enumerated object.  Once the objects exist they are the keys, so a
-    later lookup of one ends at `is`.  Anything not among the simplices
-    is a `KeyError`."""
-
-    __slots__ = ("_cells", "_type", "_at", "_lower")
-
-    def __init__(self, cells):
-        self._cells = cells
-        self._type = _SIMPLEX_CLASSES[cells.dim]
-        self._at = cells.at
-        # A 0-simplex has no faces to look up.
-        self._lower = (cells.complex[cells.dim - 1].ids.__getitem__
-                       if cells.dim else None)
-
-    def __missing__(self, d):
-        if type(d) is not self._type:
-            raise KeyError(d)
-        i = self._at[(d.support, *map(self._lower, d.faces))]
-        built = self._cells.__dict__.get("simplices")
-        self[d if built is None else built[i]] = i
-        return i
-
-
 class Cells:
     """The n-simplices of a poset as integer tables, with the simplex
     objects built only when asked for.
@@ -312,8 +286,8 @@ class Cells:
     the ids of its faces one dimension down.  Everything else is built
     on first use from them:
     - `simplices`, the enumerated objects, in one pass;
-    - `ids`, which maps a simplex (or one equal to it) to its id, and
-      `at`, which maps (support element, *face ids) to the id;
+    - `ids`, which maps each of `simplices` (or one equal to it) to its
+      id, and `at`, which maps (support id, *face ids) to the id;
     - the `inflating` and `degenerate` masks, and in dimensions 1-3
       `degeneracies[i][j]`, the id of s_i of simplex j one dimension
       down (see `degeneracy`);
@@ -325,8 +299,8 @@ class Cells:
     - in dimension 2, `deformations`, which maps the id of a boundary 1
       to the id pairs (boundary 2, boundary 0), and such a pair to the
       1-tuples of boundary 1 ids: the moves of `paths.homotopic`.
-    Only `simplices` builds objects; the other tables never read it,
-    and neither does `encode(i)`, the text of simplex i.
+    Only `simplices` builds objects, and only `ids` reads it; the other
+    tables never do, and neither does `encode(i)`, the text of simplex i.
     """
 
     def __init__(self, K, n):
@@ -342,14 +316,9 @@ class Cells:
             ids, lower = self.faces, self.complex[self.dim - 1].simplices
             faces = list(zip(*(map(lower.__getitem__, map(itemgetter(k), ids))
                                for k in range(self.dim + 1))))
-            out = _build(_SIMPLEX_CLASSES[self.dim], names, self.support, faces)
-        else:
-            out = tuple(map(Simplex0, names))
-        if "ids" in self.__dict__:  # re-key what was looked up before
-            found = list(self.ids.values())
-            self.ids.clear()
-            self.ids.update(zip(map(out.__getitem__, found), found))
-        return out
+            return _build(_SIMPLEX_CLASSES[self.dim], names, self.support,
+                          faces)
+        return tuple(map(Simplex0, names))
 
     def encode(self, i):
         """The text `Simplex.encode` writes for simplex i, read from the
@@ -362,12 +331,11 @@ class Cells:
 
     @cached_property
     def ids(self):
-        return _Ids(self)
+        return dict(zip(self.simplices, range(len(self.faces))))
 
     @cached_property
     def at(self):
-        names = self.complex.poset.elements
-        return {(names[x], *f): i
+        return {(x, *f): i
                 for i, (x, f) in enumerate(zip(self.support, self.faces))}
 
     @cached_property
@@ -384,10 +352,9 @@ class Cells:
         # j = i and i + 1, and s_i(face j-1 of d) for j > i + 1.
         lower = self.complex[self.dim - 1]
         down = lower.degeneracies if self.dim > 1 else ()
-        names, at = self.complex.poset.elements, self.at
         return tuple(
-            tuple(at[(names[x], *[down[i - 1][g] for g in f[:i]], j, j,
-                      *[down[i][g] for g in f[i + 1:]])]
+            tuple(self.at[(x, *[down[i - 1][g] for g in f[:i]], j, j,
+                           *[down[i][g] for g in f[i + 1:]])]
                   for j, (x, f) in enumerate(zip(lower.support, lower.faces)))
             for i in range(self.dim))
 
@@ -401,8 +368,7 @@ class Cells:
 
     @cached_property
     def reverse(self):
-        names, at = self.complex.poset.elements, self.at
-        return tuple(at[names[x], s, e]
+        return tuple(self.at[x, s, e]
                      for x, (e, s) in zip(self.support, self.faces))
 
     @cached_property

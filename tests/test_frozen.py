@@ -131,7 +131,7 @@ def test_inner_aut_compares_the_canonical_representative():
 
 
 def test_cached_properties_are_kept(circle2):
-    presentation = Presentation(("x",), (((0, 2),),))
+    presentation = Presentation(("x",), (((0, 1), (0, 1)),))
     assert presentation.lattice is presentation.lattice
     assert presentation.abelian_invariants() == [2]
     hom = GroupHom.identity(S3)

@@ -15,6 +15,7 @@ from posetbundle.errors import (
 from posetbundle.groups import cyclic_group, symmetric_group
 from posetbundle.paths import (
     Path,
+    Presentation,
     compose,
     count_hom_classes,
     deformations,
@@ -242,6 +243,16 @@ def test_presentation_is_factorised_once(posets, monkeypatch):
     assert set(verdicts) == {"yes", "no", "unknown"}
     assert pi1_presentation(P, "M1")[0].abelian_invariants() == [0, 0]
     assert len(calls) == 1
+
+
+def test_presentation_letters_are_signed_generator_indices():
+    square = Presentation(("x",), (((0, 1), (0, 1)),))
+    assert square.abelian_invariants() == [2]
+    assert enumerate_homs(square, cyclic_group(2)) == (("g0",), ("g1",))
+    assert enumerate_homs(square, cyclic_group(3)) == (("g0",),)
+    for letter in ((0, 2), (1, 1), (-1, 1), (0, 0)):
+        with pytest.raises(BadParameter, match="relator letter"):
+            Presentation(("x",), (((0, 1), letter),))
 
 
 def test_pi1_requires_connectivity():

@@ -151,6 +151,39 @@ def test_closure_is_reflexive_and_transitive(rels):
                     assert not P.leq(y, x)
 
 
+def warshall_poset(elements, relations):
+    """The pairs of the Warshall closure of `relations` over the sorted
+    elements, or the text of the first antisymmetry violation in that
+    order: the brute-force oracle for `build_poset`."""
+    elements = sorted(elements)
+    index = {x: i for i, x in enumerate(elements)}
+    n = len(elements)
+    m = [[i == j for j in range(n)] for i in range(n)]
+    for lo, hi in relations:
+        m[index[lo]][index[hi]] = True
+    for k in range(n):
+        for i in range(n):
+            if m[i][k]:
+                m[i] = [a or b for a, b in zip(m[i], m[k])]
+    closure = [(elements[i], elements[j]) for i in range(n) for j in range(n)
+               if m[i][j]]
+    for lo, hi in closure:
+        if lo != hi and (hi, lo) in closure:
+            return f"{lo!r} <= {hi!r} and {hi!r} <= {lo!r}"
+    return tuple(closure)
+
+
+@given(st.lists(st.tuples(st.sampled_from("abcdef"),
+                          st.sampled_from("abcdef")), max_size=12))
+def test_build_poset_matches_the_warshall_closure(rels):
+    expected = warshall_poset("abcdef", rels)
+    try:
+        got = build_poset(list("fbdace"), rels).pairs()
+    except AntisymmetryViolation as caught:
+        got = str(caught)
+    assert got == expected
+
+
 def test_parse_errors_give_the_line():
     with pytest.raises(BadParameter) as caught:
         parse_poset_text("poset p\n\n# comment\nelem x y\nfoo bar\n")

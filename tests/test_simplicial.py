@@ -370,7 +370,9 @@ def test_complex_tables_on_random_posets(P):
 @given(small_posets(max_size=4, max_height=2))
 def test_id_tables_match_the_oracle_before_any_object(P):
     """The tables built from ids alone equal those derived from the
-    oracle's objects, and reading them builds no simplex object."""
+    oracle's objects, and reading them builds no simplex object; `ids`,
+    read after the objects exist, maps the oracle's simplices to their
+    ranks."""
     K = Complex(P)
     raw = [enumerate_simplices_raw(P, n) for n in range(4)]
     raw_ids = [{d: i for i, d in enumerate(r)} for r in raw]
@@ -382,7 +384,6 @@ def test_id_tables_match_the_oracle_before_any_object(P):
                                     for d in raw[n])
         assert cells.inflating == tuple(is_inflating(P, d) for d in raw[n])
         assert cells.degenerate == tuple(map(is_degenerate, raw[n]))
-        assert [cells.ids[d] for d in raw[n]] == list(range(len(raw[n])))
         for i in range(n):
             assert cells.degeneracies[i] == tuple(
                 raw_ids[n][degeneracy(f, i)] for f in raw[n - 1])
@@ -397,31 +398,26 @@ def test_id_tables_match_the_oracle_before_any_object(P):
         assert glued == raw[n]
         assert [d.encode() for d in glued] == [d.encode() for d in raw[n]]
         assert [hash(d) for d in glued] == [hash(d) for d in raw[n]]
+        assert [K[n].ids[d] for d in raw[n]] == list(range(len(raw[n])))
         for d in glued[:: max(1, len(glued) // 7)]:
             assert type(d)(d.support, *d.faces) == d  # the identities hold
 
 
 def test_ids_are_keyed_by_the_enumerated_objects(posets):
-    """Equal simplices looked up before the objects exist are re-keyed to
-    the enumerated objects when those are built, and ones looked up
-    after are stored under them, so a lookup of an enumerated simplex
-    ends at `is`."""
+    """Equal simplices of another complex map to the ids of the
+    enumerated ones, and every key of `ids` is an enumerated object, so
+    a lookup of an enumerated simplex ends at `is`."""
     P = posets["circle2"]
     K = Complex(P)
     others = enumerate_simplices(P, 2)  # equal objects of another complex
     sigmas = EVEN_PERMUTATIONS + ODD_PERMUTATIONS
-    before = [permute2(c, sigma) for c in others[:12] for sigma in sigmas]
-    found = [K[2].ids[d] for d in before]
-    assert not any("simplices" in vars(K[n]) for n in range(4))
-    assert next(iter(K[2].ids)) is before[0]
+    fresh = [permute2(c, sigma) for c in others[:24] for sigma in sigmas]
     built = K[2].simplices
-    assert [built[i] for i in found] == before
-    after = [permute2(c, sigma) for c in others[12:24] for sigma in sigmas]
-    assert [built[K[2].ids[d]] for d in after] == after
-    for n in range(3):
+    assert [built[K[2].ids[d]] for d in fresh] == fresh
+    for n in range(4):
         objects = K[n].simplices
-        assert K[n].ids and all(key is objects[i]
-                                for key, i in K[n].ids.items())
+        assert list(K[n].ids) == list(objects)
+        assert all(key is objects[i] for key, i in K[n].ids.items())
 
 
 def test_complex_cache_is_bounded():
