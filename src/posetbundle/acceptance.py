@@ -10,13 +10,13 @@ import random
 from . import connections as cn
 from .cochains import (
     Cochain1,
+    _path_value,
     coboundary,
     coboundary2,
     coboundary_from_assignment,
     classify_cocycles,
     cocycle_from_hom,
     enumerate_cocycles,
-    extend_to_path,
     is_morphism,
     is_path_independent,
     random_cochain0,
@@ -27,9 +27,11 @@ from .frozen import Frozen
 from .gauge import gauge_group, gauge_group_raw
 from .groups import FiniteGroup, cyclic_group, symmetric_group
 from .paths import (
+    _neighbours,
+    _path,
     count_hom_classes,
-    deformations,
     enumerate_homs,
+    homotopic,
     pi1_presentation,
 )
 from .poset import Poset, build_poset, generate
@@ -396,7 +398,13 @@ def criterion_11(rng):
 
 
 def criterion_12(rng):
-    """Cocycles cannot see certificate-homotopic path changes."""
+    """Cocycles cannot see certificate-homotopic path changes.
+
+    The search runs on tuples of 1-simplex ids: the seeds are the
+    spanning tree paths of length <= 2, the neighbours of a path come
+    from the deformation index in `deformations` order, and every cocycle
+    is evaluated on the ids.  `Path`s are built only for a pair that a
+    cocycle splits, to ask `homotopic` for a certificate."""
     pairs = 0
     for P, G, start in (
         (generate("circle", 2), cyclic_group(2), "a1"),
@@ -404,42 +412,48 @@ def criterion_12(rng):
     ):
         cocycles = enumerate_cocycles(P, G)
         _, words = pi1_presentation(P, start)
-        seeds = [(p, _values(cocycles, p))
-                 for p in map(words.tree_path, P.elements) if len(p) <= 2]
+        K = complex_of(P)
+        faces, moves = K[1].faces, K[2].deformations
+
+        def values(r):
+            return [_path_value(z, r) for z in cocycles]
+
+        def neighbours(r):
+            return sorted(_neighbours(r, moves, len(r) + 1))
+
+        # Keyed by (start, end) point ids: the seeds end at distinct
+        # points, and deformations keep the endpoints, so every path the
+        # search reaches shares them with exactly one seed.
+        seeds = {(faces[r[0]][1], faces[r[-1]][0]): (r, values(r))
+                 for r in words.tree if len(r) <= 2}
         reached = set()
-        frontier = [p for p, _ in seeds]
-        for _ in range(3):  # a few BFS layers within the length bound
+        frontier = [r for r, _ in seeds.values()]
+        for _ in range(3):  # paths of length <= 5, within the bound 6
             nxt = []
-            for p in frontier:
-                for q in deformations(p, P):
-                    if len(q) <= 6 and q.steps not in reached:
-                        reached.add(q.steps)
+            for r in frontier:
+                for q in neighbours(r):
+                    if q not in reached:
+                        reached.add(q)
                         nxt.append(q)
-                        for p0, v0 in seeds:
-                            if (p0.start == q.start and p0.end == q.end
-                                    and v0 != _values(cocycles, q)
-                                    and _certified(p0, q, P)):
-                                return False, (
-                                    f"cocycle split a homotopic "
-                                    f"pair on {P.name}"
-                                )
+                        p0, v0 = seeds[faces[q[0]][1], faces[q[-1]][0]]
+                        if v0 != values(q) and _certified(p0, q, P):
+                            return False, (
+                                f"cocycle split a homotopic "
+                                f"pair on {P.name}"
+                            )
             frontier = nxt
-        for p, vp in seeds:
-            for q in deformations(p, P):
+        for p, vp in seeds.values():
+            for q in neighbours(p):
                 pairs += 1
-                if _values(cocycles, q) != vp:
+                if values(q) != vp:
                     return False, f"one-step deformation split on {P.name}"
     return True, f"{pairs} one-step pairs plus BFS layers, all invariant"
 
 
-def _values(cocycles, p):
-    return [extend_to_path(z, p) for z in cocycles]
-
-
 def _certified(p, q, P):
-    from .paths import homotopic
-
-    return homotopic(p, q, P, 6).status == "yes"
+    """Whether `homotopic` certifies the step id tuples p and q of P."""
+    steps = complex_of(P)[1].simplices
+    return homotopic(_path(p, steps), _path(q, steps), P, 6).status == "yes"
 
 
 _CRITERIA = (

@@ -48,14 +48,27 @@ def gauge_group(z: Cochain1):
 
 
 def gauge_group_raw(z: Cochain1, limit=10 ** 6):
-    """Oracle: filter every point assignment, a tuple of element ids in
-    element order, by its action on z."""
+    """Oracle: scan every point assignment, a tuple of element ids in
+    element order, in `itertools.product` order, and keep those that fix
+    z: f(end) z(b) f(start)^-1 = z(b) for every 1-simplex b.  The limit is
+    checked before the scan; an assignment is dropped at its first
+    failing 1-simplex, and assignments are made one at a time, so memory
+    does not grow with |G|^|P|."""
     P, G = z.poset, z.group
     check_limit(len(G) ** len(P), limit, f"{len(G)}^{len(P)} assignments")
-    faces, name = z.cells.faces, G.elements.__getitem__
+    rows, inv = G.rows, G.inverses
+    edges = tuple(zip(z.ids, z.cells.faces))
+
+    def fixes(f):
+        for g, (end, start) in edges:
+            if rows[rows[f[end]][g]][inv[f[start]]] != g:
+                return False
+        return True
+
+    name = G.elements.__getitem__
     return tuple(GaugeTransformation(z, tuple(zip(P.elements, map(name, f))))
-                 for f in itertools.product(range(len(G)), repeat=len(P))
-                 if _act(G, faces, z.ids, f) == z.ids)
+                 for f in filter(fixes, itertools.product(range(len(G)),
+                                                          repeat=len(P))))
 
 
 def gauge_act(f, u: Cochain1) -> Cochain1:

@@ -39,6 +39,14 @@ class Path(Frozen):
                 )
         self.__dict__["steps"] = steps
 
+    @classmethod
+    def _of(cls, steps):
+        """Trusted constructor for steps known to chain, such as the ids
+        of the deformation index mapped to their 1-simplices."""
+        self = cls.__new__(cls)
+        self.__dict__["steps"] = steps
+        return self
+
     @property
     def start(self) -> Simplex0:
         return self.steps[0].face1
@@ -82,8 +90,9 @@ def _ranked(p: Path, P: Poset):
 
 
 def _path(ranked, steps) -> Path:
-    """The path of the step ids `ranked`; `steps` are the 1-simplices."""
-    return Path(tuple(steps[r] for r in ranked))
+    """The path of the step ids `ranked`, which chain; `steps` are the
+    1-simplices."""
+    return Path._of(tuple(steps[r] for r in ranked))
 
 
 def _neighbours(ranked, moves, bound):
@@ -273,9 +282,8 @@ class WordMap:
 
     def tree_path(self, a) -> Path:
         """The chosen path from the base point to element a."""
-        steps = self._edges.simplices
         point = self._edges.complex[0].ids[Simplex0(a)]
-        return Path(tuple(steps[i] for i in self.tree[point]))
+        return _path(self.tree[point], self._edges.simplices)
 
 
 def invert_word(word):

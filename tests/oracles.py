@@ -1,0 +1,51 @@
+"""Brute-force oracles that only the tests use: each rebuilds a result
+of the library from its definition, independently of the fast tables."""
+
+import itertools
+
+from posetbundle.poset import Poset
+from posetbundle.simplicial import (_SIMPLEX_CLASSES, _check_dimension,
+                                    is_inflating)
+
+
+def enumerate_simplices_raw(P: Poset, n: int, inflating_only: bool = False):
+    """Brute-force oracle for `enumerate_simplices`.
+
+    Runs over the monotone maps from the nonempty subsets of {0..n} into
+    P, which are exactly the singular n-simplices, builds each simplex
+    from scratch and sorts by sort key.
+    """
+    _check_dimension(n)
+    subsets = [subset for size in range(1, n + 2)
+               for subset in itertools.combinations(range(n + 1), size)]
+
+    def build(values, indices):
+        faces = [build(values, indices[:k] + indices[k + 1:])
+                 for k in range(len(indices))] if len(indices) > 1 else []
+        return _SIMPLEX_CLASSES[len(indices) - 1](values[indices], *faces)
+
+    results = []
+
+    def assign(pos, values):
+        if pos == len(subsets):
+            results.append(build(values, tuple(range(n + 1))))
+            return
+        subset = subsets[pos]
+        if len(subset) == 1:
+            candidates = P.elements
+        else:
+            lower = [values[subset[:k] + subset[k + 1:]]
+                     for k in range(len(subset))]
+            candidates = [
+                x for x in P.elements if all(P.leq(lo, x) for lo in lower)
+            ]
+        for x in candidates:
+            values[subset] = x
+            assign(pos + 1, values)
+        values.pop(subset, None)
+
+    assign(0, {})
+    if inflating_only:
+        results = [d for d in results if is_inflating(P, d)]
+    results.sort(key=lambda d: d.sort_key())
+    return tuple(results)

@@ -1,9 +1,17 @@
 """The acceptance suite: one test per criterion, each contributing its
 pass/fail line to the terminal summary (see conftest.py)."""
 
+import random
+
 import pytest
 
+from posetbundle import acceptance
 from posetbundle.acceptance import CRITERIA_COUNT, _CRITERIA, run_criterion
+from posetbundle.cochains import is_cocycle, random_cochain1
+from posetbundle.paths import (Path, _neighbours, deformations,
+                               pi1_presentation)
+from posetbundle.poset import generate
+from posetbundle.simplicial import complex_of
 
 # filled as tests run; printed by the pytest_terminal_summary hook
 RESULTS = {}
@@ -36,3 +44,62 @@ def test_criterion(number):
     print(result.line())
     assert result.passed, result.line()
     assert result.detail == DETAILS[number]
+
+
+# The failure branches of criteria 10 and 12 never run on a passing
+# suite; these faults must reach them.
+
+
+def test_criterion_12_catches_a_non_cocycle(monkeypatch):
+    """A cochain that is not a cocycle splits a homotopic pair, and the
+    certificate for that pair is asked of `homotopic` through `Path`s
+    rebuilt from the step ids."""
+    enumerate_cocycles = acceptance.enumerate_cocycles
+
+    def with_a_non_cocycle(P, G):
+        u = random_cochain1(P, G, random.Random(0))
+        assert not is_cocycle(u)
+        return enumerate_cocycles(P, G) + (u,)
+
+    monkeypatch.setattr(acceptance, "enumerate_cocycles", with_a_non_cocycle)
+    assert acceptance.criterion_12(random.Random(0)) == (
+        False, "cocycle split a homotopic pair on circle2")
+
+
+def test_criterion_12_builds_no_path_when_nothing_splits(monkeypatch):
+    def refuse(cls, steps):
+        raise AssertionError("criterion 12 built a Path")
+
+    monkeypatch.setattr(Path, "_of", classmethod(refuse))
+    assert acceptance.criterion_12(random.Random(0)) == (True, DETAILS[12])
+
+
+def test_criterion_10_catches_a_missing_transformation(monkeypatch):
+    """A gauge group short of its last transformation on chain2, the
+    first poset that criterion 10 compares with the raw scan."""
+    gauge_group = acceptance.gauge_group
+
+    def short(z):
+        group = gauge_group(z)
+        return group[:-1] if z.poset.name == "chain2" else group
+
+    monkeypatch.setattr(acceptance, "gauge_group", short)
+    assert acceptance.criterion_10(random.Random(0)) == (
+        False, "raw disagreement on chain2 x Z2")
+
+
+@pytest.mark.parametrize("name, n, start",
+                         [("circle", 2, "a1"), ("chain", 3, "x1")])
+def test_criterion_12_neighbours_are_the_deformations(name, n, start):
+    """The step id neighbours that criterion 12 searches, in its order,
+    are the ids of `deformations` of each seed."""
+    P = generate(name, n)
+    K = complex_of(P)
+    _, words = pi1_presentation(P, start)
+    seeds = [r for r in words.tree if len(r) <= 2]
+    assert seeds
+    for r in seeds:
+        p = Path(tuple(K[1].simplices[i] for i in r))
+        assert sorted(_neighbours(r, K[2].deformations, len(r) + 1)) == [
+            tuple(map(K[1].ids.__getitem__, q.steps))
+            for q in deformations(p, P)]

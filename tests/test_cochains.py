@@ -67,8 +67,9 @@ from posetbundle.simplicial import (
     boundary,
     complex_of,
     enumerate_simplices,
-    enumerate_simplices_raw,
 )
+
+from oracles import enumerate_simplices_raw
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)

@@ -680,6 +680,21 @@ def test_homotopic_matches_scan_search(P, rng, bound):
                                  expected and expected[::-1], q, p, P, bound)
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_posets(), SEEDS)
+def test_trusted_paths_still_chain(P, rng):
+    """`deformations`, the `homotopic` certificates and the tree paths
+    build their paths from step ids without the chaining check: each of
+    them still passes it."""
+    p = random_path(P, rng)
+    q = random_path_between(P, rng, p.start.element, p.end.element) or p
+    _, words = pi1_presentation(P, p.start.element)
+    built = (deformations(p, P) + homotopic(p, q, P, 4).certificate
+             + tuple(map(words.tree_path, P.elements)))
+    for path in built:
+        assert Path(path.steps) == path
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 3), st.data())
 def test_cells_encode_matches_the_objects(n, data):

@@ -20,6 +20,7 @@ from posetbundle.gauge import (
     is_gauge_transformation,
 )
 from posetbundle.groups import cyclic_group, symmetric_group
+from posetbundle.poset import generate
 from posetbundle.simplicial import enumerate_simplices
 
 Z2 = cyclic_group(2)
@@ -41,6 +42,15 @@ def test_gauge_group_matches_oracle(posets):
         winding_cocycle(P, S3, "213"),
     ):
         assert set(gauge_group(z)) == set(gauge_group_raw(z))
+
+
+def test_gauge_group_raw_does_not_nest_per_simplex():
+    """|G|^|P| = 1 passes any limit, so the raw scan meets complexes of
+    any size: chain80 has 173,880 1-simplices, and a scan that nested one
+    iterator per 1-simplex would overflow the C stack."""
+    G = cyclic_group(1)
+    (f,) = gauge_group_raw(trivial_cochain1(generate("chain", 80), G))
+    assert set(f.as_dict().values()) == {G.identity}
 
 
 def test_gauge_group_is_a_group(posets):

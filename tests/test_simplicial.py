@@ -23,7 +23,6 @@ from posetbundle.simplicial import (
     complex_of,
     degeneracy,
     enumerate_simplices,
-    enumerate_simplices_raw,
     enumerated,
     is_degenerate,
     is_inflating,
@@ -33,6 +32,8 @@ from posetbundle.simplicial import (
     support,
     validate_supports,
 )
+
+from oracles import enumerate_simplices_raw
 
 # Frozen simplex counts for the fixture posets.
 FROZEN_COUNTS = {
