@@ -11,8 +11,8 @@ import importlib
 _EXPORTS = {
     "cochains": "Cochain0 Cochain1 Cochain2 Cochain3 Morphism1 are_equivalent "
     "associated_cocycle classify_cocycles coboundary "
-    "coboundary_from_assignment enumerate_cocycles enumerate_cocycles_raw "
-    "extend_to_path find_morphism is_cocycle is_path_independent pushforward "
+    "coboundary_from_assignment enumerate_cocycles extend_to_path "
+    "find_morphism is_cocycle is_path_independent pushforward "
     "trivial_cochain1",
     "connections": "ambrose_singer_reduce central_decompose "
     "construct_from_cochain construct_nonflat curvature enumerate_connections "

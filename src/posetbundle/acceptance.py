@@ -35,7 +35,7 @@ from .paths import (
     pi1_presentation,
 )
 from .poset import Poset, build_poset, generate
-from .simplicial import complex_of, enumerate_simplices, permute2
+from .simplicial import complex_of, enumerate_simplices
 
 DEFAULT_SEED = 20260824
 
@@ -125,8 +125,20 @@ def random_connection(P: Poset, G: FiniteGroup, rng) -> Cochain1:
 # -- criteria --------------------------------------------------------------
 
 
-def _inflating_ids(P: Poset):
-    return [i for i, yes in enumerate(complex_of(P)[1].inflating) if yes]
+def _agreeing(P: Poset, cocycles):
+    """The function taking a connection u on P to the list of `cocycles`
+    that agree with u on the inflating 1-simplices, in their order.  The
+    cocycles are indexed once by their values on the inflating ids, so
+    each call is one lookup."""
+    inflating = complex_of(P)[1].inflating
+
+    def key(v):
+        return tuple(itertools.compress(v.ids, inflating))
+
+    index = {}
+    for z in cocycles:
+        index.setdefault(key(z), []).append(z)
+    return lambda u: index.get(key(u), [])
 
 
 def criterion_1(rng):
@@ -137,18 +149,18 @@ def criterion_1(rng):
     checked = 0
     for u in _all_cochain1(chain2, Z2):
         x = coboundary(coboundary(u))
-        if any(g != Z2.unit for g in x.ids):
+        if x.ids.count(Z2.unit) != len(x.ids):
             return False, f"exhaustive failure at cochain #{checked}"
         checked += 1
     randoms = 0
     for _ in range(500):
         u = random_cochain1(circle2, S3, rng)
         x = coboundary(coboundary(u))
-        if any(g != S3.unit for g in x.ids):
+        if x.ids.count(S3.unit) != len(x.ids):
             return False, "random 1-cochain broke d after d"
         v = random_cochain0(circle2, S3, rng)
         w = coboundary(coboundary(v))
-        if any(g != S3.unit for g in w.ids):
+        if w.ids.count(S3.unit) != len(w.ids):
             return False, "random 0-cochain broke d after d"
         randoms += 1
     return True, f"{checked} exhaustive + {randoms} random cochains, all trivial"
@@ -237,16 +249,18 @@ def criterion_5(rng):
 
 
 def criterion_6(rng):
-    """Exactly one cocycle agrees with a connection on inflating edges."""
+    """Exactly one cocycle agrees with a connection on inflating edges.
+
+    The agreeing cocycles of each sampled connection are looked up in an
+    index of all the cocycles by their inflating values (`_agreeing`),
+    which lists them as a scan of `enumerate_cocycles` would."""
     circle2 = generate("circle", 2)
     Z2 = cyclic_group(2)
     cocycles = enumerate_cocycles(circle2, Z2)
-    inflating = _inflating_ids(circle2)
+    agreeing_with = _agreeing(circle2, cocycles)
     for i in range(200):
         u = random_connection(circle2, Z2, rng)
-        agreeing = [
-            z for z in cocycles if all(z.ids[b] == u.ids[b] for b in inflating)
-        ]
+        agreeing = agreeing_with(u)
         if len(agreeing) != 1:
             return False, f"sample {i}: {len(agreeing)} cocycles agree"
         if agreeing[0] != cn.induced_cocycle(u):
@@ -259,25 +273,21 @@ def criterion_7(rng):
     circle2 = generate("circle", 2)
     Z2 = cyclic_group(2)
     us = cn.enumerate_connections(circle2, Z2)
-    center = set(Z2.center())
-    cocycles = enumerate_cocycles(circle2, Z2)
-    inflating = _inflating_ids(circle2)
+    rows, inv = Z2.rows, Z2.inverses
+    center = {Z2.index[g] for g in Z2.center()}
+    agreeing_with = _agreeing(circle2, enumerate_cocycles(circle2, Z2))
     pinch = complex_of(circle2)[1].pinch
     for u in us:
         if not cn.is_central(u):
             return False, "a Z2 connection failed centrality"
         z, chi = cn.central_decompose(u)
-        w = cn.curvature(u)
-        for i, b in enumerate(enumerate_simplices(circle2, 1)):
-            if Z2.mul(z(b), chi(b)) != u(b) or chi(b) not in center:
+        w = cn.curvature(u).ids
+        for i, (g, h, c) in enumerate(zip(u.ids, z.ids, chi.ids)):
+            if rows[h][c] != g or c not in center:
                 return False, "decomposition does not recompose"
-            if w.ids[pinch[i]] != Z2.inverses[chi.ids[i]]:
+            if w[pinch[i]] != inv[c]:
                 return False, "curvature of the pinch simplex missed chi"
-        agreeing = [
-            z1 for z1 in cocycles
-            if all(z1.ids[b] == u.ids[b] for b in inflating)
-        ]
-        if agreeing != [z]:
+        if agreeing_with(u) != [z]:
             return False, "decomposition is not unique"
     by_bundle = {}
     for u in us:
@@ -311,7 +321,7 @@ def criterion_8(rng):
             u = random_connection(P, G, rng)
             w = cn.curvature(u)
             x = coboundary2(w)
-            if any(g != G.unit for g in x.ids):
+            if x.ids.count(G.unit) != len(x.ids):
                 return False, f"Bianchi failed on {P.name} x {G.name}"
             checked += 1
     return True, f"{checked} sampled connections, all 3-simplices balanced"
@@ -376,7 +386,12 @@ def criterion_10(rng):
 
 def criterion_11(rng):
     """Curvature symmetry under orientation and triviality on the rigid
-    part."""
+    part.
+
+    Both are read from the curvature's ids: the value at the swapped
+    2-simplex `permute2(c, (1, 0, 2))` is the value at the id that
+    `Cells.permuted` gives for c.  The 2-simplices are checked in id
+    order, the orientation test first."""
     checked = 0
     for P, G in (
         (generate("circle", 2), cyclic_group(2)),
@@ -384,14 +399,16 @@ def criterion_11(rng):
         (generate("vee", 1), cyclic_group(2)),
     ):
         cells = complex_of(P)[2]
+        swap = cells.permuted((1, 0, 2))
         rigid = [a or b for a, b in zip(cells.degenerate, cells.inflating)]
+        inv = G.inverses
         for _ in range(10):
             u = random_connection(P, G, rng)
-            w = cn.curvature(u)
-            for c, fixed in zip(cells.simplices, rigid):
-                if w(permute2(c, (1, 0, 2))) != G.inv(w(c)):
+            w = cn.curvature(u).ids
+            for i, (j, fixed) in enumerate(zip(swap, rigid)):
+                if w[j] != inv[w[i]]:
                     return False, f"orientation symmetry failed on {P.name}"
-                if fixed and w(c) != G.identity:
+                if fixed and w[i] != G.unit:
                     return False, f"rigid 2-simplex carries curvature on {P.name}"
             checked += 1
     return True, f"{checked} sampled connections, symmetries exact"
@@ -484,4 +501,6 @@ def run_criterion(number: int, seed=DEFAULT_SEED) -> CriterionResult:
 
 
 def run_all(seed=DEFAULT_SEED):
-    return tuple(run_criterion(num, seed) for num, _, _ in _CRITERIA)
+    """The result of each criterion in order, lazily: each is run when
+    it is asked for."""
+    return (run_criterion(num, seed) for num, _, _ in _CRITERIA)

@@ -406,8 +406,9 @@ def _fixture_problems(directory):
 def cmd_suite(args):
     """Write and validate the fixtures, then run the acceptance criteria.
 
-    Text mode prints as it goes, since the criteria take a while; JSON
-    mode returns one report of the fixtures and the criteria.
+    Text mode prints as it goes, each criterion's line as soon as that
+    criterion has run; JSON mode returns one report of the fixtures and
+    the criteria.
     """
     from . import acceptance
 
@@ -421,12 +422,15 @@ def cmd_suite(args):
         print(f"fixture validation [{'FAIL' if problems else 'PASS'}]")
         for problem in problems:
             print(f"  {problem}")
-    results = () if problems else acceptance.run_all(
-        seed=acceptance.DEFAULT_SEED if args.seed is None else args.seed)
+    results = []
+    if not problems:
+        seed = acceptance.DEFAULT_SEED if args.seed is None else args.seed
+        for result in acceptance.run_all(seed=seed):
+            results.append(result)
+            if text:
+                print(result.line(), flush=True)
     passed = sum(r.passed for r in results)
     if text and not problems:
-        for result in results:
-            print(result.line())
         print(f"suite: {passed}/{len(results)} criteria passed")
     code = 0 if not problems and passed == len(results) else 1
     if text:

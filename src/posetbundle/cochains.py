@@ -25,6 +25,7 @@ from .errors import (
     CentralityViolation,
     MissingValue,
     Mismatch,
+    NoSuchSimplex,
     check_limit,
     content_lines,
     located,
@@ -39,8 +40,7 @@ from .paths import (
     word_value,
 )
 from .poset import Poset, base_point
-from .simplicial import (Simplex0, complex_of, enumerate_simplices,
-                         enumerated, parse_simplex1)
+from .simplicial import Simplex0, complex_of, enumerated, parse_simplex1
 
 
 def _in_order(cells, mapping, message):
@@ -111,7 +111,9 @@ class _Cochain:
         return self
 
     def __call__(self, d):
-        return self.group.elements[self.ids[self.cells.ids[d]]]
+        """The value at the simplex d; `NoSuchSimplex` if d is not one of
+        the simplices of this degree."""
+        return self.group.elements[self.ids[self.cells.id_of(d)]]
 
     @property
     def values(self):
@@ -152,7 +154,7 @@ class Cochain0(_Cochain):
         """Value at a point given by its element name."""
         try:
             return self(Simplex0(element))
-        except KeyError:
+        except NoSuchSimplex:
             raise MissingValue(f"no value at {element!r}") from None
 
 
@@ -369,9 +371,9 @@ def _path_value(u: Cochain1, steps):
 
 
 def extend_to_path(u: Cochain1, p: Path):
-    """The ordered product of values along a path (first step rightmost)."""
-    return u.group.elements[_path_value(u, map(u.cells.ids.__getitem__,
-                                               p.steps))]
+    """The ordered product of values along a path (first step rightmost);
+    `NoSuchSimplex` if a step is not a 1-simplex of u's poset."""
+    return u.group.elements[_path_value(u, map(u.cells.id_of, p.steps))]
 
 
 def _transport(u: Cochain1, a0: str):
@@ -504,19 +506,6 @@ def enumerate_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
     return tuple(Cochain1._of(P, G, _act(G, faces, x, (G.unit,) + choice))
                  for x in loops
                  for choice in itertools.product(range(len(G)), repeat=others))
-
-
-def enumerate_cocycles_raw(P: Poset, G: FiniteGroup, limit=10 ** 6):
-    """Brute-force oracle: filter every map on 1-simplices."""
-    simplices = enumerate_simplices(P, 1)
-    check_limit(len(G) ** len(simplices), limit,
-                f"{len(G)}^{len(simplices)} maps")
-    out = []
-    for assignment in itertools.product(G.elements, repeat=len(simplices)):
-        z = Cochain1(P, G, dict(zip(simplices, assignment)))
-        if is_cocycle(z):
-            out.append(z)
-    return tuple(out)
 
 
 def classify_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):

@@ -211,11 +211,19 @@ def enumerated(P: Poset, d):
     simplex of P.  Dictionaries keyed by enumerated simplices match it
     by identity."""
     cells = complex_of(P)[d.dim]
-    try:
-        return cells.simplices[cells.ids[d]]
-    except KeyError:
-        raise NoSuchSimplex(f"{d.encode()} is not a {d.dim}-simplex of "
-                            f"{P.name}") from None
+    return cells.simplices[cells.id_of(d)]
+
+
+def _face_rule(sigma):
+    """(sigma(j), whether it is reversed) for each face j of a 2-simplex
+    permuted by sigma, as `permute2` states the rule; `BadParameter`
+    unless sigma permutes (0, 1, 2)."""
+    sigma = tuple(sigma)
+    if len(sigma) != 3 or set(sigma) != {0, 1, 2}:
+        raise BadParameter(f"{sigma!r} is not a permutation of (0, 1, 2)")
+    # (a, b): the two vertices other than j, in order.
+    return tuple((sigma[j], sigma[a] > sigma[b])
+                 for j, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))))
 
 
 def permute2(c: Simplex2, sigma) -> Simplex2:
@@ -224,16 +232,10 @@ def permute2(c: Simplex2, sigma) -> Simplex2:
     sigma = (sigma(0), sigma(1), sigma(2)): vertex k of the result is
     vertex sigma(k) of c.  So face j of the result is face sigma(j) of
     c, reversed when sigma swaps the order of the two other vertices.
+    `Cells.permuted` is the same action on ids.
     """
-    sigma = tuple(sigma)
-    if len(sigma) != 3 or set(sigma) != {0, 1, 2}:
-        raise BadParameter(f"{sigma!r} is not a permutation of (0, 1, 2)")
-    faces = []
-    for j in range(3):
-        a, b = (k for k in range(3) if k != j)
-        face = c.faces[sigma[j]]
-        faces.append(reverse(face) if sigma[a] > sigma[b] else face)
-    return Simplex2(c.support, *faces)
+    return Simplex2(c.support, *(reverse(c.faces[k]) if flip else c.faces[k]
+                                 for k, flip in _face_rule(sigma)))
 
 
 EVEN_PERMUTATIONS = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
@@ -287,7 +289,8 @@ class Cells:
     on first use from them:
     - `simplices`, the enumerated objects, in one pass;
     - `ids`, which maps each of `simplices` (or one equal to it) to its
-      id, and `at`, which maps (support id, *face ids) to the id;
+      id (`id_of` raises `NoSuchSimplex` for any other simplex), and
+      `at`, which maps (support id, *face ids) to the id;
     - the `inflating` and `degenerate` masks, and in dimensions 1-3
       `degeneracies[i][j]`, the id of s_i of simplex j one dimension
       down (see `degeneracy`);
@@ -298,7 +301,8 @@ class Cells:
       those without an inflating member in `free_classes`;
     - in dimension 2, `deformations`, which maps the id of a boundary 1
       to the id pairs (boundary 2, boundary 0), and such a pair to the
-      1-tuples of boundary 1 ids: the moves of `paths.homotopic`.
+      1-tuples of boundary 1 ids: the moves of `paths.homotopic`; and,
+      not cached, `permuted(sigma)`, the ids of the orientation action.
     Only `simplices` builds objects, and only `ids` reads it; the other
     tables never do, and neither does `encode(i)`, the text of simplex i.
     """
@@ -332,6 +336,15 @@ class Cells:
     @cached_property
     def ids(self):
         return dict(zip(self.simplices, range(len(self.faces))))
+
+    def id_of(self, d):
+        """The id of the simplex d; `NoSuchSimplex` if d is not one of
+        these cells."""
+        try:
+            return self.ids[d]
+        except KeyError:
+            raise NoSuchSimplex(f"{d.encode()} is not a {self.dim}-simplex "
+                                f"of {self.complex.poset.name}") from None
 
     @cached_property
     def at(self):
@@ -388,6 +401,20 @@ class Cells:
         infl = self.inflating
         return tuple((i, j) for i, j in self.classes
                      if not infl[i] and not infl[j])
+
+    def permuted(self, sigma):
+        """The id of `permute2(c, sigma)` for each 2-simplex id of c, read
+        from `at` and the reverse ids one dimension down; for sigma =
+        (1, 0, 2), simplex i with support x and faces (b0, b1, b2) goes
+        to `at[x, b1, b0, reverse[b2]]`."""
+        if self.dim != 2:
+            raise UnsupportedDimension("the orientation action is "
+                                       "implemented for 2-simplices")
+        rule, at = _face_rule(sigma), self.at
+        rev = self.complex[1].reverse
+        return tuple(at[(x, *(rev[f[k]] if flip else f[k]
+                              for k, flip in rule))]
+                     for x, f in zip(self.support, self.faces))
 
     @cached_property
     def deformations(self):

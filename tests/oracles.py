@@ -3,9 +3,12 @@ of the library from its definition, independently of the fast tables."""
 
 import itertools
 
+from posetbundle.cochains import Cochain1, is_cocycle
+from posetbundle.errors import check_limit
+from posetbundle.groups import FiniteGroup
 from posetbundle.poset import Poset
 from posetbundle.simplicial import (_SIMPLEX_CLASSES, _check_dimension,
-                                    is_inflating)
+                                    enumerate_simplices, is_inflating)
 
 
 def enumerate_simplices_raw(P: Poset, n: int, inflating_only: bool = False):
@@ -49,3 +52,17 @@ def enumerate_simplices_raw(P: Poset, n: int, inflating_only: bool = False):
         results = [d for d in results if is_inflating(P, d)]
     results.sort(key=lambda d: d.sort_key())
     return tuple(results)
+
+
+def enumerate_cocycles_raw(P: Poset, G: FiniteGroup, limit=10 ** 6):
+    """Brute-force oracle for `enumerate_cocycles`: filter every map on
+    1-simplices."""
+    simplices = enumerate_simplices(P, 1)
+    check_limit(len(G) ** len(simplices), limit,
+                f"{len(G)}^{len(simplices)} maps")
+    out = []
+    for assignment in itertools.product(G.elements, repeat=len(simplices)):
+        z = Cochain1(P, G, dict(zip(simplices, assignment)))
+        if is_cocycle(z):
+            out.append(z)
+    return tuple(out)

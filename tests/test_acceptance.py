@@ -7,11 +7,14 @@ import pytest
 
 from posetbundle import acceptance
 from posetbundle.acceptance import CRITERIA_COUNT, _CRITERIA, run_criterion
-from posetbundle.cochains import is_cocycle, random_cochain1
+from posetbundle.cochains import (Cochain2, Cochain3, is_cocycle,
+                                  random_cochain1)
+from posetbundle.connections import induced_cocycle
+from posetbundle.groups import cyclic_group
 from posetbundle.paths import (Path, _neighbours, deformations,
                                pi1_presentation)
 from posetbundle.poset import generate
-from posetbundle.simplicial import complex_of
+from posetbundle.simplicial import complex_of, permute2
 
 # filled as tests run; printed by the pytest_terminal_summary hook
 RESULTS = {}
@@ -46,8 +49,8 @@ def test_criterion(number):
     assert result.detail == DETAILS[number]
 
 
-# The failure branches of criteria 10 and 12 never run on a passing
-# suite; these faults must reach them.
+# The failure branches of criteria 6, 8, 10, 11 and 12 never run on a
+# passing suite; these faults must reach them.
 
 
 def test_criterion_12_catches_a_non_cocycle(monkeypatch):
@@ -86,6 +89,50 @@ def test_criterion_10_catches_a_missing_transformation(monkeypatch):
     monkeypatch.setattr(acceptance, "gauge_group", short)
     assert acceptance.criterion_10(random.Random(0)) == (
         False, "raw disagreement on chain2 x Z2")
+
+
+def test_criterion_11_catches_a_changed_curvature_value(monkeypatch):
+    """A curvature changed at its first 2-simplex whose swap is another
+    2-simplex breaks the orientation symmetry on the first poset."""
+    curvature = acceptance.cn.curvature
+
+    def changed(u):
+        w = curvature(u)
+        cells = w.cells
+        i = next(i for i, c in enumerate(cells.simplices)
+                 if cells.ids[permute2(c, (1, 0, 2))] != i)
+        ids = list(w.ids)
+        ids[i] = next(g for g in range(len(w.group)) if g != ids[i])
+        return Cochain2._of(w.poset, w.group, tuple(ids), w.tau_ids)
+
+    monkeypatch.setattr(acceptance.cn, "curvature", changed)
+    assert acceptance.criterion_11(random.Random(0)) == (
+        False, "orientation symmetry failed on circle2")
+
+
+def test_criterion_6_catches_a_repeated_cocycle(monkeypatch):
+    """The bundle of the first sampled connection, listed twice among
+    the cocycles, agrees with it twice."""
+    P, G = generate("circle", 2), cyclic_group(2)
+    z = induced_cocycle(acceptance.random_connection(P, G, random.Random(0)))
+    enumerate_cocycles = acceptance.enumerate_cocycles
+    monkeypatch.setattr(acceptance, "enumerate_cocycles",
+                        lambda P, G: enumerate_cocycles(P, G) + (z,))
+    assert acceptance.criterion_6(random.Random(0)) == (
+        False, "sample 0: 2 cocycles agree")
+
+
+def test_criterion_8_catches_an_unbalanced_3_simplex(monkeypatch):
+    coboundary2 = acceptance.coboundary2
+
+    def unbalanced(w):
+        x, G = coboundary2(w), w.group
+        other = next(g for g in range(len(G)) if g != G.unit)
+        return Cochain3._of(x.poset, G, (other,) + x.ids[1:], x.tau_ids)
+
+    monkeypatch.setattr(acceptance, "coboundary2", unbalanced)
+    assert acceptance.criterion_8(random.Random(0)) == (
+        False, "Bianchi failed on circle2 x Z2")
 
 
 @pytest.mark.parametrize("name, n, start",

@@ -510,6 +510,25 @@ def test_suite_text_and_json(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["passed"] == 1
 
 
+def test_suite_prints_each_criterion_as_it_finishes(tmp_path, capsys,
+                                                     monkeypatch):
+    printed = []
+
+    def lazily(seed):
+        for result in STUB_RESULTS:
+            printed.append(capsys.readouterr().out.splitlines())
+            yield result
+
+    monkeypatch.setattr(acceptance, "run_all", lazily)
+    assert run(["suite", "--fixtures", tmp_path / "fx"]) == 1
+    assert printed[0][-1] == "fixture validation [PASS]"
+    assert printed[1] == ["criterion  1 [PASS] first: fine"]
+    assert capsys.readouterr().out.splitlines() == [
+        "criterion  2 [FAIL] second: broken",
+        "suite: 1/2 criteria passed",
+    ]
+
+
 def test_suite_json_reports_fixture_problems(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(acceptance, "run_all", lambda seed: STUB_RESULTS)
     fixtures = tmp_path / "fx"

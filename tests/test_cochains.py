@@ -17,7 +17,6 @@ from posetbundle.cochains import (
     coboundary2,
     coboundary_from_assignment,
     enumerate_cocycles,
-    enumerate_cocycles_raw,
     extend_to_path,
     find_morphism,
     format_assignment_text,
@@ -69,7 +68,7 @@ from posetbundle.simplicial import (
     enumerate_simplices,
 )
 
-from oracles import enumerate_simplices_raw
+from oracles import enumerate_cocycles_raw, enumerate_simplices_raw
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -483,6 +482,24 @@ def test_coboundaries_are_cocycles(rng):
     P = generate("circle", 2)
     v = random_cochain0(P, S3, rng)
     assert is_path_independent(coboundary0(v)) is not None
+
+
+def test_value_outside_the_poset_is_no_such_simplex(posets):
+    P = posets["circle2"]
+    u = random_cochain1(P, Z2, random.Random(0))
+    with pytest.raises(NoSuchSimplex) as caught:
+        u(Simplex1("a1", Simplex0("a1"), Simplex0("o1")))
+    assert str(caught.value) == "(a1;a1,o1) is not a 1-simplex of circle2"
+    c = enumerate_simplices(P, 2)[0]
+    with pytest.raises(NoSuchSimplex) as caught:
+        u(c)
+    assert str(caught.value) == f"{c.encode()} is not a 1-simplex of circle2"
+    step = enumerate_simplices(posets["chain3"], 1)[3]
+    with pytest.raises(NoSuchSimplex):
+        extend_to_path(u, Path((step,)))
+    v = random_cochain0(P, Z2, random.Random(0))
+    with pytest.raises(MissingValue):
+        v.at("x1")
 
 
 @settings(max_examples=25, deadline=None)

@@ -184,6 +184,13 @@ def test_transport_composes(posets):
                         ) == transport_between(u, o, a2, a)
 
 
+def test_transport_from_a_point_not_below_is_no_such_simplex(posets):
+    u = random_connection(posets["circle2"], Z3, random.Random(0))
+    with pytest.raises(NoSuchSimplex) as caught:
+        transport_between(u, "a1", "o1", "a1")
+    assert str(caught.value) == "(a1;a1,o1) is not a 1-simplex of circle2"
+
+
 def test_induced_cocycle_agrees_on_inflating_simplices(posets):
     P = posets["circle2"]
     for u in sample_connections(P, S3, 4, 4):

@@ -28,7 +28,6 @@ from posetbundle.cochains import (
     coboundary1,
     coboundary2,
     enumerate_cocycles,
-    enumerate_cocycles_raw,
     extend_to_path,
     find_morphism,
     identity_failures,
@@ -80,6 +79,8 @@ from posetbundle.simplicial import (
     is_inflating,
     reverse,
 )
+
+from oracles import enumerate_cocycles_raw
 
 GROUPS = st.sampled_from(
     [cyclic_group(2), cyclic_group(3), symmetric_group(3)]

@@ -267,6 +267,23 @@ def test_faces_are_shared_on_fixtures(posets):
             assert_faces_shared(P, dim)
 
 
+@settings(max_examples=40, deadline=None)
+@given(small_posets())
+def test_permuted_ids_are_the_ids_of_permute2(P):
+    cells = complex_of(P)[2]
+    for sigma in itertools.permutations(range(3)):
+        assert cells.permuted(sigma) == tuple(
+            cells.ids[permute2(c, sigma)] for c in cells.simplices)
+
+
+def test_permuted_rejects_non_permutations_and_other_dimensions(posets):
+    K = complex_of(posets["circle2"])
+    with pytest.raises(BadParameter):
+        K[2].permuted((0, 0, 1))
+    with pytest.raises(UnsupportedDimension):
+        K[1].permuted((1, 0, 2))
+
+
 def test_repeated_calls_share_the_complex(posets):
     P = posets["circle2"]
     assert enumerate_simplices(P, 2) is enumerate_simplices(P, 2, False)
