@@ -34,10 +34,10 @@ from .frozen import Frozen
 from .groups import FiniteGroup, GroupHom, InnerAut
 from .paths import (
     Path,
+    _word,
     enumerate_homs,
     hom_class_representatives,
     pi1_presentation,
-    word_value,
 )
 from .poset import Poset, base_point
 from .simplicial import Simplex0, complex_of, enumerated, parse_simplex1
@@ -233,8 +233,13 @@ def random_cochain1(P: Poset, G: FiniteGroup, rng) -> Cochain1:
 
 def _point_ids(P: Poset, G: FiniteGroup, f):
     """A point assignment (element -> group element) as ids in element
-    order, which is the order of the 0-simplex ids."""
-    names = [f[a] for a in P.elements]
+    order, which is the order of the 0-simplex ids; `MissingValue` if f
+    misses an element or a value is outside G."""
+    try:
+        names = [f[a] for a in P.elements]
+    except KeyError:
+        missing = [a for a in P.elements if a not in f]
+        raise MissingValue(f"assignment misses elements: {missing}") from None
     return _element_ids(G, names, zip(P.elements, names))
 
 
@@ -424,7 +429,13 @@ class Morphism1(Frozen):
         return self._lookup[element]
 
 
+def _same_base(v1: Cochain1, v: Cochain1):
+    if v1.poset != v.poset or v1.group != v.group:
+        raise Mismatch("cochains live over different posets or groups")
+
+
 def is_morphism(f, source: Cochain1, target: Cochain1) -> bool:
+    _same_base(source, target)
     G, f = source.group, _point_ids(source.poset, source.group, f)
     return _act(G, source.cells.faces, source.ids, f) == target.ids
 
@@ -438,8 +449,7 @@ def morphisms(v1: Cochain1, v: Cochain1):
     transport.  Each seed value f(a0), in group element order, is
     transported and checked against every 1-simplex.
     """
-    if v1.poset != v.poset or v1.group != v.group:
-        raise Mismatch("cochains live over different posets or groups")
+    _same_base(v1, v)
     P, G = v.poset, v.group
     rows, inv = G.rows, G.inverses
     a0 = base_point(P)  # point id 0
@@ -467,20 +477,28 @@ def are_equivalent(z: Cochain1, z1: Cochain1) -> bool:
 # -- enumeration and classification ----------------------------------------
 
 
-def _loop_ids(G: FiniteGroup, words, sigma):
-    """The id of sigma's value on the based loop through each 1-simplex."""
-    return [G.index[word_value(word, sigma, G)] for word in words.edge_words]
+def _loop_ids(G: FiniteGroup, words, x):
+    """The id of the value on the based loop through each 1-simplex of
+    the homomorphism that takes generator i to the element with id x[i]."""
+    return [_word(G, word, x) for word in words.edge_words]
 
 
 def cocycle_from_hom(P, G, sigma, f=None):
     """The 1-cocycle z(b) = f(end) sigma([loop through b]) f(start)^-1 of
     a homomorphism sigma (generator values) of the fundamental group at
     the base point and a point assignment f (element -> G), the identity
-    at the base point and, if f is None, everywhere."""
-    _, words = pi1_presentation(P, base_point(P))
+    at the base point and, if f is None, everywhere.  A sigma that does
+    not give one element of G per generator is a `BadParameter` or, for
+    a value outside G, a `MissingValue`."""
+    presentation, words = pi1_presentation(P, base_point(P))
+    generators = presentation.generators
+    if len(sigma) != len(generators):
+        raise BadParameter(f"sigma needs one value per generator "
+                           f"({len(generators)}), got {len(sigma)}")
+    x = _element_ids(G, sigma, zip(generators, sigma))
     f = (G.unit,) * len(P) if f is None else _point_ids(P, G, f)
     faces = complex_of(P)[1].faces
-    return Cochain1._of(P, G, _act(G, faces, _loop_ids(G, words, sigma), f))
+    return Cochain1._of(P, G, _act(G, faces, _loop_ids(G, words, x), f))
 
 
 def enumerate_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
@@ -501,8 +519,8 @@ def enumerate_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
     check_limit(len(homs) * len(G) ** others, limit,
                 f"{len(homs)} homomorphisms x {len(G)}^{others} point "
                 "assignments")
-    faces = complex_of(P)[1].faces
-    loops = [_loop_ids(G, words, sigma) for sigma in homs]
+    faces, index = complex_of(P)[1].faces, G.index.__getitem__
+    loops = [_loop_ids(G, words, tuple(map(index, sigma))) for sigma in homs]
     return tuple(Cochain1._of(P, G, _act(G, faces, x, (G.unit,) + choice))
                  for x in loops
                  for choice in itertools.product(range(len(G)), repeat=others))
@@ -590,9 +608,7 @@ def parse_assignment_text(text: str, P: Poset, G: FiniteGroup):
         return a, a
 
     f = _read_values(content_lines(text), G, "assignment", element)
-    missing = [a for a in P.elements if a not in f]
-    if missing:
-        raise MissingValue(f"assignment misses elements: {missing}")
+    _point_ids(P, G, f)  # every element has a value
     return f
 
 

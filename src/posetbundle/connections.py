@@ -15,6 +15,7 @@ from .cochains import (
     Cochain2,
     Morphism1,
     _act,
+    _same_base,
     _transport,
     coboundary1,
     enumerate_cocycles,
@@ -44,7 +45,6 @@ from .simplicial import (
     Simplex1,
     complex_of,
     enumerate_simplices,
-    enumerated,
 )
 
 
@@ -116,6 +116,7 @@ def induced_cocycle(u: Cochain1) -> Cochain1:
 def is_adapted(u: Cochain1, z: Cochain1) -> bool:
     """Whether the connection u lives on the bundle z: they agree on
     inflating 1-simplices."""
+    _same_base(u, z)
     return all(u(b) == z(b)
                for b in enumerate_simplices(u.poset, 1, inflating_only=True))
 
@@ -168,9 +169,8 @@ def construct_nonflat(z: Cochain1, b: Simplex1 = None, g=None):
             )
         i = cells.free_classes[0][0]  # the smallest free id
     else:
-        b = enumerated(P, b)
-        i = cells.ids[b] if b.dim == 1 else None
-        if i is None or cells.inflating[i] or cells.inflating[cells.reverse[i]]:
+        i = cells.id_of(b)
+        if cells.inflating[i] or cells.inflating[cells.reverse[i]]:
             raise NoSuchSimplex(
                 f"{b.encode()} is inflating in some orientation"
             )

@@ -15,7 +15,6 @@ from .simplicial import (
     complex_of,
     degeneracy,
     enumerate_simplices,
-    enumerated,
     reverse,
 )
 
@@ -85,8 +84,7 @@ def reverse_path(p: Path) -> Path:
 
 def _ranked(p: Path, P: Poset):
     """The tuple of step ids of p; `NoSuchSimplex` for a foreign step."""
-    ids = complex_of(P)[1].ids
-    return tuple(ids[enumerated(P, b)] for b in p.steps)
+    return tuple(map(complex_of(P)[1].id_of, p.steps))
 
 
 def _path(ranked, steps) -> Path:
@@ -159,7 +157,8 @@ def homotopic(p: Path, q: Path, P: Poset, bound: int, limit=10 ** 6) -> Homotopy
     if p.start != q.start or p.end != q.end:
         raise EndpointMismatch("homotopy requires equal endpoints")
     presentation, words = pi1_presentation(P, p.start.element)
-    if not _abelianized_equal(presentation, words.path_word(p), words.path_word(q)):
+    if not _abelianized_equal(presentation, words._steps_word(source),
+                              words._steps_word(target)):
         return HomotopyVerdict("no")
     if max(len(source), len(target)) > bound:
         return HomotopyVerdict("unknown")
@@ -224,14 +223,15 @@ class Presentation(Frozen):
                         f"relator letter {letter!r} is not (i, 1) or (i, -1)"
                         f" with 0 <= i < {len(self.generators)}")
 
+    def exponents(self, word):
+        """The exponent sum of each generator in `word`."""
+        row = [0] * len(self.generators)
+        for idx, sign in word:
+            row[idx] += sign
+        return row
+
     def exponent_matrix(self):
-        rows = []
-        for relator in self.relators:
-            row = [0] * len(self.generators)
-            for idx, sign in relator:
-                row[idx] += sign
-            rows.append(row)
-        return rows
+        return list(map(self.exponents, self.relators))
 
     @cached_property
     def checked_relators(self):
@@ -277,12 +277,17 @@ class WordMap:
         self.tree = tree
 
     def path_word(self, p: Path):
-        ids, words = self._edges.ids, self.edge_words
-        return tuple(w for b in p.steps for w in words[ids[b]])
+        """The word of p; `NoSuchSimplex` for a step outside the poset."""
+        return self._steps_word(map(self._edges.id_of, p.steps))
+
+    def _steps_word(self, steps):
+        """The word of the path of the step ids `steps`."""
+        return tuple(w for i in steps for w in self.edge_words[i])
 
     def tree_path(self, a) -> Path:
-        """The chosen path from the base point to element a."""
-        point = self._edges.complex[0].ids[Simplex0(a)]
+        """The chosen path from the base point to element a;
+        `NoSuchSimplex` for an element outside the poset."""
+        point = self._edges.complex[0].id_of(Simplex0(a))
         return _path(self.tree[point], self._edges.simplices)
 
 
@@ -290,13 +295,8 @@ def invert_word(word):
     return tuple((idx, -sign) for idx, sign in reversed(word))
 
 
-def _abelianized_equal(presentation, w1, w2):
-    diff = [0] * len(presentation.generators)
-    for idx, sign in w1:
-        diff[idx] += sign
-    for idx, sign in w2:
-        diff[idx] -= sign
-    return diff in presentation.lattice
+def _abelianized_equal(p, w1, w2):
+    return p.exponents(w1 + invert_word(w2)) in p.lattice
 
 
 def _presentation(K):
@@ -354,7 +354,7 @@ def pi1_presentation(P: Poset, a0: str):
 
     # Tree paths from a0 by BFS over the adjacency lists, which are in
     # insertion order; the base point's own path is its degenerate edge.
-    root, tree = K[0].ids[Simplex0(a0)], [None] * len(P)
+    root, tree = K[0].id_of(Simplex0(a0)), [None] * len(P)
     tree[root] = (K[1].degeneracies[0][root],)
     queue = [root]
     for x in queue:
@@ -380,7 +380,7 @@ def enumerate_homs(presentation: Presentation, G: FiniteGroup, limit=10 ** 6):
     k = len(presentation.generators)
     total = len(G) ** k
     check_limit(total, limit, f"{len(G)}^{k} = {total} assignments")
-    rows, inverses, unit = G.rows, G.inverses, G.unit
+    unit = G.unit
     closing = [[] for _ in range(k)]
     for relator in presentation.checked_relators:
         closing[max(idx for idx, _ in relator)].append(relator)
@@ -391,31 +391,26 @@ def enumerate_homs(presentation: Presentation, G: FiniteGroup, limit=10 ** 6):
             for g in range(len(G)):
                 assignment = prefix + (g,)
                 for relator in relators:
-                    value = unit
-                    for idx, sign in relator:
-                        h = assignment[idx]
-                        value = rows[value][h if sign > 0 else inverses[h]]
-                    if value != unit:
+                    if _word(G, relator, assignment) != unit:
                         break
                 else:
                     extended.append(assignment)
         homs = extended
-    names = G.elements
-    return tuple(tuple(names[g] for g in hom) for hom in homs)
+    return tuple(tuple(map(G.elements.__getitem__, hom)) for hom in homs)
 
 
 def hom_class_representatives(presentation: Presentation, G: FiniteGroup,
                               limit=10 ** 6):
     """The first homomorphism of each orbit under simultaneous
     conjugation, in `enumerate_homs` order."""
-    representatives = []
-    seen = set()
+    rows, inverses, index = G.rows, G.inverses, G.index.__getitem__
+    representatives, seen = [], set()
     for sigma in enumerate_homs(presentation, G, limit=limit):
-        if sigma not in seen:
+        x = tuple(map(index, sigma))
+        if x not in seen:
             representatives.append(sigma)
-            seen.update(
-                tuple(G.conjugate(h, g) for g in sigma) for h in G.elements
-            )
+            seen.update(tuple(rows[rows[h][g]][inverses[h]] for g in x)
+                        for h in range(len(G)))
     return tuple(representatives)
 
 
@@ -426,9 +421,14 @@ def count_hom_classes(presentation: Presentation, G: FiniteGroup,
     return len(hom_class_representatives(presentation, G, limit=limit))
 
 
-def word_value(word, assignment, G: FiniteGroup):
-    value = G.identity
+def _word(G: FiniteGroup, word, x):
+    """The id of `word` on G's tables, generator i taking the id x[i]."""
+    rows, inverses, value = G.rows, G.inverses, G.unit
     for idx, sign in word:
-        g = assignment[idx] if sign > 0 else G.inv(assignment[idx])
-        value = G.mul(value, g)
+        value = rows[value][x[idx] if sign > 0 else inverses[x[idx]]]
     return value
+
+
+def word_value(word, assignment, G: FiniteGroup):
+    return G.elements[_word(G, word, tuple(map(G.index.__getitem__,
+                                                assignment)))]

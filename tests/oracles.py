@@ -66,3 +66,14 @@ def enumerate_cocycles_raw(P: Poset, G: FiniteGroup, limit=10 ** 6):
         if is_cocycle(z):
             out.append(z)
     return tuple(out)
+
+
+def named_word_value(word, assignment, G: FiniteGroup):
+    """Brute-force oracle for `paths._word`: the value of a word of
+    signed generator indices, multiplied letter by letter through the
+    group's named `mul` and `inv`."""
+    value = G.identity
+    for idx, sign in word:
+        g = assignment[idx] if sign > 0 else G.inv(assignment[idx])
+        value = G.mul(value, g)
+    return value

@@ -16,6 +16,7 @@ from posetbundle.cochains import (
     coboundary1,
     coboundary2,
     coboundary_from_assignment,
+    cocycle_from_hom,
     enumerate_cocycles,
     extend_to_path,
     find_morphism,
@@ -511,3 +512,51 @@ def test_cochain0_at_matches_call(rng):
     v = random_cochain0(P, Z3, rng)
     for a in enumerate_simplices(P, 0):
         assert v.at(a.element) == v(a)
+
+
+# A point assignment that misses elements is refused, in the words of
+# `parse_assignment_text`, by every entry point that reads one.
+MISSES = "assignment misses elements: ['a1', 'a2', 'o1', 'o2']"
+
+
+def test_coboundary_from_assignment_needs_every_element(posets):
+    with pytest.raises(MissingValue) as caught:
+        coboundary_from_assignment(posets["circle2"], Z2, {})
+    assert str(caught.value) == MISSES
+
+
+def test_is_morphism_needs_every_element(posets):
+    u = trivial_cochain1(posets["circle2"], Z2)
+    with pytest.raises(MissingValue) as caught:
+        is_morphism({}, u, u)
+    assert str(caught.value) == MISSES
+
+
+def test_cocycle_from_hom_needs_every_element(posets):
+    with pytest.raises(MissingValue) as caught:
+        cocycle_from_hom(posets["circle2"], Z2, ("g0",) * 3, {})
+    assert str(caught.value) == MISSES
+
+
+def test_cocycle_from_hom_checks_sigma(posets):
+    """circle2 has three generators: sigma needs one value of G each."""
+    P = posets["circle2"]
+    for sigma in [("g1",), ("g1",) * 4, ()]:
+        with pytest.raises(BadParameter):
+            cocycle_from_hom(P, Z2, sigma)
+    with pytest.raises(MissingValue) as caught:
+        cocycle_from_hom(P, Z2, ("g1", "zz", "g0"))
+    assert str(caught.value).startswith("'zz' (value at ")
+    presentation, _ = pi1_presentation(P, "a1")
+    for sigma in enumerate_homs(presentation, Z2):
+        assert is_cocycle(cocycle_from_hom(P, Z2, sigma))
+
+
+def test_is_morphism_refuses_cochains_over_different_groups(posets):
+    P = posets["circle2"]
+    f = {a: "g0" for a in P.elements}
+    with pytest.raises(Mismatch):
+        is_morphism(f, trivial_cochain1(P, Z2), trivial_cochain1(P, Z3))
+    with pytest.raises(Mismatch):
+        is_morphism(f, trivial_cochain1(P, Z2),
+                    trivial_cochain1(posets["vee"], Z2))

@@ -38,6 +38,7 @@ from posetbundle.connections import (
     transport_between,
 )
 from posetbundle.errors import (
+    Mismatch,
     MixedCocycles,
     NoSuchSimplex,
     NotAConnection,
@@ -154,6 +155,22 @@ def test_construct_nonflat(posets):
             d for d in enumerate_simplices(P, 1) if is_inflating(P, d)
         )
         construct_nonflat(z, b=inflating)
+
+
+def test_construct_nonflat_needs_a_1_simplex(posets):
+    P = posets["circle2"]
+    c = enumerate_simplices(P, 2)[5]
+    with pytest.raises(NoSuchSimplex) as caught:
+        construct_nonflat(winding_cocycle(P, Z3, "g1"), b=c)
+    assert str(caught.value) == f"{c.encode()} is not a 1-simplex of circle2"
+
+
+def test_is_adapted_refuses_cochains_over_different_groups(posets):
+    P = posets["circle2"]
+    with pytest.raises(Mismatch) as caught:
+        is_adapted(trivial_cochain1(P, Z2), trivial_cochain1(P, Z3))
+    assert str(caught.value) == (
+        "cochains live over different posets or groups")
 
 
 def test_curvature_properties(posets):

@@ -2,8 +2,9 @@
 identity, the constructed cocycle classes and connections, the indexed
 deformation search from both ends, the text of simplices read from the
 id tables, the presentation and holonomy on simplex ids and
-the id kernels of cochains and connections, the reduced relators and
-the relator lattice against brute force or the
+the id kernels of cochains and connections, the reduced relators, the
+relator lattice, the word evaluator and the hom class representatives
+against brute force or the
 filters, scans and object-keyed formulas they replace, on random posets
 of at most four (five for the presentation and the cocycle count)
 elements with values in Z2, Z3 and S3; and of subgroup closures against
@@ -56,16 +57,17 @@ from posetbundle.paths import (
     Path,
     Presentation,
     _abelianized_equal,
+    _word,
     compose,
     count_hom_classes,
     deformations,
     degenerate_loop,
     enumerate_homs,
+    hom_class_representatives,
     homotopic,
     invert_word,
     pi1_presentation,
     reverse_path,
-    word_value,
 )
 from posetbundle.poset import base_point, build_poset
 from posetbundle.smith import RowLattice
@@ -80,7 +82,7 @@ from posetbundle.simplicial import (
     reverse,
 )
 
-from oracles import enumerate_cocycles_raw
+from oracles import enumerate_cocycles_raw, named_word_value
 
 GROUPS = st.sampled_from(
     [cyclic_group(2), cyclic_group(3), symmetric_group(3)]
@@ -374,7 +376,7 @@ def product_filtered_homs(presentation, G):
     return tuple(
         a for a in itertools.product(
             G.elements, repeat=len(presentation.generators))
-        if all(word_value(r, a, G) == G.identity
+        if all(named_word_value(r, a, G) == G.identity
                for r in presentation.relators)
     )
 
@@ -537,6 +539,50 @@ def test_relator_lattice_matches_the_raw_exponent_matrix(presentation, rng):
     if len(presentation.relators) < 20 and n <= 3:
         assert enumerate_homs(presentation, symmetric_group(3)) == (
             product_filtered_homs(presentation, symmetric_group(3)))
+
+
+def named_class_representatives(presentation, G):
+    """Oracle: the first homomorphism of each orbit, the orbits taken by
+    conjugating generator values by name with `G.conjugate`."""
+    representatives, seen = [], set()
+    for sigma in enumerate_homs(presentation, G):
+        if sigma not in seen:
+            representatives.append(sigma)
+            seen.update(tuple(G.conjugate(h, g) for g in sigma)
+                        for h in G.elements)
+    return tuple(representatives)
+
+
+# Each row runs one kernel of the presentation layer and its reference
+# on a random presentation, group and rng and returns both results.
+
+
+def row_word(presentation, G, rng):
+    sigma = tuple(rng.choice(G.elements) for _ in presentation.generators)
+    x = tuple(G.index[g] for g in sigma)
+    words = presentation.relators + tuple(map(invert_word,
+                                              presentation.relators))
+    return ([G.elements[_word(G, w, x)] for w in words],
+            [named_word_value(w, sigma, G) for w in words])
+
+
+def row_hom_class_representatives(presentation, G, rng):
+    return (hom_class_representatives(presentation, G),
+            named_class_representatives(presentation, G))
+
+
+ROWS_ON_PRESENTATIONS = {
+    "word": row_word,
+    "hom_class_representatives": row_hom_class_representatives,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROWS_ON_PRESENTATIONS))
+@settings(max_examples=40, deadline=None)
+@given(presentation=presentations(), G=GROUPS, rng=SEEDS)
+def test_presentation_kernel_matches_reference(name, presentation, G, rng):
+    fast, reference = ROWS_ON_PRESENTATIONS[name](presentation, G, rng)
+    assert fast == reference
 
 
 def scan_deformations(p, P):

@@ -11,7 +11,7 @@ from posetbundle.connections import (
     induced_cocycle,
     is_connection,
 )
-from posetbundle.errors import Mismatch, WrongCocycle
+from posetbundle.errors import Mismatch, MissingValue, WrongCocycle
 from posetbundle.gauge import (
     GaugeTransformation,
     gauge_act,
@@ -168,3 +168,11 @@ def test_composition_is_pointwise_in_order(posets):
             fg = f.compose(g)
             assert all(fg(a) == S3.mul(f(a), g(a)) for a in P.elements)
             assert gauge_act(f, gauge_act(g, u)) == gauge_act(fg, u)
+
+
+def test_gauge_act_needs_every_element(posets):
+    u = trivial_cochain1(posets["circle2"], Z2)
+    with pytest.raises(MissingValue) as caught:
+        gauge_act({}, u)
+    assert str(caught.value) == (
+        "assignment misses elements: ['a1', 'a2', 'o1', 'o2']")

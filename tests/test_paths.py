@@ -302,6 +302,18 @@ def test_tree_paths_reach_every_element(posets):
         assert p.start.element == "a1" and p.end.element == a
 
 
+def test_word_map_refuses_foreign_points_and_steps(posets):
+    _, words = pi1_presentation(posets["circle2"], "a1")
+    with pytest.raises(NoSuchSimplex) as caught:
+        words.tree_path("zz")
+    assert str(caught.value) == "zz is not a 0-simplex of circle2"
+    step = complex_of(posets["chain3"])[1].simplices[0]
+    with pytest.raises(NoSuchSimplex) as caught:
+        words.path_word(Path((step,)))
+    assert str(caught.value) == (
+        f"{step.encode()} is not a 1-simplex of circle2")
+
+
 def test_hom_counts(posets):
     pres, _ = pi1_presentation(posets["circle2"], "a1")
     assert len(enumerate_homs(pres, cyclic_group(2))) == 2
