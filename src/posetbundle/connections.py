@@ -117,8 +117,8 @@ def is_adapted(u: Cochain1, z: Cochain1) -> bool:
     """Whether the connection u lives on the bundle z: they agree on
     inflating 1-simplices."""
     _same_base(u, z)
-    return all(u(b) == z(b)
-               for b in enumerate_simplices(u.poset, 1, inflating_only=True))
+    return all(a == b for a, b, inflating
+               in zip(u.ids, z.ids, u.cells.inflating) if inflating)
 
 
 def construct_from_cochain(v: Cochain1, z: Cochain1) -> Cochain1:
@@ -129,8 +129,7 @@ def construct_from_cochain(v: Cochain1, z: Cochain1) -> Cochain1:
         raise PreconditionViolated(
             "the base of a connection must be a 1-cocycle"
         )
-    if v.poset != z.poset or v.group != z.group:
-        raise Mismatch("cochain and cocycle live over different data")
+    _same_base(v, z)
     G, cells = z.group, z.cells
     rows, inv, t, x = G.rows, G.inverses, v.ids, z.ids
     free = set(cells.free_classes)
@@ -151,10 +150,11 @@ def construct_from_cochain(v: Cochain1, z: Cochain1) -> Cochain1:
 def construct_nonflat(z: Cochain1, b: Simplex1 = None, g=None):
     """A nonflat connection on the bundle z, with a witness 2-simplex.
 
-    Twists z by g on a 1-simplex that is non-inflating in both
-    orientations; such a simplex exists exactly when the poset is not
-    totally ordered, and a nontrivial g makes the curvature miss the
-    identity on the witness.
+    Twists z by g on a 1-simplex b that is non-inflating in both
+    orientations, u(b) = z(b) g^-1 and its inverse on the reverse of b;
+    such a simplex exists exactly when the poset is not totally ordered,
+    and a nontrivial g makes the curvature miss the identity on the
+    witness.
     """
     if not is_cocycle(z):
         raise WrongCocycle("nonflat construction starts from a 1-cocycle")
@@ -180,10 +180,10 @@ def construct_nonflat(z: Cochain1, b: Simplex1 = None, g=None):
         raise MissingValue(f"{g!r} is not an element of {G.name}")
     if g == G.identity:
         raise TrivialGroup("the twisting element must be nontrivial")
-    twist = [G.unit] * len(cells.faces)
-    twist[i] = G.inverses[z.ids[i]]
-    twist[cells.reverse[i]] = G.rows[G.index[g]][twist[i]]
-    u = construct_from_cochain(Cochain1._of(P, G, tuple(twist)), z)
+    values = list(z.ids)
+    values[i] = G.rows[values[i]][G.inverses[G.index[g]]]
+    values[cells.reverse[i]] = G.inverses[values[i]]
+    u = Cochain1._of(P, G, tuple(values))
     c = cells.pinch[i]
     flat = curvature(u).ids[c] == G.unit
     return u, None if flat else complex_of(P)[2].simplices[c]
@@ -225,8 +225,7 @@ def is_central(u: Cochain1) -> bool:
 def star_compose(u: Cochain1, u1: Cochain1) -> Cochain1:
     """(u * u1)(b) = u(b) z(b)^-1 u1(b) = u(b) chi1(b): the abelian
     composition of central connections on a common bundle z."""
-    if u.poset != u1.poset or u.group != u1.group:
-        raise Mismatch("connections live over different posets or groups")
+    _same_base(u, u1)
     z, _ = central_decompose(u)
     z1, chi1 = central_decompose(u1)
     if z1 != z:
@@ -269,22 +268,22 @@ def holonomy(u: Cochain1, a0: str):
 
 def restricted_holonomy(u: Cochain1, a0: str):
     """The normal closure, inside the holonomy group, of curvature values
-    carried back to the base point along the spanning tree."""
-    _require_connection(u)
-    G, x = u.group, u.ids
-    rows, inv = G.rows, G.inverses
-    transport = _transport(u, a0)
+    carried back to the base point along the spanning tree: the value
+    (du)(c) is a loop at the last vertex v of c, carried as
+    T(v)^-1 (du)(c) T(v) with T the tree transport."""
     ambient = holonomy(u, a0)
-    gens = []
-    for b0, b1, b2 in complex_of(u.poset)[2].faces:
-        loop_value = rows[rows[inv[x[b1]]][x[b0]]][x[b2]]
-        carrier = transport[u.cells.faces[b2][1]]
-        gens.append(G.elements[rows[rows[inv[carrier]][loop_value]][carrier]])
+    G, t, ends = u.group, _transport(u, a0), u.cells.faces
+    rows, inv = G.rows, G.inverses
+    last = (t[ends[b0][0]] for b0, _, _ in complex_of(u.poset)[2].faces)
+    gens = {G.elements[rows[rows[inv[tv]][w]][tv]]
+            for w, tv in zip(coboundary1(u).ids, last)}
     return G.normal_closure_in(ambient, gens)
 
 
 def enumerate_loops(P: Poset, a0: str, max_len: int):
-    """All loops at a0 of length <= max_len (breadth-first, deterministic)."""
+    """All loops at a0 of length <= max_len (breadth-first, deterministic);
+    `UnknownElement` if a0 is not an element of P."""
+    P.check_element(a0)
     step_from = {}
     for b in enumerate_simplices(P, 1):
         step_from.setdefault(b.face1.element, []).append(b)
@@ -323,8 +322,8 @@ def ambrose_singer_reduce(u: Cochain1, a0: str):
     f = tree_transport(u, a0)
     H = G.subgroup(G.subgroup_generated(loops),
                    name=f"hol({u.poset.name},{a0})")
-    included = Cochain1(P, G, dict(zip(u.cells.simplices, loops)))
-    u1 = Cochain1(P, H, included.values)
+    included = Cochain1._of(P, G, tuple(map(G.index.__getitem__, loops)))
+    u1 = Cochain1._of(P, H, tuple(map(H.index.__getitem__, loops)))
     _require_connection(u1)
     morphism = Morphism1(included, u, tuple(sorted(f.items())))
     if not is_morphism(f, included, u):  # pragma: no cover - invariant
@@ -335,12 +334,9 @@ def ambrose_singer_reduce(u: Cochain1, a0: str):
 def holonomy_conjugacy_check(u: Cochain1, a0: str, a1: str):
     """A group element conjugating the holonomy at a0 onto the holonomy
     at a1, obtained by transporting along the spanning tree."""
-    _require_connection(u)
-    G = u.group
+    h0, h1 = holonomy(u, a0), holonomy(u, a1)
     g = tree_transport(u, a0)[a1]
-    h0 = holonomy(u, a0)
-    h1 = holonomy(u, a1)
-    if G.conjugate_subset(h0, g) != h1:
+    if u.group.conjugate_subset(h0, g) != h1:
         raise Mismatch(
             "transport along the tree failed to conjugate the holonomy"
         )

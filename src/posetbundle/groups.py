@@ -11,6 +11,7 @@ from .errors import (
     DotUndefined,
     MalformedTable,
     Mismatch,
+    MissingValue,
     NoIdentity,
     NoInverse,
     NotAssociative,
@@ -26,7 +27,8 @@ class FiniteGroup:
     All axioms (associativity, identity, inverses) are checked at
     construction; downstream code trusts the table.  The table is kept
     over element ids (positions in `elements`), which the named
-    operations translate to and from: `index` maps a name to its id,
+    operations translate to and from, a name outside the group being a
+    `MissingValue`: `index` maps a name to its id,
     `rows[g][h]` is the id of g h, `inverses[g]` the id of g^-1, `unit`
     the id of the identity and `coset_rep[g]` the id of the first
     element of the coset g Z(G).
@@ -81,11 +83,23 @@ class FiniteGroup:
 
     # -- basic operations -------------------------------------------------
 
+    def _missing(self, error):
+        """The `MissingValue` for the name whose lookup in `index` raised
+        the `KeyError` error."""
+        return MissingValue(f"{error.args[0]!r} is not an element of "
+                            f"{self.name}")
+
     def mul(self, g, h):
-        return self.elements[self.rows[self.index[g]][self.index[h]]]
+        try:
+            return self.elements[self.rows[self.index[g]][self.index[h]]]
+        except KeyError as error:
+            raise self._missing(error) from None
 
     def inv(self, g):
-        return self.elements[self.inverses[self.index[g]]]
+        try:
+            return self.elements[self.inverses[self.index[g]]]
+        except KeyError as error:
+            raise self._missing(error) from None
 
     def product(self, *factors):
         out = self.identity
@@ -129,7 +143,10 @@ class FiniteGroup:
         """The subgroup generated by a subset, in element order: the orbit
         of the unit under right multiplication by the generators.  In a
         finite group the monoid a set generates is already a subgroup."""
-        gens = {self.index[g] for g in generators}
+        try:
+            gens = {self.index[g] for g in generators}
+        except KeyError as error:
+            raise self._missing(error) from None
         members, frontier = {self.unit}, [self.unit]
         for h in frontier:
             for g in gens:
@@ -215,7 +232,10 @@ class InnerAut(Frozen):
     canonical: str
 
     def __init__(self, group, representative):
-        c = group.elements[group.coset_rep[group.index[representative]]]
+        try:
+            c = group.elements[group.coset_rep[group.index[representative]]]
+        except KeyError as error:
+            raise group._missing(error) from None
         self.__dict__.update(group=group, representative=representative, canonical=c)
 
     def __eq__(self, other):

@@ -324,7 +324,7 @@ def _presentation(K):
         elif x != y:
             words[i] = ((len(generators), 1),)
             words[j] = ((len(generators), -1),)
-            generators.append(edges.simplices[i].encode())
+            generators.append(edges.encode(i))
     relators = tuple(
         word for b0, b1, b2 in K[2].faces
         if (word := words[b0] + words[b2] + invert_word(words[b1]))
@@ -430,5 +430,15 @@ def _word(G: FiniteGroup, word, x):
 
 
 def word_value(word, assignment, G: FiniteGroup):
-    return G.elements[_word(G, word, tuple(map(G.index.__getitem__,
-                                                assignment)))]
+    """The element `word` takes when generator i takes assignment[i]; a
+    value outside G is a `MissingValue`, and a letter naming a generator
+    without a value a `BadParameter`."""
+    try:
+        x = tuple(map(G.index.__getitem__, assignment))
+    except KeyError as error:
+        raise G._missing(error) from None
+    for idx, _ in word:
+        if not 0 <= idx < len(x):
+            raise BadParameter(f"letter {idx} names a generator without a "
+                               f"value ({len(x)} given)")
+    return G.elements[_word(G, word, x)]

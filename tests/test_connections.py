@@ -24,6 +24,7 @@ from posetbundle.connections import (
     construct_nonflat,
     curvature,
     enumerate_connections,
+    enumerate_loops,
     holonomy,
     holonomy_by_loops,
     holonomy_conjugacy_check,
@@ -45,8 +46,10 @@ from posetbundle.errors import (
     NotCentral,
     PreconditionViolated,
     TrivialGroup,
+    UnknownElement,
 )
 from posetbundle.groups import cyclic_group, symmetric_group, trivial_group
+from posetbundle.poset import generate
 from posetbundle.simplicial import (
     complex_of,
     enumerate_simplices,
@@ -173,6 +176,15 @@ def test_is_adapted_refuses_cochains_over_different_groups(posets):
         "cochains live over different posets or groups")
 
 
+@pytest.mark.parametrize("op", [construct_from_cochain, star_compose])
+def test_cochains_over_different_groups_are_one_mismatch(posets, op):
+    P = posets["circle2"]
+    with pytest.raises(Mismatch) as caught:
+        op(trivial_cochain1(P, Z2), trivial_cochain1(P, Z3))
+    assert str(caught.value) == (
+        "cochains live over different posets or groups")
+
+
 def test_curvature_properties(posets):
     P = posets["circle2"]
     for u in sample_connections(P, S3, 2, 4):
@@ -292,6 +304,34 @@ def test_holonomy_conjugacy(posets):
     for u in sample_connections(P, S3, 7, 3):
         g = holonomy_conjugacy_check(u, "a1", "o2")
         assert S3.conjugate_subset(holonomy(u, "a1"), g) == holonomy(u, "o2")
+
+
+def test_base_points_outside_the_poset_are_unknown_elements(posets):
+    P = posets["circle2"]
+    z = winding_cocycle(P, Z3, "g1")
+    for call in (lambda: holonomy_conjugacy_check(z, "a1", "zz"),
+                 lambda: enumerate_loops(P, "zz", 2),
+                 lambda: holonomy_by_loops(z, "zz", 4)):
+        with pytest.raises(UnknownElement) as caught:
+            call()
+        assert str(caught.value) == "'zz' is not an element of circle2"
+
+
+def test_holonomy_layer_builds_no_simplex_objects():
+    # Connections, curvature and holonomy read the id tables only, so on
+    # a fresh complex dimensions 1 and 2 build no simplex objects.
+    complex_of.cache_clear()
+    P = generate("circle", 2)
+    u = random_connection(P, S3, random.Random(5))
+    a0, a1 = P.elements[0], P.elements[-1]
+    curvature(u)
+    assert is_adapted(u, induced_cocycle(u))
+    holonomy(u, a0)
+    restricted_holonomy(u, a0)
+    holonomy_conjugacy_check(u, a0, a1)
+    ambrose_singer_reduce(u, a0)
+    K = complex_of(P)
+    assert [n for n in (1, 2) if "simplices" in vars(K[n])] == []
 
 
 def test_reversal_violation_names_both_members(posets):

@@ -1,8 +1,9 @@
 """Differential tests of the tree-transport helpers, the cochain
 identity, the constructed cocycle classes and connections, the indexed
 deformation search from both ends, the text of simplices read from the
-id tables, the presentation and holonomy on simplex ids and
-the id kernels of cochains and connections, the reduced relators, the
+id tables, the presentation and holonomy on simplex ids, the id kernels
+of cochains and connections, the restricted holonomy from the curvature
+and the nonflat twist, the reduced relators, the
 relator lattice, the word evaluator and the hom class representatives
 against brute force or the
 filters, scans and object-keyed formulas they replace, on random posets
@@ -41,15 +42,18 @@ from posetbundle.cochains import (
 )
 from posetbundle.connections import (
     construct_from_cochain,
+    construct_nonflat,
     curvature,
     enumerate_connections,
     enumerate_loops,
+    holonomy,
     holonomy_generators,
     induced_cocycle,
     is_adapted,
+    restricted_holonomy,
 )
-from posetbundle.errors import (NotConnected, PreconditionViolated,
-                                SearchLimitExceeded)
+from posetbundle.errors import (NoSuchSimplex, NotConnected,
+                                PreconditionViolated, SearchLimitExceeded)
 from posetbundle.gauge import gauge_act, gauge_group, gauge_group_raw
 from posetbundle.groups import (ad, cyclic_group, symmetric_group,
                                 trivial_group)
@@ -69,11 +73,12 @@ from posetbundle.paths import (
     pi1_presentation,
     reverse_path,
 )
-from posetbundle.poset import base_point, build_poset
+from posetbundle.poset import base_point, build_poset, is_pathwise_connected
 from posetbundle.smith import RowLattice
 from posetbundle.simplicial import (
     Simplex0,
     Simplex1,
+    Simplex2,
     complex_of,
     degeneracy,
     enumerate_simplices,
@@ -91,8 +96,8 @@ SEEDS = st.randoms(use_true_random=False)
 
 
 @st.composite
-def small_posets(draw, max_size=4, max_height=None):
-    """Random posets on at most `max_size` elements.
+def small_posets(draw, max_size=4, max_height=None, min_size=1):
+    """Random posets on `min_size` to `max_size` elements.
 
     Relations run from earlier to later positions of a random ordering
     of the names.  By default each element after the first is related
@@ -100,7 +105,7 @@ def small_posets(draw, max_size=4, max_height=None):
     only the first `split` positions lie below the rest, which keeps
     dimension 3 small, and the poset may be disconnected.
     """
-    n = draw(st.integers(1, max_size))
+    n = draw(st.integers(min_size, max_size))
     names = draw(st.permutations("abcde"[:n]))
     if max_height == 2:
         split = draw(st.integers(0, n))
@@ -819,6 +824,35 @@ def ref_induced(u):
     return out
 
 
+def ref_restricted_holonomy(u, a0):
+    """The normal closure in the holonomy group of the loop
+    u(c1)^-1 u(c0) u(c2) at the first vertex v of each 2-simplex c,
+    carried back to a0 as T(v)^-1 (loop) T(v), T the tree transport."""
+    G, T = u.group, tree_transport(u, a0)
+    gens = []
+    for c in enumerate_simplices(u.poset, 2):
+        loop = G.product(G.inv(u(c.face1)), u(c.face0), u(c.face2))
+        t = T[c.face2.face1.element]
+        gens.append(G.product(G.inv(t), loop, t))
+    return G.normal_closure_in(holonomy(u, a0), gens)
+
+
+def ref_construct_nonflat(z, b, g):
+    """z twisted by the 1-cochain v that is z(b)^-1 on b, g z(b)^-1 on
+    its reverse and the identity elsewhere, and the 2-simplex with
+    boundary 1 b through its support if the curvature misses the
+    identity there."""
+    P, G = z.poset, z.group
+    v = dict.fromkeys(enumerate_simplices(P, 1), G.identity)
+    v[b] = G.inv(z(b))
+    v[reverse(b)] = G.mul(g, v[b])
+    u = construct_from_cochain(Cochain1(P, G, v), z)
+    top = Simplex0(b.support)
+    c = Simplex2(b.support, Simplex1(b.support, b.face0, top), b,
+                 Simplex1(b.support, top, b.face1))
+    return u, None if curvature(u)(c) == G.identity else c
+
+
 def random_cochain2(P, G, rng):
     """A 2-cochain with a random automorphism component: each value is
     the one the intertwining condition fixes up to the center, times a
@@ -903,6 +937,52 @@ def row_induced_cocycle(P, G, rng):
     return dict(induced_cocycle(u).values), ref_induced(u)
 
 
+def row_is_adapted(P, G, rng):
+    """A random connection against its own bundle and a random one."""
+    u = random_connection(P, G, rng)
+    bundles = (induced_cocycle(u), random_cocycle(P, G, rng))
+    return [is_adapted(u, z) for z in bundles], [
+        all(u(b) == z(b) for b in enumerate_simplices(P, 1)
+            if is_inflating(P, b)) for z in bundles]
+
+
+def free_edges(P):
+    """The 1-simplices of P that are non-inflating in both orientations."""
+    return [b for b in enumerate_simplices(P, 1)
+            if not is_inflating(P, b) and not is_inflating(P, reverse(b))]
+
+
+def row_restricted_holonomy(P, G, rng):
+    """At every base point of four random bundles, each twisted on one
+    free edge if there is one, by an involution if G has one.  Then the
+    holonomy group is often a subgroup that is not normal, inside which
+    the normal closure tells apart where the curvature values were
+    carried from."""
+    bundles = [random_cocycle(P, G, rng) for _ in range(4)]
+    edges, twists = free_edges(P), [h for h in G.elements if h != G.identity]
+    involutions = [h for h in twists if G.mul(h, h) == G.identity]
+    if edges:
+        bundles = [ref_construct_nonflat(z, rng.choice(edges),
+                                         rng.choice(involutions or twists))[0]
+                   for z in bundles]
+    return ([restricted_holonomy(u, a) for u in bundles for a in P.elements],
+            [ref_restricted_holonomy(u, a) for u in bundles
+             for a in P.elements])
+
+
+def row_construct_nonflat(P, G, rng):
+    """Every free edge twisted by every g != e on a random bundle; on a
+    poset without free edges there is nothing to twist."""
+    z = random_cocycle(P, G, rng)
+    twists = [(b, g) for b in free_edges(P)
+              for g in G.elements if g != G.identity]
+    if not twists:
+        with pytest.raises(NoSuchSimplex):
+            construct_nonflat(z)
+    return ([construct_nonflat(z, b, g) for b, g in twists],
+            [ref_construct_nonflat(z, b, g) for b, g in twists])
+
+
 def row_tree_transport(P, G, rng):
     u, a0 = random_cochain1(P, G, rng), rng.choice(P.elements)
     _, words = pi1_presentation(P, a0)
@@ -926,6 +1006,16 @@ ROWS_UP_TO_DIM2 = {
     "tree_transport": row_tree_transport,
 }
 ROWS_IN_DIM3 = {"d2": row_d2, "is_cocycle_2": row_is_cocycle(2)}
+# Rows that twist a bundle on an edge non-inflating both ways, which a
+# connected poset of height 2 on three or four elements often has; the
+# posets of the rows above have one minimum, so few have such an edge.
+ROWS_ON_FREE_EDGES = {
+    "curvature": row_curvature,
+    "induced_cocycle": row_induced_cocycle,
+    "is_adapted": row_is_adapted,
+    "restricted_holonomy": row_restricted_holonomy,
+    "construct_nonflat": row_construct_nonflat,
+}
 
 
 @pytest.mark.parametrize("name", sorted(ROWS_UP_TO_DIM2))
@@ -941,6 +1031,15 @@ def test_id_kernel_matches_reference(name, P, G, rng):
 @given(P=small_posets(max_height=2), G=GROUPS, rng=SEEDS)
 def test_id_kernel_matches_reference_in_dim3(name, P, G, rng):
     fast, reference = ROWS_IN_DIM3[name](P, G, rng)
+    assert fast == reference
+
+
+@pytest.mark.parametrize("name", sorted(ROWS_ON_FREE_EDGES))
+@settings(max_examples=40, deadline=None)
+@given(P=small_posets(max_height=2, min_size=3).filter(is_pathwise_connected),
+       G=GROUPS, rng=SEEDS)
+def test_id_kernel_matches_reference_on_free_edges(name, P, G, rng):
+    fast, reference = ROWS_ON_FREE_EDGES[name](P, G, rng)
     assert fast == reference
 
 

@@ -6,6 +6,7 @@ from posetbundle.errors import (
     DotUndefined,
     MalformedTable,
     Mismatch,
+    MissingValue,
     NoIdentity,
     NotAssociative,
 )
@@ -13,6 +14,7 @@ from posetbundle.groups import (
     Arrow2G,
     Arrow3G,
     GroupHom,
+    InnerAut,
     ad,
     compose_2g,
     compose_3g,
@@ -226,6 +228,31 @@ def test_homomorphisms_look_up_without_rebuilding():
     assert phi.as_dict() is not phi.as_dict()
     with pytest.raises(KeyError):
         phi("nope")
+
+
+Z3 = cyclic_group(3)
+
+
+@pytest.mark.parametrize("op, name", [
+    (lambda: Z3.mul("zz", "g1"), "zz"),
+    (lambda: Z3.mul("g1", "zz"), "zz"),
+    (lambda: Z3.inv("zz"), "zz"),
+    (lambda: Z3.product("g1", "zz"), "zz"),
+    (lambda: Z3.conjugate("zz", "g1"), "zz"),
+    (lambda: Z3.subgroup_generated(["zz"]), "zz"),
+    (lambda: Z3.centralizer(["zz"]), "zz"),
+    (lambda: Z3.conjugate_subset(["g1"], "zz"), "zz"),
+    (lambda: Z3.normal_closure_in(Z3.elements, ["zz"]), "zz"),
+    (lambda: Z3.subgroup(["zz"]), "zz"),
+    (lambda: InnerAut(Z3, "zz"), "zz"),
+    (lambda: InnerAut(Z3, "g1").compose(InnerAut(S3, "123")), "123"),
+], ids=["mul", "mul-right", "inv", "product", "conjugate",
+        "subgroup_generated", "centralizer", "conjugate_subset",
+        "normal_closure_in", "subgroup", "InnerAut", "InnerAut.compose"])
+def test_a_name_outside_the_group_is_a_missing_value(op, name):
+    with pytest.raises(MissingValue) as caught:
+        op()
+    assert str(caught.value) == f"{name!r} is not an element of Z3"
 
 
 @given(st.sampled_from(S3.elements), st.sampled_from(S3.elements),

@@ -8,6 +8,7 @@ from posetbundle.connections import enumerate_loops
 from posetbundle.errors import (
     BadParameter,
     EndpointMismatch,
+    MissingValue,
     NoSuchSimplex,
     NotConnected,
     SearchLimitExceeded,
@@ -342,3 +343,13 @@ def test_words_evaluate_consistently(posets):
     assert word_value(double, sigma, G) == G.mul(
         word_value(w, sigma, G), word_value(w, sigma, G)
     )
+
+
+def test_word_value_refuses_values_outside_the_group_and_missing_values():
+    with pytest.raises(MissingValue) as caught:
+        word_value(((0, 1),), ("zz",), cyclic_group(2))
+    assert str(caught.value) == "'zz' is not an element of Z2"
+    with pytest.raises(BadParameter) as caught:
+        word_value(((1, 1),), ("g1",), cyclic_group(3))
+    assert str(caught.value) == (
+        "letter 1 names a generator without a value (1 given)")
