@@ -426,7 +426,11 @@ class Morphism1(Frozen):
         return dict(self.assignment)
 
     def __call__(self, element):
-        return self._lookup[element]
+        try:
+            return self._lookup[element]
+        except KeyError:
+            self.source.poset.check_element(element)
+            raise MissingValue(f"no value at {element!r}") from None
 
 
 def _same_base(v1: Cochain1, v: Cochain1):

@@ -379,7 +379,10 @@ class GroupHom(Frozen):
         return dict(self.mapping)
 
     def __call__(self, g):
-        return self._lookup[g]
+        try:
+            return self._lookup[g]
+        except KeyError as error:
+            raise self.source._missing(error) from None
 
     def is_injective(self):
         m = self.as_dict()

@@ -1,8 +1,11 @@
 """Finite posets: construction, order predicates and the fundamental covering.
 
-The order relation is stored densely (a boolean matrix over the sorted
-element identifiers).  Posets here are small by design, ~30 elements at
-most; simplex enumeration dominates the cost of everything downstream.
+`Poset` is the one constructor, and it validates its input; `build_poset`
+is another name for it.  The order relation is stored densely (a boolean
+matrix over the sorted element identifiers); the order predicates test
+a greatest element and the number of order pairs, not every pair.  Posets
+here are small by design, ~30 elements at most; simplex enumeration
+dominates the cost of everything downstream.
 """
 
 from __future__ import annotations
@@ -20,8 +23,12 @@ from .frozen import Frozen
 
 
 class Poset:
-    """A finite poset over string identifiers.
+    """A finite poset over string identifiers, built from generating pairs.
 
+    Takes the reflexive-transitive closure (the up-set of each element,
+    found by search).  A repeated element is a `DuplicateElement`, a pair
+    naming an element not listed an `UnknownElement`, and a cycle an
+    `AntisymmetryViolation` for its first pair in sorted order.
     Immutable after construction.  Iteration order over elements is the
     sorted identifier order, so every enumeration built on top of a poset
     is reproducible.
@@ -29,15 +36,37 @@ class Poset:
 
     __slots__ = ("name", "elements", "_index", "_leq", "_hash")
 
-    def __init__(self, elements, leq_pairs, name="poset"):
+    def __init__(self, elements, relations, name="poset"):
+        above = {}
+        for x in elements:
+            if x in above:
+                raise DuplicateElement(f"duplicate element {x!r}")
+            above[x] = []
+        for lo, hi in relations:
+            for x in (lo, hi):
+                if x not in above:
+                    raise UnknownElement(
+                        f"relation references unknown element {x!r}")
+            above[lo].append(hi)
+        up = {}
+        for x in above:  # the up-set of x: everything a search from x reaches
+            up[x] = reached = {x}
+            stack = [x]
+            while stack:
+                for y in above[stack.pop()]:
+                    if y not in reached:
+                        reached.add(y)
+                        stack.append(y)
         self.name = name
-        self.elements = tuple(sorted(elements))
+        self.elements = tuple(sorted(above))
+        for lo in self.elements:
+            for hi in sorted(up[lo]):
+                if lo != hi and lo in up[hi]:
+                    raise AntisymmetryViolation(
+                        f"{lo!r} <= {hi!r} and {hi!r} <= {lo!r}")
         self._index = {x: i for i, x in enumerate(self.elements)}
-        n = len(self.elements)
-        matrix = [[False] * n for _ in range(n)]
-        for lo, hi in leq_pairs:
-            matrix[self._index[lo]][self._index[hi]] = True
-        self._leq = tuple(tuple(row) for row in matrix)
+        self._leq = tuple(tuple(y in up[x] for y in self.elements)
+                          for x in self.elements)
         self._hash = hash((self.elements, self._leq))
 
     def __contains__(self, x):
@@ -100,38 +129,7 @@ class OpenSet(Frozen):
         return x in self.members
 
 
-def build_poset(elements, relations, name="poset") -> Poset:
-    """Build a poset from generating pairs, taking the reflexive-transitive
-    closure (the up-set of each element, found by search) and rejecting
-    antisymmetry violations."""
-    seen = set()
-    for x in elements:
-        if x in seen:
-            raise DuplicateElement(f"duplicate element {x!r}")
-        seen.add(x)
-    for lo, hi in relations:
-        if lo not in seen:
-            raise UnknownElement(f"relation references unknown element {lo!r}")
-        if hi not in seen:
-            raise UnknownElement(f"relation references unknown element {hi!r}")
-    above = {x: [] for x in seen}
-    for lo, hi in relations:
-        above[lo].append(hi)
-    up = {}
-    for x in seen:  # the up-set of x: everything a search from x reaches
-        up[x] = reached = {x}
-        stack = [x]
-        while stack:
-            for y in above[stack.pop()]:
-                if y not in reached:
-                    reached.add(y)
-                    stack.append(y)
-    for lo in sorted(seen):
-        for hi in sorted(up[lo]):
-            if lo != hi and lo in up[hi]:
-                raise AntisymmetryViolation(
-                    f"{lo!r} <= {hi!r} and {hi!r} <= {lo!r}")
-    return Poset(seen, ((lo, hi) for lo in seen for hi in up[lo]), name=name)
+build_poset = Poset
 
 
 def base_point(P: Poset) -> str:
@@ -142,21 +140,16 @@ def base_point(P: Poset) -> str:
 
 
 def is_directed(P: Poset) -> bool:
-    """True iff every pair of elements has a common upper bound."""
-    for x in P.elements:
-        ux = set(P.up_set(x))
-        for y in P.elements:
-            if ux.isdisjoint(P.up_set(y)):
-                return False
-    return True
+    """True iff every pair of elements has a common upper bound: for a
+    finite poset, iff it is empty or has a greatest element."""
+    return not P.elements or any(len(P.down_set(x)) == len(P)
+                                 for x in P.elements)
 
 
 def is_totally_ordered(P: Poset) -> bool:
-    for i, x in enumerate(P.elements):
-        for y in P.elements[i + 1:]:
-            if not P.comparable(x, y):
-                return False
-    return True
+    """True iff every pair of elements is comparable: by antisymmetry,
+    iff the order has one pair per element and per 2-subset."""
+    return len(P.pairs()) == len(P) * (len(P) + 1) // 2
 
 
 def is_pathwise_connected(P: Poset) -> bool:
@@ -227,7 +220,7 @@ def parse_poset_text(text: str) -> Poset:
     """
     name = None
     elements = []
-    relations = []
+    relations = {}  # the le lines in file order, a set for the repeat check
     for number, line, raw in content_lines(text):
         with located(f" (line {number})"):
             fields = line.split()
@@ -245,7 +238,7 @@ def parse_poset_text(text: str) -> Poset:
                     raise BadParameter(f"bad le line: {raw!r}")
                 if (fields[1], fields[2]) in relations:
                     raise BadParameter(f"repeated le line: {raw!r}")
-                relations.append((fields[1], fields[2]))
+                relations[fields[1], fields[2]] = None
             else:
                 raise BadParameter(f"unrecognized poset line: {raw!r}")
     if name is None:

@@ -88,6 +88,7 @@ from posetbundle.simplicial import (
 )
 
 from oracles import enumerate_cocycles_raw, named_word_value
+from strategies import small_posets
 
 GROUPS = st.sampled_from(
     [cyclic_group(2), cyclic_group(3), symmetric_group(3)]
@@ -95,28 +96,25 @@ GROUPS = st.sampled_from(
 SEEDS = st.randoms(use_true_random=False)
 
 
-@st.composite
-def small_posets(draw, max_size=4, max_height=None, min_size=1):
-    """Random posets on `min_size` to `max_size` elements.
+@pytest.mark.parametrize("max_size, pi1_rate", [(4, 30), (5, 20)])
+def test_connected_draws_reach_nontrivial_pi1(max_size, pi1_rate):
+    """On a fixed stream of draws, at least 1 in `pi1_rate` connected
+    posets has a nontrivial fundamental group and 1 in 10 a free
+    reversal class, so the rows below see both."""
+    counts = [0, 0, 0]
 
-    Relations run from earlier to later positions of a random ordering
-    of the names.  By default each element after the first is related
-    to an earlier one, so the poset is connected.  With `max_height=2`
-    only the first `split` positions lie below the rest, which keeps
-    dimension 3 small, and the poset may be disconnected.
-    """
-    n = draw(st.integers(min_size, max_size))
-    names = draw(st.permutations("abcde"[:n]))
-    if max_height == 2:
-        split = draw(st.integers(0, n))
-        pairs = [(i, j) for i in range(split) for j in range(split, n)]
-        tree = []
-    else:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        tree = [(draw(st.integers(0, j - 1)), j) for j in range(1, n)]
-    extra = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-    chosen = set(tree) | extra
-    return build_poset(names, [(names[i], names[j]) for i, j in chosen])
+    @settings(max_examples=300, derandomize=True, database=None,
+              deadline=None)
+    @given(small_posets(max_size=max_size, connected=True))
+    def count(P):
+        counts[0] += 1
+        counts[1] += bool(pi1_presentation(P, base_point(P))[0]
+                          .abelian_invariants())
+        counts[2] += bool(complex_of(P)[1].free_classes)
+
+    count()
+    draws, pi1, free = counts
+    assert pi1 * pi1_rate >= draws and free * 10 >= draws
 
 
 def brute_force_morphism_exists(v1, v):
@@ -128,7 +126,7 @@ def brute_force_morphism_exists(v1, v):
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_posets(), GROUPS, SEEDS, st.booleans())
+@given(small_posets(connected=True), GROUPS, SEEDS, st.booleans())
 def test_find_morphism_matches_brute_force(P, G, rng, related):
     """On arbitrary 1-cochains, not only cocycles."""
     v1 = random_cochain1(P, G, rng)
@@ -146,7 +144,7 @@ def test_find_morphism_matches_brute_force(P, G, rng, related):
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_posets(), GROUPS, SEEDS)
+@given(small_posets(connected=True), GROUPS, SEEDS)
 def test_gauge_group_matches_raw(P, G, rng):
     z = random_cocycle(P, G, rng)
     assert gauge_group(z) == gauge_group_raw(z)
@@ -300,7 +298,7 @@ def test_fixture_presentations_match_objects(posets, groups, name):
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_posets(max_size=5), GROUPS, SEEDS)
+@given(small_posets(max_size=5, connected=True), GROUPS, SEEDS)
 def test_presentations_match_objects(P, G, rng):
     assert_presentation_matches_objects(P, G, rng)
 
@@ -387,7 +385,7 @@ def product_filtered_homs(presentation, G):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_posets(), GROUPS)
+@given(small_posets(connected=True), GROUPS)
 def test_classify_cocycles_matches_filter(P, G):
     old = filtered_classes(P, G)
     if old is None:
@@ -400,7 +398,7 @@ def test_classify_cocycles_matches_filter(P, G):
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_posets(), GROUPS)
+@given(small_posets(connected=True), GROUPS)
 def test_every_cocycle_has_exactly_one_representative(P, G):
     """The independent check of criterion 2, now that classes and hom
     classes are computed along one path."""
@@ -414,7 +412,7 @@ def test_every_cocycle_has_exactly_one_representative(P, G):
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_posets(), GROUPS)
+@given(small_posets(connected=True), GROUPS)
 def test_connections_on_a_bundle_match_filter(P, G):
     for z in classify_cocycles(P, G):
         old = filtered_connections(P, G, z)
@@ -423,7 +421,7 @@ def test_connections_on_a_bundle_match_filter(P, G):
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_posets(max_size=3), GROUPS)
+@given(small_posets(max_size=3, connected=True), GROUPS)
 def test_all_connections_match_filter(P, G):
     old = filtered_connections(P, G)
     if old is None:
@@ -470,7 +468,7 @@ def test_fixture_classes_and_fibres_match_filters(posets, groups, name):
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_posets(), GROUPS)
+@given(small_posets(connected=True), GROUPS)
 def test_enumerate_homs_matches_product_filter(P, G):
     presentation, _ = pi1_presentation(P, base_point(P))
     if len(G) ** len(presentation.generators) <= CANDIDATE_BOUND:
@@ -524,7 +522,7 @@ def presentations(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(presentations(), small_posets(max_size=5).map(
+@given(st.one_of(presentations(), small_posets(max_size=5, connected=True).map(
     lambda P: pi1_presentation(P, base_point(P))[0])), SEEDS)
 def test_relator_lattice_matches_the_raw_exponent_matrix(presentation, rng):
     """The lattice is built from the distinct nonzero rows; a lattice of
@@ -651,7 +649,7 @@ def random_path(P, rng, max_len=4):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_posets(), SEEDS)
+@given(small_posets(connected=True), SEEDS)
 def test_deformations_match_scan(P, rng):
     p = random_path(P, rng)
     assert deformations(p, P) == scan_deformations(p, P)
@@ -711,7 +709,7 @@ def random_path_between(P, rng, start, end, max_len=3):
 
 
 @settings(max_examples=100, deadline=None)
-@given(small_posets(), SEEDS, st.integers(0, 4))
+@given(small_posets(connected=True), SEEDS, st.integers(0, 4))
 def test_homotopic_matches_scan_search(P, rng, bound):
     """Random pairs of paths with equal endpoints: the search from both
     ends gives the verdict of the one-sided oracle search, with every
@@ -733,7 +731,7 @@ def test_homotopic_matches_scan_search(P, rng, bound):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_posets(), SEEDS)
+@given(small_posets(connected=True), SEEDS)
 def test_trusted_paths_still_chain(P, rng):
     """`deformations`, the `homotopic` certificates and the tree paths
     build their paths from step ids without the chaining check: each of
@@ -752,7 +750,8 @@ def test_trusted_paths_still_chain(P, rng):
 def test_cells_encode_matches_the_objects(n, data):
     """The text read from the id tables is the text of the enumerated
     simplex, in every dimension."""
-    P = data.draw(small_posets(max_height=2 if n == 3 else None))
+    P = data.draw(small_posets(max_height=2 if n == 3 else None,
+                               connected=True))
     cells = complex_of(P)[n]
     assert [cells.encode(i) for i in range(len(cells.support))] == [
         d.encode() for d in enumerate_simplices(P, n)]
@@ -1020,7 +1019,7 @@ ROWS_ON_FREE_EDGES = {
 
 @pytest.mark.parametrize("name", sorted(ROWS_UP_TO_DIM2))
 @settings(max_examples=30, deadline=None)
-@given(P=small_posets(), G=GROUPS, rng=SEEDS)
+@given(P=small_posets(connected=True), G=GROUPS, rng=SEEDS)
 def test_id_kernel_matches_reference(name, P, G, rng):
     fast, reference = ROWS_UP_TO_DIM2[name](P, G, rng)
     assert fast == reference
@@ -1157,7 +1156,7 @@ def test_fixture_cocycles_are_distinct_and_counted(posets, groups, name,
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_posets(max_size=5), GROUPS)
+@given(small_posets(max_size=5, connected=True), GROUPS)
 def test_cocycles_are_distinct_and_counted(P, G):
     assert_one_cocycle_per_pair(P, G, bound=20000)
 

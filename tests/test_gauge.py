@@ -11,7 +11,8 @@ from posetbundle.connections import (
     induced_cocycle,
     is_connection,
 )
-from posetbundle.errors import Mismatch, MissingValue, WrongCocycle
+from posetbundle.errors import (Mismatch, MissingValue, UnknownElement,
+                                WrongCocycle)
 from posetbundle.gauge import (
     GaugeTransformation,
     gauge_act,
@@ -26,6 +27,18 @@ from posetbundle.simplicial import enumerate_simplices
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
 S3 = symmetric_group(3)
+
+
+def test_morphism_lookups_name_the_missing_element(posets):
+    z = trivial_cochain1(posets["circle2"], Z2)
+    for f in (gauge_group(z)[0], find_morphism(z, z)):
+        assert f("a1") == Z2.identity
+        with pytest.raises(UnknownElement) as caught:
+            f("zz")
+        assert str(caught.value) == "'zz' is not an element of circle2"
+    partial = Morphism1(z, z, (("a1", Z2.identity),))
+    with pytest.raises(MissingValue, match="no value at 'a2'"):
+        partial("a2")
 
 
 def test_gauge_group_sizes(posets):

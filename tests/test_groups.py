@@ -226,8 +226,9 @@ def test_homomorphisms_look_up_without_rebuilding():
     assert hash(phi) == hash(GroupHom.identity(S3))
     assert phi.as_dict() == dict(phi.mapping)
     assert phi.as_dict() is not phi.as_dict()
-    with pytest.raises(KeyError):
+    with pytest.raises(MissingValue) as caught:
         phi("nope")
+    assert str(caught.value) == "'nope' is not an element of S3"
 
 
 Z3 = cyclic_group(3)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from posetbundle.errors import (
     AntisymmetryViolation,
@@ -8,6 +8,7 @@ from posetbundle.errors import (
     UnknownElement,
 )
 from posetbundle.poset import (
+    Poset,
     build_poset,
     format_poset_text,
     fundamental_open,
@@ -177,11 +178,57 @@ def warshall_poset(elements, relations):
                           st.sampled_from("abcdef")), max_size=12))
 def test_build_poset_matches_the_warshall_closure(rels):
     expected = warshall_poset("abcdef", rels)
-    try:
-        got = build_poset(list("fbdace"), rels).pairs()
-    except AntisymmetryViolation as caught:
-        got = str(caught)
-    assert got == expected
+    for construct in (build_poset, Poset):
+        try:
+            got = construct(list("fbdace"), rels).pairs()
+        except AntisymmetryViolation as caught:
+            got = str(caught)
+        assert got == expected
+
+
+@pytest.mark.parametrize("elements, relations, error, message", [
+    (["a", "a", "b"], [], DuplicateElement, "duplicate element 'a'"),
+    (["a"], [("a", "b")], UnknownElement,
+     "relation references unknown element 'b'"),
+    (["a", "b"], [("a", "b"), ("b", "a")], AntisymmetryViolation,
+     "'a' <= 'b' and 'b' <= 'a'"),
+], ids=["repeated", "unknown", "cycle"])
+def test_poset_validates_its_input(elements, relations, error, message):
+    for construct in (build_poset, Poset):
+        with pytest.raises(error) as caught:
+            construct(elements, relations)
+        assert str(caught.value) == message
+
+
+def test_poset_closes_its_input():
+    assert Poset(["a"], []).leq("a", "a")
+    P = Poset(["x", "y", "z"], iter([("x", "y"), ("y", "z")]), name="p")
+    assert P == build_poset(["x", "y", "z"], [("x", "y"), ("y", "z")])
+    assert P.leq("x", "z") and P.name == "p"
+
+
+def brute_force_predicates(P):
+    """(directed, totally ordered) from their pairwise definitions."""
+    pairs = [(x, y) for x in P.elements for y in P.elements]
+    directed = all(any(P.leq(x, z) and P.leq(y, z) for z in P.elements)
+                   for x, y in pairs)
+    return directed, all(P.comparable(x, y) for x, y in pairs)
+
+
+@given(st.permutations("abcde"), st.integers(0, 5),
+       st.sets(st.sampled_from([(i, j) for j in range(5) for i in range(j)])))
+@example(list("abcde"), 0, set())
+def test_order_predicates_match_their_definitions(names, n, pairs):
+    """Relations run from earlier to later positions, so every draw is a
+    poset; n = 0 is the empty poset, directed and totally ordered."""
+    names = names[:n]
+    P = build_poset(names, [(names[i], names[j]) for i, j in pairs if j < n])
+    assert (is_directed(P), is_totally_ordered(P)) == brute_force_predicates(P)
+
+
+def test_large_chain_round_trips_through_text():
+    P = generate("chain", 200)
+    assert parse_poset_text(format_poset_text(P)) == P
 
 
 def test_parse_errors_give_the_line():

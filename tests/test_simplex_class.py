@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from posetbundle.errors import BadParameter, NoSuchSimplex
-from posetbundle.poset import build_poset
 from posetbundle.simplicial import (
     EVEN_PERMUTATIONS,
     ODD_PERMUTATIONS,
@@ -27,6 +26,8 @@ from posetbundle.simplicial import (
     permute2,
     reverse,
 )
+
+from strategies import small_posets
 
 
 def old_simplex2_accepts(c0, c1, c2):
@@ -89,22 +90,6 @@ def builds(n, support, faces):
     except BadParameter:
         return False
     return True
-
-
-@st.composite
-def small_posets(draw, max_size=4, max_height=None):
-    """Random posets on at most `max_size` elements; relations run from
-    earlier to later positions of a random ordering of the names.  With
-    `max_height` 2 only a lower block lies below an upper block."""
-    n = draw(st.integers(1, max_size))
-    names = draw(st.permutations("abcd"[:n]))
-    if max_height == 2:
-        split = draw(st.integers(0, n))
-        pairs = [(i, j) for i in range(split) for j in range(split, n)]
-    else:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-    return build_poset(names, [(names[i], names[j]) for i, j in chosen])
 
 
 @st.composite

@@ -34,6 +34,7 @@ from posetbundle.simplicial import (
 )
 
 from oracles import enumerate_simplices_raw
+from strategies import small_posets
 
 # Frozen simplex counts for the fixture posets.
 FROZEN_COUNTS = {
@@ -183,29 +184,6 @@ def test_parse_simplex1_round_trip(posets):
 
 # -- the glued complex against the monotone-map oracle ----------------------
 
-NAMES = ("a", "b", "c", "d", "e", "f")
-
-
-@st.composite
-def small_posets(draw, max_size=6, max_height=None):
-    """Random posets on at most `max_size` elements.
-
-    Relations run from earlier to later positions of a random ordering
-    of the names, so the closure is antisymmetric while sorted name
-    order and the order relation stay unrelated.  With `max_height` 2,
-    only elements of a lower block sit below elements of an upper block.
-    """
-    n = draw(st.integers(0, max_size))
-    names = draw(st.permutations(NAMES[:n])) if n else []
-    if max_height == 2:
-        split = draw(st.integers(0, n))
-        pairs = [(i, j) for i in range(split) for j in range(split, n)]
-    else:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-    return build_poset(names, [(names[i], names[j]) for i, j in chosen])
-
-
 def assert_matches_oracle(P, dim):
     raw = enumerate_simplices_raw(P, dim)
     glued = enumerate_simplices(P, dim)
@@ -237,7 +215,7 @@ def test_enumeration_matches_oracle_on_fixtures(posets, poset_name):
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_posets())
+@given(small_posets(max_size=6, min_size=0))
 def test_enumeration_matches_oracle_up_to_dim2(P):
     for dim in range(3):
         assert_matches_oracle(P, dim)
@@ -248,14 +226,14 @@ def test_enumeration_matches_oracle_up_to_dim2(P):
 # 153,367.  Random posets for this dimension therefore have height at
 # most 2 and at most 4 elements; the fixtures above cover height 3.
 @settings(max_examples=15, deadline=None)
-@given(small_posets(max_size=4, max_height=2))
+@given(small_posets(max_height=2, min_size=0))
 def test_enumeration_matches_oracle_in_dim3(P):
     assert_matches_oracle(P, 3)
     assert_faces_shared(P, 3)
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_posets())
+@given(small_posets(max_size=6, min_size=0))
 def test_faces_are_shared(P):
     for dim in range(1, 3):
         assert_faces_shared(P, dim)
@@ -268,7 +246,7 @@ def test_faces_are_shared_on_fixtures(posets):
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_posets())
+@given(small_posets(max_size=6, min_size=0))
 def test_permuted_ids_are_the_ids_of_permute2(P):
     cells = complex_of(P)[2]
     for sigma in itertools.permutations(range(3)):
@@ -379,13 +357,13 @@ def test_complex_tables_on_fixtures(posets, poset_name):
 
 
 @settings(max_examples=30, deadline=None)
-@given(small_posets(max_size=4, max_height=2))
+@given(small_posets(max_height=2, min_size=0))
 def test_complex_tables_on_random_posets(P):
     assert_complex_invariants(P, range(4))
 
 
 @settings(max_examples=30, deadline=None)
-@given(small_posets(max_size=4, max_height=2))
+@given(small_posets(max_height=2, min_size=0))
 def test_id_tables_match_the_oracle_before_any_object(P):
     """The tables built from ids alone equal those derived from the
     oracle's objects, and reading them builds no simplex object; `ids`,
