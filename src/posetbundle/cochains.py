@@ -85,13 +85,13 @@ class _Cochain:
     needs a length check.
     """
 
-    __slots__ = ("poset", "group", "cells", "ids", "_values")
+    __slots__ = ("poset", "group", "cells", "ids")
     dim = None
     tau_ids = None
 
     def __init__(self, P: Poset, G: FiniteGroup, values):
         values = dict(values)
-        self.poset, self.group, self._values = P, G, None
+        self.poset, self.group = P, G
         self.cells = complex_of(P)[self.dim]
         names = _in_order(self.cells, values, _total(self.dim, P))
         self.ids = _element_ids(G, names, ((d.encode(), g)
@@ -100,7 +100,7 @@ class _Cochain:
     @classmethod
     def _of(cls, P: Poset, G: FiniteGroup, ids, tau_ids=None):
         self = cls.__new__(cls)
-        self.poset, self.group, self.ids, self._values = P, G, ids, None
+        self.poset, self.group, self.ids = P, G, ids
         self.cells = complex_of(P)[cls.dim]
         if len(ids) != len(self.cells.faces):
             raise MissingValue(_total(cls.dim, P))
@@ -118,11 +118,8 @@ class _Cochain:
     @property
     def values(self):
         """Simplex -> group element, read-only."""
-        if self._values is None:
-            names = map(self.group.elements.__getitem__, self.ids)
-            self._values = MappingProxyType(dict(zip(self.cells.simplices,
-                                                     names)))
-        return self._values
+        names = map(self.group.elements.__getitem__, self.ids)
+        return MappingProxyType(dict(zip(self.cells.simplices, names)))
 
     @property
     def tau(self):
@@ -414,9 +411,6 @@ class Morphism1(Frozen):
     source: Cochain1
     target: Cochain1
     assignment: tuple  # sorted (element, group element) pairs
-
-    def __init__(self, source, target, assignment):
-        self.__dict__.update(source=source, target=target, assignment=assignment)
 
     def as_dict(self):
         return dict(self.assignment)

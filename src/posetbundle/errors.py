@@ -45,6 +45,16 @@ class BadParameter(PosetBundleError):
     pass
 
 
+def check_name(name, what, forbidden="#"):
+    """Raise `BadParameter` unless `name` is a nonempty string without
+    whitespace or any character of `forbidden`: a name the text formats
+    write and read back unchanged."""
+    if not (isinstance(name, str) and name.split() == [name]
+            and not any(c in name for c in forbidden)):
+        raise BadParameter(f"bad {what} {name!r}: a name is a nonempty string "
+                           f"with no whitespace and none of {' '.join(forbidden)}")
+
+
 # --- simplicial ---
 
 class UnsupportedDimension(PosetBundleError):

@@ -15,6 +15,7 @@ from .errors import (
     NoIdentity,
     NoInverse,
     NotAssociative,
+    check_name,
     content_lines,
     located,
 )
@@ -24,22 +25,25 @@ from .frozen import Frozen
 class FiniteGroup:
     """A finite group over string symbols, backed by its Cayley table.
 
-    All axioms (associativity, identity, inverses) are checked at
-    construction; downstream code trusts the table.  The table is kept
-    over element ids (positions in `elements`), which the named
-    operations translate to and from, a name outside the group being a
-    `MissingValue`: `index` maps a name to its id,
-    `rows[g][h]` is the id of g h, `inverses[g]` the id of g^-1, `unit`
-    the id of the identity and `coset_rep[g]` the id of the first
-    element of the coset g Z(G).
+    All axioms (associativity, identity, inverses) and the names
+    (`errors.check_name`) are checked at construction; downstream code
+    trusts the table.  The table is kept over element ids (positions in
+    `elements`), which the named operations translate to and from, a
+    name outside the group being a `MissingValue`: `index` maps a name
+    to its id, `rows[g][h]` is the id of g h, `inverses[g]` the id of
+    g^-1, `unit` the id of the identity and `coset_rep[g]` the id of the
+    first element of the coset g Z(G).
     """
 
     __slots__ = ("name", "elements", "identity", "index", "rows", "inverses",
                  "unit", "coset_rep", "_center", "_hash")
 
     def __init__(self, elements, table, name="group"):
+        check_name(name, "group name")
         self.name = name
         self.elements = elems = tuple(elements)
+        for g in elems:
+            check_name(g, "group element", "#:")
         self.index = index = {g: i for i, g in enumerate(elems)}
         if len(index) != len(elems):
             raise MalformedTable("duplicate group elements")
@@ -175,14 +179,7 @@ class FiniteGroup:
     def subgroup(self, members, name=None):
         """The sub-Cayley-table group on a closed subset."""
         members = tuple(members)
-        table = {}
-        member_set = set(members)
-        for g in members:
-            for h in members:
-                gh = self.mul(g, h)
-                if gh not in member_set:
-                    raise MalformedTable(f"subset not closed: {g!r}*{h!r}")
-                table[(g, h)] = gh
+        table = {(g, h): self.mul(g, h) for g in members for h in members}
         return FiniteGroup(members, table, name=name or f"{self.name}-sub")
 
 
@@ -325,13 +322,10 @@ def unit_2g(G: FiniteGroup) -> Arrow2G:
 
 
 def one_arrows_2g(G: FiniteGroup):
-    """The 1-arrows of 2G: pairs (e, tau)."""
-    seen = []
-    for g in G.elements:
-        tau = ad(G, g)
-        if all(tau != existing.tau for existing in seen):
-            seen.append(Arrow2G(G.identity, tau))
-    return tuple(seen)
+    """The 1-arrows of 2G: pairs (e, tau), one per inner automorphism,
+    carried by its first representative in element order."""
+    auts = dict.fromkeys(ad(G, g) for g in G.elements)
+    return tuple(Arrow2G(G.identity, tau) for tau in auts)
 
 
 # -- group homomorphisms --------------------------------------------------
@@ -341,9 +335,6 @@ class GroupHom(Frozen):
     source: FiniteGroup
     target: FiniteGroup
     mapping: tuple  # sorted (element, image) pairs
-
-    def __init__(self, source, target, mapping):
-        self.__dict__.update(source=source, target=target, mapping=mapping)
 
     @classmethod
     def from_dict(cls, source, target, mapping):

@@ -75,11 +75,11 @@ def compose(q: Path, p: Path) -> Path:
             f"cannot compose: {p.encode()} ends at {p.end.encode()}, "
             f"{q.encode()} starts at {q.start.encode()}"
         )
-    return Path(p.steps + q.steps)
+    return Path._of(p.steps + q.steps)
 
 
 def reverse_path(p: Path) -> Path:
-    return Path(tuple(reverse(b) for b in reversed(p.steps)))
+    return Path._of(tuple(reverse(b) for b in reversed(p.steps)))
 
 
 def _ranked(p: Path, P: Poset):

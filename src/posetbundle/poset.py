@@ -16,6 +16,7 @@ from .errors import (
     DuplicateElement,
     UnknownElement,
     check_limit,
+    check_name,
     content_lines,
     located,
 )
@@ -26,9 +27,11 @@ class Poset:
     """A finite poset over string identifiers, built from generating pairs.
 
     Takes the reflexive-transitive closure (the up-set of each element,
-    found by search).  A repeated element is a `DuplicateElement`, a pair
-    naming an element not listed an `UnknownElement`, and a cycle an
-    `AntisymmetryViolation` for its first pair in sorted order.
+    found by search).  A name the text formats cannot write back
+    (`errors.check_name`) is a `BadParameter`, a repeated element a
+    `DuplicateElement`, a pair naming an element not listed an
+    `UnknownElement`, and a cycle an `AntisymmetryViolation` for its
+    first pair in sorted order.
     Immutable after construction.  Iteration order over elements is the
     sorted identifier order, so every enumeration built on top of a poset
     is reproducible.
@@ -37,8 +40,10 @@ class Poset:
     __slots__ = ("name", "elements", "_index", "_leq", "_hash")
 
     def __init__(self, elements, relations, name="poset"):
+        check_name(name, "poset name")
         above = {}
         for x in elements:
+            check_name(x, "poset element", "#();,=")
             if x in above:
                 raise DuplicateElement(f"duplicate element {x!r}")
             above[x] = []

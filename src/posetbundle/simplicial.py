@@ -132,9 +132,6 @@ class Simplex0(Simplex):
     dim = 0
     element = Simplex.support
 
-    def sort_key(self):  # the base formula without the empty face loop
-        return (self.element,)
-
 
 class Simplex1(Simplex):
     __slots__ = ()  # face0 is the endpoint, face1 the start point

@@ -6,6 +6,14 @@ from posetbundle.poset import build_poset
 
 NAMES = "abcdef"
 
+# Names for the tests of the name rule: any text, short plain names, and
+# names with one of the characters the rule turns on.
+TEXT_NAMES = st.one_of(
+    st.text(),
+    st.text("ab", min_size=1, max_size=2),
+    st.builds("a{}b".format, st.sampled_from(" \t\n\u2028#();,=:")),
+)
+
 
 @st.composite
 def small_posets(draw, max_size=4, max_height=None, min_size=1,

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from posetbundle.cochains import (
     Cochain0,
@@ -33,6 +33,7 @@ from posetbundle.cochains import (
     random_cochain1,
     trivial_cochain1,
 )
+from posetbundle.cli import _parse_path
 from posetbundle.errors import (
     BadParameter,
     CentralityViolation,
@@ -70,6 +71,7 @@ from posetbundle.simplicial import (
 )
 
 from oracles import enumerate_cocycles_raw, enumerate_simplices_raw
+from strategies import TEXT_NAMES
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -366,6 +368,26 @@ def test_cochain_text_round_trip(posets):
         parse_cochain_text(text, P, Z2)
     with pytest.raises(BadParameter):
         parse_cochain_text("not a header\n", P, S3)
+
+
+@given(st.lists(TEXT_NAMES, min_size=2, max_size=2, unique=True), TEXT_NAMES)
+@example(["a;b", "c"], "e")
+@example(["a,b", "c"], "e")
+@example(["a(b", "c"], "e")
+@example(["a=b", "c"], "e")
+@example(["a", "b"], "x=y")
+def test_a_trivial_cochain_is_rejected_or_round_trips_through_text(points, g):
+    """On the poset points[0] <= points[1], with values in the group {g};
+    so does the path file of each 1-simplex."""
+    try:
+        P = build_poset(points, [tuple(points)], name="p")
+        G = FiniteGroup([g], {(g, g): g}, name="one")
+    except BadParameter:
+        return
+    u = trivial_cochain1(P, G)
+    assert parse_cochain_text(format_cochain_text(u), P, G) == u
+    for b in enumerate_simplices(P, 1):
+        assert _parse_path(Path((b,)).encode(), P) == Path((b,))
 
 
 def test_cochain_text_rejects_repeated_simplex(posets):

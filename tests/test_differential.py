@@ -346,17 +346,17 @@ def satisfies_connection_axioms(u):
     )
 
 
-def filtered_connections(P, G, z=None):
+def filtered_connections(P, G, z=None, bound=CANDIDATE_BOUND):
     """Oracle: one value per reversal class (pinned to z on classes with
     an inflating member when z is given), filtered by the connection
-    axioms and agreement with z; None above the candidate bound."""
+    axioms and agreement with z; None above `bound` candidates."""
     fixed, free = {}, []
     for rep, rev in reversal_classes(P):
         if z is not None and (is_inflating(P, rep) or is_inflating(P, rev)):
             fixed[rep], fixed[rev] = z(rep), z(rev)
         else:
             free.append((rep, rev))
-    if len(G) ** len(free) > CANDIDATE_BOUND:
+    if len(G) ** len(free) > bound:
         return None
     out = []
     for choice in itertools.product(G.elements, repeat=len(free)):
@@ -428,6 +428,24 @@ def test_all_connections_match_filter(P, G):
         return
     found = enumerate_connections(P, G)
     assert len(found) == len(set(found))
+    assert set(found) == set(old)
+
+
+@pytest.mark.parametrize("name, key, bound, count", [
+    ("vee", "z2", CANDIDATE_BOUND, 8),
+    ("vee", "z3", 3 ** 8, 27),
+    ("circle2", "z2", 2 ** 14, 64),
+])
+def test_all_connections_match_filter_with_free_classes(posets, groups, name,
+                                                        key, bound, count):
+    """Posets with a free reversal class, so that connections differ from
+    their bundles, which the connected draws on at most 3 elements never
+    give; a row's bound is the filter's |G|^classes candidates."""
+    P, G = posets[name], groups[key]
+    assert complex_of(P)[1].free_classes
+    old = filtered_connections(P, G, bound=bound)
+    found = enumerate_connections(P, G)
+    assert len(found) == len(set(found)) == len(old) == count
     assert set(found) == set(old)
 
 

@@ -157,3 +157,10 @@ def test_constructors_check_their_arguments():
         Presentation(("x",))
     with pytest.raises(ValueError):
         OpenSet(("a1",), ("o1",))
+    with pytest.raises(ValueError):
+        GroupHom(S3, S3)
+    with pytest.raises(ValueError):
+        Morphism1(None, None, (), ())
+    # GaugeTransformation keeps its own (cocycle, assignment) constructor.
+    with pytest.raises(TypeError):
+        GaugeTransformation(None)

@@ -1,7 +1,10 @@
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from posetbundle.errors import (
+    BadParameter,
     DiamondUndefined,
     DotUndefined,
     MalformedTable,
@@ -13,6 +16,7 @@ from posetbundle.errors import (
 from posetbundle.groups import (
     Arrow2G,
     Arrow3G,
+    FiniteGroup,
     GroupHom,
     InnerAut,
     ad,
@@ -28,6 +32,7 @@ from posetbundle.groups import (
     trivial_group,
     unit_2g,
 )
+from strategies import TEXT_NAMES
 
 S3 = symmetric_group(3)
 Z6 = cyclic_group(6)
@@ -80,8 +85,10 @@ def test_normal_closure():
 def test_subgroup_extraction():
     A3 = S3.subgroup(("123", "231", "312"), name="A3")
     assert len(A3) == 3 and A3.is_abelian()
-    with pytest.raises(MalformedTable):
-        S3.subgroup(("123", "213", "231"))  # not closed
+    # Not closed: the constructor names the first product outside.
+    with pytest.raises(MalformedTable) as caught:
+        S3.subgroup(("123", "213", "231"))
+    assert str(caught.value) == "product '213'*'231' = '132' not an element"
 
 
 def test_inner_automorphisms_modulo_center():
@@ -98,6 +105,24 @@ def test_inner_automorphisms_modulo_center():
 def test_one_arrows_2g():
     assert len(one_arrows_2g(S3)) == 6
     assert len(one_arrows_2g(cyclic_group(4))) == 1
+
+
+def one_arrows_by_pairwise_scan(G):
+    """Oracle: keep (e, ad(g)) for each g, in element order, unless it
+    equals a kept one."""
+    seen = []
+    for g in G.elements:
+        tau = ad(G, g)
+        if all(tau != existing.tau for existing in seen):
+            seen.append(Arrow2G(G.identity, tau))
+    return tuple(seen)
+
+
+@pytest.mark.parametrize("G", [S3, symmetric_group(4), cyclic_group(4)],
+                         ids=["S3", "S4", "Z4"])
+def test_one_arrows_2g_keep_the_first_representatives_in_order(G):
+    # Arrow2G equality ignores the representative; the repr shows it.
+    assert repr(one_arrows_2g(G)) == repr(one_arrows_by_pairwise_scan(G))
 
 
 def test_compose_2g_laws():
@@ -172,6 +197,40 @@ def test_text_round_trip():
         for g in G.elements:
             for h in G.elements:
                 assert H.mul(g, h) == G.mul(g, h)
+
+
+@pytest.mark.parametrize("elements, name, bad", [
+    (("e",), "my#x", "my#x"),
+    (("e",), "", ""),
+    (("a b",), "G", "a b"),
+    (("a#",), "G", "a#"),
+    (("a:b",), "G", "a:b"),
+    (("",), "G", ""),
+], ids=["hash-name", "empty-name", "space", "hash", "colon", "empty"])
+def test_names_the_group_format_cannot_write_back_are_rejected(
+        elements, name, bad):
+    (g,) = elements
+    with pytest.raises(BadParameter, match=re.escape(repr(bad))):
+        FiniteGroup(elements, {(g, g): g}, name=name)
+
+
+@given(st.lists(TEXT_NAMES, min_size=1, max_size=3, unique=True), TEXT_NAMES)
+@example(["e", "a b"], "G")
+@example(["e", "a#"], "G")
+@example(["e", "a:b"], "G")
+@example(["e", ""], "G")
+@example(["e"], "my#x")
+def test_a_group_is_rejected_or_round_trips_through_text(names, name):
+    """The cyclic group on `names`, the first being the identity."""
+    n = len(names)
+    table = {(g, h): names[(i + j) % n]
+             for i, g in enumerate(names) for j, h in enumerate(names)}
+    try:
+        G = FiniteGroup(names, table, name=name)
+    except BadParameter:
+        return
+    H = parse_group_text(format_group_text(G))
+    assert H == G and H.name == G.name
 
 
 def test_parse_rejects_corrupted_tables():

@@ -54,6 +54,20 @@ def test_path_chaining_is_validated():
         Path((edge("o1", "o1", "a1"), edge("o2", "o2", "a2")))
 
 
+@pytest.mark.parametrize("name", ["circle2", "twoloop"])
+def test_compose_and_reverse_give_the_checked_paths(posets, name):
+    """Both build their result without re-checking its steps: it is the
+    path that the checking constructor builds from them."""
+    P = posets[name]
+    loops = enumerate_loops(P, P.elements[0], 3)[:20]
+    for p in loops:
+        r = reverse_path(p)
+        assert r.steps == tuple(reverse(b) for b in reversed(p.steps))
+        assert r == Path(r.steps) and hash(r) == hash(Path(r.steps))
+        for q in loops:
+            assert compose(q, p) == Path(p.steps + q.steps)
+
+
 def test_compose_and_reverse():
     b1 = edge("o1", "o1", "a1")  # a1 -> o1
     b2 = edge("o2", "o2", "a1")  # a1 -> o2

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -18,6 +20,7 @@ from posetbundle.poset import (
     is_totally_ordered,
     parse_poset_text,
 )
+from strategies import TEXT_NAMES
 
 
 def test_build_takes_transitive_closure():
@@ -105,6 +108,42 @@ def test_fundamental_open_is_upward_closed():
 def test_text_round_trip():
     for P in (generate("chain", 3), generate("circle", 2), generate("vee", 1)):
         assert parse_poset_text(format_poset_text(P)) == P
+
+
+@pytest.mark.parametrize("elements, name, bad", [
+    (["a b", "c"], "p", "a b"),
+    (["a;b"], "p", "a;b"),
+    (["a#b", "c"], "p", "a#b"),
+    (["", "c"], "p", ""),
+    (["a(b"], "p", "a(b"),
+    (["a,b"], "p", "a,b"),
+    (["a=b"], "p", "a=b"),
+    (["a\u2028b"], "p", "a\u2028b"),
+    ([1], "p", 1),
+    (["a"], "p#q", "p#q"),
+    (["a"], "my p", "my p"),
+    (["a"], None, None),
+], ids=["space", "semicolon", "hash", "empty", "paren", "comma", "equals",
+        "line-separator", "not-a-string", "hash-name", "space-name",
+        "no-name"])
+def test_names_the_text_formats_cannot_write_back_are_rejected(
+        elements, name, bad):
+    with pytest.raises(BadParameter, match=re.escape(repr(bad))):
+        Poset(elements, [], name=name)
+
+
+@given(st.lists(TEXT_NAMES, max_size=3, unique=True), TEXT_NAMES)
+@example(["a b", "c"], "p")
+@example(["a#b", "c"], "p")
+@example(["", "c"], "p")
+@example(["a"], "my#x")
+def test_a_poset_is_rejected_or_round_trips_through_text(elements, name):
+    try:
+        P = Poset(elements, zip(elements, elements[1:]), name=name)
+    except BadParameter:
+        return
+    Q = parse_poset_text(format_poset_text(P))
+    assert Q == P and Q.name == P.name
 
 
 def test_parse_errors():
