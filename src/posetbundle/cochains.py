@@ -27,6 +27,7 @@ from .errors import (
     Mismatch,
     NoSuchSimplex,
     check_limit,
+    check_name,
     content_lines,
     located,
 )
@@ -330,33 +331,31 @@ def coboundary(cochain):
 
 def is_cocycle(cochain) -> bool:
     """The kernel condition in each implemented degree: in degree 1 the
-    cocycle identity, in degrees 0 and 2 a coboundary that takes only
-    the identity."""
+    cocycle identity on the `Cells.generating` 2-simplices, in degrees 0
+    and 2 a coboundary that takes only the identity."""
     if isinstance(cochain, Cochain1):
-        return next(_failing_ids(cochain), None) is None
+        rows, x = cochain.group.rows, cochain.ids
+        for b0, b1, b2 in cochain.cells.complex[2]._generating_faces:
+            if rows[x[b0]][x[b2]] != x[b1]:
+                return False
+        return True
     if isinstance(cochain, (Cochain0, Cochain2)):
         d = coboundary(cochain)
         return d.ids.count(d.group.unit) == len(d.ids)
     raise BadParameter("cocycle condition implemented for degrees 0-2")
 
 
-def _failing_ids(u: Cochain1, inflating_only=False):
-    """The ids of the 2-simplices c, inflating ones only if asked, where
-    the cocycle identity u(c0) u(c2) = u(c1) fails, lazily and in order."""
+def identity_failures(u: Cochain1, inflating_only=False):
+    """The 2-simplices c, inflating ones only if asked, where the cocycle
+    identity u(c0) u(c2) = u(c1) fails, lazily and in order, from a scan
+    of every 2-simplex; only these are built as objects."""
     cells = complex_of(u.poset)[2]
     rows, x = u.group.rows, u.ids
     triples = enumerate(cells.faces)
     if inflating_only:
         triples = itertools.compress(triples, cells.inflating)
-    return (i for i, (b0, b1, b2) in triples if rows[x[b0]][x[b2]] != x[b1])
-
-
-def identity_failures(u: Cochain1, inflating_only=False):
-    """The 2-simplices c, inflating ones only if asked, where the cocycle
-    identity u(c0) u(c2) = u(c1) fails, lazily and in order; only these
-    are built as objects."""
-    cells = complex_of(u.poset)[2]
-    return (cells.simplices[i] for i in _failing_ids(u, inflating_only))
+    return (cells.simplices[i] for i, (b0, b1, b2) in triples
+            if rows[x[b0]][x[b2]] != x[b1])
 
 
 # -- paths and path independence -------------------------------------------
@@ -505,8 +504,8 @@ def enumerate_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
     A cocycle is the same thing as a fundamental-group homomorphism
     together with a free choice of group element at every point other
     than the base point, so the enumeration ranges over those pairs.
-    The value of each based loop is computed once per homomorphism;
-    each point assignment only multiplies in its endpoint values.
+    The value g of each based loop is computed once per homomorphism;
+    the cocycles are built by 1-simplex columns from tables of a g b^-1.
     Distinct pairs give distinct cocycles: the tree edges (empty words)
     fix the assignment and the generator edges (one letter) sigma.
     """
@@ -517,11 +516,16 @@ def enumerate_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
     check_limit(len(homs) * len(G) ** others, limit,
                 f"{len(homs)} homomorphisms x {len(G)}^{others} point "
                 "assignments")
-    faces, index = complex_of(P)[1].faces, G.index.__getitem__
+    faces, n = complex_of(P)[1].faces, len(G)
+    rows, inv, index = G.rows, G.inverses, G.index.__getitem__
+    # tables[g][a * n + b] is a g b^-1; columns[e, s] indexes it by f(e), f(s).
+    tables = [[rows[rows[a][g]][inv[b]] for a in range(n) for b in range(n)]
+              for g in range(n)]
+    fs = [(G.unit,) + c for c in itertools.product(range(n), repeat=others)]
+    columns = {(e, s): [f[e] * n + f[s] for f in fs] for e, s in set(faces)}
     loops = [_loop_ids(G, words, tuple(map(index, sigma))) for sigma in homs]
-    return tuple(Cochain1._of(P, G, _act(G, faces, x, (G.unit,) + choice))
-                 for x in loops
-                 for choice in itertools.product(range(len(G)), repeat=others))
+    return tuple(Cochain1._of(P, G, ids) for x in loops for ids in zip(*(
+        map(tables[g].__getitem__, columns[b]) for g, b in zip(x, faces))))
 
 
 def classify_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
@@ -590,6 +594,7 @@ def parse_cochain_text(text: str, P: Poset, G: FiniteGroup) -> Cochain1:
 
 
 def format_cochain_text(u: Cochain1, name="u") -> str:
+    check_name(name, "cochain name")
     lines = [f"cochain {name} over {u.poset.name} values {u.group.name}"]
     for b, g in u.values.items():
         lines.append(f"{b.encode()} = {g}")

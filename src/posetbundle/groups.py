@@ -425,6 +425,8 @@ def parse_group_text(text: str) -> FiniteGroup:
             elif fields[0] == "elems":
                 if elems is not None:
                     raise MalformedTable(f"repeated elems line: {raw!r}")
+                for g in fields[1:]:
+                    check_name(g, "group element", "#:")
                 elems = fields[1:]
             elif fields[0] == "table":
                 in_table = True

@@ -237,6 +237,8 @@ def parse_poset_text(text: str) -> Poset:
                                        f"{name!r}: {raw!r}")
                 name = fields[1]
             elif fields[0] == "elem":
+                for x in fields[1:]:
+                    check_name(x, "poset element", "#();,=")
                 elements.extend(fields[1:])
             elif fields[0] == "le":
                 if len(fields) != 3:

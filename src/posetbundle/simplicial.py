@@ -15,8 +15,8 @@ masks) are computed from these, and cochains store their values as
 tuples indexed by the ids, so coboundaries and cocycle checks build no
 simplex objects.  The objects of a dimension are built once, when first
 asked for, so the faces of an enumerated simplex are the enumerated
-objects one dimension down, and each computes its hash once; the id of
-a given simplex is looked up among them.
+objects one dimension down, and each computes its hash on first use;
+the id of a given simplex is looked up among them.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import gc
 import itertools
 from collections import deque
 from functools import cached_property, lru_cache, wraps
-from operator import add, itemgetter
+from operator import itemgetter
 
 from .errors import (BadParameter, IndexOutOfRange, NoSuchSimplex,
                      UnsupportedDimension)
@@ -40,8 +40,8 @@ class Simplex:
     The constructor checks the number of faces and, for n >= 2, the
     simplicial identity: face i of face k is face k-1 of face i for all
     i < k; the enumerated simplices skip that check (see `_build`),
-    since gluing their faces checked it.  The hash is computed once,
-    from the support and the (already hashed) faces.  Equality is
+    since gluing their faces checked it.  The hash is computed on first
+    use, from the support and the faces, and then kept.  Equality is
     structural within one dimension: a freshly built simplex equals the
     enumerated one with the same data, and a hash mismatch settles most
     unequal pairs without recursing into faces.  Simplices are
@@ -71,7 +71,7 @@ class Simplex:
                     f"of face {k} is not face {k - 1} of face {i}")
         _set_support(self, support)
         _set_faces(self, faces)
-        _set_hash(self, hash((support,) + faces))
+        _set_hash(self, None)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -79,6 +79,8 @@ class Simplex:
     __delattr__ = __setattr__
 
     def __hash__(self):
+        if self._hash is None:
+            _set_hash(self, hash((self.support,) + self.faces))
         return self._hash
 
     def __eq__(self, other):
@@ -86,7 +88,7 @@ class Simplex:
             return True
         if type(other) is not type(self):
             return NotImplemented
-        return (self._hash == other._hash and self.support == other.support
+        return (hash(self) == hash(other) and self.support == other.support
                 and self.faces == other.faces)
 
     def __repr__(self):
@@ -116,13 +118,11 @@ _set_hash = Simplex._hash.__set__
 def _build(cls, names, support, faces):
     """The simplices of class cls with supports `names[support[i]]` and
     face tuples `faces[i]`, as `Simplex.__init__` writes them but without
-    its identity check, which gluing the faces has done.  Each slot is
-    written for all the simplices from a lazy column."""
+    its identity check, which gluing the faces has done, and with the
+    hash left to the first use.  Each slot is written from a column."""
     out = [object.__new__(cls) for _ in faces]
-    points = map(names.__getitem__, support)
-    hashes = map(hash, map(add, zip(map(names.__getitem__, support)), faces))
-    for set_, column in zip((_set_support, _set_faces, _set_hash),
-                            (points, faces, hashes)):
+    columns = map(names.__getitem__, support), faces, itertools.repeat(None)
+    for set_, column in zip((_set_support, _set_faces, _set_hash), columns):
         deque(map(set_, out, column), maxlen=0)
     return tuple(out)
 
@@ -249,8 +249,8 @@ def enumerate_simplices(P: Poset, n: int, inflating_only: bool = False):
 
     The simplices are the objects of `complex_of(P)[n].simplices`, so
     every face of an enumerated simplex is the very object enumerated
-    one dimension down, and each simplex hashes once.  Repeated calls
-    return the same cached tuple; `inflating_only` filters it.
+    one dimension down, and each simplex hashes at most once.  Repeated
+    calls return the same cached tuple; `inflating_only` filters it.
     """
     cells = complex_of(P)[n]
     if inflating_only:
@@ -298,8 +298,9 @@ class Cells:
       those without an inflating member in `free_classes`;
     - in dimension 2, `deformations`, which maps the id of a boundary 1
       to the id pairs (boundary 2, boundary 0), and such a pair to the
-      1-tuples of boundary 1 ids: the moves of `paths.homotopic`; and,
-      not cached, `permuted(sigma)`, the ids of the orientation action.
+      1-tuples of boundary 1 ids: the moves of `paths.homotopic`; the
+      ids of a `generating` set of cocycle identities; and, not cached,
+      `permuted(sigma)`, the ids of the orientation action.
     Only `simplices` builds objects, and only `ids` reads it; the other
     tables never do, and neither does `encode(i)`, the text of simplex i.
     """
@@ -412,6 +413,35 @@ class Cells:
         return tuple(at[(x, *(rev[f[k]] if flip else f[k]
                               for k, flip in rule))]
                      for x, f in zip(self.support, self.faces))
+
+    @cached_property
+    def generating(self):
+        """The ids, in order, of the 2-simplices whose cocycle identities
+        u(b0) u(b2) = u(b1) imply those of all 2-simplices.
+
+        Let c have support x, faces (b0, b1, b2) and vertices v0, v1, v2
+        (b2 runs from v0 to v1, b0 from v1 to v2).  c is kept when b0 and
+        b1 have support x and (A) v1 and the support of b2 are x, or (B)
+        v2 is x and b2 has support v1, or (C) b0 = b1 = b2.  Write
+        u(s; c, a) for the 1-simplex with support s from a to c and
+        g(x, v) = u(x; x, v).  (A) gives u(s; c, a) = u(s; c, s) g(s, a)
+        and g(s, s) = e; (C) gives u(s; c, c) = e, so u(s; c, s) =
+        g(s, c)^-1; (B) gives g(x, v) = g(x, s) g(s, v) for v <= s <= x.
+        So u(s; c, a) = g(x, c)^-1 g(x, a) for every x >= s: both sides
+        of every identity with support x read g(x, v2)^-1 g(x, v0).  Each
+        kept c is itself an identity, so the test is exact."""
+        if self.dim != 2:
+            raise UnsupportedDimension("generating sets are of 2-simplices")
+        sup, ends = self.complex[1].support, self.complex[1].faces
+        return tuple(i for i, (x, (b0, b1, b2))
+                     in enumerate(zip(self.support, self.faces))
+                     if sup[b0] == sup[b1] == x
+                     and (ends[b2][0] == sup[b2] == x or b0 == b1 == b2
+                          or ends[b0][0] == x and sup[b2] == ends[b2][0]))
+
+    @cached_property
+    def _generating_faces(self):
+        return tuple(map(self.faces.__getitem__, self.generating))
 
     @cached_property
     def deformations(self):

@@ -228,6 +228,18 @@ def test_input_errors_name_the_file_and_line(tmp_path, capsys):
     assert run(["validate", bad]) == 2
     assert capsys.readouterr().err == (
         f"error: unrecognized poset line: 'foo bar' (line 3) in {bad}\n")
+    semi = tmp_path / "semi.poset"
+    semi.write_text("poset semi\nelem a;b\n")
+    assert run(["validate", semi]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad poset element 'a;b': ")
+    assert err.endswith(f" (line 2) in {semi}\n")
+    colon = tmp_path / "colon.group"
+    colon.write_text("group g\nelems e a:b\ntable\n")
+    assert run(["group-validate", colon]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad group element 'a:b': ")
+    assert err.endswith(f" (line 2) in {colon}\n")
     cyclic = tmp_path / "cyclic.poset"
     cyclic.write_text("poset p\nelem x y\nle x y\nle y x\n")
     assert run(["validate", cyclic]) == 2

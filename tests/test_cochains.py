@@ -33,6 +33,7 @@ from posetbundle.cochains import (
     random_cochain1,
     trivial_cochain1,
 )
+from posetbundle.cochains import _act, _loop_ids
 from posetbundle.cli import _parse_path
 from posetbundle.errors import (
     BadParameter,
@@ -61,7 +62,8 @@ from posetbundle.paths import (
     reverse_path,
     word_value,
 )
-from posetbundle.poset import build_poset, generate, parse_poset_text
+from posetbundle.poset import (base_point, build_poset, generate,
+                               parse_poset_text)
 from posetbundle.simplicial import (
     Simplex0,
     Simplex1,
@@ -582,3 +584,52 @@ def test_is_morphism_refuses_cochains_over_different_groups(posets):
     with pytest.raises(Mismatch):
         is_morphism(f, trivial_cochain1(P, Z2),
                     trivial_cochain1(posets["vee"], Z2))
+
+
+def per_assignment_cocycles(P, G):
+    """`enumerate_cocycles` built one point assignment at a time: `_act`
+    of each assignment on the loop values of each homomorphism."""
+    presentation, words = pi1_presentation(P, base_point(P))
+    faces, index = complex_of(P)[1].faces, G.index.__getitem__
+    loops = [_loop_ids(G, words, tuple(map(index, sigma)))
+             for sigma in enumerate_homs(presentation, G)]
+    return tuple(Cochain1._of(P, G, _act(G, faces, x, (G.unit,) + choice))
+                 for x in loops
+                 for choice in itertools.product(range(len(G)),
+                                                 repeat=len(P) - 1))
+
+
+@pytest.mark.parametrize("G", [Z2, Z3, S3], ids=["z2", "z3", "s3"])
+def test_column_build_matches_the_per_assignment_build(posets, G):
+    """Same cocycles in the same order, on every fixture (all within the
+    default limit) and on a one-point poset."""
+    point = build_poset(["a"], [], name="point")
+    for P in (point, *posets.values()):
+        assert enumerate_cocycles(P, G) == per_assignment_cocycles(P, G)
+
+
+CIRCLE2 = generate("circle", 2)
+
+
+@given(TEXT_NAMES)
+@example("my u")
+@example("u#")
+@example("")
+def test_a_cochain_name_is_rejected_or_round_trips_through_text(name):
+    u = random_cochain1(CIRCLE2, Z3, random.Random(len(name)))
+    try:
+        text = format_cochain_text(u, name=name)
+    except BadParameter as caught:
+        assert repr(name) in str(caught)
+        return
+    assert parse_cochain_text(text, CIRCLE2, Z3) == u
+
+
+@pytest.mark.parametrize("name", ["chain2", "chain3", "vee"])
+def test_generating_identities_decide_every_z2_cochain(posets, name):
+    """All 1-cochains over Z2, so also those that break only the
+    identities of one of the kinds `Cells.generating` keeps."""
+    P = posets[name]
+    for ids in itertools.product(range(2), repeat=len(complex_of(P)[1].faces)):
+        u = Cochain1._of(P, Z2, ids)
+        assert is_cocycle(u) == (next(identity_failures(u), None) is None)

@@ -927,6 +927,24 @@ def row_is_cocycle(dim):
     return row
 
 
+def near_a_coboundary(P, G, rng):
+    """A random 1-cochain, a coboundary, or a coboundary with the value
+    at one random 1-simplex replaced by a random element: the cochains
+    that tell a check of some of the cocycle identities from one of all."""
+    d = coboundary0(random_cochain0(P, G, rng))
+    ids = list(d.ids)
+    ids[rng.randrange(len(ids))] = rng.randrange(len(G))
+    return rng.choice([random_cochain1(P, G, rng), d,
+                       Cochain1._of(P, G, tuple(ids))])
+
+
+def row_is_cocycle_near_coboundaries(P, G, rng):
+    """`is_cocycle` reads the identities of `Cells.generating` only;
+    the reference checks every 2-simplex."""
+    u = near_a_coboundary(P, G, rng)
+    return is_cocycle(u), ref_is_cocycle(u)
+
+
 def row_identity_failures(P, G, rng):
     u = either_cocycle_or_not(P, G, rng, 1)
     inflating = [c for c in enumerate_simplices(P, 2) if is_inflating(P, c)]
@@ -1016,6 +1034,7 @@ ROWS_UP_TO_DIM2 = {
     "d1": row_d1,
     "is_cocycle_0": row_is_cocycle(0),
     "is_cocycle_1": row_is_cocycle(1),
+    "is_cocycle_1_near_coboundaries": row_is_cocycle_near_coboundaries,
     "identity_failures": row_identity_failures,
     "extend_to_path": row_extend_to_path,
     "curvature": row_curvature,
@@ -1066,6 +1085,11 @@ def test_is_cocycle_rows_see_both_verdicts(posets, groups):
     rng = random.Random(3)
     for dim, G in ((0, groups["s3"]), (1, groups["s3"]), (2, groups["z3"])):
         verdicts = {row_is_cocycle(dim)(posets["vee"], G, rng)[1]
+                    for _ in range(12)}
+        assert verdicts == {True, False}
+    for G in groups.values():
+        verdicts = {row_is_cocycle_near_coboundaries(posets["twoloop"], G,
+                                                     rng)[1]
                     for _ in range(12)}
         assert verdicts == {True, False}
 

@@ -8,9 +8,10 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from posetbundle.acceptance import two_loop_poset
 from posetbundle.errors import BadParameter, IndexOutOfRange, UnsupportedDimension
 from posetbundle.paths import Path, _ranked
-from posetbundle.poset import build_poset
+from posetbundle.poset import build_poset, generate
 from posetbundle.simplicial import (
     COMPLEX_CACHE_SIZE,
     EVEN_PERMUTATIONS,
@@ -19,6 +20,7 @@ from posetbundle.simplicial import (
     Simplex0,
     Simplex1,
     Simplex2,
+    Simplex3,
     boundary,
     complex_of,
     degeneracy,
@@ -315,6 +317,28 @@ def test_pickled_simplices_rehash_in_another_process(posets):
     assert set(pickle.loads(out)) == set(here)
 
 
+def rebuilt(d):
+    """d built afresh, face by face, through the simplex constructors."""
+    if not d.faces:
+        return Simplex0(d.support)
+    return type(d)(d.support, *map(rebuilt, d.faces))
+
+
+def test_enumerated_simplices_hash_on_first_use_like_built_ones():
+    P = generate("circle", 2)
+    complex_of.cache_clear()  # so that no simplex of P is hashed yet
+    for n, cls in ((1, Simplex1), (2, Simplex2), (3, Simplex3)):
+        sample = enumerate_simplices(P, n)[::5]
+        assert all(d._hash is None for d in sample)
+        for d in sample:
+            fresh = rebuilt(d)
+            assert type(fresh) is cls and fresh is not d
+            assert fresh == d and d == fresh and hash(fresh) == hash(d)
+            back = pickle.loads(pickle.dumps(d))
+            assert back == d and hash(back) == hash(d)
+            assert back.encode() == d.encode()
+
+
 # -- the integer tables of the complex ---------------------------------------
 
 
@@ -429,3 +453,18 @@ def test_complex_cache_is_bounded():
     for P in chains[-3:]:
         assert complex_of(P) is complex_of(P)
         assert enumerate_simplices(P, 1) == enumerate_simplices_raw(P, 1)
+
+
+def test_generating_sets_are_sorted_ids_of_2_simplices(posets):
+    """A third of dimension 2 or less on the posets with loops."""
+    looped = {f"circle{k}": generate("circle", k) for k in (2, 3, 4)}
+    looped["twoloop"] = two_loop_poset()
+    for name, P in {**posets, **looped}.items():
+        cells = complex_of(P)[2]
+        ids = cells.generating
+        assert list(ids) == sorted(set(ids))
+        assert all(0 <= i < len(cells.faces) for i in ids)
+        if name in looped:
+            assert 3 * len(ids) <= len(cells.faces)
+    with pytest.raises(UnsupportedDimension):
+        complex_of(posets["circle2"])[1].generating
