@@ -276,7 +276,9 @@ def criterion_7(rng):
     rows, inv = Z2.rows, Z2.inverses
     center = {Z2.index[g] for g in Z2.center()}
     agreeing_with = _agreeing(circle2, enumerate_cocycles(circle2, Z2))
-    pinch = complex_of(circle2)[1].pinch
+    edges, at = complex_of(circle2)[1], complex_of(circle2)[2].at
+    pinch = [at[x, edges.reverse[e], i, s] for i, (x, (e, s))
+             in enumerate(zip(edges.support, edges.legs))]
     for u in us:
         if not cn.is_central(u):
             return False, "a Z2 connection failed centrality"
@@ -339,7 +341,7 @@ def criterion_9(rng):
         return False, "reduced connection left the holonomy group"
     if not cn.is_connection(u1):
         return False, "reduced cochain is not a connection"
-    if not is_morphism(f.as_dict(), f.source, f.target):
+    if not is_morphism(f, f.source, f.target):
         return False, "reduction morphism is invalid"
     included = f.source
     if cn.holonomy(included, "a1") != tuple(sorted(H.elements)):

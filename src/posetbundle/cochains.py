@@ -230,9 +230,11 @@ def random_cochain1(P: Poset, G: FiniteGroup, rng) -> Cochain1:
 
 
 def _point_ids(P: Poset, G: FiniteGroup, f):
-    """A point assignment (element -> group element) as ids in element
-    order, which is the order of the 0-simplex ids; `MissingValue` if f
-    misses an element or a value is outside G."""
+    """A point assignment (element -> group element, or a `Morphism1`) as
+    ids in element order, which is the order of the 0-simplex ids;
+    `MissingValue` if f misses an element or a value is outside G."""
+    if isinstance(f, Morphism1):
+        f = f._lookup
     try:
         names = [f[a] for a in P.elements]
     except KeyError:
@@ -330,13 +332,22 @@ def coboundary(cochain):
 
 
 def is_cocycle(cochain) -> bool:
-    """The kernel condition in each implemented degree: in degree 1 the
-    cocycle identity on the `Cells.generating` 2-simplices, in degrees 0
-    and 2 a coboundary that takes only the identity."""
+    """The kernel condition: in degrees 0 and 2 a coboundary that takes
+    only the identity; in degree 1 the identity u(b0) u(b2) = u(b1) on
+    every 2-simplex, tested as a functor g(x, v) = u(x; x, v) on the
+    order: u(s; c, a) = g(s, c)^-1 g(s, a) on every 1-simplex (its
+    `legs`) and g(x, v) = g(x, s) g(s, v) on every strict chain
+    v < s < x (`chains`), each the identity of one 2-simplex.
+    Conversely these give g(s, s) = e and u(s; c, a) = g(x, c)^-1 g(x, a)
+    for every x >= s, so both sides of each identity with support x
+    read g(x, v2)^-1 g(x, v0)."""
     if isinstance(cochain, Cochain1):
-        rows, x = cochain.group.rows, cochain.ids
-        for b0, b1, b2 in cochain.cells.complex[2]._generating_faces:
-            if rows[x[b0]][x[b2]] != x[b1]:
+        rows, inv, x = cochain.group.rows, cochain.group.inverses, cochain.ids
+        for g, (e, s) in zip(x, cochain.cells.legs):
+            if g != rows[inv[x[e]]][x[s]]:
+                return False
+        for xv, xs, sv in cochain.cells.chains:
+            if x[xv] != rows[x[xs]][x[sv]]:
                 return False
         return True
     if isinstance(cochain, (Cochain0, Cochain2)):
@@ -426,13 +437,13 @@ class Morphism1(Frozen):
             raise MissingValue(f"no value at {element!r}") from None
 
 
-def _same_base(v1: Cochain1, v: Cochain1):
-    if v1.poset != v.poset or v1.group != v.group:
+def _same_base(u: Cochain1, P: Poset, G: FiniteGroup):
+    if u.poset != P or u.group != G:
         raise Mismatch("cochains live over different posets or groups")
 
 
 def is_morphism(f, source: Cochain1, target: Cochain1) -> bool:
-    _same_base(source, target)
+    _same_base(source, target.poset, target.group)
     G, f = source.group, _point_ids(source.poset, source.group, f)
     return _act(G, source.cells.faces, source.ids, f) == target.ids
 
@@ -446,8 +457,8 @@ def morphisms(v1: Cochain1, v: Cochain1):
     transport.  Each seed value f(a0), in group element order, is
     transported and checked against every 1-simplex.
     """
-    _same_base(v1, v)
     P, G = v.poset, v.group
+    _same_base(v1, P, G)
     rows, inv = G.rows, G.inverses
     a0 = base_point(P)  # point id 0
     t = _transport(v, a0)

@@ -96,18 +96,16 @@ def transport_between(u: Cochain1, o: str, a1: str, a: str):
 def induced_cocycle(u: Cochain1) -> Cochain1:
     """The underlying 1-cocycle of a connection.
 
-    Both endpoints of a 1-simplex sit below its support, so
-    z(b) = u(top <- end)^-1 u(top <- start) is defined from inflating
-    values only; it agrees with u on inflating simplices.  On the pinch
-    simplex c of b, whose boundaries 0 and 2 run from top to the end
-    and from the start to top, this is z(b) = u(boundary 0) u(boundary 2),
-    as u inverts under reversal: the value that would make u flat on c.
+    Both endpoints of a 1-simplex sit below its support s, so
+    z(b) = u(s; s, end)^-1 u(s; s, start), read through the `legs` of b,
+    is defined from inflating values only; it agrees with u on inflating
+    simplices, and it is a cocycle since u is flat on the inflating
+    2-simplices (see `is_cocycle`).
     """
     _require_connection(u)
-    x, rows = u.ids, u.group.rows
-    faces = complex_of(u.poset)[2].faces
+    x, rows, inv = u.ids, u.group.rows, u.group.inverses
     z = Cochain1._of(u.poset, u.group, tuple(
-        rows[x[faces[c][0]]][x[faces[c][2]]] for c in u.cells.pinch))
+        rows[inv[x[e]]][x[s]] for e, s in u.cells.legs))
     if not is_cocycle(z):  # pragma: no cover - guards a library invariant
         raise WrongCocycle("induced cochain failed the cocycle identity")
     return z
@@ -116,7 +114,7 @@ def induced_cocycle(u: Cochain1) -> Cochain1:
 def is_adapted(u: Cochain1, z: Cochain1) -> bool:
     """Whether the connection u lives on the bundle z: they agree on
     inflating 1-simplices."""
-    _same_base(u, z)
+    _same_base(u, z.poset, z.group)
     return all(a == b for a, b, inflating
                in zip(u.ids, z.ids, u.cells.inflating) if inflating)
 
@@ -129,7 +127,7 @@ def construct_from_cochain(v: Cochain1, z: Cochain1) -> Cochain1:
         raise PreconditionViolated(
             "the base of a connection must be a 1-cocycle"
         )
-    _same_base(v, z)
+    _same_base(v, z.poset, z.group)
     G, cells = z.group, z.cells
     rows, inv, t, x = G.rows, G.inverses, v.ids, z.ids
     free = set(cells.free_classes)
@@ -184,7 +182,9 @@ def construct_nonflat(z: Cochain1, b: Simplex1 = None, g=None):
     values[i] = G.rows[values[i]][G.inverses[G.index[g]]]
     values[cells.reverse[i]] = G.inverses[values[i]]
     u = Cochain1._of(P, G, tuple(values))
-    c = cells.pinch[i]
+    # The witness has vertices (start, support, end) and boundary 1 b.
+    e, s = cells.legs[i]
+    c = complex_of(P)[2].at[cells.support[i], cells.reverse[e], i, s]
     flat = curvature(u).ids[c] == G.unit
     return u, None if flat else complex_of(P)[2].simplices[c]
 
@@ -225,7 +225,7 @@ def is_central(u: Cochain1) -> bool:
 def star_compose(u: Cochain1, u1: Cochain1) -> Cochain1:
     """(u * u1)(b) = u(b) z(b)^-1 u1(b) = u(b) chi1(b): the abelian
     composition of central connections on a common bundle z."""
-    _same_base(u, u1)
+    _same_base(u, u1.poset, u1.group)
     z, _ = central_decompose(u)
     z1, chi1 = central_decompose(u1)
     if z1 != z:
@@ -358,10 +358,11 @@ def enumerate_connections(P: Poset, G: FiniteGroup, z: Cochain1 = None,
     in `enumerate_cocycles` order, twists in `itertools.product` order;
     the limit bounds bundles x twists.
     """
-    if z is not None and not is_cocycle(z):
-        raise PreconditionViolated(
-            "the base of a connection must be a 1-cocycle"
-        )
+    if z is not None:
+        _same_base(z, P, G)
+        if not is_cocycle(z):
+            raise PreconditionViolated(
+                "the base of a connection must be a 1-cocycle")
     bundles = (z,) if z is not None else enumerate_cocycles(P, G, limit)
     free = complex_of(P)[1].free_classes
     check_limit(len(bundles) * len(G) ** len(free), limit,

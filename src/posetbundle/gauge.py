@@ -77,7 +77,6 @@ def gauge_act(f, u: Cochain1) -> Cochain1:
     Accepts a Morphism1 (a GaugeTransformation, or z -> z from
     `find_morphism`) or a plain element -> group mapping.
     """
-    mapping = f.as_dict() if isinstance(f, Morphism1) else dict(f)
-    t = _point_ids(u.poset, u.group, mapping)
+    t = _point_ids(u.poset, u.group, f)
     return Cochain1._of(u.poset, u.group,
                         _act(u.group, u.cells.faces, u.ids, t))

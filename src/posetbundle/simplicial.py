@@ -10,7 +10,7 @@ The enumerated complex is integer-indexed: each poset has one cached
 `Complex`, whose `Cells` for dimension n are glued from dimension n-1
 on first use.  A simplex's id is its rank in `enumerate_simplices`.
 The gluing yields only the support id and the face ids of each cell;
-the other tables (reverse and pinch ids, the inflating and degenerate
+the other tables (reverse and leg ids, the inflating and degenerate
 masks) are computed from these, and cochains store their values as
 tuples indexed by the ids, so coboundaries and cocycle checks build no
 simplex objects.  The objects of a dimension are built once, when first
@@ -291,16 +291,17 @@ class Cells:
     - the `inflating` and `degenerate` masks, and in dimensions 1-3
       `degeneracies[i][j]`, the id of s_i of simplex j one dimension
       down (see `degeneracy`);
-    - in dimension 1, the id of each simplex's `reverse`, the id of its
-      `pinch` (the 2-simplex with boundary 1 equal to it whose middle
-      vertex is its support), and the reversal classes as id pairs
-      (i, reverse of i) with i <= its reverse: all of them in `classes`,
-      those without an inflating member in `free_classes`;
+    - in dimension 1, the id of each simplex's `reverse`; its `legs`,
+      the ids of (s; s, end) and (s; s, start) for support s; the
+      `chains`, the ids of (x; x, v), (x; x, s) and (s; s, v) for each
+      strict chain v < s < x, read off the 1-simplex (x; s, v); and the
+      reversal classes as id pairs (i, reverse of i) with i <= its
+      reverse: all of them in `classes`, those without an inflating
+      member in `free_classes`;
     - in dimension 2, `deformations`, which maps the id of a boundary 1
       to the id pairs (boundary 2, boundary 0), and such a pair to the
-      1-tuples of boundary 1 ids: the moves of `paths.homotopic`; the
-      ids of a `generating` set of cocycle identities; and, not cached,
-      `permuted(sigma)`, the ids of the orientation action.
+      1-tuples of boundary 1 ids: the moves of `paths.homotopic`; and,
+      not cached, `permuted(sigma)`, the ids of the orientation action.
     Only `simplices` builds objects, and only `ids` reads it; the other
     tables never do, and neither does `encode(i)`, the text of simplex i.
     """
@@ -383,12 +384,17 @@ class Cells:
                      for x, (e, s) in zip(self.support, self.faces))
 
     @cached_property
-    def pinch(self):
-        up, out = self.complex[2], [None] * len(self.faces)
-        for k, (x, (c0, c1, _)) in enumerate(zip(up.support, up.faces)):
-            if self.faces[c0][1] == x == self.support[c1]:
-                out[c1] = k
-        return tuple(out)
+    def legs(self):
+        at = self.at
+        return tuple((at[s, s, e], at[s, s, a])
+                     for s, (e, a) in zip(self.support, self.faces))
+
+    @cached_property
+    def chains(self):
+        at = self.at
+        return tuple((a, e, at[s, s, v]) for x, (s, v), (e, a)
+                     in zip(self.support, self.faces, self.legs)
+                     if x != s != v and (s, s, v) in at)
 
     @cached_property
     def classes(self):
@@ -413,35 +419,6 @@ class Cells:
         return tuple(at[(x, *(rev[f[k]] if flip else f[k]
                               for k, flip in rule))]
                      for x, f in zip(self.support, self.faces))
-
-    @cached_property
-    def generating(self):
-        """The ids, in order, of the 2-simplices whose cocycle identities
-        u(b0) u(b2) = u(b1) imply those of all 2-simplices.
-
-        Let c have support x, faces (b0, b1, b2) and vertices v0, v1, v2
-        (b2 runs from v0 to v1, b0 from v1 to v2).  c is kept when b0 and
-        b1 have support x and (A) v1 and the support of b2 are x, or (B)
-        v2 is x and b2 has support v1, or (C) b0 = b1 = b2.  Write
-        u(s; c, a) for the 1-simplex with support s from a to c and
-        g(x, v) = u(x; x, v).  (A) gives u(s; c, a) = u(s; c, s) g(s, a)
-        and g(s, s) = e; (C) gives u(s; c, c) = e, so u(s; c, s) =
-        g(s, c)^-1; (B) gives g(x, v) = g(x, s) g(s, v) for v <= s <= x.
-        So u(s; c, a) = g(x, c)^-1 g(x, a) for every x >= s: both sides
-        of every identity with support x read g(x, v2)^-1 g(x, v0).  Each
-        kept c is itself an identity, so the test is exact."""
-        if self.dim != 2:
-            raise UnsupportedDimension("generating sets are of 2-simplices")
-        sup, ends = self.complex[1].support, self.complex[1].faces
-        return tuple(i for i, (x, (b0, b1, b2))
-                     in enumerate(zip(self.support, self.faces))
-                     if sup[b0] == sup[b1] == x
-                     and (ends[b2][0] == sup[b2] == x or b0 == b1 == b2
-                          or ends[b0][0] == x and sup[b2] == ends[b2][0]))
-
-    @cached_property
-    def _generating_faces(self):
-        return tuple(map(self.faces.__getitem__, self.generating))
 
     @cached_property
     def deformations(self):

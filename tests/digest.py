@@ -1,0 +1,118 @@
+"""One sha256 per part of the library's ordered outputs, on the five
+standard fixtures x Z2, Z3 and S3.
+
+Two trees that print the same digests compute the same tables, verdicts,
+cocycles, connections and acceptance details, in the same order.  Run it
+in each tree and compare:
+
+    PYTHONPATH=src python tests/digest.py
+
+The outputs are written as canonical reprs of tuples of ints, strings and
+booleans, so the digests do not depend on the hash seed;
+tests/test_digest.py checks that under two fixed seeds.
+"""
+
+import hashlib
+import random
+import sys
+
+from posetbundle.acceptance import (random_cocycle, random_connection,
+                                    run_all, standard_groups, standard_posets)
+from posetbundle.cochains import (Cochain1, classify_cocycles,
+                                  enumerate_cocycles, identity_failures,
+                                  is_cocycle, random_cochain1)
+from posetbundle.connections import construct_nonflat, induced_cocycle
+from posetbundle.errors import PosetBundleError
+from posetbundle.simplicial import complex_of
+
+# Cocycle enumerations larger than this (twoloop x S3) are recorded as
+# the error.
+LIMIT = 2000
+SAMPLES = 12
+
+
+def _cells():
+    groups = standard_groups()
+    for P in standard_posets().values():
+        for G in groups.values():
+            yield P, G, random.Random(f"{P.name}/{G.name}")
+
+
+def _outcome(f, *args):
+    """f(*args), or the name of the library error it raises."""
+    try:
+        return f(*args)
+    except PosetBundleError as caught:
+        return type(caught).__name__
+
+
+def _tables():
+    for P in standard_posets().values():
+        K = complex_of(P)
+        yield P.name, tuple((K[n].support, K[n].faces) for n in range(3))
+
+
+def _cocycle_checks():
+    """Random cochains, random cocycles and cocycles with one value
+    changed: each with its verdict and its failing 2-simplices."""
+    for P, G, rng in _cells():
+        for _ in range(SAMPLES):
+            z = random_cocycle(P, G, rng)
+            ids = list(z.ids)
+            ids[rng.randrange(len(ids))] = rng.randrange(len(G))
+            for u in (random_cochain1(P, G, rng), z,
+                      Cochain1._of(P, G, tuple(ids))):
+                yield u.ids, is_cocycle(u), tuple(
+                    c.encode() for c in identity_failures(u))
+
+
+def _cocycles():
+    def ids(cocycles):
+        return tuple(z.ids for z in cocycles)
+
+    for P, G, _ in _cells():
+        yield (P.name, G.name,
+               _outcome(lambda: ids(enumerate_cocycles(P, G, LIMIT))),
+               ids(classify_cocycles(P, G)))
+
+
+def _connections():
+    """Induced cocycles of random connections, and the nonflat
+    connection of a random cocycle with its witness."""
+    def nonflat(z):
+        u, witness = construct_nonflat(z)
+        return u.ids, witness and witness.encode()
+
+    for P, G, rng in _cells():
+        for _ in range(SAMPLES):
+            yield induced_cocycle(random_connection(P, G, rng)).ids
+        yield _outcome(nonflat, random_cocycle(P, G, rng))
+
+
+def _acceptance():
+    for r in run_all():
+        yield r.number, r.name, r.passed, r.detail
+
+
+PARTS = {
+    "tables": _tables,
+    "cocycle_checks": _cocycle_checks,
+    "cocycles": _cocycles,
+    "connections": _connections,
+    "acceptance": _acceptance,
+}
+
+
+def digests():
+    """Part name -> sha256 hex digest of the repr of its outputs."""
+    return {name: hashlib.sha256(repr(tuple(part())).encode()).hexdigest()
+            for name, part in PARTS.items()}
+
+
+def main():
+    for name, digest in digests().items():
+        sys.stdout.write(f"{name} {digest}\n")
+
+
+if __name__ == "__main__":
+    main()

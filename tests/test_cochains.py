@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from posetbundle.acceptance import random_cocycle
 from posetbundle.cochains import (
     Cochain0,
     Cochain1,
@@ -625,11 +626,46 @@ def test_a_cochain_name_is_rejected_or_round_trips_through_text(name):
     assert parse_cochain_text(text, CIRCLE2, Z3) == u
 
 
-@pytest.mark.parametrize("name", ["chain2", "chain3", "vee"])
-def test_generating_identities_decide_every_z2_cochain(posets, name):
-    """All 1-cochains over Z2, so also those that break only the
-    identities of one of the kinds `Cells.generating` keeps."""
-    P = posets[name]
-    for ids in itertools.product(range(2), repeat=len(complex_of(P)[1].faces)):
-        u = Cochain1._of(P, Z2, ids)
+@pytest.mark.parametrize("name, group", [("chain2", "z2"), ("chain3", "z2"),
+                                         ("vee", "z2"), ("chain2", "s3")])
+def test_functor_test_decides_every_cochain(posets, groups, name, group):
+    """All 1-cochains, so also those that break only the leg or only the
+    chain half of `is_cocycle`; over S3 as well, since Z2 cannot see the
+    order of a product."""
+    P, G = posets[name], groups[group]
+    n = len(complex_of(P)[1].faces)
+    for ids in itertools.product(range(len(G)), repeat=n):
+        u = Cochain1._of(P, G, ids)
         assert is_cocycle(u) == (next(identity_failures(u), None) is None)
+
+
+def test_a_changed_value_of_the_functor_fails_the_chain_test(posets):
+    """A chain3 x S3 cocycle z rebuilt through the legs from its functor
+    g(x, v) = z(x; x, v), with g(x3, x1) changed: the rebuilt cochain
+    passes every leg test by construction, so only the chain
+    x1 < x2 < x3 can reject it."""
+    P = posets["chain3"]
+    edges = complex_of(P)[1]
+    rows, inv = S3.rows, S3.inverses
+
+    def through_legs(g):
+        return Cochain1._of(P, S3, tuple(rows[inv[g[e]]][g[s]]
+                                         for e, s in edges.legs))
+
+    z = random_cocycle(P, S3, random.Random(3))
+    assert through_legs(z.ids) == z
+    g = list(z.ids)
+    k = edges.id_of(Simplex1("x3", Simplex0("x3"), Simplex0("x1")))
+    g[k] = rows[g[k]][S3.index["213"]]
+    u = through_legs(g)
+    assert u.ids[k] == g[k] and not is_cocycle(u)
+    assert next(identity_failures(u), None) is not None
+
+
+def test_a_degree_1_check_glues_no_2_simplices():
+    P = build_poset(["p", "q", "r"], [("p", "q"), ("q", "r")],
+                    name="fresh")
+    K = complex_of(P)
+    assert is_cocycle(trivial_cochain1(P, S3))
+    assert is_cocycle(coboundary0(random_cochain0(P, S3, random.Random(1))))
+    assert 2 not in K._cells

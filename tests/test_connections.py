@@ -185,6 +185,17 @@ def test_cochains_over_different_groups_are_one_mismatch(posets, op):
         "cochains live over different posets or groups")
 
 
+@pytest.mark.parametrize("name, group", [("circle2", "z2"), ("chain3", "z3"),
+                                         ("circle2", "s3")])
+def test_enumerate_connections_needs_a_bundle_over_its_base(posets, groups,
+                                                            name, group):
+    z = winding_cocycle(posets["circle2"], Z3, "g1")
+    with pytest.raises(Mismatch) as caught:
+        enumerate_connections(posets[name], groups[group], z)
+    assert str(caught.value) == (
+        "cochains live over different posets or groups")
+
+
 def test_curvature_properties(posets):
     P = posets["circle2"]
     for u in sample_connections(P, S3, 2, 4):

@@ -939,7 +939,7 @@ def near_a_coboundary(P, G, rng):
 
 
 def row_is_cocycle_near_coboundaries(P, G, rng):
-    """`is_cocycle` reads the identities of `Cells.generating` only;
+    """`is_cocycle` reads the identities of the legs and chains only;
     the reference checks every 2-simplex."""
     u = near_a_coboundary(P, G, rng)
     return is_cocycle(u), ref_is_cocycle(u)

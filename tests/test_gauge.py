@@ -3,7 +3,9 @@ import random
 import pytest
 
 from posetbundle.acceptance import full_image_cocycle, winding_cocycle
-from posetbundle.cochains import Morphism1, find_morphism, trivial_cochain1
+from posetbundle.cochains import (Morphism1, enumerate_cocycles,
+                                  find_morphism, is_morphism,
+                                  trivial_cochain1)
 from posetbundle.connections import (
     construct_nonflat,
     curvature,
@@ -157,6 +159,24 @@ def test_gauge_act_accepts_any_morphism(posets):
     for f in gauge_group(z):
         plain = Morphism1(z, z, f.assignment)
         assert gauge_act(plain, u) == gauge_act(f, u) == gauge_act(f.as_dict(), u)
+
+
+def test_morphism_checks_accept_any_morphism(posets):
+    """`is_gauge_transformation` and `is_morphism` take a `Morphism1` as
+    `gauge_act` does: every gauge transformation, and every morphism to
+    the cocycles in the gauge orbit of z and to the others."""
+    P = posets["circle2"]
+    z = winding_cocycle(P, S3, "231")
+    for f in gauge_group(z):
+        assert is_gauge_transformation(z, f)
+    rng = random.Random(5)
+    orbit = [gauge_act({a: rng.choice(S3.elements) for a in P.elements}, z)
+             for _ in range(10)]
+    for z1 in orbit + list(enumerate_cocycles(P, S3)[::37]):
+        m = find_morphism(z, z1)
+        assert m is not None or z1 not in orbit
+        if m is not None:
+            assert is_morphism(m, z, z1)
 
 
 def test_gauge_transformations_are_morphisms_to_the_bundle(posets):

@@ -229,6 +229,13 @@ def test_pickling_round_trips(posets):
         assert [type(d) for d in back] == [type(d) for d in simplices]
 
 
+def hand_built_legs(b):
+    """(s; s, end) and (s; s, start), for b with support s."""
+    top = Simplex0(b.support)
+    return (Simplex1(b.support, top, b.face0),
+            Simplex1(b.support, top, b.face1))
+
+
 def hand_built_pinch(b):
     top = Simplex0(b.support)
     return Simplex2(b.support, Simplex1(b.support, b.face0, top), b,
@@ -237,15 +244,28 @@ def hand_built_pinch(b):
 
 @pytest.mark.parametrize("poset_name", ["chain2", "chain3", "vee", "circle2",
                                         "twoloop"])
+def test_legs_are_the_hand_built_simplices(posets, poset_name):
+    edges = complex_of(posets[poset_name])[1]
+    table = edges.legs
+    assert len(table) == len(edges.simplices)
+    for b, legs in zip(edges.simplices, table):
+        assert tuple(map(edges.simplices.__getitem__, legs)) == \
+            hand_built_legs(b)
+    assert edges.legs is table
+
+
+@pytest.mark.parametrize("poset_name", ["chain2", "chain3", "vee", "circle2",
+                                        "twoloop"])
 def test_pinches_are_the_hand_built_simplices(posets, poset_name):
-    P = posets[poset_name]
-    table = complex_of(P)[1].pinch
-    assert len(table) == len(enumerate_simplices(P, 1))
-    triangles = enumerate_simplices(P, 2)
-    for b, c in zip(enumerate_simplices(P, 1), table):
-        assert triangles[c] == hand_built_pinch(b)
-        assert triangles[c].face1 is b
-    assert complex_of(P)[1].pinch is table
+    """The 2-simplex with vertices (start, support, end) and boundary 1
+    b, as `construct_nonflat` and criterion 7 look it up: at (support,
+    reverse of the end leg, b, start leg)."""
+    K = complex_of(posets[poset_name])
+    edges, triangles = K[1], K[2]
+    for i, (b, (e, s)) in enumerate(zip(edges.simplices, edges.legs)):
+        c = triangles.at[edges.support[i], edges.reverse[e], i, s]
+        assert triangles.simplices[c] == hand_built_pinch(b)
+        assert triangles.simplices[c].face1 is b
 
 
 def test_enumerated_returns_the_enumerated_object(posets):

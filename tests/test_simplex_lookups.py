@@ -1,5 +1,5 @@
-"""Lookups of enumerated simplices: the pinch simplices behind the induced
-cocycle, the reversal class tables, and inputs that name simplices or
+"""Lookups of enumerated simplices: the legs behind the induced cocycle,
+the reversal class tables, and inputs that name simplices or
 elements outside the poset or group."""
 
 import random

@@ -8,7 +8,6 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from posetbundle.acceptance import two_loop_poset
 from posetbundle.errors import BadParameter, IndexOutOfRange, UnsupportedDimension
 from posetbundle.paths import Path, _ranked
 from posetbundle.poset import build_poset, generate
@@ -363,8 +362,10 @@ def assert_complex_invariants(P, dims):
         for i, (b, r) in enumerate(zip(steps, edges.reverse)):
             assert edges.reverse[r] == i
             assert steps[r] is enumerated(P, reverse(b))
-            pinch = triangles.simplices[edges.pinch[i]]
-            assert pinch.face1 is b and pinch.face2.face0.support == b.support
+            end, start = (steps[k] for k in edges.legs[i])
+            assert (end.face1, start.face1) == b.faces
+            assert end.face0 is start.face0
+            assert end.support == start.support == end.face0.support == b.support
             assert _ranked(Path((b,)), P) == (i,)
         # the deformation index of `homotopic` speaks the same ids
         expansions, contractions = triangles.deformations
@@ -409,9 +410,17 @@ def test_id_tables_match_the_oracle_before_any_object(P):
                 raw_ids[n][degeneracy(f, i)] for f in raw[n - 1])
     edges = K[1]
     assert edges.reverse == tuple(raw_ids[1][reverse(b)] for b in raw[1])
-    for i, b in enumerate(raw[1]):
-        c = raw[2][edges.pinch[i]]
-        assert c.face1 == b and c.support == b.support == c.face2.face0.support
+
+    def g(x, v):
+        return raw_ids[1][Simplex1(x, Simplex0(x), Simplex0(v))]
+
+    assert edges.legs == tuple((g(b.support, b.face0.support),
+                                g(b.support, b.face1.support))
+                               for b in raw[1])
+    assert sorted(edges.chains) == sorted(
+        (g(x, v), g(x, s), g(s, v))
+        for x, s, v in itertools.permutations(P.elements, 3)
+        if P.leq(v, s) and P.leq(s, x))
     assert not any("simplices" in vars(K[n]) for n in range(4))
     for n in range(4):
         glued = K[n].simplices
@@ -455,16 +464,11 @@ def test_complex_cache_is_bounded():
         assert enumerate_simplices(P, 1) == enumerate_simplices_raw(P, 1)
 
 
-def test_generating_sets_are_sorted_ids_of_2_simplices(posets):
-    """A third of dimension 2 or less on the posets with loops."""
-    looped = {f"circle{k}": generate("circle", k) for k in (2, 3, 4)}
-    looped["twoloop"] = two_loop_poset()
-    for name, P in {**posets, **looped}.items():
-        cells = complex_of(P)[2]
-        ids = cells.generating
-        assert list(ids) == sorted(set(ids))
-        assert all(0 <= i < len(cells.faces) for i in ids)
-        if name in looped:
-            assert 3 * len(ids) <= len(cells.faces)
-    with pytest.raises(UnsupportedDimension):
-        complex_of(posets["circle2"])[1].generating
+def test_legs_and_chains_count_what_a_cocycle_test_reads(posets):
+    """One pair of legs per 1-simplex and one triple per strict chain
+    v < s < x: no chain on posets of height 1."""
+    for P, edges, chains in ((posets["circle2"], 20, 0),
+                             (posets["chain3"], 14, 1),
+                             (generate("chain", 4), 30, 4)):
+        cells = complex_of(P)[1]
+        assert (len(cells.legs), len(cells.chains)) == (edges, chains)
