@@ -356,16 +356,13 @@ def is_cocycle(cochain) -> bool:
     raise BadParameter("cocycle condition implemented for degrees 0-2")
 
 
-def identity_failures(u: Cochain1, inflating_only=False):
-    """The 2-simplices c, inflating ones only if asked, where the cocycle
-    identity u(c0) u(c2) = u(c1) fails, lazily and in order, from a scan
-    of every 2-simplex; only these are built as objects."""
+def identity_failures(u: Cochain1):
+    """The 2-simplices c where the cocycle identity u(c0) u(c2) = u(c1)
+    fails, lazily and in order, from a scan of every 2-simplex; only
+    these are built as objects.  `check-cocycle` lists them."""
     cells = complex_of(u.poset)[2]
     rows, x = u.group.rows, u.ids
-    triples = enumerate(cells.faces)
-    if inflating_only:
-        triples = itertools.compress(triples, cells.inflating)
-    return (cells.simplices[i] for i, (b0, b1, b2) in triples
+    return (cells.simplices[i] for i, (b0, b1, b2) in enumerate(cells.faces)
             if rows[x[b0]][x[b2]] != x[b1])
 
 

@@ -1,9 +1,9 @@
 """Connections on principal bundles over a poset.
 
 A connection is a 1-cochain that inverts under edge reversal and is
-flat on inflating 2-simplices.  Its curvature is the coboundary, its
-induced 1-cocycle is the underlying bundle, and its holonomy is the
-subgroup generated by values on based loops.
+flat on inflating 2-simplices, a functor on the inflating order.  Its
+curvature is the coboundary, its induced 1-cocycle the underlying
+bundle, and its holonomy the subgroup generated by based loop values.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .cochains import (
     coboundary1,
     enumerate_cocycles,
     extend_to_path,
-    identity_failures,
     is_cocycle,
     is_morphism,
     tree_transport,
@@ -48,20 +47,23 @@ from .simplicial import (
 )
 
 
-def connection_violations(u: Cochain1):
-    """Where the connection axioms fail: the members of reversal classes
-    whose values are not mutually inverse, and inflating 2-simplices that
-    are not flat."""
-    x, inv, cells = u.ids, u.group.inverses, u.cells
-    bad_edges = [k for i, j in cells.classes if x[j] != inv[x[i]]
-                 for k in ((i,) if i == j else (i, j))]
-    return (tuple(cells.simplices[k] for k in bad_edges),
-            tuple(identity_failures(u, inflating_only=True)))
-
-
 def is_connection(u: Cochain1) -> bool:
-    bad_edges, bad_triangles = connection_violations(u)
-    return not bad_edges and not bad_triangles
+    """Whether u inverts on every reversal class and is flat on the
+    inflating 2-simplices: `is_cocycle`'s test, with legs read on the
+    inflating 1-simplices only.  Legs are inflating, so b's leg identity
+    is inflating iff b is, and every chain's is; conversely both sides of
+    each inflating identity with support x read g(x, v2)^-1 g(x, v0)."""
+    rows, inv, x, cells = u.group.rows, u.group.inverses, u.ids, u.cells
+    for i, j in cells.classes:
+        if x[j] != inv[x[i]]:
+            return False
+    for g, (e, s), inflating in zip(x, cells.legs, cells.inflating):
+        if inflating and g != rows[inv[x[e]]][x[s]]:
+            return False
+    for xv, xs, sv in cells.chains:
+        if x[xv] != rows[x[xs]][x[sv]]:
+            return False
+    return True
 
 
 def _require_connection(u: Cochain1):

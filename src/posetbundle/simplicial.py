@@ -302,8 +302,10 @@ class Cells:
       to the id pairs (boundary 2, boundary 0), and such a pair to the
       1-tuples of boundary 1 ids: the moves of `paths.homotopic`; and,
       not cached, `permuted(sigma)`, the ids of the orientation action.
-    Only `simplices` builds objects, and only `ids` reads it; the other
-    tables never do, and neither does `encode(i)`, the text of simplex i.
+    The tables of dimension 1 or 2 raise `UnsupportedDimension` in any
+    other.  Only `simplices` builds objects, and only `ids` reads it; the
+    other tables never do, and neither does `encode(i)`, the text of
+    simplex i.
     """
 
     def __init__(self, K, n):
@@ -378,13 +380,20 @@ class Cells:
                 mask[k] = True
         return tuple(mask)
 
+    def _only_in(self, n, what):
+        if self.dim != n:
+            raise UnsupportedDimension(f"{what} implemented for "
+                                       f"{n}-simplices")
+
     @cached_property
     def reverse(self):
+        self._only_in(1, "reverses are")
         return tuple(self.at[x, s, e]
                      for x, (e, s) in zip(self.support, self.faces))
 
     @cached_property
     def legs(self):
+        self._only_in(1, "legs are")
         at = self.at
         return tuple((at[s, s, e], at[s, s, a])
                      for s, (e, a) in zip(self.support, self.faces))
@@ -411,9 +420,7 @@ class Cells:
         from `at` and the reverse ids one dimension down; for sigma =
         (1, 0, 2), simplex i with support x and faces (b0, b1, b2) goes
         to `at[x, b1, b0, reverse[b2]]`."""
-        if self.dim != 2:
-            raise UnsupportedDimension("the orientation action is "
-                                       "implemented for 2-simplices")
+        self._only_in(2, "the orientation action is")
         rule, at = _face_rule(sigma), self.at
         rev = self.complex[1].reverse
         return tuple(at[(x, *(rev[f[k]] if flip else f[k]
@@ -422,6 +429,7 @@ class Cells:
 
     @cached_property
     def deformations(self):
+        self._only_in(2, "deformations are")
         expansions, contractions = {}, {}
         for b0, b1, b2 in self.faces:
             expansions.setdefault(b1, []).append((b2, b0))

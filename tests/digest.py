@@ -2,8 +2,8 @@
 standard fixtures x Z2, Z3 and S3.
 
 Two trees that print the same digests compute the same tables, verdicts,
-cocycles, connections and acceptance details, in the same order.  Run it
-in each tree and compare:
+presentations, homomorphisms, cocycles, connections and acceptance
+details, in the same order.  Run it in each tree and compare:
 
     PYTHONPATH=src python tests/digest.py
 
@@ -21,13 +21,20 @@ from posetbundle.acceptance import (random_cocycle, random_connection,
 from posetbundle.cochains import (Cochain1, classify_cocycles,
                                   enumerate_cocycles, identity_failures,
                                   is_cocycle, random_cochain1)
-from posetbundle.connections import construct_nonflat, induced_cocycle
+from posetbundle.connections import (construct_nonflat, induced_cocycle,
+                                     is_connection)
 from posetbundle.errors import PosetBundleError
+from posetbundle.paths import (enumerate_homs, hom_class_representatives,
+                               pi1_presentation)
+from posetbundle.poset import base_point
 from posetbundle.simplicial import complex_of
 
+from inputs import CONNECTION_KINDS, near_a_connection
+
 # Cocycle enumerations larger than this (twoloop x S3) are recorded as
-# the error.
+# the error.  Homomorphism searches get room for twoloop x S3 (6^5).
 LIMIT = 2000
+HOM_LIMIT = 10 ** 4
 SAMPLES = 12
 
 
@@ -66,6 +73,36 @@ def _cocycle_checks():
                     c.encode() for c in identity_failures(u))
 
 
+def _connection_checks():
+    """`is_connection` on random connections and on each kind of
+    `inputs.near_a_connection`."""
+    for P, G, rng in _cells():
+        for _ in range(SAMPLES):
+            for kind in CONNECTION_KINDS:
+                u = near_a_connection(P, G, rng, kind)
+                yield u.ids, is_connection(u)
+
+
+def _presentation(P):
+    return pi1_presentation(P, base_point(P))
+
+
+def _pi1_presentations():
+    """The presentation at the base point and its words: the word of
+    each 1-simplex and the spanning tree's steps to each point."""
+    for P in standard_posets().values():
+        presentation, words = _presentation(P)
+        yield (P.name, presentation.generators, presentation.relators,
+               words.edge_words, words.tree)
+
+
+def _homs():
+    for P, G, _ in _cells():
+        presentation = _presentation(P)[0]
+        yield tuple(_outcome(f, presentation, G, HOM_LIMIT)
+                    for f in (enumerate_homs, hom_class_representatives))
+
+
 def _cocycles():
     def ids(cocycles):
         return tuple(z.ids for z in cocycles)
@@ -97,6 +134,9 @@ def _acceptance():
 PARTS = {
     "tables": _tables,
     "cocycle_checks": _cocycle_checks,
+    "connection_checks": _connection_checks,
+    "pi1_presentation": _pi1_presentations,
+    "homs": _homs,
     "cocycles": _cocycles,
     "connections": _connections,
     "acceptance": _acceptance,

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,7 +20,6 @@ from posetbundle.connections import (
     ambrose_singer_reduce,
     central_decompose,
     central_part,
-    connection_violations,
     construct_from_cochain,
     construct_nonflat,
     curvature,
@@ -95,8 +95,7 @@ def test_circle_connection_count(posets):
 def test_connection_axioms(posets):
     P = posets["circle2"]
     for u in sample_connections(P, S3, 1, 5):
-        bad_edges, bad_triangles = connection_violations(u)
-        assert not bad_edges and not bad_triangles
+        assert is_connection(u)
         for b in enumerate_simplices(P, 1):
             assert u(reverse(b)) == S3.inv(u(b))
     non = Cochain1(
@@ -345,15 +344,55 @@ def test_holonomy_layer_builds_no_simplex_objects():
     assert [n for n in (1, 2) if "simplices" in vars(K[n])] == []
 
 
-def test_reversal_violation_names_both_members(posets):
+def test_a_reversal_only_change_is_no_connection(posets):
+    # b is inflating in neither orientation, so no inflating 2-simplex
+    # reads it: the change breaks reversal only.
     P = posets["circle2"]
     u = sample_connections(P, Z3, 7, 1)[0]
     b = free_edge(P)
     values = dict(u.values)
     values[b] = Z3.mul(values[b], "g1")
-    bad_edges, bad_triangles = connection_violations(Cochain1(P, Z3, values))
-    assert set(bad_edges) == {b, reverse(b)} and not bad_triangles
-    assert not is_connection(Cochain1(P, Z3, values))
+    assert is_connection(u) and not is_connection(Cochain1(P, Z3, values))
+
+
+def inflating_scan_tables(P):
+    """The id of the reverse of every 1-simplex and the face ids of every
+    inflating 2-simplex, found through the simplex objects."""
+    edges = complex_of(P)[1]
+    return ([edges.id_of(reverse(b)) for b in edges.simplices],
+            [tuple(map(edges.id_of, c.faces))
+             for c in enumerate_simplices(P, 2, inflating_only=True)])
+
+
+@pytest.mark.parametrize("name, group", [("chain2", "z2"), ("chain3", "z2"),
+                                         ("vee", "z2"), ("chain2", "s3")])
+def test_functor_test_decides_every_connection(posets, groups, name, group):
+    """All 1-cochains against a scan of reversal on every 1-simplex and
+    the identity on every inflating 2-simplex; over S3 as well, since Z2
+    cannot see the order of a product."""
+    P, G = posets[name], groups[group]
+    rows, inv = G.rows, G.inverses
+    reverses, triangles = inflating_scan_tables(P)
+    for x in itertools.product(range(len(G)), repeat=len(reverses)):
+        assert is_connection(Cochain1._of(P, G, x)) == (
+            all(x[r] == inv[g] for g, r in zip(x, reverses))
+            and all(rows[x[b0]][x[b2]] == x[b1] for b0, b1, b2 in triangles))
+
+
+def test_connection_queries_glue_no_2_simplices():
+    # Deciding a connection reads the 1-simplex tables only, so none of
+    # these queries glues dimension 2 on a fresh complex.
+    complex_of.cache_clear()
+    P = generate("circle", 3)
+    z = trivial_cochain1(P, Z2)
+    found = enumerate_connections(P, Z2, z)
+    u, u1 = found[1], found[-1]
+    assert is_connection(u) and not is_flat(u1)
+    assert induced_cocycle(u) == z
+    assert central_decompose(u)[0] == z
+    assert is_connection(star_compose(u, u1))
+    assert construct_from_cochain(z, z) == z
+    assert 2 not in complex_of(P)._cells
 
 
 def test_noncentral_connection_is_rejected_by_every_central_operation(posets):

@@ -50,6 +50,7 @@ from posetbundle.connections import (
     holonomy_generators,
     induced_cocycle,
     is_adapted,
+    is_connection,
     restricted_holonomy,
 )
 from posetbundle.errors import (NoSuchSimplex, NotConnected,
@@ -87,6 +88,7 @@ from posetbundle.simplicial import (
     reverse,
 )
 
+from inputs import CONNECTION_KINDS, gathered_through_legs, near_a_connection
 from oracles import enumerate_cocycles_raw, named_word_value
 from strategies import small_posets
 
@@ -927,33 +929,40 @@ def row_is_cocycle(dim):
     return row
 
 
-def near_a_coboundary(P, G, rng):
-    """A random 1-cochain, a coboundary, or a coboundary with the value
-    at one random 1-simplex replaced by a random element: the cochains
-    that tell a check of some of the cocycle identities from one of all."""
+def near_coboundaries(P, G, rng):
+    """A random 1-cochain, a coboundary, that coboundary with the value
+    at one random 1-simplex replaced by a random element, and a random g
+    gathered through the legs, which breaks a chain identity only: the
+    cochains that tell a check of some of the cocycle identities from
+    one of all."""
     d = coboundary0(random_cochain0(P, G, rng))
     ids = list(d.ids)
     ids[rng.randrange(len(ids))] = rng.randrange(len(G))
-    return rng.choice([random_cochain1(P, G, rng), d,
-                       Cochain1._of(P, G, tuple(ids))])
+    return [random_cochain1(P, G, rng), d, Cochain1._of(P, G, tuple(ids)),
+            Cochain1._of(P, G, tuple(gathered_through_legs(P, G, rng)))]
 
 
 def row_is_cocycle_near_coboundaries(P, G, rng):
     """`is_cocycle` reads the identities of the legs and chains only;
     the reference checks every 2-simplex."""
-    u = near_a_coboundary(P, G, rng)
-    return is_cocycle(u), ref_is_cocycle(u)
+    us = near_coboundaries(P, G, rng)
+    return [is_cocycle(u) for u in us], [ref_is_cocycle(u) for u in us]
 
 
 def row_identity_failures(P, G, rng):
     u = either_cocycle_or_not(P, G, rng, 1)
-    inflating = [c for c in enumerate_simplices(P, 2) if is_inflating(P, c)]
-    return (
-        (tuple(identity_failures(u)),
-         tuple(identity_failures(u, inflating_only=True))),
-        (ref_identity_failures(u, enumerate_simplices(P, 2)),
-         ref_identity_failures(u, inflating)),
-    )
+    return (tuple(identity_failures(u)),
+            ref_identity_failures(u, enumerate_simplices(P, 2)))
+
+
+def row_is_connection(P, G, rng):
+    """`is_connection` reads reversal, the legs of the inflating
+    1-simplices and the chains; the reference checks reversal on every
+    1-simplex and every inflating 2-simplex, as objects.  One input of
+    each kind."""
+    us = [near_a_connection(P, G, rng, kind) for kind in CONNECTION_KINDS]
+    return ([is_connection(u) for u in us],
+            [satisfies_connection_axioms(u) for u in us])
 
 
 def row_extend_to_path(P, G, rng):
@@ -1036,6 +1045,7 @@ ROWS_UP_TO_DIM2 = {
     "is_cocycle_1": row_is_cocycle(1),
     "is_cocycle_1_near_coboundaries": row_is_cocycle_near_coboundaries,
     "identity_failures": row_identity_failures,
+    "is_connection": row_is_connection,
     "extend_to_path": row_extend_to_path,
     "curvature": row_curvature,
     "induced_cocycle": row_induced_cocycle,
@@ -1049,6 +1059,7 @@ ROWS_ON_FREE_EDGES = {
     "curvature": row_curvature,
     "induced_cocycle": row_induced_cocycle,
     "is_adapted": row_is_adapted,
+    "is_connection": row_is_connection,
     "restricted_holonomy": row_restricted_holonomy,
     "construct_nonflat": row_construct_nonflat,
 }
@@ -1088,10 +1099,44 @@ def test_is_cocycle_rows_see_both_verdicts(posets, groups):
                     for _ in range(12)}
         assert verdicts == {True, False}
     for G in groups.values():
-        verdicts = {row_is_cocycle_near_coboundaries(posets["twoloop"], G,
-                                                     rng)[1]
-                    for _ in range(12)}
+        verdicts = {v for _ in range(12) for v in
+                    row_is_cocycle_near_coboundaries(posets["twoloop"], G,
+                                                     rng)[1]}
         assert verdicts == {True, False}
+
+
+def connection_parts(u):
+    """Whether u inverts under reversal, whether it passes the leg
+    identity of every inflating 1-simplex, and whether it is a
+    connection, all read from the simplex objects."""
+    P, G = u.poset, u.group
+    legs = ref_induced(u)
+    return (all(u(reverse(b)) == G.inv(u(b))
+                for b in enumerate_simplices(P, 1)),
+            all(u(b) == legs[b]
+                for b in enumerate_simplices(P, 1, inflating_only=True)),
+            satisfies_connection_axioms(u))
+
+
+def test_each_kind_near_a_connection_breaks_its_part(posets, groups):
+    """Over S3, each changed kind of `near_a_connection` is no
+    connection in some of 12 draws, and breaks only the part of the test
+    it is made for: reversal on circle2's free classes; the leg identity
+    of chain3's one inflating 1-simplex that is no leg; a chain
+    identity, with every leg identity kept, on chain3."""
+    rng, S3 = random.Random(5), groups["s3"]
+    for name, kind, parts in (
+            ("circle2", "connection", {(True, True, True)}),
+            ("circle2", "reversal", {(False, True, False)}),
+            ("chain3", "inflating", {(True, False, False)}),
+            ("chain3", "non_functor", {(True, True, False),
+                                       (True, True, True)})):
+        seen = {connection_parts(near_a_connection(posets[name], S3, rng,
+                                                   kind))
+                for _ in range(12)}
+        assert seen <= parts, (name, kind)
+        assert any(not verdict for _, _, verdict in seen) == (
+            kind != "connection"), (name, kind)
 
 
 def test_values_and_tau_are_read_only(posets):

@@ -263,6 +263,19 @@ def test_permuted_rejects_non_permutations_and_other_dimensions(posets):
         K[1].permuted((1, 0, 2))
 
 
+@pytest.mark.parametrize("table, dim", [
+    ("reverse", 1), ("legs", 1), ("chains", 1), ("classes", 1),
+    ("free_classes", 1), ("deformations", 2)])
+def test_tables_of_one_dimension_reject_the_others(posets, table, dim):
+    # The chains read the legs, and the classes read the reverses, so
+    # the checks in reverse, legs and deformations cover every table.
+    K = complex_of(posets["circle2"])
+    getattr(K[dim], table)
+    for n in {0, 1, 2, 3} - {dim}:
+        with pytest.raises(UnsupportedDimension):
+            getattr(K[n], table)
+
+
 def test_repeated_calls_share_the_complex(posets):
     P = posets["circle2"]
     assert enumerate_simplices(P, 2) is enumerate_simplices(P, 2, False)
