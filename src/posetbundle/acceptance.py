@@ -35,7 +35,7 @@ from .paths import (
     pi1_presentation,
 )
 from .poset import Poset, build_poset, generate
-from .simplicial import complex_of, enumerate_simplices
+from .simplicial import complex_of
 
 DEFAULT_SEED = 20260824
 
@@ -80,7 +80,7 @@ def standard_posets():
 
 
 def _all_cochain1(P: Poset, G: FiniteGroup):
-    n = len(enumerate_simplices(P, 1))
+    n = len(complex_of(P)[1].faces)
     for ids in itertools.product(range(len(G)), repeat=n):
         yield Cochain1._of(P, G, ids)
 

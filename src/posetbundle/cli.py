@@ -219,16 +219,16 @@ def cmd_check_cocycle(args):
 
 def cmd_classify_cocycles(args):
     from .cochains import classify_cocycles
-    from .simplicial import enumerate_simplices
 
-    P, G = args.poset, args.group
-    reps = classify_cocycles(P, G, limit=args.limit)
+    G = args.group
+    reps = classify_cocycles(args.poset, G, limit=args.limit)
     return 0, {
         **_header(args),
         "classes": len(reps),
         "representatives": [
-            " ".join(f"{b.encode()}={z(b)}" for b in enumerate_simplices(P, 1)
-                     if z(b) != G.identity) or "(trivial)"
+            " ".join(f"{z.cells.encode(i)}={G.elements[g]}"
+                     for i, g in enumerate(z.ids) if g != G.unit)
+            or "(trivial)"
             for z in reps
         ],
     }
@@ -244,14 +244,11 @@ def cmd_dd_check(args):
 
 def cmd_curvature(args):
     from . import connections as cn
-    from .simplicial import enumerate_simplices
 
+    G = args.group
     w = cn.curvature(args.cochain)
-    nontrivial = [
-        f"{c.encode()} -> {w(c)}"
-        for c in enumerate_simplices(args.poset, 2)
-        if w(c) != args.group.identity
-    ]
+    nontrivial = [f"{w.cells.encode(i)} -> {G.elements[g]}"
+                  for i, g in enumerate(w.ids) if g != G.unit]
     return 0, {
         **_header(args),
         "flat": not nontrivial,

@@ -358,8 +358,10 @@ def is_cocycle(cochain) -> bool:
 
 def identity_failures(u: Cochain1):
     """The 2-simplices c where the cocycle identity u(c0) u(c2) = u(c1)
-    fails, lazily and in order, from a scan of every 2-simplex; only
-    these are built as objects.  `check-cocycle` lists them."""
+    fails, lazily and in order, from a scan of the face ids.  The first
+    failure builds the objects of every 2-simplex (`Cells.simplices`),
+    since this hands out objects; a cocycle builds none.  `check-cocycle`
+    lists them."""
     cells = complex_of(u.poset)[2]
     rows, x = u.group.rows, u.ids
     return (cells.simplices[i] for i, (b0, b1, b2) in enumerate(cells.faces)
@@ -604,8 +606,8 @@ def parse_cochain_text(text: str, P: Poset, G: FiniteGroup) -> Cochain1:
 def format_cochain_text(u: Cochain1, name="u") -> str:
     check_name(name, "cochain name")
     lines = [f"cochain {name} over {u.poset.name} values {u.group.name}"]
-    for b, g in u.values.items():
-        lines.append(f"{b.encode()} = {g}")
+    names = u.group.elements
+    lines += (f"{u.cells.encode(i)} = {names[g]}" for i, g in enumerate(u.ids))
     return "\n".join(lines) + "\n"
 
 

@@ -354,7 +354,8 @@ def pi1_presentation(P: Poset, a0: str):
 
     # Tree paths from a0 by BFS over the adjacency lists, which are in
     # insertion order; the base point's own path is its degenerate edge.
-    root, tree = K[0].id_of(Simplex0(a0)), [None] * len(P)
+    # A point's id is its rank in the element order.
+    root, tree = P.elements.index(a0), [None] * len(P)
     tree[root] = (K[1].degeneracies[0][root],)
     queue = [root]
     for x in queue:

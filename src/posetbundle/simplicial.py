@@ -160,10 +160,6 @@ def boundary(d, i):
     return d.faces[i]
 
 
-def support(d) -> str:
-    return d.support
-
-
 def degeneracy(d, i):
     """The degenerate (n+1)-simplex s_i(d); supports are preserved.
 
@@ -244,18 +240,16 @@ def _check_dimension(n):
         raise UnsupportedDimension(f"dimension {n!r} not supported (0..3)")
 
 
-def enumerate_simplices(P: Poset, n: int, inflating_only: bool = False):
+def enumerate_simplices(P: Poset, n: int):
     """All n-simplices of P in deterministic (sort key) order.
 
     The simplices are the objects of `complex_of(P)[n].simplices`, so
     every face of an enumerated simplex is the very object enumerated
     one dimension down, and each simplex hashes at most once.  Repeated
-    calls return the same cached tuple; `inflating_only` filters it.
+    calls return the same cached tuple; the `inflating` mask of the
+    same cells picks out the inflating ones.
     """
-    cells = complex_of(P)[n]
-    if inflating_only:
-        return tuple(itertools.compress(cells.simplices, cells.inflating))
-    return cells.simplices
+    return complex_of(P)[n].simplices
 
 
 def _gc_paused(f):
@@ -303,9 +297,10 @@ class Cells:
       1-tuples of boundary 1 ids: the moves of `paths.homotopic`; and,
       not cached, `permuted(sigma)`, the ids of the orientation action.
     The tables of dimension 1 or 2 raise `UnsupportedDimension` in any
-    other.  Only `simplices` builds objects, and only `ids` reads it; the
-    other tables never do, and neither does `encode(i)`, the text of
-    simplex i.
+    other.  Inside the library a simplex is an id: objects are built
+    (`simplices`, and `ids` from them) only where the public API takes a
+    simplex in or hands one out.  `encode(i)`, the text of simplex i,
+    reads the tables.
     """
 
     def __init__(self, K, n):

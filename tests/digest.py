@@ -2,8 +2,9 @@
 standard fixtures x Z2, Z3 and S3.
 
 Two trees that print the same digests compute the same tables, verdicts,
-presentations, homomorphisms, cocycles, connections and acceptance
-details, in the same order.  Run it in each tree and compare:
+presentations, homomorphisms, cocycles, connections, cochain texts,
+holonomy groups and acceptance details, in the same order.  Run it in
+each tree and compare:
 
     PYTHONPATH=src python tests/digest.py
 
@@ -19,10 +20,12 @@ import sys
 from posetbundle.acceptance import (random_cocycle, random_connection,
                                     run_all, standard_groups, standard_posets)
 from posetbundle.cochains import (Cochain1, classify_cocycles,
-                                  enumerate_cocycles, identity_failures,
-                                  is_cocycle, random_cochain1)
-from posetbundle.connections import (construct_nonflat, induced_cocycle,
-                                     is_connection)
+                                  enumerate_cocycles, format_cochain_text,
+                                  identity_failures, is_cocycle,
+                                  random_cochain1)
+from posetbundle.connections import (ambrose_singer_reduce, construct_nonflat,
+                                     holonomy, induced_cocycle, is_connection,
+                                     restricted_holonomy)
 from posetbundle.errors import PosetBundleError
 from posetbundle.paths import (enumerate_homs, hom_class_representatives,
                                pi1_presentation)
@@ -126,6 +129,32 @@ def _connections():
         yield _outcome(nonflat, random_cocycle(P, G, rng))
 
 
+def _text():
+    """`format_cochain_text` of random cochains, cocycles and
+    connections."""
+    for P, G, rng in _cells():
+        for _ in range(SAMPLES):
+            for make in (random_cochain1, random_cocycle, random_connection):
+                yield format_cochain_text(make(P, G, rng))
+
+
+def _holonomy():
+    """Holonomy, restricted holonomy and the Ambrose-Singer reduction at
+    the base point, on random connections and on the nonflat connection
+    of a random cocycle."""
+    def at_base(u):
+        a0 = base_point(u.poset)
+        reduced, morphism, H = ambrose_singer_reduce(u, a0)
+        return (u.ids, holonomy(u, a0), restricted_holonomy(u, a0),
+                H.name, H.elements, reduced.ids, morphism.assignment)
+
+    for P, G, rng in _cells():
+        for _ in range(SAMPLES):
+            yield at_base(random_connection(P, G, rng))
+        yield _outcome(lambda: at_base(construct_nonflat(
+            random_cocycle(P, G, rng))[0]))
+
+
 def _acceptance():
     for r in run_all():
         yield r.number, r.name, r.passed, r.detail
@@ -139,6 +168,8 @@ PARTS = {
     "homs": _homs,
     "cocycles": _cocycles,
     "connections": _connections,
+    "text": _text,
+    "holonomy": _holonomy,
     "acceptance": _acceptance,
 }
 

@@ -8,10 +8,10 @@ from posetbundle.errors import check_limit
 from posetbundle.groups import FiniteGroup
 from posetbundle.poset import Poset
 from posetbundle.simplicial import (_SIMPLEX_CLASSES, _check_dimension,
-                                    enumerate_simplices, is_inflating)
+                                    enumerate_simplices)
 
 
-def enumerate_simplices_raw(P: Poset, n: int, inflating_only: bool = False):
+def enumerate_simplices_raw(P: Poset, n: int):
     """Brute-force oracle for `enumerate_simplices`.
 
     Runs over the monotone maps from the nonempty subsets of {0..n} into
@@ -48,8 +48,6 @@ def enumerate_simplices_raw(P: Poset, n: int, inflating_only: bool = False):
         values.pop(subset, None)
 
     assign(0, {})
-    if inflating_only:
-        results = [d for d in results if is_inflating(P, d)]
     results.sort(key=lambda d: d.sort_key())
     return tuple(results)
 

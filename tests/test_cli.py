@@ -111,9 +111,9 @@ def test_simplices_reads_the_id_tables(workspace, capsys, monkeypatch):
     from posetbundle import simplicial
 
     P = standard_posets()["circle2"]
-    expected = [[d.encode() for d in simplicial.enumerate_simplices(
-        P, n, inflating_only=inflating)] for n in range(4)
-        for inflating in (False, True)]
+    expected = [[d.encode() for d in simplicial.enumerate_simplices(P, n)
+                 if not inflating or simplicial.is_inflating(P, d)]
+                for n in range(4) for inflating in (False, True)]
 
     def refuse(cells):
         raise AssertionError("simplex objects built")
@@ -126,6 +126,30 @@ def test_simplices_reads_the_id_tables(workspace, capsys, monkeypatch):
         report = json.loads(capsys.readouterr().out)
         assert report["count"] == len(expected[2 * n + inflating])
         assert report["simplices"] == expected[2 * n + inflating][:7]
+
+
+def test_reports_name_simplices_by_id(tmp_path):
+    """`classify-cocycles` and `pi1` build no simplex objects, and
+    `curvature` builds none of dimension 2: they name simplices through
+    the id tables.  Only the cochain file's parser builds objects, of
+    dimensions 0 and 1."""
+    from posetbundle.connections import construct_nonflat
+    from posetbundle.simplicial import complex_of
+
+    P, S3 = standard_posets()["circle2"], symmetric_group(3)
+    u, _ = construct_nonflat(winding_cocycle(P, S3, "213"), None, None)
+    (tmp_path / "p.poset").write_text(format_poset_text(P))
+    (tmp_path / "s3.group").write_text(format_group_text(S3))
+    (tmp_path / "u.cochain").write_text(format_cochain_text(u))
+    for command, built in ((["classify-cocycles", "p.poset", "s3.group"], []),
+                           (["pi1", "p.poset"], []),
+                           (["curvature", "p.poset", "s3.group", "u.cochain"],
+                            [0, 1])):
+        complex_of.cache_clear()
+        assert run([command[0]] + [tmp_path / f for f in command[1:]]) == 0
+        cells = complex_of(P)._cells
+        assert [n for n in sorted(cells)
+                if "simplices" in vars(cells[n])] == built
 
 
 def test_negative_limit_is_usage_error(workspace):

@@ -361,7 +361,7 @@ def inflating_scan_tables(P):
     edges = complex_of(P)[1]
     return ([edges.id_of(reverse(b)) for b in edges.simplices],
             [tuple(map(edges.id_of, c.faces))
-             for c in enumerate_simplices(P, 2, inflating_only=True)])
+             for c in enumerate_simplices(P, 2) if is_inflating(P, c)])
 
 
 @pytest.mark.parametrize("name, group", [("chain2", "z2"), ("chain3", "z2"),

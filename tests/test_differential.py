@@ -32,6 +32,7 @@ from posetbundle.cochains import (
     enumerate_cocycles,
     extend_to_path,
     find_morphism,
+    format_cochain_text,
     identity_failures,
     is_cocycle,
     is_morphism,
@@ -344,7 +345,7 @@ def satisfies_connection_axioms(u):
         u(reverse(b)) == G.inv(u(b)) for b in enumerate_simplices(P, 1)
     ) and all(
         G.mul(u(c.face0), u(c.face2)) == u(c.face1)
-        for c in enumerate_simplices(P, 2, inflating_only=True)
+        for c in enumerate_simplices(P, 2) if is_inflating(P, c)
     )
 
 
@@ -1035,6 +1036,18 @@ def row_tree_transport(P, G, rng):
     }
 
 
+def row_format_cochain_text(P, G, rng):
+    """The text read from the id tables (`Cells.encode`) against the
+    text of the objects in `values`, on a random cochain, cocycle and
+    connection."""
+    us = [random_cochain1(P, G, rng), random_cocycle(P, G, rng),
+          random_connection(P, G, rng)]
+    header = f"cochain u over {P.name} values {G.name}\n"
+    return [format_cochain_text(u) for u in us], [
+        header + "".join(f"{b.encode()} = {g}\n" for b, g in u.values.items())
+        for u in us]
+
+
 # Rows up to dimension 2 run on connected posets of height up to 4; the
 # rows that reach dimension 3 on posets of height at most 2, where it
 # stays small (a 4-chain has 153,367 3-simplices).
@@ -1050,6 +1063,7 @@ ROWS_UP_TO_DIM2 = {
     "curvature": row_curvature,
     "induced_cocycle": row_induced_cocycle,
     "tree_transport": row_tree_transport,
+    "format_cochain_text": row_format_cochain_text,
 }
 ROWS_IN_DIM3 = {"d2": row_d2, "is_cocycle_2": row_is_cocycle(2)}
 # Rows that twist a bundle on an edge non-inflating both ways, which a
@@ -1114,7 +1128,7 @@ def connection_parts(u):
     return (all(u(reverse(b)) == G.inv(u(b))
                 for b in enumerate_simplices(P, 1)),
             all(u(b) == legs[b]
-                for b in enumerate_simplices(P, 1, inflating_only=True)),
+                for b in enumerate_simplices(P, 1) if is_inflating(P, b)),
             satisfies_connection_axioms(u))
 
 

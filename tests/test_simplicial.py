@@ -30,7 +30,6 @@ from posetbundle.simplicial import (
     parse_simplex1,
     permute2,
     reverse,
-    support,
     validate_supports,
 )
 
@@ -118,7 +117,7 @@ def test_simplicial_identities_on_degeneracies(posets):
         assert boundary(s1, 1) == b and boundary(s1, 2) == b
         assert boundary(s1, 0) == degeneracy(b.face0, 0)
         assert is_degenerate(s0) and is_degenerate(s1)
-        assert support(s0) == b.support
+        assert s0.support == s1.support == b.support
     for c in enumerate_simplices(P, 2)[:25]:
         for i in range(3):
             d = degeneracy(c, i)
@@ -151,7 +150,8 @@ def test_inflating_criterion(posets):
     P = posets["circle2"]
     for b in enumerate_simplices(P, 1):
         assert is_inflating(P, b) == P.leq(b.face1.element, b.face0.element)
-    filtered = enumerate_simplices(P, 2, inflating_only=True)
+    filtered = tuple(itertools.compress(enumerate_simplices(P, 2),
+                                        complex_of(P)[2].inflating))
     oracle = tuple(
         c for c in enumerate_simplices(P, 2) if is_inflating(P, c)
     )
@@ -192,16 +192,16 @@ def assert_matches_oracle(P, dim):
     assert [d.encode() for d in glued] == [d.encode() for d in raw]
     assert [hash(d) for d in glued] == [hash(d) for d in raw]
     inflating = tuple(d for d in raw if is_inflating(P, d))
-    assert enumerate_simplices(P, dim, inflating_only=True) == inflating
+    mask = complex_of(P)[dim].inflating
+    assert tuple(itertools.compress(glued, mask)) == inflating
 
 
 def assert_faces_shared(P, dim):
     lower = {f: f for f in enumerate_simplices(P, dim - 1)}
-    for inflating_only in (False, True):
-        for d in enumerate_simplices(P, dim, inflating_only=inflating_only):
-            for i, f in enumerate(d.faces):
-                assert lower[f] is f
-                assert boundary(d, i) is f
+    for d in enumerate_simplices(P, dim):
+        for i, f in enumerate(d.faces):
+            assert lower[f] is f
+            assert boundary(d, i) is f
 
 
 @pytest.mark.parametrize("poset_name", ["chain2", "chain3", "vee", "circle2",
@@ -210,9 +210,6 @@ def test_enumeration_matches_oracle_on_fixtures(posets, poset_name):
     P = posets[poset_name]
     for dim in range(4):
         assert_matches_oracle(P, dim)
-    assert enumerate_simplices_raw(P, 2, inflating_only=True) == (
-        enumerate_simplices(P, 2, inflating_only=True)
-    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -278,10 +275,8 @@ def test_tables_of_one_dimension_reject_the_others(posets, table, dim):
 
 def test_repeated_calls_share_the_complex(posets):
     P = posets["circle2"]
-    assert enumerate_simplices(P, 2) is enumerate_simplices(P, 2, False)
-    assert enumerate_simplices(P, 2) is enumerate_simplices(
-        P, 2, inflating_only=False
-    )
+    assert enumerate_simplices(P, 2) is enumerate_simplices(P, 2)
+    assert enumerate_simplices(P, 2) is complex_of(P)[2].simplices
 
 
 def test_fresh_simplices_equal_enumerated_ones(posets):
