@@ -208,12 +208,14 @@ def _header(args):
 
 def cmd_check_cocycle(args):
     from .cochains import identity_failures, is_cocycle
+    from .simplicial import complex_of
 
     ok = is_cocycle(args.cochain)
     report = {**_header(args), "cocycle": ok}
     if not ok:
-        report["violations"] = [c.encode() for c in islice(
-            identity_failures(args.cochain), args.limit)]
+        report["violations"] = list(map(
+            complex_of(args.poset)[2].encode,
+            islice(identity_failures(args.cochain), args.limit)))
     return (0 if ok else 1), report
 
 

@@ -357,14 +357,11 @@ def is_cocycle(cochain) -> bool:
 
 
 def identity_failures(u: Cochain1):
-    """The 2-simplices c where the cocycle identity u(c0) u(c2) = u(c1)
-    fails, lazily and in order, from a scan of the face ids.  The first
-    failure builds the objects of every 2-simplex (`Cells.simplices`),
-    since this hands out objects; a cocycle builds none.  `check-cocycle`
-    lists them."""
-    cells = complex_of(u.poset)[2]
+    """The ids of the 2-simplices c where the cocycle identity
+    u(c0) u(c2) = u(c1) fails, lazily and in id order, from a scan of the
+    face ids; no simplex object is built.  `check-cocycle` lists them."""
     rows, x = u.group.rows, u.ids
-    return (cells.simplices[i] for i, (b0, b1, b2) in enumerate(cells.faces)
+    return (i for i, (b0, b1, b2) in enumerate(complex_of(u.poset)[2].faces)
             if rows[x[b0]][x[b2]] != x[b1])
 
 

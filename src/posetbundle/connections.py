@@ -86,7 +86,10 @@ def is_flat(u: Cochain1) -> bool:
 
 def transport_between(u: Cochain1, o: str, a1: str, a: str):
     """The parallel transport u(o; o, a1)^-1 u(o; o, a) between two
-    points below a common upper bound o."""
+    points below a common upper bound o; `UnknownElement` if a name is
+    not an element of P."""
+    for x in (o, a1, a):
+        u.poset.check_element(x)
     G = u.group
     top = Simplex0(o)
     return G.mul(

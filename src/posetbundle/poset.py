@@ -28,10 +28,10 @@ class Poset:
 
     Takes the reflexive-transitive closure (the up-set of each element,
     found by search).  A name the text formats cannot write back
-    (`errors.check_name`) is a `BadParameter`, a repeated element a
-    `DuplicateElement`, a pair naming an element not listed an
-    `UnknownElement`, and a cycle an `AntisymmetryViolation` for its
-    first pair in sorted order.
+    (`errors.check_name`) or a relation that is not a pair is a
+    `BadParameter`, a repeated element a `DuplicateElement`, a pair
+    naming an element not listed an `UnknownElement`, and a cycle an
+    `AntisymmetryViolation` for its first pair in sorted order.
     Immutable after construction.  Iteration order over elements is the
     sorted identifier order, so every enumeration built on top of a poset
     is reproducible.
@@ -47,7 +47,11 @@ class Poset:
             if x in above:
                 raise DuplicateElement(f"duplicate element {x!r}")
             above[x] = []
-        for lo, hi in relations:
+        for pair in relations:
+            try:
+                lo, hi = pair
+            except (TypeError, ValueError):
+                raise BadParameter(f"relation {pair!r} is not a pair") from None
             for x in (lo, hi):
                 if x not in above:
                     raise UnknownElement(
@@ -190,9 +194,12 @@ def generate(kind: str, n: int, name=None) -> Poset:
 
     chain(n): x1 <= ... <= xn.  vee: a1, a2 <= o (n ignored).
     circle(n): a_1..a_n, o_1..o_n with a_i <= o_i and a_{i mod n + 1} <= o_i;
-    its comparability graph is a 2n-cycle.  More than `GENERATE_LIMIT`
-    elements is a `SearchLimitExceeded`, raised before any work starts.
+    its comparability graph is a 2n-cycle.  An n that is not an int is a
+    `BadParameter`, and more than `GENERATE_LIMIT` elements a
+    `SearchLimitExceeded`, both raised before any work starts.
     """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise BadParameter(f"n must be an int, got {n!r}")
     size = {"chain": n, "circle": 2 * n}.get(kind, 3)
     check_limit(size, GENERATE_LIMIT, f"the {size} elements of {kind} {n}")
     if kind == "chain":

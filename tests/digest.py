@@ -3,8 +3,8 @@ standard fixtures x Z2, Z3 and S3.
 
 Two trees that print the same digests compute the same tables, verdicts,
 presentations, homomorphisms, cocycles, connections, cochain texts,
-holonomy groups and acceptance details, in the same order.  Run it in
-each tree and compare:
+holonomy groups, homotopy certificates, acceptance details and CLI
+outputs, in the same order.  Run it in each tree and compare:
 
     PYTHONPATH=src python tests/digest.py
 
@@ -14,8 +14,11 @@ tests/test_digest.py checks that under two fixed seeds.
 """
 
 import hashlib
+import os
 import random
 import sys
+import tempfile
+from pathlib import Path
 
 from posetbundle.acceptance import (random_cocycle, random_connection,
                                     run_all, standard_groups, standard_posets)
@@ -24,21 +27,27 @@ from posetbundle.cochains import (Cochain1, classify_cocycles,
                                   identity_failures, is_cocycle,
                                   random_cochain1)
 from posetbundle.connections import (ambrose_singer_reduce, construct_nonflat,
-                                     holonomy, induced_cocycle, is_connection,
+                                     enumerate_loops, holonomy,
+                                     induced_cocycle, is_connection,
                                      restricted_holonomy)
 from posetbundle.errors import PosetBundleError
 from posetbundle.paths import (enumerate_homs, hom_class_representatives,
-                               pi1_presentation)
+                               homotopic, pi1_presentation)
 from posetbundle.poset import base_point
 from posetbundle.simplicial import complex_of
 
-from inputs import CONNECTION_KINDS, near_a_connection
+from inputs import (CONNECTION_KINDS, INVOCATIONS, invoke, near_a_connection,
+                    write_fixtures)
 
 # Cocycle enumerations larger than this (twoloop x S3) are recorded as
 # the error.  Homomorphism searches get room for twoloop x S3 (6^5).
 LIMIT = 2000
 HOM_LIMIT = 10 ** 4
 SAMPLES = 12
+# Homotopy queries: pairs of loops of length <= 4 at the base point,
+# QUERIES per poset, searched within bound 5.
+HOMOTOPY_POSETS = ("circle2", "twoloop", "chain3", "vee")
+QUERIES = 20
 
 
 def _cells():
@@ -73,7 +82,7 @@ def _cocycle_checks():
             for u in (random_cochain1(P, G, rng), z,
                       Cochain1._of(P, G, tuple(ids))):
                 yield u.ids, is_cocycle(u), tuple(
-                    c.encode() for c in identity_failures(u))
+                    map(complex_of(P)[2].encode, identity_failures(u)))
 
 
 def _connection_checks():
@@ -155,9 +164,37 @@ def _holonomy():
             random_cocycle(P, G, rng))[0]))
 
 
+def _homotopy():
+    """The verdict of `homotopic` on seeded pairs of loops, with the
+    encoding of each path of a "yes" certificate."""
+    posets = standard_posets()
+    for name in HOMOTOPY_POSETS:
+        P = posets[name]
+        loops = enumerate_loops(P, base_point(P), 4)
+        rng = random.Random(f"homotopy/{name}")
+        for _ in range(QUERIES):
+            p, q = rng.choice(loops), rng.choice(loops)
+            verdict = homotopic(p, q, P, 5)
+            yield (p.encode(), q.encode(), verdict.status,
+                   tuple(path.encode() for path in verdict.certificate))
+
+
 def _acceptance():
     for r in run_all():
         yield r.number, r.name, r.passed, r.detail
+
+
+def _cli():
+    """Exit code, stdout and stderr of each golden CLI invocation, run in
+    process in a directory that `inputs.write_fixtures` fills."""
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        write_fixtures(Path(tmp))
+        os.chdir(tmp)
+        try:
+            return [(i, invoke(i)) for i in INVOCATIONS]
+        finally:
+            os.chdir(here)
 
 
 PARTS = {
@@ -171,6 +208,8 @@ PARTS = {
     "text": _text,
     "holonomy": _holonomy,
     "acceptance": _acceptance,
+    "homotopy": _homotopy,
+    "cli": _cli,
 }
 
 

@@ -128,11 +128,11 @@ def test_simplices_reads_the_id_tables(workspace, capsys, monkeypatch):
         assert report["simplices"] == expected[2 * n + inflating][:7]
 
 
-def test_reports_name_simplices_by_id(tmp_path):
+def test_reports_name_simplices_by_id(tmp_path, monkeypatch):
     """`classify-cocycles` and `pi1` build no simplex objects, and
-    `curvature` builds none of dimension 2: they name simplices through
-    the id tables.  Only the cochain file's parser builds objects, of
-    dimensions 0 and 1."""
+    `curvature` and `check-cocycle` on a cochain that is no cocycle build
+    none of dimension 2: they name simplices through the id tables.  Only
+    the cochain file's parser builds objects, of dimensions 0 and 1."""
     from posetbundle.connections import construct_nonflat
     from posetbundle.simplicial import complex_of
 
@@ -141,12 +141,15 @@ def test_reports_name_simplices_by_id(tmp_path):
     (tmp_path / "p.poset").write_text(format_poset_text(P))
     (tmp_path / "s3.group").write_text(format_group_text(S3))
     (tmp_path / "u.cochain").write_text(format_cochain_text(u))
-    for command, built in ((["classify-cocycles", "p.poset", "s3.group"], []),
-                           (["pi1", "p.poset"], []),
-                           (["curvature", "p.poset", "s3.group", "u.cochain"],
-                            [0, 1])):
+    monkeypatch.chdir(tmp_path)
+    for command, code, built in (
+            (["classify-cocycles", "p.poset", "s3.group"], 0, []),
+            (["pi1", "p.poset"], 0, []),
+            (["curvature", "p.poset", "s3.group", "u.cochain"], 0, [0, 1]),
+            (["check-cocycle", "p.poset", "s3.group", "u.cochain",
+              "--limit", "3"], 1, [0, 1])):
         complex_of.cache_clear()
-        assert run([command[0]] + [tmp_path / f for f in command[1:]]) == 0
+        assert run(command) == code
         cells = complex_of(P)._cells
         assert [n for n in sorted(cells)
                 if "simplices" in vars(cells[n])] == built
@@ -286,7 +289,7 @@ def test_path_file_errors_give_the_line(workspace, tmp_path, capsys):
     assert capsys.readouterr().err.endswith(f"(line 3) in {bad}\n")
 
 
-def test_check_cocycle_exit_codes(workspace):
+def test_check_cocycle_exit_codes(workspace, capsys):
     args = ["check-cocycle", workspace / "circle2.poset",
             workspace / "z3.group", workspace / "winding.cochain"]
     assert run(args) == 0
@@ -297,9 +300,21 @@ def test_check_cocycle_exit_codes(workspace):
         line.replace("= g0", "= g1", 1) if "(a1;a1,a1)" in line else line
         for line in lines[1:]
     ]
+    assert "(a1;a1,a1) = g1" in broken
     (workspace / "broken.cochain").write_text("\n".join(broken) + "\n")
     args[-1] = workspace / "broken.cochain"
+    capsys.readouterr()
     assert run(args) == 1
+    out = capsys.readouterr().out
+    violations = out.split("violations:\n")[1].splitlines()
+    assert violations and all(v.startswith("  (") for v in violations)
+    # Its degenerate value g1 is not its own inverse in Z3, so the same
+    # cochain is no connection.
+    for command in ("curvature", "induce", "holonomy"):
+        assert run([command, *args[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not a connection" in err
+        assert "Traceback" not in err
 
 
 def test_homotopic_limit_is_an_input_error(workspace, tmp_path, capsys):

@@ -350,7 +350,8 @@ def test_cocycle_violation_reporting(posets):
     non = random_cochain1(P, Z2, rng)
     while is_cocycle(non):
         non = random_cochain1(P, Z2, rng)
-    bad = tuple(identity_failures(non))
+    simplices = complex_of(P)[2].simplices
+    bad = tuple(simplices[i] for i in identity_failures(non))
     assert bad
     for c in bad:
         assert Z2.mul(non(c.face0), non(c.face2)) != non(c.face1)

@@ -320,6 +320,8 @@ def test_base_points_outside_the_poset_are_unknown_elements(posets):
     P = posets["circle2"]
     z = winding_cocycle(P, Z3, "g1")
     for call in (lambda: holonomy_conjugacy_check(z, "a1", "zz"),
+                 lambda: transport_between(z, "zz", "a1", "a1"),
+                 lambda: transport_between(z, "o1", "a1", "zz"),
                  lambda: enumerate_loops(P, "zz", 2),
                  lambda: holonomy_by_loops(z, "zz", 4)):
         with pytest.raises(UnknownElement) as caught:

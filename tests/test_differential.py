@@ -952,7 +952,8 @@ def row_is_cocycle_near_coboundaries(P, G, rng):
 
 def row_identity_failures(P, G, rng):
     u = either_cocycle_or_not(P, G, rng, 1)
-    return (tuple(identity_failures(u)),
+    simplices = complex_of(P)[2].simplices
+    return (tuple(simplices[i] for i in identity_failures(u)),
             ref_identity_failures(u, enumerate_simplices(P, 2)))
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import posetbundle
-from test_cli_golden import INVOCATIONS, write_fixtures
+from inputs import INVOCATIONS, write_fixtures
 
 SRC = str(Path(posetbundle.__file__).parents[1])
 

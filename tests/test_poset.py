@@ -89,6 +89,10 @@ def test_generate_rejects_bad_parameters():
         generate("circle", 1)
     with pytest.raises(BadParameter):
         generate("torus", 2)
+    for n in (2.0, "3", True, None):
+        with pytest.raises(BadParameter) as caught:
+            generate("chain", n)
+        assert str(caught.value) == f"n must be an int, got {n!r}"
 
 
 def test_down_and_up_sets():
@@ -231,7 +235,9 @@ def test_build_poset_matches_the_warshall_closure(rels):
      "relation references unknown element 'b'"),
     (["a", "b"], [("a", "b"), ("b", "a")], AntisymmetryViolation,
      "'a' <= 'b' and 'b' <= 'a'"),
-], ids=["repeated", "unknown", "cycle"])
+    (["a", "b", "c"], [("a", "b"), ("a", "b", "c")], BadParameter,
+     "relation ('a', 'b', 'c') is not a pair"),
+], ids=["repeated", "unknown", "cycle", "not_a_pair"])
 def test_poset_validates_its_input(elements, relations, error, message):
     for construct in (build_poset, Poset):
         with pytest.raises(error) as caught:
