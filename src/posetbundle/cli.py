@@ -3,9 +3,9 @@ and deterministic reports.
 
 Every command is one row of `COMMANDS`: its name, its handler, the input
 files it loads (poset, group, cochain), its further arguments and its
-help.  `run` parses the arguments, loads every input file into the
-object it describes and hands the result to the handler, which only
-builds the report.
+help.  `run` parses the arguments against the table (`parse`), loads
+every input file into the object it describes and hands the result to
+the handler, which only builds the report.
 
 Exit codes: 0 for success / true verdicts, 1 for false verdicts,
 2 for usage, input or output errors.  An input error ends with the
@@ -14,12 +14,13 @@ file it came from and, when it is about one line, the line number.
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
+from contextlib import contextmanager
 from itertools import compress, islice
 from pathlib import Path as FilePath
+from types import SimpleNamespace
 
 from .errors import PosetBundleError, UsageError, content_lines, located
 
@@ -33,6 +34,16 @@ def _read(path):
         return FilePath(path).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
+
+
+@contextmanager
+def _writing(path):
+    """Report an `OSError` raised while writing `path` as `_read` reports
+    one raised while reading."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
 
 
 def _parse_path(text, P):
@@ -133,7 +144,8 @@ def cmd_gen(args):
     P = generate(args.kind, args.n)
     text = format_poset_text(P)
     if args.output:
-        FilePath(args.output).write_text(text)
+        with _writing(args.output):
+            FilePath(args.output).write_text(text)
         return 0, {"wrote": args.output, "poset": P.name}
     if args.format == "json":
         return 0, {"poset": P.name, "text": text}
@@ -412,7 +424,8 @@ def cmd_suite(args):
     from . import acceptance
 
     directory = FilePath(args.fixtures)
-    written = sorted(_write_fixtures(directory))
+    with _writing(directory):
+        written = sorted(_write_fixtures(directory))
     problems = _fixture_problems(directory)
     text = args.format == "text"
     if text:
@@ -449,15 +462,17 @@ def _nonnegative_int(text):
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        raise UsageError(f"not an integer: {text!r}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        raise UsageError(f"must be >= 0, got {value}")
     return value
 
 
 def arg(*flags, load=None, **kwargs):
-    """An argument: argparse flags and options, and the `LOADERS` kind
-    that turns the named file into an object, if it names one."""
+    """An argument: its flags (or its name, for a positional), how `parse`
+    takes it (`type`, `choices`, `default`, `required`, or
+    `action="store_true"` for a flag), and the `LOADERS` kind that turns
+    the named file into an object, if it names one."""
     return flags, load, kwargs
 
 
@@ -465,7 +480,6 @@ BASE = arg("--base")
 LIMIT = arg("--limit", type=_nonnegative_int, default=100)
 
 # name, handler, input files loaded in order, further arguments, help
-# (None: the command is not listed in --help)
 COMMANDS = (
     ("validate", cmd_validate, "poset", (), "check a poset file"),
     ("gen", cmd_gen, "", (arg("kind", choices=("chain", "vee", "circle")),
@@ -483,20 +497,29 @@ COMMANDS = (
      "bounded homotopy test"),
     ("group-validate", cmd_group_validate, "group", (), "check a group file"),
     ("check-cocycle", cmd_check_cocycle, "poset group cochain", (LIMIT,),
-     None),
-    ("dd-check", cmd_dd_check, "poset group cochain", (), None),
-    ("curvature", cmd_curvature, "poset group cochain", (LIMIT,), None),
-    ("induce", cmd_induce, "poset group cochain", (), None),
-    ("gauge-group", cmd_gauge_group, "poset group cochain", (), None),
+     "check the cocycle identity"),
+    ("dd-check", cmd_dd_check, "poset group cochain", (),
+     "check that the second coboundary is trivial"),
+    ("curvature", cmd_curvature, "poset group cochain", (LIMIT,),
+     "curvature of a connection"),
+    ("induce", cmd_induce, "poset group cochain", (),
+     "the cocycle a connection induces"),
+    ("gauge-group", cmd_gauge_group, "poset group cochain", (),
+     "gauge group of a cocycle's bundle"),
     ("classify-cocycles", cmd_classify_cocycles, "poset group",
-     (arg("--limit", type=_nonnegative_int, default=10 ** 6),), None),
+     (arg("--limit", type=_nonnegative_int, default=10 ** 6),),
+     "one cocycle of each class"),
     ("holonomy", cmd_holonomy, "poset group cochain",
-     (BASE, arg("--restricted", action="store_true")), None),
+     (BASE, arg("--restricted", action="store_true")),
+     "holonomy group of a connection"),
     ("nonflat", cmd_nonflat, "poset group",
-     (arg("--cocycle", load="cochain"), arg("--edge"), arg("--g")), None),
-    ("reduce", cmd_reduce, "poset group cochain", (BASE,), None),
+     (arg("--cocycle", load="cochain"), arg("--edge"), arg("--g")),
+     "build a connection that is not flat"),
+    ("reduce", cmd_reduce, "poset group cochain", (BASE,),
+     "Ambrose-Singer reduction of a connection"),
     ("gauge-act", cmd_gauge_act, "poset group cochain",
-     (arg("--transform", required=True, load="assignment"),), None),
+     (arg("--transform", required=True, load="assignment"),),
+     "apply a gauge transformation to a connection"),
     ("suite", cmd_suite, "",
      (arg("--fixtures", default="fixtures"),
       arg("--seed", type=int)),
@@ -504,40 +527,178 @@ COMMANDS = (
 )
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="posetbundle",
-        description="Non-Abelian cohomology of finite posets: simplices, "
-        "cocycles, connections, holonomy and gauge transformations.",
-    )
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, inputs, extra, help_ in COMMANDS:
-        p = sub.add_parser(name, **({"help": help_} if help_ else {}))
-        loads = []
-        for flags, load, kwargs in [arg(kind, load=kind)
-                                    for kind in inputs.split()] + list(extra):
-            action = p.add_argument(*flags, **kwargs)
-            if load:
-                loads.append((action.dest, load))
-        p.set_defaults(fn=fn, loads=loads)
-    return parser
+# -- parsing ---------------------------------------------------------------
+#
+# `parse` reads argv against the rows of `COMMANDS` by the rules of the
+# argparse module it replaced, whose import and parser set-up cost more
+# than most commands spend on their own work.  `--format` goes before
+# the command.  The command's positionals come in order, and its options
+# before, between or after them, as `--name value`, `--name=value`, a
+# unique prefix of a long name, `-o value` or `-ovalue`.  A token that
+# names no option is a positional if it is `-`, does not begin with `-`,
+# reads as a negative number or holds a space; any other is an unknown
+# option.  After `--`, every token is a positional.  Where no bytecode is
+# written (`PYTHONDONTWRITEBYTECODE`), every command compiles each line
+# below again, so the parser is kept short.
+
+PROG = "posetbundle"
+DESCRIPTION = ("Non-Abelian cohomology of finite posets: simplices, cocycles,\n"
+               "connections, holonomy and gauge transformations.")
+HELP = arg("-h", "--help", action="help")
+COMMAND = arg("command", choices=tuple(row[0] for row in COMMANDS))
+TOP = (arg("--format", choices=("text", "json"), default="text"), COMMAND)
+
+
+def _specs(row):
+    return (*(arg(kind, load=kind) for kind in row[2].split()), *row[3])
+
+
+def _dest(spec):
+    return spec[0][-1].lstrip("-").replace("-", "_")
+
+
+def _split(specs):
+    """The positionals of `specs`, and each option by each of its flags."""
+    return ([s for s in specs if s[0][0][0] != "-"],
+            {f: s for s in (HELP, *specs) for f in s[0] if f[0] == "-"})
+
+
+def _usage(prog, specs):
+    """The usage line as argparse writes it: options first."""
+    options, positionals = ["[-h]"], []
+    for spec in specs:
+        flags, _, kwargs = spec
+        meta = _dest(spec).upper() if flags[0][0] == "-" else flags[0]
+        if "choices" in kwargs:
+            meta = "{" + ",".join(kwargs["choices"]) + "}"
+        if spec is COMMAND:
+            meta = "COMMAND ..."
+        if flags[0][0] != "-":
+            positionals.append(meta)
+            continue
+        word = flags[0] if "action" in kwargs else f"{flags[0]} {meta}"
+        options.append(word if kwargs.get("required") else f"[{word}]")
+    return " ".join(["usage:", prog, *options, *positionals])
+
+
+def _option(token, options):
+    """How `token` reads among `options`: None for a positional, else
+    the spec of the option it names (None for an unknown option) and
+    the value it carries after `=` or after a one-letter flag."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    if token in options or token == "--":
+        return options.get(token), None
+    if eq and name in options:
+        return options[name], value
+    if token[:2] == "--":
+        matches = [flag for flag in options if flag.startswith(name)]
+        if len(matches) > 1:
+            raise UsageError(f"ambiguous option: {token} could match "
+                             f"{', '.join(matches)}")
+        if matches:
+            return options[matches[0]], value if eq else None
+    elif token[:2] in options:
+        return options[token[:2]], token[2:]
+    if " " in token or re.match(r"-\d+$|-\d*\.\d+$", token):
+        return None
+    return None, None
+
+
+def _value(spec, text):
+    """`text` converted and checked as the value of `spec`."""
+    flags, _, kwargs = spec
+    try:
+        value = kwargs.get("type", str)(text)
+    except (UsageError, ValueError) as exc:
+        raise UsageError(f"argument {'/'.join(flags)}: {exc}") from None
+    if value not in kwargs.get("choices", (value,)):
+        raise UsageError(f"argument {'/'.join(flags)}: invalid choice: "
+                         f"{value!r} (choose from "
+                         f"{', '.join(kwargs['choices'])})")
+    return value
+
+
+def parse(argv):
+    """The row of `COMMANDS` that `argv` names and the parsed arguments,
+    or None once the help that argv asks for is printed.  A usage error
+    raises a `UsageError` whose text is a usage line and an error line."""
+    prog, specs, row, args = PROG, TOP, None, SimpleNamespace()
+    tokens, strays, ended = list(argv), [], False
+    positionals, options = _split(specs)
+    try:
+        while tokens:
+            token = tokens.pop(0)
+            if token == "--" and row and not ended:
+                ended = True
+                continue
+            found = None if ended else _option(token, options)
+            if found is None and positionals:
+                spec = positionals.pop(0)
+                setattr(args, _dest(spec), _value(spec, token))
+                if spec is COMMAND:
+                    # The command's own arguments follow it.
+                    row = next(r for r in COMMANDS if r[0] == token)
+                    prog, specs = f"{PROG} {token}", _specs(row)
+                    positionals, options = _split(specs)
+            elif found is None or found[0] is None:
+                strays.append(token)
+            else:
+                spec, value = found
+                flags, _, kwargs = spec
+                action = kwargs.get("action")
+                if action and value is not None:
+                    raise UsageError(f"argument {'/'.join(flags)}: ignored "
+                                     f"explicit argument {value!r}")
+                if action == "help":
+                    print(_usage(prog, specs), "", row[4] if row else
+                          DESCRIPTION, sep="\n")
+                    if not row:
+                        print("", *(f"  {r[0]:<19}{r[4]}" for r in COMMANDS),
+                              sep="\n")
+                    return None
+                if not action and value is None:
+                    if not tokens or _option(tokens[0], options) is not None:
+                        raise UsageError(f"argument {'/'.join(flags)}: "
+                                         "expected one argument")
+                    value = tokens.pop(0)
+                setattr(args, _dest(spec),
+                        True if action else _value(spec, value))
+        missing = positionals + [s for s in specs if s[2].get("required")
+                                 and not hasattr(args, _dest(s))]
+        if missing:
+            raise UsageError("the following arguments are required: "
+                             + ", ".join("/".join(s[0]) for s in missing))
+        if strays:
+            raise UsageError(f"unrecognized arguments: {' '.join(strays)}")
+    except UsageError as exc:
+        raise UsageError(f"{_usage(prog, specs)}\n{prog}: error: {exc}") \
+            from None
+    for spec in (*TOP, *specs):
+        if not hasattr(args, _dest(spec)):
+            setattr(args, _dest(spec), spec[2].get(
+                "default", False if "action" in spec[2] else None))
+    return row, args
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        parsed = parse(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    if parsed is None:
+        return 0
+    row, args = parsed
     try:
-        for dest, load in args.loads:
-            path = getattr(args, dest)
-            if path is not None:
+        for spec in _specs(row):
+            path = getattr(args, _dest(spec))
+            if spec[1] and path is not None:
                 text = _read(path)
                 with located(f" in {path}"):
-                    setattr(args, dest, LOADERS[load](text, args))
-        code, report = args.fn(args)
+                    setattr(args, _dest(spec), LOADERS[spec[1]](text, args))
+        code, report = row[1](args)
     except PosetBundleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -77,11 +77,11 @@ def near_a_connection(P, G, rng, kind):
 
 PATH_FILES = {
     "circle2-yes-p.path": "(o1;o1,a1);(o1;a1,a2);(o1;a2,a2);(o1;a2,o1)",
-    "circle2-yes-q.path": "(o1;o1,a1);(o1;a1,a2);(o1;a2,a2);(o1;a2,o1)",
+    "circle2-yes-q.path": "(o1;o1,a1);(o1;a1,a2);(o2;a2,a2);(o1;a2,o1)",
     "circle2-no-p.path": "(o1;o1,a1);(o1;a1,o1);(o1;o1,o1);(o1;o1,o1)",
     "circle2-no-q.path": "(o1;o1,a2);(o2;a2,a1);(o2;a1,a1);(o1;a1,o1)",
     "twoloop-yes-p.path": "(M1;M1,m2);(M2;m2,m2);(M1;m2,m2);(M1;m2,M1)",
-    "twoloop-yes-q.path": "(M1;M1,m2);(M2;m2,m2);(M1;m2,m2);(M1;m2,M1)",
+    "twoloop-yes-q.path": "(M1;M1,m2);(M2;m2,M2);(M2;M2,m2);(M1;m2,M1)",
     "twoloop-no-p.path": "(M1;M1,M1);(M1;M1,m1);(M1;m1,m2);(M1;m2,M1)",
     "twoloop-no-q.path": "(M1;M1,m1);(M3;m1,m2);(M1;m2,m1);(M1;m1,M1)",
 }

@@ -1,10 +1,15 @@
 """Brute-force oracles that only the tests use: each rebuilds a result
-of the library from its definition, independently of the fast tables."""
+of the library from its definition, independently of the fast tables;
+and the argparse parser that `cli.parse` replaced."""
 
+import argparse
+import contextlib
+import io
 import itertools
 
+from posetbundle.cli import COMMANDS, arg
 from posetbundle.cochains import Cochain1, is_cocycle
-from posetbundle.errors import check_limit
+from posetbundle.errors import UsageError, check_limit
 from posetbundle.groups import FiniteGroup
 from posetbundle.poset import Poset
 from posetbundle.simplicial import (_SIMPLEX_CLASSES, _check_dimension,
@@ -75,3 +80,41 @@ def named_word_value(word, assignment, G: FiniteGroup):
         g = assignment[idx] if sign > 0 else G.inv(assignment[idx])
         value = G.mul(value, g)
     return value
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="posetbundle",
+        description="Non-Abelian cohomology of finite posets: simplices, "
+        "cocycles, connections, holonomy and gauge transformations.",
+    )
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, fn, inputs, extra, help_ in COMMANDS:
+        p = sub.add_parser(name, **({"help": help_} if help_ else {}))
+        loads = []
+        for flags, load, kwargs in [arg(kind, load=kind)
+                                    for kind in inputs.split()] + list(extra):
+            action = p.add_argument(*flags, **kwargs)
+            if load:
+                loads.append((action.dest, load))
+        p.set_defaults(fn=fn, loads=loads)
+    return parser
+
+
+def argparse_outcome(parser, argv):
+    """What the reference parser makes of `argv`: the parsed arguments
+    as a dict (without the `fn` and `loads` it adds), or the exit code.
+    The table's `_nonnegative_int` raises `UsageError` where it raised
+    `argparse.ArgumentTypeError` in the argparse CLI, whose exit code
+    was 2."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            args = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code
+    except UsageError:
+        return 2
+    del args["fn"], args["loads"]
+    return args

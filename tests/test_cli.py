@@ -47,13 +47,22 @@ def run(args):
     return cli.run([str(a) for a in args])
 
 
-def test_dispatch_covers_every_command():
-    parser = cli.build_parser()
-    actions = [
-        a for a in parser._actions if hasattr(a, "choices") and a.choices
-    ]
-    subcommands = set(actions[-1].choices)
-    assert subcommands == EXPECTED_COMMANDS
+def test_dispatch_covers_every_command(capsys):
+    """Each row of the table names a command, its `cmd_` handler and a
+    help line; `--help` lists them all, and each command's own help
+    begins with its usage."""
+    assert {row[0] for row in cli.COMMANDS} == EXPECTED_COMMANDS
+    for name, fn, _, _, help_ in cli.COMMANDS:
+        assert fn is getattr(cli, "cmd_" + name.replace("-", "_"))
+        assert help_
+    assert run(["--help"]) == 0
+    listed = [line.split(None, 1) for line in capsys.readouterr().out.
+              splitlines() if line[:2] == "  " and line[2] != "-"]
+    assert listed == [[name, help_] for name, _, _, _, help_ in cli.COMMANDS]
+    for command in EXPECTED_COMMANDS:
+        assert run([command, "-h"]) == 0
+        assert capsys.readouterr().out.startswith(
+            f"usage: posetbundle {command} [-h]")
 
 
 def test_gen_and_validate(tmp_path, capsys):
@@ -86,6 +95,23 @@ def test_json_gen_reports_the_poset_text(tmp_path, capsys):
     assert run(["--format", "json", "gen", "vee", "1", "-o", out]) == 0
     assert json.loads(capsys.readouterr().out) == {
         "wrote": str(out), "poset": "vee"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "circle", "2", "-o", "{tmp}"],
+    ["gen", "circle", "2", "-o", "{tmp}/file/x.poset"],
+    ["suite", "--fixtures", "{tmp}/file/sub"],
+])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
+    """An output path that cannot be written (a directory, or a path
+    through a file) exits 2 with an error line, as an unreadable input
+    does, not 1 with a traceback."""
+    (tmp_path / "file").write_text("")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {argv[-1]}: ")
 
 
 def test_validate_missing_file_is_usage_error(tmp_path):
@@ -514,6 +540,17 @@ def test_closed_stdout_is_an_output_error(workspace, command):
         os.close(write)
     assert out.returncode == 2
     assert b"Traceback" not in out.stderr
+
+
+def test_double_dash_ends_the_options(workspace, capsys, monkeypatch):
+    """After `--` every token is a positional, a file named like an
+    option included; the parser differential leaves `--` out."""
+    monkeypatch.chdir(workspace)
+    Path("-x.poset").write_text(Path("circle2.poset").read_text())
+    assert run(["validate", "--", "-x.poset"]) == 0
+    assert run(["validate", "-x.poset"]) == 2
+    assert run(["simplices", "--", "circle2.poset", "--limit", "3"]) == 2
+    assert "unrecognized arguments: --limit 3" in capsys.readouterr().err
 
 
 def test_limit_is_rejected_where_unused(workspace, capsys):

@@ -10,7 +10,8 @@ filters, scans and object-keyed formulas they replace, on random posets
 of at most four (five for the presentation and the cocycle count)
 elements with values in Z2, Z3 and S3; and of subgroup closures against
 the worklist and fixpoint they replace, over S3, S4, Z6 and the trivial
-group."""
+group; and of the CLI parser against the argparse parser it replaced, on
+argv lists drawn from the command table."""
 
 import itertools
 import random
@@ -18,6 +19,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from posetbundle import cli
 from posetbundle.acceptance import random_cocycle, random_connection
 from posetbundle.cochains import (
     Cochain0,
@@ -55,7 +57,8 @@ from posetbundle.connections import (
     restricted_holonomy,
 )
 from posetbundle.errors import (NoSuchSimplex, NotConnected,
-                                PreconditionViolated, SearchLimitExceeded)
+                                PreconditionViolated, SearchLimitExceeded,
+                                UsageError)
 from posetbundle.gauge import gauge_act, gauge_group, gauge_group_raw
 from posetbundle.groups import (ad, cyclic_group, symmetric_group,
                                 trivial_group)
@@ -90,7 +93,8 @@ from posetbundle.simplicial import (
 )
 
 from inputs import CONNECTION_KINDS, gathered_through_legs, near_a_connection
-from oracles import enumerate_cocycles_raw, named_word_value
+from oracles import (argparse_outcome, build_parser, enumerate_cocycles_raw,
+                     named_word_value)
 from strategies import small_posets
 
 GROUPS = st.sampled_from(
@@ -1292,3 +1296,86 @@ def test_search_limits_admit_a_search_of_exactly_the_limit(posets, groups):
     assert len(enumerate_cocycles(circle, Z3, limit=81)) == 81
     assert len(enumerate_connections(circle, Z3, limit=729)) == 729
     assert len(gauge_group_raw(trivial_cochain1(circle, Z3), limit=81)) == 3
+
+
+# -- the CLI parser against the argparse parser ----------------------------
+
+# Tokens for values and strays: numbers negative, fractional and not
+# numbers at all, names of no choice, option-like values, a space, `-`,
+# unknown options and options of other commands.  None of them is a help
+# flag, which ends a parse with exit code 0.  `--` is left out: argparse
+# (3.11) refuses it after an option that follows the last positional
+# (`simplices p --dim 1 --`), and drops a second one from the positional
+# that holds it (`dd-check p g -- --` reads the cochain `[]`).
+CLI_TOKENS = ("3", "0", "-1", "-2.5", "1_0", " 7", "x", "", "-",
+              "a b", "-x y", "chain", "Chain", "circle", "json", "xml",
+              "c.poset", "--bogus", "-q", "--lim", "--limit=2", "--format",
+              "--=x", "-o", "--dim", "--inflating", "--base=a1", "-ox")
+
+
+def spellings(flags):
+    """Each way to write a flag: itself and, for a long flag, each of
+    its prefixes that still names it in every command."""
+    return [f[:n] for f in flags for n in range(3 if f[:2] == "--" else 2,
+                                                   len(f) + 1)]
+
+
+def cli_values(spec):
+    """Values for an argument: one it takes as often as any token."""
+    kwargs = spec[2]
+    good = kwargs.get("choices") or (("5", "0") if "type" in kwargs
+                                     else ("c.poset",))
+    return st.sampled_from(good) | st.sampled_from(CLI_TOKENS)
+
+
+@st.composite
+def option_tokens(draw, spec):
+    flags, _, kwargs = spec
+    flag = draw(st.sampled_from(spellings(flags)))
+    value = draw(cli_values(spec))
+    if kwargs.get("action") and draw(st.booleans()):
+        return [flag]
+    if draw(st.booleans()):
+        return [f"{flag}={value}"]
+    return [flag, value]
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv list: a command of the table, its positionals in order
+    (each one possibly missing) and its options, `=` forms and prefixes
+    among them, then stray tokens anywhere, and `--format` before the
+    command, or after it."""
+    row = draw(st.sampled_from(cli.COMMANDS))
+    specs = cli._specs(row)
+    tokens = [draw(cli_values(spec)) for spec in specs
+              if spec[0][0][0] != "-" and draw(st.integers(0, 7))]
+    groups = [draw(option_tokens(spec)) for spec in specs
+              if spec[0][0][0] == "-" and draw(st.booleans())]
+    groups += [[t] for t in draw(st.lists(st.sampled_from(CLI_TOKENS),
+                                          max_size=2))]
+    for group in groups:
+        at = draw(st.integers(0, len(tokens)))
+        tokens[at:at] = group
+    top = draw(st.lists(option_tokens(cli.TOP[0]), max_size=1))
+    if top and draw(st.integers(0, 4)) == 0:
+        return [row[0], *tokens, *top[0]]
+    return [*(top[0] if top else ()), row[0], *tokens]
+
+
+ARGPARSE = build_parser()
+
+
+@settings(max_examples=800, deadline=None)
+@given(cli_argvs())
+def test_cli_parser_matches_argparse(argv):
+    expected = argparse_outcome(ARGPARSE, argv)
+    try:
+        row, args = cli.parse(argv)
+    except UsageError as exc:
+        usage, error = str(exc).splitlines()
+        assert usage.startswith("usage: posetbundle") and ": error: " in error
+        assert expected == 2
+        return
+    assert vars(args) == expected
+    assert row[0] == args.command

@@ -3,9 +3,10 @@
 `posetbundle` binds its public names on first use, and each CLI command
 imports only the modules it uses; both are checked in a fresh
 interpreter, since this test process has imported everything already.
-No module and no command loads `dataclasses` or `inspect`, whose import
-(`inspect` loads `ast`, `dis` and `tokenize`) would cost every command
-more than most of them spend on their own work.
+No module and no command loads `dataclasses`, `inspect`, `argparse`,
+`gettext` or `locale`, whose import (`inspect` loads `ast`, `dis` and
+`tokenize`; an argparse parser loads `gettext` and `locale`) would cost
+every command more than most of them spend on their own work.
 """
 
 import importlib
@@ -61,8 +62,9 @@ EXPORTS = {
 }
 NAMES = {name for names in EXPORTS.values() for name in names}
 
-# Appended to a fresh interpreter's code: prints which of the two it holds.
-HEAVY = "\nprint([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+# Appended to a fresh interpreter's code: prints which of these it holds.
+HEAVY = ("\nprint([m for m in ('dataclasses', 'inspect', 'argparse', "
+         "'gettext', 'locale') if m in sys.modules])")
 
 
 def loaded_after(code, *argv, cwd=None):
@@ -102,7 +104,7 @@ def test_bare_import_loads_no_submodule():
     assert loaded_after("import posetbundle")[0] == set()
 
 
-def test_no_module_loads_dataclasses_or_inspect():
+def test_no_module_loads_a_heavy_module():
     # Modules are never unloaded, so what one interpreter holds after
     # importing every module covers what each import loads alone.
     names = {m.name for m in pkgutil.iter_modules(posetbundle.__path__)}
@@ -169,8 +171,9 @@ print(sorted(codes))
 """ + HEAVY
 
 
-def test_no_command_loads_dataclasses_or_inspect(fixtures):
-    # One interpreter runs every invocation: what it holds at the end
-    # covers what each command loads alone.
-    _, printed = loaded_after(RUN_ALL, *INVOCATIONS, cwd=fixtures)
-    assert printed == "[0, 1]\n[]"
+def test_no_command_loads_a_heavy_module(fixtures):
+    # One interpreter runs every invocation, a help and a usage error:
+    # what it holds at the end covers what each command loads alone.
+    _, printed = loaded_after(RUN_ALL, *INVOCATIONS, "--help", "gen -h",
+                              "validate", cwd=fixtures)
+    assert printed == "[0, 1, 2]\n[]"
