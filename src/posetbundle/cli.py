@@ -131,7 +131,7 @@ def cmd_validate(args):
     return 0, {
         "poset": P.name,
         "elements": len(P),
-        "order-pairs": len(P.pairs()),
+        "order-pairs": sum(map(int.bit_count, P.up)),
         "directed": is_directed(P),
         "totally-ordered": is_totally_ordered(P),
         "pathwise-connected": is_pathwise_connected(P),
@@ -143,7 +143,7 @@ def cmd_gen(args):
 
     P = generate(args.kind, args.n)
     text = format_poset_text(P)
-    if args.output:
+    if args.output is not None:
         with _writing(args.output):
             FilePath(args.output).write_text(text)
         return 0, {"wrote": args.output, "poset": P.name}

@@ -331,6 +331,20 @@ def coboundary(cochain):
 # -- cocycle conditions ----------------------------------------------------
 
 
+def _is_functor(u: Cochain1, legs) -> bool:
+    """The degree-1 test of `is_cocycle` on the (value id, legs) pairs
+    `legs` of the 1-simplices it reads; `is_connection` passes the
+    inflating ones."""
+    rows, inv, x = u.group.rows, u.group.inverses, u.ids
+    for g, (e, s) in legs:
+        if g != rows[inv[x[e]]][x[s]]:
+            return False
+    for xv, xs, sv in u.cells.chains:
+        if x[xv] != rows[x[xs]][x[sv]]:
+            return False
+    return True
+
+
 def is_cocycle(cochain) -> bool:
     """The kernel condition: in degrees 0 and 2 a coboundary that takes
     only the identity; in degree 1 the identity u(b0) u(b2) = u(b1) on
@@ -342,14 +356,7 @@ def is_cocycle(cochain) -> bool:
     for every x >= s, so both sides of each identity with support x
     read g(x, v2)^-1 g(x, v0)."""
     if isinstance(cochain, Cochain1):
-        rows, inv, x = cochain.group.rows, cochain.group.inverses, cochain.ids
-        for g, (e, s) in zip(x, cochain.cells.legs):
-            if g != rows[inv[x[e]]][x[s]]:
-                return False
-        for xv, xs, sv in cochain.cells.chains:
-            if x[xv] != rows[x[xs]][x[sv]]:
-                return False
-        return True
+        return _is_functor(cochain, zip(cochain.ids, cochain.cells.legs))
     if isinstance(cochain, (Cochain0, Cochain2)):
         d = coboundary(cochain)
         return d.ids.count(d.group.unit) == len(d.ids)
@@ -357,12 +364,11 @@ def is_cocycle(cochain) -> bool:
 
 
 def identity_failures(u: Cochain1):
-    """The ids of the 2-simplices c where the cocycle identity
-    u(c0) u(c2) = u(c1) fails, lazily and in id order, from a scan of the
-    face ids; no simplex object is built.  `check-cocycle` lists them."""
-    rows, x = u.group.rows, u.ids
-    return (i for i, (b0, b1, b2) in enumerate(complex_of(u.poset)[2].faces)
-            if rows[x[b0]][x[b2]] != x[b1])
+    """The ids of the 2-simplices where `coboundary1(u)` is not the
+    identity, lazily and in id order; no simplex object is built.
+    `check-cocycle` lists them."""
+    unit = u.group.unit
+    return (i for i, g in enumerate(coboundary1(u).ids) if g != unit)
 
 
 # -- paths and path independence -------------------------------------------

@@ -15,6 +15,7 @@ from .cochains import (
     Cochain2,
     Morphism1,
     _act,
+    _is_functor,
     _same_base,
     _transport,
     coboundary1,
@@ -53,17 +54,12 @@ def is_connection(u: Cochain1) -> bool:
     inflating 1-simplices only.  Legs are inflating, so b's leg identity
     is inflating iff b is, and every chain's is; conversely both sides of
     each inflating identity with support x read g(x, v2)^-1 g(x, v0)."""
-    rows, inv, x, cells = u.group.rows, u.group.inverses, u.ids, u.cells
-    for i, j in cells.classes:
+    inv, x = u.group.inverses, u.ids
+    for i, j in u.cells.classes:
         if x[j] != inv[x[i]]:
             return False
-    for g, (e, s), inflating in zip(x, cells.legs, cells.inflating):
-        if inflating and g != rows[inv[x[e]]][x[s]]:
-            return False
-    for xv, xs, sv in cells.chains:
-        if x[xv] != rows[x[xs]][x[sv]]:
-            return False
-    return True
+    legs = zip(x, u.cells.legs)
+    return _is_functor(u, itertools.compress(legs, u.cells.inflating))
 
 
 def _require_connection(u: Cochain1):

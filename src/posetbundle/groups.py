@@ -138,6 +138,12 @@ class FiniteGroup:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # Through __init__, as `Poset` does: the kept hash is of strings.
+        return FiniteGroup, (self.elements, {
+            (g, h): self.mul(g, h) for g in self.elements
+            for h in self.elements}, self.name)
+
     def __repr__(self):
         return f"FiniteGroup({self.name!r}, order {len(self.elements)})"
 

@@ -1,14 +1,17 @@
 """Finite posets: construction, order predicates and the fundamental covering.
 
 `Poset` is the one constructor, and it validates its input; `build_poset`
-is another name for it.  The order relation is stored densely (a boolean
-matrix over the sorted element identifiers); the order predicates test
-a greatest element and the number of order pairs, not every pair.  Posets
-here are small by design, ~30 elements at most; simplex enumeration
-dominates the cost of everything downstream.
+is another name for it.  The order is stored as bit rows over the sorted
+element ids: bit j of `up[i]` is set iff element i <= element j, and of
+`down[i]` iff element j <= element i.  Every reader tests, ANDs, counts
+or walks these rows, so thousands of elements close in milliseconds;
+simplex enumeration dominates the cost of everything downstream.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from itertools import compress, count
 
 from .errors import (
     AntisymmetryViolation,
@@ -23,21 +26,28 @@ from .errors import (
 from .frozen import Frozen
 
 
+def row_ids(row):
+    """The ids of the set bits of an order row, in increasing order."""
+    return compress(count(), map("1".__eq__, reversed(bin(row))))
+
+
 class Poset:
     """A finite poset over string identifiers, built from generating pairs.
 
-    Takes the reflexive-transitive closure (the up-set of each element,
-    found by search).  A name the text formats cannot write back
+    Takes the reflexive-transitive closure: one pass ORs the rows along a
+    depth-first finishing order, repeated on a cyclic input until nothing
+    changes.  A name the text formats cannot write back
     (`errors.check_name`) or a relation that is not a pair is a
     `BadParameter`, a repeated element a `DuplicateElement`, a pair
     naming an element not listed an `UnknownElement`, and a cycle an
-    `AntisymmetryViolation` for its first pair in sorted order.
+    `AntisymmetryViolation` for its first pair in sorted order (the
+    least x with others in `up[x] & down[x]`, and the least of those).
     Immutable after construction.  Iteration order over elements is the
-    sorted identifier order, so every enumeration built on top of a poset
-    is reproducible.
+    sorted identifier order, so every enumeration built on top of a
+    poset is reproducible.
     """
 
-    __slots__ = ("name", "elements", "_index", "_leq", "_hash")
+    __slots__ = ("name", "elements", "_index", "up", "down", "_hash")
 
     def __init__(self, elements, relations, name="poset"):
         check_name(name, "poset name")
@@ -57,26 +67,39 @@ class Poset:
                     raise UnknownElement(
                         f"relation references unknown element {x!r}")
             above[lo].append(hi)
-        up = {}
-        for x in above:  # the up-set of x: everything a search from x reaches
-            up[x] = reached = {x}
-            stack = [x]
-            while stack:
-                for y in above[stack.pop()]:
-                    if y not in reached:
-                        reached.add(y)
-                        stack.append(y)
         self.name = name
         self.elements = tuple(sorted(above))
-        for lo in self.elements:
-            for hi in sorted(up[lo]):
-                if lo != hi and lo in up[hi]:
-                    raise AntisymmetryViolation(
-                        f"{lo!r} <= {hi!r} and {hi!r} <= {lo!r}")
-        self._index = {x: i for i, x in enumerate(self.elements)}
-        self._leq = tuple(tuple(y in up[x] for y in self.elements)
-                          for x in self.elements)
-        self._hash = hash((self.elements, self._leq))
+        index = self._index = {x: i for i, x in enumerate(self.elements)}
+        succ = [[index[y] for y in above[x]] for x in self.elements]
+        order, seen, stack = [], bytearray(len(succ)), list(range(len(succ)))
+        while stack:  # depth first; ~x on the stack finishes x
+            x = stack.pop()
+            if x < 0:
+                order.append(~x)
+            elif not seen[x]:
+                seen[x] = 1
+                stack += ~x, *succ[x]
+        up = [1 << x for x in range(len(succ))]
+        down = up[:]
+        while True:
+            rows = up + down
+            for x in order:
+                up[x] = reduce(int.__or__, map(up.__getitem__, succ[x]), up[x])
+            for x in reversed(order):
+                for y in succ[x]:
+                    down[y] |= down[x]
+            # After one pass only a cycle leaves others in `up & down`.
+            loops = [(u & d) ^ (1 << x)
+                     for x, (u, d) in enumerate(zip(up, down))]
+            if not any(loops) or rows == up + down:
+                break
+        for x, loop in enumerate(loops):
+            if loop:
+                lo, hi = self.elements[x], self.elements[next(row_ids(loop))]
+                raise AntisymmetryViolation(
+                    f"{lo!r} <= {hi!r} and {hi!r} <= {lo!r}")
+        self.up, self.down = tuple(up), tuple(down)
+        self._hash = hash((self.elements, self.up))
 
     def __contains__(self, x):
         return x in self._index
@@ -87,7 +110,7 @@ class Poset:
     def __eq__(self, other):
         if not isinstance(other, Poset):
             return NotImplemented
-        return self.elements == other.elements and self._leq == other._leq
+        return self.elements == other.elements and self.up == other.up
 
     def __hash__(self):
         return self._hash
@@ -102,31 +125,33 @@ class Poset:
     def leq(self, lo, hi) -> bool:
         self.check_element(lo)
         self.check_element(hi)
-        return self._leq[self._index[lo]][self._index[hi]]
+        return self.up[self._index[lo]] >> self._index[hi] & 1 == 1
 
     def comparable(self, x, y) -> bool:
         return self.leq(x, y) or self.leq(y, x)
 
+    def _named(self, row):
+        return tuple(map(self.elements.__getitem__, row_ids(row)))
+
     def down_set(self, x):
         """All y with y <= x, in sorted order."""
         self.check_element(x)
-        i = self._index[x]
-        return tuple(y for j, y in enumerate(self.elements) if self._leq[j][i])
+        return self._named(self.down[self._index[x]])
 
     def up_set(self, x):
         """All y with x <= y, in sorted order."""
         self.check_element(x)
-        i = self._index[x]
-        return tuple(y for j, y in enumerate(self.elements) if self._leq[i][j])
+        return self._named(self.up[self._index[x]])
 
     def pairs(self):
         """All ordered pairs (lo, hi) with lo <= hi."""
-        out = []
-        for i, x in enumerate(self.elements):
-            for j, y in enumerate(self.elements):
-                if self._leq[i][j]:
-                    out.append((x, y))
-        return tuple(out)
+        return tuple((x, y) for x, row in zip(self.elements, self.up)
+                     for y in self._named(row))
+
+    def __reduce__(self):
+        # Through __init__: the kept hash is of strings, which differ
+        # from one interpreter process to the next.
+        return Poset, (self.elements, self.pairs(), self.name)
 
 
 class OpenSet(Frozen):
@@ -150,34 +175,30 @@ def base_point(P: Poset) -> str:
 
 def is_directed(P: Poset) -> bool:
     """True iff every pair of elements has a common upper bound: for a
-    finite poset, iff it is empty or has a greatest element."""
-    return not P.elements or any(len(P.down_set(x)) == len(P)
-                                 for x in P.elements)
+    finite poset, iff it is empty or has a greatest element, one in
+    every up-set."""
+    return not P.elements or reduce(int.__and__, P.up) != 0
 
 
 def is_totally_ordered(P: Poset) -> bool:
     """True iff every pair of elements is comparable: by antisymmetry,
     iff the order has one pair per element and per 2-subset."""
-    return len(P.pairs()) == len(P) * (len(P) + 1) // 2
+    return sum(map(int.bit_count, P.up)) == len(P) * (len(P) + 1) // 2
 
 
 def is_pathwise_connected(P: Poset) -> bool:
-    """Connectivity of the comparability graph.
+    """Connectivity of the comparability graph: a search on `up | down`.
 
     Equivalent to nonemptiness of every path set K(a0, a1): each
     comparability edge carries a 1-simplex through the larger element.
     """
-    if not P.elements:
-        return True
-    seen = {P.elements[0]}
-    frontier = [P.elements[0]]
+    seen, frontier = 0, [0] if P.elements else []
     while frontier:
         x = frontier.pop()
-        for y in P.elements:
-            if y not in seen and P.comparable(x, y):
-                seen.add(y)
-                frontier.append(y)
-    return len(seen) == len(P.elements)
+        new = (P.up[x] | P.down[x]) & ~seen
+        seen |= new
+        frontier.extend(row_ids(new))
+    return seen.bit_count() == len(P)
 
 
 def fundamental_open(P: Poset, a) -> OpenSet:
@@ -185,7 +206,7 @@ def fundamental_open(P: Poset, a) -> OpenSet:
     return OpenSet(P.up_set(a))
 
 
-# The most elements `generate` builds; the order matrix is quadratic in them.
+# The most elements `generate` builds; its text lists every order pair.
 GENERATE_LIMIT = 500
 
 

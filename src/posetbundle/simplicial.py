@@ -29,7 +29,7 @@ from operator import itemgetter
 
 from .errors import (BadParameter, IndexOutOfRange, NoSuchSimplex,
                      UnsupportedDimension)
-from .poset import Poset
+from .poset import Poset, row_ids
 
 
 class Simplex:
@@ -350,8 +350,8 @@ class Cells:
     @cached_property
     def inflating(self):
         if self.dim == 1:
-            points, leq = self.complex.poset.elements, self.complex.poset.leq
-            return tuple(leq(points[s], points[e]) for e, s in self.faces)
+            up = self.complex.poset.up
+            return tuple(up[s] >> e & 1 == 1 for e, s in self.faces)
         lower = self.complex[self.dim - 1].inflating if self.dim else ()
         return tuple(all(map(lower.__getitem__, f)) for f in self.faces)
 
@@ -487,9 +487,8 @@ def _glue(P: Poset, n: int, lower):
     for i, x in enumerate(lower.support):
         by_support.setdefault(x, []).append(i)
     support, out = [], []
-    for x, name in enumerate(P.elements):
-        down = set(P.down_set(name))
-        below = [y for y, point in enumerate(P.elements) if point in down]
+    for x, row in enumerate(P.down):
+        below = list(row_ids(row))
         if n == 1:
             glued = [(e, s) for e in below for s in below]
         else:

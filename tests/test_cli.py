@@ -101,6 +101,7 @@ def test_json_gen_reports_the_poset_text(tmp_path, capsys):
     ["gen", "circle", "2", "-o", "{tmp}"],
     ["gen", "circle", "2", "-o", "{tmp}/file/x.poset"],
     ["suite", "--fixtures", "{tmp}/file/sub"],
+    ["gen", "circle", "2", "-o", ""],
 ])
 def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
     """An output path that cannot be written (a directory, or a path

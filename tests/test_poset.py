@@ -1,4 +1,5 @@
 import re
+import time
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -217,16 +218,65 @@ def warshall_poset(elements, relations):
     return tuple(closure)
 
 
+def comparability_connected(elements, closure):
+    """Whether the comparability graph of the pairs `closure` on
+    `elements` is connected."""
+    seen = set(elements[:1])
+    for _ in elements:
+        seen |= {y for x, y in closure if x in seen}
+        seen |= {x for x, y in closure if y in seen}
+    return len(seen) == len(elements)
+
+
 @given(st.lists(st.tuples(st.sampled_from("abcdef"),
                           st.sampled_from("abcdef")), max_size=12))
+@example([("c", "a"), ("b", "c"), ("a", "c"), ("c", "b")])
 def test_build_poset_matches_the_warshall_closure(rels):
+    """The pairs, up- and down-sets, pair count and connectivity of the
+    order, or its first antisymmetry violation, are those of the
+    Warshall closure; the drawn relations often close cycles.  After
+    one pass over the example, the rows of a show c in a cycle with a
+    but not yet b."""
     expected = warshall_poset("abcdef", rels)
     for construct in (build_poset, Poset):
         try:
-            got = construct(list("fbdace"), rels).pairs()
+            P = construct(list("fbdace"), rels)
         except AntisymmetryViolation as caught:
-            got = str(caught)
-        assert got == expected
+            assert str(caught) == expected
+            continue
+        assert P.pairs() == expected
+        for x in P.elements:
+            assert P.up_set(x) == tuple(hi for lo, hi in expected if lo == x)
+            assert P.down_set(x) == tuple(lo for lo, hi in expected
+                                          if hi == x)
+        assert sum(map(int.bit_count, P.up)) == len(expected)
+        assert is_pathwise_connected(P) == comparability_connected(
+            P.elements, expected)
+
+
+CHAIN = [f"a{i:05d}" for i in range(3000)]
+COVERS = list(zip(CHAIN, CHAIN[1:]))
+
+
+@pytest.mark.parametrize("relations", [
+    COVERS,
+    COVERS + [(CHAIN[-1], CHAIN[0])],
+    [(hi, lo) for lo, hi in COVERS] + [(CHAIN[0], CHAIN[-1])],
+], ids=["chain", "chain_closed_top_to_bottom", "reversed_closed_bottom_to_top"])
+def test_order_of_a_long_chain_closes_fast(relations):
+    """A 3,000-element chain closes by bit rows in a few hundredths of a
+    second; a search that closes each element's up-set on its own takes
+    seconds.  Both cycles report the least element and its successor."""
+    start = time.perf_counter()
+    try:
+        P = Poset(CHAIN, relations)
+        found = (sum(map(int.bit_count, P.up)), is_totally_ordered(P),
+                 is_directed(P), is_pathwise_connected(P))
+    except AntisymmetryViolation as caught:
+        found = str(caught)
+    assert time.perf_counter() - start < 1.0
+    assert found == ((4_501_500, True, True, True) if relations is COVERS
+                     else "'a00000' <= 'a00001' and 'a00001' <= 'a00000'")
 
 
 @pytest.mark.parametrize("elements, relations, error, message", [

@@ -324,6 +324,26 @@ def test_pickled_simplices_rehash_in_another_process(posets):
     assert set(pickle.loads(out)) == set(here)
 
 
+def test_pickled_posets_and_groups_rehash_in_another_process():
+    # Posets and groups keep a hash of their strings too, so they are
+    # pickled under one hash seed and loaded under another.
+    build = ("import pickle, sys\n"
+             "from posetbundle.groups import symmetric_group\n"
+             "from posetbundle.poset import generate\n"
+             "built = generate('circle', 2), symmetric_group(3)\n")
+    dump = build + "sys.stdout.buffer.write(pickle.dumps(built))\n"
+    load = build + (
+        "P, G = pickle.loads(sys.stdin.buffer.read())\n"
+        "assert (P, G) == built and hash(P) == hash(built[0])\n"
+        "assert {built[0]: 1}.get(P) == 1 and len({G, built[1]}) == 1\n")
+    out = b""
+    for seed, script in (("1", dump), ("2", load)):
+        out = subprocess.run([sys.executable, "-c", script], input=out,
+                             env=dict(os.environ, PYTHONHASHSEED=seed),
+                             capture_output=True, check=True,
+                             timeout=60).stdout
+
+
 def rebuilt(d):
     """d built afresh, face by face, through the simplex constructors."""
     if not d.faces:
