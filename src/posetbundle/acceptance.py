@@ -1,6 +1,7 @@
 """The acceptance suite: twelve exact, brute-force-verifiable criteria
 covering coboundaries, cocycle classification, connections, curvature,
-holonomy and gauge groups on small fixture posets."""
+holonomy and gauge groups on small fixture posets, and the fixture files
+that the `suite` command writes and checks before it runs them."""
 
 from __future__ import annotations
 
@@ -17,15 +18,20 @@ from .cochains import (
     classify_cocycles,
     cocycle_from_hom,
     enumerate_cocycles,
+    format_cochain_text,
+    is_cocycle,
     is_morphism,
     is_path_independent,
+    parse_cochain_text,
     random_cochain0,
     random_cochain1,
     trivial_cochain1,
 )
+from .errors import PosetBundleError
 from .frozen import Frozen
 from .gauge import gauge_group, gauge_group_raw
-from .groups import FiniteGroup, cyclic_group, symmetric_group
+from .groups import (FiniteGroup, cyclic_group, format_group_text,
+                     parse_group_text, symmetric_group)
 from .paths import (
     _neighbours,
     _path,
@@ -34,7 +40,8 @@ from .paths import (
     homotopic,
     pi1_presentation,
 )
-from .poset import Poset, build_poset, generate
+from .poset import (Poset, build_poset, format_poset_text, generate,
+                    parse_poset_text)
 from .simplicial import complex_of
 
 DEFAULT_SEED = 20260824
@@ -101,6 +108,55 @@ def full_image_cocycle(P: Poset, G: FiniteGroup) -> Cochain1:
         if len(G.subgroup_generated(sigma)) == len(G):
             return cocycle_from_hom(P, G, sigma)
     raise ValueError(f"no surjective homomorphism onto {G.name} from {P.name}")
+
+
+# The cochain fixtures of `suite`: file stem -> (poset stem, group stem,
+# function making the cochain from the standard poset and group).
+COCHAIN_FIXTURES = {
+    "winding-z3": ("circle2", "z3", lambda P, G: winding_cocycle(P, G, "g1")),
+    "fullimage-s3": ("twoloop", "s3", full_image_cocycle),
+}
+
+
+def write_fixtures(directory):
+    """Write the standard posets and groups and the cochain fixtures into
+    `directory`, keeping each file that is already there; the names of
+    the files written."""
+    posets, groups = standard_posets(), standard_groups()
+    texts = {
+        **{f"{n}.poset": format_poset_text(P) for n, P in posets.items()},
+        **{f"{n}.group": format_group_text(G) for n, G in groups.items()},
+        **{f"{n}.cochain": format_cochain_text(make(posets[p], groups[g]), n)
+           for n, (p, g, make) in COCHAIN_FIXTURES.items()},
+    }
+    directory.mkdir(parents=True, exist_ok=True)
+    written = [name for name in texts if not (directory / name).exists()]
+    for name in written:
+        (directory / name).write_text(texts[name])
+    return written
+
+
+def fixture_problems(directory):
+    """What is wrong with the fixture files, one line per file."""
+    problems, posets, groups = [], {}, {}
+    for suffix, parse, parsed in (("poset", parse_poset_text, posets),
+                                  ("group", parse_group_text, groups)):
+        for path in sorted(directory.glob(f"*.{suffix}")):
+            try:
+                parsed[path.stem] = parse(path.read_text())
+            except PosetBundleError as exc:
+                problems.append(f"{exc} in {path.name}")
+    for path in sorted(directory.glob("*.cochain")):
+        p, g, _ = COCHAIN_FIXTURES.get(path.stem, (None, None, None))
+        if p not in posets or g not in groups:
+            continue
+        try:
+            z = parse_cochain_text(path.read_text(), posets[p], groups[g])
+            if not is_cocycle(z):
+                problems.append(f"not a cocycle in {path.name}")
+        except PosetBundleError as exc:
+            problems.append(f"{exc} in {path.name}")
+    return problems
 
 
 def random_cocycle(P: Poset, G: FiniteGroup, rng) -> Cochain1:

@@ -22,49 +22,21 @@ from itertools import compress, islice
 from pathlib import Path as FilePath
 from types import SimpleNamespace
 
-from .errors import PosetBundleError, UsageError, content_lines, located
+from .errors import PosetBundleError, UsageError, located
 
 # Each handler and loader imports the library modules it uses, so a
 # command pays only for its own imports; `suite` alone loads
 # `acceptance`.
 
 
-def _read(path):
-    try:
-        return FilePath(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
-
-
 @contextmanager
-def _writing(path):
-    """Report an `OSError` raised while writing `path` as `_read` reports
-    one raised while reading."""
+def _os_errors(doing):
+    """Report an `OSError` raised inside as the usage error
+    "cannot <doing>: <the OSError>", such as "cannot read x.poset: ..."."""
     try:
         yield
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc}") from None
-
-
-def _parse_path(text, P):
-    """Path files list 1-simplices of P, first step written last,
-    separated by whitespace or `;`; `#` starts a comment, and a
-    1-simplex does not span lines."""
-    from .paths import Path
-    from .simplicial import enumerated, parse_simplex1
-
-    steps = []
-    for number, line, _ in content_lines(text):
-        with located(f" (line {number})"):
-            pieces = re.split(r"(\([^()]*\))", line)
-            stray = [t for t in pieces[::2] if not re.fullmatch(r"[\s;]*", t)]
-            if stray:
-                raise UsageError(f"path file has text outside 1-simplices: "
-                                 f"{stray[0].strip()!r}")
-            steps += (enumerated(P, parse_simplex1(c)) for c in pieces[1::2])
-    if not steps:
-        raise UsageError("path file contains no 1-simplices")
-    return Path(tuple(reversed(steps)))
+        raise UsageError(f"cannot {doing}: {exc}") from None
 
 
 def _load_poset(text, args):
@@ -87,13 +59,18 @@ def _load_assignment(text, args):
     return parse_assignment_text(text, args.poset, args.group)
 
 
-# How each kind of input file becomes an object; a cochain or an
-# assignment is read against the poset and group loaded before it.
+def _load_path(text, args):
+    from .paths import parse_path_text
+    return parse_path_text(text, args.poset)
+
+
+# How each kind of input file becomes an object; a cochain, an assignment
+# or a path is read against the poset (and group) loaded before it.
 LOADERS = {
     "poset": _load_poset,
     "group": _load_group,
     "cochain": _load_cochain,
-    "path": lambda text, args: _parse_path(text, args.poset),
+    "path": _load_path,
     "assignment": _load_assignment,
 }
 
@@ -144,7 +121,7 @@ def cmd_gen(args):
     P = generate(args.kind, args.n)
     text = format_poset_text(P)
     if args.output is not None:
-        with _writing(args.output):
+        with _os_errors(f"write {args.output}"):
             FilePath(args.output).write_text(text)
         return 0, {"wrote": args.output, "poset": P.name}
     if args.format == "json":
@@ -178,7 +155,7 @@ def cmd_pi1(args):
     from .poset import base_point
 
     P = args.poset
-    base = args.base or base_point(P)
+    base = base_point(P) if args.base is None else args.base
     pres, _ = pi1_presentation(P, base)
     return 0, {
         "poset": P.name,
@@ -284,7 +261,7 @@ def cmd_holonomy(args):
     from .poset import base_point
 
     u = args.cochain
-    base = args.base or base_point(args.poset)
+    base = base_point(args.poset) if args.base is None else args.base
     report = {**_header(args), "base": base,
               "holonomy": list(cn.holonomy(u, base))}
     if args.restricted:
@@ -298,7 +275,7 @@ def cmd_nonflat(args):
     from .simplicial import parse_simplex1
 
     z = args.cocycle or trivial_cochain1(args.poset, args.group)
-    b = parse_simplex1(args.edge) if args.edge else None
+    b = None if args.edge is None else parse_simplex1(args.edge)
     u, witness = cn.construct_nonflat(z, b, args.g)
     return 0, {
         "cochain": format_cochain_text(u, name="nonflat"),
@@ -312,7 +289,7 @@ def cmd_reduce(args):
     from .cochains import format_cochain_text
     from .poset import base_point
 
-    base = args.base or base_point(args.poset)
+    base = base_point(args.poset) if args.base is None else args.base
     u1, f, H = cn.ambrose_singer_reduce(args.cochain, base)
     return 0, {
         "cochain": format_cochain_text(u1, name="reduced"),
@@ -350,70 +327,6 @@ def cmd_gauge_act(args):
                                               name="transformed")}
 
 
-# The cochain fixtures of `suite`: file stem -> (poset stem, group stem,
-# function making the cochain from the `acceptance` module and the
-# standard poset and group).
-COCHAIN_FIXTURES = {
-    "winding-z3": ("circle2", "z3",
-                   lambda acc, P, G: acc.winding_cocycle(P, G, "g1")),
-    "fullimage-s3": ("twoloop", "s3",
-                     lambda acc, P, G: acc.full_image_cocycle(P, G)),
-}
-
-
-def _write_fixtures(directory):
-    from . import acceptance
-    from .cochains import format_cochain_text
-    from .groups import format_group_text
-    from .poset import format_poset_text
-
-    directory.mkdir(parents=True, exist_ok=True)
-    posets, groups = acceptance.standard_posets(), acceptance.standard_groups()
-    written = []
-
-    def write(name, text):
-        path = directory / name
-        if not path.exists():
-            path.write_text(text())
-            written.append(name)
-
-    for name, P in posets.items():
-        write(f"{name}.poset", lambda: format_poset_text(P))
-    for name, G in groups.items():
-        write(f"{name}.group", lambda: format_group_text(G))
-    for name, (p, g, build) in COCHAIN_FIXTURES.items():
-        write(f"{name}.cochain", lambda: format_cochain_text(
-            build(acceptance, posets[p], groups[g]), name=name))
-    return written
-
-
-def _fixture_problems(directory):
-    """What is wrong with the fixture files, one line per file."""
-    from .cochains import is_cocycle, parse_cochain_text
-    from .groups import parse_group_text
-    from .poset import parse_poset_text
-
-    problems, posets, groups = [], {}, {}
-    for suffix, parse, parsed in (("poset", parse_poset_text, posets),
-                                  ("group", parse_group_text, groups)):
-        for path in sorted(directory.glob(f"*.{suffix}")):
-            try:
-                parsed[path.stem] = parse(path.read_text())
-            except PosetBundleError as exc:
-                problems.append(f"{exc} in {path.name}")
-    for path in sorted(directory.glob("*.cochain")):
-        p, g, _ = COCHAIN_FIXTURES.get(path.stem, (None, None, None))
-        if p not in posets or g not in groups:
-            continue
-        try:
-            z = parse_cochain_text(path.read_text(), posets[p], groups[g])
-            if not is_cocycle(z):
-                problems.append(f"not a cocycle in {path.name}")
-        except PosetBundleError as exc:
-            problems.append(f"{exc} in {path.name}")
-    return problems
-
-
 def cmd_suite(args):
     """Write and validate the fixtures, then run the acceptance criteria.
 
@@ -424,9 +337,9 @@ def cmd_suite(args):
     from . import acceptance
 
     directory = FilePath(args.fixtures)
-    with _writing(directory):
-        written = sorted(_write_fixtures(directory))
-    problems = _fixture_problems(directory)
+    with _os_errors(f"write {directory}"):
+        written = sorted(acceptance.write_fixtures(directory))
+    problems = acceptance.fixture_problems(directory)
     text = args.format == "text"
     if text:
         if written:
@@ -695,7 +608,8 @@ def run(argv=None) -> int:
         for spec in _specs(row):
             path = getattr(args, _dest(spec))
             if spec[1] and path is not None:
-                text = _read(path)
+                with _os_errors(f"read {path}"):
+                    text = FilePath(path).read_text()
                 with located(f" in {path}"):
                     setattr(args, _dest(spec), LOADERS[spec[1]](text, args))
         code, report = row[1](args)

@@ -1,22 +1,26 @@
 """Exception hierarchy shared by all posetbundle modules, and the helpers
 that let input errors name the line and file they came from."""
 
-from contextlib import contextmanager
-
 
 class PosetBundleError(Exception):
     """Base class for all errors raised by this package."""
 
 
-@contextmanager
-def located(suffix):
+class located:
     """Append `suffix`, a place in the input such as " (line 3)", to the
-    message of a `PosetBundleError` raised inside."""
-    try:
-        yield
-    except PosetBundleError as exc:
-        exc.args = (f"{exc}{suffix}",)
-        raise
+    message of a `PosetBundleError` raised inside; cheap to enter per line."""
+
+    __slots__ = ("suffix",)
+
+    def __init__(self, suffix):
+        self.suffix = suffix
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, PosetBundleError):
+            exc.args = (f"{exc}{self.suffix}",)
 
 
 def content_lines(text):

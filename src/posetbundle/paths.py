@@ -3,10 +3,11 @@ and fundamental-group presentations with homomorphism counting."""
 
 from __future__ import annotations
 
+import re
 from functools import cached_property
 
 from .errors import (BadParameter, EndpointMismatch, NotConnected,
-                     check_limit)
+                     check_limit, content_lines, located)
 from .frozen import Frozen
 from .groups import FiniteGroup
 from .poset import Poset
@@ -15,6 +16,8 @@ from .simplicial import (
     complex_of,
     degeneracy,
     enumerate_simplices,
+    enumerated,
+    parse_simplex1,
     reverse,
 )
 
@@ -62,6 +65,24 @@ class Path(Frozen):
 
     def encode(self):
         return ";".join(b.encode() for b in reversed(self.steps))
+
+
+def parse_path_text(text: str, P: Poset) -> Path:
+    """Read the path file format that `Path.encode` writes: 1-simplices of
+    P, first step written last, separated by whitespace or `;`; `#`
+    starts a comment, and a 1-simplex does not span lines."""
+    steps = []
+    for number, line, _ in content_lines(text):
+        with located(f" (line {number})"):
+            pieces = re.split(r"(\([^()]*\))", line)
+            stray = [t for t in pieces[::2] if not re.fullmatch(r"[\s;]*", t)]
+            if stray:
+                raise BadParameter(f"path file has text outside 1-simplices: "
+                                   f"{stray[0].strip()!r}")
+            steps += (enumerated(P, parse_simplex1(c)) for c in pieces[1::2])
+    if not steps:
+        raise BadParameter("path file contains no 1-simplices")
+    return Path(tuple(reversed(steps)))
 
 
 def degenerate_loop(a: Simplex0) -> Path:

@@ -3,8 +3,8 @@ standard fixtures x Z2, Z3 and S3.
 
 Two trees that print the same digests compute the same tables, verdicts,
 presentations, homomorphisms, cocycles, connections, cochain texts,
-holonomy groups, homotopy certificates, acceptance details and CLI
-outputs, in the same order.  Run it in each tree and compare:
+holonomy groups, homotopy certificates, acceptance details, CLI
+outputs and the CLI's input errors, in the same order.  Run it in each tree and compare:
 
     PYTHONPATH=src python tests/digest.py
 
@@ -48,6 +48,75 @@ SAMPLES = 12
 # QUERIES per poset, searched within bound 5.
 HOMOTOPY_POSETS = ("circle2", "twoloop", "chain3", "vee")
 QUERIES = 20
+
+# The command that reads a file of each kind, against the files that
+# `inputs.write_fixtures` writes.
+READERS = {
+    "poset": "validate {}",
+    "group": "group-validate {}",
+    "cochain": "check-cocycle circle2.poset z3.group {}",
+    "assign": "gauge-act circle2.poset z3.group winding-z3.cochain "
+              "--transform {}",
+    "path": "homotopic circle2.poset {} circle2-yes-q.path",
+}
+Z3_COCHAIN = "cochain u over circle2 values Z3\n"
+# Malformed input files, one for each error branch of the five readers;
+# a text of None is a file that is not there.  The errors found at the
+# end of a file (a missing header, an empty path file, a cochain or
+# assignment missing a value, steps that do not chain) name no line.
+INPUT_ERRORS = {
+    "missing.poset": None,
+    "empty.poset": "",
+    "no-header.poset": "# a comment\nelem a b\n",
+    "header.poset": "poset\nelem a\n",
+    "two-headers.poset": "poset p\nposet q\n",
+    "element.poset": "poset p\nelem a b(c\n",
+    "le.poset": "poset p\nelem a b\nle a\n",
+    "repeated-le.poset": "poset p\nelem a b\nle a b\nle a b\n",
+    "line.poset": "poset p\nelem a\nfoo bar\n",
+    "duplicate.poset": "poset p\nelem a a\n",
+    "unknown.poset": "poset p\nelem a\nle a z\n",
+    "cycle.poset": "poset p\nelem x y\nle x y\nle y x\n",
+    "no-elems.group": "group g\n",
+    "header.group": "group\nelems e\n",
+    "two-headers.group": "group g\ngroup h\n",
+    "two-elems.group": "group g\nelems e\nelems e\n",
+    "element.group": "group g\nelems e a:b\n",
+    "line.group": "group g\nfoo\n",
+    "rows-first.group": "group g\ntable\ne: e\n",
+    "unknown-row.group": "group g\nelems e\ntable\nx: e\n",
+    "repeated-row.group": "group g\nelems e\ntable\ne: e\ne: e\n",
+    "short-row.group": "group g\nelems e a\ntable\ne: e a\na: a\n",
+    "duplicate.group": "group g\nelems e e\ntable\ne: e e\n",
+    "product.group": "group g\nelems e a\ntable\ne: e a\na: a b\n",
+    "associative.group":
+        "group g\nelems e a b\ntable\ne: e a b\na: a e e\nb: b e e\n",
+    "no-identity.group": "group g\nelems e a\ntable\ne: e e\na: a a\n",
+    "no-inverse.group": "group g\nelems e z\ntable\ne: e z\nz: z z\n",
+    "identity.group": "group g\nelems a e\ntable\na: e a\ne: a e\n",
+    "empty.cochain": "# a comment\n",
+    "header.cochain": "cochain u over circle2\n",
+    "poset.cochain": "cochain u over chain2 values z3\n",
+    "group.cochain": "cochain u over circle2 values s3\n",
+    "line.cochain": Z3_COCHAIN + "(o1;o1,a1) g1\n",
+    "simplex.cochain": Z3_COCHAIN + "(o1;o1) = g1\n",
+    "no-simplex.cochain": Z3_COCHAIN + "(o9;o1,a1) = g1\n",
+    "repeated.cochain": Z3_COCHAIN + "(o1;o1,a1) = g1\n(o1;o1,a1) = g2\n",
+    "value.cochain": Z3_COCHAIN + "(o1;o1,a1) = g7\n",
+    "missing-value.cochain": Z3_COCHAIN + "(o1;o1,a1) = g1\n",
+    "line.assign": "a1 g1\n",
+    "element.assign": "zz = g1\n",
+    "repeated.assign": "a1 = g1\na1 = g2\n",
+    "value.assign": "a1 = g7\n",
+    "missing-value.assign": "a1 = g1\n",
+    "empty.path": "",
+    "comment.path": "# no steps\n\n",
+    "stray.path": "(o1;o1,a1) x\n",
+    "paren.path": "# one step\n((o1;o1,a1)\n",
+    "simplex.path": "(o1;o1)\n",
+    "no-simplex.path": "(o1;o1,a1)\n(o9;o1,a1)\n",
+    "unchained.path": "(o2;o2,a2);(o1;o1,a1)\n",
+}
 
 
 def _cells():
@@ -187,12 +256,29 @@ def _acceptance():
 def _cli():
     """Exit code, stdout and stderr of each golden CLI invocation, run in
     process in a directory that `inputs.write_fixtures` fills."""
+    return _in_fixtures(INVOCATIONS)
+
+
+def _input_errors():
+    """Exit code, stdout and stderr of the command that reads each file
+    of `INPUT_ERRORS`."""
+    return _in_fixtures(
+        [READERS[name.rsplit(".", 1)[1]].format(name) for name in INPUT_ERRORS],
+        {name: text for name, text in INPUT_ERRORS.items() if text is not None})
+
+
+def _in_fixtures(invocations, files=None):
+    """(invocation, (exit code, stdout, stderr)) for each invocation, run
+    in process in a directory that `inputs.write_fixtures` fills and
+    that holds `files` (name -> text)."""
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         write_fixtures(Path(tmp))
+        for name, text in (files or {}).items():
+            (Path(tmp) / name).write_text(text)
         os.chdir(tmp)
         try:
-            return [(i, invoke(i)) for i in INVOCATIONS]
+            return [(i, invoke(i)) for i in invocations]
         finally:
             os.chdir(here)
 
@@ -210,6 +296,7 @@ PARTS = {
     "acceptance": _acceptance,
     "homotopy": _homotopy,
     "cli": _cli,
+    "input_errors": _input_errors,
 }
 
 

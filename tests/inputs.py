@@ -14,7 +14,8 @@ import contextlib
 import io
 
 from posetbundle import cli
-from posetbundle.acceptance import random_connection, standard_posets
+from posetbundle.acceptance import (random_connection, standard_posets,
+                                    write_fixtures as write_suite_fixtures)
 from posetbundle.cochains import Cochain1
 from posetbundle.simplicial import complex_of
 
@@ -128,9 +129,10 @@ INVOCATIONS = (
 
 
 def write_fixtures(directory):
-    """Write the files the invocations read into `directory`: those of
-    `cli._write_fixtures` plus a gauge transformation and path files."""
-    cli._write_fixtures(directory)
+    """Write the files the invocations read into `directory`: the `suite`
+    fixtures of `acceptance.write_fixtures` plus a gauge transformation
+    and path files."""
+    write_suite_fixtures(directory)
     (directory / "g1.assign").write_text(
         "".join(f"{a} = g1\n" for a in standard_posets()["circle2"].elements)
     )

@@ -115,6 +115,26 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
     assert captured.err.startswith(f"error: cannot write {argv[-1]}: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["pi1", "circle2.poset", "--base", ""],
+     "'' is not an element of circle2"),
+    (["holonomy", "circle2.poset", "z3.group", "winding.cochain", "--base", ""],
+     "'' is not an element of circle2"),
+    (["reduce", "circle2.poset", "z3.group", "winding.cochain", "--base", ""],
+     "'' is not an element of circle2"),
+    (["nonflat", "circle2.poset", "z3.group", "--edge", ""],
+     "bad 1-simplex encoding: ''"),
+])
+def test_empty_option_values_are_checked_not_defaulted(workspace, capsys,
+                                                      monkeypatch, argv,
+                                                      message):
+    """An empty `--base` or `--edge` is a value that fails its check; only
+    a missing option means the default."""
+    monkeypatch.chdir(workspace)
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_validate_missing_file_is_usage_error(tmp_path):
     assert run(["validate", tmp_path / "nope.poset"]) == 2
 

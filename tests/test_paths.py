@@ -2,6 +2,7 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from posetbundle import smith
 from posetbundle.connections import enumerate_loops
@@ -24,12 +25,16 @@ from posetbundle.paths import (
     enumerate_homs,
     homotopic,
     invert_word,
+    parse_path_text,
     pi1_presentation,
     reverse_path,
     word_value,
 )
 from posetbundle.poset import build_poset, generate
-from posetbundle.simplicial import Simplex0, Simplex1, complex_of, reverse
+from posetbundle.simplicial import (Simplex0, Simplex1, complex_of,
+                                   enumerate_simplices, reverse)
+
+from strategies import TEXT_NAMES
 
 
 def edge(support, end, start):
@@ -66,6 +71,50 @@ def test_compose_and_reverse_give_the_checked_paths(posets, name):
         assert r == Path(r.steps) and hash(r) == hash(Path(r.steps))
         for q in loops:
             assert compose(q, p) == Path(p.steps + q.steps)
+
+
+SEPARATORS = (";", " ", "\n", " ; # a comment\n", ";\n\n;", "\t;")
+
+
+@pytest.mark.parametrize("separator", SEPARATORS)
+def test_path_text_round_trips_every_loop(posets, separator):
+    """`parse_path_text` reads back what `Path.encode` writes, and the
+    steps may be parted by `;`, blanks, line breaks and comments."""
+    for P in posets.values():
+        for p in enumerate_loops(P, P.elements[0], 3):
+            assert parse_path_text(p.encode(), P) == p
+            text = separator.join(b.encode() for b in reversed(p.steps))
+            assert parse_path_text(f"# {P.name}\n{text}\n", P) == p
+
+
+@given(st.lists(TEXT_NAMES, min_size=2, max_size=2, unique=True))
+@example(["a;b", "c"])
+@example(["a,b", "c"])
+@example(["a(b", "c"])
+@example(["a=b", "c"])
+def test_a_step_is_rejected_or_round_trips_through_path_text(points):
+    """The path file of each 1-simplex of points[0] <= points[1]."""
+    try:
+        P = build_poset(points, [tuple(points)], name="p")
+    except BadParameter:
+        return
+    for b in enumerate_simplices(P, 1):
+        assert parse_path_text(Path((b,)).encode(), P) == Path((b,))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "path file contains no 1-simplices"),
+    ("# only a comment\n\n", "path file contains no 1-simplices"),
+    ("(o1;o1,a1) x", "path file has text outside 1-simplices: 'x' (line 1)"),
+    ("(o1;o1,a1)\n(o1;a1,o1), (o1;o1,a1)",
+     "path file has text outside 1-simplices: ',' (line 2)"),
+    ("((o1;o1,a1)", "path file has text outside 1-simplices: '(' (line 1)"),
+    ("(o1;o1)", "bad 1-simplex encoding: '(o1;o1)' (line 1)"),
+])
+def test_path_text_errors_name_the_line(posets, text, message):
+    with pytest.raises(BadParameter) as caught:
+        parse_path_text(text, posets["circle2"])
+    assert str(caught.value) == message
 
 
 def test_compose_and_reverse():
