@@ -1,10 +1,10 @@
 """Command-line front end: a table of commands, input loading, dispatch
 and deterministic reports.
 
-Every command is one row of `COMMANDS`: its name, its handler, the input
-files it loads (poset, group, cochain), its further arguments and its
-help.  `run` parses the arguments against the table (`parse`), loads
-every input file into the object it describes and hands the result to
+Every command is one row of `COMMANDS`: its name, its handler, its
+arguments and its help; the argument of an input file names its loader.
+`run` parses argv against the table (`parse`), loads the input files in
+row order, each into the object it describes, and hands the result to
 the handler, which only builds the report.
 
 Exit codes: 0 for success / true verdicts, 1 for false verdicts,
@@ -64,17 +64,6 @@ def _load_path(text, args):
     return parse_path_text(text, args.poset)
 
 
-# How each kind of input file becomes an object; a cochain, an assignment
-# or a path is read against the poset (and group) loaded before it.
-LOADERS = {
-    "poset": _load_poset,
-    "group": _load_group,
-    "cochain": _load_cochain,
-    "path": _load_path,
-    "assignment": _load_assignment,
-}
-
-
 def _emit(report, fmt):
     if fmt == "json":
         import json
@@ -99,6 +88,12 @@ def _emit(report, fmt):
 #
 # Handlers receive the parsed arguments with every input file already
 # loaded and return (exit code, report); a report of None prints nothing.
+
+
+def _base(args):
+    """The `--base` point, or the poset's base point without one."""
+    from .poset import base_point
+    return base_point(args.poset) if args.base is None else args.base
 
 
 def cmd_validate(args):
@@ -152,13 +147,11 @@ def cmd_simplices(args):
 
 def cmd_pi1(args):
     from .paths import pi1_presentation
-    from .poset import base_point
 
-    P = args.poset
-    base = base_point(P) if args.base is None else args.base
-    pres, _ = pi1_presentation(P, base)
+    base = _base(args)
+    pres, _ = pi1_presentation(args.poset, base)
     return 0, {
-        "poset": P.name,
+        "poset": args.poset.name,
         "base": base,
         "generators": list(pres.generators),
         "relators": len(pres.relators),
@@ -258,10 +251,8 @@ def cmd_induce(args):
 
 def cmd_holonomy(args):
     from . import connections as cn
-    from .poset import base_point
 
-    u = args.cochain
-    base = base_point(args.poset) if args.base is None else args.base
+    u, base = args.cochain, _base(args)
     report = {**_header(args), "base": base,
               "holonomy": list(cn.holonomy(u, base))}
     if args.restricted:
@@ -287,9 +278,8 @@ def cmd_nonflat(args):
 def cmd_reduce(args):
     from . import connections as cn
     from .cochains import format_cochain_text
-    from .poset import base_point
 
-    base = base_point(args.poset) if args.base is None else args.base
+    base = _base(args)
     u1, f, H = cn.ambrose_singer_reduce(args.cochain, base)
     return 0, {
         "cochain": format_cochain_text(u1, name="reduced"),
@@ -336,6 +326,8 @@ def cmd_suite(args):
     """
     from . import acceptance
 
+    if not args.fixtures:  # `FilePath("")` is the working directory
+        raise UsageError("--fixtures '' names no directory")
     directory = FilePath(args.fixtures)
     with _os_errors(f"write {directory}"):
         written = sorted(acceptance.write_fixtures(directory))
@@ -384,58 +376,59 @@ def _nonnegative_int(text):
 def arg(*flags, load=None, **kwargs):
     """An argument: its flags (or its name, for a positional), how `parse`
     takes it (`type`, `choices`, `default`, `required`, or
-    `action="store_true"` for a flag), and the `LOADERS` kind that turns
-    the named file into an object, if it names one."""
+    `action="store_true"` for a flag), and for an input file `load`, which
+    makes its object from (text, args) with the inputs before it loaded."""
     return flags, load, kwargs
 
 
 BASE = arg("--base")
 LIMIT = arg("--limit", type=_nonnegative_int, default=100)
+SEARCH_LIMIT = arg("--limit", type=_nonnegative_int, default=10 ** 6)
+POSET = arg("poset", load=_load_poset)
+GROUP = arg("group", load=_load_group)
+COCHAIN = (POSET, GROUP, arg("cochain", load=_load_cochain))
 
-# name, handler, input files loaded in order, further arguments, help
+# name, handler, arguments (input files load in this order), help
 COMMANDS = (
-    ("validate", cmd_validate, "poset", (), "check a poset file"),
-    ("gen", cmd_gen, "", (arg("kind", choices=("chain", "vee", "circle")),
-                          arg("n", type=int), arg("-o", "--output")),
+    ("validate", cmd_validate, (POSET,), "check a poset file"),
+    ("gen", cmd_gen, (arg("kind", choices=("chain", "vee", "circle")),
+                      arg("n", type=int), arg("-o", "--output")),
      "generate a fixture poset"),
-    ("simplices", cmd_simplices, "poset",
-     (arg("--dim", type=int, default=1),
+    ("simplices", cmd_simplices,
+     (POSET, arg("--dim", type=int, default=1),
       arg("--inflating", action="store_true"), LIMIT),
      "enumerate singular simplices"),
-    ("pi1", cmd_pi1, "poset", (BASE,), "present the fundamental group"),
-    ("homotopic", cmd_homotopic, "poset",
-     (arg("path1", load="path"), arg("path2", load="path"),
-      arg("--bound", type=_nonnegative_int, default=6),
-      arg("--limit", type=_nonnegative_int, default=10 ** 6)),
+    ("pi1", cmd_pi1, (POSET, BASE), "present the fundamental group"),
+    ("homotopic", cmd_homotopic,
+     (POSET, arg("path1", load=_load_path), arg("path2", load=_load_path),
+      arg("--bound", type=_nonnegative_int, default=6), SEARCH_LIMIT),
      "bounded homotopy test"),
-    ("group-validate", cmd_group_validate, "group", (), "check a group file"),
-    ("check-cocycle", cmd_check_cocycle, "poset group cochain", (LIMIT,),
+    ("group-validate", cmd_group_validate, (GROUP,), "check a group file"),
+    ("check-cocycle", cmd_check_cocycle, (*COCHAIN, LIMIT),
      "check the cocycle identity"),
-    ("dd-check", cmd_dd_check, "poset group cochain", (),
+    ("dd-check", cmd_dd_check, COCHAIN,
      "check that the second coboundary is trivial"),
-    ("curvature", cmd_curvature, "poset group cochain", (LIMIT,),
+    ("curvature", cmd_curvature, (*COCHAIN, LIMIT),
      "curvature of a connection"),
-    ("induce", cmd_induce, "poset group cochain", (),
-     "the cocycle a connection induces"),
-    ("gauge-group", cmd_gauge_group, "poset group cochain", (),
+    ("induce", cmd_induce, COCHAIN, "the cocycle a connection induces"),
+    ("gauge-group", cmd_gauge_group, COCHAIN,
      "gauge group of a cocycle's bundle"),
-    ("classify-cocycles", cmd_classify_cocycles, "poset group",
-     (arg("--limit", type=_nonnegative_int, default=10 ** 6),),
+    ("classify-cocycles", cmd_classify_cocycles, (POSET, GROUP, SEARCH_LIMIT),
      "one cocycle of each class"),
-    ("holonomy", cmd_holonomy, "poset group cochain",
-     (BASE, arg("--restricted", action="store_true")),
+    ("holonomy", cmd_holonomy,
+     (*COCHAIN, BASE, arg("--restricted", action="store_true")),
      "holonomy group of a connection"),
-    ("nonflat", cmd_nonflat, "poset group",
-     (arg("--cocycle", load="cochain"), arg("--edge"), arg("--g")),
+    ("nonflat", cmd_nonflat,
+     (POSET, GROUP, arg("--cocycle", load=_load_cochain), arg("--edge"),
+      arg("--g")),
      "build a connection that is not flat"),
-    ("reduce", cmd_reduce, "poset group cochain", (BASE,),
+    ("reduce", cmd_reduce, (*COCHAIN, BASE),
      "Ambrose-Singer reduction of a connection"),
-    ("gauge-act", cmd_gauge_act, "poset group cochain",
-     (arg("--transform", required=True, load="assignment"),),
+    ("gauge-act", cmd_gauge_act,
+     (*COCHAIN, arg("--transform", required=True, load=_load_assignment)),
      "apply a gauge transformation to a connection"),
-    ("suite", cmd_suite, "",
-     (arg("--fixtures", default="fixtures"),
-      arg("--seed", type=int)),
+    ("suite", cmd_suite,
+     (arg("--fixtures", default="fixtures"), arg("--seed", type=int)),
      "run the acceptance criteria"),
 )
 
@@ -460,10 +453,6 @@ DESCRIPTION = ("Non-Abelian cohomology of finite posets: simplices, cocycles,\n"
 HELP = arg("-h", "--help", action="help")
 COMMAND = arg("command", choices=tuple(row[0] for row in COMMANDS))
 TOP = (arg("--format", choices=("text", "json"), default="text"), COMMAND)
-
-
-def _specs(row):
-    return (*(arg(kind, load=kind) for kind in row[2].split()), *row[3])
 
 
 def _dest(spec):
@@ -553,7 +542,7 @@ def parse(argv):
                 if spec is COMMAND:
                     # The command's own arguments follow it.
                     row = next(r for r in COMMANDS if r[0] == token)
-                    prog, specs = f"{PROG} {token}", _specs(row)
+                    prog, specs = f"{PROG} {token}", row[2]
                     positionals, options = _split(specs)
             elif found is None or found[0] is None:
                 strays.append(token)
@@ -565,10 +554,10 @@ def parse(argv):
                     raise UsageError(f"argument {'/'.join(flags)}: ignored "
                                      f"explicit argument {value!r}")
                 if action == "help":
-                    print(_usage(prog, specs), "", row[4] if row else
+                    print(_usage(prog, specs), "", row[3] if row else
                           DESCRIPTION, sep="\n")
                     if not row:
-                        print("", *(f"  {r[0]:<19}{r[4]}" for r in COMMANDS),
+                        print("", *(f"  {r[0]:<19}{r[3]}" for r in COMMANDS),
                               sep="\n")
                     return None
                 if not action and value is None:
@@ -605,13 +594,13 @@ def run(argv=None) -> int:
         return 0
     row, args = parsed
     try:
-        for spec in _specs(row):
+        for spec in row[2]:
             path = getattr(args, _dest(spec))
             if spec[1] and path is not None:
                 with _os_errors(f"read {path}"):
                     text = FilePath(path).read_text()
                 with located(f" in {path}"):
-                    setattr(args, _dest(spec), LOADERS[spec[1]](text, args))
+                    setattr(args, _dest(spec), spec[1](text, args))
         code, report = row[1](args)
     except PosetBundleError as exc:
         print(f"error: {exc}", file=sys.stderr)

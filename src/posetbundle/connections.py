@@ -40,12 +40,7 @@ from .errors import (
 from .groups import FiniteGroup
 from .paths import Path
 from .poset import Poset
-from .simplicial import (
-    Simplex0,
-    Simplex1,
-    complex_of,
-    enumerate_simplices,
-)
+from .simplicial import Simplex1, complex_of, enumerate_simplices
 
 
 def is_connection(u: Cochain1) -> bool:
@@ -84,14 +79,17 @@ def transport_between(u: Cochain1, o: str, a1: str, a: str):
     """The parallel transport u(o; o, a1)^-1 u(o; o, a) between two
     points below a common upper bound o; `UnknownElement` if a name is
     not an element of P."""
+    P, G, at = u.poset, u.group, u.cells.at
     for x in (o, a1, a):
-        u.poset.check_element(x)
-    G = u.group
-    top = Simplex0(o)
-    return G.mul(
-        G.inv(u(Simplex1(o, top, Simplex0(a1)))),
-        u(Simplex1(o, top, Simplex0(a))),
-    )
+        P.check_element(x)
+    top, values = P.elements.index(o), []
+    for x in (a1, a):
+        try:
+            values.append(u.ids[at[top, top, P.elements.index(x)]])
+        except KeyError:
+            raise NoSuchSimplex(f"({o};{o},{x}) is not a 1-simplex of "
+                                f"{P.name}") from None
+    return G.elements[G.rows[G.inverses[values[0]]][values[1]]]
 
 
 def induced_cocycle(u: Cochain1) -> Cochain1:
@@ -201,11 +199,10 @@ def central_decompose(u: Cochain1):
     rows, inv = G.rows, G.inverses
     chi = tuple(rows[inv[a]][b] for a, b in zip(z.ids, u.ids))
     center = {G.index[g] for g in G.center()}
-    for b, g in zip(u.cells.simplices, chi):
+    for i, g in enumerate(chi):
         if g not in center:
-            raise NotCentral(
-                f"component {G.elements[g]!r} at {b.encode()} is not central"
-            )
+            raise NotCentral(f"component {G.elements[g]!r} at "
+                             f"{u.cells.encode(i)} is not central")
     return z, Cochain1._of(u.poset, G, chi)
 
 

@@ -434,6 +434,8 @@ def parse_group_text(text: str) -> FiniteGroup:
                 for g in fields[1:]:
                     check_name(g, "group element", "#:")
                 elems = fields[1:]
+                if len(set(elems)) != len(elems):
+                    raise MalformedTable("duplicate group elements")
             elif fields[0] == "table":
                 in_table = True
             else:

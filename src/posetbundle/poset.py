@@ -252,8 +252,8 @@ def parse_poset_text(text: str) -> Poset:
     ``le <lower> <upper>`` lines.  ``#`` starts a comment.
     """
     name = None
-    elements = []
-    relations = {}  # the le lines in file order, a set for the repeat check
+    elements = {}  # in file order, a set for the repeat check
+    relations = {}  # le pair -> its line number, in file order
     for number, line, raw in content_lines(text):
         with located(f" (line {number})"):
             fields = line.split()
@@ -267,17 +267,25 @@ def parse_poset_text(text: str) -> Poset:
             elif fields[0] == "elem":
                 for x in fields[1:]:
                     check_name(x, "poset element", "#();,=")
-                elements.extend(fields[1:])
+                for x in fields[1:]:
+                    if x in elements:
+                        raise DuplicateElement(f"duplicate element {x!r}")
+                    elements[x] = None
             elif fields[0] == "le":
                 if len(fields) != 3:
                     raise BadParameter(f"bad le line: {raw!r}")
                 if (fields[1], fields[2]) in relations:
                     raise BadParameter(f"repeated le line: {raw!r}")
-                relations[fields[1], fields[2]] = None
+                relations[fields[1], fields[2]] = number
             else:
                 raise BadParameter(f"unrecognized poset line: {raw!r}")
     if name is None:
         raise BadParameter("missing 'poset <name>' header")
+    for pair, number in relations.items():
+        for x in pair:
+            if x not in elements:
+                raise UnknownElement(f"relation references unknown element "
+                                     f"{x!r} (line {number})")
     return build_poset(elements, relations, name=name)
 
 

@@ -4,7 +4,8 @@ standard fixtures x Z2, Z3 and S3.
 Two trees that print the same digests compute the same tables, verdicts,
 presentations, homomorphisms, cocycles, connections, cochain texts,
 holonomy groups, homotopy certificates, acceptance details, CLI
-outputs and the CLI's input errors, in the same order.  Run it in each tree and compare:
+outputs, the CLI's input errors and its help and usage texts, in the
+same order.  Run it in each tree and compare:
 
     PYTHONPATH=src python tests/digest.py
 
@@ -20,6 +21,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from posetbundle import cli
 from posetbundle.acceptance import (random_cocycle, random_connection,
                                     run_all, standard_groups, standard_posets)
 from posetbundle.cochains import (Cochain1, classify_cocycles,
@@ -267,6 +269,15 @@ def _input_errors():
         {name: text for name, text in INPUT_ERRORS.items() if text is not None})
 
 
+def _help():
+    """Exit code, stdout and stderr of `--help`, of `<command> -h` for
+    every command, and of every command but `suite` (which runs the
+    criteria) with no arguments: its usage error."""
+    names = [row[0] for row in cli.COMMANDS]
+    return [(i, invoke(i)) for i in ["--help", *(f"{n} -h" for n in names),
+                                     *(n for n in names if n != "suite")]]
+
+
 def _in_fixtures(invocations, files=None):
     """(invocation, (exit code, stdout, stderr)) for each invocation, run
     in process in a directory that `inputs.write_fixtures` fills and
@@ -297,6 +308,7 @@ PARTS = {
     "homotopy": _homotopy,
     "cli": _cli,
     "input_errors": _input_errors,
+    "help": _help,
 }
 
 

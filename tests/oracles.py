@@ -7,7 +7,7 @@ import contextlib
 import io
 import itertools
 
-from posetbundle.cli import COMMANDS, arg
+from posetbundle.cli import COMMANDS
 from posetbundle.cochains import Cochain1, is_cocycle
 from posetbundle.errors import UsageError, check_limit
 from posetbundle.groups import FiniteGroup
@@ -90,11 +90,10 @@ def build_parser():
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, inputs, extra, help_ in COMMANDS:
+    for name, fn, specs, help_ in COMMANDS:
         p = sub.add_parser(name, **({"help": help_} if help_ else {}))
         loads = []
-        for flags, load, kwargs in [arg(kind, load=kind)
-                                    for kind in inputs.split()] + list(extra):
+        for flags, load, kwargs in specs:
             action = p.add_argument(*flags, **kwargs)
             if load:
                 loads.append((action.dest, load))

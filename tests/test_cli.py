@@ -52,13 +52,13 @@ def test_dispatch_covers_every_command(capsys):
     help line; `--help` lists them all, and each command's own help
     begins with its usage."""
     assert {row[0] for row in cli.COMMANDS} == EXPECTED_COMMANDS
-    for name, fn, _, _, help_ in cli.COMMANDS:
+    for name, fn, _, help_ in cli.COMMANDS:
         assert fn is getattr(cli, "cmd_" + name.replace("-", "_"))
         assert help_
     assert run(["--help"]) == 0
     listed = [line.split(None, 1) for line in capsys.readouterr().out.
               splitlines() if line[:2] == "  " and line[2] != "-"]
-    assert listed == [[name, help_] for name, _, _, _, help_ in cli.COMMANDS]
+    assert listed == [[name, help_] for name, _, _, help_ in cli.COMMANDS]
     for command in EXPECTED_COMMANDS:
         assert run([command, "-h"]) == 0
         assert capsys.readouterr().out.startswith(
@@ -587,6 +587,18 @@ STUB_RESULTS = (
     CriterionResult(1, "first", True, "fine"),
     CriterionResult(2, "second", False, "broken"),
 )
+
+
+def test_empty_fixtures_directory_is_usage_error(tmp_path, capsys,
+                                                 monkeypatch):
+    """`--fixtures ""` names no directory: it is refused, not read as the
+    working directory, so no fixture is written and no criterion runs."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(acceptance, "run_all", lambda seed: STUB_RESULTS)
+    assert run(["suite", "--fixtures", ""]) == 2
+    assert capsys.readouterr() == ("", "error: --fixtures '' names no "
+                                       "directory\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_suite_text_and_json(tmp_path, capsys, monkeypatch):

@@ -38,6 +38,7 @@ from posetbundle.cochains import _act, _loop_ids
 from posetbundle.errors import (
     BadParameter,
     CentralityViolation,
+    DuplicateElement,
     MalformedTable,
     Mismatch,
     MissingValue,
@@ -477,7 +478,7 @@ def _table(text):
     (parse_group_text, "elems e\ntable\ne: e\n", MalformedTable,
      "missing group header or elems line", ""),
     (parse_group_text, "group g\nelems e e\ntable\ne: e e\n",
-     MalformedTable, "duplicate group elements", ""),
+     MalformedTable, "duplicate group elements", " (line 2)"),
     (_table, "e", MalformedTable, "missing product 'e'*'e'", ""),
     (parse_group_text, "group g\nelems e a\ntable\ne: e x\na: a e\n",
      MalformedTable, "product 'e'*'a' = 'x' not an element", ""),
@@ -486,7 +487,9 @@ def _table(text):
     (parse_poset_text, "poset a b\n", BadParameter,
      "bad poset header: 'poset a b'", " (line 1)"),
     (parse_poset_text, "poset p\nelem x\nle y x\n", UnknownElement,
-     "relation references unknown element 'y'", ""),
+     "relation references unknown element 'y'", " (line 3)"),
+    (parse_poset_text, "poset p\nelem a\nelem a\n", DuplicateElement,
+     "duplicate element 'a'", " (line 3)"),
     (_cochain, "# nothing but a comment\n", BadParameter,
      "missing cochain header", ""),
     (_assignment, "\nx g0\n", BadParameter,

@@ -10,10 +10,29 @@ from posetbundle.acceptance import (
 )
 from posetbundle.cochains import (
     Cochain1,
+    are_equivalent,
+    associated_cocycle,
+    classify_cocycles,
+    coboundary,
+    coboundary0,
+    coboundary1,
     coboundary2,
+    coboundary_from_assignment,
+    cocycle_from_hom,
     enumerate_cocycles,
+    find_morphism,
+    format_assignment_text,
+    format_cochain_text,
+    identity_failures,
     is_cocycle,
     is_morphism,
+    is_path_independent,
+    morphisms,
+    parse_assignment_text,
+    pushforward,
+    random_cochain0,
+    random_cochain1,
+    tree_transport,
     trivial_cochain1,
 )
 from posetbundle.connections import (
@@ -28,6 +47,7 @@ from posetbundle.connections import (
     holonomy,
     holonomy_by_loops,
     holonomy_conjugacy_check,
+    holonomy_generators,
     induced_cocycle,
     is_adapted,
     is_central,
@@ -48,7 +68,24 @@ from posetbundle.errors import (
     TrivialGroup,
     UnknownElement,
 )
-from posetbundle.groups import cyclic_group, symmetric_group, trivial_group
+from posetbundle.gauge import (
+    gauge_act,
+    gauge_group,
+    gauge_group_raw,
+    is_gauge_transformation,
+)
+from posetbundle.groups import (
+    GroupHom,
+    cyclic_group,
+    symmetric_group,
+    trivial_group,
+)
+from posetbundle.paths import (
+    count_hom_classes,
+    enumerate_homs,
+    hom_class_representatives,
+    pi1_presentation,
+)
 from posetbundle.poset import generate
 from posetbundle.simplicial import (
     complex_of,
@@ -344,6 +381,99 @@ def test_holonomy_layer_builds_no_simplex_objects():
     ambrose_singer_reduce(u, a0)
     K = complex_of(P)
     assert [n for n in (1, 2) if "simplices" in vars(K[n])] == []
+
+
+def _pi1(P):
+    return pi1_presentation(P, "a1")[0]
+
+
+def _unit(P):
+    return dict.fromkeys(P.elements, Z2.identity)
+
+
+# The public cochain, connection, gauge and pi1 functions, on a connection
+# u over circle2 and its bundle z.  Left out are those that take simplex
+# objects in or hand them out: the `values` and `tau` views,
+# `extend_to_path`, `parse_cochain_text` (it looks its simplices up by
+# object), `construct_nonflat` (its witness), `enumerate_loops`,
+# `holonomy_by_loops`, `homotopic` and `deformations`.
+ID_ONLY = {
+    "trivial_cochain1": lambda P, u, z: trivial_cochain1(P, Z2),
+    "random_cochain0": lambda P, u, z: random_cochain0(P, Z2, random.Random()),
+    "random_cochain1": lambda P, u, z: random_cochain1(P, Z2, random.Random()),
+    "coboundary_from_assignment":
+        lambda P, u, z: coboundary_from_assignment(P, Z2, _unit(P)),
+    "pushforward": lambda P, u, z: pushforward(GroupHom.identity(Z2), u),
+    "associated_cocycle":
+        lambda P, u, z: associated_cocycle(z, GroupHom.identity(Z2)),
+    "coboundary0":
+        lambda P, u, z: coboundary0(random_cochain0(P, Z2, random.Random())),
+    "coboundary1": lambda P, u, z: coboundary1(u),
+    "coboundary2": lambda P, u, z: coboundary2(coboundary1(u)),
+    "coboundary": lambda P, u, z: coboundary(u),
+    "is_cocycle": lambda P, u, z: is_cocycle(u),
+    "identity_failures": lambda P, u, z: list(identity_failures(u)),
+    "tree_transport": lambda P, u, z: tree_transport(u, "a1"),
+    "is_path_independent": lambda P, u, z: is_path_independent(u),
+    "is_morphism": lambda P, u, z: is_morphism(_unit(P), z, z),
+    "morphisms": lambda P, u, z: list(morphisms(z, z)),
+    "find_morphism": lambda P, u, z: find_morphism(z, z),
+    "are_equivalent": lambda P, u, z: are_equivalent(z, z),
+    "cocycle_from_hom": lambda P, u, z: cocycle_from_hom(
+        P, Z2, (Z2.identity,) * len(_pi1(P).generators)),
+    "enumerate_cocycles": lambda P, u, z: enumerate_cocycles(P, Z2),
+    "classify_cocycles": lambda P, u, z: classify_cocycles(P, Z2),
+    "format_cochain_text": lambda P, u, z: format_cochain_text(u),
+    "parse_assignment_text": lambda P, u, z: parse_assignment_text(
+        format_assignment_text(_unit(P)), P, Z2),
+    "is_connection": lambda P, u, z: is_connection(u),
+    "curvature": lambda P, u, z: curvature(u),
+    "is_flat": lambda P, u, z: is_flat(u),
+    "transport_between": lambda P, u, z: transport_between(u, "o1", "a1", "a2"),
+    "induced_cocycle": lambda P, u, z: induced_cocycle(u),
+    "is_adapted": lambda P, u, z: is_adapted(u, z),
+    "construct_from_cochain": lambda P, u, z: construct_from_cochain(
+        trivial_cochain1(P, Z2), z),
+    "central_decompose": lambda P, u, z: central_decompose(u),
+    "central_part": lambda P, u, z: central_part(u),
+    "is_central": lambda P, u, z: is_central(u),
+    "star_compose": lambda P, u, z: star_compose(u, u),
+    "star_inverse": lambda P, u, z: star_inverse(u),
+    "holonomy_generators": lambda P, u, z: holonomy_generators(u, "a1"),
+    "holonomy": lambda P, u, z: holonomy(u, "a1"),
+    "restricted_holonomy": lambda P, u, z: restricted_holonomy(u, "a1"),
+    "ambrose_singer_reduce": lambda P, u, z: ambrose_singer_reduce(u, "a1"),
+    "holonomy_conjugacy_check":
+        lambda P, u, z: holonomy_conjugacy_check(u, "a1", "o2"),
+    "enumerate_connections": lambda P, u, z: enumerate_connections(P, Z2, z),
+    "is_gauge_transformation":
+        lambda P, u, z: is_gauge_transformation(z, _unit(P)),
+    "gauge_group": lambda P, u, z: gauge_group(z),
+    "gauge_group_raw": lambda P, u, z: gauge_group_raw(z),
+    "gauge_act": lambda P, u, z: gauge_act(_unit(P), u),
+    "pi1_presentation": lambda P, u, z: _pi1(P),
+    "enumerate_homs": lambda P, u, z: enumerate_homs(_pi1(P), Z2),
+    "hom_class_representatives":
+        lambda P, u, z: hom_class_representatives(_pi1(P), Z2),
+    "count_hom_classes": lambda P, u, z: count_hom_classes(_pi1(P), Z2),
+}
+
+
+def test_public_functions_build_no_simplex_objects():
+    """Inside the library a simplex is an id: on a fresh complex, no
+    dimension builds its simplex objects for a function that neither
+    takes nor hands out one."""
+    built = {}
+    for name, call in ID_ONLY.items():
+        complex_of.cache_clear()
+        P = generate("circle", 2)
+        u = random_connection(P, Z2, random.Random(5))
+        call(P, u, induced_cocycle(u))
+        cells = complex_of(P)._cells
+        dims = [n for n in sorted(cells) if "simplices" in vars(cells[n])]
+        if dims:
+            built[name] = dims
+    assert built == {}
 
 
 def test_a_reversal_only_change_is_no_connection(posets):

@@ -1347,7 +1347,7 @@ def cli_argvs(draw):
     among them, then stray tokens anywhere, and `--format` before the
     command, or after it."""
     row = draw(st.sampled_from(cli.COMMANDS))
-    specs = cli._specs(row)
+    specs = row[2]
     tokens = [draw(cli_values(spec)) for spec in specs
               if spec[0][0][0] != "-" and draw(st.integers(0, 7))]
     groups = [draw(option_tokens(spec)) for spec in specs
