@@ -30,8 +30,8 @@ from .cochains import (
 from .errors import PosetBundleError
 from .frozen import Frozen
 from .gauge import gauge_group, gauge_group_raw
-from .groups import (FiniteGroup, cyclic_group, format_group_text,
-                     parse_group_text, symmetric_group)
+from .groups import (cyclic_group, format_group_text, parse_group_text,
+                     symmetric_group)
 from .paths import (
     _neighbours,
     _path,
@@ -40,7 +40,7 @@ from .paths import (
     homotopic,
     pi1_presentation,
 )
-from .poset import (Poset, build_poset, format_poset_text, generate,
+from .poset import (build_poset, format_poset_text, generate,
                     parse_poset_text)
 from .simplicial import complex_of
 

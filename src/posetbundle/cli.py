@@ -24,18 +24,21 @@ from types import SimpleNamespace
 
 from .errors import PosetBundleError, UsageError, located
 
-# Each handler and loader imports the library modules it uses, so a
-# command pays only for its own imports; `suite` alone loads
+# Each handler and loader imports the library modules it uses, and a
+# library module imports at its top only what it runs, never a name it
+# needs only in annotations; so a command compiles only the modules it
+# runs (tests/test_imports.py lists them), and `suite` alone loads
 # `acceptance`.
 
 
 @contextmanager
 def _os_errors(doing):
-    """Report an `OSError` raised inside as the usage error
-    "cannot <doing>: <the OSError>", such as "cannot read x.poset: ..."."""
+    """Report an `OSError`, or a file that is not text in the locale's
+    encoding, raised inside as the usage error "cannot <doing>: <the
+    error>", such as "cannot read x.poset: ..."."""
     try:
         yield
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise UsageError(f"cannot {doing}: {exc}") from None
 
 

@@ -32,15 +32,8 @@ from .errors import (
     located,
 )
 from .frozen import Frozen
-from .groups import FiniteGroup, GroupHom, InnerAut
-from .paths import (
-    Path,
-    _word,
-    enumerate_homs,
-    hom_class_representatives,
-    pi1_presentation,
-)
-from .poset import Poset, base_point
+from .groups import InnerAut
+from .poset import base_point
 from .simplicial import Simplex0, complex_of, enumerated, parse_simplex1
 
 
@@ -391,14 +384,14 @@ def extend_to_path(u: Cochain1, p: Path):
 
 
 def _transport(u: Cochain1, a0: str):
-    _, words = pi1_presentation(u.poset, a0)
-    return tuple(_path_value(u, steps) for steps in words.tree)
+    return tuple(_path_value(u, steps) for steps in u.cells.complex.tree(a0))
 
 
 def tree_transport(u: Cochain1, a0: str):
     """T_u(a) = u(tree path to a) for every point a (element -> group
     element): the product of u along the path from a0 to a in the
-    spanning tree of `pi1_presentation(P, a0)`."""
+    spanning tree, `Complex.tree(a0)`, which `pi1_presentation(P, a0)`
+    also contracts."""
     names = map(u.group.elements.__getitem__, _transport(u, a0))
     return dict(zip(u.poset.elements, names))
 
@@ -485,11 +478,15 @@ def are_equivalent(z: Cochain1, z1: Cochain1) -> bool:
 
 
 # -- enumeration and classification ----------------------------------------
+#
+# These read the fundamental group, so they import `paths` when they run;
+# the rest of this module never needs it.
 
 
 def _loop_ids(G: FiniteGroup, words, x):
     """The id of the value on the based loop through each 1-simplex of
     the homomorphism that takes generator i to the element with id x[i]."""
+    from .paths import _word
     return [_word(G, word, x) for word in words.edge_words]
 
 
@@ -500,6 +497,7 @@ def cocycle_from_hom(P, G, sigma, f=None):
     at the base point and, if f is None, everywhere.  A sigma that does
     not give one element of G per generator is a `BadParameter` or, for
     a value outside G, a `MissingValue`."""
+    from .paths import pi1_presentation
     presentation, words = pi1_presentation(P, base_point(P))
     generators = presentation.generators
     if len(sigma) != len(generators):
@@ -522,6 +520,7 @@ def enumerate_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
     Distinct pairs give distinct cocycles: the tree edges (empty words)
     fix the assignment and the generator edges (one letter) sigma.
     """
+    from .paths import enumerate_homs, pi1_presentation
     a0 = base_point(P)  # point id 0; the others follow in element order
     presentation, words = pi1_presentation(P, a0)
     homs = enumerate_homs(presentation, G, limit=limit)
@@ -550,6 +549,7 @@ def classify_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
     spanning tree, in `enumerate_homs` order.  A disconnected poset
     raises `NotConnected`.
     """
+    from .paths import hom_class_representatives, pi1_presentation
     presentation, _ = pi1_presentation(P, base_point(P))
     return tuple(
         cocycle_from_hom(P, G, sigma)

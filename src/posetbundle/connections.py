@@ -12,7 +12,6 @@ import itertools
 
 from .cochains import (
     Cochain1,
-    Cochain2,
     Morphism1,
     _act,
     _is_functor,
@@ -37,10 +36,7 @@ from .errors import (
     WrongCocycle,
     check_limit,
 )
-from .groups import FiniteGroup
-from .paths import Path
-from .poset import Poset
-from .simplicial import Simplex1, complex_of, enumerate_simplices
+from .simplicial import complex_of, enumerate_simplices
 
 
 def is_connection(u: Cochain1) -> bool:
@@ -281,6 +277,7 @@ def restricted_holonomy(u: Cochain1, a0: str):
 def enumerate_loops(P: Poset, a0: str, max_len: int):
     """All loops at a0 of length <= max_len (breadth-first, deterministic);
     `UnknownElement` if a0 is not an element of P."""
+    from .paths import Path
     P.check_element(a0)
     step_from = {}
     for b in enumerate_simplices(P, 1):

@@ -6,11 +6,9 @@ from __future__ import annotations
 import re
 from functools import cached_property
 
-from .errors import (BadParameter, EndpointMismatch, NotConnected,
-                     check_limit, content_lines, located)
+from .errors import (BadParameter, EndpointMismatch, check_limit,
+                     content_lines, located)
 from .frozen import Frozen
-from .groups import FiniteGroup
-from .poset import Poset
 from .simplicial import (
     Simplex0,
     complex_of,
@@ -321,28 +319,19 @@ def _abelianized_equal(p, w1, w2):
 
 
 def _presentation(K):
-    """The base-free part of `pi1_presentation`: the presentation, the
-    edge words and the spanning tree as (point id, step id) lists."""
-    # Kruskal over the reversal classes in id (sort key) order: a class
-    # that joins two components is a tree edge, and any other class that
-    # is not a loop at a point contributes a generator.  Loops at a point
-    # (including degenerate edges) are trivial in the edge-path group:
-    # the 2-simplex with vertex map (a, a, s) and top edge b gives the
-    # relator g h g^-1 for the generator h of b; dropping them shrinks
-    # the presentation without changing the group.
+    """The base-free part of `pi1_presentation`: the presentation and the
+    edge words."""
+    # A class of the spanning tree has the empty word, and any other
+    # class that is not a loop at a point contributes a generator.  Loops
+    # at a point (including degenerate edges) are trivial in the
+    # edge-path group: the 2-simplex with vertex map (a, a, s) and top
+    # edge b gives the relator g h g^-1 for the generator h of b; dropping
+    # them shrinks the presentation without changing the group.
     edges = K[1]
-    component = list(range(len(K.poset)))
-    adjacency = [[] for _ in component]
     generators, words = [], [()] * len(edges.faces)
-    for i, j in edges.classes:
+    for (i, j), joined in zip(edges.classes, edges.spanning[0]):
         y, x = edges.faces[i]  # end, start
-        if component[x] != component[y]:
-            joined = component[x]
-            component = [component[y] if c == joined else c
-                         for c in component]
-            adjacency[x].append((y, i))
-            adjacency[y].append((x, j))
-        elif x != y:
+        if not joined and x != y:
             words[i] = ((len(generators), 1),)
             words[j] = ((len(generators), -1),)
             generators.append(edges.encode(i))
@@ -350,43 +339,30 @@ def _presentation(K):
         word for b0, b1, b2 in K[2].faces
         if (word := words[b0] + words[b2] + invert_word(words[b1]))
     )
-    return Presentation(tuple(generators), relators), tuple(words), adjacency
+    return Presentation(tuple(generators), relators), tuple(words)
 
 
 def pi1_presentation(P: Poset, a0: str):
     """A finite presentation of the edge-path group of P based at a0,
     and the `WordMap` of its spanning tree; kept on `complex_of(P)`.
 
-    A deterministic spanning tree of the multigraph (vertices = elements,
-    one edge per reverse-pair of 1-simplices, Kruskal over sort keys) is
-    contracted; every other edge class contributes a generator, and every
-    2-simplex contributes the relator
+    The spanning tree of the multigraph (vertices = elements, one edge
+    per reverse-pair of 1-simplices), dimension-1 `Cells.spanning`, is
+    contracted; every other edge class contributes a generator, and
+    every 2-simplex contributes the relator
     word(boundary 0) word(boundary 2) word(boundary 1)^-1.  None of this
     depends on a0, so every base point of P shares one `Presentation`
-    and one edge word table; only the tree paths from a0 are its own.
+    and one edge word table; only the tree paths from a0,
+    `Complex.tree(a0)`, are its own.
     """
     K = complex_of(P)
     if a0 in K.presentations:
         return K.presentations[a0]
-    P.check_element(a0)
+    tree = K.tree(a0)
     if K.pi1 is None:
         K.pi1 = _presentation(K)
-    presentation, words, adjacency = K.pi1
-
-    # Tree paths from a0 by BFS over the adjacency lists, which are in
-    # insertion order; the base point's own path is its degenerate edge.
-    # A point's id is its rank in the element order.
-    root, tree = P.elements.index(a0), [None] * len(P)
-    tree[root] = (K[1].degeneracies[0][root],)
-    queue = [root]
-    for x in queue:
-        for y, step in adjacency[x]:
-            if tree[y] is None:
-                tree[y] = (tree[x] if x != root else ()) + (step,)
-                queue.append(y)
-    if None in tree:
-        raise NotConnected(f"{P.name} is not pathwise connected")
-    K.presentations[a0] = (presentation, WordMap(K[1], words, tuple(tree)))
+    presentation, words = K.pi1
+    K.presentations[a0] = (presentation, WordMap(K[1], words, tree))
     return K.presentations[a0]
 
 

@@ -28,8 +28,8 @@ from functools import cached_property, lru_cache, wraps
 from operator import itemgetter
 
 from .errors import (BadParameter, IndexOutOfRange, NoSuchSimplex,
-                     UnsupportedDimension)
-from .poset import Poset, row_ids
+                     NotConnected, UnsupportedDimension)
+from .poset import row_ids
 
 
 class Simplex:
@@ -291,7 +291,7 @@ class Cells:
       strict chain v < s < x, read off the 1-simplex (x; s, v); and the
       reversal classes as id pairs (i, reverse of i) with i <= its
       reverse: all of them in `classes`, those without an inflating
-      member in `free_classes`;
+      member in `free_classes`; and the `spanning` tree over the classes;
     - in dimension 2, `deformations`, which maps the id of a boundary 1
       to the id pairs (boundary 2, boundary 0), and such a pair to the
       1-tuples of boundary 1 ids: the moves of `paths.homotopic`; and,
@@ -410,6 +410,26 @@ class Cells:
         return tuple((i, j) for i, j in self.classes
                      if not infl[i] and not infl[j])
 
+    @cached_property
+    def spanning(self):
+        """(joined, adjacency): Kruskal over the `classes` in id (sort
+        key) order, one edge per class.  `joined[k]` is whether class k
+        joined two components, so is a tree edge; `adjacency[x]` lists
+        (neighbour, step id) for each tree edge at point x, in the order
+        the edges joined."""
+        component = list(range(len(self.complex.poset)))
+        joined, adjacency = [], [[] for _ in component]
+        for i, j in self.classes:
+            y, x = self.faces[i]  # end, start
+            joined.append(component[x] != component[y])
+            if joined[-1]:
+                old = component[x]
+                component = [component[y] if c == old else c
+                             for c in component]
+                adjacency[x].append((y, i))
+                adjacency[y].append((x, j))
+        return tuple(joined), adjacency
+
     def permuted(self, sigma):
         """The id of `permute2(c, sigma)` for each 2-simplex id of c, read
         from `at` and the reverse ids one dimension down; for sigma =
@@ -435,15 +455,42 @@ class Cells:
 class Complex:
     """The enumerated complex of a poset: one `Cells` per dimension
     0..3, each built on first use from the one below.  `complex_of` caches
-    one per poset, so every per-poset table hangs off it, down to
-    `paths.pi1_presentation`: its base-free part `pi1` and its
+    one per poset, so every per-poset table hangs off it: the spanning
+    tree paths by base point (`trees`, see `tree`), and the parts of
+    `paths.pi1_presentation`, its base-free part `pi1` and its
     `presentations` by base point."""
 
     def __init__(self, P: Poset):
         self.poset = P
         self._cells = {}
+        self.trees = {}
         self.pi1 = None
         self.presentations = {}
+
+    def tree(self, a0):
+        """The step ids of the spanning tree path from a0 to each point,
+        by point id, kept in `trees`; a0's own path is its degenerate
+        1-simplex.  `UnknownElement` if a0 is not an element, then
+        `NotConnected` unless the tree reaches every point."""
+        try:
+            return self.trees[a0]
+        except KeyError:
+            pass
+        P, edges = self.poset, self[1]
+        P.check_element(a0)
+        # Breadth first over the adjacency lists, in their order.
+        root, tree = P.elements.index(a0), [None] * len(P)
+        tree[root] = (edges.degeneracies[0][root],)
+        queue = [root]
+        for x in queue:
+            for y, step in edges.spanning[1][x]:
+                if tree[y] is None:
+                    tree[y] = (tree[x] if x != root else ()) + (step,)
+                    queue.append(y)
+        if None in tree:
+            raise NotConnected(f"{P.name} is not pathwise connected")
+        self.trees[a0] = tree = tuple(tree)
+        return tree
 
     def __getitem__(self, n):
         if type(n) is int:  # not a bool or float equal to a key

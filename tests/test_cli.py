@@ -115,6 +115,18 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
     assert captured.err.startswith(f"error: cannot write {argv[-1]}: ")
 
 
+def test_undecodable_input_is_usage_error(workspace, capsys):
+    """An input file whose bytes are not text exits 2 with an error line
+    naming it, not with a `UnicodeDecodeError` traceback."""
+    data = (workspace / "z3.group").read_bytes()
+    (workspace / "bad.group").write_bytes(data[:5] + b"\xff" + data[5:])
+    assert run(["group-validate", workspace / "bad.group"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read "
+                                   f"{workspace / 'bad.group'}: ")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["pi1", "circle2.poset", "--base", ""],
      "'' is not an element of circle2"),

@@ -1109,6 +1109,51 @@ def test_id_kernel_matches_reference_on_free_edges(name, P, G, rng):
     assert fast == reference
 
 
+def check_spanning_tree(P, G, rng):
+    """At every base point of P: each tree path of `Complex.tree` chains
+    as a `Path` of 1-simplex objects from the base point to its point,
+    the presentation's `WordMap.tree` is that table, and `tree_transport`
+    of a random cochain is `extend_to_path` along `WordMap.tree_path`.
+    A connected P has exactly |P| - 1 tree classes; on any other,
+    `tree_transport` and `holonomy` raise `NotConnected`."""
+    K = complex_of(P)
+    edges = K[1].simplices
+    tree_classes = sum(K[1].spanning[0])
+    if not is_pathwise_connected(P):
+        assert tree_classes < len(P) - 1
+        u = trivial_cochain1(P, G)
+        for a0 in P.elements:
+            for call in (tree_transport, holonomy):
+                with pytest.raises(NotConnected) as caught:
+                    call(u, a0)
+                assert str(caught.value) == f"{P.name} is not pathwise connected"
+        return
+    assert tree_classes == len(P) - 1
+    u = random_cochain1(P, G, rng)
+    for a0 in P.elements:
+        tree = K.tree(a0)
+        for a, steps in zip(P.elements, tree):
+            p = Path(tuple(edges[i] for i in steps))
+            assert (p.start.element, p.end.element) == (a0, a)
+        _, words = pi1_presentation(P, a0)
+        assert words.tree is tree
+        assert tree_transport(u, a0) == {
+            a: extend_to_path(u, words.tree_path(a)) for a in P.elements}
+
+
+@settings(max_examples=60, deadline=None)
+@given(P=small_posets(), G=GROUPS, rng=SEEDS)
+def test_spanning_tree_paths_reach_every_point(P, G, rng):
+    check_spanning_tree(P, G, rng)
+
+
+@pytest.mark.parametrize("name", ["chain2", "chain3", "vee", "circle2",
+                                  "twoloop"])
+def test_spanning_tree_of_each_fixture(posets, groups, name):
+    assert len(posets) == 5
+    check_spanning_tree(posets[name], groups["s3"], random.Random(name))
+
+
 def test_is_cocycle_rows_see_both_verdicts(posets, groups):
     """The inputs of the is_cocycle rows are cocycles or not, both often
     enough to tell the kernels apart."""

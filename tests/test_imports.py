@@ -1,14 +1,18 @@
 """What importing the package and running one CLI command load.
 
 `posetbundle` binds its public names on first use, and each CLI command
-imports only the modules it uses; both are checked in a fresh
+imports only the modules it runs; both are checked in a fresh
 interpreter, since this test process has imported everything already.
-No module and no command loads `dataclasses`, `inspect`, `argparse`,
-`gettext` or `locale`, whose import (`inspect` loads `ast`, `dis` and
-`tokenize`; an argparse parser loads `gettext` and `locale`) would cost
-every command more than most of them spend on their own work.
+`COMMAND_MODULES` is the exact module set of every command, and a
+profiler in that interpreter checks that each loaded module ran a
+function outside its own module body.  No module and no command loads
+`dataclasses`, `inspect`, `argparse`, `gettext` or `locale`, whose
+import (`inspect` loads `ast`, `dis` and `tokenize`; an argparse parser
+loads `gettext` and `locale`) would cost every command more than most of
+them spend on their own work.
 """
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -115,6 +119,25 @@ def test_no_module_loads_a_heavy_module():
     assert printed == "[]"
 
 
+def test_no_module_imports_a_name_only_for_annotations():
+    # Under `from __future__ import annotations` an annotation is never
+    # evaluated, so such an import would only load a module for nothing.
+    for path in sorted(Path(posetbundle.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name for node in tree.body
+                    if isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__" for alias in node.names}
+        annotations = [node.annotation for node in ast.walk(tree)
+                       if isinstance(node, (ast.arg, ast.AnnAssign))
+                       and node.annotation is not None]
+        annotations += [node.returns for node in ast.walk(tree)
+                        if isinstance(node, ast.FunctionDef) and node.returns]
+        in_annotations = {id(n) for a in annotations for n in ast.walk(a)}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and id(node) not in in_annotations}
+        assert imported <= used, (path.name, sorted(imported - used))
+
+
 def test_from_import_still_reaches_submodules():
     modules, printed = loaded_after(
         "from posetbundle import acceptance\nprint(acceptance.__name__)")
@@ -122,12 +145,55 @@ def test_from_import_still_reaches_submodules():
     assert "acceptance" in modules
 
 
+# The library modules each command loads besides `cli` and `errors`.
+# `paths` is loaded only where the fundamental group is presented,
+# `smith` only where it is abelianised, and `groups` only where a group
+# file is read.
+COMMAND_MODULES = {
+    "validate": "frozen poset",
+    "gen": "frozen poset",
+    "simplices": "frozen poset simplicial",
+    "pi1": "frozen paths poset simplicial smith",
+    "homotopic": "frozen paths poset simplicial smith",
+    "group-validate": "frozen groups",
+    "check-cocycle": "cochains frozen groups poset simplicial",
+    "dd-check": "cochains frozen groups poset simplicial",
+    "classify-cocycles": "cochains frozen groups paths poset simplicial",
+    "gauge-group": "cochains frozen gauge groups poset simplicial",
+    "curvature": "cochains connections frozen groups poset simplicial",
+    "induce": "cochains connections frozen groups poset simplicial",
+    "holonomy": "cochains connections frozen groups poset simplicial",
+    "nonflat": "cochains connections frozen groups poset simplicial",
+    "reduce": "cochains connections frozen groups poset simplicial",
+    "gauge-act": "cochains connections frozen gauge groups poset simplicial",
+}
+
+# Runs each argv line through `cli.run` and prints the exit codes and the
+# `posetbundle` modules that ran a function outside their own module
+# body: a module the command loads only to run its body is dead weight.
 RUN = """
 import contextlib, io
+active, ran = [], set()
+
+def profile(frame, event, arg):
+    name = frame.f_globals.get("__name__", "")
+    if event not in ("call", "return") or not name.startswith("posetbundle."):
+        return
+    if frame.f_code.co_name == "<module>":
+        if event == "call":
+            active.append(name)
+        else:
+            active.pop()
+    elif event == "call" and name not in active:
+        ran.add(name[12:])
+
+sys.setprofile(profile)
 from posetbundle import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.run(sys.argv[1:])
-print(code)
+    codes = {cli.run(line.split()) for line in sys.argv[1:]}
+sys.setprofile(None)
+print(*sorted(codes))
+print(*sorted(ran))
 """
 
 
@@ -138,27 +204,23 @@ def fixtures(tmp_path_factory):
     return directory
 
 
-def first_invocation(command):
-    return next(i for i in INVOCATIONS if i.split()[0] == command)
+def test_the_table_covers_every_command_but_suite():
+    from posetbundle.cli import COMMANDS
+    commands = {row[0] for row in COMMANDS} - {"suite"}
+    assert set(COMMAND_MODULES) == commands
+    assert commands == {i.removeprefix("--format json ").split()[0]
+                        for i in INVOCATIONS}
 
 
-@pytest.mark.parametrize("command", sorted({i.split()[0] for i in INVOCATIONS
-                                            if not i.startswith("--")}))
+@pytest.mark.parametrize("command", COMMAND_MODULES)
 def test_commands_import_only_what_they_use(fixtures, command):
-    modules, code = loaded_after(RUN, *first_invocation(command).split(),
-                                 cwd=fixtures)
-    assert code in ("0", "1")
-    assert "acceptance" not in modules
-    if command in ("validate", "gen"):
-        assert modules == {"cli", "errors", "frozen", "poset"}
-    if command == "group-validate":
-        assert modules == {"cli", "errors", "frozen", "groups"}
-    if command in ("pi1", "homotopic"):
-        assert "cochains" not in modules
-    if command in ("check-cocycle", "classify-cocycles", "dd-check"):
-        assert not modules & {"connections", "gauge"}
-    # Only the commands that ask for the abelianised group factorise.
-    assert ("smith" in modules) == (command in ("pi1", "homotopic"))
+    lines = [i for i in INVOCATIONS
+             if i.removeprefix("--format json ").split()[0] == command]
+    modules, printed = loaded_after(RUN, *lines, cwd=fixtures)
+    codes, ran = printed.splitlines()
+    assert set(codes.split()) <= {"0", "1"}
+    assert modules == {"cli", "errors", *COMMAND_MODULES[command].split()}
+    assert set(ran.split()) == modules
 
 
 RUN_ALL = """
