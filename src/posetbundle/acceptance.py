@@ -40,7 +40,7 @@ from .paths import (
     homotopic,
     pi1_presentation,
 )
-from .poset import (build_poset, format_poset_text, generate,
+from .poset import (base_point, build_poset, format_poset_text, generate,
                     parse_poset_text)
 from .simplicial import complex_of
 
@@ -94,7 +94,7 @@ def _all_cochain1(P: Poset, G: FiniteGroup):
 
 def winding_cocycle(P: Poset, G: FiniteGroup, g) -> Cochain1:
     """The first enumerated cocycle whose holonomy subgroup contains g."""
-    pres, _ = pi1_presentation(P, P.elements[0])
+    pres, _ = pi1_presentation(P, base_point(P))
     for sigma in enumerate_homs(pres, G):
         if g in G.subgroup_generated(sigma):
             return cocycle_from_hom(P, G, sigma)
@@ -103,7 +103,7 @@ def winding_cocycle(P: Poset, G: FiniteGroup, g) -> Cochain1:
 
 def full_image_cocycle(P: Poset, G: FiniteGroup) -> Cochain1:
     """A cocycle whose holonomy is all of G (needs enough loops in P)."""
-    pres, _ = pi1_presentation(P, P.elements[0])
+    pres, _ = pi1_presentation(P, base_point(P))
     for sigma in enumerate_homs(pres, G):
         if len(G.subgroup_generated(sigma)) == len(G):
             return cocycle_from_hom(P, G, sigma)
@@ -160,7 +160,7 @@ def fixture_problems(directory):
 
 
 def random_cocycle(P: Poset, G: FiniteGroup, rng) -> Cochain1:
-    a0 = P.elements[0]
+    a0 = base_point(P)
     pres, _ = pi1_presentation(P, a0)
     sigma = rng.choice(enumerate_homs(pres, G))
     f = {a: rng.choice(G.elements) for a in P.elements}
@@ -230,7 +230,7 @@ def criterion_2(rng):
     details = []
     for key, G in groups.items():
         reps = classify_cocycles(circle2, G)
-        pres, _ = pi1_presentation(circle2, circle2.elements[0])
+        pres, _ = pi1_presentation(circle2, base_point(circle2))
         homs = count_hom_classes(pres, G)
         if not (len(reps) == homs == expected[key]):
             return False, (

@@ -1,6 +1,8 @@
 """Exception hierarchy shared by all posetbundle modules, and the helpers
 that let input errors name the line and file they came from."""
 
+import re
+
 
 class PosetBundleError(Exception):
     """Base class for all errors raised by this package."""
@@ -23,10 +25,18 @@ class located:
             exc.args = (f"{exc}{self.suffix}",)
 
 
+# The text formats break lines where text-mode `open()` does, and fields
+# at spaces and tabs only: any other whitespace stays inside its token,
+# where the name rule or an element lookup refuses it.
+BLANKS = " \t"
+_LINE_BREAK = re.compile(r"\r\n?|\n")
+split_fields = re.compile(r"[^ \t]+").findall
+
+
 def content_lines(text):
     """(number, line without comment, raw line) for each nonblank line."""
-    for number, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+    for number, raw in enumerate(_LINE_BREAK.split(text), 1):
+        line = raw.split("#", 1)[0].strip(BLANKS)
         if line:
             yield number, line, raw
 

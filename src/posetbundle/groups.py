@@ -15,9 +15,11 @@ from .errors import (
     NoIdentity,
     NoInverse,
     NotAssociative,
+    BLANKS,
     check_name,
     content_lines,
     located,
+    split_fields,
 )
 from .frozen import Frozen
 
@@ -196,16 +198,16 @@ def trivial_group():
     return FiniteGroup(("e",), {("e", "e"): "e"}, name="1")
 
 
-def cyclic_group(n: int, name=None):
+def cyclic_group(n: int):
     """Z_n written multiplicatively with elements g0..g{n-1} (g0 = e)."""
     elems = [f"g{i}" for i in range(n)]
     table = {
         (f"g{i}", f"g{j}"): f"g{(i + j) % n}" for i in range(n) for j in range(n)
     }
-    return FiniteGroup(elems, table, name=name or f"Z{n}")
+    return FiniteGroup(elems, table, name=f"Z{n}")
 
 
-def symmetric_group(n: int, name=None):
+def symmetric_group(n: int):
     """S_n on {1..n}; elements are one-line permutation words like '132'."""
     perms = sorted(itertools.permutations(range(1, n + 1)))
     def label(p):
@@ -216,7 +218,7 @@ def symmetric_group(n: int, name=None):
             # (p q)(i) = p(q(i))
             pq = tuple(p[q[i] - 1] for i in range(n))
             table[(label(p), label(q))] = label(pq)
-    return FiniteGroup([label(p) for p in perms], table, name=name or f"S{n}")
+    return FiniteGroup([label(p) for p in perms], table, name=f"S{n}")
 
 
 # -- inner automorphisms and the categories 2G, 3G -----------------------
@@ -411,17 +413,17 @@ def parse_group_text(text: str) -> FiniteGroup:
     in_table = False
     for number, line, raw in content_lines(text):
         with located(f" (line {number})"):
-            fields = line.split()
+            fields = split_fields(line)
             if in_table:
                 head, _, rest = line.partition(":")
-                g = head.strip()
+                g = head.strip(BLANKS)
                 if elems is None:
                     raise MalformedTable("table rows before the elems line")
                 if g not in elems:
                     raise MalformedTable(f"table row for unknown element: {raw!r}")
                 if g in rows:
                     raise MalformedTable(f"repeated table row for {g!r}: {raw!r}")
-                rows[g] = rest.split()
+                rows[g] = split_fields(rest)
             elif fields[0] == "group":
                 if len(fields) != 2:
                     raise MalformedTable(f"bad group header: {raw!r}")

@@ -6,7 +6,7 @@ from __future__ import annotations
 import re
 from functools import cached_property
 
-from .errors import (BadParameter, EndpointMismatch, check_limit,
+from .errors import (BLANKS, BadParameter, EndpointMismatch, check_limit,
                      content_lines, located)
 from .frozen import Frozen
 from .simplicial import (
@@ -67,16 +67,16 @@ class Path(Frozen):
 
 def parse_path_text(text: str, P: Poset) -> Path:
     """Read the path file format that `Path.encode` writes: 1-simplices of
-    P, first step written last, separated by whitespace or `;`; `#`
+    P, first step written last, separated by spaces, tabs or `;`; `#`
     starts a comment, and a 1-simplex does not span lines."""
     steps = []
     for number, line, _ in content_lines(text):
         with located(f" (line {number})"):
             pieces = re.split(r"(\([^()]*\))", line)
-            stray = [t for t in pieces[::2] if not re.fullmatch(r"[\s;]*", t)]
+            stray = [t for t in pieces[::2] if not re.fullmatch(r"[ \t;]*", t)]
             if stray:
                 raise BadParameter(f"path file has text outside 1-simplices: "
-                                   f"{stray[0].strip()!r}")
+                                   f"{stray[0].strip(BLANKS)!r}")
             steps += (enumerated(P, parse_simplex1(c)) for c in pieces[1::2])
     if not steps:
         raise BadParameter("path file contains no 1-simplices")

@@ -22,6 +22,7 @@ from .errors import (
     check_name,
     content_lines,
     located,
+    split_fields,
 )
 from .frozen import Frozen
 
@@ -118,14 +119,20 @@ class Poset:
     def __repr__(self):
         return f"Poset({self.name!r}, {len(self.elements)} elements)"
 
+    def id_of(self, x) -> int:
+        """The rank of x in `elements`, the id of its point in the complex;
+        `UnknownElement` if x is not an element."""
+        try:
+            return self._index[x]
+        except KeyError:
+            raise UnknownElement(f"{x!r} is not an element of {self.name}") \
+                from None
+
     def check_element(self, x):
-        if x not in self._index:
-            raise UnknownElement(f"{x!r} is not an element of {self.name}")
+        self.id_of(x)
 
     def leq(self, lo, hi) -> bool:
-        self.check_element(lo)
-        self.check_element(hi)
-        return self.up[self._index[lo]] >> self._index[hi] & 1 == 1
+        return self.up[self.id_of(lo)] >> self.id_of(hi) & 1 == 1
 
     def comparable(self, x, y) -> bool:
         return self.leq(x, y) or self.leq(y, x)
@@ -135,13 +142,11 @@ class Poset:
 
     def down_set(self, x):
         """All y with y <= x, in sorted order."""
-        self.check_element(x)
-        return self._named(self.down[self._index[x]])
+        return self._named(self.down[self.id_of(x)])
 
     def up_set(self, x):
         """All y with x <= y, in sorted order."""
-        self.check_element(x)
-        return self._named(self.up[self._index[x]])
+        return self._named(self.up[self.id_of(x)])
 
     def pairs(self):
         """All ordered pairs (lo, hi) with lo <= hi."""
@@ -210,7 +215,7 @@ def fundamental_open(P: Poset, a) -> OpenSet:
 GENERATE_LIMIT = 500
 
 
-def generate(kind: str, n: int, name=None) -> Poset:
+def generate(kind: str, n: int) -> Poset:
     """Fixture posets: chain(n), vee, circle(n).
 
     chain(n): x1 <= ... <= xn.  vee: a1, a2 <= o (n ignored).
@@ -228,10 +233,10 @@ def generate(kind: str, n: int, name=None) -> Poset:
             raise BadParameter("chain requires n >= 1")
         elems = [f"x{i}" for i in range(1, n + 1)]
         rels = [(f"x{i}", f"x{i + 1}") for i in range(1, n)]
-        return build_poset(elems, rels, name=name or f"chain{n}")
+        return build_poset(elems, rels, name=f"chain{n}")
     if kind == "vee":
         return build_poset(
-            ["a1", "a2", "o"], [("a1", "o"), ("a2", "o")], name=name or "vee"
+            ["a1", "a2", "o"], [("a1", "o"), ("a2", "o")], name="vee"
         )
     if kind == "circle":
         if n < 2:
@@ -241,7 +246,7 @@ def generate(kind: str, n: int, name=None) -> Poset:
         for i in range(1, n + 1):
             rels.append((f"a{i}", f"o{i}"))
             rels.append((f"a{i % n + 1}", f"o{i}"))
-        return build_poset(elems, rels, name=name or f"circle{n}")
+        return build_poset(elems, rels, name=f"circle{n}")
     raise BadParameter(f"unknown poset kind {kind!r}")
 
 
@@ -256,7 +261,7 @@ def parse_poset_text(text: str) -> Poset:
     relations = {}  # le pair -> its line number, in file order
     for number, line, raw in content_lines(text):
         with located(f" (line {number})"):
-            fields = line.split()
+            fields = split_fields(line)
             if fields[0] == "poset":
                 if len(fields) != 2:
                     raise BadParameter(f"bad poset header: {raw!r}")

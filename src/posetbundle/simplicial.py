@@ -27,7 +27,7 @@ from collections import deque
 from functools import cached_property, lru_cache, wraps
 from operator import itemgetter
 
-from .errors import (BadParameter, IndexOutOfRange, NoSuchSimplex,
+from .errors import (BLANKS, BadParameter, IndexOutOfRange, NoSuchSimplex,
                      NotConnected, UnsupportedDimension)
 from .poset import row_ids
 
@@ -477,10 +477,9 @@ class Complex:
         except KeyError:
             pass
         P, edges = self.poset, self[1]
-        P.check_element(a0)
         # Breadth first over the adjacency lists, in their order.
-        root, tree = P.elements.index(a0), [None] * len(P)
-        tree[root] = (edges.degeneracies[0][root],)
+        root, tree = P.id_of(a0), [None] * len(P)
+        tree[root] = (edges.at[root, root, root],)
         queue = [root]
         for x in queue:
             for y, step in edges.spanning[1][x]:
@@ -563,17 +562,9 @@ def _glue(P: Poset, n: int, lower):
     return tuple(support), tuple(out)
 
 
-def validate_supports(P: Poset, d) -> bool:
-    """Check that every face support sits below the simplex support."""
-    return d.support in P and all(
-        P.leq(f.support, d.support) and validate_supports(P, f)
-        for f in d.faces
-    )
-
-
 def parse_simplex1(text: str) -> Simplex1:
     """Parse the textual encoding ``(<support>;<face0>,<face1>)``."""
-    text = text.strip()
+    text = text.strip(BLANKS)
     if not (text.startswith("(") and text.endswith(")")):
         raise BadParameter(f"bad 1-simplex encoding: {text!r}")
     body = text[1:-1]
@@ -582,4 +573,5 @@ def parse_simplex1(text: str) -> Simplex1:
         f0, f1 = faces.split(",")
     except ValueError:
         raise BadParameter(f"bad 1-simplex encoding: {text!r}") from None
-    return Simplex1(sup.strip(), Simplex0(f0.strip()), Simplex0(f1.strip()))
+    return Simplex1(sup.strip(BLANKS), Simplex0(f0.strip(BLANKS)),
+                    Simplex0(f1.strip(BLANKS)))

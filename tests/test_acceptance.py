@@ -6,7 +6,9 @@ import random
 import pytest
 
 from posetbundle import acceptance
-from posetbundle.acceptance import CRITERIA_COUNT, _CRITERIA, run_criterion
+from posetbundle.acceptance import (CRITERIA_COUNT, _CRITERIA,
+                                    full_image_cocycle, run_criterion,
+                                    winding_cocycle)
 from posetbundle.cochains import (Cochain2, Cochain3, is_cocycle,
                                   random_cochain1)
 from posetbundle.connections import induced_cocycle
@@ -150,3 +152,17 @@ def test_criterion_12_neighbours_are_the_deformations(name, n, start):
         assert sorted(_neighbours(r, K[2].deformations, len(r) + 1)) == [
             tuple(map(K[1].ids.__getitem__, q.steps))
             for q in deformations(p, P)]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: run_criterion(13), "no acceptance criterion 13"),
+    (lambda: run_criterion(0), "no acceptance criterion 0"),
+    (lambda: winding_cocycle(generate("chain", 2), cyclic_group(3), "g1"),
+     "no cocycle on chain2 winds through 'g1'"),
+    (lambda: full_image_cocycle(generate("chain", 2), cyclic_group(3)),
+     "no surjective homomorphism onto Z3 from chain2"),
+], ids=["criterion-13", "criterion-0", "winding", "full-image"])
+def test_acceptance_helpers_refuse_what_they_cannot_build(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message

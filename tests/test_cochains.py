@@ -524,8 +524,9 @@ def test_value_outside_the_poset_is_no_such_simplex(posets):
     with pytest.raises(NoSuchSimplex):
         extend_to_path(u, Path((step,)))
     v = random_cochain0(P, Z2, random.Random(0))
-    with pytest.raises(MissingValue):
+    with pytest.raises(MissingValue) as caught:
         v.at("x1")
+    assert str(caught.value) == "no value at 'x1'"
 
 
 @settings(max_examples=25, deadline=None)
@@ -669,3 +670,14 @@ def test_a_degree_1_check_glues_no_2_simplices():
     assert is_cocycle(trivial_cochain1(P, S3))
     assert is_cocycle(coboundary0(random_cochain0(P, S3, random.Random(1))))
     assert 2 not in K._cells
+
+
+@pytest.mark.parametrize("op, message", [
+    (is_cocycle, "cocycle condition implemented for degrees 0-2"),
+    (coboundary, "no coboundary implemented above degree 2"),
+], ids=["is_cocycle", "coboundary"])
+def test_degree_3_has_no_cocycle_test_and_no_coboundary(posets, op, message):
+    u = random_cochain1(posets["circle2"], Z3, random.Random(0))
+    with pytest.raises(BadParameter) as caught:
+        op(coboundary2(coboundary1(u)))
+    assert str(caught.value) == message

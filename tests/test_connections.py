@@ -67,6 +67,7 @@ from posetbundle.errors import (
     PreconditionViolated,
     TrivialGroup,
     UnknownElement,
+    WrongCocycle,
 )
 from posetbundle.gauge import (
     gauge_act,
@@ -194,6 +195,30 @@ def test_construct_nonflat(posets):
             d for d in enumerate_simplices(P, 1) if is_inflating(P, d)
         )
         construct_nonflat(z, b=inflating)
+
+
+# Each function that takes a bundle checks it, the one check on its
+# caller's input that its result relies on.
+@pytest.mark.parametrize("call, error, message", [
+    (construct_nonflat, WrongCocycle,
+     "nonflat construction starts from a 1-cocycle"),
+    (lambda z: construct_from_cochain(trivial_cochain1(z.poset, Z3), z),
+     PreconditionViolated, "the base of a connection must be a 1-cocycle"),
+    (lambda z: enumerate_connections(z.poset, Z3, z), PreconditionViolated,
+     "the base of a connection must be a 1-cocycle"),
+    (lambda z: associated_cocycle(z, GroupHom.identity(Z3)), Mismatch,
+     "the associated construction starts from a cocycle"),
+    (gauge_group, WrongCocycle, "gauge groups are attached to 1-cocycles"),
+], ids=["construct_nonflat", "construct_from_cochain",
+        "enumerate_connections", "associated_cocycle", "gauge_group"])
+def test_a_bundle_that_is_no_cocycle_is_refused(posets, call, error,
+                                                message):
+    P = posets["circle2"]
+    z = Cochain1(P, Z3, dict.fromkeys(enumerate_simplices(P, 1), "g1"))
+    assert not is_cocycle(z)
+    with pytest.raises(error) as caught:
+        call(z)
+    assert str(caught.value) == message
 
 
 def test_construct_nonflat_needs_a_1_simplex(posets):
@@ -359,6 +384,10 @@ def test_base_points_outside_the_poset_are_unknown_elements(posets):
     for call in (lambda: holonomy_conjugacy_check(z, "a1", "zz"),
                  lambda: transport_between(z, "zz", "a1", "a1"),
                  lambda: transport_between(z, "o1", "a1", "zz"),
+                 # o, then a1, then a, all before any 1-simplex lookup
+                 lambda: transport_between(z, "zz", "yy", "xx"),
+                 lambda: transport_between(z, "o1", "zz", "yy"),
+                 lambda: transport_between(z, "a1", "o1", "zz"),
                  lambda: enumerate_loops(P, "zz", 2),
                  lambda: holonomy_by_loops(z, "zz", 4)):
         with pytest.raises(UnknownElement) as caught:

@@ -11,13 +11,19 @@ of at most four (five for the presentation and the cocycle count)
 elements with values in Z2, Z3 and S3; and of subgroup closures against
 the worklist and fixpoint they replace, over S3, S4, Z6 and the trivial
 group; and of the CLI parser against the argparse parser it replaced, on
-argv lists drawn from the command table."""
+argv lists drawn from the command table; and of `cli.run` on such lists
+with fixture files and any text among the tokens."""
 
+import contextlib
+import io
 import itertools
+import os
 import random
+import shutil
+import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from posetbundle import cli
 from posetbundle.acceptance import random_cocycle, random_connection
@@ -27,6 +33,7 @@ from posetbundle.cochains import (
     Cochain2,
     Cochain3,
     are_equivalent,
+    associated_cocycle,
     classify_cocycles,
     coboundary0,
     coboundary1,
@@ -44,6 +51,7 @@ from posetbundle.cochains import (
     trivial_cochain1,
 )
 from posetbundle.connections import (
+    ambrose_singer_reduce,
     construct_from_cochain,
     construct_nonflat,
     curvature,
@@ -55,12 +63,14 @@ from posetbundle.connections import (
     is_adapted,
     is_connection,
     restricted_holonomy,
+    star_compose,
+    star_inverse,
 )
 from posetbundle.errors import (NoSuchSimplex, NotConnected,
                                 PreconditionViolated, SearchLimitExceeded,
                                 UsageError)
 from posetbundle.gauge import gauge_act, gauge_group, gauge_group_raw
-from posetbundle.groups import (ad, cyclic_group, symmetric_group,
+from posetbundle.groups import (GroupHom, ad, cyclic_group, symmetric_group,
                                 trivial_group)
 from posetbundle.paths import (
     Path,
@@ -92,7 +102,8 @@ from posetbundle.simplicial import (
     reverse,
 )
 
-from inputs import CONNECTION_KINDS, gathered_through_legs, near_a_connection
+from inputs import (CONNECTION_KINDS, PATH_FILES, gathered_through_legs,
+                    near_a_connection, write_fixtures)
 from oracles import (argparse_outcome, build_parser, enumerate_cocycles_raw,
                      named_word_value)
 from strategies import small_posets
@@ -758,16 +769,58 @@ def test_homotopic_matches_scan_search(P, rng, bound):
 @settings(max_examples=60, deadline=None)
 @given(small_posets(connected=True), SEEDS)
 def test_trusted_paths_still_chain(P, rng):
-    """`deformations`, the `homotopic` certificates and the tree paths
-    build their paths from step ids without the chaining check: each of
-    them still passes it."""
+    """`deformations`, the `homotopic` certificates, the tree paths and
+    `enumerate_loops` build their paths without the chaining check: each
+    of them still passes it."""
     p = random_path(P, rng)
     q = random_path_between(P, rng, p.start.element, p.end.element) or p
     _, words = pi1_presentation(P, p.start.element)
     built = (deformations(p, P) + homotopic(p, q, P, 4).certificate
-             + tuple(map(words.tree_path, P.elements)))
+             + tuple(map(words.tree_path, P.elements))
+             + enumerate_loops(P, p.start.element, 3))
     for path in built:
         assert Path(path.steps) == path
+
+
+@settings(max_examples=60, deadline=None)
+@given(P=small_posets(connected=True), G=GROUPS, rng=SEEDS)
+def test_built_results_keep_the_invariants_the_library_proves(P, G, rng):
+    """The constructions check what their callers pass in, never what
+    they build; their docstrings prove each result's invariant, and this
+    asserts it.  `construct_from_cochain` on a random free twist, the
+    star operations on central connections of one bundle,
+    `construct_nonflat` and `ambrose_singer_reduce` at every base point
+    build connections, the last with a morphism; `induced_cocycle` and
+    `associated_cocycle` build cocycles; and every cochain holds one
+    value per cell."""
+    edges = complex_of(P)[1]
+    z = random_cocycle(P, G, rng)
+    center = [G.index[g] for g in G.center()]
+
+    def twisted(values):
+        twist = [G.unit] * len(edges.faces)
+        for i in sorted(i for pair in edges.free_classes for i in pair):
+            twist[i] = rng.choice(values)
+        return construct_from_cochain(Cochain1._of(P, G, tuple(twist)), z)
+
+    u, central = twisted(range(len(G))), [twisted(center), twisted(center)]
+    built = [u, *central, star_compose(*central), star_inverse(central[0])]
+    if edges.free_classes and len(G) > 1:
+        built.append(construct_nonflat(z)[0])
+    for v in built:
+        assert is_connection(v)
+    g = rng.choice(G.elements)
+    action = GroupHom.from_dict(G, G, {h: G.conjugate(g, h)
+                                       for h in G.elements})
+    cocycles = [induced_cocycle(u), associated_cocycle(z, action)]
+    for c in cocycles:
+        assert is_cocycle(c)
+    for a0 in P.elements:
+        u1, f, _ = ambrose_singer_reduce(u, a0)
+        assert is_connection(u1) and is_morphism(f, f.source, u)
+        built += [u1, f.source]
+    for c in built + cocycles:
+        assert len(c.ids) == len(c.cells.faces)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1374,35 +1427,39 @@ def cli_values(spec):
 
 
 @st.composite
-def option_tokens(draw, spec):
+def option_tokens(draw, spec, values=cli_values):
     flags, _, kwargs = spec
-    flag = draw(st.sampled_from(spellings(flags)))
-    value = draw(cli_values(spec))
+    # One of the flags, then one of its spellings: `-o` as often as
+    # `--output` and its prefixes together.
+    flag = draw(st.sampled_from(spellings([draw(st.sampled_from(flags))])))
+    value = draw(values(spec))
     if kwargs.get("action") and draw(st.booleans()):
         return [flag]
     if draw(st.booleans()):
         return [f"{flag}={value}"]
+    if len(flag) == 2 and draw(st.booleans()):
+        return [flag + value]  # a one-letter flag with its value attached
     return [flag, value]
 
 
 @st.composite
-def cli_argvs(draw):
-    """An argv list: a command of the table, its positionals in order
-    (each one possibly missing) and its options, `=` forms and prefixes
-    among them, then stray tokens anywhere, and `--format` before the
-    command, or after it."""
-    row = draw(st.sampled_from(cli.COMMANDS))
+def cli_argvs(draw, values=cli_values, rows=cli.COMMANDS,
+              strays=st.lists(st.sampled_from(CLI_TOKENS), max_size=2)):
+    """An argv list: a command of `rows`, its positionals in order
+    (each one possibly missing) and its options, `=` forms, attached
+    values and prefixes among them, then `strays` anywhere, and
+    `--format` before the command, or after it."""
+    row = draw(st.sampled_from(rows))
     specs = row[2]
-    tokens = [draw(cli_values(spec)) for spec in specs
+    tokens = [draw(values(spec)) for spec in specs
               if spec[0][0][0] != "-" and draw(st.integers(0, 7))]
-    groups = [draw(option_tokens(spec)) for spec in specs
+    groups = [draw(option_tokens(spec, values)) for spec in specs
               if spec[0][0][0] == "-" and draw(st.booleans())]
-    groups += [[t] for t in draw(st.lists(st.sampled_from(CLI_TOKENS),
-                                          max_size=2))]
+    groups += [[t] for t in draw(strays)]
     for group in groups:
         at = draw(st.integers(0, len(tokens)))
         tokens[at:at] = group
-    top = draw(st.lists(option_tokens(cli.TOP[0]), max_size=1))
+    top = draw(st.lists(option_tokens(cli.TOP[0], values), max_size=1))
     if top and draw(st.integers(0, 4)) == 0:
         return [row[0], *tokens, *top[0]]
     return [*(top[0] if top else ()), row[0], *tokens]
@@ -1413,6 +1470,8 @@ ARGPARSE = build_parser()
 
 @settings(max_examples=800, deadline=None)
 @given(cli_argvs())
+@example(["gen", "chain", "3", "-oc.poset"])
+@example(["gen", "-o-1", "chain", "3"])
 def test_cli_parser_matches_argparse(argv):
     expected = argparse_outcome(ARGPARSE, argv)
     try:
@@ -1424,3 +1483,87 @@ def test_cli_parser_matches_argparse(argv):
         return
     assert vars(args) == expected
     assert row[0] == args.command
+
+
+# -- the CLI end to end on raw argv lists ----------------------------------
+
+# The fixture files each loader reads, as `inputs.write_fixtures` writes
+# them: the files of one poset and group that fit together, or any.
+CLI_FILES = {
+    cli._load_poset: ("chain3.poset", "vee.poset", "circle2.poset",
+                      "twoloop.poset"),
+    cli._load_group: ("z2.group", "z3.group", "s3.group"),
+    cli._load_cochain: ("winding-z3.cochain", "fullimage-s3.cochain"),
+    cli._load_assignment: ("g1.assign",),
+    cli._load_path: tuple(PATH_FILES),
+}
+CLI_WORLDS = tuple({**CLI_FILES, cli._load_poset: (poset,),
+                    cli._load_group: (group,), cli._load_cochain: (cochain,),
+                    cli._load_path: tuple(p for p in PATH_FILES
+                                          if p.startswith(poset[:-6]))}
+                   for poset, group, cochain in (
+                       ("circle2.poset", "z3.group", "winding-z3.cochain"),
+                       ("twoloop.poset", "s3.group", "fullimage-s3.cochain"))
+                   ) + (CLI_FILES,)
+# Any text but "/", so that an output file stays in the directory the
+# run is in, and NUL, which no argv of a process can hold.
+CLI_TEXT = st.text(st.characters(blacklist_characters="/\x00"), max_size=6)
+# Counts, limits and bounds small enough that every run is quick.
+CLI_COUNTS = st.integers(0, 10 ** 4).map(str)
+CLI_FLAGS = sorted({flag for row in cli.COMMANDS for spec in row[2]
+                    if spec[0][0][0] == "-" for flag in spellings(spec[0])})
+
+
+@st.composite
+def run_argvs(draw):
+    """An argv list of `cli_argvs` for a command but `suite`, whose input
+    files are fixture files of one of `CLI_WORLDS`, whose numbers are
+    counts, whose other values and stray token may be any text, and
+    whose stray token may be a flag of any command or `--`."""
+    files = draw(st.sampled_from(CLI_WORLDS))
+
+    def values(spec):
+        _, load, kwargs = spec
+        if load:
+            return st.sampled_from(files[load])
+        if "type" in kwargs:
+            return CLI_COUNTS | cli_values(spec)
+        if "choices" in kwargs:
+            return cli_values(spec)
+        return cli_values(spec) | CLI_TEXT
+
+    strays = st.sampled_from((*CLI_TOKENS, *CLI_FLAGS, "--")) | CLI_TEXT
+    return draw(cli_argvs(values, [r for r in cli.COMMANDS
+                                   if r[0] != "suite"],
+                          st.lists(strays, max_size=1)))
+
+
+@pytest.fixture(scope="module")
+def cli_fixtures(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("cli")
+    write_fixtures(directory)
+    return directory
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=run_argvs())
+def test_cli_run_on_raw_argv(cli_fixtures, argv):
+    """Every run, in a fresh copy of the fixtures, ends with exit code 0,
+    1 or 2 and no traceback, and exit code 1, a false verdict, comes only
+    from a command that gives one."""
+    here = os.getcwd()
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        shutil.copytree(cli_fixtures, directory, dirs_exist_ok=True)
+        os.chdir(directory)
+        try:
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.run(argv)
+        finally:
+            os.chdir(here)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 1:
+        assert cli.parse(argv)[0][0] in ("check-cocycle", "dd-check",
+                                         "homotopic")

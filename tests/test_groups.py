@@ -326,3 +326,23 @@ def test_conjugation_is_a_homomorphism(g, h, k):
 @given(st.sampled_from(Z6.elements), st.sampled_from(Z6.elements))
 def test_abelian_inverse_of_product(g, h):
     assert Z6.inv(Z6.mul(g, h)) == Z6.mul(Z6.inv(g), Z6.inv(h))
+
+
+TOP = Arrow3G(S3.identity, identity_aut(S3), identity_aut(S3))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: FiniteGroup(["e", "e"], {("e", "e"): "e"}), MalformedTable,
+     "duplicate group elements"),
+    (lambda: compose_2g(unit_2g(S3), unit_2g(S3), "plus"), Mismatch,
+     "unknown 2G law 'plus'"),
+    (lambda: compose_3g(TOP, TOP, "plus"), Mismatch, "unknown 3G law 'plus'"),
+    (lambda: GroupHom(Z6, Z6, (("g0", "g0"),)).validate(), Mismatch,
+     "homomorphism not total on its source"),
+    (lambda: GroupHom.from_dict(S3, Z6, dict.fromkeys(S3.elements, "x")),
+     Mismatch, "image 'x' not in target group"),
+], ids=["repeated-element", "2g-law", "3g-law", "not-total", "outside"])
+def test_group_constructions_refuse_malformed_input(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message

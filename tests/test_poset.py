@@ -45,8 +45,12 @@ def test_build_rejects_duplicates_and_unknowns():
 
 def test_unknown_element_lookup():
     P = generate("chain", 2)
-    with pytest.raises(UnknownElement):
-        P.leq("x1", "nope")
+    assert [P.id_of(x) for x in P.elements] == [0, 1]
+    for call in (P.id_of, P.check_element, P.up_set, P.down_set,
+                 lambda x: P.leq("x1", x), lambda x: P.leq(x, "bad")):
+        with pytest.raises(UnknownElement) as caught:
+            call("nope")
+        assert str(caught.value) == "'nope' is not an element of chain2"
 
 
 def test_chain_fixture():

@@ -8,10 +8,15 @@ the text or refuse it, but only with a `PosetBundleError`.  The same
 file then goes through `cli.run`, which must return without raising:
 exit 2 with an `error:` line when the reader refuses the text (or the
 bytes do not decode), any exit code otherwise.
+
+Each reader also breaks lines only at \\n, \\r\\n and \\r and fields
+only at spaces and tabs: a comment may hold any other break or space,
+and a name that holds one is refused on its own line.
 """
 
 import contextlib
 import io
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,25 +100,33 @@ def fixtures(tmp_path_factory):
     return directory
 
 
-def _refused(read, data, P, G):
+def _refused(read, data):
     """Whether the reader refuses `data` (which must decode as UTF-8 to
     reach it); anything but a `PosetBundleError` propagates."""
     try:
-        read(data.decode(), P, G)
+        read(data.decode())
     except (UnicodeDecodeError, PosetBundleError):
         return True
     return False
 
 
+def _reader(fixtures, source):
+    """The reader of the file of `source`, as a function of the text,
+    with the poset and group it is read against."""
+    name, poset_file, group_file, _ = source
+    P = poset_file and parse_poset_text((fixtures / poset_file).read_text())
+    G = group_file and parse_group_text((fixtures / group_file).read_text())
+    read = READERS[name.rsplit(".")[-1]]
+    return lambda text: read(text, P, G)
+
+
 @settings(max_examples=400, deadline=None)
 @given(source=st.sampled_from(SOURCES), data=st.data())
 def test_readers_raise_only_library_errors(fixtures, source, data):
-    name, poset_file, group_file, command = source
+    name, _, _, command = source
     text = (fixtures / name).read_text()
     blob = data.draw(mutated(text))
-    P = poset_file and parse_poset_text((fixtures / poset_file).read_text())
-    G = group_file and parse_group_text((fixtures / group_file).read_text())
-    refused = _refused(READERS[name.rsplit(".")[-1]], blob, P, G)
+    refused = _refused(_reader(fixtures, source), blob)
 
     target = fixtures / ("mutated-" + name)
     target.write_bytes(blob)
@@ -129,3 +142,49 @@ def test_readers_raise_only_library_errors(fixtures, source, data):
         assert err.getvalue().startswith("error: ")
     else:
         assert code in (0, 1, 2)
+
+
+# The characters `str.splitlines` breaks lines at besides \n and \r, and
+# two that `str.split` splits at: none of them separates anything.
+NOT_SEPARATORS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029\xa0\u3000"
+ONE_OF_EACH = [s for s in SOURCES if s[0] in (
+    "circle2.poset", "z3.group", "winding-z3.cochain", "g1.assign",
+    "circle2-yes-p.path")]
+NEWLINES = {"lf": "\n", "crlf": "\r\n", "cr": "\r"}
+
+
+def _lines(fixtures, source):
+    """The lines of the fixture file, a comment first for a path file,
+    so that line 2 holds names in every format."""
+    lines = (fixtures / source[0]).read_text().splitlines()
+    return ["# a path"] + lines if source[0].endswith(".path") else lines
+
+
+@pytest.mark.parametrize("newline", NEWLINES.values(), ids=NEWLINES)
+@pytest.mark.parametrize("source", ONE_OF_EACH, ids=lambda s: s[0])
+def test_comments_hold_any_character(fixtures, source, newline):
+    read = _reader(fixtures, source)
+    lines = _lines(fixtures, source)
+    expected = read("\n".join(lines) + "\n")
+    for c in NOT_SEPARATORS:
+        noted = [f"# before{c}it"] + [f"{line} # {c}x{c}" for line in lines]
+        assert read(newline.join(noted) + newline) == expected
+
+
+@pytest.mark.parametrize("newline", NEWLINES.values(), ids=NEWLINES)
+@pytest.mark.parametrize("source", ONE_OF_EACH, ids=lambda s: s[0])
+def test_a_name_holding_another_separator_is_refused_on_its_line(
+        fixtures, source, newline):
+    read = _reader(fixtures, source)
+    lines = _lines(fixtures, source)
+    n = len(lines)
+    for c in NOT_SEPARATORS:
+        # At the start of line 2, after its first digit (which ends or is
+        # inside a name), at its end, and at the start of the last line.
+        for k, line in ((2, c + lines[1]),
+                        (2, re.sub(r"\d", rf"\g<0>{c}", lines[1], count=1)),
+                        (2, lines[1] + c), (n, c + lines[-1])):
+            bad = lines[:k - 1] + [line] + lines[k:]
+            with pytest.raises(PosetBundleError) as caught:
+                read(newline.join(bad) + newline)
+            assert str(caught.value).endswith(f" (line {k})"), (k, line)

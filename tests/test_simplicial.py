@@ -30,7 +30,6 @@ from posetbundle.simplicial import (
     parse_simplex1,
     permute2,
     reverse,
-    validate_supports,
 )
 
 from oracles import enumerate_simplices_raw
@@ -81,15 +80,6 @@ def test_enumeration_is_sorted_and_duplicate_free(posets):
         keys = [d.sort_key() for d in simplices]
         assert keys == sorted(keys)
         assert len(set(simplices)) == len(simplices)
-
-
-def test_supports_validate(posets):
-    P = posets["circle2"]
-    for dim in range(4):
-        for d in enumerate_simplices(P, dim)[:50]:
-            assert validate_supports(P, d)
-    fake = Simplex1("a1", Simplex0("o1"), Simplex0("a1"))
-    assert not validate_supports(P, fake)
 
 
 def test_face_compatibility_enforced():
@@ -500,3 +490,17 @@ def test_legs_and_chains_count_what_a_cocycle_test_reads(posets):
                              (generate("chain", 4), 30, 4)):
         cells = complex_of(P)[1]
         assert (len(cells.legs), len(cells.chains)) == (edges, chains)
+
+
+@pytest.mark.parametrize("dim, i, error, message", [
+    (3, 0, UnsupportedDimension,
+     "degeneracies are implemented for dimensions 0-2"),
+    (0, 1, IndexOutOfRange, "degeneracy index 1 out of range for dim 0"),
+    (2, 3, IndexOutOfRange, "degeneracy index 3 out of range for dim 2"),
+])
+def test_degeneracy_refuses_what_it_cannot_build(posets, dim, i, error,
+                                                 message):
+    d = enumerate_simplices(posets["circle2"], dim)[0]
+    with pytest.raises(error) as caught:
+        degeneracy(d, i)
+    assert str(caught.value) == message
