@@ -7,10 +7,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import lru_cache
 
 from . import connections as cn
 from .cochains import (
     Cochain1,
+    _act,
+    _hom_loops,
     _path_value,
     coboundary,
     coboundary2,
@@ -42,7 +45,7 @@ from .paths import (
 )
 from .poset import (base_point, build_poset, format_poset_text, generate,
                     parse_poset_text)
-from .simplicial import complex_of
+from .simplicial import COMPLEX_CACHE_SIZE, complex_of
 
 DEFAULT_SEED = 20260824
 
@@ -159,13 +162,24 @@ def fixture_problems(directory):
     return problems
 
 
+@lru_cache(maxsize=COMPLEX_CACHE_SIZE)
+def _hom_table(P: Poset, G: FiniteGroup):
+    """`_hom_loops(P, G)`, kept for the samplers as `complex_of` keeps
+    complexes; an error is raised again on every call."""
+    return _hom_loops(P, G)
+
+
 def random_cocycle(P: Poset, G: FiniteGroup, rng) -> Cochain1:
-    a0 = base_point(P)
-    pres, _ = pi1_presentation(P, a0)
-    sigma = rng.choice(enumerate_homs(pres, G))
-    f = {a: rng.choice(G.elements) for a in P.elements}
-    f[a0] = G.identity
-    return cocycle_from_hom(P, G, sigma, f)
+    """A random bundle: the cocycle of a uniformly random homomorphism
+    of the fundamental group and a uniformly random point assignment,
+    the identity at the base point.  One draw picks a row of
+    `_hom_table`, then one draw per element (the base point's too) the
+    id of its value."""
+    loops = _hom_table(P, G)
+    h = rng.randrange(len(loops))
+    f = [rng.randrange(len(G)) for _ in P.elements]
+    f[0] = G.unit  # the base point
+    return Cochain1._of(P, G, _act(G, complex_of(P)[1].faces, loops[h], f))
 
 
 def random_connection(P: Poset, G: FiniteGroup, rng) -> Cochain1:
@@ -174,7 +188,7 @@ def random_connection(P: Poset, G: FiniteGroup, rng) -> Cochain1:
     cells = complex_of(P)[1]
     twist = [G.unit] * len(cells.faces)
     for i in sorted(i for pair in cells.free_classes for i in pair):
-        twist[i] = G.index[rng.choice(G.elements)]
+        twist[i] = rng.randrange(len(G))
     return cn.construct_from_cochain(Cochain1._of(P, G, tuple(twist)), z)
 
 

@@ -33,12 +33,17 @@ from .errors import PosetBundleError, UsageError, located
 
 @contextmanager
 def _os_errors(doing):
-    """Report an `OSError`, or a file that is not text in the locale's
-    encoding, raised inside as the usage error "cannot <doing>: <the
+    """Report an `OSError`, a file that is not text in the locale's
+    encoding, or a path holding NUL (a `ValueError` "embedded null
+    byte"), raised inside as the usage error "cannot <doing>: <the
     error>", such as "cannot read x.poset: ..."."""
     try:
         yield
     except (OSError, UnicodeError) as exc:
+        raise UsageError(f"cannot {doing}: {exc}") from None
+    except ValueError as exc:
+        if str(exc) != "embedded null byte":
+            raise
         raise UsageError(f"cannot {doing}: {exc}") from None
 
 

@@ -395,10 +395,17 @@ def is_path_independent(u: Cochain1):
     """Whether the extension of u to paths depends only on endpoints.
 
     Returns a witness 0-cochain v with dv = u when it does (this is
-    exactly the coboundary condition), otherwise None.
+    exactly the coboundary condition), otherwise None.  The witness is
+    the tree transport t from the base point: each 1-simplex is checked
+    against t(end) t(start)^-1 in id order, and the first that differs
+    ends the test.
     """
-    v = Cochain0._of(u.poset, u.group, _transport(u, base_point(u.poset)))
-    return v if coboundary0(v) == u else None
+    rows, inv = u.group.rows, u.group.inverses
+    t = _transport(u, base_point(u.poset))
+    for g, (end, start) in zip(u.ids, u.cells.faces):
+        if rows[t[end]][inv[t[start]]] != g:
+            return None
+    return Cochain0._of(u.poset, u.group, t)
 
 
 # -- morphisms of 1-cocycles -----------------------------------------------
@@ -482,7 +489,19 @@ def _loop_ids(G: FiniteGroup, words, x):
     """The id of the value on the based loop through each 1-simplex of
     the homomorphism that takes generator i to the element with id x[i]."""
     from .paths import _word
-    return [_word(G, word, x) for word in words.edge_words]
+    return tuple(_word(G, word, x) for word in words.edge_words)
+
+
+def _hom_loops(P: Poset, G: FiniteGroup, limit=10 ** 6):
+    """The `_loop_ids` of each homomorphism of the fundamental group at
+    the base point into G, in `enumerate_homs` order: with a point
+    assignment f as ids, `_act(G, faces, row, f)` is the cocycle of the
+    pair (`cocycle_from_hom`)."""
+    from .paths import enumerate_homs, pi1_presentation
+    presentation, words = pi1_presentation(P, base_point(P))
+    index = G.index.__getitem__
+    return tuple(_loop_ids(G, words, tuple(map(index, sigma)))
+                 for sigma in enumerate_homs(presentation, G, limit=limit))
 
 
 def cocycle_from_hom(P, G, sigma, f=None):
@@ -515,22 +534,18 @@ def enumerate_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
     Distinct pairs give distinct cocycles: the tree edges (empty words)
     fix the assignment and the generator edges (one letter) sigma.
     """
-    from .paths import enumerate_homs, pi1_presentation
-    a0 = base_point(P)  # point id 0; the others follow in element order
-    presentation, words = pi1_presentation(P, a0)
-    homs = enumerate_homs(presentation, G, limit=limit)
-    others = len(P) - 1
-    check_limit(len(homs) * len(G) ** others, limit,
-                f"{len(homs)} homomorphisms x {len(G)}^{others} point "
+    loops = _hom_loops(P, G, limit)
+    others = len(P) - 1  # the base point has id 0, the others follow it
+    check_limit(len(loops) * len(G) ** others, limit,
+                f"{len(loops)} homomorphisms x {len(G)}^{others} point "
                 "assignments")
     faces, n = complex_of(P)[1].faces, len(G)
-    rows, inv, index = G.rows, G.inverses, G.index.__getitem__
+    rows, inv = G.rows, G.inverses
     # tables[g][a * n + b] is a g b^-1; columns[e, s] indexes it by f(e), f(s).
     tables = [[rows[rows[a][g]][inv[b]] for a in range(n) for b in range(n)]
               for g in range(n)]
     fs = [(G.unit,) + c for c in itertools.product(range(n), repeat=others)]
     columns = {(e, s): [f[e] * n + f[s] for f in fs] for e, s in set(faces)}
-    loops = [_loop_ids(G, words, tuple(map(index, sigma))) for sigma in homs]
     return tuple(Cochain1._of(P, G, ids) for x in loops for ids in zip(*(
         map(tables[g].__getitem__, columns[b]) for g, b in zip(x, faces))))
 

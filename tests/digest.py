@@ -11,7 +11,8 @@ same order.  Run it in each tree and compare:
 
 The outputs are written as canonical reprs of tuples of ints, strings and
 booleans, so the digests do not depend on the hash seed;
-tests/test_digest.py checks that under two fixed seeds.
+tests/test_digest.py checks them against the checked-in
+tests/digest_golden.txt, in process and under two fixed seeds.
 """
 
 import hashlib

@@ -8,12 +8,14 @@ import io
 import itertools
 
 from posetbundle.cli import COMMANDS
-from posetbundle.cochains import Cochain1, is_cocycle
+from posetbundle.cochains import Cochain1, cocycle_from_hom, is_cocycle
+from posetbundle.connections import construct_from_cochain
 from posetbundle.errors import UsageError, check_limit
 from posetbundle.groups import FiniteGroup
-from posetbundle.poset import Poset
+from posetbundle.paths import enumerate_homs, pi1_presentation
+from posetbundle.poset import Poset, base_point
 from posetbundle.simplicial import (_SIMPLEX_CLASSES, _check_dimension,
-                                    enumerate_simplices)
+                                    complex_of, enumerate_simplices)
 
 
 def enumerate_simplices_raw(P: Poset, n: int):
@@ -69,6 +71,31 @@ def enumerate_cocycles_raw(P: Poset, G: FiniteGroup, limit=10 ** 6):
         if is_cocycle(z):
             out.append(z)
     return tuple(out)
+
+
+def random_cocycle_raw(P: Poset, G: FiniteGroup, rng):
+    """Oracle for `acceptance.random_cocycle`: a homomorphism drawn from
+    the named list of `enumerate_homs`, a point assignment drawn as an
+    element -> group element dict, and the cocycle of the pair built by
+    `cocycle_from_hom`."""
+    a0 = base_point(P)
+    presentation, _ = pi1_presentation(P, a0)
+    sigma = rng.choice(enumerate_homs(presentation, G))
+    f = {a: rng.choice(G.elements) for a in P.elements}
+    f[a0] = G.identity
+    return cocycle_from_hom(P, G, sigma, f)
+
+
+def random_connection_raw(P: Poset, G: FiniteGroup, rng):
+    """Oracle for `acceptance.random_connection`: a twist drawn by
+    element name on each 1-simplex of a free reversal class, in id
+    order, of a `random_cocycle_raw` bundle."""
+    z = random_cocycle_raw(P, G, rng)
+    cells = complex_of(P)[1]
+    twist = [G.unit] * len(cells.faces)
+    for i in sorted(i for pair in cells.free_classes for i in pair):
+        twist[i] = G.index[rng.choice(G.elements)]
+    return construct_from_cochain(Cochain1._of(P, G, tuple(twist)), z)
 
 
 def named_word_value(word, assignment, G: FiniteGroup):

@@ -115,6 +115,21 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
     assert captured.err.startswith(f"error: cannot write {argv[-1]}: ")
 
 
+@pytest.mark.parametrize("argv, doing", [
+    (["validate", "a\x00b"], "read"),
+    (["gen", "chain", "2", "-o", "a\x00b"], "write"),
+    (["--format", "json", "suite", "--fixtures", "a\x00b"], "write"),
+])
+def test_path_holding_nul_is_usage_error(tmp_path, capsys, monkeypatch, argv,
+                                         doing):
+    """No process argv holds NUL, but an in-process caller's can: the
+    path's `ValueError` exits 2 with an error line, not a traceback."""
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: cannot {doing} a\x00b: embedded null byte\n")
+
+
 def test_undecodable_input_is_usage_error(workspace, capsys):
     """An input file whose bytes are not text exits 2 with an error line
     naming it, not with a `UnicodeDecodeError` traceback."""

@@ -1,15 +1,22 @@
+import os
+import pickle
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import posetbundle
 from posetbundle.errors import (
     AntisymmetryViolation,
     BadParameter,
     DuplicateElement,
     UnknownElement,
 )
+from posetbundle.groups import symmetric_group
 from posetbundle.poset import (
     Poset,
     build_poset,
@@ -22,6 +29,34 @@ from posetbundle.poset import (
     parse_poset_text,
 )
 from strategies import TEXT_NAMES
+
+
+# Run in a child process: load the pickled (poset, group) pair from
+# stdin, compare it with fresh ones and print the hash of each.
+LOAD_AND_HASH = """
+import pickle, sys
+from posetbundle.groups import symmetric_group
+from posetbundle.poset import generate
+P, G = pickle.load(sys.stdin.buffer)
+fresh = generate("circle", 2), symmetric_group(3)
+assert (P, G) == fresh and hash(P) == hash(fresh[0]) and hash(G) == hash(fresh[1])
+print(hash(P), hash(G))
+"""
+
+
+def test_poset_and_group_pickle_across_hash_seeds():
+    """A pickled `Poset` and `FiniteGroup` load, in a process with another
+    hash seed, as objects equal to fresh ones that hash like them there:
+    their kept hash is of strings, so `__reduce__` rebuilds it."""
+    P, G = generate("circle", 2), symmetric_group(3)
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=str(Path(posetbundle.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", LOAD_AND_HASH],
+                         input=pickle.dumps((P, G)), env=env,
+                         capture_output=True, check=True, timeout=60)
+    assert out.stdout.split() != [str(hash(P)).encode(), str(hash(G)).encode()]
+    assert (P == 1, G == 1) == (False, False)
 
 
 def test_build_takes_transitive_closure():
