@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import lru_cache
 
 from . import connections as cn
 from .cochains import (
@@ -45,7 +44,7 @@ from .paths import (
 )
 from .poset import (base_point, build_poset, format_poset_text, generate,
                     parse_poset_text)
-from .simplicial import COMPLEX_CACHE_SIZE, complex_of
+from .simplicial import complex_of
 
 DEFAULT_SEED = 20260824
 
@@ -162,20 +161,13 @@ def fixture_problems(directory):
     return problems
 
 
-@lru_cache(maxsize=COMPLEX_CACHE_SIZE)
-def _hom_table(P: Poset, G: FiniteGroup):
-    """`_hom_loops(P, G)`, kept for the samplers as `complex_of` keeps
-    complexes; an error is raised again on every call."""
-    return _hom_loops(P, G)
-
-
 def random_cocycle(P: Poset, G: FiniteGroup, rng) -> Cochain1:
     """A random bundle: the cocycle of a uniformly random homomorphism
     of the fundamental group and a uniformly random point assignment,
-    the identity at the base point.  One draw picks a row of
-    `_hom_table`, then one draw per element (the base point's too) the
-    id of its value."""
-    loops = _hom_table(P, G)
+    the identity at the base point.  One draw picks a row of the kept
+    `_hom_loops` table, then one draw per element (the base point's too)
+    the id of its value."""
+    loops = _hom_loops(P, G)
     h = rng.randrange(len(loops))
     f = [rng.randrange(len(G)) for _ in P.elements]
     f[0] = G.unit  # the base point

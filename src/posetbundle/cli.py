@@ -278,7 +278,7 @@ def cmd_nonflat(args):
     u, witness = cn.construct_nonflat(z, b, args.g)
     return 0, {
         "cochain": format_cochain_text(u, name="nonflat"),
-        "witness": witness.encode() if witness else "(none)",
+        "witness": witness.encode(),
         "flat": cn.is_flat(u),
     }
 

@@ -211,12 +211,12 @@ def trivial_cochain1(P: Poset, G: FiniteGroup) -> Cochain1:
 
 
 def random_cochain0(P: Poset, G: FiniteGroup, rng) -> Cochain0:
-    return Cochain0._of(P, G, tuple(G.index[rng.choice(G.elements)]
+    return Cochain0._of(P, G, tuple(rng.randrange(len(G))
                                     for _ in P.elements))
 
 
 def random_cochain1(P: Poset, G: FiniteGroup, rng) -> Cochain1:
-    return Cochain1._of(P, G, tuple(G.index[rng.choice(G.elements)]
+    return Cochain1._of(P, G, tuple(rng.randrange(len(G))
                                     for _ in complex_of(P)[1].faces))
 
 
@@ -494,23 +494,27 @@ def _loop_ids(G: FiniteGroup, words, x):
 
 def _hom_loops(P: Poset, G: FiniteGroup, limit=10 ** 6):
     """The `_loop_ids` of each homomorphism of the fundamental group at
-    the base point into G, in `enumerate_homs` order: with a point
-    assignment f as ids, `_act(G, faces, row, f)` is the cocycle of the
-    pair (`cocycle_from_hom`)."""
-    from .paths import enumerate_homs, pi1_presentation
-    presentation, words = pi1_presentation(P, base_point(P))
-    index = G.index.__getitem__
-    return tuple(_loop_ids(G, words, tuple(map(index, sigma)))
-                 for sigma in enumerate_homs(presentation, G, limit=limit))
+    the base point into G, in `enumerate_homs` order: row h is the
+    cocycle of homomorphism h (`cocycle_from_hom`), and `_act` of a point
+    assignment on it the cocycle of the pair.  Kept on `complex_of(P)`
+    by (group, limit), so a smaller limit still raises."""
+    kept = complex_of(P).hom_loops
+    if (G, limit) not in kept:
+        from .paths import enumerate_homs, pi1_presentation
+        presentation, words = pi1_presentation(P, base_point(P))
+        index = G.index.__getitem__
+        kept[G, limit] = tuple(
+            _loop_ids(G, words, tuple(map(index, sigma)))
+            for sigma in enumerate_homs(presentation, G, limit=limit))
+    return kept[G, limit]
 
 
-def cocycle_from_hom(P, G, sigma, f=None):
-    """The 1-cocycle z(b) = f(end) sigma([loop through b]) f(start)^-1 of
-    a homomorphism sigma (generator values) of the fundamental group at
-    the base point and a point assignment f (element -> G), the identity
-    at the base point and, if f is None, everywhere.  A sigma that does
-    not give one element of G per generator is a `BadParameter` or, for
-    a value outside G, a `MissingValue`."""
+def cocycle_from_hom(P, G, sigma):
+    """The 1-cocycle z(b) = sigma([loop through b]) of a homomorphism
+    sigma (generator values) of the fundamental group at the base point,
+    the identity on the spanning tree.  A sigma that does not give one
+    element of G per generator is a `BadParameter` or, for a value
+    outside G, a `MissingValue`."""
     from .paths import pi1_presentation
     presentation, words = pi1_presentation(P, base_point(P))
     generators = presentation.generators
@@ -518,9 +522,7 @@ def cocycle_from_hom(P, G, sigma, f=None):
         raise BadParameter(f"sigma needs one value per generator "
                            f"({len(generators)}), got {len(sigma)}")
     x = _element_ids(G, sigma, zip(generators, sigma))
-    f = (G.unit,) * len(P) if f is None else _point_ids(P, G, f)
-    faces = complex_of(P)[1].faces
-    return Cochain1._of(P, G, _act(G, faces, _loop_ids(G, words, x), f))
+    return Cochain1._of(P, G, _loop_ids(G, words, x))
 
 
 def enumerate_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):

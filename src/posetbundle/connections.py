@@ -139,10 +139,11 @@ def construct_nonflat(z: Cochain1, b: Simplex1 = None, g=None):
 
     Twists z by g on a 1-simplex b that is non-inflating in both
     orientations, u(b) = z(b) g^-1 and its inverse on the reverse of b;
-    such a simplex exists exactly when the poset is not totally ordered,
-    and a nontrivial g makes the curvature miss the identity on the
-    witness.  b is free, so the twist touches no inflating value and u
-    is a connection.
+    such a simplex exists exactly when the poset is not totally ordered.
+    Faces 0 and 2 of the witness are legs of b, where u = z, so the
+    curvature there is z(b) g z(b)^-1, which a nontrivial g keeps off
+    the identity.  b is free, so the twist touches no inflating value
+    and u is a connection.
     """
     if not is_cocycle(z):
         raise WrongCocycle("nonflat construction starts from a 1-cocycle")
@@ -174,9 +175,9 @@ def construct_nonflat(z: Cochain1, b: Simplex1 = None, g=None):
     u = Cochain1._of(P, G, tuple(values))
     # The witness has vertices (start, support, end) and boundary 1 b.
     e, s = cells.legs[i]
-    c = complex_of(P)[2].at[cells.support[i], cells.reverse[e], i, s]
-    flat = coboundary1(u).ids[c] == G.unit
-    return u, None if flat else complex_of(P)[2].simplices[c]
+    cells2 = complex_of(P)[2]
+    c = cells2.at[cells.support[i], cells.reverse[e], i, s]
+    return u, cells2.simplices[c]
 
 
 # -- central structure -----------------------------------------------------

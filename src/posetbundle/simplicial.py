@@ -456,9 +456,11 @@ class Complex:
     """The enumerated complex of a poset: one `Cells` per dimension
     0..3, each built on first use from the one below.  `complex_of` caches
     one per poset, so every per-poset table hangs off it: the spanning
-    tree paths by base point (`trees`, see `tree`), and the parts of
+    tree paths by base point (`trees`, see `tree`), the parts of
     `paths.pi1_presentation`, its base-free part `pi1` and its
-    `presentations` by base point."""
+    `presentations` by base point, and the based-loop values of each
+    homomorphism of the fundamental group by (group, limit)
+    (`hom_loops`, see `cochains._hom_loops`)."""
 
     def __init__(self, P: Poset):
         self.poset = P
@@ -466,6 +468,7 @@ class Complex:
         self.trees = {}
         self.pi1 = None
         self.presentations = {}
+        self.hom_loops = {}
 
     def tree(self, a0):
         """The step ids of the spanning tree path from a0 to each point,

@@ -11,6 +11,7 @@ from posetbundle.cli import COMMANDS
 from posetbundle.cochains import Cochain1, cocycle_from_hom, is_cocycle
 from posetbundle.connections import construct_from_cochain
 from posetbundle.errors import UsageError, check_limit
+from posetbundle.gauge import gauge_act
 from posetbundle.groups import FiniteGroup
 from posetbundle.paths import enumerate_homs, pi1_presentation
 from posetbundle.poset import Poset, base_point
@@ -76,14 +77,14 @@ def enumerate_cocycles_raw(P: Poset, G: FiniteGroup, limit=10 ** 6):
 def random_cocycle_raw(P: Poset, G: FiniteGroup, rng):
     """Oracle for `acceptance.random_cocycle`: a homomorphism drawn from
     the named list of `enumerate_homs`, a point assignment drawn as an
-    element -> group element dict, and the cocycle of the pair built by
-    `cocycle_from_hom`."""
+    element -> group element dict, and the cocycle of the homomorphism,
+    `cocycle_from_hom`, moved by the assignment with `gauge_act`."""
     a0 = base_point(P)
     presentation, _ = pi1_presentation(P, a0)
     sigma = rng.choice(enumerate_homs(presentation, G))
     f = {a: rng.choice(G.elements) for a in P.elements}
     f[a0] = G.identity
-    return cocycle_from_hom(P, G, sigma, f)
+    return gauge_act(f, cocycle_from_hom(P, G, sigma))
 
 
 def random_connection_raw(P: Poset, G: FiniteGroup, rng):

@@ -391,6 +391,55 @@ def test_check_cocycle_exit_codes(workspace, capsys):
         assert "Traceback" not in err
 
 
+def test_main_exits_with_the_code_of_run(workspace, capsys, monkeypatch):
+    """`main` reads `sys.argv` and exits 0 on success, 1 on a negative
+    verdict and 2 on a usage error."""
+    text = (workspace / "winding.cochain").read_text()
+    broken = text.replace("(a1;a1,a1) = g0", "(a1;a1,a1) = g1")
+    assert broken != text
+    (workspace / "broken.cochain").write_text(broken)
+    check = ["check-cocycle", workspace / "circle2.poset",
+             workspace / "z3.group"]
+    for args, code in [(check + [workspace / "winding.cochain"], 0),
+                       (check + [workspace / "broken.cochain"], 1),
+                       (["validate"], 2)]:
+        monkeypatch.setattr(sys, "argv", ["posetbundle", *map(str, args)])
+        with pytest.raises(SystemExit) as caught:
+            cli.main()
+        assert caught.value.code == code
+    captured = capsys.readouterr()
+    assert "cocycle: False" in captured.out and "error:" in captured.err
+
+
+def test_main_treats_a_closed_stdout_as_an_output_error(workspace,
+                                                        tmp_path,
+                                                        monkeypatch):
+    """A reader that closes the pipe early makes the flush raise
+    `BrokenPipeError`: `main` points stdout's descriptor at devnull and
+    exits 2.  The stand-in's descriptor is a temporary file's, so the
+    runner's own descriptors stay as they are."""
+    with open(tmp_path / "stdout", "w") as target:
+
+        class ClosedPipe:
+            def write(self, text):
+                return len(text)
+
+            def flush(self):
+                raise BrokenPipeError
+
+            def fileno(self):
+                return target.fileno()
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        monkeypatch.setattr(sys, "argv", ["posetbundle", "group-validate",
+                                          str(workspace / "z3.group")])
+        with pytest.raises(SystemExit) as caught:
+            cli.main()
+        assert caught.value.code == 2
+        assert os.path.samestat(os.fstat(target.fileno()),
+                                os.stat(os.devnull))
+
+
 def test_homotopic_limit_is_an_input_error(workspace, tmp_path, capsys):
     """The loop at a1 through o1 and then o2 meets the degenerate loop
     once the search holds 24 paths within bound 3; a limit of 23 ends

@@ -34,7 +34,7 @@ from posetbundle.cochains import (
     random_cochain1,
     trivial_cochain1,
 )
-from posetbundle.cochains import _act, _loop_ids
+from posetbundle.cochains import _act, _hom_loops, _loop_ids
 from posetbundle.errors import (
     BadParameter,
     CentralityViolation,
@@ -223,6 +223,35 @@ def test_cocycle_enumeration_matches_loop_construction(posets, poset_name,
     assert [[z(b) for b in simplices] for z in fast] == [
         [z(b) for b in simplices] for z in reference
     ]
+
+
+def test_hom_loop_table_is_kept_on_the_complex(posets):
+    """One table per (poset, group, limit), read by the enumeration and
+    the sampler alike."""
+    P = posets["twoloop"]
+    table = _hom_loops(P, S3)
+    assert _hom_loops(P, S3) is table
+    assert complex_of(P).hom_loops[S3, 10 ** 6] is table
+    assert len(enumerate_cocycles(P, S3)) == len(table) * 6 ** (len(P) - 1)
+    random_cocycle(P, S3, random.Random(3))
+    assert complex_of(P).hom_loops[S3, 10 ** 6] is table
+
+
+def test_kept_hom_loop_table_does_not_lift_a_smaller_limit(posets):
+    P = posets["twoloop"]
+    _hom_loops(P, S3)
+    with pytest.raises(SearchLimitExceeded) as caught:
+        enumerate_cocycles(P, S3, limit=10)
+    assert str(caught.value) == "6^5 = 7776 assignments exceed the limit 10"
+
+
+def test_clearing_the_complex_cache_releases_the_hom_loop_tables(posets):
+    P = posets["twoloop"]
+    _hom_loops(P, S3)
+    kept = complex_of(P)
+    complex_of.cache_clear()
+    assert complex_of(P) is not kept
+    assert complex_of(P).hom_loops == {}
 
 
 def test_based_loops_carry_the_edge_words(posets):
@@ -555,12 +584,6 @@ def test_is_morphism_needs_every_element(posets):
     u = trivial_cochain1(posets["circle2"], Z2)
     with pytest.raises(MissingValue) as caught:
         is_morphism({}, u, u)
-    assert str(caught.value) == MISSES
-
-
-def test_cocycle_from_hom_needs_every_element(posets):
-    with pytest.raises(MissingValue) as caught:
-        cocycle_from_hom(posets["circle2"], Z2, ("g0",) * 3, {})
     assert str(caught.value) == MISSES
 
 

@@ -850,10 +850,11 @@ def test_built_results_keep_the_invariants_the_library_proves(P, G, rng):
     they build; their docstrings prove each result's invariant, and this
     asserts it.  `construct_from_cochain` on a random free twist, the
     star operations on central connections of one bundle,
-    `construct_nonflat` and `ambrose_singer_reduce` at every base point
-    build connections, the last with a morphism; `induced_cocycle` and
-    `associated_cocycle` build cocycles; and every cochain holds one
-    value per cell."""
+    `construct_nonflat` (whose curvature misses the identity on its
+    witness, for a random nontrivial twist) and `ambrose_singer_reduce`
+    at every base point build connections, the last with a morphism;
+    `induced_cocycle` and `associated_cocycle` build cocycles; and every
+    cochain holds one value per cell."""
     edges = complex_of(P)[1]
     z = random_cocycle(P, G, rng)
     center = [G.index[g] for g in G.center()]
@@ -867,7 +868,10 @@ def test_built_results_keep_the_invariants_the_library_proves(P, G, rng):
     u, central = twisted(range(len(G))), [twisted(center), twisted(center)]
     built = [u, *central, star_compose(*central), star_inverse(central[0])]
     if edges.free_classes and len(G) > 1:
-        built.append(construct_nonflat(z)[0])
+        twist = rng.choice([h for h in G.elements if h != G.identity])
+        nonflat, witness = construct_nonflat(z, g=twist)
+        assert curvature(nonflat)(witness) != G.identity
+        built.append(nonflat)
     for v in built:
         assert is_connection(v)
     g = rng.choice(G.elements)
