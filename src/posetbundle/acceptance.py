@@ -13,7 +13,6 @@ from .cochains import (
     Cochain1,
     _act,
     _hom_loops,
-    _path_value,
     coboundary,
     coboundary2,
     coboundary_from_assignment,
@@ -161,27 +160,34 @@ def fixture_problems(directory):
     return problems
 
 
-def random_cocycle(P: Poset, G: FiniteGroup, rng) -> Cochain1:
-    """A random bundle: the cocycle of a uniformly random homomorphism
-    of the fundamental group and a uniformly random point assignment,
-    the identity at the base point.  One draw picks a row of the kept
-    `_hom_loops` table, then one draw per element (the base point's too)
-    the id of its value."""
+def _random_bundle(P: Poset, G: FiniteGroup, rng):
+    """The ids of a random bundle: the cocycle of a uniformly random
+    homomorphism of the fundamental group and a uniformly random point
+    assignment, the identity at the base point.  One draw picks a row of
+    the kept `_hom_loops` table, then one draw per element (the base
+    point's too) the id of its value."""
     loops = _hom_loops(P, G)
     h = rng.randrange(len(loops))
     f = [rng.randrange(len(G)) for _ in P.elements]
     f[0] = G.unit  # the base point
-    return Cochain1._of(P, G, _act(G, complex_of(P)[1].faces, loops[h], f))
+    return _act(G, complex_of(P)[1].faces, loops[h], f)
+
+
+def random_cocycle(P: Poset, G: FiniteGroup, rng) -> Cochain1:
+    """A random bundle, drawn by `_random_bundle`."""
+    return Cochain1._of(P, G, _random_bundle(P, G, rng))
 
 
 def random_connection(P: Poset, G: FiniteGroup, rng) -> Cochain1:
-    """A uniformly random twist of a random bundle."""
-    z = random_cocycle(P, G, rng)
-    cells = complex_of(P)[1]
-    twist = [G.unit] * len(cells.faces)
-    for i in sorted(i for pair in cells.free_classes for i in pair):
+    """A uniformly random twist of a `_random_bundle`, which is not
+    checked again: one draw per 1-simplex of a free reversal class, in
+    id order, the id of its twist value, applied by `cn._twist`."""
+    x = _random_bundle(P, G, rng)
+    free = complex_of(P)[1].free_classes
+    twist = [G.unit] * len(x)
+    for i in sorted(i for pair in free for i in pair):
         twist[i] = rng.randrange(len(G))
-    return cn.construct_from_cochain(Cochain1._of(P, G, tuple(twist)), z)
+    return Cochain1._of(P, G, cn._twist(G, free, x, twist))
 
 
 # -- criteria --------------------------------------------------------------
@@ -201,6 +207,31 @@ def _agreeing(P: Poset, cocycles):
     for z in cocycles:
         index.setdefault(key(z), []).append(z)
     return lambda u: index.get(key(u), [])
+
+
+def _path_values(cochains):
+    """The function taking a tuple r of 1-simplex ids to the tuple of
+    `_path_value(z, r)` for z in `cochains`.  The values after step i
+    depend only on those before it and on i, so a table, kept as long as
+    the function, maps (i, state) to the next state: the index of an
+    interned tuple of values."""
+    family = [(z.group.rows, z.ids) for z in cochains]
+    states = [tuple(z.group.unit for z in cochains)]
+    index, step = {states[0]: 0}, {}
+
+    def values(r):
+        s = 0
+        for i in r:
+            t = step.get((i, s))
+            if t is None:
+                v = tuple(rows[x[i]][g]
+                          for (rows, x), g in zip(family, states[s]))
+                t = step[i, s] = index.setdefault(v, len(states))
+                if t == len(states):
+                    states.append(v)
+            s = t
+        return states[s]
+    return values
 
 
 def criterion_1(rng):
@@ -482,26 +513,20 @@ def criterion_12(rng):
     """Cocycles cannot see certificate-homotopic path changes.
 
     The search runs on tuples of 1-simplex ids: the seeds are the
-    spanning tree paths of length <= 2, the neighbours of a path come
-    from the deformation index in `deformations` order, and every cocycle
-    is evaluated on the ids.  `Path`s are built only for a pair that a
-    cocycle splits, to ask `homotopic` for a certificate."""
+    spanning tree paths of length <= 2, the neighbours of a path the set
+    `paths._neighbours` gives (each layer is a set, so their order does
+    not matter), and the cocycles' values come from one `_path_values`
+    table.  `Path`s are built only for a pair that a cocycle splits, to
+    ask `homotopic` for a certificate."""
     pairs = 0
     for P, G, start in (
         (generate("circle", 2), cyclic_group(2), "a1"),
         (generate("chain", 3), cyclic_group(2), "x1"),
     ):
-        cocycles = enumerate_cocycles(P, G)
+        values = _path_values(enumerate_cocycles(P, G))
         _, words = pi1_presentation(P, start)
         K = complex_of(P)
         faces, moves = K[1].faces, K[2].deformations
-
-        def values(r):
-            return [_path_value(z, r) for z in cocycles]
-
-        def neighbours(r):
-            return sorted(_neighbours(r, moves, len(r) + 1))
-
         # Keyed by (start, end) point ids: the seeds end at distinct
         # points, and deformations keep the endpoints, so every path the
         # search reaches shares them with exactly one seed.
@@ -512,7 +537,7 @@ def criterion_12(rng):
         for _ in range(3):  # paths of length <= 5, within the bound 6
             nxt = []
             for r in frontier:
-                for q in neighbours(r):
+                for q in _neighbours(r, moves, len(r) + 1):
                     if q not in reached:
                         reached.add(q)
                         nxt.append(q)
@@ -524,7 +549,7 @@ def criterion_12(rng):
                             )
             frontier = nxt
         for p, vp in seeds.values():
-            for q in neighbours(p):
+            for q in _neighbours(p, moves, len(p) + 1):
                 pairs += 1
                 if values(q) != vp:
                     return False, f"one-step deformation split on {P.name}"

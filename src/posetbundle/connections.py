@@ -113,25 +113,32 @@ def construct_from_cochain(v: Cochain1, z: Cochain1) -> Cochain1:
     """The connection b -> v(reverse b)^-1 z(b) v(b) on the bundle z,
     where v is any 1-cochain equal to the identity on inflating
     simplices and their reverses, so the result equals z there; z
-    inverts on every reversal class, and so does the result."""
+    inverts on every reversal class, and so does the result (`_twist`)."""
     if not is_cocycle(z):
         raise PreconditionViolated(
             "the base of a connection must be a 1-cocycle"
         )
     _same_base(v, z.poset, z.group)
-    G, cells = z.group, z.cells
-    rows, inv, t, x = G.rows, G.inverses, v.ids, z.ids
+    G, cells, t = z.group, z.cells, v.ids
     free = set(cells.free_classes)
+    if any(t[i] != G.unit or t[j] != G.unit
+           for i, j in cells.classes if (i, j) not in free):
+        raise PreconditionViolated(
+            "the twisting cochain must be trivial on inflating "
+            "simplices and their reverses"
+        )
+    return Cochain1._of(z.poset, G, _twist(G, cells.free_classes, z.ids, t))
+
+
+def _twist(G: FiniteGroup, free, x, t):
+    """`construct_from_cochain` on ids, for a twist t that is the unit
+    outside the reversal classes `free`: t(j)^-1 x(i) t(i) on each."""
+    rows, inv = G.rows, G.inverses
     values = list(x)
-    for i, j in cells.classes:
-        if (i, j) not in free and (t[i] != G.unit or t[j] != G.unit):
-            raise PreconditionViolated(
-                "the twisting cochain must be trivial on inflating "
-                "simplices and their reverses"
-            )
+    for i, j in free:
         values[i] = rows[rows[inv[t[j]]][x[i]]][t[i]]
         values[j] = rows[rows[inv[t[i]]][x[j]]][t[j]]
-    return Cochain1._of(z.poset, G, tuple(values))
+    return tuple(values)
 
 
 def construct_nonflat(z: Cochain1, b: Simplex1 = None, g=None):

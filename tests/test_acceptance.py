@@ -12,7 +12,7 @@ from posetbundle.acceptance import (CRITERIA_COUNT, _CRITERIA,
 from posetbundle.cochains import (Cochain2, Cochain3, is_cocycle,
                                   random_cochain1)
 from posetbundle.connections import induced_cocycle
-from posetbundle.groups import cyclic_group
+from posetbundle.groups import cyclic_group, symmetric_group
 from posetbundle.paths import (Path, _neighbours, deformations,
                                pi1_presentation)
 from posetbundle.poset import generate
@@ -51,8 +51,51 @@ def test_criterion(number):
     assert result.detail == DETAILS[number]
 
 
-# The failure branches of criteria 6, 8, 10, 11 and 12 never run on a
-# passing suite; these faults must reach them.
+# The failure branches of criteria 2, 3, 4, 5, 6, 8, 9, 10, 11 and 12
+# never run on a passing suite; these faults must reach them.
+
+
+def test_criterion_2_catches_a_wrong_hom_class_count(monkeypatch):
+    count_hom_classes = acceptance.count_hom_classes
+    monkeypatch.setattr(acceptance, "count_hom_classes",
+                        lambda pres, G: count_hom_classes(pres, G) + 1)
+    assert acceptance.criterion_2(random.Random(0)) == (
+        False, "circle2 x Z2: 2 classes, 3 hom classes, expected 2")
+
+
+def test_criterion_3_catches_a_missing_witness(monkeypatch):
+    """The first cochain scanned, the unit one, is a coboundary."""
+    monkeypatch.setattr(acceptance, "is_path_independent", lambda u: None)
+    assert acceptance.criterion_3(random.Random(0)) == (
+        False, "mismatch on chain2 after 0 cochains")
+
+
+def test_criterion_4_catches_a_nonflat_connection(monkeypatch):
+    monkeypatch.setattr(acceptance.cn, "is_flat", lambda u: False)
+    assert acceptance.criterion_4(random.Random(0)) == (
+        False, "found a nonflat or twisted connection on chain3")
+
+
+def test_criterion_5_catches_a_moved_bundle(monkeypatch):
+    monkeypatch.setattr(
+        acceptance.cn, "induced_cocycle",
+        lambda u: random_cochain1(u.poset, u.group, random.Random(1)))
+    assert acceptance.criterion_5(random.Random(0)) == (
+        False, "induced cocycle moved off z over Z2")
+
+
+def test_criterion_9_catches_a_holonomy_group_too_large(monkeypatch):
+    ambrose_singer_reduce = acceptance.cn.ambrose_singer_reduce
+    S3 = symmetric_group(3)
+
+    def all_of_s3(u, a0):
+        u1, f, _ = ambrose_singer_reduce(u, a0)
+        return u1, f, S3
+
+    monkeypatch.setattr(acceptance.cn, "ambrose_singer_reduce", all_of_s3)
+    assert acceptance.criterion_9(random.Random(0)) == (
+        False, "holonomy is ('123', '132', '213', '231', '312', '321'), "
+               "expected the 3-cycles")
 
 
 def test_criterion_12_catches_a_non_cocycle(monkeypatch):
@@ -140,8 +183,9 @@ def test_criterion_8_catches_an_unbalanced_3_simplex(monkeypatch):
 @pytest.mark.parametrize("name, n, start",
                          [("circle", 2, "a1"), ("chain", 3, "x1")])
 def test_criterion_12_neighbours_are_the_deformations(name, n, start):
-    """The step id neighbours that criterion 12 searches, in its order,
-    are the ids of `deformations` of each seed."""
+    """The set of step id neighbours that criterion 12 searches from
+    each seed, sorted, is the ids of its `deformations` in their order:
+    the criterion does not depend on the order, `deformations` does."""
     P = generate(name, n)
     K = complex_of(P)
     _, words = pi1_presentation(P, start)

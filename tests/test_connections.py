@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from posetbundle import connections
 from posetbundle.acceptance import (
     full_image_cocycle,
     random_connection,
@@ -376,6 +377,21 @@ def test_holonomy_conjugacy(posets):
     for u in sample_connections(P, S3, 7, 3):
         g = holonomy_conjugacy_check(u, "a1", "o2")
         assert S3.conjugate_subset(holonomy(u, "a1"), g) == holonomy(u, "o2")
+
+
+def test_holonomy_conjugacy_catches_a_wrong_transport(posets, monkeypatch):
+    """The winding bundle through 213 has the non-normal holonomy
+    {123, 213} at a1 and at o2, so a tree transport that sends o2 to 231
+    does not conjugate one onto the other."""
+    z = winding_cocycle(posets["circle2"], S3, "213")
+    assert holonomy(z, "a1") == holonomy(z, "o2") == ("123", "213")
+    tree_transport = connections.tree_transport
+    monkeypatch.setattr(connections, "tree_transport",
+                        lambda u, a0: {**tree_transport(u, a0), "o2": "231"})
+    with pytest.raises(Mismatch) as caught:
+        holonomy_conjugacy_check(z, "a1", "o2")
+    assert str(caught.value) == (
+        "transport along the tree failed to conjugate the holonomy")
 
 
 def test_base_points_outside_the_poset_are_unknown_elements(posets):

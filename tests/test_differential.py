@@ -1,8 +1,9 @@
 """Differential tests of the tree-transport helpers, the cochain
 identity, the constructed cocycle classes and connections, the indexed
-deformation search from both ends, the text of simplices read from the
-id tables, the presentation and holonomy on simplex ids, the id kernels
-of cochains and connections, the restricted holonomy from the curvature
+deformation search from both ends, the memoised path values of a
+cochain family, the text of simplices read from the id tables, the
+presentation and holonomy on simplex ids, the id kernels of cochains
+and connections, the restricted holonomy from the curvature
 and the nonflat twist, the reduced relators, the
 relator lattice, the word evaluator and the hom class representatives
 against brute force or the
@@ -26,12 +27,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from posetbundle import cli
-from posetbundle.acceptance import random_cocycle, random_connection
+from posetbundle.acceptance import (_path_values, random_cocycle,
+                                    random_connection)
 from posetbundle.cochains import (
     Cochain0,
     Cochain1,
     Cochain2,
     Cochain3,
+    _path_value,
     are_equivalent,
     associated_cocycle,
     classify_cocycles,
@@ -184,6 +187,23 @@ def test_samplers_match_the_named_draws(P, G, seed, twisted_calls):
                           if twisted else (random_cocycle, random_cocycle_raw))
         assert sample(P, G, rng) == oracle(P, G, raw)
         assert rng.getstate() == raw.getstate()
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_posets(), GROUPS, SEEDS, st.integers(1, 4))
+def test_path_values_match_the_fold_of_each_cochain(P, G, rng, size):
+    """One `acceptance._path_values` table, asked for many id tuples of
+    length 0-6 twice over, gives each the `_path_value` of every 1-cochain
+    of a random family (not only cocycles).  The tuples need not chain,
+    so a step id recurs after different values, and the second round
+    finds every step in the table."""
+    family = [random_cochain1(P, G, rng) for _ in range(size)]
+    n = len(complex_of(P)[1].faces)
+    paths = [tuple(rng.randrange(n) for _ in range(rng.randint(0, 6)))
+             for _ in range(30)]
+    values = _path_values(family)
+    for r in paths + paths:
+        assert values(r) == tuple(_path_value(z, r) for z in family)
 
 
 @settings(max_examples=40, deadline=None)
