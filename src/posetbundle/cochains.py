@@ -132,6 +132,10 @@ class _Cochain:
     def __hash__(self):
         return hash((self.poset, self.group, self.ids))
 
+    def __repr__(self):
+        return (f"{type(self).__name__}(over {self.poset.name}, "
+                f"values in {self.group.name})")
+
 
 class Cochain0(_Cochain):
     """An assignment of group elements to the points of a poset."""
@@ -152,9 +156,6 @@ class Cochain1(_Cochain):
 
     __slots__ = ()
     dim = 1
-
-    def __repr__(self):
-        return f"Cochain1(over {self.poset.name}, values in {self.group.name})"
 
 
 def _tau_ids(P: Poset, G: FiniteGroup, tau):

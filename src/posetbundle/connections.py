@@ -144,9 +144,10 @@ def _twist(G: FiniteGroup, free, x, t):
 def construct_nonflat(z: Cochain1, b: Simplex1 = None, g=None):
     """A nonflat connection on the bundle z, with a witness 2-simplex.
 
-    Twists z by g on a 1-simplex b that is non-inflating in both
-    orientations, u(b) = z(b) g^-1 and its inverse on the reverse of b;
-    such a simplex exists exactly when the poset is not totally ordered.
+    Twists z (`_twist`) by g^-1 on a 1-simplex b that is non-inflating
+    in both orientations, so u(b) = z(b) g^-1 and its inverse g z(b)^-1
+    on the reverse of b; such a simplex exists exactly when the poset is
+    not totally ordered.
     Faces 0 and 2 of the witness are legs of b, where u = z, so the
     curvature there is z(b) g z(b)^-1, which a nontrivial g keeps off
     the identity.  b is free, so the twist touches no inflating value
@@ -176,10 +177,9 @@ def construct_nonflat(z: Cochain1, b: Simplex1 = None, g=None):
         raise MissingValue(f"{g!r} is not an element of {G.name}")
     if g == G.identity:
         raise TrivialGroup("the twisting element must be nontrivial")
-    values = list(z.ids)
-    values[i] = G.rows[values[i]][G.inverses[G.index[g]]]
-    values[cells.reverse[i]] = G.inverses[values[i]]
-    u = Cochain1._of(P, G, tuple(values))
+    t = [G.unit] * len(z.ids)
+    t[i] = G.inverses[G.index[g]]
+    u = Cochain1._of(P, G, _twist(G, ((i, cells.reverse[i]),), z.ids, t))
     # The witness has vertices (start, support, end) and boundary 1 b.
     e, s = cells.legs[i]
     cells2 = complex_of(P)[2]

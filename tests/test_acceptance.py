@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from posetbundle import acceptance
+from posetbundle import acceptance, cochains
 from posetbundle.acceptance import (CRITERIA_COUNT, _CRITERIA,
                                     full_image_cocycle, run_criterion,
                                     winding_cocycle)
-from posetbundle.cochains import (Cochain2, Cochain3, is_cocycle,
+from posetbundle.cochains import (Cochain1, Cochain2, Cochain3, is_cocycle,
                                   random_cochain1)
 from posetbundle.connections import induced_cocycle
 from posetbundle.groups import cyclic_group, symmetric_group
@@ -51,8 +51,25 @@ def test_criterion(number):
     assert result.detail == DETAILS[number]
 
 
-# The failure branches of criteria 2, 3, 4, 5, 6, 8, 9, 10, 11 and 12
-# never run on a passing suite; these faults must reach them.
+# The failure branches of the twelve criteria never run on a passing
+# suite; these faults must reach them.
+
+
+def _unbalanced(coboundary2):
+    """`coboundary2` with its value at the 3-simplex of id 0 set to a
+    non-unit."""
+    def unbalanced(w):
+        x, G = coboundary2(w), w.group
+        other = next(g for g in range(len(G)) if g != G.unit)
+        return Cochain3._of(x.poset, G, (other,) + x.ids[1:], x.tau_ids)
+    return unbalanced
+
+
+def test_criterion_1_catches_a_nontrivial_second_coboundary(monkeypatch):
+    monkeypatch.setattr(cochains, "coboundary2",
+                        _unbalanced(cochains.coboundary2))
+    assert acceptance.criterion_1(random.Random(0)) == (
+        False, "exhaustive failure at cochain #0")
 
 
 def test_criterion_2_catches_a_wrong_hom_class_count(monkeypatch):
@@ -98,10 +115,17 @@ def test_criterion_9_catches_a_holonomy_group_too_large(monkeypatch):
                "expected the 3-cycles")
 
 
+def _refuse_paths(monkeypatch):
+    def refuse(cls, steps):
+        raise AssertionError("criterion 12 built a Path")
+
+    monkeypatch.setattr(Path, "_of", classmethod(refuse))
+
+
 def test_criterion_12_catches_a_non_cocycle(monkeypatch):
-    """A cochain that is not a cocycle splits a homotopic pair, and the
-    certificate for that pair is asked of `homotopic` through `Path`s
-    rebuilt from the step ids."""
+    """A cochain that is not a cocycle splits a pair that the search
+    reached by deformations, and the split fails the criterion on the
+    step ids alone: no `Path` is built."""
     enumerate_cocycles = acceptance.enumerate_cocycles
 
     def with_a_non_cocycle(P, G):
@@ -110,15 +134,13 @@ def test_criterion_12_catches_a_non_cocycle(monkeypatch):
         return enumerate_cocycles(P, G) + (u,)
 
     monkeypatch.setattr(acceptance, "enumerate_cocycles", with_a_non_cocycle)
+    _refuse_paths(monkeypatch)
     assert acceptance.criterion_12(random.Random(0)) == (
         False, "cocycle split a homotopic pair on circle2")
 
 
 def test_criterion_12_builds_no_path_when_nothing_splits(monkeypatch):
-    def refuse(cls, steps):
-        raise AssertionError("criterion 12 built a Path")
-
-    monkeypatch.setattr(Path, "_of", classmethod(refuse))
+    _refuse_paths(monkeypatch)
     assert acceptance.criterion_12(random.Random(0)) == (True, DETAILS[12])
 
 
@@ -167,15 +189,40 @@ def test_criterion_6_catches_a_repeated_cocycle(monkeypatch):
         False, "sample 0: 2 cocycles agree")
 
 
+def test_criterion_7_catches_a_curvature_off_chi(monkeypatch):
+    """Every curvature value times the non-unit of Z2 misses chi^-1 at
+    the pinch simplex of the first 1-simplex."""
+    curvature = acceptance.cn.curvature
+
+    def shifted(u):
+        w, G = curvature(u), u.group
+        rows, other = G.rows, next(g for g in range(len(G)) if g != G.unit)
+        return Cochain2._of(w.poset, G, tuple(rows[g][other] for g in w.ids),
+                            w.tau_ids)
+
+    monkeypatch.setattr(acceptance.cn, "curvature", shifted)
+    assert acceptance.criterion_7(random.Random(0)) == (
+        False, "curvature of the pinch simplex missed chi")
+
+
+def test_criterion_7_catches_a_decomposition_that_does_not_recompose(
+        monkeypatch):
+    central_decompose = acceptance.cn.central_decompose
+
+    def changed(u):
+        z, chi = central_decompose(u)
+        G, ids = chi.group, list(chi.ids)
+        ids[0] = next(g for g in range(len(G)) if g != ids[0])
+        return z, Cochain1._of(chi.poset, G, tuple(ids))
+
+    monkeypatch.setattr(acceptance.cn, "central_decompose", changed)
+    assert acceptance.criterion_7(random.Random(0)) == (
+        False, "decomposition does not recompose")
+
+
 def test_criterion_8_catches_an_unbalanced_3_simplex(monkeypatch):
-    coboundary2 = acceptance.coboundary2
-
-    def unbalanced(w):
-        x, G = coboundary2(w), w.group
-        other = next(g for g in range(len(G)) if g != G.unit)
-        return Cochain3._of(x.poset, G, (other,) + x.ids[1:], x.tau_ids)
-
-    monkeypatch.setattr(acceptance, "coboundary2", unbalanced)
+    monkeypatch.setattr(cochains, "coboundary2",
+                        _unbalanced(cochains.coboundary2))
     assert acceptance.criterion_8(random.Random(0)) == (
         False, "Bianchi failed on circle2 x Z2")
 

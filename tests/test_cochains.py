@@ -168,6 +168,16 @@ def test_cochain3_centrality_guard(posets):
         Cochain3(P, S3, dw.tau, bad)
 
 
+def test_every_cochain_degree_has_a_readable_repr(posets):
+    """A repr names the degree, the poset and the group, never an
+    address, so a failing example prints the same on every run."""
+    cochains = [random_cochain0(posets["circle2"], S3, random.Random(0))]
+    for _ in range(3):
+        cochains.append(coboundary(cochains[-1]))
+    assert [repr(c) for c in cochains] == [
+        f"Cochain{n}(over circle2, values in S3)" for n in range(4)]
+
+
 def test_cocycle_enumeration_matches_oracle(posets):
     cases = [
         (posets["chain2"], Z2),
