@@ -280,7 +280,7 @@ def coboundary0(v: Cochain0) -> Cochain1:
     rows, inv = G.rows, G.inverses
     return Cochain1._of(v.poset, G, tuple(
         rows[x[end]][inv[x[start]]]
-        for end, start in complex_of(v.poset)[1].faces))
+        for end, start in v.cells.complex[1].faces))
 
 
 def coboundary1(u: Cochain1) -> Cochain2:
@@ -288,23 +288,31 @@ def coboundary1(u: Cochain1) -> Cochain2:
     G, x = u.group, u.ids
     rows, inv = G.rows, G.inverses
     values = tuple(rows[rows[x[b0]][x[b2]]][inv[x[b1]]]
-                   for b0, b1, b2 in complex_of(u.poset)[2].faces)
+                   for b0, b1, b2 in u.cells.complex[2].faces)
     return Cochain2._of(u.poset, G, values,
                         tuple(map(G.coset_rep.__getitem__, x)))
 
 
+def _imbalances(w: Cochain2):
+    """(id, (dw)(d)) at each 3-simplex d where w(f0) w(f2) differs from
+    tau(w(f3)) w(f1), lazily in id order; tau, from a conjugation table, is
+    the automorphism of the rear edge (boundary 0 of faces 0 and 1)."""
+    G, x = w.group, w.ids
+    rows, inv, ids = G.rows, G.inverses, range(len(G))
+    conj = [[rows[rows[r][g]][inv[r]] for g in ids] for r in ids]
+    rear = [conj[w.tau_ids[b0]] for b0, _, _ in w.cells.faces]
+    for i, (f0, f1, f2, f3) in enumerate(w.cells.complex[3].faces):
+        left, right = rows[x[f0]][x[f2]], rows[rear[f0][x[f3]]][x[f1]]
+        if left != right:
+            yield i, rows[left][inv[right]]
+
+
 def coboundary2(w: Cochain2) -> Cochain3:
-    """(dw)(d) = w(f0) w(f2) (tau(w(f3)) w(f1))^-1, conjugating by the
-    automorphism of the rear edge (the common boundary 0 of faces 0 and 1).
-    """
-    G, x, t, faces = w.group, w.ids, w.tau_ids, w.cells.faces
-    rows, inv = G.rows, G.inverses
-    values = []
-    for f0, f1, f2, f3 in complex_of(w.poset)[3].faces:
-        rear = t[faces[f0][0]]
-        twisted = rows[rows[rows[rear][x[f3]]][inv[rear]]][x[f1]]
-        values.append(rows[rows[x[f0]][x[f2]]][inv[twisted]])
-    return Cochain3._of(w.poset, G, tuple(values), t)
+    """(dw)(d) = w(f0) w(f2) (tau(w(f3)) w(f1))^-1, e off `_imbalances`."""
+    values = [w.group.unit] * len(w.cells.complex[3].faces)
+    for i, g in _imbalances(w):
+        values[i] = g
+    return Cochain3._of(w.poset, w.group, tuple(values), w.tau_ids)
 
 
 def coboundary(cochain):
@@ -335,20 +343,21 @@ def _is_functor(u: Cochain1, legs) -> bool:
 
 
 def is_cocycle(cochain) -> bool:
-    """The kernel condition: in degrees 0 and 2 a coboundary that takes
-    only the identity; in degree 1 the identity u(b0) u(b2) = u(b1) on
-    every 2-simplex, tested as a functor g(x, v) = u(x; x, v) on the
-    order: u(s; c, a) = g(s, c)^-1 g(s, a) on every 1-simplex (its
-    `legs`) and g(x, v) = g(x, s) g(s, v) on every strict chain
-    v < s < x (`chains`), each the identity of one 2-simplex.
-    Conversely these give g(s, s) = e and u(s; c, a) = g(x, c)^-1 g(x, a)
-    for every x >= s, so both sides of each identity with support x
-    read g(x, v2)^-1 g(x, v0)."""
+    """The kernel condition: in degree 0 a coboundary that takes only the
+    identity; in degree 2 no `_imbalances`, the first ending the test; in
+    degree 1 the identity u(b0) u(b2) = u(b1) on every 2-simplex, tested
+    as a functor g(x, v) = u(x; x, v) on the order: u(s; c, a) =
+    g(s, c)^-1 g(s, a) on every 1-simplex (its `legs`) and g(x, v) =
+    g(x, s) g(s, v) on every strict chain v < s < x (`chains`), each the
+    identity of one 2-simplex.  Conversely these give g(s, s) = e and
+    u(s; c, a) = g(x, c)^-1 g(x, a) for every x >= s, so both sides of
+    each identity with support x read g(x, v2)^-1 g(x, v0)."""
     if isinstance(cochain, Cochain1):
         return _is_functor(cochain, zip(cochain.ids, cochain.cells.legs))
-    if isinstance(cochain, (Cochain0, Cochain2)):
-        d = coboundary(cochain)
-        return d.ids.count(d.group.unit) == len(d.ids)
+    if isinstance(cochain, Cochain2):
+        return next(_imbalances(cochain), None) is None
+    if isinstance(cochain, Cochain0):
+        return set(coboundary0(cochain).ids) <= {cochain.group.unit}
     raise BadParameter("cocycle condition implemented for degrees 0-2")
 
 
@@ -380,7 +389,13 @@ def extend_to_path(u: Cochain1, p: Path):
 
 
 def _transport(u: Cochain1, a0: str):
-    return tuple(_path_value(u, steps) for steps in u.cells.complex.tree(a0))
+    rows, x, out = u.group.rows, u.ids, []
+    for steps in u.cells.complex.tree(a0):
+        value = u.group.unit
+        for i in steps:
+            value = rows[x[i]][value]
+        out.append(value)
+    return tuple(out)
 
 
 def tree_transport(u: Cochain1, a0: str):
@@ -453,7 +468,7 @@ def morphisms(v1: Cochain1, v: Cochain1):
     A morphism of cochains over a connected poset is fixed by its value
     at the base point a0: f(a) = T_v(a) f(a0) T_v1(a)^-1 with T the tree
     transport.  Each seed value f(a0), in group element order, is
-    transported and checked against every 1-simplex.
+    transported and checked 1-simplex by 1-simplex until one differs.
     """
     P, G = v.poset, v.group
     _same_base(v1, P, G)
@@ -464,7 +479,10 @@ def morphisms(v1: Cochain1, v: Cochain1):
     for seed in range(len(G)):
         f = [rows[rows[ta][seed]][inv[t1a]] for ta, t1a in zip(t, t1)]
         f[0] = seed
-        if _act(G, v.cells.faces, v1.ids, f) == v.ids:
+        for g1, g, (end, start) in zip(v1.ids, v.ids, v.cells.faces):
+            if rows[rows[f[end]][g1]][inv[f[start]]] != g:
+                break
+        else:
             yield tuple(zip(P.elements, map(G.elements.__getitem__, f)))
 
 

@@ -3,8 +3,6 @@ connections."""
 
 from __future__ import annotations
 
-import itertools
-
 from .cochains import (Cochain1, Morphism1, _act, _point_ids, is_cocycle,
                        is_morphism, morphisms)
 from .errors import Mismatch, WrongCocycle, check_limit
@@ -48,27 +46,36 @@ def gauge_group(z: Cochain1):
 
 
 def gauge_group_raw(z: Cochain1, limit=10 ** 6):
-    """Oracle: scan every point assignment, a tuple of element ids in
-    element order, in `itertools.product` order, and keep those that fix
-    z: f(end) z(b) f(start)^-1 = z(b) for every 1-simplex b.  The limit is
-    checked before the scan; an assignment is dropped at its first
-    failing 1-simplex, and assignments are made one at a time, so memory
-    does not grow with |G|^|P|."""
+    """Oracle: the point assignments (element ids in element order) that
+    fix z, f(end) z(b) f(start)^-1 = z(b) on every 1-simplex b, in
+    `itertools.product` order, once |G|^|P| is within the limit.  Depth
+    first, never reading the tree transport: points take values in id
+    order and each 1-simplex is tested once its later endpoint has one."""
     P, G = z.poset, z.group
-    check_limit(len(G) ** len(P), limit, f"{len(G)}^{len(P)} assignments")
+    n, m = len(P), len(G)
+    check_limit(m ** n, limit, f"{m}^{n} assignments")
     rows, inv = G.rows, G.inverses
-    edges = tuple(zip(z.ids, z.cells.faces))
-
-    def fixes(f):
-        for g, (end, start) in edges:
-            if rows[rows[f[end]][g]][inv[f[start]]] != g:
-                return False
-        return True
-
+    tests = [[] for _ in range(n)]  # (z(b), end, start) by later endpoint
+    for g, (end, start) in zip(z.ids, z.cells.faces):
+        tests[max(end, start)].append((g, end, start))
+    found, f, k = [], [-1] * n, 0
+    while k >= 0:  # f[:k] passed its tests; k steps back when f[k] runs out
+        if k == n:
+            found.append(tuple(f))
+        elif f[k] + 1 < m:
+            f[k] += 1
+            for g, end, start in tests[k]:
+                if rows[rows[f[end]][g]][inv[f[start]]] != g:
+                    break
+            else:
+                k += 1
+            continue
+        else:
+            f[k] = -1
+        k -= 1
     name = G.elements.__getitem__
     return tuple(GaugeTransformation(z, tuple(zip(P.elements, map(name, f))))
-                 for f in filter(fixes, itertools.product(range(len(G)),
-                                                          repeat=len(P))))
+                 for f in found)
 
 
 def gauge_act(f, u: Cochain1) -> Cochain1:

@@ -8,10 +8,11 @@ import io
 import itertools
 
 from posetbundle.cli import COMMANDS
-from posetbundle.cochains import Cochain1, cocycle_from_hom, is_cocycle
+from posetbundle.cochains import (Cochain1, _act, _path_value,
+                                  cocycle_from_hom, is_cocycle)
 from posetbundle.connections import construct_from_cochain
 from posetbundle.errors import UsageError, check_limit
-from posetbundle.gauge import gauge_act
+from posetbundle.gauge import GaugeTransformation, gauge_act
 from posetbundle.groups import FiniteGroup
 from posetbundle.paths import enumerate_homs, pi1_presentation
 from posetbundle.poset import Poset, base_point
@@ -72,6 +73,44 @@ def enumerate_cocycles_raw(P: Poset, G: FiniteGroup, limit=10 ** 6):
         if is_cocycle(z):
             out.append(z)
     return tuple(out)
+
+
+def gauge_group_product_scan(z: Cochain1, limit=10 ** 6):
+    """Oracle for `gauge.gauge_group_raw`: every point assignment, a
+    tuple of element ids in element order, in `itertools.product` order,
+    kept if it fixes z, f(end) z(b) f(start)^-1 = z(b), on every
+    1-simplex b."""
+    P, G = z.poset, z.group
+    check_limit(len(G) ** len(P), limit, f"{len(G)}^{len(P)} assignments")
+    rows, inv = G.rows, G.inverses
+    edges = tuple(zip(z.ids, z.cells.faces))
+
+    def fixes(f):
+        return all(rows[rows[f[end]][g]][inv[f[start]]] == g
+                   for g, (end, start) in edges)
+
+    name = G.elements.__getitem__
+    return tuple(GaugeTransformation(z, tuple(zip(P.elements, map(name, f))))
+                 for f in filter(fixes, itertools.product(range(len(G)),
+                                                          repeat=len(P))))
+
+
+def morphisms_full_act(v1: Cochain1, v: Cochain1):
+    """Oracle for `cochains.morphisms`: each seed f(a0), in group element
+    order, transported along the tree paths one `_path_value` per point,
+    and kept if `_act` of it on every value of v1 gives v."""
+    P, G = v.poset, v.group
+    rows, inv = G.rows, G.inverses
+    paths = complex_of(P).tree(base_point(P))
+    t = [_path_value(v, steps) for steps in paths]
+    t1 = [_path_value(v1, steps) for steps in paths]
+    kept = []
+    for seed in range(len(G)):
+        f = [rows[rows[ta][seed]][inv[t1a]] for ta, t1a in zip(t, t1)]
+        f[0] = seed
+        if _act(G, v.cells.faces, v1.ids, f) == v.ids:
+            kept.append(tuple(zip(P.elements, map(G.elements.__getitem__, f))))
+    return kept
 
 
 def random_cocycle_raw(P: Poset, G: FiniteGroup, rng):

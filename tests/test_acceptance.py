@@ -9,7 +9,7 @@ from posetbundle import acceptance, cochains
 from posetbundle.acceptance import (CRITERIA_COUNT, _CRITERIA,
                                     full_image_cocycle, run_criterion,
                                     winding_cocycle)
-from posetbundle.cochains import (Cochain1, Cochain2, Cochain3, is_cocycle,
+from posetbundle.cochains import (Cochain1, Cochain2, is_cocycle,
                                   random_cochain1)
 from posetbundle.connections import induced_cocycle
 from posetbundle.groups import cyclic_group, symmetric_group
@@ -55,19 +55,20 @@ def test_criterion(number):
 # suite; these faults must reach them.
 
 
-def _unbalanced(coboundary2):
-    """`coboundary2` with its value at the 3-simplex of id 0 set to a
-    non-unit."""
+def _unbalanced(imbalances):
+    """`cochains._imbalances`, the 3-simplex test that `coboundary2` and
+    `is_cocycle` of a 2-cochain share, with the 3-simplex of id 0 unbalanced
+    (its value a non-unit) before the others."""
     def unbalanced(w):
-        x, G = coboundary2(w), w.group
-        other = next(g for g in range(len(G)) if g != G.unit)
-        return Cochain3._of(x.poset, G, (other,) + x.ids[1:], x.tau_ids)
+        G = w.group
+        yield 0, next(g for g in range(len(G)) if g != G.unit)
+        yield from ((i, g) for i, g in imbalances(w) if i != 0)
     return unbalanced
 
 
 def test_criterion_1_catches_a_nontrivial_second_coboundary(monkeypatch):
-    monkeypatch.setattr(cochains, "coboundary2",
-                        _unbalanced(cochains.coboundary2))
+    monkeypatch.setattr(cochains, "_imbalances",
+                        _unbalanced(cochains._imbalances))
     assert acceptance.criterion_1(random.Random(0)) == (
         False, "exhaustive failure at cochain #0")
 
@@ -221,8 +222,8 @@ def test_criterion_7_catches_a_decomposition_that_does_not_recompose(
 
 
 def test_criterion_8_catches_an_unbalanced_3_simplex(monkeypatch):
-    monkeypatch.setattr(cochains, "coboundary2",
-                        _unbalanced(cochains.coboundary2))
+    monkeypatch.setattr(cochains, "_imbalances",
+                        _unbalanced(cochains._imbalances))
     assert acceptance.criterion_8(random.Random(0)) == (
         False, "Bianchi failed on circle2 x Z2")
 

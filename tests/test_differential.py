@@ -49,6 +49,7 @@ from posetbundle.cochains import (
     is_cocycle,
     is_morphism,
     is_path_independent,
+    morphisms,
     random_cochain0,
     random_cochain1,
     tree_transport,
@@ -109,6 +110,7 @@ from posetbundle.simplicial import (
 from inputs import (CONNECTION_KINDS, PATH_FILES, gathered_through_legs,
                     near_a_connection, write_fixtures)
 from oracles import (argparse_outcome, build_parser, enumerate_cocycles_raw,
+                     gauge_group_product_scan, morphisms_full_act,
                      named_word_value, random_cocycle_raw,
                      random_connection_raw)
 from strategies import small_posets
@@ -171,6 +173,35 @@ def test_find_morphism_matches_brute_force(P, G, rng, related):
 def test_gauge_group_matches_raw(P, G, rng):
     z = random_cocycle(P, G, rng)
     assert gauge_group(z) == gauge_group_raw(z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_posets(connected=True), GROUPS, SEEDS, st.booleans())
+def test_gauge_group_raw_matches_the_product_scan(P, G, rng, cocycle):
+    """The pruned scan against the plain one, tuple for tuple, on random
+    cocycles and on plain 1-cochains, which the raw scan also takes."""
+    z = random_cocycle(P, G, rng) if cocycle else random_cochain1(P, G, rng)
+    assert gauge_group_raw(z) == gauge_group_product_scan(z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_posets(connected=True), GROUPS, SEEDS,
+       st.sampled_from(["related", "near", "unrelated"]))
+def test_morphisms_match_the_full_act_filter(P, G, rng, kind):
+    """The seeds `morphisms` keeps, each tested only up to its first
+    failing 1-simplex, are those whose `_act` on all of v1 gives v: for v
+    a gauge transform of v1, that transform with the value at one random
+    1-simplex replaced, and an unrelated 1-cochain."""
+    v1 = random_cochain1(P, G, rng)
+    if kind == "unrelated":
+        v = random_cochain1(P, G, rng)
+    else:
+        v = gauge_act({a: rng.choice(G.elements) for a in P.elements}, v1)
+    if kind == "near":
+        ids = list(v.ids)
+        ids[rng.randrange(len(ids))] = rng.randrange(len(G))
+        v = Cochain1._of(P, G, tuple(ids))
+    assert list(morphisms(v1, v)) == morphisms_full_act(v1, v)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1085,6 +1116,20 @@ def near_coboundaries(P, G, rng):
             Cochain1._of(P, G, tuple(gathered_through_legs(P, G, rng)))]
 
 
+def row_is_cocycle_2_near_cocycles(P, G, rng):
+    """`is_cocycle` of a 2-cochain, which stops at the first unbalanced
+    3-simplex, against "`coboundary2` takes only the unit" and against
+    the reference: on a random 2-cochain and a coboundary, and on each
+    with the value at one random 2-simplex replaced."""
+    ws = [random_cochain2(P, G, rng), coboundary1(random_cochain1(P, G, rng))]
+    for w in ws[:]:
+        ids = list(w.ids)
+        ids[rng.randrange(len(ids))] = rng.randrange(len(G))
+        ws.append(Cochain2._of(P, G, tuple(ids), w.tau_ids))
+    return ([(is_cocycle(w), set(coboundary2(w).ids) <= {G.unit}) for w in ws],
+            [(ref_is_cocycle(w),) * 2 for w in ws])
+
+
 def row_is_cocycle_near_coboundaries(P, G, rng):
     """`is_cocycle` reads the identities of the legs and chains only;
     the reference checks every 2-simplex."""
@@ -1208,7 +1253,8 @@ ROWS_UP_TO_DIM2 = {
     "tree_transport": row_tree_transport,
     "format_cochain_text": row_format_cochain_text,
 }
-ROWS_IN_DIM3 = {"d2": row_d2, "is_cocycle_2": row_is_cocycle(2)}
+ROWS_IN_DIM3 = {"d2": row_d2, "is_cocycle_2": row_is_cocycle(2),
+                "is_cocycle_2_near_cocycles": row_is_cocycle_2_near_cocycles}
 # Rows that twist a bundle on an edge non-inflating both ways, which a
 # connected poset of height 2 on three or four elements often has; the
 # posets of the rows above have one minimum, so few have such an edge.
