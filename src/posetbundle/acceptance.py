@@ -56,14 +56,24 @@ class CriterionResult(Frozen):
         return f"criterion {self.number:2d} [{verdict}] {self.name}: {self.detail}"
 
 
-def two_loop_poset() -> Poset:
-    """Two minimal under three maximal elements; its realization is a
-    wedge of two circles, giving a free fundamental group of rank 2."""
-    return build_poset(
+# The fixture posets, built once so that the criteria share their tables.
+_POSETS = {
+    "chain2": generate("chain", 2),
+    "chain3": generate("chain", 3),
+    "vee": generate("vee", 1),
+    "circle2": generate("circle", 2),
+    "twoloop": build_poset(
         ["m1", "m2", "M1", "M2", "M3"],
         [(m, M) for m in ("m1", "m2") for M in ("M1", "M2", "M3")],
         name="twoloop",
-    )
+    ),
+}
+
+
+def two_loop_poset() -> Poset:
+    """Two minimal under three maximal elements; its realization is a
+    wedge of two circles, giving a free fundamental group of rank 2."""
+    return _POSETS["twoloop"]
 
 
 def standard_groups():
@@ -75,13 +85,7 @@ def standard_groups():
 
 
 def standard_posets():
-    return {
-        "chain2": generate("chain", 2),
-        "chain3": generate("chain", 3),
-        "vee": generate("vee", 1),
-        "circle2": generate("circle", 2),
-        "twoloop": two_loop_poset(),
-    }
+    return dict(_POSETS)
 
 
 def _all_cochain1(P: Poset, G: FiniteGroup):
@@ -233,8 +237,7 @@ def _path_values(cochains):
 
 def criterion_1(rng):
     """Second coboundary trivial (d after d lands in unit arrows)."""
-    chain2 = generate("chain", 2)
-    circle2 = generate("circle", 2)
+    chain2, circle2 = _POSETS["chain2"], _POSETS["circle2"]
     Z2, S3 = cyclic_group(2), symmetric_group(3)
     checked = 0
     for u in _all_cochain1(chain2, Z2):
@@ -256,7 +259,7 @@ def criterion_1(rng):
 
 def criterion_2(rng):
     """Cocycle classes match fundamental-group homomorphism classes."""
-    circle2 = generate("circle", 2)
+    circle2 = _POSETS["circle2"]
     groups = standard_groups()
     expected = {"z2": 2, "z3": 3, "s3": 3}
     details = []
@@ -271,7 +274,7 @@ def criterion_2(rng):
             )
         details.append(f"{G.name}:{len(reps)}")
     for n in (2, 3):
-        chain = generate("chain", n)
+        chain = _POSETS[f"chain{n}"]
         for G in groups.values():
             if len(classify_cocycles(chain, G)) != 1:
                 return False, f"chain{n} x {G.name} is not a single class"
@@ -287,7 +290,7 @@ def criterion_3(rng):
     """
     Z2 = cyclic_group(2)
     total = 0
-    for P in (generate("chain", 2), generate("vee", 1)):
+    for P in (_POSETS["chain2"], _POSETS["vee"]):
         coboundaries = {
             coboundary_from_assignment(P, Z2, dict(zip(P.elements, choice)))
             for choice in itertools.product(Z2.elements, repeat=len(P))
@@ -305,7 +308,7 @@ def criterion_3(rng):
 
 def criterion_4(rng):
     """On a totally ordered poset every connection is its own bundle."""
-    chain3 = generate("chain", 3)
+    chain3 = _POSETS["chain3"]
     Z2 = cyclic_group(2)
     us = cn.enumerate_connections(chain3, Z2)
     for u in us:
@@ -316,7 +319,7 @@ def criterion_4(rng):
 
 def criterion_5(rng):
     """Nonflat connections exist and stay on their bundle."""
-    circle2 = generate("circle", 2)
+    circle2 = _POSETS["circle2"]
     details = []
     for G in (cyclic_group(2), symmetric_group(3)):
         z = trivial_cochain1(circle2, G)
@@ -342,7 +345,7 @@ def criterion_6(rng):
     The agreeing cocycles of each sampled connection are looked up in an
     index of all the cocycles by their inflating values (`_agreeing`),
     which lists them as a scan of `enumerate_cocycles` would."""
-    circle2 = generate("circle", 2)
+    circle2 = _POSETS["circle2"]
     Z2 = cyclic_group(2)
     cocycles = enumerate_cocycles(circle2, Z2)
     agreeing_with = _agreeing(circle2, cocycles)
@@ -358,7 +361,7 @@ def criterion_6(rng):
 
 def criterion_7(rng):
     """Central decomposition round-trips; star composition is abelian."""
-    circle2 = generate("circle", 2)
+    circle2 = _POSETS["circle2"]
     Z2 = cyclic_group(2)
     us = cn.enumerate_connections(circle2, Z2)
     rows, inv = Z2.rows, Z2.inverses
@@ -403,9 +406,9 @@ def criterion_8(rng):
     """Bianchi identity on every 3-simplex of the sampled connections."""
     checked = 0
     for P, G, samples in (
-        (generate("circle", 2), cyclic_group(2), 10),
-        (generate("circle", 2), symmetric_group(3), 10),
-        (generate("vee", 1), symmetric_group(3), 10),
+        (_POSETS["circle2"], cyclic_group(2), 10),
+        (_POSETS["circle2"], symmetric_group(3), 10),
+        (_POSETS["vee"], symmetric_group(3), 10),
     ):
         for _ in range(samples):
             u = random_connection(P, G, rng)
@@ -417,7 +420,7 @@ def criterion_8(rng):
 
 def criterion_9(rng):
     """Ambrose-Singer: reduction into the holonomy group."""
-    circle2 = generate("circle", 2)
+    circle2 = _POSETS["circle2"]
     S3 = symmetric_group(3)
     z = winding_cocycle(circle2, S3, "231")
     u1, f, H = cn.ambrose_singer_reduce(z, "a1")
@@ -443,8 +446,7 @@ def criterion_9(rng):
 
 def criterion_10(rng):
     """Gauge group sizes and agreement with the raw map search."""
-    chain3 = generate("chain", 3)
-    circle2 = generate("circle", 2)
+    chain3, circle2 = _POSETS["chain3"], _POSETS["circle2"]
     S3, Z2, Z3 = symmetric_group(3), cyclic_group(2), cyclic_group(3)
     s = dict(zip(chain3.elements, ("123", "231", "213")))
     z = coboundary_from_assignment(chain3, S3, s)
@@ -457,11 +459,11 @@ def criterion_10(rng):
     )
     if len(gg) != len(Z3) or not constant:
         return False, "abelian gauge group is not the constant copy of G"
-    zfull = full_image_cocycle(two_loop_poset(), S3)
+    zfull = full_image_cocycle(_POSETS["twoloop"], S3)
     if len(gauge_group(zfull)) != 1:
         return False, "full-holonomy bundle has nontrivial gauge group"
     compared = 0
-    for P in (generate("chain", 2), generate("vee", 1), circle2):
+    for P in (_POSETS["chain2"], _POSETS["vee"], circle2):
         for G in (Z2, Z3):
             for z1 in enumerate_cocycles(P, G):
                 if gauge_group(z1) != gauge_group_raw(z1):
@@ -482,9 +484,9 @@ def criterion_11(rng):
     order, the orientation test first."""
     checked = 0
     for P, G in (
-        (generate("circle", 2), cyclic_group(2)),
-        (generate("circle", 2), symmetric_group(3)),
-        (generate("vee", 1), cyclic_group(2)),
+        (_POSETS["circle2"], cyclic_group(2)),
+        (_POSETS["circle2"], symmetric_group(3)),
+        (_POSETS["vee"], cyclic_group(2)),
     ):
         cells = complex_of(P)[2]
         swap = cells.permuted((1, 0, 2))
@@ -515,8 +517,8 @@ def criterion_12(rng):
     no `Path` is built."""
     pairs = 0
     for P, G, start in (
-        (generate("circle", 2), cyclic_group(2), "a1"),
-        (generate("chain", 3), cyclic_group(2), "x1"),
+        (_POSETS["circle2"], cyclic_group(2), "a1"),
+        (_POSETS["chain3"], cyclic_group(2), "x1"),
     ):
         values = _path_values(enumerate_cocycles(P, G))
         K = complex_of(P)

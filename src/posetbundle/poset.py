@@ -43,12 +43,13 @@ class Poset:
     naming an element not listed an `UnknownElement`, and a cycle an
     `AntisymmetryViolation` for its first pair in sorted order (the
     least x with others in `up[x] & down[x]`, and the least of those).
-    Immutable after construction.  Iteration order over elements is the
-    sorted identifier order, so every enumeration built on top of a
-    poset is reproducible.
+    Immutable but for the complex it owns (`simplicial.complex_of`).
+    Iteration order over elements is the sorted identifier order, so
+    every enumeration built on top of a poset is reproducible.
     """
 
-    __slots__ = ("name", "elements", "_index", "up", "down", "_hash")
+    __slots__ = ("name", "elements", "_index", "up", "down", "_hash",
+                 "_complex")
 
     def __init__(self, elements, relations, name="poset"):
         check_name(name, "poset name")
@@ -101,6 +102,7 @@ class Poset:
                     f"{lo!r} <= {hi!r} and {hi!r} <= {lo!r}")
         self.up, self.down = tuple(up), tuple(down)
         self._hash = hash((self.elements, self.up))
+        self._complex = None
 
     def __contains__(self, x):
         return x in self._index
@@ -155,7 +157,7 @@ class Poset:
 
     def __reduce__(self):
         # Through __init__: the kept hash is of strings, which differ
-        # from one interpreter process to the next.
+        # from one process to the next, and the complex stays behind.
         return Poset, (self.elements, self.pairs(), self.name)
 
 

@@ -6,7 +6,7 @@ of {0..n} into the base poset.  Equality is structural.  Vertex i of a
 1-simplex b is read as: boundary 1 is the start point, boundary 0 the
 endpoint.
 
-The enumerated complex is integer-indexed: each poset has one cached
+The enumerated complex is integer-indexed: each poset owns one
 `Complex`, whose `Cells` for dimension n are glued from dimension n-1
 on first use.  A simplex's id is its rank in `enumerate_simplices`.
 The gluing yields only the support id and the face ids of each cell;
@@ -24,7 +24,7 @@ from __future__ import annotations
 import gc
 import itertools
 from collections import deque
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, wraps
 from operator import itemgetter
 
 from .errors import (BLANKS, BadParameter, IndexOutOfRange, NoSuchSimplex,
@@ -454,13 +454,13 @@ class Cells:
 
 class Complex:
     """The enumerated complex of a poset: one `Cells` per dimension
-    0..3, each built on first use from the one below.  `complex_of` caches
-    one per poset, so every per-poset table hangs off it: the spanning
-    tree paths by base point (`trees`, see `tree`), the parts of
-    `paths.pi1_presentation`, its base-free part `pi1` and its
-    `presentations` by base point, and the based-loop values of each
-    homomorphism of the fundamental group by (group, limit)
-    (`hom_loops`, see `cochains._hom_loops`)."""
+    0..3, each built on first use from the one below.  The poset owns
+    it (`complex_of`), so every per-poset table hangs off it and goes
+    with the poset: the spanning tree paths by base point (`trees`, see
+    `tree`), the parts of `paths.pi1_presentation`, its base-free part
+    `pi1` and its `presentations` by base point, and the based-loop
+    values of each homomorphism of the fundamental group by (group,
+    limit) (`hom_loops`, see `cochains._hom_loops`)."""
 
     def __init__(self, P: Poset):
         self.poset = P
@@ -505,15 +505,11 @@ class Complex:
         return cells
 
 
-# Well above the few posets a computation works with at once; it bounds
-# the memory of a long run that builds many posets, such as a run of
-# property-based tests.
-COMPLEX_CACHE_SIZE = 128
-
-
-@lru_cache(maxsize=COMPLEX_CACHE_SIZE)
 def complex_of(P: Poset) -> Complex:
-    return Complex(P)
+    """The complex P owns, built on first use; it lives as long as P."""
+    if P._complex is None:
+        P._complex = Complex(P)
+    return P._complex
 
 
 @_gc_paused

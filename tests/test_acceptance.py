@@ -1,10 +1,16 @@
 """The acceptance suite: one test per criterion, each contributing its
 pass/fail line to the terminal summary (see conftest.py)."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path as FilePath
 
 import pytest
 
+import posetbundle
 from posetbundle import acceptance, cochains
 from posetbundle.acceptance import (CRITERIA_COUNT, _CRITERIA,
                                     full_image_cocycle, run_criterion,
@@ -49,6 +55,27 @@ def test_criterion(number):
     print(result.line())
     assert result.passed, result.line()
     assert result.detail == DETAILS[number]
+
+
+# The criteria share their fixture posets, and so the tables each poset's
+# complex builds on first use: run backwards from a fresh interpreter,
+# where the last criteria build those tables, each gives the same detail.
+BACKWARDS = """
+import json
+from posetbundle.acceptance import CRITERIA_COUNT, run_criterion
+results = [run_criterion(n) for n in range(CRITERIA_COUNT, 0, -1)]
+print(json.dumps({r.number: [r.passed, r.detail] for r in results}))
+"""
+
+
+def test_criteria_do_not_depend_on_run_order():
+    env = dict(os.environ,
+               PYTHONPATH=str(FilePath(posetbundle.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", BACKWARDS],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(out.stdout) == {
+        str(n): [True, detail] for n, detail in DETAILS.items()}
 
 
 # The failure branches of the twelve criteria never run on a passing

@@ -206,7 +206,9 @@ def test_reports_name_simplices_by_id(tmp_path, monkeypatch):
     """`classify-cocycles` and `pi1` build no simplex objects, and
     `curvature` and `check-cocycle` on a cochain that is no cocycle build
     none of dimension 2: they name simplices through the id tables.  Only
-    the cochain file's parser builds objects, of dimensions 0 and 1."""
+    the cochain file's parser builds objects, of dimensions 0 and 1.
+    Each command parses a fresh poset, whose complex is read after it."""
+    from posetbundle import poset
     from posetbundle.connections import construct_nonflat
     from posetbundle.simplicial import complex_of
 
@@ -216,15 +218,17 @@ def test_reports_name_simplices_by_id(tmp_path, monkeypatch):
     (tmp_path / "s3.group").write_text(format_group_text(S3))
     (tmp_path / "u.cochain").write_text(format_cochain_text(u))
     monkeypatch.chdir(tmp_path)
+    parsed, parse = [], poset.parse_poset_text
+    monkeypatch.setattr(poset, "parse_poset_text",
+                        lambda text: parsed.append(parse(text)) or parsed[-1])
     for command, code, built in (
             (["classify-cocycles", "p.poset", "s3.group"], 0, []),
             (["pi1", "p.poset"], 0, []),
             (["curvature", "p.poset", "s3.group", "u.cochain"], 0, [0, 1]),
             (["check-cocycle", "p.poset", "s3.group", "u.cochain",
               "--limit", "3"], 1, [0, 1])):
-        complex_of.cache_clear()
         assert run(command) == code
-        cells = complex_of(P)._cells
+        cells = complex_of(parsed.pop())._cells
         assert [n for n in sorted(cells)
                 if "simplices" in vars(cells[n])] == built
 

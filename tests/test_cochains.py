@@ -132,8 +132,7 @@ def test_second_coboundary_vanishes(posets):
 
 def test_second_coboundary_builds_no_simplex_objects():
     # d1, d2 and the cocycle check read the id tables only, so on a fresh
-    # complex no dimension builds its simplex objects.
-    complex_of.cache_clear()
+    # poset's complex no dimension builds its simplex objects.
     P = generate("circle", 2)
     u = random_cochain1(P, S3, random.Random(8))
     ddu = coboundary2(coboundary1(u))
@@ -253,15 +252,6 @@ def test_kept_hom_loop_table_does_not_lift_a_smaller_limit(posets):
     with pytest.raises(SearchLimitExceeded) as caught:
         enumerate_cocycles(P, S3, limit=10)
     assert str(caught.value) == "6^5 = 7776 assignments exceed the limit 10"
-
-
-def test_clearing_the_complex_cache_releases_the_hom_loop_tables(posets):
-    P = posets["twoloop"]
-    _hom_loops(P, S3)
-    kept = complex_of(P)
-    complex_of.cache_clear()
-    assert complex_of(P) is not kept
-    assert complex_of(P).hom_loops == {}
 
 
 def test_based_loops_carry_the_edge_words(posets):

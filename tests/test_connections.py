@@ -413,8 +413,7 @@ def test_base_points_outside_the_poset_are_unknown_elements(posets):
 
 def test_holonomy_layer_builds_no_simplex_objects():
     # Connections, curvature and holonomy read the id tables only, so on
-    # a fresh complex dimensions 1 and 2 build no simplex objects.
-    complex_of.cache_clear()
+    # a fresh poset's complex dimensions 1 and 2 build no simplex objects.
     P = generate("circle", 2)
     u = random_connection(P, S3, random.Random(5))
     a0, a1 = P.elements[0], P.elements[-1]
@@ -507,10 +506,9 @@ ID_ONLY = {
 def test_public_functions_build_no_simplex_objects():
     """Inside the library a simplex is an id: on a fresh complex, no
     dimension builds its simplex objects for a function that neither
-    takes nor hands out one."""
+    takes nor hands out one; each call gets a fresh poset."""
     built = {}
     for name, call in ID_ONLY.items():
-        complex_of.cache_clear()
         P = generate("circle", 2)
         u = random_connection(P, Z2, random.Random(5))
         call(P, u, induced_cocycle(u))
@@ -558,8 +556,7 @@ def test_functor_test_decides_every_connection(posets, groups, name, group):
 
 def test_connection_queries_glue_no_2_simplices():
     # Deciding a connection reads the 1-simplex tables only, so none of
-    # these queries glues dimension 2 on a fresh complex.
-    complex_of.cache_clear()
+    # these queries glues dimension 2 on a fresh poset's complex.
     P = generate("circle", 3)
     z = trivial_cochain1(P, Z2)
     found = enumerate_connections(P, Z2, z)

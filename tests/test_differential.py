@@ -287,7 +287,9 @@ def reordered(values):
 @settings(max_examples=25, deadline=None)
 @given(small_posets(max_height=2), GROUPS, SEEDS)
 def test_equal_cochains_hash_equal(P, G, rng):
-    """Equal cochains built from dicts in different insertion orders."""
+    """Equal cochains built from dicts in different insertion orders, and
+    on an equal poset Q rebuilt from P: each owns its complex, and the
+    two agree on the tables, a seeded draw and its coboundaries."""
     v = random_cochain0(P, G, rng)
     u = random_cochain1(P, G, rng)
     w = coboundary1(u)
@@ -302,6 +304,16 @@ def test_equal_cochains_hash_equal(P, G, rng):
         assert a == b
         assert hash(a) == hash(b)
     assert len({a for a, _ in pairs} | {b for _, b in pairs}) == 4
+    Q = build_poset(P.elements, P.pairs(), P.name)
+    K, L = complex_of(P), complex_of(Q)
+    assert Q == P and L is not K
+    for n in range(3):
+        assert (L[n].faces, L[n].support) == (K[n].faces, K[n].support)
+    seed = rng.randrange(2 ** 32)
+    uP, uQ = (random_cochain1(R, G, random.Random(seed)) for R in (P, Q))
+    assert uP == uQ and hash(uP) == hash(uQ)
+    assert coboundary1(uP) == coboundary1(uQ)
+    assert coboundary2(coboundary1(uP)) == coboundary2(coboundary1(uQ))
 
 
 # -- the presentation and holonomy on ids against the object-keyed ones ----

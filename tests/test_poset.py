@@ -17,6 +17,7 @@ from posetbundle.errors import (
     UnknownElement,
 )
 from posetbundle.groups import symmetric_group
+from posetbundle.simplicial import complex_of
 from posetbundle.poset import (
     Poset,
     build_poset,
@@ -47,8 +48,13 @@ print(hash(P), hash(G))
 def test_poset_and_group_pickle_across_hash_seeds():
     """A pickled `Poset` and `FiniteGroup` load, in a process with another
     hash seed, as objects equal to fresh ones that hash like them there:
-    their kept hash is of strings, so `__reduce__` rebuilds it."""
+    their kept hash is of strings, so `__reduce__` rebuilds it.  The
+    complex a poset owns stays out: a pickle of P with its tables built
+    is byte for byte that of a fresh equal poset."""
     P, G = generate("circle", 2), symmetric_group(3)
+    K = complex_of(P)
+    assert K[3].faces and K.tree("a1")
+    assert pickle.dumps(P) == pickle.dumps(generate("circle", 2))
     seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
     env = dict(os.environ, PYTHONHASHSEED=seed,
                PYTHONPATH=str(Path(posetbundle.__file__).parents[1]))

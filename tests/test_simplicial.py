@@ -1,18 +1,21 @@
+import gc
 import itertools
 import os
 import pickle
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from posetbundle.cochains import _hom_loops
 from posetbundle.errors import BadParameter, IndexOutOfRange, UnsupportedDimension
+from posetbundle.groups import trivial_group
 from posetbundle.paths import Path, _ranked
 from posetbundle.poset import build_poset, generate
 from posetbundle.simplicial import (
-    COMPLEX_CACHE_SIZE,
     EVEN_PERMUTATIONS,
     ODD_PERMUTATIONS,
     Complex,
@@ -342,8 +345,7 @@ def rebuilt(d):
 
 
 def test_enumerated_simplices_hash_on_first_use_like_built_ones():
-    P = generate("circle", 2)
-    complex_of.cache_clear()  # so that no simplex of P is hashed yet
+    P = generate("circle", 2)  # a fresh poset: no simplex of it is hashed yet
     for n, cls in ((1, Simplex1), (2, Simplex2), (3, Simplex3)):
         sample = enumerate_simplices(P, n)[::5]
         assert all(d._hash is None for d in sample)
@@ -467,19 +469,34 @@ def test_ids_are_keyed_by_the_enumerated_objects(posets):
         assert all(key is objects[i] for key, i in K[n].ids.items())
 
 
-def test_complex_cache_is_bounded():
-    first = build_poset(["p0"], [])
-    K = complex_of(first)
-    chains = [build_poset([f"p{i}", "q"], [(f"p{i}", "q")])
-              for i in range(COMPLEX_CACHE_SIZE + 5)]
-    for P in chains:
-        complex_of(P)
-    assert complex_of.cache_info().currsize == COMPLEX_CACHE_SIZE
-    assert complex_of(first) is not K  # evicted, then built again
-    assert len(enumerate_simplices(first, 1)) == 1
-    for P in chains[-3:]:
-        assert complex_of(P) is complex_of(P)
-        assert enumerate_simplices(P, 1) == enumerate_simplices_raw(P, 1)
+def sphere():
+    """The face poset of the boundary of the tetrahedron: S^2."""
+    faces = [c for k in (1, 2, 3) for c in itertools.combinations("0123", k)]
+    return build_poset(
+        ["s" + "".join(f) for f in faces],
+        [("s" + "".join(a), "s" + "".join(b))
+         for a in faces for b in faces if set(a) < set(b)], name="sphere")
+
+
+def test_dropping_a_poset_releases_its_tables():
+    """A poset owns its complex, so what the complex kept goes with the
+    poset: its cells to dimension 2, a spanning tree, the presentation of
+    pi1 and a table of homomorphisms.  Nothing holds them by value."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        P = sphere()
+        K = complex_of(P)
+        assert len(K[2].faces) == 7238 and len(enumerate_simplices(P, 1)) > 0
+        _hom_loops(P, trivial_group())
+        assert K.tree("s0") and K.pi1 and K.hom_loops and complex_of(P) is K
+        built, _ = tracemalloc.get_traced_memory()
+        del P, K
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built > 500_000 and retained < built / 100
 
 
 def test_legs_and_chains_count_what_a_cocycle_test_reads(posets):
