@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -252,6 +254,23 @@ def test_kept_hom_loop_table_does_not_lift_a_smaller_limit(posets):
     with pytest.raises(SearchLimitExceeded) as caught:
         enumerate_cocycles(P, S3, limit=10)
     assert str(caught.value) == "6^5 = 7776 assignments exceed the limit 10"
+
+
+def test_clearing_the_complex_cache_releases_the_hom_loop_tables(posets):
+    """The poset's complex is its cache: an equal poset built again gets a
+    fresh one with no hom-loop table, and dropping the poset frees the
+    complex and the tables kept on it."""
+    P = build_poset(posets["twoloop"].elements, posets["twoloop"].pairs())
+    _hom_loops(P, S3)
+    kept = complex_of(P)
+    assert kept.hom_loops
+    Q = build_poset(P.elements, P.pairs())
+    assert Q == P and complex_of(Q) is not kept
+    assert complex_of(Q).hom_loops == {}
+    gone = weakref.ref(kept)
+    del P, kept
+    gc.collect()
+    assert gone() is None
 
 
 def test_based_loops_carry_the_edge_words(posets):

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -467,6 +468,25 @@ def test_ids_are_keyed_by_the_enumerated_objects(posets):
         objects = K[n].simplices
         assert list(K[n].ids) == list(objects)
         assert all(key is objects[i] for key, i in K[n].ids.items())
+
+
+def test_complex_cache_is_bounded():
+    """No table holds complexes by value: those kept are the complexes
+    of the posets still alive, and each stays with its poset."""
+    first = build_poset(["p0"], [])
+    K = complex_of(first)
+    chains = [build_poset([f"p{i}", "q"], [(f"p{i}", "q")])
+              for i in range(133)]
+    gone = [weakref.ref(complex_of(P)) for P in chains]
+    kept = chains[-3:]
+    del chains
+    gc.collect()
+    assert [ref() for ref in gone[:-3]] == [None] * 130
+    assert complex_of(first) is K  # never evicted while `first` lives
+    assert len(enumerate_simplices(first, 1)) == 1
+    for P, ref in zip(kept, gone[-3:]):
+        assert complex_of(P) is ref() is complex_of(P)
+        assert enumerate_simplices(P, 1) == enumerate_simplices_raw(P, 1)
 
 
 def sphere():
