@@ -115,15 +115,23 @@ def _path(ranked, steps) -> Path:
 def _neighbours(ranked, moves, bound):
     """The set of rank tuples of length <= bound one elementary
     deformation away from `ranked`; `moves` is
-    `complex_of(P)[2].deformations`."""
+    `complex_of(P)[2].deformations`.  Its iteration order follows the
+    order it is filled in, which `homotopic`'s certificates and criterion
+    12's search rely on: expansions by position, then contractions by
+    position, each in table order; head and tail are sliced once per
+    position that has a move."""
     expansions, contractions = moves
     out = set()
     for i, r in enumerate(ranked if len(ranked) < bound else ()):
-        for pair in expansions.get(r, ()):
-            out.add(ranked[:i] + pair + ranked[i + 1:])
+        if pairs := expansions.get(r):
+            head, tail = ranked[:i], ranked[i + 1:]
+            for pair in pairs:
+                out.add(head + pair + tail)
     for i in range(len(ranked) - 1):
-        for single in contractions.get(ranked[i:i + 2], ()):
-            out.add(ranked[:i] + single + ranked[i + 2:])
+        if singles := contractions.get(ranked[i:i + 2]):
+            head, tail = ranked[:i], ranked[i + 2:]
+            for single in singles:
+                out.add(head + single + tail)
     return out
 
 
@@ -160,8 +168,9 @@ def homotopic(p: Path, q: Path, P: Poset, bound: int, limit=10 ** 6) -> Homotopy
     "yes" comes with a certificate: a shortest chain of elementary
     deformations from p to q whose paths, p and q included, all have
     length <= bound.  "no" is backed by an abelianization separator: the
-    word images of p and q differ in the abelianized edge-path group,
-    which is a homotopy invariant.  Otherwise, as whenever p or q is
+    edge words of p and q (the base-free part of `pi1_presentation`,
+    which any poset has, connected or not) differ modulo the relator
+    lattice, a homotopy invariant.  Otherwise, as whenever p or q is
     longer than the bound, "unknown".  Deformations undo each other, so
     the search runs from both ends, a whole layer of the smaller frontier
     at a time, until a new path is one the other side holds.  A search
@@ -175,14 +184,15 @@ def homotopic(p: Path, q: Path, P: Poset, bound: int, limit=10 ** 6) -> Homotopy
     source, target = _ranked(p, P), _ranked(q, P)
     if p.start != q.start or p.end != q.end:
         raise EndpointMismatch("homotopy requires equal endpoints")
-    presentation, words = pi1_presentation(P, p.start.element)
-    if not _abelianized_equal(presentation, words._steps_word(source),
-                              words._steps_word(target)):
+    K = complex_of(P)
+    presentation, words = _presentation(K)
+    if not _abelianized_equal(presentation, _steps_word(words, source),
+                              _steps_word(words, target)):
         return HomotopyVerdict("no")
     if max(len(source), len(target)) > bound:
         return HomotopyVerdict("unknown")
     what = f"paths of length <= {bound} searched"
-    moves = complex_of(P)[2].deformations
+    moves = K[2].deformations
     # Side 0 maps the paths it holds to their parents towards p, side 1
     # towards q; a frontier is the newest layer of its side.
     parents = ({source: None}, {target: None})
@@ -297,17 +307,18 @@ class WordMap:
 
     def path_word(self, p: Path):
         """The word of p; `NoSuchSimplex` for a step outside the poset."""
-        return self._steps_word(map(self._edges.id_of, p.steps))
-
-    def _steps_word(self, steps):
-        """The word of the path of the step ids `steps`."""
-        return tuple(w for i in steps for w in self.edge_words[i])
+        return _steps_word(self.edge_words, map(self._edges.id_of, p.steps))
 
     def tree_path(self, a) -> Path:
         """The chosen path from the base point to element a;
         `NoSuchSimplex` for an element outside the poset."""
         point = self._edges.complex[0].id_of(Simplex0(a))
         return _path(self.tree[point], self._edges.simplices)
+
+
+def _steps_word(edge_words, steps):
+    """The word of the path of the step ids `steps`."""
+    return tuple(w for i in steps for w in edge_words[i])
 
 
 def invert_word(word):
@@ -319,8 +330,10 @@ def _abelianized_equal(p, w1, w2):
 
 
 def _presentation(K):
-    """The base-free part of `pi1_presentation`: the presentation and the
-    edge words."""
+    """The base-free part of `pi1_presentation`, on any poset, kept in
+    `K.pi1`: the presentation and the edge words."""
+    if K.pi1 is not None:
+        return K.pi1
     # A class of the spanning tree has the empty word, and any other
     # class that is not a loop at a point contributes a generator.  Loops
     # at a point (including degenerate edges) are trivial in the
@@ -339,7 +352,8 @@ def _presentation(K):
         word for b0, b1, b2 in K[2].faces
         if (word := words[b0] + words[b2] + invert_word(words[b1]))
     )
-    return Presentation(tuple(generators), relators), tuple(words)
+    K.pi1 = Presentation(tuple(generators), relators), tuple(words)
+    return K.pi1
 
 
 def pi1_presentation(P: Poset, a0: str):
@@ -359,9 +373,7 @@ def pi1_presentation(P: Poset, a0: str):
     if a0 in K.presentations:
         return K.presentations[a0]
     tree = K.tree(a0)
-    if K.pi1 is None:
-        K.pi1 = _presentation(K)
-    presentation, words = K.pi1
+    presentation, words = _presentation(K)
     K.presentations[a0] = (presentation, WordMap(K[1], words, tree))
     return K.presentations[a0]
 

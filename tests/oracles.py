@@ -113,6 +113,21 @@ def morphisms_full_act(v1: Cochain1, v: Cochain1):
     return kept
 
 
+def neighbours_slicing_each_move(ranked, moves, bound):
+    """Oracle for `paths._neighbours`, filled in the same order:
+    expansions by position, then contractions by position, each in
+    table order, every path sliced from `ranked` on its own."""
+    expansions, contractions = moves
+    out = set()
+    for i, r in enumerate(ranked if len(ranked) < bound else ()):
+        for pair in expansions.get(r, ()):
+            out.add(ranked[:i] + pair + ranked[i + 1:])
+    for i in range(len(ranked) - 1):
+        for single in contractions.get(ranked[i:i + 2], ()):
+            out.add(ranked[:i] + single + ranked[i + 2:])
+    return out
+
+
 def random_cocycle_raw(P: Poset, G: FiniteGroup, rng):
     """Oracle for `acceptance.random_cocycle`: a homomorphism drawn from
     the named list of `enumerate_homs`, a point assignment drawn as an

@@ -277,6 +277,17 @@ def test_homotopic_exit_codes(workspace, tmp_path):
                 tmp_path / "degen.path", "--bound", "4"]) == 1
 
 
+def test_homotopic_on_a_poset_with_several_components(tmp_path, capsys):
+    """A poset need not be connected for a homotopy query."""
+    (tmp_path / "two.poset").write_text(
+        format_poset_text(standard_posets()["circle2"])
+        + "elem zz1 zz2\nle zz1 zz2\n")
+    (tmp_path / "loop.path").write_text("(o1;a1,o1);(o1;o1,a1)\n")
+    assert run(["homotopic", tmp_path / "two.poset", tmp_path / "loop.path",
+                tmp_path / "loop.path"]) == 0
+    assert "status: yes" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("text", [
     "(o1;a1,a2)(o1;a1,a2\n",
     "junk (o1;a1,a2) XYZ\n",

@@ -81,6 +81,8 @@ from posetbundle.paths import (
     Path,
     Presentation,
     _abelianized_equal,
+    _neighbours,
+    _ranked,
     _word,
     compose,
     count_hom_classes,
@@ -111,8 +113,8 @@ from inputs import (CONNECTION_KINDS, PATH_FILES, gathered_through_legs,
                     near_a_connection, write_fixtures)
 from oracles import (argparse_outcome, build_parser, enumerate_cocycles_raw,
                      gauge_group_product_scan, morphisms_full_act,
-                     named_word_value, random_cocycle_raw,
-                     random_connection_raw)
+                     named_word_value, neighbours_slicing_each_move,
+                     random_cocycle_raw, random_connection_raw)
 from strategies import small_posets
 
 GROUPS = st.sampled_from(
@@ -820,6 +822,31 @@ def test_deformations_of_fixture_loops_match_scan(posets, name):
     P = posets[name]
     for p in enumerate_loops(P, P.elements[0], 4):
         assert deformations(p, P) == scan_deformations(p, P)
+
+
+def assert_neighbours_in_reference_order(P, rng):
+    """A random walk of 1 to 5 steps, as step ids, at bounds from one
+    below its length to one above: `_neighbours` gives the reference's
+    paths in the reference's iteration order, which follows the order
+    they were added in."""
+    moves = complex_of(P)[2].deformations
+    ranked = _ranked(random_path(P, rng, max_len=5), P)
+    for bound in range(len(ranked) - 1, len(ranked) + 2):
+        assert list(_neighbours(ranked, moves, bound)) == list(
+            neighbours_slicing_each_move(ranked, moves, bound))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_posets(), SEEDS)
+def test_neighbours_match_the_reference_in_order(P, rng):
+    assert_neighbours_in_reference_order(P, rng)
+
+
+def test_neighbours_of_fixture_paths_match_the_reference_in_order(posets):
+    rng = random.Random(42)
+    for P in posets.values():
+        for _ in range(40):
+            assert_neighbours_in_reference_order(P, rng)
 
 
 def assert_certificate_like_scan(chain, expected, p, q, P, bound):

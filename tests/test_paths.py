@@ -1,3 +1,4 @@
+import random
 import time
 import tracemalloc
 
@@ -30,7 +31,7 @@ from posetbundle.paths import (
     reverse_path,
     word_value,
 )
-from posetbundle.poset import build_poset, generate
+from posetbundle.poset import build_poset, generate, is_pathwise_connected
 from posetbundle.simplicial import (Simplex0, Simplex1, complex_of,
                                    enumerate_simplices, reverse)
 
@@ -252,6 +253,32 @@ def test_homotopy_bound_holds_for_both_endpoints(posets):
     assert yes.status == back.status == "yes"
     assert max(map(len, yes.certificate + back.certificate)) == 4
     assert len(yes.certificate) == len(back.certificate)
+
+
+def with_a_disjoint_edge(P):
+    """P beside a component of its own, the edge zz1 < zz2."""
+    return build_poset(P.elements + ("zz1", "zz2"),
+                       P.pairs() + (("zz1", "zz2"),), name=P.name + "-zz")
+
+
+@pytest.mark.parametrize("name", ["circle2", "twoloop"])
+def test_homotopic_answers_on_a_poset_with_several_components(posets, name):
+    """A component the paths do not reach changes no verdict and no
+    certificate: the relator lattice of a spanning forest is the direct
+    sum over the components."""
+    P = posets[name]
+    Q = with_a_disjoint_edge(P)
+    assert not is_pathwise_connected(Q)
+    loops = enumerate_loops(P, P.elements[0], 4)
+    rng, statuses = random.Random(12), set()
+    for _ in range(150):
+        p, q = rng.choice(loops), rng.choice(loops)
+        alone = homotopic(p, q, P, 4)
+        beside = homotopic(parse_path_text(p.encode(), Q),
+                           parse_path_text(q.encode(), Q), Q, 4)
+        assert beside == alone
+        statuses.add(alone.status)
+    assert statuses == {"yes", "no", "unknown"}
 
 
 def test_pi1_circle_is_infinite_cyclic(posets):
