@@ -97,10 +97,17 @@ class SearchLimitExceeded(PosetBundleError):
     pass
 
 
+def check_count(value, name):
+    """`BadParameter` unless `value`, the parameter `name`, is an int >= 0."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise BadParameter(f"{name} must be an int >= 0, got {value!r}")
+
+
 def check_limit(count, limit, what):
     """Raise `SearchLimitExceeded` if a search of `count` candidates,
     described by `what`, would go over `limit`; checked before any
-    work starts."""
+    work starts.  A limit that is not an int >= 0 is a `BadParameter`."""
+    check_count(limit, "limit")
     if count > limit:
         raise SearchLimitExceeded(f"{what} exceed the limit {limit}")
 

@@ -6,9 +6,10 @@ from __future__ import annotations
 import re
 from functools import cached_property
 
-from .errors import (BLANKS, BadParameter, EndpointMismatch, check_limit,
-                     content_lines, located)
+from .errors import (BLANKS, BadParameter, EndpointMismatch, check_count,
+                     check_limit, content_lines, located)
 from .frozen import Frozen
+from .poset import row_ids
 from .simplicial import (
     Simplex0,
     complex_of,
@@ -30,6 +31,7 @@ class Path(Frozen):
     steps: tuple
 
     def __init__(self, steps):
+        steps = tuple(steps)
         if not steps:
             raise EndpointMismatch("a path needs at least one step")
         for earlier, later in zip(steps, steps[1:]):
@@ -167,27 +169,30 @@ def homotopic(p: Path, q: Path, P: Poset, bound: int, limit=10 ** 6) -> Homotopy
 
     "yes" comes with a certificate: a shortest chain of elementary
     deformations from p to q whose paths, p and q included, all have
-    length <= bound.  "no" is backed by an abelianization separator: the
-    edge words of p and q (the base-free part of `pi1_presentation`,
-    which any poset has, connected or not) differ modulo the relator
-    lattice, a homotopy invariant.  Otherwise, as whenever p or q is
-    longer than the bound, "unknown".  Deformations undo each other, so
-    the search runs from both ends, a whole layer of the smaller frontier
-    at a time, until a new path is one the other side holds.  A search
-    that would hold more than `limit` paths, both sides together with p
-    and q, is a `SearchLimitExceeded`; a step that is not a 1-simplex of
-    P is a `NoSuchSimplex`; a bound that is not an int >= 0 is a
-    `BadParameter`.
+    length <= bound.  "no" is backed by first homology, a homotopy
+    invariant on any poset, connected or not: the 1-cycle of p minus q
+    in the order complex (`_nerve`) is not a boundary.  Otherwise, as
+    whenever p or q is longer than the bound, "unknown".  Deformations
+    undo each other, so the search runs from both ends, a whole layer of
+    the smaller frontier at a time, until a new path is one the other
+    side holds.  A search that would hold more than `limit` paths, both
+    sides together with p and q, is a `SearchLimitExceeded`; a step that
+    is not a 1-simplex of P is a `NoSuchSimplex`; a bound or a limit
+    that is not an int >= 0 is a `BadParameter`, before any work.
     """
-    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
-        raise BadParameter(f"bound must be an int >= 0, got {bound!r}")
+    check_count(bound, "bound")
+    check_count(limit, "limit")
     source, target = _ranked(p, P), _ranked(q, P)
     if p.start != q.start or p.end != q.end:
         raise EndpointMismatch("homotopy requires equal endpoints")
     K = complex_of(P)
-    presentation, words = _presentation(K)
-    if not _abelianized_equal(presentation, _steps_word(words, source),
-                              _steps_word(words, target)):
+    chains, lattice, width = _nerve(K)
+    cycle = [0] * width
+    for ranked, side in ((source, 1), (target, -1)):
+        for i in ranked:
+            for pair, sign in chains[i]:
+                cycle[pair] += side * sign
+    if cycle not in lattice:
         return HomotopyVerdict("no")
     if max(len(source), len(target)) > bound:
         return HomotopyVerdict("unknown")
@@ -307,7 +312,8 @@ class WordMap:
 
     def path_word(self, p: Path):
         """The word of p; `NoSuchSimplex` for a step outside the poset."""
-        return _steps_word(self.edge_words, map(self._edges.id_of, p.steps))
+        return tuple(w for i in map(self._edges.id_of, p.steps)
+                     for w in self.edge_words[i])
 
     def tree_path(self, a) -> Path:
         """The chosen path from the base point to element a;
@@ -316,44 +322,32 @@ class WordMap:
         return _path(self.tree[point], self._edges.simplices)
 
 
-def _steps_word(edge_words, steps):
-    """The word of the path of the step ids `steps`."""
-    return tuple(w for i in steps for w in edge_words[i])
-
-
 def invert_word(word):
     return tuple((idx, -sign) for idx, sign in reversed(word))
 
 
-def _abelianized_equal(p, w1, w2):
-    return p.exponents(w1 + invert_word(w2)) in p.lattice
-
-
-def _presentation(K):
-    """The base-free part of `pi1_presentation`, on any poset, kept in
-    `K.pi1`: the presentation and the edge words."""
-    if K.pi1 is not None:
-        return K.pi1
-    # A class of the spanning tree has the empty word, and any other
-    # class that is not a loop at a point contributes a generator.  Loops
-    # at a point (including degenerate edges) are trivial in the
-    # edge-path group: the 2-simplex with vertex map (a, a, s) and top
-    # edge b gives the relator g h g^-1 for the generator h of b; dropping
-    # them shrinks the presentation without changing the group.
-    edges = K[1]
-    generators, words = [], [()] * len(edges.faces)
-    for (i, j), joined in zip(edges.classes, edges.spanning[0]):
-        y, x = edges.faces[i]  # end, start
-        if not joined and x != y:
-            words[i] = ((len(generators), 1),)
-            words[j] = ((len(generators), -1),)
-            generators.append(edges.encode(i))
-    relators = tuple(
-        word for b0, b1, b2 in K[2].faces
-        if (word := words[b0] + words[b2] + invert_word(words[b1]))
-    )
-    K.pi1 = Presentation(tuple(generators), relators), tuple(words)
-    return K.pi1
+def _nerve(K):
+    """The order complex (nerve) of the poset in degree 1, kept in
+    `K.nerve` as (chains, lattice, width): over the `width` strict pairs
+    x < y, the (pair, sign) terms of each 1-simplex (s; c, a), which is
+    e(a,s) - e(c,s) with e(s,s) = 0, and the lattice of e(x,y) + e(y,z)
+    - e(x,z) for x < y < z.  A 1-cycle lies in it iff it is zero in
+    first homology, which the nerve shares with P (McCord)."""
+    if K.nerve is None:
+        from . import smith
+        above = [[y for y in row_ids(row) if y != x]
+                 for x, row in enumerate(K.poset.up)]
+        pairs = {xy: i for i, xy in enumerate(
+            (x, y) for x, ys in enumerate(above) for y in ys)}
+        rows = [[(j in (i, pairs[y, z])) - (j == pairs[x, z])
+                 for j in range(len(pairs))]
+                for (x, y), i in pairs.items() for z in above[y]]
+        chains = tuple(
+            tuple((pairs[u, s], sign) for u, sign in ((a, 1), (c, -1))
+                  if u != s)
+            for s, (c, a) in zip(K[1].support, K[1].faces))
+        K.nerve = chains, smith.RowLattice(rows, len(pairs)), len(pairs)
+    return K.nerve
 
 
 def pi1_presentation(P: Poset, a0: str):
@@ -373,7 +367,26 @@ def pi1_presentation(P: Poset, a0: str):
     if a0 in K.presentations:
         return K.presentations[a0]
     tree = K.tree(a0)
-    presentation, words = _presentation(K)
+    if K.pi1 is None:
+        # A class of the spanning tree has the empty word, and any other
+        # class that is not a loop at a point contributes a generator.
+        # Loops at a point (including degenerate edges) are trivial in the
+        # edge-path group: the 2-simplex with vertex map (a, a, s) and top
+        # edge b gives the relator g h g^-1 for the generator h of b;
+        # dropping them shrinks the presentation without changing the group.
+        edges = K[1]
+        generators, words = [], [()] * len(edges.faces)
+        for (i, j), joined in zip(edges.classes, edges.spanning[0]):
+            y, x = edges.faces[i]  # end, start
+            if not joined and x != y:
+                words[i] = ((len(generators), 1),)
+                words[j] = ((len(generators), -1),)
+                generators.append(edges.encode(i))
+        relators = tuple(
+            word for b0, b1, b2 in K[2].faces
+            if (word := words[b0] + words[b2] + invert_word(words[b1])))
+        K.pi1 = Presentation(tuple(generators), relators), tuple(words)
+    presentation, words = K.pi1
     K.presentations[a0] = (presentation, WordMap(K[1], words, tree))
     return K.presentations[a0]
 

@@ -458,15 +458,16 @@ class Complex:
     it (`complex_of`), so every per-poset table hangs off it and goes
     with the poset: the spanning tree paths by base point (`trees`, see
     `tree`), the parts of `paths.pi1_presentation`, its base-free part
-    `pi1` and its `presentations` by base point, and the based-loop
-    values of each homomorphism of the fundamental group by (group,
-    limit) (`hom_loops`, see `cochains._hom_loops`)."""
+    `pi1` and its `presentations` by base point, `nerve` (`paths._nerve`),
+    and the based-loop values of each homomorphism of the fundamental
+    group by (group, limit) (`hom_loops`, see `cochains._hom_loops`)."""
 
     def __init__(self, P: Poset):
         self.poset = P
         self._cells = {}
         self.trees = {}
         self.pi1 = None
+        self.nerve = None
         self.presentations = {}
         self.hom_loops = {}
 

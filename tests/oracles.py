@@ -14,8 +14,9 @@ from posetbundle.connections import construct_from_cochain
 from posetbundle.errors import UsageError, check_limit
 from posetbundle.gauge import GaugeTransformation, gauge_act
 from posetbundle.groups import FiniteGroup
-from posetbundle.paths import enumerate_homs, pi1_presentation
-from posetbundle.poset import Poset, base_point
+from posetbundle.paths import (enumerate_homs, invert_word, parse_path_text,
+                               pi1_presentation)
+from posetbundle.poset import Poset, base_point, build_poset
 from posetbundle.simplicial import (_SIMPLEX_CLASSES, _check_dimension,
                                     complex_of, enumerate_simplices)
 
@@ -126,6 +127,24 @@ def neighbours_slicing_each_move(ranked, moves, bound):
         for single in contractions.get(ranked[i:i + 2], ()):
             out.add(ranked[:i] + single + ranked[i + 2:])
     return out
+
+
+def separated_by_edge_words(p, q, P: Poset):
+    """Oracle for the "no" of `paths.homotopic`: on the component of P
+    that p and q run in, their words in the raw edge-path presentation
+    of `pi1_presentation` (one generator per non-tree reversal class, one
+    relator per 2-simplex) differ modulo its relator lattice."""
+    a0, component = p.start.element, {p.start.element}
+    while grown := {y for x in component for y in P.elements
+                    if P.comparable(x, y)} - component:
+        component |= grown
+    Q = build_poset([x for x in P.elements if x in component],
+                    [pair for pair in P.pairs() if pair[0] in component],
+                    name=P.name)
+    presentation, words = pi1_presentation(Q, a0)
+    w1, w2 = (words.path_word(parse_path_text(r.encode(), Q)) for r in (p, q))
+    return (presentation.exponents(w1 + invert_word(w2))
+            not in presentation.lattice)
 
 
 def random_cocycle_raw(P: Poset, G: FiniteGroup, rng):

@@ -80,7 +80,6 @@ from posetbundle.groups import (GroupHom, ad, cyclic_group, symmetric_group,
 from posetbundle.paths import (
     Path,
     Presentation,
-    _abelianized_equal,
     _neighbours,
     _ranked,
     _word,
@@ -114,7 +113,8 @@ from inputs import (CONNECTION_KINDS, PATH_FILES, gathered_through_legs,
 from oracles import (argparse_outcome, build_parser, enumerate_cocycles_raw,
                      gauge_group_product_scan, morphisms_full_act,
                      named_word_value, neighbours_slicing_each_move,
-                     random_cocycle_raw, random_connection_raw)
+                     random_cocycle_raw, random_connection_raw,
+                     separated_by_edge_words)
 from strategies import small_posets
 
 GROUPS = st.sampled_from(
@@ -700,7 +700,8 @@ def test_relator_lattice_matches_the_raw_exponent_matrix(presentation, rng):
         for word, side in zip(words, (1, -1)):
             for idx, sign in word:
                 diff[idx] += side * sign
-        assert _abelianized_equal(presentation, *words) == (diff in raw)
+        assert (presentation.exponents(words[0] + invert_word(words[1]))
+                in presentation.lattice) == (diff in raw)
     if len(presentation.relators) < 20 and n <= 3:
         assert enumerate_homs(presentation, symmetric_group(3)) == (
             product_filtered_homs(presentation, symmetric_group(3)))
@@ -915,6 +916,46 @@ def test_homotopic_matches_scan_search(P, rng, bound):
                                  bound)
     assert_certificate_like_scan(back.certificate,
                                  expected and expected[::-1], q, p, P, bound)
+
+
+def random_circuit(P, rng, at, max_len=6):
+    """A closed walk at `at` of at most `max_len` steps, each to another
+    comparable point (or staying put at a point comparable to none)
+    along the 1-simplex supported by the greater point; None when the
+    last point is not comparable to `at`.  Unlike a walk over all
+    1-simplices, it often winds round a cycle of the order complex."""
+    points = [at]
+    for _ in range(rng.randint(1, max_len - 1)):
+        x = points[-1]
+        points.append(rng.choice([y for y in P.elements
+                                  if y != x and P.comparable(x, y)] or [x]))
+    if not P.comparable(points[-1], at):
+        return None
+    points.append(at)
+    return Path(tuple(
+        enumerated(P, Simplex1(y if P.leq(x, y) else x, Simplex0(y),
+                               Simplex0(x)))
+        for x, y in zip(points, points[1:])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_posets(max_size=6, max_height=2),
+                 small_posets(max_size=6),
+                 small_posets(max_size=6, connected=True)), SEEDS)
+def test_order_complex_separates_like_the_edge_words(P, rng):
+    """Random pairs of paths with equal endpoints, on posets connected or
+    not, of height 2 or any: at bound 0, where only the separator
+    answers, `homotopic` says "no" exactly where the raw edge words
+    differ in the abelianisation.  q is a walk to p's end, or p, then
+    a circuit there when one closes."""
+    for _ in range(10):
+        p = random_path(P, rng, max_len=4)
+        q = random_path_between(P, rng, p.start.element, p.end.element,
+                                max_len=4) or p
+        if circuit := random_circuit(P, rng, p.end.element):
+            q = compose(circuit, q)
+        assert ((homotopic(p, q, P, 0).status == "no")
+                == separated_by_edge_words(p, q, P))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 import tracemalloc
@@ -58,6 +59,21 @@ def test_path_chaining_is_validated():
         Path(())
     with pytest.raises(EndpointMismatch):
         Path((edge("o1", "o1", "a1"), edge("o2", "o2", "a2")))
+    with pytest.raises(EndpointMismatch):
+        Path(iter([edge("o1", "o1", "a1"), edge("o2", "o2", "a2")]))
+
+
+def test_path_keeps_its_steps_as_a_tuple():
+    """A path built from a list or an iterator is the path of the tuple
+    of its steps: equal, hashed alike, and composed alike."""
+    b1, b2 = edge("o1", "o1", "a1"), edge("o1", "a2", "o1")
+    steps = (b1, b2)
+    for built in (Path([b1, b2]), Path(iter(steps)), Path(b for b in steps)):
+        assert built.steps == steps and built == Path(steps)
+        assert hash(built) == hash(Path(steps))
+    back = reverse_path(Path(steps))
+    assert compose(back, Path([b1, b2])) == compose(back, Path(steps))
+    assert compose(Path([reverse(b1)]), Path([b1])) == Path((b1, reverse(b1)))
 
 
 @pytest.mark.parametrize("name", ["circle2", "twoloop"])
@@ -170,6 +186,27 @@ def test_homotopic_checks_bound_first(posets, bound):
     with pytest.raises(BadParameter):
         homotopic(winding, degen, P, bound)
     assert homotopic(winding, degen, P, 0).status == "no"
+
+
+@pytest.mark.parametrize("limit", [-1, 2.0, "x", True, None])
+def test_search_limits_are_checked_first(posets, limit):
+    """A bad limit is refused before any work, also where `homotopic`
+    would answer from p == q or from the separator alone, and by
+    `enumerate_homs`, with the wording of the bound's message."""
+    P = posets["circle2"]
+    _, winding = circle_paths()
+    degen = degenerate_loop(Simplex0("a1"))
+    message = f"limit must be an int >= 0, got {limit!r}"
+    for p, q in ((winding, degen), (winding, winding)):
+        with pytest.raises(BadParameter) as caught:
+            homotopic(p, q, P, 3, limit=limit)
+        assert str(caught.value) == message
+    pres, _ = pi1_presentation(P, "a1")
+    with pytest.raises(BadParameter) as caught:
+        enumerate_homs(pres, cyclic_group(2), limit=limit)
+    assert str(caught.value) == message
+    with pytest.raises(BadParameter, match="^bound must be an int >= 0"):
+        homotopic(winding, degen, P, -1, limit=limit)
 
 
 def test_homotopic_limit_counts_the_paths_searched(posets):
@@ -321,10 +358,13 @@ def test_abelian_invariants_of_the_minimal_sphere_stay_small():
 
 
 def test_presentation_is_factorised_once(posets, monkeypatch):
-    """Ten homotopy queries and the invariants share one Smith form."""
+    """Ten homotopy queries share one Smith form, of the order complex's
+    boundary lattice, and build no presentation; the invariants then
+    factorise the relator lattice once."""
     P = posets["twoloop"]
     monkeypatch.delitem(complex_of(P).presentations, "M1", raising=False)
     monkeypatch.setattr(complex_of(P), "pi1", None)
+    monkeypatch.setattr(complex_of(P), "nerve", None)
     calls = []
     factorise = smith.smith_normal_form
     monkeypatch.setattr(smith, "smith_normal_form",
@@ -332,8 +372,43 @@ def test_presentation_is_factorised_once(posets, monkeypatch):
     loops = enumerate_loops(P, "M1", 4)
     verdicts = [homotopic(loops[0], q, P, 4).status for q in loops[::17]]
     assert set(verdicts) == {"yes", "no", "unknown"}
+    assert len(calls) == 1 and complex_of(P).pi1 is None
     assert pi1_presentation(P, "M1")[0].abelian_invariants() == [0, 0]
-    assert len(calls) == 1
+    assert pi1_presentation(P, "M1")[0].abelian_invariants() == [0, 0]
+    assert len(calls) == 2
+
+
+def face_poset(triangles, name):
+    """The simplices of a triangulated surface ordered by inclusion; a
+    simplex is named `v` and its sorted vertices joined by `_`."""
+    faces = {f for t in triangles for k in (1, 2, 3)
+             for f in itertools.combinations(sorted(t), k)}
+    label = {f: "v" + "_".join(map(str, f)) for f in faces}
+    return build_poset(sorted(label.values()),
+                       [(label[a], label[b]) for a in faces for b in faces
+                        if set(a) < set(b)], name=name)
+
+
+RP2_TRIANGLES = (123, 134, 145, 156, 162, 235, 346, 452, 563, 624)
+
+
+def test_separator_sees_the_torsion_of_the_projective_plane():
+    """The face poset of the 6-vertex RP^2 has H1 = Z/2.  A loop at v1
+    through v1_2, v2, v2_4, v4 and v1_4 goes once round the nontrivial
+    class: it gets "no" against the constant loop, and its square, which
+    is trivial in H1, does not.  The first query takes well under a
+    second and builds no presentation."""
+    P = face_poset([tuple(map(int, str(t))) for t in RP2_TRIANGLES], "rp2")
+    loop = parse_path_text(
+        "(v1_4_5;v1,v4_5);(v1_4_5;v4_5,v1);(v1_2_3;v1,v1_2);(v1_2;v1_2,v2);"
+        "(v2_4_5;v2,v2_4);(v2_4;v2_4,v4);(v1_3_4;v4,v1_4);(v1_3_4;v1_4,v1)",
+        P)
+    constant = degenerate_loop(Simplex0("v1"))
+    start = time.perf_counter()
+    assert homotopic(loop, constant, P, 8).status == "no"
+    assert time.perf_counter() - start < 1
+    assert homotopic(compose(loop, loop), constant, P, 0).status == "unknown"
+    assert complex_of(P).pi1 is None
 
 
 def test_presentation_letters_are_signed_generator_indices():
