@@ -20,8 +20,8 @@ _EXPORTS = {
     "is_connection is_flat restricted_holonomy star_compose star_inverse",
     "errors": "PosetBundleError",
     "gauge": "GaugeTransformation gauge_act gauge_group",
-    "groups": "FiniteGroup GroupHom InnerAut ad compose_2g compose_3g "
-    "cyclic_group hom_compose symmetric_group trivial_group",
+    "groups": "FiniteGroup GroupHom InnerAut cyclic_group hom_compose "
+    "symmetric_group trivial_group",
     "paths": "Path Presentation compose count_hom_classes deformations "
     "homotopic pi1_presentation reverse_path",
     "poset": "Poset build_poset fundamental_open generate is_directed "

@@ -130,14 +130,6 @@ class NoInverse(MalformedTable):
     pass
 
 
-class DiamondUndefined(PosetBundleError):
-    pass
-
-
-class DotUndefined(PosetBundleError):
-    pass
-
-
 class Mismatch(PosetBundleError):
     pass
 

@@ -1,5 +1,5 @@
-"""Finite groups via Cayley tables, inner automorphisms, and the
-2-/3-category composition laws used as non-Abelian coefficients."""
+"""Finite groups via Cayley tables, inner automorphisms modulo the
+center, group homomorphisms, and the Cayley-table text format."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ import itertools
 from functools import cached_property
 
 from .errors import (
-    DiamondUndefined,
-    DotUndefined,
     MalformedTable,
     Mismatch,
     MissingValue,
@@ -221,7 +219,7 @@ def symmetric_group(n: int):
     return FiniteGroup([label(p) for p in perms], table, name=f"S{n}")
 
 
-# -- inner automorphisms and the categories 2G, 3G -----------------------
+# -- inner automorphisms --------------------------------------------------
 
 
 class InnerAut(Frozen):
@@ -264,76 +262,6 @@ class InnerAut(Frozen):
     def is_identity(self):
         G = self.group
         return self.canonical == G.elements[G.coset_rep[G.unit]]
-
-
-def ad(G: FiniteGroup, g) -> InnerAut:
-    return InnerAut(G, g)
-
-
-def identity_aut(G: FiniteGroup) -> InnerAut:
-    return InnerAut(G, G.identity)
-
-
-class Arrow2G(Frozen):
-    g: str
-    tau: InnerAut
-
-
-class Arrow3G(Frozen):
-    g: str  # must be central
-    tau: InnerAut
-    gamma: InnerAut
-
-    def __init__(self, g, tau, gamma):
-        if g not in tau.group.center():
-            raise Mismatch(f"{g!r} is not central")
-        self.__dict__.update(g=g, tau=tau, gamma=gamma)
-
-
-def compose_2g(x: Arrow2G, y: Arrow2G, law: str) -> Arrow2G:
-    """The two composition laws of 2G.
-
-    times: (g, tau) x (h, gamma) = (g tau(h), tau gamma), always defined.
-    diamond: (g, tau) <> (h, gamma) = (g h, gamma), defined when
-    ad(h) gamma = tau.
-    """
-    G = x.tau.group
-    if law == "times":
-        return Arrow2G(G.mul(x.g, x.tau(y.g)), x.tau.compose(y.tau))
-    if law == "diamond":
-        if ad(G, y.g).compose(y.tau) != x.tau:
-            raise DiamondUndefined("side condition ad(h) gamma = tau fails")
-        return Arrow2G(G.mul(x.g, y.g), y.tau)
-    raise Mismatch(f"unknown 2G law {law!r}")
-
-
-def compose_3g(x: Arrow3G, y: Arrow3G, law: str) -> Arrow3G:
-    """The three composition laws of 3G (times < diamond < dot)."""
-    G = x.tau.group
-    gg = G.mul(x.g, y.g)
-    if law == "times":
-        gamma = x.gamma.compose(x.tau).compose(y.gamma).compose(x.tau.inverse())
-        return Arrow3G(gg, x.tau.compose(y.tau), gamma)
-    if law == "diamond":
-        if x.tau != y.gamma.compose(y.tau):
-            raise DiamondUndefined("side condition tau = gamma' tau' fails")
-        return Arrow3G(gg, y.tau, x.gamma.compose(y.gamma))
-    if law == "dot":
-        if x.tau != y.tau or x.gamma != y.gamma:
-            raise DotUndefined("dot requires equal tau and gamma components")
-        return Arrow3G(gg, x.tau, x.gamma)
-    raise Mismatch(f"unknown 3G law {law!r}")
-
-
-def unit_2g(G: FiniteGroup) -> Arrow2G:
-    return Arrow2G(G.identity, identity_aut(G))
-
-
-def one_arrows_2g(G: FiniteGroup):
-    """The 1-arrows of 2G: pairs (e, tau), one per inner automorphism,
-    carried by its first representative in element order."""
-    auts = dict.fromkeys(ad(G, g) for g in G.elements)
-    return tuple(Arrow2G(G.identity, tau) for tau in auts)
 
 
 # -- group homomorphisms --------------------------------------------------

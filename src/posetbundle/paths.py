@@ -239,9 +239,10 @@ def homotopic(p: Path, q: Path, P: Poset, bound: int, limit=10 ** 6) -> Homotopy
 
 class Presentation(Frozen):
     """Generators and relators; a relator is a tuple of signed generator
-    indices (i, +1|-1), and any other letter is a `BadParameter`.  The
-    relator lattice is factorised on first use and kept, so every query
-    on one presentation shares one Smith form."""
+    indices (i, +1|-1) of ints, and any other letter (a float or a bool
+    among them) is a `BadParameter`.  The relator lattice is factorised
+    on first use and kept, so every query on one presentation shares one
+    Smith form."""
 
     generators: tuple
     relators: tuple
@@ -252,7 +253,9 @@ class Presentation(Frozen):
                    for sign in (1, -1)}
         for relator in self.relators:
             for letter in relator:
-                if type(letter) is not tuple or letter not in letters:
+                if (type(letter) is not tuple or letter not in letters
+                        or type(letter[0]) is not int
+                        or type(letter[1]) is not int):
                     raise BadParameter(
                         f"relator letter {letter!r} is not (i, 1) or (i, -1)"
                         f" with 0 <= i < {len(self.generators)}")
@@ -454,14 +457,14 @@ def _word(G: FiniteGroup, word, x):
 
 def word_value(word, assignment, G: FiniteGroup):
     """The element `word` takes when generator i takes assignment[i]; a
-    value outside G is a `MissingValue`, and a letter naming a generator
-    without a value a `BadParameter`."""
+    value outside G is a `MissingValue`, and a letter whose index is not
+    an int naming a generator with a value a `BadParameter`."""
     try:
         x = tuple(map(G.index.__getitem__, assignment))
     except KeyError as error:
         raise G._missing(error) from None
     for idx, _ in word:
-        if not 0 <= idx < len(x):
+        if type(idx) is not int or not 0 <= idx < len(x):
             raise BadParameter(f"letter {idx} names a generator without a "
                                f"value ({len(x)} given)")
     return G.elements[_word(G, word, x)]

@@ -1,6 +1,7 @@
 """Brute-force oracles that only the tests use: each rebuilds a result
 of the library from its definition, independently of the fast tables;
-and the argparse parser that `cli.parse` replaced."""
+the categories 2G and 3G in which the source paper takes the values of
+2- and 3-cochains; and the argparse parser that `cli.parse` replaced."""
 
 import argparse
 import contextlib
@@ -11,9 +12,11 @@ from posetbundle.cli import COMMANDS
 from posetbundle.cochains import (Cochain1, _act, _path_value,
                                   cocycle_from_hom, is_cocycle)
 from posetbundle.connections import construct_from_cochain
-from posetbundle.errors import UsageError, check_limit
+from posetbundle.errors import (Mismatch, PosetBundleError, UsageError,
+                                check_limit)
+from posetbundle.frozen import Frozen
 from posetbundle.gauge import GaugeTransformation, gauge_act
-from posetbundle.groups import FiniteGroup
+from posetbundle.groups import FiniteGroup, InnerAut
 from posetbundle.paths import (enumerate_homs, invert_word, parse_path_text,
                                pi1_presentation)
 from posetbundle.poset import Poset, base_point, build_poset
@@ -181,6 +184,139 @@ def named_word_value(word, assignment, G: FiniteGroup):
         g = assignment[idx] if sign > 0 else G.inv(assignment[idx])
         value = G.mul(value, g)
     return value
+
+
+# -- the categories 2G and 3G ------------------------------------------------
+#
+# In the source paper a 2-cochain takes values in the 2-category 2G and a
+# 3-cochain in 3G.  The library stores element ids and `tau_ids` and
+# computes on the group tables instead; the composition laws below are
+# the oracle that `coboundary1`, `coboundary2` and the `Cochain2`
+# intertwining check are compared with.
+
+
+class DiamondUndefined(PosetBundleError):
+    pass
+
+
+class DotUndefined(PosetBundleError):
+    pass
+
+
+def ad(G: FiniteGroup, g) -> InnerAut:
+    return InnerAut(G, g)
+
+
+def identity_aut(G: FiniteGroup) -> InnerAut:
+    return InnerAut(G, G.identity)
+
+
+class Arrow2G(Frozen):
+    g: str
+    tau: InnerAut
+
+
+class Arrow3G(Frozen):
+    g: str  # must be central
+    tau: InnerAut
+    gamma: InnerAut
+
+    def __init__(self, g, tau, gamma):
+        if g not in tau.group.center():
+            raise Mismatch(f"{g!r} is not central")
+        self.__dict__.update(g=g, tau=tau, gamma=gamma)
+
+
+def compose_2g(x: Arrow2G, y: Arrow2G, law: str) -> Arrow2G:
+    """The two composition laws of 2G.
+
+    times: (g, tau) x (h, gamma) = (g tau(h), tau gamma), always defined.
+    diamond: (g, tau) <> (h, gamma) = (g h, gamma), defined when
+    ad(h) gamma = tau.
+    """
+    G = x.tau.group
+    if law == "times":
+        return Arrow2G(G.mul(x.g, x.tau(y.g)), x.tau.compose(y.tau))
+    if law == "diamond":
+        if ad(G, y.g).compose(y.tau) != x.tau:
+            raise DiamondUndefined("side condition ad(h) gamma = tau fails")
+        return Arrow2G(G.mul(x.g, y.g), y.tau)
+    raise Mismatch(f"unknown 2G law {law!r}")
+
+
+def compose_3g(x: Arrow3G, y: Arrow3G, law: str) -> Arrow3G:
+    """The three composition laws of 3G (times < diamond < dot)."""
+    G = x.tau.group
+    gg = G.mul(x.g, y.g)
+    if law == "times":
+        gamma = x.gamma.compose(x.tau).compose(y.gamma).compose(x.tau.inverse())
+        return Arrow3G(gg, x.tau.compose(y.tau), gamma)
+    if law == "diamond":
+        if x.tau != y.gamma.compose(y.tau):
+            raise DiamondUndefined("side condition tau = gamma' tau' fails")
+        return Arrow3G(gg, y.tau, x.gamma.compose(y.gamma))
+    if law == "dot":
+        if x.tau != y.tau or x.gamma != y.gamma:
+            raise DotUndefined("dot requires equal tau and gamma components")
+        return Arrow3G(gg, x.tau, x.gamma)
+    raise Mismatch(f"unknown 3G law {law!r}")
+
+
+def unit_2g(G: FiniteGroup) -> Arrow2G:
+    return Arrow2G(G.identity, identity_aut(G))
+
+
+def one_arrows_2g(G: FiniteGroup):
+    """The 1-arrows of 2G: pairs (e, tau), one per inner automorphism,
+    carried by its first representative in element order."""
+    auts = dict.fromkeys(ad(G, g) for g in G.elements)
+    return tuple(Arrow2G(G.identity, tau) for tau in auts)
+
+
+def coboundary1_2g(u: Cochain1, c):
+    """(du)(c) in 2G: (A(u(b0)) x A(u(b2))) <> (u(b1)^-1, ad u(b1)) with
+    A(g) = (g, id) and b0, b1, b2 the faces of the 2-simplex c."""
+    G, id_aut = u.group, identity_aut(u.group)
+    front = compose_2g(Arrow2G(u(c.face0), id_aut),
+                       Arrow2G(u(c.face2), id_aut), "times")
+    g1 = u(c.face1)
+    return compose_2g(front, Arrow2G(G.inv(g1), ad(G, g1)), "diamond")
+
+
+def degree2_sides_2g(w, tau, d):
+    """The two sides of the degree-2 identity of the 2-cochain w at the
+    3-simplex d, in 2G, with `tau` the automorphism component of w:
+    (W(f0) x 1_tau(e01)) <> W(f2) and (1_tau(e23) x W(f3)) <> W(f1),
+    where W(c) = (w(c), tau(b1 c)), 1_t = (e, t), f0..f3 are the faces
+    of d, e01 = f3.face2 and e23 = f0.face0."""
+    G = w.group
+    f0, f1, f2, f3 = d.faces
+
+    def W(c):
+        return Arrow2G(w(c), tau[c.face1])
+
+    def one(b):
+        return Arrow2G(G.identity, tau[b])
+
+    left = compose_2g(compose_2g(W(f0), one(f3.face2), "times"), W(f2),
+                      "diamond")
+    right = compose_2g(compose_2g(one(f0.face0), W(f3), "times"), W(f1),
+                       "diamond")
+    return left, right
+
+
+def is_2_arrow(g, tau, c) -> bool:
+    """Whether (g, tau(b1)) is a 2-arrow tau(b1) -> tau(b0) tau(b2) for
+    the faces b0, b1, b2 of the 2-simplex c: whether its diamond after
+    1_tau(b0) x 1_tau(b2) is defined."""
+    G = tau[c.face1].group
+    ends = compose_2g(Arrow2G(G.identity, tau[c.face0]),
+                      Arrow2G(G.identity, tau[c.face2]), "times")
+    try:
+        compose_2g(ends, Arrow2G(g, tau[c.face1]), "diamond")
+    except DiamondUndefined:
+        return False
+    return True
 
 
 def build_parser():

@@ -52,7 +52,6 @@ from posetbundle.errors import (
 from posetbundle.groups import (
     FiniteGroup,
     GroupHom,
-    ad,
     cyclic_group,
     parse_group_text,
     symmetric_group,
@@ -75,7 +74,7 @@ from posetbundle.simplicial import (
     enumerate_simplices,
 )
 
-from oracles import enumerate_cocycles_raw, enumerate_simplices_raw
+from oracles import ad, enumerate_cocycles_raw, enumerate_simplices_raw
 from strategies import TEXT_NAMES
 
 Z2 = cyclic_group(2)

@@ -3,17 +3,18 @@ identity, the constructed cocycle classes and connections, the indexed
 deformation search from both ends, the memoised path values of a
 cochain family, the text of simplices read from the id tables, the
 presentation and holonomy on simplex ids, the id kernels of cochains
-and connections, the restricted holonomy from the curvature
-and the nonflat twist, the reduced relators, the
-relator lattice, the word evaluator and the hom class representatives
-against brute force or the
-filters, scans and object-keyed formulas they replace, on random posets
-of at most four (five for the presentation and the cocycle count)
-elements with values in Z2, Z3 and S3; and of subgroup closures against
-the worklist and fixpoint they replace, over S3, S4, Z6 and the trivial
-group; and of the CLI parser against the argparse parser it replaced, on
-argv lists drawn from the command table; and of `cli.run` on such lists
-with fixture files and any text among the tokens."""
+and connections (d1, the degree-2 identity and the 2-cochain check also
+against the composition laws of 2G), the restricted holonomy from the
+curvature and the nonflat twist, the reduced relators, the relator
+lattice, the word evaluator and the hom class representatives against
+brute force or the filters, scans and object-keyed formulas they
+replace, on random posets of at most four (five for the presentation
+and the cocycle count) elements with values in Z2, Z3 and S3; and of
+subgroup closures against the worklist and fixpoint they replace, over
+S3, S4, Z6 and the trivial group; and of the CLI parser against the
+argparse parser it replaced, on argv lists drawn from the command
+table; and of `cli.run` on such lists with fixture files and any text
+among the tokens."""
 
 import contextlib
 import io
@@ -34,6 +35,7 @@ from posetbundle.cochains import (
     Cochain1,
     Cochain2,
     Cochain3,
+    _imbalances,
     _path_value,
     are_equivalent,
     associated_cocycle,
@@ -71,11 +73,11 @@ from posetbundle.connections import (
     star_compose,
     star_inverse,
 )
-from posetbundle.errors import (NoSuchSimplex, NotConnected,
+from posetbundle.errors import (Mismatch, NoSuchSimplex, NotConnected,
                                 PreconditionViolated, SearchLimitExceeded,
                                 UsageError)
 from posetbundle.gauge import gauge_act, gauge_group, gauge_group_raw
-from posetbundle.groups import (GroupHom, ad, cyclic_group, symmetric_group,
+from posetbundle.groups import (GroupHom, cyclic_group, symmetric_group,
                                 trivial_group)
 from posetbundle.paths import (
     Path,
@@ -110,8 +112,9 @@ from posetbundle.simplicial import (
 
 from inputs import (CONNECTION_KINDS, PATH_FILES, gathered_through_legs,
                     near_a_connection, write_fixtures)
-from oracles import (argparse_outcome, build_parser, enumerate_cocycles_raw,
-                     gauge_group_product_scan, morphisms_full_act,
+from oracles import (Arrow2G, ad, argparse_outcome, build_parser,
+                     coboundary1_2g, degree2_sides_2g, enumerate_cocycles_raw,
+                     gauge_group_product_scan, is_2_arrow, morphisms_full_act,
                      named_word_value, neighbours_slicing_each_move,
                      random_cocycle_raw, random_connection_raw,
                      separated_by_edge_words)
@@ -1210,6 +1213,74 @@ def row_is_cocycle_2_near_cocycles(P, G, rng):
             [(ref_is_cocycle(w),) * 2 for w in ws])
 
 
+def row_d1_in_2g(P, G, rng):
+    """`coboundary1` against its composite in 2G, `coboundary1_2g`: the
+    value at each 2-simplex with the automorphism at its boundary 1."""
+    u = random_cochain1(P, G, rng)
+    w, simplices = coboundary1(u), enumerate_simplices(P, 2)
+    tau = w.tau
+    return ([Arrow2G(w(c), tau[c.face1]) for c in simplices],
+            [coboundary1_2g(u, c) for c in simplices])
+
+
+def one_value_moved(w, rng):
+    """w with the value at one random 2-simplex times a random central
+    element, through the checked constructor: another 2-cochain with the
+    same automorphisms (in Z2 and Z3 any value; S3 has a trivial center)."""
+    G, values = w.group, dict(w.values)
+    c = rng.choice(list(values))
+    values[c] = G.mul(values[c], rng.choice(G.center()))
+    return Cochain2(w.poset, G, w.tau, values)
+
+
+def row_degree2_identity_in_2g(P, G, rng):
+    """`_imbalances` and `coboundary2` against the two sides of the
+    degree-2 identity in 2G, `degree2_sides_2g`: the imbalances are the
+    3-simplices where the sides differ, and the value of the coboundary
+    is left.g right.g^-1.  On a random 2-cochain, a coboundary, and each
+    with one value moved."""
+    ws = [random_cochain2(P, G, rng), coboundary1(random_cochain1(P, G, rng))]
+    ws += [one_value_moved(w, rng) for w in ws]
+    simplices = enumerate_simplices(P, 3)
+    fast, reference = [], []
+    for w in ws:
+        fast.append(({simplices[i]: G.elements[g] for i, g in _imbalances(w)},
+                     dict(coboundary2(w).values)))
+        tau, values, imbalances = w.tau, {}, {}
+        for d in simplices:
+            left, right = degree2_sides_2g(w, tau, d)
+            values[d] = G.mul(left.g, G.inv(right.g))
+            if left != right:
+                imbalances[d] = values[d]
+        reference.append((imbalances, values))
+    return fast, reference
+
+
+def row_cochain2_intertwining(P, G, rng):
+    """The `Cochain2` constructor against 2G: it raises `Mismatch` at the
+    first 2-simplex c where (w(c), tau(b1)) is not a 2-arrow tau(b1) ->
+    tau(b0) tau(b2), `is_2_arrow`, and accepts w where there is none.  On
+    a random 2-cochain with the value at one 2-simplex, or the
+    automorphism at one 1-simplex, replaced by a random one."""
+    w = random_cochain2(P, G, rng)
+    moved_values, moved_tau = dict(w.values), dict(w.tau)
+    moved_values[rng.choice(list(moved_values))] = rng.choice(G.elements)
+    moved_tau[rng.choice(list(moved_tau))] = ad(G, rng.choice(G.elements))
+    fast, reference = [], []
+    for tau, values in ((dict(w.tau), moved_values),
+                        (moved_tau, dict(w.values))):
+        try:
+            Cochain2(P, G, tau, values)
+            fast.append(None)
+        except Mismatch as error:
+            fast.append(str(error))
+        bad = [c for c, g in values.items() if not is_2_arrow(g, tau, c)]
+        reference.append(None if not bad else (
+            f"2-cochain component at {bad[0].encode()} does not intertwine "
+            "the automorphism components of its faces"))
+    return fast, reference
+
+
 def row_is_cocycle_near_coboundaries(P, G, rng):
     """`is_cocycle` reads the identities of the legs and chains only;
     the reference checks every 2-simplex."""
@@ -1322,6 +1393,8 @@ def row_format_cochain_text(P, G, rng):
 ROWS_UP_TO_DIM2 = {
     "d0": row_d0,
     "d1": row_d1,
+    "d1_in_2g": row_d1_in_2g,
+    "cochain2_intertwining": row_cochain2_intertwining,
     "is_cocycle_0": row_is_cocycle(0),
     "is_cocycle_1": row_is_cocycle(1),
     "is_cocycle_1_near_coboundaries": row_is_cocycle_near_coboundaries,
@@ -1334,7 +1407,8 @@ ROWS_UP_TO_DIM2 = {
     "format_cochain_text": row_format_cochain_text,
 }
 ROWS_IN_DIM3 = {"d2": row_d2, "is_cocycle_2": row_is_cocycle(2),
-                "is_cocycle_2_near_cocycles": row_is_cocycle_2_near_cocycles}
+                "is_cocycle_2_near_cocycles": row_is_cocycle_2_near_cocycles,
+                "degree2_identity_in_2g": row_degree2_identity_in_2g}
 # Rows that twist a bundle on an edge non-inflating both ways, which a
 # connected poset of height 2 on three or four elements often has; the
 # posets of the rows above have one minimum, so few have such an edge.

@@ -10,11 +10,12 @@ from posetbundle.acceptance import CriterionResult, winding_cocycle
 from posetbundle.cochains import Morphism1
 from posetbundle.errors import EndpointMismatch, Mismatch
 from posetbundle.gauge import GaugeTransformation
-from posetbundle.groups import (Arrow2G, Arrow3G, GroupHom, InnerAut,
-                                cyclic_group, symmetric_group)
+from posetbundle.groups import (GroupHom, InnerAut, cyclic_group,
+                                symmetric_group)
 from posetbundle.paths import HomotopyVerdict, Path, Presentation
 from posetbundle.poset import OpenSet
 from posetbundle.simplicial import Simplex0, Simplex1
+from oracles import Arrow2G, Arrow3G
 
 S3, Z3 = symmetric_group(3), cyclic_group(3)
 STEP = Simplex1("o1", Simplex0("o1"), Simplex0("a1"))

@@ -5,8 +5,6 @@ from hypothesis import example, given, strategies as st
 
 from posetbundle.errors import (
     BadParameter,
-    DiamondUndefined,
-    DotUndefined,
     MalformedTable,
     Mismatch,
     MissingValue,
@@ -14,22 +12,26 @@ from posetbundle.errors import (
     NotAssociative,
 )
 from posetbundle.groups import (
-    Arrow2G,
-    Arrow3G,
     FiniteGroup,
     GroupHom,
     InnerAut,
-    ad,
-    compose_2g,
-    compose_3g,
     cyclic_group,
     format_group_text,
     hom_compose,
-    identity_aut,
-    one_arrows_2g,
     parse_group_text,
     symmetric_group,
     trivial_group,
+)
+from oracles import (
+    Arrow2G,
+    Arrow3G,
+    DiamondUndefined,
+    DotUndefined,
+    ad,
+    compose_2g,
+    compose_3g,
+    identity_aut,
+    one_arrows_2g,
     unit_2g,
 )
 from strategies import TEXT_NAMES

@@ -46,9 +46,8 @@ EXPORTS = {
     "errors": ("PosetBundleError",),
     "gauge": ("GaugeTransformation", "gauge_act", "gauge_group"),
     "groups": (
-        "FiniteGroup", "GroupHom", "InnerAut", "ad", "compose_2g",
-        "compose_3g", "cyclic_group", "hom_compose", "symmetric_group",
-        "trivial_group",
+        "FiniteGroup", "GroupHom", "InnerAut", "cyclic_group", "hom_compose",
+        "symmetric_group", "trivial_group",
     ),
     "paths": (
         "Path", "Presentation", "compose", "count_hom_classes", "deformations",
@@ -85,7 +84,7 @@ def loaded_after(code, *argv, cwd=None):
 
 
 def test_exports_are_the_home_module_objects():
-    assert len(NAMES) == 72
+    assert len(NAMES) == 69
     for module, names in EXPORTS.items():
         home = importlib.import_module(f"posetbundle.{module}")
         for name in names:

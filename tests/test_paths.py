@@ -416,7 +416,8 @@ def test_presentation_letters_are_signed_generator_indices():
     assert square.abelian_invariants() == [2]
     assert enumerate_homs(square, cyclic_group(2)) == (("g0",), ("g1",))
     assert enumerate_homs(square, cyclic_group(3)) == (("g0",),)
-    for letter in ((0, 2), (1, 1), (-1, 1), (0, 0)):
+    for letter in ((0, 2), (1, 1), (-1, 1), (0, 0), (1.0, 1), (0, 1.0),
+                   (True, 1), (0, True)):
         with pytest.raises(BadParameter, match="relator letter"):
             Presentation(("x",), (((0, 1), letter),))
 
@@ -516,7 +517,10 @@ def test_word_value_refuses_values_outside_the_group_and_missing_values():
     with pytest.raises(MissingValue) as caught:
         word_value(((0, 1),), ("zz",), cyclic_group(2))
     assert str(caught.value) == "'zz' is not an element of Z2"
-    with pytest.raises(BadParameter) as caught:
-        word_value(((1, 1),), ("g1",), cyclic_group(3))
-    assert str(caught.value) == (
-        "letter 1 names a generator without a value (1 given)")
+    # A float or bool index names no generator, even where it equals one.
+    for idx, values in ((1, ("g1",)), (1.0, ("g0", "g1")),
+                        (True, ("g0", "g1"))):
+        with pytest.raises(BadParameter) as caught:
+            word_value(((idx, 1),), values, cyclic_group(3))
+        assert str(caught.value) == (f"letter {idx} names a generator "
+                                     f"without a value ({len(values)} given)")
