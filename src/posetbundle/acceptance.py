@@ -56,7 +56,8 @@ class CriterionResult(Frozen):
         return f"criterion {self.number:2d} [{verdict}] {self.name}: {self.detail}"
 
 
-# The fixture posets, built once so that the criteria share their tables.
+# The fixture posets and groups, built once so that the criteria share
+# their tables.
 _POSETS = {
     "chain2": generate("chain", 2),
     "chain3": generate("chain", 3),
@@ -68,6 +69,8 @@ _POSETS = {
         name="twoloop",
     ),
 }
+_GROUPS = {"z2": cyclic_group(2), "z3": cyclic_group(3),
+           "s3": symmetric_group(3)}
 
 
 def two_loop_poset() -> Poset:
@@ -77,11 +80,7 @@ def two_loop_poset() -> Poset:
 
 
 def standard_groups():
-    return {
-        "z2": cyclic_group(2),
-        "z3": cyclic_group(3),
-        "s3": symmetric_group(3),
-    }
+    return dict(_GROUPS)
 
 
 def standard_posets():
@@ -238,7 +237,7 @@ def _path_values(cochains):
 def criterion_1(rng):
     """Second coboundary trivial (d after d lands in unit arrows)."""
     chain2, circle2 = _POSETS["chain2"], _POSETS["circle2"]
-    Z2, S3 = cyclic_group(2), symmetric_group(3)
+    Z2, S3 = _GROUPS["z2"], _GROUPS["s3"]
     checked = 0
     for u in _all_cochain1(chain2, Z2):
         if not is_cocycle(coboundary(u)):
@@ -260,10 +259,9 @@ def criterion_1(rng):
 def criterion_2(rng):
     """Cocycle classes match fundamental-group homomorphism classes."""
     circle2 = _POSETS["circle2"]
-    groups = standard_groups()
     expected = {"z2": 2, "z3": 3, "s3": 3}
     details = []
-    for key, G in groups.items():
+    for key, G in _GROUPS.items():
         reps = classify_cocycles(circle2, G)
         pres, _ = pi1_presentation(circle2, base_point(circle2))
         homs = count_hom_classes(pres, G)
@@ -275,7 +273,7 @@ def criterion_2(rng):
         details.append(f"{G.name}:{len(reps)}")
     for n in (2, 3):
         chain = _POSETS[f"chain{n}"]
-        for G in groups.values():
+        for G in _GROUPS.values():
             if len(classify_cocycles(chain, G)) != 1:
                 return False, f"chain{n} x {G.name} is not a single class"
     return True, "circle2 " + " ".join(details) + "; chains collapse to 1"
@@ -288,7 +286,7 @@ def criterion_3(rng):
     coboundary of every section once per poset and asks whether the
     cochain is one of them.
     """
-    Z2 = cyclic_group(2)
+    Z2 = _GROUPS["z2"]
     total = 0
     for P in (_POSETS["chain2"], _POSETS["vee"]):
         coboundaries = {
@@ -309,7 +307,7 @@ def criterion_3(rng):
 def criterion_4(rng):
     """On a totally ordered poset every connection is its own bundle."""
     chain3 = _POSETS["chain3"]
-    Z2 = cyclic_group(2)
+    Z2 = _GROUPS["z2"]
     us = cn.enumerate_connections(chain3, Z2)
     for u in us:
         if not cn.is_flat(u) or u != cn.induced_cocycle(u):
@@ -321,7 +319,7 @@ def criterion_5(rng):
     """Nonflat connections exist and stay on their bundle."""
     circle2 = _POSETS["circle2"]
     details = []
-    for G in (cyclic_group(2), symmetric_group(3)):
+    for G in (_GROUPS["z2"], _GROUPS["s3"]):
         z = trivial_cochain1(circle2, G)
         u, witness = cn.construct_nonflat(z)
         if witness is None:
@@ -332,7 +330,7 @@ def criterion_5(rng):
         if cn.induced_cocycle(u) != z:
             return False, f"induced cocycle moved off z over {G.name}"
         details.append(f"{G.name}: w={w(witness)} at {witness.support}")
-    zw = winding_cocycle(circle2, cyclic_group(2), "g1")
+    zw = winding_cocycle(circle2, _GROUPS["z2"], "g1")
     u, witness = cn.construct_nonflat(zw)
     if witness is None or cn.induced_cocycle(u) != zw:
         return False, "nonflat construction failed on the winding bundle"
@@ -346,7 +344,7 @@ def criterion_6(rng):
     index of all the cocycles by their inflating values (`_agreeing`),
     which lists them as a scan of `enumerate_cocycles` would."""
     circle2 = _POSETS["circle2"]
-    Z2 = cyclic_group(2)
+    Z2 = _GROUPS["z2"]
     cocycles = enumerate_cocycles(circle2, Z2)
     agreeing_with = _agreeing(circle2, cocycles)
     for i in range(200):
@@ -362,7 +360,7 @@ def criterion_6(rng):
 def criterion_7(rng):
     """Central decomposition round-trips; star composition is abelian."""
     circle2 = _POSETS["circle2"]
-    Z2 = cyclic_group(2)
+    Z2 = _GROUPS["z2"]
     us = cn.enumerate_connections(circle2, Z2)
     rows, inv = Z2.rows, Z2.inverses
     center = {Z2.index[g] for g in Z2.center()}
@@ -406,9 +404,9 @@ def criterion_8(rng):
     """Bianchi identity on every 3-simplex of the sampled connections."""
     checked = 0
     for P, G, samples in (
-        (_POSETS["circle2"], cyclic_group(2), 10),
-        (_POSETS["circle2"], symmetric_group(3), 10),
-        (_POSETS["vee"], symmetric_group(3), 10),
+        (_POSETS["circle2"], _GROUPS["z2"], 10),
+        (_POSETS["circle2"], _GROUPS["s3"], 10),
+        (_POSETS["vee"], _GROUPS["s3"], 10),
     ):
         for _ in range(samples):
             u = random_connection(P, G, rng)
@@ -421,7 +419,7 @@ def criterion_8(rng):
 def criterion_9(rng):
     """Ambrose-Singer: reduction into the holonomy group."""
     circle2 = _POSETS["circle2"]
-    S3 = symmetric_group(3)
+    S3 = _GROUPS["s3"]
     z = winding_cocycle(circle2, S3, "231")
     u1, f, H = cn.ambrose_singer_reduce(z, "a1")
     if sorted(H.elements) != ["123", "231", "312"]:
@@ -447,7 +445,7 @@ def criterion_9(rng):
 def criterion_10(rng):
     """Gauge group sizes and agreement with the raw map search."""
     chain3, circle2 = _POSETS["chain3"], _POSETS["circle2"]
-    S3, Z2, Z3 = symmetric_group(3), cyclic_group(2), cyclic_group(3)
+    S3, Z2, Z3 = _GROUPS["s3"], _GROUPS["z2"], _GROUPS["z3"]
     s = dict(zip(chain3.elements, ("123", "231", "213")))
     z = coboundary_from_assignment(chain3, S3, s)
     if len(gauge_group(z)) != len(S3):
@@ -484,9 +482,9 @@ def criterion_11(rng):
     order, the orientation test first."""
     checked = 0
     for P, G in (
-        (_POSETS["circle2"], cyclic_group(2)),
-        (_POSETS["circle2"], symmetric_group(3)),
-        (_POSETS["vee"], cyclic_group(2)),
+        (_POSETS["circle2"], _GROUPS["z2"]),
+        (_POSETS["circle2"], _GROUPS["s3"]),
+        (_POSETS["vee"], _GROUPS["z2"]),
     ):
         cells = complex_of(P)[2]
         swap = cells.permuted((1, 0, 2))
@@ -517,8 +515,8 @@ def criterion_12(rng):
     no `Path` is built."""
     pairs = 0
     for P, G, start in (
-        (_POSETS["circle2"], cyclic_group(2), "a1"),
-        (_POSETS["chain3"], cyclic_group(2), "x1"),
+        (_POSETS["circle2"], _GROUPS["z2"], "a1"),
+        (_POSETS["chain3"], _GROUPS["z2"], "x1"),
     ):
         values = _path_values(enumerate_cocycles(P, G))
         K = complex_of(P)

@@ -516,16 +516,19 @@ def _hom_loops(P: Poset, G: FiniteGroup, limit=10 ** 6):
     the base point into G, in `enumerate_homs` order: row h is the
     cocycle of homomorphism h (`cocycle_from_hom`), and `_act` of a point
     assignment on it the cocycle of the pair.  Kept on `complex_of(P)`
-    by (group, limit), so a smaller limit still raises."""
-    kept = complex_of(P).hom_loops
-    if (G, limit) not in kept:
+    by group; `limit` is checked first, as `enumerate_homs` checks it,
+    so a smaller limit still raises and a larger one reads the table."""
+    K = complex_of(P)
+    if G in K.hom_loops:
+        K.pi1[0].check_hom_limit(G, limit)
+    else:
         from .paths import enumerate_homs, pi1_presentation
         presentation, words = pi1_presentation(P, base_point(P))
         index = G.index.__getitem__
-        kept[G, limit] = tuple(
+        K.hom_loops[G] = tuple(
             _loop_ids(G, words, tuple(map(index, sigma)))
-            for sigma in enumerate_homs(presentation, G, limit=limit))
-    return kept[G, limit]
+            for sigma in enumerate_homs(presentation, G, limit))
+    return K.hom_loops[G]
 
 
 def cocycle_from_hom(P, G, sigma):

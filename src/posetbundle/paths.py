@@ -1,5 +1,5 @@
 """Paths in a poset, elementary deformations, bounded homotopy search,
-and fundamental-group presentations with homomorphism counting."""
+and the fundamental group: its presentation and its homomorphisms."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from functools import cached_property
 from .errors import (BLANKS, BadParameter, EndpointMismatch, check_count,
                      check_limit, content_lines, located)
 from .frozen import Frozen
-from .poset import row_ids
 from .simplicial import (
     Simplex0,
     complex_of,
@@ -234,31 +233,29 @@ def homotopic(p: Path, q: Path, P: Poset, bound: int, limit=10 ** 6) -> Homotopy
     return HomotopyVerdict("yes", tuple(_path(r, steps) for r in chain))
 
 
-# -- fundamental group presentations --------------------------------------
+# -- the fundamental group ------------------------------------------------
 
 
 class Presentation(Frozen):
-    """Generators and relators; a relator is a tuple of signed generator
-    indices (i, +1|-1) of ints, and any other letter (a float or a bool
-    among them) is a `BadParameter`.  The relator lattice is factorised
-    on first use and kept, so every query on one presentation shares one
-    Smith form."""
+    """Generators and relators; a relator is a tuple of letters, signed
+    generator indices (i, +1|-1) of ints (see `_check_word`).  The
+    relator lattice is factorised on first use and kept, so every query
+    on one presentation shares one Smith form."""
 
     generators: tuple
     relators: tuple
 
     def __init__(self, *fields):
         super().__init__(*fields)
-        letters = {(i, sign) for i in range(len(self.generators))
-                   for sign in (1, -1)}
         for relator in self.relators:
-            for letter in relator:
-                if (type(letter) is not tuple or letter not in letters
-                        or type(letter[0]) is not int
-                        or type(letter[1]) is not int):
-                    raise BadParameter(
-                        f"relator letter {letter!r} is not (i, 1) or (i, -1)"
-                        f" with 0 <= i < {len(self.generators)}")
+            _check_word(relator, len(self.generators), "relator letter")
+
+    def check_hom_limit(self, G: FiniteGroup, limit):
+        """The number k of generators, once the |G|^k assignments that
+        `enumerate_homs` searches are checked against `limit`."""
+        n, k = len(G), len(self.generators)
+        check_limit(n ** k, limit, f"{n}^{k} = {n ** k} assignments")
+        return k
 
     def exponents(self, word):
         """The exponent sum of each generator in `word`."""
@@ -331,25 +328,25 @@ def invert_word(word):
 
 def _nerve(K):
     """The order complex (nerve) of the poset in degree 1, kept in
-    `K.nerve` as (chains, lattice, width): over the `width` strict pairs
-    x < y, the (pair, sign) terms of each 1-simplex (s; c, a), which is
-    e(a,s) - e(c,s) with e(s,s) = 0, and the lattice of e(x,y) + e(y,z)
-    - e(x,z) for x < y < z.  A 1-cycle lies in it iff it is zero in
-    first homology, which the nerve shares with P (McCord)."""
+    `K.nerve` as (chains, lattice, width) over the `width` strict legs
+    (x; x, v), v < x, in id order: the (leg, sign) terms of each
+    1-simplex, its start leg minus its end leg with (s; s, s) dropped,
+    and the lattice of (x; x, s) + (s; s, v) - (x; x, v) for each strict
+    chain v < s < x of `Cells.chains`.  A 1-cycle lies in it iff it is
+    zero in first homology, which the nerve shares with P (McCord)."""
     if K.nerve is None:
         from . import smith
-        above = [[y for y in row_ids(row) if y != x]
-                 for x, row in enumerate(K.poset.up)]
-        pairs = {xy: i for i, xy in enumerate(
-            (x, y) for x, ys in enumerate(above) for y in ys)}
-        rows = [[(j in (i, pairs[y, z])) - (j == pairs[x, z])
-                 for j in range(len(pairs))]
-                for (x, y), i in pairs.items() for z in above[y]]
-        chains = tuple(
-            tuple((pairs[u, s], sign) for u, sign in ((a, 1), (c, -1))
-                  if u != s)
-            for s, (c, a) in zip(K[1].support, K[1].faces))
-        K.nerve = chains, smith.RowLattice(rows, len(pairs)), len(pairs)
+        edges = K[1]
+        column = {i: k for k, i in enumerate(
+            i for i, (x, (e, v)) in enumerate(zip(edges.support, edges.faces))
+            if x == e != v)}
+        rows = [[(j == column[xs]) + (j == column[sv]) - (j == column[xv])
+                 for j in range(len(column))]
+                for xv, xs, sv in edges.chains]
+        chains = tuple(tuple((column[leg], sign) for leg, sign in
+                             ((start, 1), (end, -1)) if leg in column)
+                       for end, start in edges.legs)
+        K.nerve = chains, smith.RowLattice(rows, len(column)), len(column)
     return K.nerve
 
 
@@ -367,8 +364,6 @@ def pi1_presentation(P: Poset, a0: str):
     `Complex.tree(a0)`, are its own.
     """
     K = complex_of(P)
-    if a0 in K.presentations:
-        return K.presentations[a0]
     tree = K.tree(a0)
     if K.pi1 is None:
         # A class of the spanning tree has the empty word, and any other
@@ -389,9 +384,7 @@ def pi1_presentation(P: Poset, a0: str):
             word for b0, b1, b2 in K[2].faces
             if (word := words[b0] + words[b2] + invert_word(words[b1])))
         K.pi1 = Presentation(tuple(generators), relators), tuple(words)
-    presentation, words = K.pi1
-    K.presentations[a0] = (presentation, WordMap(K[1], words, tree))
-    return K.presentations[a0]
+    return K.pi1[0], WordMap(K[1], K.pi1[1], tree)
 
 
 def enumerate_homs(presentation: Presentation, G: FiniteGroup, limit=10 ** 6):
@@ -403,9 +396,7 @@ def enumerate_homs(presentation: Presentation, G: FiniteGroup, limit=10 ** 6):
     presentation's `checked_relators` is evaluated on the group's tables
     once, as soon as the last generator it mentions has a value.
     """
-    k = len(presentation.generators)
-    total = len(G) ** k
-    check_limit(total, limit, f"{len(G)}^{k} = {total} assignments")
+    k = presentation.check_hom_limit(G, limit)
     unit = G.unit
     closing = [[] for _ in range(k)]
     for relator in presentation.checked_relators:
@@ -455,16 +446,24 @@ def _word(G: FiniteGroup, word, x):
     return value
 
 
+def _check_word(word, k, what):
+    """`BadParameter` unless each letter of `word` is (i, 1) or (i, -1)
+    with i an int naming one of k generators; a bool or a float is not
+    an int here, even where it equals one."""
+    for letter in word:
+        if (type(letter) is not tuple or tuple(map(type, letter)) != (int, int)
+                or not 0 <= letter[0] < k or letter[1] not in (1, -1)):
+            raise BadParameter(f"{what} {letter!r} is not (i, 1) or (i, -1)"
+                               f" with 0 <= i < {k}")
+
+
 def word_value(word, assignment, G: FiniteGroup):
     """The element `word` takes when generator i takes assignment[i]; a
-    value outside G is a `MissingValue`, and a letter whose index is not
-    an int naming a generator with a value a `BadParameter`."""
+    value outside G is a `MissingValue`, and a letter `_check_word`
+    refuses, with k the number of values, a `BadParameter`."""
     try:
         x = tuple(map(G.index.__getitem__, assignment))
     except KeyError as error:
         raise G._missing(error) from None
-    for idx, _ in word:
-        if type(idx) is not int or not 0 <= idx < len(x):
-            raise BadParameter(f"letter {idx} names a generator without a "
-                               f"value ({len(x)} given)")
+    _check_word(word, len(x), "letter")
     return G.elements[_word(G, word, x)]

@@ -457,10 +457,10 @@ class Complex:
     0..3, each built on first use from the one below.  The poset owns
     it (`complex_of`), so every per-poset table hangs off it and goes
     with the poset: the spanning tree paths by base point (`trees`, see
-    `tree`), the parts of `paths.pi1_presentation`, its base-free part
-    `pi1` and its `presentations` by base point, `nerve` (`paths._nerve`),
-    and the based-loop values of each homomorphism of the fundamental
-    group by (group, limit) (`hom_loops`, see `cochains._hom_loops`)."""
+    `tree`), the base-free part of `paths.pi1_presentation` (`pi1`),
+    `nerve` (`paths._nerve`), and the based-loop values of each
+    homomorphism of the fundamental group by group (`hom_loops`, see
+    `cochains._hom_loops`)."""
 
     def __init__(self, P: Poset):
         self.poset = P
@@ -468,7 +468,6 @@ class Complex:
         self.trees = {}
         self.pi1 = None
         self.nerve = None
-        self.presentations = {}
         self.hom_loops = {}
 
     def tree(self, a0):

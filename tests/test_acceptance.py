@@ -78,6 +78,15 @@ def test_criteria_do_not_depend_on_run_order():
         str(n): [True, detail] for n, detail in DETAILS.items()}
 
 
+def test_standard_groups_are_built_once():
+    """Like the posets, the fixture groups are built once: every call
+    hands out the objects the criteria read."""
+    first, again = acceptance.standard_groups(), acceptance.standard_groups()
+    assert first == {"z2": cyclic_group(2), "z3": cyclic_group(3),
+                     "s3": symmetric_group(3)}
+    assert all(again[key] is G for key, G in first.items())
+
+
 # The failure branches of the twelve criteria never run on a passing
 # suite; these faults must reach them.
 

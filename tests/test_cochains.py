@@ -236,15 +236,17 @@ def test_cocycle_enumeration_matches_loop_construction(posets, poset_name,
 
 
 def test_hom_loop_table_is_kept_on_the_complex(posets):
-    """One table per (poset, group, limit), read by the enumeration and
-    the sampler alike."""
-    P = posets["twoloop"]
+    """One table per (poset, group), read by the enumeration and the
+    sampler alike; a larger limit reads the same table."""
+    P = build_poset(posets["twoloop"].elements, posets["twoloop"].pairs())
     table = _hom_loops(P, S3)
     assert _hom_loops(P, S3) is table
-    assert complex_of(P).hom_loops[S3, 10 ** 6] is table
+    assert _hom_loops(P, S3, limit=10 ** 7) is table
+    assert complex_of(P).hom_loops[S3] is table
+    assert len(complex_of(P).hom_loops) == 1
     assert len(enumerate_cocycles(P, S3)) == len(table) * 6 ** (len(P) - 1)
     random_cocycle(P, S3, random.Random(3))
-    assert complex_of(P).hom_loops[S3, 10 ** 6] is table
+    assert complex_of(P).hom_loops == {S3: table}
 
 
 def test_kept_hom_loop_table_does_not_lift_a_smaller_limit(posets):

@@ -422,7 +422,9 @@ def assert_presentation_matches_objects(P, G, rng):
     edges = enumerate_simplices(P, 1)
     for a0 in P.elements:
         presentation, words = pi1_presentation(P, a0)
-        assert pi1_presentation(P, a0) is pi1_presentation(P, a0)
+        again, again_words = pi1_presentation(P, a0)
+        assert again is presentation and again_words.tree is words.tree
+        assert again_words.edge_words is words.edge_words
         generators, relators, edge_words, tree_paths = \
             object_pi1_presentation(P, a0)
         assert presentation.generators == generators

@@ -362,7 +362,6 @@ def test_presentation_is_factorised_once(posets, monkeypatch):
     boundary lattice, and build no presentation; the invariants then
     factorise the relator lattice once."""
     P = posets["twoloop"]
-    monkeypatch.delitem(complex_of(P).presentations, "M1", raising=False)
     monkeypatch.setattr(complex_of(P), "pi1", None)
     monkeypatch.setattr(complex_of(P), "nerve", None)
     calls = []
@@ -429,16 +428,19 @@ def test_pi1_requires_connectivity():
 
 
 def test_presentation_is_kept_on_the_complex(posets):
-    """One presentation per base point, owned by the poset's `Complex`;
-    an equal poset built again owns an equal one of its own."""
+    """One presentation and one edge word table, owned by the poset's
+    `Complex` and shared by every base point; an equal poset built again
+    owns equal ones of its own."""
     P = posets["circle2"]
-    first = pi1_presentation(P, "a1")
-    assert pi1_presentation(P, "a1") is first
-    assert complex_of(P).presentations["a1"] is first
-    again = pi1_presentation(generate("circle", 2), "a1")
-    assert again is not first and again[0] == first[0]
-    assert again[1].edge_words == first[1].edge_words
-    assert pi1_presentation(P, "a2") is not first
+    first, words = pi1_presentation(P, "a1")
+    for a0 in ("a1", "a2"):
+        presentation, other = pi1_presentation(P, a0)
+        assert (presentation, other.edge_words) == complex_of(P).pi1
+        assert presentation is first and other.edge_words is words.edge_words
+        assert other.tree is complex_of(P).tree(a0)
+    again, again_words = pi1_presentation(generate("circle", 2), "a1")
+    assert again is not first and again == first
+    assert again_words.edge_words == words.edge_words
 
 
 def test_base_points_share_one_presentation(posets, monkeypatch):
@@ -451,7 +453,6 @@ def test_base_points_share_one_presentation(posets, monkeypatch):
                         lambda matrix: calls.append(1) or factorise(matrix))
     for name, P in posets.items():
         K = complex_of(P)
-        monkeypatch.setattr(K, "presentations", {})
         monkeypatch.setattr(K, "pi1", None)
         first, words = pi1_presentation(P, P.elements[0])
         for a in P.elements:
@@ -517,10 +518,12 @@ def test_word_value_refuses_values_outside_the_group_and_missing_values():
     with pytest.raises(MissingValue) as caught:
         word_value(((0, 1),), ("zz",), cyclic_group(2))
     assert str(caught.value) == "'zz' is not an element of Z2"
-    # A float or bool index names no generator, even where it equals one.
-    for idx, values in ((1, ("g1",)), (1.0, ("g0", "g1")),
-                        (True, ("g0", "g1"))):
+    # A float or bool index names no generator, even where it equals one,
+    # and the sign is the int 1 or -1: the letters `Presentation` refuses.
+    for letter, values in (((1, 1), ("g1",)), ((1.0, 1), ("g0", "g1")),
+                           ((True, 1), ("g0", "g1")), ((0, 0), ("g1",)),
+                           ((0, 2), ("g1",)), ((0, True), ("g1",))):
         with pytest.raises(BadParameter) as caught:
-            word_value(((idx, 1),), values, cyclic_group(3))
-        assert str(caught.value) == (f"letter {idx} names a generator "
-                                     f"without a value ({len(values)} given)")
+            word_value((letter,), values, cyclic_group(3))
+        assert str(caught.value) == (f"letter {letter!r} is not (i, 1) or "
+                                     f"(i, -1) with 0 <= i < {len(values)}")
