@@ -513,21 +513,19 @@ def _loop_ids(G: FiniteGroup, words, x):
 
 def _hom_loops(P: Poset, G: FiniteGroup, limit=10 ** 6):
     """The `_loop_ids` of each homomorphism of the fundamental group at
-    the base point into G, in `enumerate_homs` order: row h is the
+    the base point into G, in `paths._hom_ids` order: row h is the
     cocycle of homomorphism h (`cocycle_from_hom`), and `_act` of a point
     assignment on it the cocycle of the pair.  Kept on `complex_of(P)`
-    by group; `limit` is checked first, as `enumerate_homs` checks it,
+    by group; `limit` is checked first, as `_hom_ids` checks it,
     so a smaller limit still raises and a larger one reads the table."""
     K = complex_of(P)
     if G in K.hom_loops:
         K.pi1[0].check_hom_limit(G, limit)
     else:
-        from .paths import enumerate_homs, pi1_presentation
+        from .paths import _hom_ids, pi1_presentation
         presentation, words = pi1_presentation(P, base_point(P))
-        index = G.index.__getitem__
-        K.hom_loops[G] = tuple(
-            _loop_ids(G, words, tuple(map(index, sigma)))
-            for sigma in enumerate_homs(presentation, G, limit))
+        K.hom_loops[G] = tuple(_loop_ids(G, words, x)
+                               for x in _hom_ids(presentation, G, limit))
     return K.hom_loops[G]
 
 
@@ -548,7 +546,8 @@ def cocycle_from_hom(P, G, sigma):
 
 
 def enumerate_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
-    """All 1-cocycles of P with values in G, in deterministic order.
+    """All 1-cocycles of P with values in G: by homomorphism in
+    `paths._hom_ids` order, then by point assignment in product order.
 
     A cocycle is the same thing as a fundamental-group homomorphism
     together with a free choice of group element at every point other
@@ -580,15 +579,13 @@ def classify_cocycles(P: Poset, G: FiniteGroup, limit=10 ** 6):
     Over a connected poset the classes are the conjugation orbits of
     fundamental-group homomorphisms.  Each class is represented by the
     cocycle of the first homomorphism of its orbit, trivial on the
-    spanning tree, in `enumerate_homs` order.  A disconnected poset
-    raises `NotConnected`.
+    spanning tree, in `paths._hom_ids` order: `paths._class_ids` read
+    through `_loop_ids`.  A disconnected poset raises `NotConnected`.
     """
-    from .paths import hom_class_representatives, pi1_presentation
-    presentation, _ = pi1_presentation(P, base_point(P))
-    return tuple(
-        cocycle_from_hom(P, G, sigma)
-        for sigma in hom_class_representatives(presentation, G, limit=limit)
-    )
+    from .paths import _class_ids, pi1_presentation
+    presentation, words = pi1_presentation(P, base_point(P))
+    return tuple(Cochain1._of(P, G, _loop_ids(G, words, x))
+                 for x in _class_ids(presentation, G, limit))
 
 
 # -- textual format --------------------------------------------------------

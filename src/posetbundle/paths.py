@@ -252,13 +252,14 @@ class Presentation(Frozen):
 
     def check_hom_limit(self, G: FiniteGroup, limit):
         """The number k of generators, once the |G|^k assignments that
-        `enumerate_homs` searches are checked against `limit`."""
+        `_hom_ids` searches are checked against `limit`."""
         n, k = len(G), len(self.generators)
         check_limit(n ** k, limit, f"{n}^{k} = {n ** k} assignments")
         return k
 
     def exponents(self, word):
-        """The exponent sum of each generator in `word`."""
+        """The exponent sum of each generator in `word` (`_check_word`)."""
+        _check_word(word, len(self.generators), "letter")
         row = [0] * len(self.generators)
         for idx, sign in word:
             row[idx] += sign
@@ -271,7 +272,7 @@ class Presentation(Frozen):
     def checked_relators(self):
         """The distinct freely reduced relators that are not empty, in
         first-seen order: they hold under exactly the same assignments
-        as `relators`, so `enumerate_homs` checks only these."""
+        as `relators`, so `_hom_ids` checks only these."""
         out = {}
         for relator in self.relators:
             word = []
@@ -387,14 +388,14 @@ def pi1_presentation(P: Poset, a0: str):
     return K.pi1[0], WordMap(K[1], K.pi1[1], tree)
 
 
-def enumerate_homs(presentation: Presentation, G: FiniteGroup, limit=10 ** 6):
-    """All maps generators -> G satisfying the relators, in
-    `itertools.product` order.
+def _hom_ids(presentation: Presentation, G: FiniteGroup, limit):
+    """The maps generators -> G satisfying the relators, as tuples of
+    element ids in `itertools.product` order.
 
     `limit` bounds the |G|^k assignments of the k generators.  They grow
-    one generator at a time, as tuples of element ids, and each of the
-    presentation's `checked_relators` is evaluated on the group's tables
-    once, as soon as the last generator it mentions has a value.
+    one generator at a time, and each of the presentation's
+    `checked_relators` is evaluated on the group's tables once, as soon
+    as the last generator it mentions has a value.
     """
     k = presentation.check_hom_limit(G, limit)
     unit = G.unit
@@ -413,29 +414,42 @@ def enumerate_homs(presentation: Presentation, G: FiniteGroup, limit=10 ** 6):
                 else:
                     extended.append(assignment)
         homs = extended
-    return tuple(tuple(map(G.elements.__getitem__, hom)) for hom in homs)
+    return homs
+
+
+def _class_ids(presentation: Presentation, G: FiniteGroup, limit):
+    """The first of each orbit of `_hom_ids` under simultaneous
+    conjugation, in its order."""
+    rows, inverses = G.rows, G.inverses
+    representatives, seen = [], set()
+    for x in _hom_ids(presentation, G, limit):
+        if x not in seen:
+            representatives.append(x)
+            seen.update(tuple(rows[rows[h][g]][inverses[h]] for g in x)
+                        for h in range(len(G)))
+    return representatives
+
+
+def enumerate_homs(presentation: Presentation, G: FiniteGroup, limit=10 ** 6):
+    """All maps generators -> G satisfying the relators, in
+    `itertools.product` order: `_hom_ids`, named."""
+    return tuple(tuple(map(G.elements.__getitem__, x))
+                 for x in _hom_ids(presentation, G, limit))
 
 
 def hom_class_representatives(presentation: Presentation, G: FiniteGroup,
                               limit=10 ** 6):
     """The first homomorphism of each orbit under simultaneous
-    conjugation, in `enumerate_homs` order."""
-    rows, inverses, index = G.rows, G.inverses, G.index.__getitem__
-    representatives, seen = [], set()
-    for sigma in enumerate_homs(presentation, G, limit=limit):
-        x = tuple(map(index, sigma))
-        if x not in seen:
-            representatives.append(sigma)
-            seen.update(tuple(rows[rows[h][g]][inverses[h]] for g in x)
-                        for h in range(len(G)))
-    return tuple(representatives)
+    conjugation, in `enumerate_homs` order: `_class_ids`, named."""
+    return tuple(tuple(map(G.elements.__getitem__, x))
+                 for x in _class_ids(presentation, G, limit))
 
 
 def count_hom_classes(presentation: Presentation, G: FiniteGroup,
                       limit=10 ** 6) -> int:
     """Relator-respecting generator assignments up to simultaneous
     conjugation."""
-    return len(hom_class_representatives(presentation, G, limit=limit))
+    return len(_class_ids(presentation, G, limit))
 
 
 def _word(G: FiniteGroup, word, x):

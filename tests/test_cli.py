@@ -470,6 +470,20 @@ def test_homotopic_limit_is_an_input_error(workspace, tmp_path, capsys):
         "error: paths of length <= 3 searched exceed the limit 23\n")
 
 
+def test_classify_limit_is_an_input_error(tmp_path, capsys):
+    """The homomorphism search of `classify-cocycles` checks its limit
+    before it starts: exit 2, the bound's message after `error:` and no
+    traceback."""
+    (tmp_path / "twoloop.poset").write_text(
+        format_poset_text(standard_posets()["twoloop"]))
+    (tmp_path / "s3.group").write_text(format_group_text(symmetric_group(3)))
+    assert run(["classify-cocycles", tmp_path / "twoloop.poset",
+                tmp_path / "s3.group", "--limit", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: 6^5 = 7776 assignments exceed the limit 10\n"
+    assert "Traceback" not in err
+
+
 def test_homotopic_unknown_verdict(workspace, tmp_path, capsys):
     """Exit 1 for "unknown" too, with no certificate length."""
     (tmp_path / "once.path").write_text("(a1;a1,a1)\n")

@@ -43,6 +43,7 @@ from posetbundle.cochains import (
     coboundary0,
     coboundary1,
     coboundary2,
+    cocycle_from_hom,
     enumerate_cocycles,
     extend_to_path,
     find_morphism,
@@ -536,14 +537,16 @@ def product_filtered_homs(presentation, G):
 @settings(max_examples=60, deadline=None)
 @given(small_posets(connected=True), GROUPS)
 def test_classify_cocycles_matches_filter(P, G):
+    presentation = pi1_presentation(P, base_point(P))[0]
+    reps = classify_cocycles(P, G)
+    # The element-id stream against the named homomorphisms.
+    assert reps == tuple(cocycle_from_hom(P, G, sigma) for sigma in
+                         hom_class_representatives(presentation, G))
     old = filtered_classes(P, G)
     if old is None:
         return
-    reps = classify_cocycles(P, G)
     assert list(reps) == old
-    assert len(reps) == count_hom_classes(
-        pi1_presentation(P, base_point(P))[0], G
-    )
+    assert len(reps) == count_hom_classes(presentation, G)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1660,6 +1663,12 @@ def test_search_limit_messages(posets, groups):
     presentation, _ = pi1_presentation(posets["twoloop"], "m1")
     cases = [
         (lambda: enumerate_homs(presentation, S3, limit=10),
+         "6^5 = 7776 assignments exceed the limit 10"),
+        (lambda: hom_class_representatives(presentation, S3, limit=10),
+         "6^5 = 7776 assignments exceed the limit 10"),
+        (lambda: count_hom_classes(presentation, S3, limit=10),
+         "6^5 = 7776 assignments exceed the limit 10"),
+        (lambda: classify_cocycles(posets["twoloop"], S3, limit=10),
          "6^5 = 7776 assignments exceed the limit 10"),
         (lambda: enumerate_cocycles(circle, Z3, limit=30),
          "3 homomorphisms x 3^3 point assignments exceed the limit 30"),

@@ -416,9 +416,12 @@ def test_presentation_letters_are_signed_generator_indices():
     assert enumerate_homs(square, cyclic_group(2)) == (("g0",), ("g1",))
     assert enumerate_homs(square, cyclic_group(3)) == (("g0",),)
     for letter in ((0, 2), (1, 1), (-1, 1), (0, 0), (1.0, 1), (0, 1.0),
-                   (True, 1), (0, True)):
+                   (True, 1), (0, True), (5, 1)):
         with pytest.raises(BadParameter, match="relator letter"):
             Presentation(("x",), (((0, 1), letter),))
+        # `exponents` refuses the same letters, before it sums a word.
+        with pytest.raises(BadParameter, match=r"^letter .* 0 <= i < 1$"):
+            square.exponents(((0, 1), letter))
 
 
 def test_pi1_requires_connectivity():
