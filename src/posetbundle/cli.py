@@ -154,7 +154,7 @@ def cmd_simplices(args):
 
 
 def cmd_pi1(args):
-    from .paths import pi1_presentation
+    from .paths import homology_invariants, pi1_presentation
 
     base = _base(args)
     pres, _ = pi1_presentation(args.poset, base)
@@ -163,7 +163,7 @@ def cmd_pi1(args):
         "base": base,
         "generators": list(pres.generators),
         "relators": len(pres.relators),
-        "abelian-invariants": pres.abelian_invariants(),
+        "abelian-invariants": homology_invariants(args.poset),
     }
 
 

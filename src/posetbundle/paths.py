@@ -351,6 +351,18 @@ def _nerve(K):
     return K.nerve
 
 
+def homology_invariants(P: Poset):
+    """The invariant factors of H1(P), as `abelian_invariants` lists
+    them, read off the `_nerve` lattice B in Z^E, E its strict legs.
+    The boundary map takes Z^E/B onto the boundary group B0 in Z^P with
+    kernel H1.  B0 is free of rank |P| - c, c the number of components,
+    so the sequence splits: Z^E/B is H1 direct sum Z^(|P| - c).  So the
+    last |P| - c zeros go, one per spanning forest edge."""
+    K = complex_of(P)
+    factors = _nerve(K)[1].invariant_factors()
+    return factors[:len(factors) - sum(K[1].spanning[0])]
+
+
 def pi1_presentation(P: Poset, a0: str):
     """A finite presentation of the edge-path group of P based at a0,
     and the `WordMap` of its spanning tree; kept on `complex_of(P)`.

@@ -1,9 +1,10 @@
 """Integer Smith normal form and lattice membership.
 
-Used as the computable abelianization of finitely presented groups:
-the cokernel of the relator-exponent matrix is the first homology, and
-membership of a word's exponent vector in the relator lattice decides
-equality in the abelianization.
+Used for first homology: of a poset, from its order complex's lattice
+of chain boundaries (`paths._nerve`, `paths.homology_invariants`), and
+of a presentation a caller builds, as the cokernel of its relator
+exponent matrix (`Presentation.abelian_invariants`).  Membership in a
+lattice decides whether a 1-cycle bounds, or two words abelianize equal.
 
 The Smith form of A is D = U A V with U and V unimodular.  Both
 questions read only D and V, so U, a rows x rows matrix, exists but is

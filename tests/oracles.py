@@ -132,18 +132,29 @@ def neighbours_slicing_each_move(ranked, moves, bound):
     return out
 
 
+def component_posets(P: Poset):
+    """The components of P, grown by comparability, each as the poset
+    it spans, in the order of their first elements."""
+    out, left = [], list(P.elements)
+    while left:
+        component = {left[0]}
+        while grown := {y for x in component for y in P.elements
+                        if P.comparable(x, y)} - component:
+            component |= grown
+        out.append(build_poset([x for x in P.elements if x in component],
+                               [pair for pair in P.pairs()
+                                if pair[0] in component], name=P.name))
+        left = [x for x in left if x not in component]
+    return out
+
+
 def separated_by_edge_words(p, q, P: Poset):
     """Oracle for the "no" of `paths.homotopic`: on the component of P
     that p and q run in, their words in the raw edge-path presentation
     of `pi1_presentation` (one generator per non-tree reversal class, one
     relator per 2-simplex) differ modulo its relator lattice."""
-    a0, component = p.start.element, {p.start.element}
-    while grown := {y for x in component for y in P.elements
-                    if P.comparable(x, y)} - component:
-        component |= grown
-    Q = build_poset([x for x in P.elements if x in component],
-                    [pair for pair in P.pairs() if pair[0] in component],
-                    name=P.name)
+    a0 = p.start.element
+    Q = next(Q for Q in component_posets(P) if a0 in Q)
     presentation, words = pi1_presentation(Q, a0)
     w1, w2 = (words.path_word(parse_path_text(r.encode(), Q)) for r in (p, q))
     return (presentation.exponents(w1 + invert_word(w2))

@@ -207,7 +207,9 @@ def test_reports_name_simplices_by_id(tmp_path, monkeypatch):
     `curvature` and `check-cocycle` on a cochain that is no cocycle build
     none of dimension 2: they name simplices through the id tables.  Only
     the cochain file's parser builds objects, of dimensions 0 and 1.
-    Each command parses a fresh poset, whose complex is read after it."""
+    `pi1` reads its invariants from the order complex (`Complex.nerve`)
+    and factorises no relator lattice.  Each command parses a fresh
+    poset, whose complex is read after it."""
     from posetbundle import poset
     from posetbundle.connections import construct_nonflat
     from posetbundle.simplicial import complex_of
@@ -228,9 +230,11 @@ def test_reports_name_simplices_by_id(tmp_path, monkeypatch):
             (["check-cocycle", "p.poset", "s3.group", "u.cochain",
               "--limit", "3"], 1, [0, 1])):
         assert run(command) == code
-        cells = complex_of(parsed.pop())._cells
-        assert [n for n in sorted(cells)
-                if "simplices" in vars(cells[n])] == built
+        K = complex_of(parsed.pop())
+        assert [n for n in sorted(K._cells)
+                if "simplices" in vars(K._cells[n])] == built
+        if command[0] == "pi1":
+            assert "lattice" not in vars(K.pi1[0]) and K.nerve is not None
 
 
 def test_negative_limit_is_usage_error(workspace):

@@ -92,12 +92,14 @@ from posetbundle.paths import (
     degenerate_loop,
     enumerate_homs,
     hom_class_representatives,
+    homology_invariants,
     homotopic,
     invert_word,
     pi1_presentation,
     reverse_path,
 )
-from posetbundle.poset import base_point, build_poset, is_pathwise_connected
+from posetbundle.poset import (base_point, build_poset, generate,
+                               is_pathwise_connected)
 from posetbundle.smith import RowLattice
 from posetbundle.simplicial import (
     Simplex0,
@@ -114,12 +116,13 @@ from posetbundle.simplicial import (
 from inputs import (CONNECTION_KINDS, PATH_FILES, gathered_through_legs,
                     near_a_connection, write_fixtures)
 from oracles import (Arrow2G, ad, argparse_outcome, build_parser,
-                     coboundary1_2g, degree2_sides_2g, enumerate_cocycles_raw,
-                     gauge_group_product_scan, is_2_arrow, morphisms_full_act,
-                     named_word_value, neighbours_slicing_each_move,
-                     random_cocycle_raw, random_connection_raw,
-                     separated_by_edge_words)
+                     coboundary1_2g, component_posets, degree2_sides_2g,
+                     enumerate_cocycles_raw, gauge_group_product_scan,
+                     is_2_arrow, morphisms_full_act, named_word_value,
+                     neighbours_slicing_each_move, random_cocycle_raw,
+                     random_connection_raw, separated_by_edge_words)
 from strategies import small_posets
+from test_paths import RP2_TRIANGLES, face_poset
 
 GROUPS = st.sampled_from(
     [cyclic_group(2), cyclic_group(3), symmetric_group(3)]
@@ -713,6 +716,76 @@ def test_relator_lattice_matches_the_raw_exponent_matrix(presentation, rng):
     if len(presentation.relators) < 20 and n <= 3:
         assert enumerate_homs(presentation, symmetric_group(3)) == (
             product_filtered_homs(presentation, symmetric_group(3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_posets(max_size=5, connected=True),
+                 small_posets(max_size=5),
+                 small_posets(max_size=6, max_height=2)))
+def test_homology_invariants_match_the_relator_lattices(P):
+    """H1 from the order complex is the raw relator lattice's list on a
+    connected draw.  On a disconnected one H1 is the direct sum over
+    the components, so the oracle factorises the block-diagonal stack
+    of their exponent matrices: concatenating their lists would put one
+    component's torsion after another's free rank."""
+    if is_pathwise_connected(P):
+        expected = pi1_presentation(P, base_point(P))[0].abelian_invariants()
+    else:
+        blocks = [pi1_presentation(Q, base_point(Q))[0]
+                  for Q in component_posets(P)]
+        width, rows, offset = sum(len(b.generators) for b in blocks), [], 0
+        for block in blocks:
+            k = len(block.generators)
+            rows += ([0] * offset + row + [0] * (width - offset - k)
+                     for row in block.exponent_matrix())
+            offset += k
+        expected = RowLattice(rows, width).invariant_factors()
+    assert homology_invariants(P) == expected
+
+
+def klein_vertex(i, j):
+    """The vertex at point (i, j) of the 3 x 3 grid of the Klein bottle:
+    i wraps round as it is, and going once round in j reverses i."""
+    return 3 * ((-i if j // 3 % 2 else i) % 3) + j % 3
+
+
+TORUS_TRIANGLES = [t for i in range(7) for t in (
+    (i, (i + 1) % 7, (i + 3) % 7), (i, (i + 2) % 7, (i + 3) % 7))]
+SURFACES = {  # name: (triangles, Euler characteristic, H1)
+    "s2": (list(itertools.combinations(range(4), 3)), 2, []),
+    "rp2": ([tuple(map(int, str(t))) for t in RP2_TRIANGLES], 1, [2]),
+    "torus": (TORUS_TRIANGLES, 0, [0, 0]),
+    "klein": ([tuple(itertools.starmap(klein_vertex, corners))
+               for i in range(3) for j in range(3) for corners in (
+                   ((i, j), (i + 1, j), (i + 1, j + 1)),
+                   ((i, j), (i, j + 1), (i + 1, j + 1)))], 0, [2, 0]),
+    # Two tori without the triangle {0, 1, 3}, glued along its boundary.
+    "genus2": ([t for relabel in ({}, {2: 7, 4: 8, 5: 9, 6: 10})
+                for t in (tuple(relabel.get(v, v) for v in t)
+                          for t in TORUS_TRIANGLES[1:])], -2, [0, 0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("name", SURFACES)
+def test_homology_invariants_of_the_surfaces(name):
+    """The H1 column of the count table, from theory: the face poset of
+    each triangulation has the surface's homotopy type (McCord).  The
+    raw relator lattices take from 0.3 s (S^2) to two minutes (genus 2),
+    so the surfaces are checked against the table alone."""
+    triangles, euler, h1 = SURFACES[name]
+    P = face_poset(triangles, name)
+    assert sum((-1) ** x.count("_") for x in P.elements) == euler
+    assert homology_invariants(P) == h1
+
+
+def test_homology_invariants_list_torsion_before_free_rank():
+    """H1 of circle2 disjoint from RP^2 is Z/2 + Z: `[2, 0]`, where the
+    concatenated lists of the components would read `[0, 2]`."""
+    circle = generate("circle", 2)
+    rp2 = face_poset(SURFACES["rp2"][0], "rp2")
+    P = build_poset(circle.elements + rp2.elements,
+                    circle.pairs() + rp2.pairs(), name="circle2+rp2")
+    assert homology_invariants(P) == [2, 0]
 
 
 def named_class_representatives(presentation, G):
